@@ -6,7 +6,7 @@ trace (which is ~4x denser in events/second than the paper's day) and the
 paper's own average event rate (2.7 B events / 24 h ~ 31 k events/s).
 
 The merge runs through the sharded streaming engine
-(:class:`repro.core.unify.ShardedUnifier`); a radios-scaling sweep over
+(:class:`repro.core.unify.MergeTree`); a radios-scaling sweep over
 fleet subsets is persisted to ``BENCH_merge.json`` at the repo root so
 the perf trajectory is tracked across PRs.
 """
@@ -20,7 +20,6 @@ from repro.experiments.perf import (
     run_bootstrap_performance,
     run_campus_radio_scaling,
     run_decode_performance,
-    run_hierarchy_performance,
     run_memory_profile,
     run_merge_performance,
     run_pool_scaling,
@@ -160,34 +159,26 @@ def test_bootstrap_prepass_single_read_beats_two_read(building_run, capsys):
 def test_campus_hierarchical_merge_and_pool_scaling(
     campus_run, bench_scale, capsys
 ):
-    """Campus-scale hierarchical sharding: the 500+ radio story.
+    """Campus-scale sharding: the 500+ radio story.
 
-    Three sections land in ``BENCH_merge.json``:
+    Two sections land in ``BENCH_merge.json``:
 
-    * ``hierarchy`` — the serial flat-shard coordinator vs the
-      (building, channel) merge tree on the same 512-radio campus, with
-      the tentpole's ratio (``hierarchy_speedup``) and the paper's
-      real-time requirement held at 4x the fleet the paper measured;
-    * ``pool_scaling`` — a worker-count sweep over the same merge, with
-      the engine each request *resolved to* recorded (on a one-core
-      host every row says serial, and should);
+    * ``pool_scaling`` — a worker-count sweep over one 512-radio campus
+      merge, with the engine each request *resolved to* recorded;
     * ``radio_scaling`` — extended past one building with campus points
       (512 radios at the default scale; ``--scale full`` adds the 1024-
       and 1536-radio points by slicing one 12-building simulation).
 
-    The >= 2x pool-over-flat-serial acceptance bound is asserted only
-    where a pool can exist: the multi-core ``pool-bench`` CI lane sets
+    The >= 2x pool-over-serial acceptance bound is asserted only where a
+    pool can exist: the multi-core ``pool-bench`` CI lane sets
     ``REPRO_REQUIRE_POOL_SPEEDUP=1``.  Defined last on purpose — the
     campus heap joins a process already holding the building run, and
     the earlier timing-sensitive legs should not run on top of both.
     """
-    hierarchy = run_hierarchy_performance(campus_run)
     pool = run_pool_scaling(campus_run)
     buildings = DEFAULT_CAMPUS_BUILDINGS if bench_scale == "full" else (4,)
     campus_points = run_campus_radio_scaling(buildings)
     with capsys.disabled():
-        print("\n=== Hierarchy: flat shards vs pod x channel tree ===")
-        print(hierarchy.format_table())
         print("\n=== Pool scaling (worker-count sweep) ===")
         print(pool.format_table())
         print("\n=== Campus radio scaling ===")
@@ -210,31 +201,22 @@ def test_campus_hierarchical_merge_and_pool_scaling(
     _update_results(
         radio_scaling=building_points
         + [p.as_dict() for p in campus_points],
-        hierarchy=hierarchy.as_dict(),
         pool_scaling=pool.as_dict(),
     )
-    # Every execution plan merged the same campus: identical record and
-    # jframe counts across the flat baseline, the tree, and every pool
-    # width (bit-level identity is the parity suite's job).
-    assert (
-        hierarchy.flat.records
-        == hierarchy.tree_serial.records
-        == hierarchy.tree_auto.records
-    )
-    assert (
-        hierarchy.flat.jframes
-        == hierarchy.tree_serial.jframes
-        == hierarchy.tree_auto.jframes
-    )
-    assert all(p.records == hierarchy.flat.records for p in pool.points)
+    # Every pool width merged the same campus: identical record and
+    # jframe counts (bit-level identity is the parity suite's job).
+    serial = pool.points[0]
+    assert serial.pool_workers == 0
+    assert all(p.records == serial.records for p in pool.points)
+    assert all(p.jframes == serial.jframes for p in pool.points)
     # The acceptance floor: faster than real time at 500+ radios, and
     # faster than the paper's day-long event rate at every campus size.
     assert campus_points[0].n_radios >= 500
-    assert hierarchy.realtime_factor > 1.0
+    assert pool.best.realtime_factor > 1.0
     for point in campus_points:
         assert point.records_per_second > PAPER_EVENTS_PER_SECOND
     if os.environ.get("REPRO_REQUIRE_POOL_SPEEDUP"):
         pooled = [p for p in pool.points if p.pool_workers > 0]
         assert pooled, "pool lane resolved every request to serial"
         best = max(p.records_per_second for p in pooled)
-        assert best >= 2.0 * hierarchy.flat.records_per_second
+        assert best >= 2.0 * serial.records_per_second

@@ -42,9 +42,6 @@ GUARDED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("decode.decode_speedup", "batched/scalar decode speedup"),
     ("decode.end_to_end_speedup", "batched/scalar end-to-end speedup"),
     ("bootstrap.prepass_speedup", "single-read prepass speedup"),
-    ("hierarchy.records_per_second", "campus hierarchical merge throughput"),
-    ("hierarchy.hierarchy_speedup", "merge tree vs flat-shard speedup"),
-    ("hierarchy.realtime_factor", "campus real-time factor (512 radios)"),
     ("pool_scaling.best_records_per_second", "best pool-sweep throughput"),
 )
 

@@ -38,9 +38,11 @@ def main() -> None:
     artifacts = run_scenario(config)
     print("reconstructing with Jigsaw (streaming passes, no report lists)...")
     tracker = StationTracker()  # one shared client/AP classification
-    report = JigsawPipeline().run_streaming(
+    report = JigsawPipeline().run(
         artifacts.radio_traces,
-        [
+        clock_groups=artifacts.clock_groups(),
+        materialize=False,
+        passes=[
             SummaryPass(duration, tracker=tracker),
             DispersionPass(),
             WiredCoveragePass(artifacts.wired_trace),
@@ -57,7 +59,6 @@ def main() -> None:
             ),
             TcpLossPass(),
         ],
-        clock_groups=artifacts.clock_groups(),
     )
 
     print("\n=== Table 1: trace summary ===")

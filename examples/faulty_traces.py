@@ -36,8 +36,8 @@ from pathlib import Path
 from repro.core import JigsawPipeline
 from repro.core.faults import RetryPolicy
 from repro.core.sync import sharded as sync_sharded
-from repro.core.unify import sharded as unify_sharded
-from repro.core.unify.sharded import ShardedUnifier
+from repro.core.unify import hierarchy as unify_sharded
+from repro.core.unify.hierarchy import MergeTree
 from repro.jtrace import open_trace_streams, read_traces
 from repro.sim import (
     FaultConfig,
@@ -110,7 +110,7 @@ def main() -> None:
     sync_sharded._collect_shard_prefixes = _crash_once_collect
     try:
         streams = open_trace_streams(out, policy="skip")
-        unifier = ShardedUnifier(
+        unifier = MergeTree(
             max_workers=4,
             retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.05),
         )

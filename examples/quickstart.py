@@ -55,10 +55,11 @@ def main() -> None:
     from repro.core.analysis import ActivityPass, DispersionPass
 
     duration = config.duration_us
-    streaming = JigsawPipeline().run_streaming(
+    streaming = JigsawPipeline().run(
         artifacts.radio_traces,
-        [DispersionPass(), ActivityPass(duration, bin_us=duration // 10)],
         clock_groups=artifacts.clock_groups(),
+        passes=[DispersionPass(), ActivityPass(duration, bin_us=duration // 10)],
+        materialize=False,
     )
     assert streaming.passes["dispersion"].samples_us == cdf.samples_us
     print(

@@ -61,10 +61,11 @@ def main() -> None:
 
     gc.collect()
     tracemalloc.start()
-    report = JigsawPipeline().run_streaming(
+    report = JigsawPipeline().run(
         artifacts.radio_traces,
-        passes,
         clock_groups=artifacts.clock_groups(),
+        passes=passes,
+        materialize=False,
     )
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -1,7 +1,7 @@
 """Shared fault-recovery policy for the sharded coordinators.
 
 Both process-pool coordinators — :class:`~repro.core.sync.sharded.ShardedBootstrap`
-and :class:`~repro.core.unify.sharded.ShardedUnifier` — face the same
+and :class:`~repro.core.unify.hierarchy.MergeTree` — face the same
 failure modes: a worker process dies (``BrokenProcessPool``), a shard
 hangs past its deadline, or a worker raises a deterministic exception.
 The recovery strategy is identical for both, so it lives here once:

@@ -23,9 +23,8 @@ A :class:`PipelinePass` taps that pass directly:
 
 ``JigsawPipeline.run(traces, passes=[...])`` drives registered passes
 inside the one-pass loop.  Report materialization itself is just the
-built-in :class:`MaterializePass`; pass ``materialize=False`` (or call
-``run_streaming``) to drop it and run analyses in bounded memory over
-arbitrarily long traces.
+built-in :class:`MaterializePass`; pass ``materialize=False`` to drop it
+and run analyses in bounded memory over arbitrarily long traces.
 
 :func:`run_passes` replays an already-materialized report through the
 same hooks, so the classic function-style entry points

@@ -30,13 +30,12 @@ Each registered :class:`~repro.core.passes.PipelinePass` receives every
 jframe/attempt/exchange/flow as the loop produces it and surrenders its
 result into ``report.passes``.  Report materialization itself is just the
 built-in :class:`~repro.core.passes.MaterializePass`; disable it with
-``materialize=False`` (or use :meth:`JigsawPipeline.run_streaming`) to
-run analyses in bounded memory over arbitrarily long traces — the report
-then carries statistics, flows and pass results but empty per-layer
-lists.
+``materialize=False`` to run analyses in bounded memory over arbitrarily
+long traces — the report then carries statistics, flows and pass results
+but empty per-layer lists.
 
 ``unifier`` may be a plain :class:`Unifier` or a
-:class:`~repro.core.unify.sharded.ShardedUnifier` — anything exposing
+:class:`~repro.core.unify.hierarchy.MergeTree` — anything exposing
 ``stream_unify`` — so multi-core machines can parallelize the merge
 without touching the pipeline (passes are fed from the merged stream in
 the parent process either way).
@@ -74,7 +73,7 @@ from .sync.skew import ClockTrack
 from .transport.flows import FlowCollector, TcpFlow
 from .transport.inference import InferenceStats, TransportInference
 from .unify.jframe import JFrame
-from .unify.unifier import UnificationResult, Unifier
+from .unify.unifier import UnificationResult, Unifier, UnifyStats
 
 
 @dataclass
@@ -246,6 +245,69 @@ class ReconstructionDrive:
         return flows
 
 
+def assemble_report(
+    drive: ReconstructionDrive,
+    bootstrap: BootstrapResult,
+    tracks: Dict[int, ClockTrack],
+    stats: UnifyStats,
+    traces: Sequence[RadioTrace],
+    health: HealthReport,
+    flows: List[TcpFlow],
+    started: float,
+) -> JigsawReport:
+    """Close a finished drive into its report (batch and daemon alike).
+
+    Call after :meth:`ReconstructionDrive.finish_streams`: completes the
+    ``health`` ledger (the sync verdicts of ``bootstrap``, and the
+    traces' ingest damage counters — streaming traces fill their
+    ``decode_health`` only as the merge drains them), hands every pass
+    the run context, and collects the results.  ``started`` is the
+    ``time.perf_counter()`` reading the run began at.
+    """
+    sync = health.sync
+    sync.quarantined = dict(bootstrap.quarantined)
+    sync.islands = [list(i) for i in bootstrap.islands]
+    sync.rejoined = list(bootstrap.rejoined)
+    sync.widen_rounds = bootstrap.widen_rounds
+    for trace in traces:
+        decode_health = getattr(trace, "decode_health", None)
+        if decode_health is not None:
+            health.ingest.merge(decode_health)
+
+    context = PassContext(
+        bootstrap=bootstrap,
+        tracks=tracks,
+        unify_stats=stats,
+        attempt_stats=drive.attempt_assembler.stats,
+        exchange_stats=drive.exchange_assembler.stats,
+        transport_stats=drive.transport_stats,
+        traces=traces,
+        n_flows=len(flows),
+    )
+    results = {p.name: p.finish(context) for p in drive.passes}
+    materializer = drive.materializer
+    if materializer is not None:
+        materializer.finish(context)
+    return JigsawReport(
+        bootstrap=bootstrap,
+        unification=UnificationResult(
+            jframes=materializer.jframes if materializer is not None else [],
+            tracks=tracks,
+            stats=stats,
+        ),
+        attempts=materializer.attempts if materializer is not None else [],
+        attempt_stats=drive.attempt_assembler.stats,
+        exchanges=materializer.exchanges if materializer is not None else [],
+        exchange_stats=drive.exchange_assembler.stats,
+        flows=flows,
+        transport_stats=drive.transport_stats,
+        elapsed_seconds=time.perf_counter() - started,
+        passes=results,
+        materialized=materializer is not None,
+        health=health,
+    )
+
+
 class JigsawPipeline:
     """traces -> bootstrap -> unify -> link -> transport (+ passes)."""
 
@@ -325,10 +387,6 @@ class JigsawPipeline:
             )
             bootstrap = coordinator.bootstrap(ordered, clock_groups=clock_groups)
             health.bootstrap_shards.merge(coordinator.health)
-        health.sync.quarantined = dict(bootstrap.quarantined)
-        health.sync.islands = [list(i) for i in bootstrap.islands]
-        health.sync.rejoined = list(bootstrap.rejoined)
-        health.sync.widen_rounds = bootstrap.widen_rounds
 
         # One pass: jframes stream out of the merge and straight through
         # attempt grouping, the exchange FSM, flow binning and every
@@ -340,68 +398,16 @@ class JigsawPipeline:
             drive.feed(jframe)
         flows = drive.finish_streams(trim_exchange_refs=trim_exchange_refs)
 
-        materializer = drive.materializer
-        unification = UnificationResult(
-            jframes=materializer.jframes if materializer is not None else [],
-            tracks=stream.tracks,
-            stats=stream.stats,
-        )
-        # Ingest damage counters are complete only now — streaming traces
-        # fill their ``decode_health`` as the merge drains them.
-        for trace in ordered:
-            decode_health = getattr(trace, "decode_health", None)
-            if decode_health is not None:
-                health.ingest.merge(decode_health)
         unify_health = getattr(self.unifier, "health", None)
         if isinstance(unify_health, ShardHealth):
             health.unify_shards.merge(unify_health)
-
-        context = PassContext(
-            bootstrap=bootstrap,
-            tracks=unification.tracks,
-            unify_stats=unification.stats,
-            attempt_stats=drive.attempt_assembler.stats,
-            exchange_stats=drive.exchange_assembler.stats,
-            transport_stats=drive.transport_stats,
-            traces=ordered,
-            n_flows=len(flows),
-        )
-        results = {p.name: p.finish(context) for p in passes}
-        if materializer is not None:
-            materializer.finish(context)
-
-        return JigsawReport(
-            bootstrap=bootstrap,
-            unification=unification,
-            attempts=materializer.attempts if materializer is not None else [],
-            attempt_stats=drive.attempt_assembler.stats,
-            exchanges=materializer.exchanges if materializer is not None else [],
-            exchange_stats=drive.exchange_assembler.stats,
-            flows=flows,
-            transport_stats=drive.transport_stats,
-            elapsed_seconds=time.perf_counter() - started,
-            passes=results,
-            materialized=materialize,
-            health=health,
-        )
-
-    def run_streaming(
-        self,
-        traces: Sequence[RadioTrace],
-        passes: Sequence[PipelinePass],
-        clock_groups: Sequence[Sequence[int]] = (),
-        bootstrap: Optional[BootstrapResult] = None,
-    ) -> JigsawReport:
-        """Bounded-memory entry point: analyses run inline, lists dropped.
-
-        Equivalent to ``run(..., passes=passes, materialize=False)`` —
-        the returned report carries statistics, flows and
-        ``report.passes`` results, but no jframe/attempt/exchange lists.
-        """
-        return self.run(
-            traces,
-            clock_groups=clock_groups,
-            bootstrap=bootstrap,
-            passes=passes,
-            materialize=False,
+        return assemble_report(
+            drive,
+            bootstrap,
+            stream.tracks,
+            stream.stats,
+            ordered,
+            health,
+            flows,
+            started,
         )

@@ -36,7 +36,7 @@ single-threaded collection exactly, in any merge order.
 serially or on a process pool and overlaps collection with trace ingest.
 
 Every downstream step (:func:`_select_covering_family`,
-:func:`_bfs_offsets`) is deterministic given the set *values*: tie-breaks
+:func:`_resolve_offsets`) is deterministic given the set *values*: tie-breaks
 between equal-size reference sets use the recorded arrival order — never
 dict insertion order — so serial, sharded and pool execution produce
 bit-identical offsets.
@@ -678,20 +678,6 @@ def _resolve_offsets(
             quarantined[radio] = f"sync-island:{island_of[radio]}"
     unreachable = [r for r in radios if r not in offsets]
     return offsets, unreachable, quarantined, islands
-
-
-def _bfs_offsets(
-    radios: Sequence[int],
-    family: Sequence[Dict[int, int]],
-    clock_groups: Iterable[Sequence[int]],
-) -> Tuple[Dict[int, float], List[int]]:
-    """Historical single-BFS resolution (from ``radios[0]``, no islands)."""
-    if not radios:
-        return {}, []
-    adjacency = _build_adjacency(radios, family, clock_groups)
-    offsets = _offsets_from(radios[0], adjacency)
-    unreachable = [r for r in radios if r not in offsets]
-    return offsets, unreachable
 
 
 def log_quarantine_warning(

@@ -13,9 +13,8 @@ shared capture clocks (``clock_groups``) in the final BFS.
 * traces are grouped into per-channel shards, each collected by its own
   :class:`~repro.core.sync.bootstrap._BootstrapShard` — serially or on a
   ``concurrent.futures`` process pool (mirroring
-  :class:`~repro.core.unify.sharded.ShardedUnifier`'s serial/pool
-  design, and sharing its worker-count policy via
-  :func:`resolve_pool_workers`);
+  :class:`~repro.core.unify.hierarchy.MergeTree`'s serial/pool design,
+  and sharing its worker-count policy via :func:`resolve_pool_workers`);
 * collection is **single-read**: each trace's records are consumed
   incrementally, exactly once — the window cutoff is one bisect per
   trace, and the auto-widen loop feeds only the records between the old
@@ -79,9 +78,8 @@ def resolve_pool_workers(max_workers: Optional[int], n_shards: int) -> int:
     into, not just a throughput knob, and the fault suites rely on a
     2-worker pool being a real pool even on a 1-core box.  This is the
     one policy both sharded stages (bootstrap here, unification in
-    :class:`~repro.core.unify.sharded.ShardedUnifier` and the merge
-    tree in :class:`~repro.core.unify.hierarchy.MergeTree`) resolve
-    through; the chosen count is surfaced on
+    :class:`~repro.core.unify.hierarchy.MergeTree`) resolve through; the
+    chosen count is surfaced on
     :attr:`~repro.core.faults.ShardHealth.pool_workers` so every pool
     run is auditable from ``report.health``.
 
@@ -150,7 +148,7 @@ class ShardedBootstrap:
     """Channel-sharded front-end over the bootstrap prepass.
 
     ``max_workers`` selects the execution mode exactly like
-    :class:`~repro.core.unify.sharded.ShardedUnifier`:
+    :class:`~repro.core.unify.hierarchy.MergeTree`:
 
     * ``None`` (default) — auto: a process pool when the machine has more
       than one CPU *and* there is more than one channel shard, else
@@ -178,7 +176,6 @@ class ShardedBootstrap:
         auto_widen: bool = True,
         max_window_us: int = 16_000_000,
         retry_policy: Optional[RetryPolicy] = None,
-        shard_timeout_s: Optional[float] = None,
         stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
         island_mode: Optional[str] = None,
     ) -> None:
@@ -193,17 +190,7 @@ class ShardedBootstrap:
         self.window_us = window_us
         self.auto_widen = auto_widen
         self.max_window_us = max_window_us
-        if retry_policy is None:
-            retry_policy = RetryPolicy(shard_timeout_s=shard_timeout_s)
-        elif shard_timeout_s is not None:
-            retry_policy = RetryPolicy(
-                max_retries=retry_policy.max_retries,
-                backoff_base_s=retry_policy.backoff_base_s,
-                backoff_multiplier=retry_policy.backoff_multiplier,
-                backoff_cap_s=retry_policy.backoff_cap_s,
-                shard_timeout_s=shard_timeout_s,
-            )
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy or RetryPolicy()
         self.stability_tolerance_us = stability_tolerance_us
         #: Pool-fault ledger for the most recent :meth:`bootstrap` call.
         self.health = ShardHealth()
@@ -254,12 +241,11 @@ class ShardedBootstrap:
 
         The union is order-independent by construction (absolute arrival
         indices, per-radio-disjoint members), so the two-stage fold is
-        bit-identical to one flat union; the staging mirrors the merge
-        tree's shape and is what a distributed deployment would run
-        building-locally before shipping one payload per building to the
-        coordinator.  ``payloads`` may hold several widening rounds'
-        worth of deltas — round ``r``'s payload for leaf ``i`` sits at
-        ``r * n_leaves + i``.
+        bit-identical to one flat union; the staging is what a
+        distributed deployment would run building-locally before
+        shipping one payload per building to the coordinator.
+        ``payloads`` may hold several widening rounds' worth of deltas —
+        round ``r``'s payload for leaf ``i`` sits at ``r * n_leaves + i``.
         """
         n_leaves = len(leaf_buildings)
         if not n_leaves or leaf_buildings[0] is None:

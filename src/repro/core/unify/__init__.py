@@ -1,8 +1,7 @@
 """Unification: merging all traces into a single jframe timeline."""
 
-from .hierarchy import DEFAULT_FANOUT, MergeTree, ShardLeaf, ShardPlan
+from .hierarchy import MergeTree
 from .jframe import Instance, JFrame, JFrameKind
-from .sharded import ShardedUnifier
 from .unifier import (
     DEFAULT_RESYNC_THRESHOLD_US,
     DEFAULT_SEARCH_WINDOW_US,
@@ -11,24 +10,18 @@ from .unifier import (
     UnifyStats,
     UnifyStream,
     partition_traces,
-    trace_locality,
 )
 
 __all__ = [
     "Instance",
     "JFrame",
     "JFrameKind",
-    "DEFAULT_FANOUT",
     "DEFAULT_RESYNC_THRESHOLD_US",
     "DEFAULT_SEARCH_WINDOW_US",
     "MergeTree",
-    "ShardLeaf",
-    "ShardPlan",
-    "ShardedUnifier",
     "UnificationResult",
     "Unifier",
     "UnifyStats",
     "UnifyStream",
     "partition_traces",
-    "trace_locality",
 ]

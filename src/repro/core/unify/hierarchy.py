@@ -1,48 +1,30 @@
-"""Hierarchical sharding: pod/building x channel merge trees.
+"""The pool-capable merge coordinator.
 
-The flat :class:`~repro.core.unify.sharded.ShardedUnifier` scales with
-the number of *channels* — three shards for a 1/6/11 deployment no
-matter how many radios capture.  At campus scale the fleet grows by
-buildings, not channels, so the shard count must scale with the fleet:
-:func:`~repro.core.unify.unifier.partition_traces` splits shards by the
-``building_id`` locality stamp (radios in different buildings are
-RF-isolated — no transmission is audible in two buildings, so the
-per-channel interaction argument applies per (building, channel) leaf),
-and this module plans and executes the merge over those leaves as a
-**tree of k-way merges**:
+:class:`~repro.core.unify.unifier.Unifier` merges every shard of
+:func:`~repro.core.unify.unifier.partition_traces` in-process and is the
+serial reference.  :class:`MergeTree` merges the *same* shards — one per
+channel component, or one per (building, channel) on campus inputs
+stamped with ``building_id``, so the shard count scales with the fleet
+rather than with the channel plan — and may run the per-shard engines on
+a process pool, with the fault recovery it shares with the sharded
+bootstrap (:func:`~repro.core.faults.map_shards_with_recovery`).
 
-* a :class:`ShardPlan` lays out the leaves (one per (building, channel)
-  component, in deterministic (locality, smallest-channel) order) and
-  the intermediate node levels above them — building-local nodes first,
-  then fanout-bounded reduction levels up to a single root;
-* a :class:`MergeTree` runs each leaf's merge engine (serially, or on a
-  process pool with the same fault recovery as the flat coordinator)
-  and reduces the per-leaf jframe streams through the plan's nodes.
+Serial and pool differ only in where the shard engines run: both reduce
+the per-shard jframe streams with one stable k-way merge
+(:func:`~repro.core.unify.unifier.merge_shard_streams`) in the global
+shard order, so the output is jframe-for-jframe the ``Unifier``'s
+(``tests/test_hierarchy_parity.py`` holds this across execution mode,
+stamped and legacy input, worker death and capture damage).
 
-Bit-identity is by construction, not by luck: every mode — ``Unifier``,
-``ShardedUnifier``, ``MergeTree``, the live daemon — partitions through
-the same :func:`partition_traces`, so they merge identical leaf
-streams; and ``heapq.merge`` is a *stable* k-way merge (ties broken by
-stream position), which makes it associative over contiguous stream
-ranges — merging leaves through any tree of stable merges that
-preserves the global leaf order emits the exact (timestamp, tiebreak)
-sequence the flat k-way merge does.  ``tests/test_hierarchy_parity.py``
-holds the property across tree shapes, serial/pool execution, fault
-injection and the live daemon.
+The name ``MergeTree`` (and this module path) is what ``benchmarks/e2e``
+imports, so it stays although the reduce is one flat merge: a stable
+merge is associative over contiguous stream ranges, so any tree of
+merges that keeps the shard order would emit the same sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...jtrace.io import RadioTrace
 from ..faults import RetryPolicy, ShardHealth, map_shards_with_recovery
@@ -50,257 +32,121 @@ from ..sync.bootstrap import BootstrapResult
 from ..sync.sharded import resolve_pool_workers
 from ..sync.skew import ClockTrack
 from .jframe import JFrame
-from .sharded import _CompletedStream, _drain_shard, _unify_shard
 from .unifier import (
     UnificationResult,
     Unifier,
     UnifyStats,
     UnifyStream,
     _MergeEngine,
-    _timestamp_key,
     merge_shard_streams,
     partition_traces,
-    trace_locality,
+    stream_shards,
 )
 
-#: Default k-way fanout for intermediate merge nodes.  Wide enough that
-#: a campus of a dozen buildings reduces in one extra level, narrow
-#: enough that no single ``heapq.merge`` heap grows past cache-friendly
-#: size when leaves multiply.
-DEFAULT_FANOUT = 8
+#: Result of unifying one shard in a worker process.
+_ShardResult = Tuple[List[JFrame], Dict[int, ClockTrack], UnifyStats]
 
 
-@dataclass(frozen=True)
-class ShardLeaf:
-    """One leaf of the plan: an independent (building, channel) shard."""
+def _unify_shard(
+    unifier: Unifier,
+    traces: Sequence[RadioTrace],
+    bootstrap: BootstrapResult,
+) -> _ShardResult:
+    """Worker entry point: merge one shard to completion (picklable I/O)."""
+    engine = _MergeEngine(unifier, traces, bootstrap)
+    jframes = list(engine.run())
+    return jframes, engine.tracks, engine.stats
 
-    index: int
-    locality: Optional[int]
-    channels: Tuple[int, ...]
-    n_traces: int
 
+def _drain_shard(jframes: List[JFrame]) -> Iterator[JFrame]:
+    """Yield a shard's jframes, releasing each list slot as it is merged.
 
-class ShardPlan:
-    """The static layout of a hierarchical merge.
-
-    ``leaves[i]`` describes the i-th leaf shard (the trace lists
-    themselves are in ``leaf_traces[i]``, in the same order).  ``levels``
-    is the reduction schedule: each level is a list of ``(start, end)``
-    ranges over the previous level's nodes (level 0 reduces leaves), and
-    the last level always holds exactly one range — the root.  Ranges
-    are contiguous in the global leaf order, which is what makes the
-    tree's stable merges reproduce the flat k-way interleaving.
+    Pool mode receives whole shard lists back from the workers; feeding
+    the k-way merge through this generator means consumers that do not
+    retain jframes (``materialize=False`` pipeline runs with streaming
+    passes) only ever hold the unconsumed suffix.
     """
-
-    def __init__(
-        self,
-        leaves: List[ShardLeaf],
-        leaf_traces: List[List[RadioTrace]],
-        levels: List[List[Tuple[int, int]]],
-        fanout: int,
-    ) -> None:
-        self.leaves = leaves
-        self.leaf_traces = leaf_traces
-        self.levels = levels
-        self.fanout = fanout
-
-    @classmethod
-    def build(
-        cls,
-        traces: Sequence[RadioTrace],
-        fanout: int = DEFAULT_FANOUT,
-        locality: Callable[[RadioTrace], Optional[int]] = trace_locality,
-    ) -> "ShardPlan":
-        """Plan the merge tree for ``traces``.
-
-        Leaves come from :func:`partition_traces` with the same locality
-        key every other execution mode uses.  The first reduction level
-        groups each locality's leaves under one building-local node (the
-        pod-local merge a distributed deployment would run in-building);
-        levels above chunk ``fanout`` nodes at a time until one root
-        remains.  Legacy inputs (no locality stamps) get fanout-chunked
-        levels directly over the channel shards.
-        """
-        if fanout < 2:
-            raise ValueError(f"fanout must be at least 2, got {fanout}")
-        leaf_traces = partition_traces(traces, locality)
-        leaves: List[ShardLeaf] = []
-        for index, shard in enumerate(leaf_traces):
-            keys = {locality(t) for t in shard}
-            loc = keys.pop() if len(keys) == 1 else None
-            leaves.append(
-                ShardLeaf(
-                    index=index,
-                    locality=loc,
-                    channels=tuple(sorted({t.channel for t in shard})),
-                    n_traces=len(shard),
-                )
-            )
-        levels: List[List[Tuple[int, int]]] = []
-        localities = [leaf.locality for leaf in leaves]
-        if leaves and all(loc is not None for loc in localities):
-            # Building-local nodes: one contiguous range per locality
-            # (partition order is locality-major, so ranges never split).
-            first: List[Tuple[int, int]] = []
-            start = 0
-            for i in range(1, len(leaves) + 1):
-                if i == len(leaves) or localities[i] != localities[start]:
-                    first.append((start, i))
-                    start = i
-            levels.append(first)
-            width = len(first)
-        else:
-            width = len(leaves)
-        while width > 1:
-            level = [
-                (start, min(start + fanout, width))
-                for start in range(0, width, fanout)
-            ]
-            levels.append(level)
-            width = len(level)
-        if not levels and leaves:
-            levels.append([(0, len(leaves))])
-        return cls(leaves, leaf_traces, levels, fanout)
-
-    @property
-    def depth(self) -> int:
-        """Number of merge levels above the leaves (1 = flat k-way)."""
-        return len(self.levels)
-
-    def describe(self) -> Dict[str, object]:
-        """Plan summary for health surfaces and benchmark sections."""
-        return {
-            "leaves": len(self.leaves),
-            "localities": len(
-                {leaf.locality for leaf in self.leaves} - {None}
-            ),
-            "depth": self.depth,
-            "fanout": self.fanout,
-            "max_leaf_traces": max(
-                (leaf.n_traces for leaf in self.leaves), default=0
-            ),
-        }
+    for index in range(len(jframes)):
+        jframe = jframes[index]
+        jframes[index] = None
+        yield jframe
 
 
 class MergeTree:
-    """Hierarchical front-end over :class:`Unifier`: plan, then reduce.
+    """Front-end over :class:`Unifier` that can merge shards on a pool.
 
-    Drop-in for :class:`~repro.core.unify.sharded.ShardedUnifier`
-    (``stream_unify`` / ``iter_unify`` / ``unify``, plus the ``health``
-    ledger the pipeline folds into ``report.health``) and bit-identical
-    to it on the same traces.  ``max_workers`` selects the execution
-    mode exactly like the flat coordinator; leaf merges are the pool
-    work items, intermediate nodes reduce on the coordinator (a node is
-    a stable ``heapq.merge`` — O(total jframes x log fanout) — while the
-    leaves carry the engine hot loop, so shipping nodes to workers would
-    only move pickled jframes around).
+    ``max_workers`` selects the execution mode:
 
-    ``leaf_runner`` is the picklable per-leaf work item submitted to the
-    pool; the devtools picklability lint holds it to the same rule as
-    every other pool callable (module-level, no lambdas/closures).
+    * ``None`` (default) — auto: a process pool when the machine has more
+      than one CPU *and* there is more than one shard, else serial;
+    * ``0`` or ``1`` — always serial, in-process;
+    * ``n > 1`` — a process pool of at most ``n`` workers.
+
+    Serial mode streams shards lazily (constant memory beyond the open
+    window); pool mode materializes per-shard jframe lists in the workers
+    and k-way merges them on receipt.  Worker death and missed deadlines
+    retry and degrade to serial in-process merges per ``retry_policy``;
+    the engine is deterministic, so a shard merged after a crash is
+    jframe-for-jframe what the first attempt would have produced.
     """
 
     def __init__(
         self,
         unifier: Optional[Unifier] = None,
         max_workers: Optional[int] = None,
-        fanout: int = DEFAULT_FANOUT,
         retry_policy: Optional[RetryPolicy] = None,
-        shard_timeout_s: Optional[float] = None,
-        locality: Callable[[RadioTrace], Optional[int]] = trace_locality,
-        leaf_runner: Callable[..., object] = _unify_shard,
     ) -> None:
         self.unifier = unifier or Unifier()
         self.max_workers = max_workers
-        self.fanout = fanout
-        self.locality = locality
-        self.leaf_runner = leaf_runner
-        if retry_policy is None:
-            retry_policy = RetryPolicy(shard_timeout_s=shard_timeout_s)
-        elif shard_timeout_s is not None:
-            retry_policy = RetryPolicy(
-                max_retries=retry_policy.max_retries,
-                backoff_base_s=retry_policy.backoff_base_s,
-                backoff_multiplier=retry_policy.backoff_multiplier,
-                backoff_cap_s=retry_policy.backoff_cap_s,
-                shard_timeout_s=shard_timeout_s,
-            )
-        self.retry_policy = retry_policy
-        #: Pool-fault ledger (and worker-count audit) for the last call.
+        self.retry_policy = retry_policy or RetryPolicy()
+        #: Shard ledger (count, pool size, pool faults) of the last call;
+        #: the pipeline folds it into ``report.health.unify_shards``.
         self.health = ShardHealth()
-        #: The execution mode the last call actually used.
+        #: The execution mode the last call actually used —
+        #: ``"hierarchy-serial"`` or ``"hierarchy-pool<n>"``.  Benchmarks
+        #: record this instead of guessing from ``max_workers`` (an
+        #: explicit pool request can still resolve serial on a
+        #: single-shard input).
         self.last_engine = "hierarchy-serial"
-
-    # --- internals ---------------------------------------------------------
-
-    def plan(self, traces: Sequence[RadioTrace]) -> ShardPlan:
-        return ShardPlan.build(
-            traces, fanout=self.fanout, locality=self.locality
-        )
-
-    def _reduce(
-        self, streams: List[Iterator[JFrame]], plan: ShardPlan
-    ) -> Iterator[JFrame]:
-        """Run the plan's node levels over the leaf streams."""
-        current = streams
-        for level in plan.levels:
-            current = [
-                merge_shard_streams(current[start:end])
-                for start, end in level
-            ]
-        return current[0]
-
-    # --- public API --------------------------------------------------------
 
     def stream_unify(
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
     ) -> UnifyStream:
-        """A :class:`UnifyStream` over the tree-structured merge.
+        """A :class:`UnifyStream` over the sharded merge.
 
-        Serial mode is fully lazy — every leaf engine and every node
-        merge advances only as the consumer drains the root.  Pool mode
-        dispatches the leaves eagerly (with the shared shard fault
-        recovery) and reduces the returned streams lazily.
+        Serial mode is fully lazy — every shard engine advances only as
+        the consumer drains the merge.  Pool mode dispatches the shards
+        eagerly (the workers run to completion) and streams the merged
+        result.
         """
         self.health = ShardHealth()
-        plan = self.plan(traces)
-        if not plan.leaves:
-            self.last_engine = "hierarchy-serial"
-            return self.unifier.stream_unify(traces, bootstrap)
-        workers = resolve_pool_workers(self.max_workers, len(plan.leaves))
+        shards = partition_traces(traces)
+        workers = resolve_pool_workers(self.max_workers, len(shards))
         track_order = [t.radio_id for t in traces]
         if workers <= 1:
             self.last_engine = "hierarchy-serial"
-            self.health.pool_workers = 0
-            self.health.shards += len(plan.leaves)
-            engines = [
-                _MergeEngine(self.unifier, shard, bootstrap)
-                for shard in plan.leaf_traces
-            ]
-            merged = self._reduce(
-                [engine.run() for engine in engines], plan
-            )
-            return UnifyStream(merged, engines, track_order=track_order)
+            self.health.shards = len(shards)
+            return stream_shards(self.unifier, shards, bootstrap, track_order)
         self.last_engine = f"hierarchy-pool{workers}"
         self.health.pool_workers = workers
+        # Collected in shard order — the merge interleaving must not
+        # depend on completion order.
         results = map_shards_with_recovery(
-            self.leaf_runner,
-            [
-                (self.unifier, shard, bootstrap)
-                for shard in plan.leaf_traces
-            ],
+            _unify_shard,
+            [(self.unifier, shard, bootstrap) for shard in shards],
             max_workers=workers,
             policy=self.retry_policy,
             health=self.health,
-            label="unify-tree",
+            label="unify",
         )
-        merged = self._reduce(
-            [_drain_shard(jframes) for jframes, _, _ in results], plan
+        merged = merge_shard_streams(
+            [_drain_shard(jframes) for jframes, _, _ in results]
         )
-        shard_meta: List[Tuple[Dict[int, ClockTrack], UnifyStats]] = [
-            (tracks, stats) for _, tracks, stats in results
-        ]
-        return _CompletedStream(merged, shard_meta, track_order)
+        return UnifyStream(
+            merged,
+            [(tracks, stats) for _, tracks, stats in results],
+            track_order,
+        )
 
     def iter_unify(
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
@@ -312,9 +158,4 @@ class MergeTree:
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
     ) -> UnificationResult:
         """Batch API: identical result shape (and content) to ``Unifier``."""
-        stream = self.stream_unify(traces, bootstrap)
-        jframes = list(stream)
-        jframes.sort(key=_timestamp_key)
-        return UnificationResult(
-            jframes=jframes, tracks=stream.tracks, stats=stream.stats
-        )
+        return self.stream_unify(traces, bootstrap).drain()

@@ -29,15 +29,14 @@ k-way merged by timestamp:
   shard, finalization lags arrival by at most the search window, so a
   small bounded reorder heap (rather than an end-of-run sort over every
   jframe) yields incrementally ordered output.
-* :meth:`Unifier.unify` — the batch API, now a thin wrapper that drains
-  the stream into a :class:`UnificationResult`.
-* :class:`repro.core.unify.sharded.ShardedUnifier` — the front-end that
-  exposes the shard structure explicitly and can merge shards on a
-  process pool for multi-core machines.
+* :meth:`Unifier.unify` — the batch API, a thin wrapper that drains the
+  stream into a :class:`UnificationResult`.
+* :class:`repro.core.unify.hierarchy.MergeTree` — the same shards behind
+  an optional process pool, for multi-core machines.
 
 Because every execution mode runs the same engine over the same shards in
-the same deterministic order, batch, streaming, serial-sharded and
-parallel-sharded unification produce jframe-for-jframe identical output
+the same deterministic order, batch, streaming, serial and pooled
+unification produce jframe-for-jframe identical output
 (``tests/test_streaming_equivalence.py`` holds this property).
 """
 
@@ -48,7 +47,6 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -156,40 +154,26 @@ class _Group:
         self.radios.add(instance.radio_id)
 
 
-def trace_locality(trace: RadioTrace) -> Optional[int]:
-    """The trace's locality key for hierarchical sharding.
-
-    Campus-scale captures stamp each trace with the building its radio is
-    mounted in (``building_id`` — written by the simulator's campus
-    composition and by the trace-file metadata sidecar).  Radios in
-    different buildings are RF-isolated: no transmission is audible in
-    two buildings, so their records can never legitimately share a
-    jframe, and the merge may shard by (building, channel) instead of by
-    channel alone.  Legacy traces carry no stamp and return ``None``.
-    """
-    return getattr(trace, "building_id", None)
-
-
-def partition_traces(
-    traces: Sequence[RadioTrace],
-    locality: Callable[[RadioTrace], Optional[int]] = trace_locality,
-) -> List[List[RadioTrace]]:
+def partition_traces(traces: Sequence[RadioTrace]) -> List[List[RadioTrace]]:
     """Partition traces into independent merge shards.
 
     Two traces land in the same shard iff they share (transitively) any
     channel among their records *within the same locality* — the exact
     condition under which their records could interact during
-    unification.  Locality comes from ``locality(trace)`` (the
-    ``building_id`` metadata stamp by default); if **any** trace lacks a
-    locality key the whole input falls back to channel-only sharding, so
-    legacy inputs — and mixed fleets where the stamp cannot be trusted —
-    behave exactly as before.  Shards are ordered by (locality, smallest
-    channel), one deterministic global order every execution mode —
-    serial, pool, merge tree, live daemon — enumerates identically; with
-    a single locality this reduces to the historical smallest-channel
-    order.
+    unification.  Locality is the ``building_id`` stamp campus-scale
+    captures carry (written by the simulator's campus composition and by
+    the trace-file metadata sidecar): radios in different buildings are
+    RF-isolated — no transmission is audible in two buildings — so their
+    records can never legitimately share a jframe.  If **any** trace
+    lacks the stamp the whole input falls back to channel-only sharding,
+    so legacy inputs — and mixed fleets where the stamp cannot be
+    trusted — behave exactly as before.  Shards are ordered by
+    (locality, smallest channel), one deterministic global order every
+    execution mode — serial, pool, live daemon — enumerates identically;
+    with a single locality this reduces to the historical
+    smallest-channel order.
     """
-    keys = [locality(t) for t in traces]
+    keys = [getattr(t, "building_id", None) for t in traces]
     if traces and all(k is not None for k in keys):
         shards: List[List[RadioTrace]] = []
         by_key: Dict[int, List[RadioTrace]] = defaultdict(list)
@@ -1018,19 +1002,22 @@ class LiveMergeShard(_MergeEngine):
 class UnifyStream:
     """A lazy unification in progress: iterate to drain the jframes.
 
-    ``stats`` and ``tracks`` aggregate across shards; they are complete
-    once the stream is exhausted (reading them mid-stream gives the
-    progress so far, which is exactly what a live monitor wants).
+    ``sources`` holds one ``(tracks, stats)`` pair per shard — a live
+    engine's own (still-advancing) attributes, or a pool worker's
+    completed result.  ``stats`` and ``tracks`` aggregate across them;
+    they are complete once the stream is exhausted (reading them
+    mid-stream over live engines gives the progress so far, which is
+    exactly what a live monitor wants).
     """
 
     def __init__(
         self,
         iterator: Iterator[JFrame],
-        engines: Sequence[_MergeEngine],
-        track_order: Sequence[int] = (),
+        sources: Sequence[Tuple[Dict[int, ClockTrack], UnifyStats]],
+        track_order: Sequence[int],
     ) -> None:
         self._iterator = iterator
-        self._engines = list(engines)
+        self._sources = list(sources)
         self._track_order = list(track_order)
 
     def __iter__(self) -> Iterator[JFrame]:
@@ -1039,34 +1026,50 @@ class UnifyStream:
     @property
     def stats(self) -> UnifyStats:
         merged = UnifyStats()
-        for engine in self._engines:
-            merged.merge(engine.stats)
+        for _, stats in self._sources:
+            merged.merge(stats)
         return merged
 
     @property
     def tracks(self) -> Dict[int, ClockTrack]:
+        """Every shard's clock tracks, in input-trace order."""
         combined: Dict[int, ClockTrack] = {}
-        for engine in self._engines:
-            combined.update(engine.tracks)
-        if self._track_order:
-            return {
-                rid: combined[rid]
-                for rid in self._track_order
-                if rid in combined
-            }
-        return combined
+        for tracks, _ in self._sources:
+            combined.update(tracks)
+        return {
+            rid: combined[rid]
+            for rid in self._track_order
+            if rid in combined
+        }
 
-    @property
-    def watermark_us(self) -> float:
-        """Global emission bound: min over the shards' watermarks.
+    def drain(self) -> UnificationResult:
+        """Exhaust the stream into the batch result shape."""
+        jframes = list(self)
+        # The stream is ordered by construction; the sort is a stable no-op
+        # safety net that keeps the documented invariant unconditional.
+        jframes.sort(key=_timestamp_key)
+        return UnificationResult(
+            jframes=jframes, tracks=self.tracks, stats=self.stats
+        )
 
-        Every jframe with ``timestamp_us`` at or below this has been
-        yielded by the merged stream; ``-inf`` before the first shard
-        drain, ``inf`` once the stream is exhausted.
-        """
-        if not self._engines:
-            return _INF
-        return min(engine.watermark_us for engine in self._engines)
+
+def stream_shards(
+    unifier: "Unifier",
+    shards: Sequence[Sequence[RadioTrace]],
+    bootstrap: BootstrapResult,
+    track_order: Sequence[int],
+) -> UnifyStream:
+    """The serial merge: one lazy in-process engine per shard.
+
+    Shared by :meth:`Unifier.stream_unify` and the serial mode of
+    :class:`~repro.core.unify.hierarchy.MergeTree`, each over the one
+    partition it already computed.
+    """
+    engines = [_MergeEngine(unifier, shard, bootstrap) for shard in shards]
+    merged = merge_shard_streams([engine.run() for engine in engines])
+    return UnifyStream(
+        merged, [(e.tracks, e.stats) for e in engines], track_order
+    )
 
 
 def merge_shard_streams(
@@ -1134,13 +1137,11 @@ class Unifier:
         Returns a :class:`UnifyStream`: iterate it for globally
         time-ordered jframes; read ``.stats`` / ``.tracks`` when done.
         """
-        shards = partition_traces(traces)
-        engines = [
-            _MergeEngine(self, shard, bootstrap) for shard in shards
-        ]
-        merged = merge_shard_streams([engine.run() for engine in engines])
-        return UnifyStream(
-            merged, engines, track_order=[t.radio_id for t in traces]
+        return stream_shards(
+            self,
+            partition_traces(traces),
+            bootstrap,
+            [t.radio_id for t in traces],
         )
 
     def iter_unify(
@@ -1153,11 +1154,4 @@ class Unifier:
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
     ) -> UnificationResult:
         """Merge all traces into a time-ordered list of jframes (batch)."""
-        stream = self.stream_unify(traces, bootstrap)
-        jframes = list(stream)
-        # The stream is ordered by construction; the sort is a stable no-op
-        # safety net that keeps the documented invariant unconditional.
-        jframes.sort(key=_timestamp_key)
-        return UnificationResult(
-            jframes=jframes, tracks=stream.tracks, stats=stream.stats
-        )
+        return self.stream_unify(traces, bootstrap).drain()

@@ -432,15 +432,13 @@ class PoolCallableRule(Rule):
     ``map_shards_with_recovery``) fails to pickle — but only at runtime,
     on a multi-core host, possibly hours into a run.  The rule rejects
     them at lint time, along with lambdas hiding inside argument
-    expressions.  ``MergeTree(leaf_runner=...)`` is a pool-submission
-    site once removed — the runner is what pool mode ships per leaf —
-    so it is held to the same standard.
+    expressions.
     """
 
     name = "pool-callable"
     summary = (
-        "pool submit()/map_shards_with_recovery/MergeTree(leaf_runner=) "
-        "callables are module-level and their arguments lambda-free"
+        "pool submit()/map_shards_with_recovery callables are "
+        "module-level and their arguments lambda-free"
     )
 
     @staticmethod
@@ -494,12 +492,6 @@ class PoolCallableRule(Rule):
                     kw.value for kw in node.keywords if kw.arg != "fn"
                 )
                 yield node, fn, payload
-            elif tail == "MergeTree":
-                # The leaf runner is the pool work item of hierarchical
-                # merges; a closure here dies only in pool mode, later.
-                for kw in node.keywords:
-                    if kw.arg == "leaf_runner":
-                        yield node, kw.value, []
 
     def check(self, mod: SourceModule) -> Iterator[Finding]:
         for scope, statements in _iter_scopes(mod.tree):

@@ -45,8 +45,7 @@ from ..core.pipeline import JigsawPipeline
 from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from ..core.sync.sharded import ShardedBootstrap
 from ..core.unify.hierarchy import MergeTree
-from ..core.unify.sharded import ShardedUnifier
-from ..core.unify.unifier import Unifier, partition_traces
+from ..core.unify.unifier import partition_traces
 from ..jtrace.io import (
     open_trace_stream,
     open_trace_streams,
@@ -71,7 +70,7 @@ class MergePerformance:
     jframes: int
     n_radios: int = 0
     n_shards: int = 0
-    engine: str = "sharded-serial"
+    engine: str = "hierarchy-serial"
     #: Pool size the run actually used (0 = serial), from the
     #: coordinator's post-run ``health.pool_workers`` audit field.
     pool_workers: int = 0
@@ -124,25 +123,20 @@ def _measure(
     duration_us: int,
     clock_groups,
     max_workers: Optional[int],
-    unifier=None,
     bootstrap: Optional[BootstrapResult] = None,
 ) -> MergePerformance:
     """Time one merge; the engine label is read back from the coordinator.
 
-    ``unifier`` may be any coordinator with the ``ShardedUnifier``
-    surface (``unify``, ``last_engine``, ``health``) — the hierarchy
-    benchmarks pass a :class:`MergeTree`.  The recorded ``engine`` and
-    ``pool_workers`` are what the run *actually* resolved to, not what
-    ``max_workers`` requested: an explicit pool request still runs
-    serial on a one-core host or a single-shard input, and the
-    trajectory must say so.
+    The recorded ``engine`` and ``pool_workers`` are what the run
+    *actually* resolved to, not what ``max_workers`` requested: an
+    explicit pool request still runs serial on a single-shard input,
+    and the trajectory must say so.
     """
     if bootstrap is None:
         bootstrap = bootstrap_synchronization(
             traces, clock_groups=clock_groups
         )
-    if unifier is None:
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+    unifier = MergeTree(max_workers=max_workers)
     n_shards = len(partition_traces(traces))
     # Isolate the measurement from the caller's heap: the cached building
     # run keeps tens of millions of report objects alive, and letting the
@@ -241,7 +235,6 @@ def run_campus_radio_scaling(
                 campus.config.duration_us,
                 campus.clock_groups,
                 max_workers=1,
-                unifier=MergeTree(max_workers=1),
                 bootstrap=_campus_bootstrap(campus),
             )
         )
@@ -342,7 +335,6 @@ def run_pool_scaling(
             campus.config.duration_us,
             campus.clock_groups,
             max_workers=requested,
-            unifier=MergeTree(max_workers=requested),
             bootstrap=bootstrap,
         )
         for requested in worker_counts
@@ -353,133 +345,6 @@ def run_pool_scaling(
         records=campus.n_records,
         requested=list(worker_counts),
         points=points,
-    )
-
-
-@dataclass
-class HierarchyPerformance:
-    """Flat-shard versus hierarchical merge on the same campus traces.
-
-    ``flat`` is the pre-hierarchy baseline: the flat
-    :class:`ShardedUnifier` run serially over the *same stamped traces*
-    — the identical (building, channel) leaf partition, merged as one
-    flat shard list instead of through the merge tree — so the two legs
-    differ only in merge structure and are bit-identical by construction
-    (the parity suite's claim; the bench asserts the record/jframe
-    counts).  ``tree_serial`` and ``tree_auto`` run the
-    :class:`MergeTree`; auto resolves to a process pool on multi-core
-    hosts and serial on one core — the recorded engine label is the
-    resolution, not the request.
-    """
-
-    n_buildings: int
-    plan: dict
-    flat: MergePerformance
-    tree_serial: MergePerformance
-    tree_auto: MergePerformance
-
-    @property
-    def best_tree(self) -> MergePerformance:
-        return min(
-            (self.tree_serial, self.tree_auto),
-            key=lambda p: p.merge_seconds,
-        )
-
-    @property
-    def hierarchy_speedup(self) -> float:
-        """Best hierarchical records/s over the flat-shard baseline."""
-        if self.flat.records_per_second == 0:
-            return float("inf")
-        return (
-            self.best_tree.records_per_second / self.flat.records_per_second
-        )
-
-    @property
-    def realtime_factor(self) -> float:
-        return self.best_tree.realtime_factor
-
-    def format_table(self) -> str:
-        def row(label: str, p: MergePerformance) -> str:
-            return (
-                f"  {label:12s} {p.engine:18s} {p.merge_seconds:6.2f} s  "
-                f"{p.records_per_second:>10,.0f} rec/s  "
-                f"({p.realtime_factor:.2f}x real time)"
-            )
-
-        return "\n".join(
-            [
-                f"campus:        {self.n_buildings} buildings, "
-                f"{self.tree_serial.n_radios} radios, "
-                f"{self.tree_serial.records:,} records",
-                f"plan:          {self.plan['leaves']} leaves over "
-                f"{self.plan['localities']} localities, "
-                f"depth {self.plan['depth']}, fanout {self.plan['fanout']}",
-                row("flat-shard:", self.flat),
-                row("tree serial:", self.tree_serial),
-                row("tree auto:", self.tree_auto),
-                f"speedup:       {self.hierarchy_speedup:.2f}x "
-                "(best tree / flat baseline)",
-            ]
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "n_buildings": self.n_buildings,
-            "n_radios": self.tree_serial.n_radios,
-            "records": self.tree_serial.records,
-            "plan": self.plan,
-            "flat": self.flat.as_dict(),
-            "tree_serial": self.tree_serial.as_dict(),
-            "tree_auto": self.tree_auto.as_dict(),
-            "engine": self.best_tree.engine,
-            "records_per_second": self.best_tree.records_per_second,
-            "hierarchy_speedup": self.hierarchy_speedup,
-            "realtime_factor": self.realtime_factor,
-        }
-
-
-def run_hierarchy_performance(
-    campus=None, n_buildings: int = 4, rounds: int = 2
-) -> HierarchyPerformance:
-    """Flat-shard baseline vs hierarchical merge tree on one campus.
-
-    All legs share one bootstrap and run back to back, ``rounds`` times
-    in alternation with the per-leg best kept, so a transient CPU-quota
-    throttle window cannot invert the recorded ratio (the same
-    discipline the decode/bootstrap sections use).
-    """
-    if campus is None:
-        campus = get_campus_run(n_buildings)
-    bootstrap = _campus_bootstrap(campus)
-    plan = MergeTree().plan(campus.traces).describe()
-
-    legs = {
-        "flat": (lambda: ShardedUnifier(max_workers=1), campus.traces),
-        "tree_serial": (lambda: MergeTree(max_workers=1), campus.traces),
-        "tree_auto": (lambda: MergeTree(), campus.traces),
-    }
-    best: dict = {}
-    for _ in range(max(1, rounds)):
-        for label, (factory, traces) in legs.items():
-            point = _measure(
-                traces,
-                campus.config.duration_us,
-                campus.clock_groups,
-                max_workers=None,
-                unifier=factory(),
-                bootstrap=bootstrap,
-            )
-            if (
-                label not in best
-                or point.merge_seconds < best[label].merge_seconds
-            ):
-                best[label] = point
-    return HierarchyPerformance(
-        n_buildings=len(campus.buildings),
-        plan=plan,
-        flat=best["flat"],
-        tree_serial=best["tree_serial"],
-        tree_auto=best["tree_auto"],
     )
 
 
@@ -612,7 +477,7 @@ def run_bootstrap_performance(
         trace_dir = Path(owned.name)
         write_traces(traces, trace_dir)
     try:
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+        unifier = MergeTree(max_workers=max_workers)
 
         # Both legs pin the scalar decode engine: this section isolates
         # the ingest *architecture* (one read vs two, prefix-only window
@@ -840,7 +705,7 @@ def run_decode_performance(
         finally:
             gc.unfreeze()
 
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+        unifier = MergeTree(max_workers=max_workers)
 
         def _pipeline(**ingest) -> tuple:
             started = time.perf_counter()
@@ -1069,9 +934,6 @@ def main() -> None:
             f"{point.records_per_second:>10,.0f} rec/s  "
             f"({point.realtime_factor:.2f}x real time)  [{point.engine}]"
         )
-    print()
-    print("=== Hierarchy: flat shards vs pod x channel merge tree ===")
-    print(run_hierarchy_performance().format_table())
     print()
     print("=== Pool scaling (worker-count sweep, one campus merge) ===")
     print(run_pool_scaling().format_table())

@@ -44,16 +44,16 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.faults import HealthReport
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
-from ..core.passes import PassContext, PipelinePass, SealedWindow
-from ..core.pipeline import JigsawReport, ReconstructionDrive
+from ..core.passes import PipelinePass, SealedWindow
+from ..core.pipeline import JigsawReport, ReconstructionDrive, assemble_report
 from ..core.sync.bootstrap import BootstrapResult
 from ..core.sync.sharded import ShardedBootstrap
 from ..core.unify.jframe import JFrame
 from ..core.unify.unifier import (
     LiveMergeShard,
-    UnificationResult,
     Unifier,
     UnifyStats,
+    UnifyStream,
     partition_traces,
 )
 from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
@@ -154,7 +154,6 @@ class JigsawDaemon:
         checkpoint_path: Path,
         feed: Any,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        materialize: bool = True,
     ) -> "JigsawDaemon":
         """Rebuild a daemon from its last complete checkpoint.
 
@@ -162,7 +161,8 @@ class JigsawDaemon:
         simulator test double re-derives it from the scenario config); it
         is ``seek``-ed to the checkpoint's consumed counts so the next
         ``next_record`` returns the first record the crashed daemon
-        never consumed.
+        never consumed.  Passes and the materialize choice are the
+        crashed daemon's own, carried by the checkpointed drive.
         """
         state = load_checkpoint(checkpoint_path)
         engines: List[LiveMergeShard] = state.engines
@@ -170,7 +170,7 @@ class JigsawDaemon:
         daemon = cls(
             feed,
             unifier=unifier,
-            materialize=materialize,
+            materialize=state.drive.materializer is not None,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )
@@ -228,12 +228,7 @@ class JigsawDaemon:
             feed.traces, clock_groups=feed.clock_groups()
         )
         self._bootstrap = bootstrap
-        health = self._health
-        health.bootstrap_shards.merge(coordinator.health)
-        health.sync.quarantined = dict(bootstrap.quarantined)
-        health.sync.islands = [list(i) for i in bootstrap.islands]
-        health.sync.rejoined = list(bootstrap.rejoined)
-        health.sync.widen_rounds = bootstrap.widen_rounds
+        self._health.bootstrap_shards.merge(coordinator.health)
 
         offsets = bootstrap.offsets_us
         # Quarantined radios contribute nothing; their record counts land
@@ -390,57 +385,22 @@ class JigsawDaemon:
             tail.extend(p.seal_ready(float("inf")))
         self._publish(tail)
 
-        stats = UnifyStats()
-        for engine in self._engines:
-            stats.merge(engine.stats)
-        stats.merge(self._quarantine_stats)
-        combined: Dict[int, Any] = {}
-        for engine in self._engines:
-            combined.update(engine.tracks)
-        tracks = {
-            rid: combined[rid] for rid in self._track_order if rid in combined
-        }
-        materializer = drive.materializer
-        unification = UnificationResult(
-            jframes=materializer.jframes if materializer is not None else [],
-            tracks=tracks,
-            stats=stats,
+        # Quarantined radios ride as one more (track-less) shard source.
+        merged = UnifyStream(
+            iter(()),
+            [(engine.tracks, engine.stats) for engine in self._engines]
+            + [({}, self._quarantine_stats)],
+            self._track_order,
         )
-        health = self._health
-        for trace in self.feed.traces:
-            decode_health = getattr(trace, "decode_health", None)
-            if decode_health is not None:
-                health.ingest.merge(decode_health)
-
-        context = PassContext(
-            bootstrap=bootstrap,
-            tracks=tracks,
-            unify_stats=stats,
-            attempt_stats=drive.attempt_assembler.stats,
-            exchange_stats=drive.exchange_assembler.stats,
-            transport_stats=drive.transport_stats,
-            traces=self.feed.traces,
-            n_flows=len(flows),
-        )
-        results = {p.name: p.finish(context) for p in drive.passes}
-        if materializer is not None:
-            materializer.finish(context)
-
-        report = JigsawReport(
-            bootstrap=bootstrap,
-            unification=unification,
-            attempts=materializer.attempts if materializer is not None else [],
-            attempt_stats=drive.attempt_assembler.stats,
-            exchanges=(
-                materializer.exchanges if materializer is not None else []
-            ),
-            exchange_stats=drive.exchange_assembler.stats,
-            flows=flows,
-            transport_stats=drive.transport_stats,
-            elapsed_seconds=time.perf_counter() - started_clock,
-            passes=results,
-            materialized=self.materialize,
-            health=health,
+        report = assemble_report(
+            drive,
+            bootstrap,
+            merged.tracks,
+            merged.stats,
+            self.feed.traces,
+            self._health,
+            flows,
+            started_clock,
         )
         return ServiceReport(
             report=report,

@@ -119,16 +119,12 @@ class TestHierarchySections:
 
     def test_hierarchy_and_pool_metrics_are_guarded(self):
         dotted = {d for d, _ in check_regression.GUARDED_METRICS}
-        assert {
-            "hierarchy.records_per_second",
-            "hierarchy.hierarchy_speedup",
-            "hierarchy.realtime_factor",
-            "pool_scaling.best_records_per_second",
-        } <= dotted
+        assert "pool_scaling.best_records_per_second" in dotted
 
     def test_hierarchy_regression_fails_the_gate(self, tmp_path):
         current = full_payload()
-        current["hierarchy"]["records_per_second"] = 50.0  # 0.5x baseline
+        # 0.5x baseline
+        current["pool_scaling"]["best_records_per_second"] = 50.0
         assert run_gate(tmp_path, full_payload(), current) == 1
 
     def test_missing_pool_section_fails_under_require(self, tmp_path):

@@ -409,16 +409,28 @@ class TestSingleReadIngest:
 
 class TestWorkerPolicy:
     def test_resolves_like_sharded_unifier(self):
-        from repro.core.unify.sharded import ShardedUnifier
+        """Bootstrap and merge size their pools through the one policy,
+        and both ledgers record what it resolved to."""
+        from repro.core.unify.hierarchy import MergeTree
 
         for max_workers, n_shards in [
             (None, 1), (None, 3), (0, 3), (1, 3), (2, 3), (8, 3), (2, 1),
         ]:
-            assert ShardedUnifier(
-                max_workers=max_workers
-            )._worker_count(n_shards) == resolve_pool_workers(
-                max_workers, n_shards
-            )
+            traces = [
+                RadioTrace(
+                    radio_id, channel,
+                    [record_for(data_frame(seq=1), radio_id, 1000, channel)],
+                )
+                for radio_id, channel in enumerate((1, 6, 11)[:n_shards])
+            ]
+            workers = resolve_pool_workers(max_workers, n_shards)
+            expected = workers if workers > 1 else 0
+            prepass = ShardedBootstrap(max_workers=max_workers)
+            bootstrap = prepass.bootstrap(traces)
+            assert prepass.health.pool_workers == expected
+            tree = MergeTree(max_workers=max_workers)
+            tree.unify(traces, bootstrap)
+            assert tree.health.pool_workers == expected
 
     def test_serial_when_single_shard(self):
         assert resolve_pool_workers(None, 1) == 1

@@ -318,46 +318,6 @@ class TestPoolCallable:
         )
         assert result.clean
 
-    def test_flags_merge_tree_lambda_leaf_runner(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from repro.core.unify.hierarchy import MergeTree
-
-                def run(traces, bootstrap):
-                    def leaf(unifier, shard, boot):
-                        return shard
-
-                    bad_a = MergeTree(leaf_runner=lambda u, s, b: s)
-                    bad_b = MergeTree(max_workers=2, leaf_runner=leaf)
-                    return bad_a, bad_b
-                """
-            },
-            rule=R.PoolCallableRule(),
-        )
-        assert len(result.findings) == 2
-
-    def test_merge_tree_module_level_leaf_runner_allowed(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from repro.core.unify.hierarchy import MergeTree
-
-                def leaf(unifier, shard, boot):
-                    return shard
-
-                def run(traces, bootstrap):
-                    return MergeTree(leaf_runner=leaf).unify(
-                        traces, bootstrap
-                    )
-                """
-            },
-            rule=R.PoolCallableRule(),
-        )
-        assert result.clean
-
 
 class TestPoolTimeout:
     def test_flags_bare_result_when_futures_imported(self, tmp_path):

@@ -41,8 +41,7 @@ from repro.core.sync.bootstrap import (
     bootstrap_synchronization,
 )
 from repro.core.sync.sharded import ShardedBootstrap, resolve_pool_workers
-from repro.core.unify.sharded import ShardedUnifier
-from repro.core.unify.sharded import _unify_shard as _real_unify_shard
+from repro.core.unify.hierarchy import MergeTree
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -212,11 +211,6 @@ class TestErrorPolicyMatrix:
 # Pool recovery: dying workers, missed deadlines, serial degradation
 # --------------------------------------------------------------------------
 
-#: Flag-file path a crashing worker uses to die exactly once (fork
-#: children inherit the module global, so tests just assign it).
-_CRASH_FLAG = None
-
-
 def _crash_once_worker(flag_path, value):
     if not os.path.exists(flag_path):
         open(flag_path, "w").close()
@@ -233,19 +227,12 @@ def _raising_worker(value):
     raise ValueError(f"deterministic failure for {value}")
 
 
-def _crashy_unify_shard(unifier, traces, bootstrap):
-    if _CRASH_FLAG and not os.path.exists(_CRASH_FLAG):
-        open(_CRASH_FLAG, "w").close()
-        os._exit(1)
-    return _real_unify_shard(unifier, traces, bootstrap)
-
-
 class TestPoolWorkerValidation:
     def test_negative_max_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
             resolve_pool_workers(-1, 4)
         with pytest.raises(ValueError):
-            ShardedUnifier(max_workers=-2)._worker_count(4)
+            MergeTree(max_workers=-2).unify([], bootstrap_synchronization([]))
 
     def test_zero_and_one_mean_serial(self):
         assert resolve_pool_workers(0, 4) == 1
@@ -270,18 +257,6 @@ class TestPoolWorkerValidation:
         assert policy.backoff_s(1) == pytest.approx(0.1)
         assert policy.backoff_s(2) == pytest.approx(0.2)
         assert policy.backoff_s(5) == pytest.approx(0.3)  # capped
-
-    def test_timeout_knob_threads_through_coordinators(self):
-        for coord in (
-            ShardedUnifier(shard_timeout_s=7.5),
-            ShardedBootstrap(shard_timeout_s=7.5),
-        ):
-            assert coord.retry_policy.shard_timeout_s == 7.5
-        merged = ShardedUnifier(
-            retry_policy=RetryPolicy(max_retries=5), shard_timeout_s=2.0
-        ).retry_policy
-        assert merged.max_retries == 5
-        assert merged.shard_timeout_s == 2.0
 
 
 class TestPoolRecovery:
@@ -332,39 +307,6 @@ class TestPoolRecovery:
                 health=health,
             )
         assert health.pool_retries == 0  # retrying would fail identically
-
-    @fork_only
-    def test_sharded_unifier_survives_worker_death(
-        self, tmp_path, monkeypatch
-    ):
-        global _CRASH_FLAG
-        # Two channels -> two shards -> pool mode with max_workers=2.
-        frames = {1000 * i: data_frame(seq=i) for i in range(1, 6)}
-        traces = []
-        for radio_id, channel in ((0, 1), (1, 1), (2, 6), (3, 6)):
-            trace = RadioTrace(radio_id, channel)
-            for t in sorted(frames):
-                trace.append(record_for(frames[t], radio_id, t, channel))
-            traces.append(trace)
-        bootstrap = bootstrap_synchronization(traces)
-        reference = ShardedUnifier(max_workers=0).unify(traces, bootstrap)
-
-        monkeypatch.setattr(
-            "repro.core.unify.sharded._unify_shard", _crashy_unify_shard
-        )
-        _CRASH_FLAG = str(tmp_path / "unify_crash")
-        try:
-            unifier = ShardedUnifier(
-                max_workers=2,
-                retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.0),
-            )
-            result = unifier.unify(traces, bootstrap)
-        finally:
-            _CRASH_FLAG = None
-        assert unifier.health.worker_crashes >= 1
-        assert [(j.timestamp_us, j.kind) for j in result.jframes] == [
-            (j.timestamp_us, j.kind) for j in reference.jframes
-        ]
 
 
 # --------------------------------------------------------------------------
@@ -629,7 +571,7 @@ class TestFaultInjectionHarness:
             [r.radio_id for r in pod.radios] for pod in artifacts.pods
         ]
         streams = open_trace_streams(tmp_path, policy="skip")
-        report = JigsawPipeline(unifier=ShardedUnifier(max_workers=0)).run(
+        report = JigsawPipeline(unifier=MergeTree(max_workers=0)).run(
             streams, clock_groups=clock_groups
         )
         assert report.jframes
@@ -648,11 +590,11 @@ class TestFaultInjectionHarness:
             [r.radio_id for r in pod.radios] for pod in artifacts.pods
         ]
         baseline = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=0)
+            unifier=MergeTree(max_workers=0)
         ).run(traces, clock_groups=clock_groups)
         streams = open_trace_streams(tmp_path, policy="skip")
         replayed = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=0)
+            unifier=MergeTree(max_workers=0)
         ).run(streams, clock_groups=clock_groups)
         assert not replayed.health.degraded
         assert "degraded:" not in replayed.summary()
@@ -759,7 +701,7 @@ class TestBatchedDecodeParity:
             streams = open_trace_streams(
                 directory, policy="skip", **ingest
             )
-            return JigsawPipeline(unifier=ShardedUnifier(max_workers=0)).run(
+            return JigsawPipeline(unifier=MergeTree(max_workers=0)).run(
                 streams, clock_groups=clock_groups
             )
 

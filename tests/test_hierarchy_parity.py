@@ -1,12 +1,13 @@
-"""Hierarchical sharding parity: the merge tree against every other mode.
+"""Sharded merge parity: ``MergeTree`` against the serial reference.
 
-The tentpole claim of ``repro.core.unify.hierarchy`` is bit-identity *by
-construction*: whatever tree shape the plan builds, however the leaves
-execute (serial, pool, pool with dying workers), and whatever damage the
-capture path injected, the jframe stream is exactly the flat
-:class:`~repro.core.unify.sharded.ShardedUnifier`'s.  This suite holds
-that claim over the full matrix — tree depth x execution mode x fault
-state — plus the live daemon (which shards through the same
+:class:`~repro.core.unify.hierarchy.MergeTree` merges the shards of
+``partition_traces`` — (building, channel) leaves on stamped campus
+input, channel shards on legacy input — serially or on a process pool.
+However the leaves execute (serial, pool, pool with dying workers) and
+whatever damage the capture path injected, the jframe stream is exactly
+the plain :class:`~repro.core.unify.unifier.Unifier`'s.  This suite
+holds that claim over execution mode x input stamping x fault state,
+plus the live daemon (which shards through the same
 ``partition_traces``) and the incremental pool-widening protocol of
 :class:`~repro.core.sync.sharded.ShardedBootstrap` (accumulated delta
 payloads must reproduce a full-window collection bit for bit).
@@ -25,8 +26,8 @@ from repro.core.sync.sharded import (
     ShardedBootstrap,
     _collect_shard_prefixes,
 )
-from repro.core.unify import MergeTree, ShardPlan, ShardedUnifier
-from repro.core.unify.sharded import _unify_shard
+from repro.core.unify import MergeTree, Unifier, partition_traces
+from repro.core.unify.hierarchy import _unify_shard
 from repro.jtrace.io import RadioTrace
 from repro.service import JigsawDaemon
 from repro.sim.campus import run_campus
@@ -89,8 +90,8 @@ def bootstrap(campus):
 
 @pytest.fixture(scope="module")
 def reference(campus, bootstrap):
-    """The acceptance baseline: the flat coordinator, serial."""
-    return ShardedUnifier(max_workers=0).unify(campus.traces, bootstrap)
+    """The acceptance baseline: the serial reference merge."""
+    return Unifier().unify(campus.traces, bootstrap)
 
 
 @pytest.fixture(scope="module")
@@ -103,54 +104,40 @@ def stripped_reference(campus, bootstrap):
     from a *different building*, which (building, channel) leaves
     preclude.  Valid-frame assembly is partition-independent either way.
     """
-    return ShardedUnifier(max_workers=0).unify(
-        stripped(campus.traces), bootstrap
-    )
+    return Unifier().unify(stripped(campus.traces), bootstrap)
 
 
 def assert_results_identical(result, reference):
     assert fingerprints(result.jframes) == fingerprints(reference.jframes)
     assert result.stats == reference.stats
-    assert set(result.tracks) == set(reference.tracks)
+    assert list(result.tracks.items()) == list(reference.tracks.items())
 
 
 class TestTreeShapeMatrix:
-    """Tree depth x execution mode, all against the flat coordinator."""
+    """Execution mode x input stamping, all against the plain Unifier."""
 
     @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "pool"])
-    @pytest.mark.parametrize("fanout", [8, 2], ids=["2-level", "3-level"])
-    def test_tree_matches_flat_coordinator(
-        self, campus, bootstrap, reference, fanout, max_workers
+    @pytest.mark.parametrize("stamped", [True, False], ids=["stamped", "legacy"])
+    def test_tree_matches_unifier(
+        self, campus, bootstrap, reference, stripped_reference,
+        stamped, max_workers,
     ):
-        tree = MergeTree(max_workers=max_workers, fanout=fanout)
-        result = tree.unify(campus.traces, bootstrap)
-        assert_results_identical(result, reference)
-        expected = (
-            f"hierarchy-pool{tree.health.pool_workers}"
-            if max_workers > 1
-            else "hierarchy-serial"
+        """(building, channel) leaves on stamped input, channel shards on
+        legacy (unstamped) input: both execution modes interleave exactly
+        like the serial reference, and keep the same ledger."""
+        traces = campus.traces if stamped else stripped(campus.traces)
+        tree = MergeTree(max_workers=max_workers)
+        result = tree.unify(traces, bootstrap)
+        assert_results_identical(
+            result, reference if stamped else stripped_reference
         )
-        assert tree.last_engine == expected
-
-    @pytest.mark.parametrize("max_workers", [2], ids=["pool"])
-    def test_flat_channel_shards_match(
-        self, campus, bootstrap, stripped_reference, max_workers
-    ):
-        """On legacy (unstamped) input every execution mode of the flat
-        coordinator interleaves identically."""
-        result = ShardedUnifier(max_workers=max_workers).unify(
-            stripped(campus.traces), bootstrap
-        )
-        assert_results_identical(result, stripped_reference)
-
-    def test_tree_on_stripped_traces_matches(
-        self, campus, bootstrap, stripped_reference
-    ):
-        """A MergeTree over legacy (unstamped) traces degrades to the
-        flat channel plan and still reproduces the flat coordinator."""
-        tree = MergeTree(max_workers=1)
-        result = tree.unify(stripped(campus.traces), bootstrap)
-        assert_results_identical(result, stripped_reference)
+        assert tree.health.shards == len(partition_traces(traces))
+        if max_workers > 1:
+            assert tree.health.pool_workers == 2
+            assert tree.last_engine == "hierarchy-pool2"
+        else:
+            assert tree.health.pool_workers == 0
+            assert tree.last_engine == "hierarchy-serial"
 
     def test_hierarchy_confines_headless_attachment(
         self, reference, stripped_reference
@@ -180,35 +167,34 @@ class TestTreeShapeMatrix:
 
 
 class TestPlanShapes:
+    """What ``partition_traces`` hands every execution mode."""
+
     def test_campus_plan_is_building_major(self, campus):
-        plan = ShardPlan.build(campus.traces)
-        described = plan.describe()
-        assert described["localities"] == N_BUILDINGS
+        shards = partition_traces(campus.traces)
+        localities = [{t.building_id for t in shard} for shard in shards]
+        # Every leaf sits inside one building; buildings come in order.
+        assert all(len(loc) == 1 for loc in localities)
+        order = [loc.pop() for loc in localities]
+        assert order == sorted(order)
+        assert set(order) == set(range(N_BUILDINGS))
         # One leaf per (building, channel) pair actually present.
         pairs = {
             (t.building_id, t.channel) for t in campus.traces if len(t)
         }
-        assert described["leaves"] == len(
-            {
-                (leaf.locality, ch)
-                for leaf in plan.leaves
-                for ch in leaf.channels
-            }
+        assert len(shards) >= len(pairs)
+        assert sorted(t.radio_id for shard in shards for t in shard) == sorted(
+            t.radio_id for t in campus.traces
         )
-        assert described["leaves"] >= len(pairs)
-        # Default fanout: building-local nodes, then one root level.
-        assert described["depth"] == 2
-
-    def test_narrow_fanout_adds_levels(self, campus):
-        plan = ShardPlan.build(campus.traces, fanout=2)
-        # 4 building nodes reduce 2-at-a-time: 4 -> 2 -> 1.
-        assert plan.depth == 3
-        assert len(plan.levels[-1]) == 1
 
     def test_legacy_plan_falls_back_to_channels(self, campus):
-        plan = ShardPlan.build(stripped(campus.traces))
-        assert all(leaf.locality is None for leaf in plan.leaves)
-        assert plan.describe()["localities"] == 0
+        shards = partition_traces(stripped(campus.traces))
+        assert len(shards) == len({t.channel for t in campus.traces})
+        # Channel shards span buildings: no locality confinement left.
+        by_radio = {t.radio_id: t.building_id for t in campus.traces}
+        assert all(
+            len({by_radio[t.radio_id] for t in shard}) == N_BUILDINGS
+            for shard in shards
+        )
 
     def test_mixed_stamps_fall_back_to_channels(self, campus):
         """partition_traces is all-or-nothing on locality: one unstamped
@@ -217,12 +203,12 @@ class TestPlanShapes:
         traces[0] = RadioTrace(
             traces[0].radio_id, traces[0].channel, traces[0].records
         )
-        plan = ShardPlan.build(traces)
-        assert all(leaf.locality is None for leaf in plan.leaves)
-
-    def test_degenerate_fanout_rejected(self, campus):
-        with pytest.raises(ValueError, match="fanout"):
-            ShardPlan.build(campus.traces, fanout=1)
+        assert [
+            [t.radio_id for t in shard] for shard in partition_traces(traces)
+        ] == [
+            [t.radio_id for t in shard]
+            for shard in partition_traces(stripped(campus.traces))
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +219,7 @@ _CRASH_FLAG = None
 
 
 def _crashy_leaf(unifier, traces, bootstrap):
-    """Leaf runner that hard-kills its worker once, then behaves."""
+    """Shard worker that hard-kills its process once, then behaves."""
     if _CRASH_FLAG and not os.path.exists(_CRASH_FLAG):
         open(_CRASH_FLAG, "w").close()
         os._exit(1)
@@ -243,14 +229,16 @@ def _crashy_leaf(unifier, traces, bootstrap):
 @pytest.mark.faults
 class TestFaultMatrix:
     def test_tree_survives_worker_death_bit_identical(
-        self, campus, bootstrap, reference, tmp_path
+        self, campus, bootstrap, reference, tmp_path, monkeypatch
     ):
         global _CRASH_FLAG
+        monkeypatch.setattr(
+            "repro.core.unify.hierarchy._unify_shard", _crashy_leaf
+        )
         _CRASH_FLAG = str(tmp_path / "tree_crash")
         try:
             tree = MergeTree(
                 max_workers=2,
-                leaf_runner=_crashy_leaf,
                 retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.0),
             )
             result = tree.unify(campus.traces, bootstrap)
@@ -262,7 +250,7 @@ class TestFaultMatrix:
     @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "pool"])
     def test_fault_injected_shards_stay_identical(self, campus, max_workers):
         """Blackouts and clock jumps on campus traces: the damaged fleet
-        must still merge identically through flat shards and the tree."""
+        must still merge identically serially and through the pool."""
         faulted_config = scenario_config(
             "campus",
             "tiny",
@@ -273,14 +261,14 @@ class TestFaultMatrix:
         )
         faulted, plan = inject_record_faults(campus.traces, faulted_config)
         assert plan.any
-        # Stamps survive the rebuild — the tree still plans hierarchically.
+        # Stamps survive the rebuild — leaves stay (building, channel).
         assert all(t.building_id is not None for t in faulted)
         boot = bootstrap_synchronization(
             faulted, clock_groups=campus.clock_groups
         )
-        flat = ShardedUnifier(max_workers=0).unify(faulted, boot)
+        serial = Unifier().unify(faulted, boot)
         result = MergeTree(max_workers=max_workers).unify(faulted, boot)
-        assert_results_identical(result, flat)
+        assert_results_identical(result, serial)
 
 
 # --------------------------------------------------------------------------

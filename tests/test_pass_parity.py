@@ -2,7 +2,7 @@
 
 Every pass-based analysis must produce results identical to its batch
 ``JigsawReport`` counterpart — on the small and building scenarios,
-with ``materialize=False``, and under ``ShardedUnifier`` (serial and
+with ``materialize=False``, and under ``MergeTree`` (serial and
 process-pool) — plus the satellites: in-order exchange emission and the
 experiment run-cache config fingerprint.
 """
@@ -29,7 +29,7 @@ from repro.core.analysis import (
 )
 from repro.core.passes import run_passes
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify import ShardedUnifier
+from repro.core.unify import MergeTree
 from repro.sim import ScenarioConfig, run_scenario
 
 MIN_PACKETS = 20
@@ -165,10 +165,11 @@ class TestStreamingParitySmall:
     def test_materialize_false_matches_batch(self, small_setup):
         """A bounded-memory run (no report lists) still matches batch."""
         config, artifacts, _, batch = small_setup
-        report = JigsawPipeline().run_streaming(
+        report = JigsawPipeline().run(
             artifacts.radio_traces,
-            list(make_passes(config, artifacts.wired_trace).values()),
             clock_groups=artifacts.clock_groups(),
+            passes=list(make_passes(config, artifacts.wired_trace).values()),
+            materialize=False,
         )
         assert not report.materialized
         assert report.jframes == []
@@ -182,21 +183,22 @@ class TestStreamingParitySmall:
         """Serial and process-pool sharded merges drive passes identically."""
         config, artifacts, _, batch = small_setup
         pipeline = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=max_workers)
+            unifier=MergeTree(max_workers=max_workers)
         )
-        report = pipeline.run_streaming(
+        report = pipeline.run(
             artifacts.radio_traces,
-            list(make_passes(config, artifacts.wired_trace).values()),
             clock_groups=artifacts.clock_groups(),
+            passes=list(make_passes(config, artifacts.wired_trace).values()),
+            materialize=False,
         )
         assert_all_equal(report.passes, batch)
 
     def test_replay_refuses_unmaterialized_report(self, small_setup):
         config, artifacts, _, _ = small_setup
-        report = JigsawPipeline().run_streaming(
+        report = JigsawPipeline().run(
             artifacts.radio_traces,
-            [],
             clock_groups=artifacts.clock_groups(),
+            materialize=False,
         )
         with pytest.raises(ValueError, match="materialize=False"):
             activity_timeline(report, config.duration_us)

@@ -123,8 +123,10 @@ class TestExchangeRefTrimming:
 
     def test_streaming_run_trims_exchange_refs(self, pipelined):
         artifacts, batch = pipelined
-        report = JigsawPipeline().run_streaming(
-            artifacts.radio_traces, [], clock_groups=artifacts.clock_groups()
+        report = JigsawPipeline().run(
+            artifacts.radio_traces,
+            clock_groups=artifacts.clock_groups(),
+            materialize=False,
         )
         assert all(
             obs.exchange is None

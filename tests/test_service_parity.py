@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify.sharded import ShardedUnifier
+from repro.core.unify.hierarchy import MergeTree
 from repro.service import JigsawDaemon, load_checkpoint
 from repro.service.windows import (
     WindowedInterferencePass,
@@ -101,11 +101,15 @@ def assert_service_identical(svc_a, svc_b):
     assert pub_a, "parity over zero published windows proves nothing"
 
 
-def run_daemon(config, tmp_path, cadence, stop_after=None, name="svc.ckpt"):
+def run_daemon(
+    config, tmp_path, cadence, stop_after=None, name="svc.ckpt",
+    materialize=True,
+):
     checkpoint = tmp_path / name
     daemon = JigsawDaemon(
         live_feed(config),
         passes=make_passes(),
+        materialize=materialize,
         checkpoint_path=checkpoint,
         checkpoint_every=cadence,
     )
@@ -163,7 +167,7 @@ class TestBuildingScenario:
         _, svc = reference
         streamed = stream_scenario(config)
         batch = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=2)
+            unifier=MergeTree(max_workers=2)
         ).run(streamed.traces, clock_groups=streamed.clock_groups())
         assert_reports_identical(svc.report, batch)
 
@@ -252,6 +256,45 @@ class TestFlashCrowdScenario:
             config, tmp_path, FLASH_CHECKPOINT_EVERY, stop_after=stop
         )
         assert_service_identical(svc, svc_ref)
+
+    def test_crash_resume_keeps_materialize_false(self, config, tmp_path):
+        """A bounded-memory daemon restores as one: the materialize
+        choice rides in the checkpointed drive, not in a restore()
+        default, so the resumed report is the uninterrupted run's."""
+        _, svc_ref, _ = run_daemon(
+            config, tmp_path, FLASH_CHECKPOINT_EVERY,
+            name="ref.ckpt", materialize=False,
+        )
+        crashed, result, checkpoint = run_daemon(
+            config, tmp_path, FLASH_CHECKPOINT_EVERY,
+            stop_after=2 * FLASH_CHECKPOINT_EVERY + 500, materialize=False,
+        )
+        assert result is None
+        restored = JigsawDaemon.restore(
+            checkpoint,
+            live_feed(config),
+            checkpoint_every=FLASH_CHECKPOINT_EVERY,
+        )
+        svc = restored.serve()
+        assert svc is not None and svc.resumed
+        assert svc_ref.report.materialized is False
+        assert svc.report.materialized is False
+        assert svc.report.exchanges == [] and svc.report.attempts == []
+        assert_service_identical(svc, svc_ref)
+
+        def flow_state(report):
+            return [
+                (
+                    str(f.key),
+                    f.handshake_complete,
+                    len(f.loss_events),
+                    [obs.exchange is None for obs in f.observations],
+                )
+                for f in report.flows
+            ]
+
+        assert flow_state(svc.report) == flow_state(svc_ref.report)
+        assert any(f.observations for f in svc.report.flows)
 
     def test_double_crash_double_resume(self, config, reference, tmp_path):
         """Two successive kills, two restores — checkpoints chain."""

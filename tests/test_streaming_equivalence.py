@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.sync.bootstrap import BootstrapResult
-from repro.core.unify import ShardedUnifier, Unifier, partition_traces
+from repro.core.unify import MergeTree, Unifier, partition_traces
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_ack, make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -149,7 +149,7 @@ def test_all_execution_modes_identical(seed):
     streamed = list(Unifier().iter_unify(traces, bootstrap))
     assert [jframe_fingerprint(jf) for jf in streamed] == reference
 
-    serial = ShardedUnifier(max_workers=1).unify(traces, bootstrap)
+    serial = MergeTree(max_workers=1).unify(traces, bootstrap)
     assert [jframe_fingerprint(jf) for jf in serial.jframes] == reference
     assert stats_fingerprint(serial.stats) == stats_fingerprint(batch.stats)
     assert tracks_fingerprint(serial.tracks) == tracks_fingerprint(batch.tracks)
@@ -161,7 +161,7 @@ def test_process_pool_identical(seed):
         seed, transmissions_per_channel=60
     )
     batch = Unifier().unify(traces, bootstrap)
-    pooled = ShardedUnifier(max_workers=2).unify(traces, bootstrap)
+    pooled = MergeTree(max_workers=2).unify(traces, bootstrap)
     assert [jframe_fingerprint(jf) for jf in pooled.jframes] == [
         jframe_fingerprint(jf) for jf in batch.jframes
     ]
@@ -206,7 +206,7 @@ def test_unsynchronized_radio_skipped_in_sharded():
     dropped = traces[0].radio_id
     del bootstrap.offsets_us[dropped]
     batch = Unifier().unify(traces, bootstrap)
-    sharded = ShardedUnifier(max_workers=1).unify(traces, bootstrap)
+    sharded = MergeTree(max_workers=1).unify(traces, bootstrap)
     assert batch.stats.records_skipped_unsynchronized == len(traces[0])
     assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
     assert dropped not in sharded.tracks
@@ -253,7 +253,7 @@ def test_small_simulation_equivalence():
         artifacts.radio_traces, clock_groups=artifacts.clock_groups()
     )
     batch = Unifier().unify(artifacts.radio_traces, bootstrap)
-    sharded = ShardedUnifier(max_workers=1).unify(
+    sharded = MergeTree(max_workers=1).unify(
         artifacts.radio_traces, bootstrap
     )
     assert [jframe_fingerprint(jf) for jf in sharded.jframes] == [
