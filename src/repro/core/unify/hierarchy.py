@@ -54,8 +54,7 @@ def _unify_shard(
 ) -> _ShardResult:
     """Worker entry point: merge one shard to completion (picklable I/O)."""
     engine = _MergeEngine(unifier, traces, bootstrap)
-    jframes = list(engine.run())
-    return jframes, engine.tracks, engine.stats
+    return engine.advance(), engine.tracks, engine.stats
 
 
 def _drain_shard(jframes: List[JFrame]) -> Iterator[JFrame]:
@@ -129,6 +128,21 @@ class MergeTree:
             return stream_shards(self.unifier, shards, bootstrap, track_order)
         self.last_engine = f"hierarchy-pool{workers}"
         self.health.pool_workers = workers
+        # File-backed streams hold decoder threads and do not pickle:
+        # drain them here — after the partition, which needs only their
+        # metadata — and ship the workers plain traces.  Draining in the
+        # parent also fills ``decode_health`` where the pipeline reads it.
+        shards = [
+            [
+                RadioTrace(
+                    t.radio_id, t.channel, t.records, building_id=t.building_id
+                )
+                if hasattr(t, "ensure_index")
+                else t
+                for t in shard
+            ]
+            for shard in shards
+        ]
         # Collected in shard order — the merge interleaving must not
         # depend on completion order.
         results = map_shards_with_recovery(

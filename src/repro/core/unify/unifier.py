@@ -38,6 +38,12 @@ Because every execution mode runs the same engine over the same shards in
 the same deterministic order, batch, streaming, serial and pooled
 unification produce jframe-for-jframe identical output
 (``tests/test_streaming_equivalence.py`` holds this property).
+
+The engine's continuation state (record heap, reorder heap, staleness
+deadline, push counter) lives on the object, not in a generator frame —
+a suspended frame cannot be pickled, and the service daemon checkpoints
+its engines mid-merge.  :meth:`_MergeEngine.advance` is the one hot
+loop: batch drives it in slices, the daemon one record per round.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -74,6 +81,11 @@ DEFAULT_CORRUPT_ATTACH_US = 120.0
 DEFAULT_PHY_ATTACH_US = 60.0
 
 _INF = float("inf")
+
+#: Records one batch ``advance`` call merges before handing its jframes
+#: to the consumer: large enough that the per-call prologue vanishes,
+#: small enough that a lazy consumer holds a sliver of the shard.
+_BATCH_SLICE = 1024
 
 
 @dataclass
@@ -233,46 +245,56 @@ def _partition_by_channel(
 class _TraceCursor:
     """Incremental record access for the merge hot loop.
 
-    Materialized traces index their record list directly.  Streaming
-    traces decode on demand through
+    A cursor is ``buffer`` (the records already in memory, possibly
+    none) plus an optional ``produce(index)`` that returns record
+    ``index`` or ``None`` at end of stream.  Materialized traces have
+    only the buffer.  Streaming traces decode on demand through
     :meth:`~repro.jtrace.io.StreamingRadioTrace.ensure_index`, so the
     merge pulls batches as its heap advances instead of draining every
     trace before the first jframe — the seam that lets decode-ahead
-    reader threads overlap decoding with the merge.
+    reader threads overlap decoding with the merge.  The service daemon
+    starts from an empty buffer and binds ``produce`` to its feed.
 
-    ``counted`` tracks whether this cursor's records have been added to
-    ``records_in`` yet: materialized traces are counted up front (their
-    length is free), streaming traces at exhaustion (their length is
-    only known once decoded).
+    ``counted`` is how many of this cursor's records ``records_in``
+    already includes: a materialized trace is counted up front (its
+    length is free), anything produced on demand at exhaustion (its
+    length is only known then).
+
+    ``produce`` is bound to a live source (a decoder, a feed), so it is
+    not pickled; whoever restores an engine rebinds it.
     """
 
-    __slots__ = ("buffer", "ensure", "counted")
+    __slots__ = ("buffer", "produce", "counted")
 
     def __init__(self, trace: RadioTrace) -> None:
+        self.produce: Optional[Callable[[int], Optional[TraceRecord]]] = None
         ensure = getattr(trace, "ensure_index", None)
         if ensure is None:
             self.buffer: List[TraceRecord] = trace.records
-            self.ensure = None
-            self.counted = True
+            self.counted = len(self.buffer)
         else:
-            self.buffer = trace.replay_buffer
-            self.ensure = ensure
-            self.counted = False
+            buffer = self.buffer = trace.replay_buffer
+            self.produce = lambda index: (
+                buffer[index] if ensure(index) else None
+            )
+            self.counted = 0
+
+    def __getstate__(self) -> Tuple[List[TraceRecord], int]:
+        return self.buffer, self.counted
+
+    def __setstate__(self, state: Tuple[List[TraceRecord], int]) -> None:
+        self.buffer, self.counted = state
+        self.produce = None
 
     def get(self, index: int) -> Optional[TraceRecord]:
-        buffer = self.buffer
-        if index < len(buffer):
-            return buffer[index]
-        if self.ensure is not None and self.ensure(index):
-            return buffer[index]
-        return None
+        if index < len(self.buffer):
+            return self.buffer[index]
+        return self.produce(index) if self.produce is not None else None
 
     def drained_length(self) -> int:
         """Total record count, decoding the remainder if necessary."""
-        if self.ensure is not None:
-            index = len(self.buffer)
-            while self.ensure(index):
-                index = len(self.buffer)
+        while self.get(len(self.buffer)) is not None:
+            pass
         return len(self.buffer)
 
 
@@ -280,18 +302,24 @@ class _MergeEngine:
     """Streams one channel shard's records into time-ordered jframes.
 
     This is the seed single-heap merge algorithm restricted to one shard,
-    restructured as a generator: groups are finalized when the merge
-    clock passes their search-window deadline and emitted through a small
-    reorder heap once no later-finalized group can precede them.  The
-    emission watermark trails the merge clock by twice the search window,
-    which dominates both the window lag itself and any jitter introduced
-    by resynchronization corrections (microseconds against a 10 ms
-    window).
+    made resumable: groups are finalized when the merge clock passes
+    their search-window deadline and emitted through a small reorder
+    heap once no later-finalized group can precede them.  The emission
+    watermark trails the merge clock by twice the search window, which
+    dominates both the window lag itself and any jitter introduced by
+    resynchronization corrections (microseconds against a 10 ms window).
 
     Synchronized streaming traces are consumed *incrementally* through
     :class:`_TraceCursor`: the heap pulls the next record (and, behind
     it, the next decoded batch) only as the merge clock reaches it, so
     decode and merge overlap instead of serializing.
+
+    Each pop reads that radio's successor before anything else happens,
+    so the processing order is a pure function of the per-radio record
+    sequences — never of how many records a call merges or where a
+    restored engine picked up.  Between any two :meth:`advance` calls
+    the whole engine pickles (cursors drop their ``produce``; see
+    :class:`_TraceCursor`) and a restored one continues bit-identically.
     """
 
     def __init__(
@@ -303,7 +331,7 @@ class _MergeEngine:
         self.unifier = unifier
         self.stats = UnifyStats()
         self.tracks: Dict[int, ClockTrack] = {}
-        self._cursors: Dict[int, _TraceCursor] = {}
+        self.cursors: Dict[int, _TraceCursor] = {}
         offsets = bootstrap.offsets_us
         for trace in traces:
             offset = offsets.get(trace.radio_id)
@@ -315,13 +343,14 @@ class _MergeEngine:
                 self.stats.records_in += skipped
                 self.stats.records_skipped_unsynchronized += skipped
                 continue
-            displaced = self._cursors.get(trace.radio_id)
-            if displaced is not None and not displaced.counted:
+            displaced = self.cursors.get(trace.radio_id)
+            if displaced is not None:
                 # Duplicate radio id: the later trace wins (dict
                 # semantics, unchanged), but the displaced records still
                 # count as engine input like they always did.
-                displaced.counted = True
-                self.stats.records_in += displaced.drained_length()
+                self.stats.records_in += (
+                    displaced.drained_length() - displaced.counted
+                )
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
                 offset_us=offset,
@@ -329,25 +358,51 @@ class _MergeEngine:
                 compensate_skew=unifier.compensate_skew,
             )
             cursor = _TraceCursor(trace)
-            if cursor.counted:
-                self.stats.records_in += len(cursor.buffer)
-            self._cursors[trace.radio_id] = cursor
+            self.stats.records_in += cursor.counted
+            self.cursors[trace.radio_id] = cursor
         # Open-group state (channel-local by construction of the shard).
         self.open_by_key: Dict[ReferenceKey, _Group] = {}
         self.open_by_channel: Dict[int, deque] = defaultdict(deque)
         self.open_order: deque = deque()
         #: Emission watermark: every jframe with ``timestamp_us`` at or
-        #: below this has been yielded.  Advances with the reorder-heap
+        #: below this has been emitted.  Advances with the reorder-heap
         #: drain; ``inf`` once the shard is fully drained.
         self.watermark_us: float = -_INF
+        # --- continuation state of :meth:`advance` ---
+        #: One entry per radio with records left (layout: see the loop).
+        self._heap: List[tuple] = []
+        #: Cursors whose first record has been read (pushed, or found
+        #: absent): where a priming pass cut short by its source resumes.
+        self._primed = 0
+        #: Heap pushes so far — the tiebreak, continued across calls.
+        self._counter = 0
+        #: Finalized jframes awaiting ordered emission: (ts, seq, jframe).
+        self._reorder: List[Tuple[int, int, JFrame]] = []
+        #: Merge clock at which the oldest open group goes stale.
+        self._oldest_deadline = _INF
+        #: Jframes emitted by a call that a failing source cut short.
+        self._emitted: List[JFrame] = []
+        #: True once every record is merged and every jframe emitted.
+        self.finished = False
 
     # --- the merge hot loop ------------------------------------------------
 
     def run(self) -> Iterator[JFrame]:
         """Yield this shard's jframes in (timestamp, finalization) order."""
+        while not self.finished:
+            yield from self.advance(_BATCH_SLICE)
+
+    def advance(self, max_records: Optional[int] = None) -> List[JFrame]:
+        """Merge up to ``max_records`` records (all that remain if None).
+
+        Returns the jframes whose emission watermark passed, in
+        (timestamp, finalization) order; the call that merges the last
+        record also finalizes the open groups and sets :attr:`finished`.
+        If a source raises, the engine stays exactly as it was before
+        the record whose successor could not be read — nothing merged so
+        far is lost — and the next call resumes there.
+        """
         unifier = self.unifier
-        tracks = self.tracks
-        cursors = self._cursors
         stats = self.stats
         search_window = unifier.search_window_us
         gap_limit = unifier.instance_gap_us
@@ -372,6 +427,8 @@ class _MergeEngine:
         kind_valid = RecordKind.VALID
         kind_corrupt = RecordKind.CORRUPT
         heappush, heappop = heapq.heappush, heapq.heappop
+        heapreplace = heapq.heapreplace
+        inst_new = Instance.__new__
 
         # One entry per radio: (est universal, tiebreak, radio, record,
         # next index, track generation at push time, track, cursor).  The
@@ -380,191 +437,216 @@ class _MergeEngine:
         # far.  The trailing track/cursor references sit past the unique
         # tiebreak, so tuple comparison never reaches them; carrying them
         # in the entry saves two per-record dict lookups.
-        heap: List[tuple] = []
-        counter = itertools.count()
-        for radio_id, cursor in cursors.items():
-            first = cursor.get(0)
-            if first is not None:
-                track = tracks[radio_id]
-                heappush(
-                    heap,
-                    (
-                        track.universal_us(first.timestamp_us),
-                        next(counter),
-                        radio_id,
-                        first,
-                        1,
-                        track.generation,
-                        track,
-                        cursor,
-                    ),
-                )
-            elif not cursor.counted:
-                cursor.counted = True
+        heap = self._heap
+        reorder = self._reorder
+        emitted = self._emitted
+        # Scalars are bound to locals for the loop and written back in
+        # the ``finally``, so a raising source leaves them current.
+        counter = self._counter
+        oldest_deadline = self._oldest_deadline
+        budget = -1 if max_records is None else max_records
+        try:
+            if self._primed < len(self.cursors):
+                for radio_id, cursor in itertools.islice(
+                    self.cursors.items(), self._primed, None
+                ):
+                    first = cursor.get(0)
+                    if first is not None:
+                        track = self.tracks[radio_id]
+                        heappush(
+                            heap,
+                            (
+                                track.universal_us(first.timestamp_us),
+                                counter,
+                                radio_id,
+                                first,
+                                1,
+                                track.generation,
+                                track,
+                                cursor,
+                            ),
+                        )
+                        counter += 1
+                    self._primed += 1
 
-        #: Finalized jframes awaiting ordered emission: (ts, seq, jframe).
-        reorder: List[Tuple[int, int, JFrame]] = []
-        #: Merge clock at which the oldest open group goes stale.
-        oldest_deadline = _INF
-
-        inst_new = Instance.__new__
-        while heap:
-            est, _, radio_id, record, idx, gen, track, cursor = heappop(heap)
-            # _TraceCursor.get, inlined: one attribute walk per record
-            # beats a method call at building scale.
-            buffer = cursor.buffer
-            if idx < len(buffer):
-                nxt = buffer[idx]
-            else:
-                ensure = cursor.ensure
-                if ensure is not None and ensure(idx):
+            while heap and budget:
+                budget -= 1
+                # Read the successor *before* committing the pop: if its
+                # source raises, this record is still on the heap.  Pop
+                # order is unchanged — (estimate, tiebreak) keys are
+                # unique — and heapreplace is one sift instead of two.
+                est, _, radio_id, record, idx, gen, track, cursor = heap[0]
+                # _TraceCursor.get, inlined: one attribute walk per record
+                # beats a method call at building scale.
+                buffer = cursor.buffer
+                if idx < len(buffer):
                     nxt = buffer[idx]
                 else:
-                    nxt = None
-            if nxt is not None:
-                # ClockTrack.universal_us, inlined verbatim (the resync
-                # paths still go through the method): one method call per
-                # record is real money at 1.5M records.
-                local = nxt.timestamp_us
-                heappush(
-                    heap,
-                    (
-                        local
-                        + track.offset_us
-                        + (
-                            track.skew_ppm * 1e-6 * (local - track.anchor_local_us)
-                            if track.compensate_skew
-                            else 0.0
+                    produce = cursor.produce
+                    nxt = produce(idx) if produce is not None else None
+                if nxt is not None:
+                    # ClockTrack.universal_us, inlined verbatim (the resync
+                    # paths still go through the method): one method call
+                    # per record is real money at 1.5M records.  Computed
+                    # from the track state *before* this pop can resync it.
+                    local = nxt.timestamp_us
+                    heapreplace(
+                        heap,
+                        (
+                            local
+                            + track.offset_us
+                            + (
+                                track.skew_ppm
+                                * 1e-6
+                                * (local - track.anchor_local_us)
+                                if track.compensate_skew
+                                else 0.0
+                            ),
+                            counter,
+                            radio_id,
+                            nxt,
+                            idx + 1,
+                            track.generation,
+                            track,
+                            cursor,
                         ),
-                        next(counter),
-                        radio_id,
-                        nxt,
-                        idx + 1,
-                        track.generation,
-                        track,
-                        cursor,
-                    ),
-                )
-            elif not cursor.counted:
-                cursor.counted = True
-                stats.records_in += idx
-            # Recompute with the current (possibly resynced) track state;
-            # skip when the push-time estimate is still exact.
-            if gen == track.generation:
-                universal = est
-            else:
-                universal = track.universal_us(record.timestamp_us)
+                    )
+                    counter += 1
+                else:
+                    heappop(heap)
+                    stats.records_in += idx - cursor.counted
+                    cursor.counted = idx
+                # Recompute with the current (possibly resynced) track state;
+                # skip when the push-time estimate is still exact.
+                if gen == track.generation:
+                    universal = est
+                else:
+                    universal = track.universal_us(record.timestamp_us)
 
-            kind = record.kind
-            if kind is kind_valid:
-                # parse_record_frame's hit path, inlined: a valid record
-                # always satisfies its kind/snap preconditions, so a bare
-                # cache probe replaces the call for the common repeat
-                # (control frames and duplicate receptions).
-                cached = parse_cache_get((record.snap, record.frame_len), False)
-                frame = cached if cached is not False else parse_frame(record)
-            else:
-                frame = None
-            # Instance(...), with the dataclass-__init__ call layer
-            # peeled off: five slot stores per record.
-            instance = inst_new(Instance)
-            instance.radio_id = radio_id
-            instance.local_us = record.timestamp_us
-            instance.universal_us = universal
-            instance.record = record
-            instance.frame = frame
+                kind = record.kind
+                if kind is kind_valid:
+                    # parse_record_frame's hit path, inlined: a valid record
+                    # always satisfies its kind/snap preconditions, so a bare
+                    # cache probe replaces the call for the common repeat
+                    # (control frames and duplicate receptions).
+                    cached = parse_cache_get(
+                        (record.snap, record.frame_len), False
+                    )
+                    frame = (
+                        cached if cached is not False else parse_frame(record)
+                    )
+                else:
+                    frame = None
+                # Instance(...), with the dataclass-__init__ call layer
+                # peeled off: five slot stores per record.
+                instance = inst_new(Instance)
+                instance.radio_id = radio_id
+                instance.local_us = record.timestamp_us
+                instance.universal_us = universal
+                instance.record = record
+                instance.frame = frame
 
-            if universal > oldest_deadline:
-                oldest_deadline = finalize_stale(universal, reorder)
-                bound = universal - emit_lag
-                if bound > self.watermark_us:
-                    self.watermark_us = bound
-                while reorder and reorder[0][0] <= bound:
-                    yield heappop(reorder)[2]
+                if universal > oldest_deadline:
+                    oldest_deadline = finalize_stale(universal, reorder)
+                    bound = universal - emit_lag
+                    if bound > self.watermark_us:
+                        self.watermark_us = bound
+                    while reorder and reorder[0][0] <= bound:
+                        emitted.append(heappop(reorder)[2])
 
-            # --- placement (inlined: once per record) ---------------------
-            channel = record.channel
-            if kind is kind_valid:
-                key = (channel, record.frame_len, record.fcs, record.snap)
-                group = open_by_key.get(key)
-                if (
-                    group is not None
-                    and radio_id not in group.radios
-                    and universal - group.first_universal <= gap_limit
-                ):
-                    group.instances.append(instance)
-                    group.radios.add(radio_id)
-                    continue
-                transmitter = None
-                if frame is not None:
-                    # CTS-to-self carries the sender in RA; a plain
-                    # receiver cannot know which it is, so RA doubles as
-                    # the hint.
-                    transmitter = frame.transmitter or frame.addr1
-                # A valid capture may complete a group opened by a corrupt
-                # or PHY-error observation of the same transmission.
-                upgrade = find_attachable(
-                    instance, open_by_channel[channel],
-                    corrupt_attach, need_headless=True,
-                )
-                if upgrade is not None:
-                    upgrade.add(instance)
-                    upgrade.key = key
-                    upgrade.rep_record = record
-                    upgrade.rep_frame = frame
-                    upgrade.transmitter = transmitter
-                    open_by_key[key] = upgrade
-                    continue
-                group = _Group(instance, channel, key, record, transmitter)
-                group.rep_frame = frame
-                open_by_key[key] = group
-            elif kind is kind_corrupt:
-                transmitter = transmitter_from_corrupt_bytes(record.snap)
-                existing = find_attachable(
-                    instance, open_by_channel[channel],
-                    corrupt_attach, transmitter=transmitter,
-                )
-                if existing is not None:
-                    existing.instances.append(instance)
-                    existing.radios.add(radio_id)
-                    continue
-                group = _Group(instance, channel, None, None, transmitter)
-            else:  # PHY_ERROR
-                # _find_attachable, inlined for its hottest caller (PHY
-                # errors are half the fleet's records): the transmitter
-                # and headless filters are no-ops here, so the body is
-                # just the windowed best-gap scan.  Keep semantics in
-                # lockstep with _find_attachable.
-                best = None
-                best_gap = phy_attach
-                for g in reversed(open_by_channel[channel]):
-                    gap = universal - g.first_universal
-                    if gap > phy_attach:
-                        break  # creation order: older only further away
-                    if gap < 0.0:
-                        gap = -gap
-                        if gap > phy_attach:
-                            continue
-                    if radio_id in g.radios:
+                # --- placement (inlined: once per record) -----------------
+                channel = record.channel
+                if kind is kind_valid:
+                    key = (channel, record.frame_len, record.fcs, record.snap)
+                    group = open_by_key.get(key)
+                    if (
+                        group is not None
+                        and radio_id not in group.radios
+                        and universal - group.first_universal <= gap_limit
+                    ):
+                        group.instances.append(instance)
+                        group.radios.add(radio_id)
                         continue
-                    if gap <= best_gap:
-                        best = g
-                        best_gap = gap
-                if best is not None:
-                    best.instances.append(instance)
-                    best.radios.add(radio_id)
-                    continue
-                group = _Group(instance, channel, None, None, None)
+                    transmitter = None
+                    if frame is not None:
+                        # CTS-to-self carries the sender in RA; a plain
+                        # receiver cannot know which it is, so RA doubles as
+                        # the hint.
+                        transmitter = frame.transmitter or frame.addr1
+                    # A valid capture may complete a group opened by a corrupt
+                    # or PHY-error observation of the same transmission.
+                    upgrade = find_attachable(
+                        instance, open_by_channel[channel],
+                        corrupt_attach, need_headless=True,
+                    )
+                    if upgrade is not None:
+                        upgrade.add(instance)
+                        upgrade.key = key
+                        upgrade.rep_record = record
+                        upgrade.rep_frame = frame
+                        upgrade.transmitter = transmitter
+                        open_by_key[key] = upgrade
+                        continue
+                    group = _Group(instance, channel, key, record, transmitter)
+                    group.rep_frame = frame
+                    open_by_key[key] = group
+                elif kind is kind_corrupt:
+                    transmitter = transmitter_from_corrupt_bytes(record.snap)
+                    existing = find_attachable(
+                        instance, open_by_channel[channel],
+                        corrupt_attach, transmitter=transmitter,
+                    )
+                    if existing is not None:
+                        existing.instances.append(instance)
+                        existing.radios.add(radio_id)
+                        continue
+                    group = _Group(instance, channel, None, None, transmitter)
+                else:  # PHY_ERROR
+                    # _find_attachable, inlined for its hottest caller (PHY
+                    # errors are half the fleet's records): the transmitter
+                    # and headless filters are no-ops here, so the body is
+                    # just the windowed best-gap scan.  Keep semantics in
+                    # lockstep with _find_attachable.
+                    best = None
+                    best_gap = phy_attach
+                    for g in reversed(open_by_channel[channel]):
+                        gap = universal - g.first_universal
+                        if gap > phy_attach:
+                            break  # creation order: older only further away
+                        if gap < 0.0:
+                            gap = -gap
+                            if gap > phy_attach:
+                                continue
+                        if radio_id in g.radios:
+                            continue
+                        if gap <= best_gap:
+                            best = g
+                            best_gap = gap
+                    if best is not None:
+                        best.instances.append(instance)
+                        best.radios.add(radio_id)
+                        continue
+                    group = _Group(instance, channel, None, None, None)
 
-            open_by_channel[channel].append(group)
-            open_order.append(group)
-            if oldest_deadline is _INF:
-                oldest_deadline = group.first_universal + search_window
+                open_by_channel[channel].append(group)
+                open_order.append(group)
+                # By value, not identity: a pickle round trip rebuilds the
+                # float, and ``is _INF`` would silently stop re-arming the
+                # staleness deadline on a restored engine.
+                if oldest_deadline == _INF:
+                    oldest_deadline = group.first_universal + search_window
+        finally:
+            self._counter = counter
+            self._oldest_deadline = oldest_deadline
 
-        self._finalize_stale(_INF, reorder)
-        while reorder:
-            yield heappop(reorder)[2]
-        self.watermark_us = _INF
+        if not heap:
+            finalize_stale(_INF, reorder)
+            while reorder:
+                emitted.append(heappop(reorder)[2])
+            self.watermark_us = _INF
+            self.finished = True
+        self._emitted = []
+        return emitted
 
     # --- placement helpers -------------------------------------------------
 
@@ -737,266 +819,6 @@ class _MergeEngine:
             if group.transmitter is not None
             else (frame.transmitter if frame is not None else None),
         )
-
-
-class LiveMergeShard(_MergeEngine):
-    """A checkpointable, record-at-a-time variant of the shard merge.
-
-    The batch :class:`_MergeEngine` is a generator pulling records
-    through trace cursors — its continuation state (the suspended frame,
-    the heap's cursor references) cannot be serialized.  This subclass
-    holds the *same* merge state in plain attributes and is driven one
-    record at a time from outside, so the whole object pickles and a
-    restored instance continues bit-identically.
-
-    The drive protocol is a **blocking-successor discipline**: after the
-    engine pops a radio's record off the heap, it demands that radio's
-    next record (or its end-of-stream) before anything else happens.
-    This makes the processing order a pure function of the per-radio
-    record sequences — never of arrival timing — which is what lets a
-    daemon killed and restored mid-trace replay into the identical
-    state, and what keeps live output jframe-for-jframe identical to a
-    batch run over the same records:
-
-    * :meth:`needed` — the radio id whose next record must be supplied,
-      or ``None`` when the engine can :meth:`step`;
-    * :meth:`supply` — hand over that radio's next record (``None`` at
-      end of stream);
-    * :meth:`step` — process exactly one heap pop; returns any jframes
-      whose emission watermark passed;
-    * :meth:`finish` — finalize remaining open groups, drain the rest.
-
-    Heap entries carry only scalars (estimate, push counter, radio id) —
-    records and track generations ride in side tables keyed by radio —
-    so a pickled engine rebinds nothing on restore.  The push counter
-    replicates the batch engine's tie-break exactly: under the
-    blocking-successor discipline pushes happen in the same order as the
-    batch hot loop's (initial records in trace order, then each popped
-    radio's successor immediately after its pop).
-    """
-
-    def __init__(
-        self,
-        unifier: "Unifier",
-        radio_ids: Sequence[int],
-        offsets_us: Dict[int, float],
-    ) -> None:
-        # Deliberately does NOT call _MergeEngine.__init__ (no traces to
-        # cursor); only the open-group/finalization state is shared.
-        self.unifier = unifier
-        self.stats = UnifyStats()
-        self.tracks = {}
-        self.radio_ids = list(radio_ids)
-        for radio_id in self.radio_ids:
-            self.tracks[radio_id] = ClockTrack(
-                radio_id=radio_id,
-                offset_us=offsets_us[radio_id],
-                alpha=unifier.skew_alpha,
-                compensate_skew=unifier.compensate_skew,
-            )
-        self.open_by_key = {}
-        self.open_by_channel = defaultdict(deque)
-        self.open_order = deque()
-        self.watermark_us = -_INF
-        self._emit_lag = 2.0 * unifier.search_window_us + max(
-            unifier.corrupt_attach_us, unifier.phy_attach_us
-        )
-        #: (est universal, push counter, radio id); records/generations
-        #: ride in the side tables below so entries stay picklable.
-        self._heap: List[Tuple[float, int, int]] = []
-        self._pending: Dict[int, TraceRecord] = {}
-        self._pending_gen: Dict[int, int] = {}
-        self._counter = 0
-        #: Radios awaiting their first record, in trace order.
-        self._to_prime: deque = deque(self.radio_ids)
-        #: Radio whose successor must be supplied before the next step.
-        self._await: Optional[int] = None
-        #: Popped-but-unprocessed record (est, radio, record, generation).
-        self._current: Optional[Tuple[float, int, TraceRecord, int]] = None
-        self._done: Dict[int, bool] = {}
-        self._reorder: List[Tuple[int, int, JFrame]] = []
-        self._oldest_deadline = _INF
-        self._finished = False
-
-    # --- drive protocol ----------------------------------------------------
-
-    def needed(self) -> Optional[int]:
-        """The radio whose next record is required, or None to step."""
-        if self._to_prime:
-            return self._to_prime[0]
-        return self._await
-
-    def supply(self, radio_id: int, record: Optional[TraceRecord]) -> None:
-        """Provide ``radio_id``'s next record; ``None`` ends its stream."""
-        expected = self.needed()
-        if radio_id != expected:
-            raise ValueError(
-                f"supply order violation: engine needs radio {expected}, "
-                f"got {radio_id}"
-            )
-        if self._to_prime:
-            self._to_prime.popleft()
-        else:
-            self._await = None
-        if record is None:
-            self._done[radio_id] = True
-            return
-        self.stats.records_in += 1
-        track = self.tracks[radio_id]
-        heapq.heappush(
-            self._heap,
-            (track.universal_us(record.timestamp_us), self._counter, radio_id),
-        )
-        self._counter += 1
-        self._pending[radio_id] = record
-        self._pending_gen[radio_id] = track.generation
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every supplied stream has ended and drained."""
-        return (
-            not self._heap
-            and self._current is None
-            and not self._to_prime
-            and self._await is None
-        )
-
-    def step(self) -> List[JFrame]:
-        """Advance by one heap pop; returns newly emittable jframes.
-
-        A step either pops the earliest pending record (and then demands
-        its radio's successor — call :meth:`supply` before stepping
-        again) or, once the successor is in, processes the popped record
-        through grouping/finalization.  Mirrors the batch hot loop's
-        sequencing exactly: the successor's heap estimate is computed
-        *before* the popped record can trigger resynchronization.
-        """
-        if self.needed() is not None:
-            raise RuntimeError(
-                f"radio {self.needed()} must be supplied before stepping"
-            )
-        if self._current is None:
-            if not self._heap:
-                return []
-            est, _, radio_id = heapq.heappop(self._heap)
-            record = self._pending.pop(radio_id)
-            gen = self._pending_gen.pop(radio_id)
-            self._current = (est, radio_id, record, gen)
-            if not self._done.get(radio_id):
-                self._await = radio_id
-                return []
-            # Stream already ended: nothing to demand, process now.
-        est, radio_id, record, gen = self._current
-        self._current = None
-        return self._process(est, radio_id, record, gen)
-
-    def finish(self) -> List[JFrame]:
-        """Finalize every open group and drain the reorder heap."""
-        if not self.exhausted:
-            raise RuntimeError("finish() before the shard drained")
-        self._finished = True
-        self._finalize_stale(_INF, self._reorder)
-        out: List[JFrame] = []
-        while self._reorder:
-            out.append(heapq.heappop(self._reorder)[2])
-        self.watermark_us = _INF
-        return out
-
-    # --- one record through grouping (batch hot-loop semantics) ------------
-
-    def _process(
-        self, est: float, radio_id: int, record: TraceRecord, gen: int
-    ) -> List[JFrame]:
-        unifier = self.unifier
-        track = self.tracks[radio_id]
-        if gen == track.generation:
-            universal = est
-        else:
-            universal = track.universal_us(record.timestamp_us)
-
-        kind = record.kind
-        frame = parse_record_frame(record) if kind is RecordKind.VALID else None
-        instance = Instance(
-            radio_id=radio_id,
-            local_us=record.timestamp_us,
-            universal_us=universal,
-            record=record,
-            frame=frame,
-        )
-
-        emitted: List[JFrame] = []
-        if universal > self._oldest_deadline:
-            self._oldest_deadline = self._finalize_stale(
-                universal, self._reorder
-            )
-            bound = universal - self._emit_lag
-            if bound > self.watermark_us:
-                self.watermark_us = bound
-            reorder = self._reorder
-            while reorder and reorder[0][0] <= bound:
-                emitted.append(heapq.heappop(reorder)[2])
-
-        channel = record.channel
-        if kind is RecordKind.VALID:
-            key = (channel, record.frame_len, record.fcs, record.snap)
-            group = self.open_by_key.get(key)
-            if (
-                group is not None
-                and radio_id not in group.radios
-                and universal - group.first_universal <= unifier.instance_gap_us
-            ):
-                group.instances.append(instance)
-                group.radios.add(radio_id)
-                return emitted
-            transmitter = None
-            if frame is not None:
-                transmitter = frame.transmitter or frame.addr1
-            upgrade = self._find_attachable(
-                instance, self.open_by_channel[channel],
-                unifier.corrupt_attach_us, need_headless=True,
-            )
-            if upgrade is not None:
-                upgrade.add(instance)
-                upgrade.key = key
-                upgrade.rep_record = record
-                upgrade.rep_frame = frame
-                upgrade.transmitter = transmitter
-                self.open_by_key[key] = upgrade
-                return emitted
-            group = _Group(instance, channel, key, record, transmitter)
-            group.rep_frame = frame
-            self.open_by_key[key] = group
-        elif kind is RecordKind.CORRUPT:
-            transmitter = transmitter_from_corrupt_bytes(record.snap)
-            existing = self._find_attachable(
-                instance, self.open_by_channel[channel],
-                unifier.corrupt_attach_us, transmitter=transmitter,
-            )
-            if existing is not None:
-                existing.instances.append(instance)
-                existing.radios.add(radio_id)
-                return emitted
-            group = _Group(instance, channel, None, None, transmitter)
-        else:  # PHY_ERROR
-            best = self._find_attachable(
-                instance, self.open_by_channel[channel], unifier.phy_attach_us
-            )
-            if best is not None:
-                best.instances.append(instance)
-                best.radios.add(radio_id)
-                return emitted
-            group = _Group(instance, channel, None, None, None)
-
-        self.open_by_channel[channel].append(group)
-        self.open_order.append(group)
-        # Value (not identity) comparison: a pickle round trip rebuilds
-        # the float, and ``is _INF`` would silently stop re-arming the
-        # staleness deadline on a restored engine.
-        if self._oldest_deadline == _INF:
-            self._oldest_deadline = (
-                group.first_universal + unifier.search_window_us
-            )
-        return emitted
 
 
 class UnifyStream:

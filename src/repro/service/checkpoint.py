@@ -20,9 +20,9 @@ previous checkpoint intact — the recovery point is always the last
 
 Compatibility policy (documented in ``docs/service.md``): the version
 is bumped whenever any pickled class's layout changes incompatibly;
-``load_checkpoint`` refuses foreign magic, future versions and payloads
-whose CRC or length disagree with the header, raising
-:class:`CheckpointError` rather than unpickling garbage.
+``load_checkpoint`` refuses foreign magic, any other version — older
+or newer — and payloads whose CRC or length disagree with the header,
+raising :class:`CheckpointError` rather than unpickling garbage.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
 
 class CheckpointError(RuntimeError):
-    """The checkpoint file is foreign, damaged or from the future."""
+    """The checkpoint file is foreign, damaged or of another version."""
 
 
 @dataclass
@@ -60,14 +60,11 @@ class CheckpointState:
     consumed: Dict[int, int]
     #: Total records consumed (checkpoint cadence anchor).
     total_consumed: int
-    #: One live merge engine per channel shard, mid-merge.
+    #: One merge engine per channel shard, between two ``advance``
+    #: calls; its cursors come back without their feed binding.
     engines: List[Any]
-    #: Radio ids driven by each engine (schedule reconstruction).
-    shard_radio_ids: List[List[int]]
     #: Per-shard jframes emitted but not yet released to the drive.
     fifos: List[List[Any]]
-    #: Shards whose ``finish()`` already ran.
-    finished: List[bool]
     #: The downstream drive: assemblers, flow collector, passes.
     drive: Any
     #: The offset ledger as :meth:`BootstrapResult.to_state` plain data
@@ -117,11 +114,11 @@ def load_checkpoint(path: Path) -> CheckpointState:
     magic, version, crc, length = _CHECKPOINT_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a Jigsaw service checkpoint")
-    if version > CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint version {version} is newer than this "
-            f"build understands ({CHECKPOINT_VERSION}); upgrade before "
-            "resuming"
+            f"{path}: checkpoint version {version} is not the version "
+            f"this build reads and writes ({CHECKPOINT_VERSION}); resume "
+            "with the build that wrote it, or restart from the source"
         )
     payload = raw[_CHECKPOINT_HEADER.size:]
     if len(payload) != length:

@@ -11,12 +11,12 @@ so a killed daemon resumes mid-trace **bit-identically**.
 
 Determinism is the load-bearing property, and it rests on three legs:
 
-1. **Blocking-successor merge** — each channel shard runs a
-   :class:`~repro.core.unify.unifier.LiveMergeShard`: after popping a
-   radio's record the engine demands that radio's next record before
-   anything else happens, so the processing order is a pure function of
-   the per-radio record sequences, never of arrival timing or restart
-   points.
+1. **The batch merge engine, one record per round** — each channel
+   shard runs the batch pipeline's own merge engine over cursors that
+   read the feed, advanced one record per scheduling round.  Each pop
+   reads that radio's successor before anything else happens, so the
+   processing order is a pure function of the per-radio record
+   sequences, never of arrival timing or restart points.
 2. **Watermark-gated k-way release** — a shard's emitted jframe is
    handed to the downstream drive only when every other shard provably
    cannot emit an earlier one (its FIFO head is later, or its emission
@@ -39,6 +39,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -50,16 +51,22 @@ from ..core.sync.bootstrap import BootstrapResult
 from ..core.sync.sharded import ShardedBootstrap
 from ..core.unify.jframe import JFrame
 from ..core.unify.unifier import (
-    LiveMergeShard,
     Unifier,
     UnifyStats,
     UnifyStream,
+    _MergeEngine,
     partition_traces,
 )
+from ..jtrace.io import RadioTrace
+from ..jtrace.records import TraceRecord
 from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 
 #: Default checkpoint cadence, in consumed records.
 DEFAULT_CHECKPOINT_EVERY = 2_000
+
+
+class _Killed(Exception):
+    """``stop_after_records`` reached: unwinds the drive loop mid-round."""
 
 
 @dataclass
@@ -111,10 +118,8 @@ class JigsawDaemon:
 
         self._started = False
         self._resumed = False
-        self._engines: List[LiveMergeShard] = []
-        self._shard_radio_ids: List[List[int]] = []
+        self._engines: List[_MergeEngine] = []
         self._fifos: List[Deque[JFrame]] = []
-        self._finished: List[bool] = []
         self._drive: Optional[ReconstructionDrive] = None
         self._bootstrap: Optional[BootstrapResult] = None
         self._health = HealthReport()
@@ -122,6 +127,7 @@ class JigsawDaemon:
         self._track_order: List[int] = []
         self._published: Dict[Tuple[str, int], SealedWindow] = {}
         self._total_consumed = 0
+        self._stop_after_records: Optional[int] = None
         self._last_checkpoint_at = 0
         self._checkpoints_written = 0
 
@@ -165,7 +171,7 @@ class JigsawDaemon:
         crashed daemon's own, carried by the checkpointed drive.
         """
         state = load_checkpoint(checkpoint_path)
-        engines: List[LiveMergeShard] = state.engines
+        engines: List[_MergeEngine] = state.engines
         unifier = engines[0].unifier if engines else Unifier()
         daemon = cls(
             feed,
@@ -176,9 +182,8 @@ class JigsawDaemon:
         )
         feed.seek(state.consumed)
         daemon._engines = engines
-        daemon._shard_radio_ids = [list(r) for r in state.shard_radio_ids]
+        daemon._bind_feed()
         daemon._fifos = [deque(f) for f in state.fifos]
-        daemon._finished = list(state.finished)
         daemon._drive = state.drive
         daemon._passes = list(state.drive.passes)
         daemon._bootstrap = (
@@ -210,8 +215,10 @@ class JigsawDaemon:
         started_clock = time.perf_counter()
         if not self._started:
             self._start()
-        crashed = self._loop(stop_after_records)
-        if crashed:
+        self._stop_after_records = stop_after_records
+        try:
+            self._loop()
+        except _Killed:
             return None
         return self._finalize(started_clock)
 
@@ -247,15 +254,21 @@ class JigsawDaemon:
         # order) as the batch pipeline; shards with no synchronized radio
         # are skipped — they can never emit.
         for shard in partition_traces(feed.traces):
-            radio_ids = [t.radio_id for t in shard if t.radio_id in offsets]
-            if not radio_ids:
+            # Record-less stand-ins: an engine must not read the feed's
+            # traces behind ``next_record``'s back, and a cursor that
+            # starts empty retains nothing it is handed later.
+            pending = [
+                RadioTrace(t.radio_id, t.channel)
+                for t in shard
+                if t.radio_id in offsets
+            ]
+            if not pending:
                 continue
             self._engines.append(
-                LiveMergeShard(self.unifier, radio_ids, offsets)
+                _MergeEngine(self.unifier, pending, bootstrap)
             )
-            self._shard_radio_ids.append(radio_ids)
             self._fifos.append(deque())
-            self._finished.append(False)
+        self._bind_feed()
         self._drive = ReconstructionDrive(
             self._passes, materialize=self.materialize
         )
@@ -264,43 +277,46 @@ class JigsawDaemon:
 
     # --- the drive loop ----------------------------------------------------
 
-    def _loop(self, stop_after_records: Optional[int]) -> bool:
-        """Round-robin the shards until the feed drains; True = crashed."""
-        feed = self.feed
+    def _bind_feed(self) -> None:
+        """Point every engine cursor at the feed: at first start, and on
+        restore — feed-bound callables never enter a checkpoint."""
+        for engine in self._engines:
+            for radio_id, cursor in engine.cursors.items():
+                cursor.produce = partial(self._next_record, radio_id)
+
+    def _next_record(self, radio_id: int, index: int) -> Optional[TraceRecord]:
+        """A cursor's ``produce``: the feed's next record for the radio
+        (the feed keeps each radio's position, so ``index`` goes unused)."""
+        record = self.feed.next_record(radio_id)
+        if record is not None:
+            self._total_consumed += 1
+            if (
+                self._stop_after_records is not None
+                and self._total_consumed >= self._stop_after_records
+            ):
+                raise _Killed  # simulated SIGKILL: stop mid-round
+        return record
+
+    def _loop(self) -> None:
+        """Round-robin the shards, one record each, until the feed drains."""
         engines = self._engines
         fifos = self._fifos
-        finished = self._finished
+        drive = self._drive
+        assert drive is not None
         while True:
-            for si, engine in enumerate(engines):
-                if finished[si]:
-                    continue
-                radio_id = engine.needed()
-                if radio_id is not None:
-                    record = feed.next_record(radio_id)
-                    engine.supply(radio_id, record)
-                    if record is not None:
-                        self._total_consumed += 1
-                        if (
-                            stop_after_records is not None
-                            and self._total_consumed >= stop_after_records
-                        ):
-                            return True  # simulated SIGKILL: stop mid-round
-                elif engine.exhausted:
-                    fifos[si].extend(engine.finish())
-                    finished[si] = True
-                else:
-                    fifos[si].extend(engine.step())
+            for engine, fifo in zip(engines, fifos):
+                if not engine.finished:
+                    fifo.extend(engine.advance(1))
             self._release()
-            assert self._drive is not None
-            self._publish(self._drive.seal_ready())
+            self._publish(drive.seal_ready())
             if (
                 self.checkpoint_path is not None
                 and self._total_consumed - self._last_checkpoint_at
                 >= self.checkpoint_every
             ):
                 self._write_checkpoint()
-            if all(finished) and not any(fifos):
-                return False
+            if not any(fifos) and all(e.finished for e in engines):
+                return
 
     def _release(self) -> None:
         """Feed the drive every jframe that is provably globally next.
@@ -350,9 +366,7 @@ class JigsawDaemon:
             consumed=self.feed.consumed(),
             total_consumed=self._total_consumed,
             engines=self._engines,
-            shard_radio_ids=[list(r) for r in self._shard_radio_ids],
             fifos=[list(f) for f in self._fifos],
-            finished=list(self._finished),
             drive=self._drive,
             # The offset ledger goes through its explicit plain-data
             # schema, not object pickling: the one part of the format

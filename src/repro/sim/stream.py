@@ -152,8 +152,8 @@ def stream_scenario(
 class LiveScenarioFeed:
     """Service-mode source adapter: one record at a time, per radio.
 
-    The service daemon's merge shards request exactly one successor
-    record after each heap pop (the blocking-successor discipline), so
+    The service daemon's merge engines read exactly one successor
+    record with each heap pop (before anything else happens), so
     the daemon's input is a per-radio cursor rather than a bulk trace
     drain.  This adapter wraps a :class:`StreamedScenario` in that
     shape — it is the test double for a live radio uplink: calling

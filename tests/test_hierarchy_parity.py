@@ -28,7 +28,12 @@ from repro.core.sync.sharded import (
 )
 from repro.core.unify import MergeTree, Unifier, partition_traces
 from repro.core.unify.hierarchy import _unify_shard
-from repro.jtrace.io import RadioTrace
+from repro.jtrace.io import (
+    DecodeHealth,
+    RadioTrace,
+    open_trace_streams,
+    write_traces,
+)
 from repro.service import JigsawDaemon
 from repro.sim.campus import run_campus
 from repro.sim.faults import inject_record_faults
@@ -164,6 +169,35 @@ class TestTreeShapeMatrix:
             campus.traces, bootstrap
         ))
         assert fingerprints(jframes) == fingerprints(reference.jframes)
+
+    def test_pool_merges_file_backed_streams(
+        self, campus, bootstrap, reference, tmp_path
+    ):
+        """Decode-ahead streams hold reader threads and do not pickle;
+        the pool must still merge them — drained in the parent, so the
+        ingest ledger is filled where the pipeline reads it."""
+        write_traces(campus.traces, tmp_path)
+
+        def merged(coordinator):
+            streams = open_trace_streams(tmp_path, decode_ahead=2)
+            try:
+                result = coordinator.unify(streams, bootstrap)
+            finally:
+                for stream in streams:
+                    stream.close()
+            ingest = DecodeHealth()
+            for stream in streams:
+                ingest.merge(stream.decode_health)
+            return result, ingest
+
+        serial, serial_ingest = merged(Unifier())
+        assert_results_identical(serial, reference)
+        tree = MergeTree(max_workers=2)
+        result, ingest = merged(tree)
+        assert tree.last_engine == "hierarchy-pool2"
+        assert_results_identical(result, reference)
+        assert ingest == serial_ingest
+        assert ingest.records_decoded == sum(len(t) for t in campus.traces)
 
 
 class TestPlanShapes:

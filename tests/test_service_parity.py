@@ -16,12 +16,23 @@ different cut positions in the record stream.
 
 import dataclasses
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.core.pipeline import JigsawPipeline
 from repro.core.unify.hierarchy import MergeTree
-from repro.service import JigsawDaemon, load_checkpoint
+from repro.service import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    JigsawDaemon,
+    QueueFeed,
+    ServiceStalled,
+    load_checkpoint,
+)
+from repro.service.queues import feed_pump_from_records
 from repro.service.windows import (
     WindowedInterferencePass,
     WindowedLossPass,
@@ -320,3 +331,77 @@ class TestFlashCrowdScenario:
         svc = d3.serve()
         assert svc is not None
         assert_service_identical(svc, svc_ref)
+
+
+class ReplayQueueFeed(QueueFeed):
+    """A :class:`QueueFeed` with the bootstrap surface a daemon needs."""
+
+    def __init__(self, streamed, pump, **kwargs):
+        super().__init__(
+            [t.radio_id for t in streamed.traces], pump, **kwargs
+        )
+        self.traces = streamed.traces
+        self.clock_groups = streamed.clock_groups
+
+
+@pytest.mark.parametrize("hang_at_pump_call", [1, 40])
+def test_stalled_source_leaves_daemon_resumable(hang_at_pump_call):
+    """The uplink hangs (before the first record; partway through),
+    ``serve()`` surfaces :class:`ServiceStalled`, the uplink comes back,
+    and a second ``serve()`` on the same daemon finishes as if nothing
+    had happened: the failed read left the merge untouched."""
+    streamed = stream_scenario(scenario_config("flash_crowd", "tiny", seed=13))
+    records = {t.radio_id: t.records for t in streamed.traces}
+
+    def daemon_over(pump):
+        feed = ReplayQueueFeed(streamed, pump, maxlen=16, idle_limit=5)
+        return JigsawDaemon(feed, passes=make_passes())
+
+    reference = daemon_over(feed_pump_from_records(records)).serve()
+
+    replay = feed_pump_from_records(records)
+    uplink = {"calls": 0, "up": True}
+
+    def flaky_pump(feed, radio_id):
+        uplink["calls"] += 1
+        if uplink["calls"] == hang_at_pump_call:
+            uplink["up"] = False
+        if uplink["up"]:
+            replay(feed, radio_id)
+
+    daemon = daemon_over(flaky_pump)
+    with pytest.raises(ServiceStalled):
+        daemon.serve()
+    stalled_at = daemon.total_consumed
+    assert stalled_at < reference.report.unification.stats.records_in
+    assert (stalled_at == 0) == (hang_at_pump_call == 1)
+
+    uplink["up"] = True
+    svc = daemon.serve()
+    assert svc is not None
+    assert_service_identical(svc, reference)
+
+
+@pytest.mark.parametrize(
+    "version", [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1],
+    ids=["older", "newer"],
+)
+def test_other_checkpoint_versions_are_refused(tmp_path, version):
+    """A header that is intact in every other respect (magic, length,
+    CRC) but written by another format version must be refused by
+    version — before ``pickle.loads`` meets classes that have since
+    been deleted or reshaped."""
+    payload = b"layout of another build"
+    path = tmp_path / "other.ckpt"
+    path.write_bytes(
+        struct.pack(
+            "<4sIIQ",
+            CHECKPOINT_MAGIC,
+            version,
+            zlib.crc32(payload) & 0xFFFFFFFF,
+            len(payload),
+        )
+        + payload
+    )
+    with pytest.raises(CheckpointError, match=f"version {version}"):
+        load_checkpoint(path)

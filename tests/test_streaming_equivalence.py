@@ -7,12 +7,16 @@ stream, serial shards, process-pool shards), on randomized multi-channel
 building-style traces.
 """
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sync.bootstrap import BootstrapResult
 from repro.core.unify import MergeTree, Unifier, partition_traces
+from repro.core.unify.unifier import _MergeEngine
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_ack, make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -184,6 +188,43 @@ def test_stream_is_time_ordered_and_lazy():
         Unifier().unify(traces, bootstrap).stats
     )
     assert len(seen) == stream.stats.jframes
+
+
+@pytest.mark.service
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    calls=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(min_value=1, max_value=150)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_engine_resumes_identically_from_any_call_boundary(seed, calls):
+    """The contract the daemon's checkpoints rest on, at engine level:
+    however the merge is sliced into ``advance`` calls, and wherever
+    between two calls the engine is pickled and restored, the output is
+    the one uninterrupted batch merge's."""
+    traces, bootstrap = random_building_traces(seed, n_channels=1)
+    batch = Unifier().unify(traces, bootstrap)
+    engine = _MergeEngine(Unifier(), traces, bootstrap)
+    jframes = []
+    for max_records, cut in calls:
+        jframes.extend(engine.advance(max_records))
+        if cut:
+            engine = pickle.loads(pickle.dumps(engine))
+    jframes.extend(engine.advance())
+    assert engine.finished and engine.advance(1) == []
+    assert [jframe_fingerprint(jf) for jf in jframes] == [
+        jframe_fingerprint(jf) for jf in batch.jframes
+    ]
+    assert stats_fingerprint(engine.stats) == stats_fingerprint(batch.stats)
+    assert tracks_fingerprint(engine.tracks) == tracks_fingerprint(
+        batch.tracks
+    )
 
 
 @pytest.mark.parametrize("window", [60, 200])
