@@ -1,11 +1,14 @@
 # Developer entry points.  Everything assumes the in-tree layout
 # (PYTHONPATH=src); `make lint` is the same gate CI's static-analysis
 # job runs, minus --require-all so missing optional tools skip locally.
+# `make bench` and `make bench-smoke` run the repo's one benchmark, the
+# command BENCHMARK.json declares (benchmarks/e2e/README.md says what
+# its numbers mean; compare two result sets with benchmarks/e2e/compare.py).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-strict bench bench-smoke bench-full
+.PHONY: test lint lint-strict bench bench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -16,28 +19,12 @@ lint:
 lint-strict:
 	$(PYTHON) -m repro.devtools.check --require-all
 
+# All five workloads on seed 7, end-to-end and per-layer metrics; the
+# result set lands in the harness's own git-ignored scratch directory.
 bench:
-	$(PYTHON) -m pytest -q benchmarks/bench_perf_unifier.py
+	$(PYTHON) benchmarks/e2e/run.py --out benchmarks/e2e/out/bench.json
 
-# The exact sequence CI's bench-smoke job runs: snapshot the committed
-# trajectory as the regression baseline, re-measure (the bench suites
-# rewrite BENCH_merge.json in place), then gate the fresh numbers
-# against the snapshot.  Keeping local and CI invocations identical
-# means a perf number reported from either is produced the same way.
+# The sub-second inputs benchmarks/e2e/test_e2e_smoke.py drives: proves
+# every workload still runs and checks out, measures nothing.
 bench-smoke:
-	cp BENCH_merge.json BENCH_baseline.json
-	$(PYTHON) -m pytest -q benchmarks/bench_perf_unifier.py
-	$(PYTHON) -m pytest -q benchmarks/bench_scenarios.py
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_baseline.json --current BENCH_merge.json
-
-# The full-scale lane CI's pool-bench job runs on a multi-core runner:
-# full-scale scenario families plus the 512/1024/1536-radio campus
-# sweep.  Expensive — the 12-building campus alone simulates for a few
-# minutes — so it is not part of bench-smoke.
-bench-full:
-	cp BENCH_merge.json BENCH_baseline.json
-	$(PYTHON) -m pytest -q benchmarks/bench_perf_unifier.py --scale full
-	$(PYTHON) -m pytest -q benchmarks/bench_scenarios.py --scale full
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_baseline.json --current BENCH_merge.json
+	$(PYTHON) benchmarks/e2e/run.py --scale tiny --seconds 0.2

@@ -101,12 +101,6 @@ class MergeTree:
         #: Shard ledger (count, pool size, pool faults) of the last call;
         #: the pipeline folds it into ``report.health.unify_shards``.
         self.health = ShardHealth()
-        #: The execution mode the last call actually used —
-        #: ``"hierarchy-serial"`` or ``"hierarchy-pool<n>"``.  Benchmarks
-        #: record this instead of guessing from ``max_workers`` (an
-        #: explicit pool request can still resolve serial on a
-        #: single-shard input).
-        self.last_engine = "hierarchy-serial"
 
     def stream_unify(
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
@@ -123,10 +117,8 @@ class MergeTree:
         workers = resolve_pool_workers(self.max_workers, len(shards))
         track_order = [t.radio_id for t in traces]
         if workers <= 1:
-            self.last_engine = "hierarchy-serial"
             self.health.shards = len(shards)
             return stream_shards(self.unifier, shards, bootstrap, track_order)
-        self.last_engine = f"hierarchy-pool{workers}"
         self.health.pool_workers = workers
         # File-backed streams hold decoder threads and do not pickle:
         # drain them here — after the partition, which needs only their

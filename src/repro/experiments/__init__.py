@@ -3,22 +3,17 @@
 from .common import (
     ExperimentRun,
     building_config,
-    campus_config,
     get_building_run,
-    get_campus_run,
     get_small_run,
     small_config,
 )
-from .scenarios import get_family_run, run_family_sweep
+from .scenarios import get_family_run
 
 __all__ = [
     "ExperimentRun",
     "building_config",
-    "campus_config",
     "get_building_run",
-    "get_campus_run",
     "get_small_run",
     "small_config",
     "get_family_run",
-    "run_family_sweep",
 ]

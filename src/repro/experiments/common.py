@@ -107,51 +107,5 @@ def get_small_run(seed: int = DEFAULT_SEED) -> ExperimentRun:
     return get_run("small", lambda: small_config(seed), seed)
 
 
-def campus_config(
-    n_buildings: int = 4, seed: int = DEFAULT_SEED, **overrides
-) -> "ScenarioConfig":
-    """The registry's campus family at full scale (128 radios/building)."""
-    from ..sim.registry import scenario_config
-
-    return scenario_config(
-        "campus", "full", seed=seed, n_buildings=n_buildings, **overrides
-    )
-
-
-_CAMPUS_CACHE: Dict[str, object] = {}
-
-
-def get_campus_run(n_buildings: int = 4, seed: int = DEFAULT_SEED):
-    """Fetch (or simulate and cache) a campus run's artifacts.
-
-    Campus composition makes the first k buildings of a larger cached
-    campus bit-identical to a k-building run (per-building sub-seeds
-    depend only on (seed, building index)), so a request is served by
-    slicing any cached campus that is at least as large — the
-    radio-scaling sweep over 4/8/12 buildings costs one 12-building
-    simulation, not three.
-    """
-    from ..sim.campus import campus_subset, run_campus
-
-    config = campus_config(n_buildings, seed)
-    key = _config_fingerprint(config, "campus")
-    if key not in _CAMPUS_CACHE:
-        base_key = _config_fingerprint(campus_config(1, seed), "campus")
-        for cached in list(_CAMPUS_CACHE.values()):
-            same_base = _config_fingerprint(
-                campus_config(1, seed=cached.config.seed), "campus"
-            )
-            if (
-                same_base == base_key
-                and len(cached.buildings) >= n_buildings
-            ):
-                _CAMPUS_CACHE[key] = campus_subset(cached, n_buildings)
-                break
-        else:
-            _CAMPUS_CACHE[key] = run_campus(config)
-    return _CAMPUS_CACHE[key]
-
-
 def clear_cache() -> None:
     _CACHE.clear()
-    _CAMPUS_CACHE.clear()

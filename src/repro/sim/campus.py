@@ -92,45 +92,6 @@ class CampusArtifacts:
     n_flows: int
     buildings: List[SimulationArtifacts]
 
-    @property
-    def n_radios(self) -> int:
-        return len(self.traces)
-
-    @property
-    def n_records(self) -> int:
-        return sum(len(t.records) for t in self.traces)
-
-
-def campus_subset(campus: CampusArtifacts, n_buildings: int) -> CampusArtifacts:
-    """The first ``n_buildings`` buildings of a larger campus run.
-
-    Composition makes this exact, not approximate: building b's world
-    depends only on (campus seed, b), so the first k buildings of a
-    12-building campus are bit-identical to a k-building run — the
-    radio-scaling sweep simulates the largest campus once and slices.
-    """
-    if n_buildings > len(campus.buildings):
-        raise ValueError(
-            f"campus has {len(campus.buildings)} buildings, "
-            f"asked for {n_buildings}"
-        )
-    stride = building_stride(campus.config)
-    limit = n_buildings * stride
-    return CampusArtifacts(
-        config=campus.config.with_overrides(
-            geometry=replace(campus.config.geometry, n_buildings=n_buildings)
-        ),
-        traces=[t for t in campus.traces if t.radio_id < limit],
-        clock_groups=[
-            g for g in campus.clock_groups if all(r < limit for r in g)
-        ],
-        events_run=sum(
-            a.events_run for a in campus.buildings[:n_buildings]
-        ),
-        n_flows=sum(len(a.flows) for a in campus.buildings[:n_buildings]),
-        buildings=list(campus.buildings[:n_buildings]),
-    )
-
 
 def run_campus(config: ScenarioConfig) -> CampusArtifacts:
     """Run ``config.n_buildings`` independent buildings and compose them.

@@ -139,10 +139,8 @@ class TestTreeShapeMatrix:
         assert tree.health.shards == len(partition_traces(traces))
         if max_workers > 1:
             assert tree.health.pool_workers == 2
-            assert tree.last_engine == "hierarchy-pool2"
         else:
             assert tree.health.pool_workers == 0
-            assert tree.last_engine == "hierarchy-serial"
 
     def test_hierarchy_confines_headless_attachment(
         self, reference, stripped_reference
@@ -194,7 +192,7 @@ class TestTreeShapeMatrix:
         assert_results_identical(serial, reference)
         tree = MergeTree(max_workers=2)
         result, ingest = merged(tree)
-        assert tree.last_engine == "hierarchy-pool2"
+        assert tree.health.pool_workers == 2
         assert_results_identical(result, reference)
         assert ingest == serial_ingest
         assert ingest.records_decoded == sum(len(t) for t in campus.traces)
