@@ -26,7 +26,6 @@ from .core import (
     MaterializePass,
     PassContext,
     PipelinePass,
-    RetryPolicy,
     run_passes,
 )
 from .jtrace import RadioTrace, RecordKind, StreamingRadioTrace, TraceRecord
@@ -46,7 +45,6 @@ __all__ = [
     "PipelinePass",
     "RadioTrace",
     "RecordKind",
-    "RetryPolicy",
     "StreamingRadioTrace",
     "TraceRecord",
     "run_passes",

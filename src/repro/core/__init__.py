@@ -1,6 +1,6 @@
 """The Jigsaw core: synchronization, unification, reconstruction, analyses."""
 
-from .faults import HealthReport, RetryPolicy, ShardHealth, SyncHealth
+from .faults import HealthReport, SyncHealth
 from .link.attempt import AttemptAssembler, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, FrameExchange
 from .passes import MaterializePass, PassContext, PipelinePass, run_passes
@@ -10,7 +10,6 @@ from .sync.bootstrap import (
     SyncPartitionError,
     bootstrap_synchronization,
 )
-from .sync.sharded import ShardedBootstrap
 from .sync.skew import ClockTrack
 from .transport.flows import FlowKey, TcpFlow, collect_flows
 from .transport.inference import LossCause, TransportInference
@@ -19,8 +18,6 @@ from .unify.unifier import UnificationResult, Unifier
 
 __all__ = [
     "HealthReport",
-    "RetryPolicy",
-    "ShardHealth",
     "SyncHealth",
     "AttemptAssembler",
     "TransmissionAttempt",
@@ -33,7 +30,6 @@ __all__ = [
     "PipelinePass",
     "run_passes",
     "BootstrapResult",
-    "ShardedBootstrap",
     "SyncPartitionError",
     "bootstrap_synchronization",
     "ClockTrack",

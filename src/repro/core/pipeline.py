@@ -34,20 +34,13 @@ built-in :class:`~repro.core.passes.MaterializePass`; disable it with
 long traces — the report then carries statistics, flows and pass results
 but empty per-layer lists.
 
-``unifier`` may be a plain :class:`Unifier` or a
-:class:`~repro.core.unify.hierarchy.MergeTree` — anything exposing
-``stream_unify`` — so multi-core machines can parallelize the merge
-without touching the pipeline (passes are fed from the merged stream in
-the parent process either way).
-
-The bootstrap prepass is likewise channel-sharded
-(:class:`~repro.core.sync.sharded.ShardedBootstrap`, serial or pool via
-``bootstrap_workers``) and fused with ingest: each trace's records are
-consumed exactly once for the examination window — widening rounds feed
-only the delta — and file-backed
-:class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just that
-prefix before unification replays the buffered read.  Every trace is
-read once per run, not twice.
+The bootstrap prepass
+(:func:`~repro.core.sync.bootstrap.bootstrap_synchronization`) is fused
+with ingest: each trace's records are consumed exactly once for the
+examination window — widening rounds feed only the delta — and
+file-backed :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode
+just that prefix before unification replays the buffered read.  Every
+trace is read once per run, not twice.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..jtrace.io import RadioTrace, StreamingRadioTrace
-from .faults import HealthReport, ShardHealth
+from .faults import HealthReport
 from .link.attempt import AttemptAssembler, AttemptStats, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, ExchangeStats, FrameExchange
 from .passes import (
@@ -67,8 +60,7 @@ from .passes import (
     SealedWindow,
     check_pass_names,
 )
-from .sync.bootstrap import BootstrapResult
-from .sync.sharded import ShardedBootstrap
+from .sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from .sync.skew import ClockTrack
 from .transport.flows import FlowCollector, TcpFlow
 from .transport.inference import InferenceStats, TransportInference
@@ -99,9 +91,9 @@ class JigsawReport:
     elapsed_seconds: float
     passes: Dict[str, Any] = field(default_factory=dict)
     materialized: bool = True
-    #: Run-level degradation ledger: ingest decode damage, quarantined
-    #: radios, shard retries/serial fallbacks.  ``health.degraded`` is
-    #: False exactly when the run saw pristine inputs and healthy workers.
+    #: Run-level degradation ledger: ingest decode damage and quarantined
+    #: radios.  ``health.degraded`` is False exactly when the run saw
+    #: pristine inputs.
     health: HealthReport = field(default_factory=HealthReport)
 
     @property
@@ -316,18 +308,10 @@ class JigsawPipeline:
         unifier: Optional[Unifier] = None,
         bootstrap_window_us: int = 1_000_000,
         auto_widen_bootstrap: bool = True,
-        bootstrap_workers: Optional[int] = 1,
     ) -> None:
         self.unifier = unifier or Unifier()
         self.bootstrap_window_us = bootstrap_window_us
         self.auto_widen_bootstrap = auto_widen_bootstrap
-        # The prepass runs channel-sharded with single-read ingest.
-        # Like the merge (which defaults to a plain serial ``Unifier``),
-        # pools are opt-in: ``1`` (default) runs in-process — collection
-        # is a ~100 ms stage on a building trace, far below pool spawn
-        # cost — ``n > 1`` caps a process pool, ``None`` auto-sizes one
-        # to the machine.
-        self.bootstrap_workers = bootstrap_workers
 
     def run(
         self,
@@ -343,12 +327,12 @@ class JigsawPipeline:
         ``clock_groups`` is the infrastructure metadata (radios sharing a
         capture clock) used for cross-channel bridging; pass a precomputed
         ``bootstrap`` to skip that phase (ablations do).  Otherwise the
-        prepass runs through the channel-sharded coordinator with
-        single-read ingest: each trace's records are consumed exactly
-        once for the bootstrap window (widening rounds feed only the
-        delta), and :class:`~repro.jtrace.io.StreamingRadioTrace` inputs
-        decode just that prefix before unification replays the buffer —
-        no second read of the trace.
+        prepass runs with single-read ingest: each trace's records are
+        consumed exactly once for the bootstrap window (widening rounds
+        feed only the delta), and
+        :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just
+        that prefix before unification replays the buffer — no second
+        read of the trace.
 
         ``passes`` are :class:`~repro.core.passes.PipelinePass` instances
         driven inside the one-pass loop; each result lands in
@@ -378,15 +362,14 @@ class JigsawPipeline:
         ]
         health = HealthReport()
         if bootstrap is None:
-            # Built per run so reconfiguring the public attributes
-            # (window, widening, workers) between runs keeps working.
-            coordinator = ShardedBootstrap(
-                max_workers=self.bootstrap_workers,
+            # The public attributes are read per run, so reconfiguring
+            # them (window, widening) between runs keeps working.
+            bootstrap = bootstrap_synchronization(
+                ordered,
+                clock_groups=clock_groups,
                 window_us=self.bootstrap_window_us,
                 auto_widen=self.auto_widen_bootstrap,
             )
-            bootstrap = coordinator.bootstrap(ordered, clock_groups=clock_groups)
-            health.bootstrap_shards.merge(coordinator.health)
 
         # One pass: jframes stream out of the merge and straight through
         # attempt grouping, the exchange FSM, flow binning and every
@@ -398,9 +381,6 @@ class JigsawPipeline:
             drive.feed(jframe)
         flows = drive.finish_streams(trim_exchange_refs=trim_exchange_refs)
 
-        unify_health = getattr(self.unifier, "health", None)
-        if isinstance(unify_health, ShardHealth):
-            health.unify_shards.merge(unify_health)
         return assemble_report(
             drive,
             bootstrap,

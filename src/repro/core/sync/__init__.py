@@ -9,10 +9,8 @@ from .bootstrap import (
     SyncPartitionError,
     bootstrap_synchronization,
     resolve_island_mode,
-    union_shard_payloads,
 )
 from .refs import ReferenceKey, content_key, parse_record_frame, reference_key
-from .sharded import ShardedBootstrap, resolve_pool_workers
 from .skew import ClockTrack, DEFAULT_SKEW_ALPHA
 
 __all__ = [
@@ -21,12 +19,9 @@ __all__ = [
     "DEFAULT_STABILITY_TOLERANCE_US",
     "QUARANTINE_NO_REFERENCES",
     "QUARANTINE_UNSTABLE_CLOCK",
-    "ShardedBootstrap",
     "SyncPartitionError",
     "bootstrap_synchronization",
     "resolve_island_mode",
-    "resolve_pool_workers",
-    "union_shard_payloads",
     "ReferenceKey",
     "content_key",
     "parse_record_frame",

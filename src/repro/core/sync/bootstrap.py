@@ -23,33 +23,31 @@ cannot proceed partitioned pass ``strict=True`` to get a
 Collection architecture
 -----------------------
 
-Reference-set collection is *incremental and shardable*: a
-:class:`_BootstrapShard` consumes records one (or a slice) at a time via
-``feed()``/``feed_slice()`` and surrenders its accumulated sets from
-``finish()``.  Because a frame on channel 1 is never heard by a radio
-parked on channel 11, shards split cleanly by channel; the union of shard
-payloads — members are disjoint per radio, arrival order is recorded as
-absolute ``(trace position, record index)`` pairs — reproduces the
-single-threaded collection exactly, in any merge order.
-:mod:`repro.core.sync.sharded` provides the coordinator
-(:class:`~repro.core.sync.sharded.ShardedBootstrap`) that runs shards
-serially or on a process pool and overlaps collection with trace ingest.
+Reference-set collection is *incremental and single-read*: one
+:class:`_BootstrapShard` accumulates the sets across auto-widen rounds,
+and each round feeds it only the records between the old and the new
+window limit (:func:`_window_cutoff` — one bisect per trace per round).
+File-backed :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode
+just the prefix the window needs and buffer it for unification to
+replay, so every trace is read once per run.  Arrival order is recorded
+as absolute ``(trace position, record index)`` pairs, so incremental
+feeding reproduces a from-scratch collection at the final window exactly.
 
 Every downstream step (:func:`_select_covering_family`,
 :func:`_resolve_offsets`) is deterministic given the set *values*: tie-breaks
 between equal-size reference sets use the recorded arrival order — never
-dict insertion order — so serial, sharded and pool execution produce
-bit-identical offsets.
+dict insertion order.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ...jtrace.io import RadioTrace
+from ...jtrace.io import RadioTrace, StreamingRadioTrace
 from ...jtrace.records import TraceRecord
 from .refs import ReferenceKey, reference_key
 
@@ -72,14 +70,8 @@ QUARANTINE_UNSTABLE_CLOCK = "unstable-clock-fit"
 #: Absolute arrival coordinate of a reference set's first sighting:
 #: ``(position of the trace in the input sequence, record index)``.  Being
 #: absolute — not a collection-order counter — it is identical whether the
-#: records were consumed serially, shard-by-shard, or in widening
-#: increments.
+#: records were consumed in one sweep or in widening increments.
 ArrivalIndex = Tuple[int, int]
-
-#: One shard's collected payload: every reference set seen (singletons
-#: included — a set may reach two members only after a cross-shard union),
-#: its first-arrival index, and the count of qualifying records.
-ShardPayload = Tuple[Dict[ReferenceKey, Dict[int, int]], Dict[ReferenceKey, ArrivalIndex], int]
 
 
 class SyncPartitionError(RuntimeError):
@@ -167,34 +159,24 @@ class BootstrapResult:
 
 
 class _BootstrapShard:
-    """Incremental reference-set collector for one channel shard.
+    """Incremental reference-set collector.
 
-    Consumes records via :meth:`feed` (or the batch fast path
-    :meth:`feed_slice`) and accumulates ``E_k`` member sets keyed by
-    reference content.  The caller owns window gating — a shard never
-    rejects a record — which is what lets the auto-widen loop continue
-    feeding exactly the records between the old and new window limits
-    instead of re-reading from the start.
+    Consumes records via :meth:`feed_slice` and accumulates ``E_k``
+    member sets keyed by reference content.  The caller owns window
+    gating — a shard never rejects a record — which is what lets the
+    auto-widen loop continue feeding exactly the records between the old
+    and new window limits instead of re-reading from the start.
     """
 
-    __slots__ = ("_sets", "_order", "_seen")
+    __slots__ = ("sets", "order", "seen")
 
     def __init__(self) -> None:
-        self._sets: Dict[ReferenceKey, Dict[int, int]] = {}
-        self._order: Dict[ReferenceKey, ArrivalIndex] = {}
-        self._seen = 0
-
-    def feed(
-        self,
-        record: TraceRecord,
-        radio_id: int,
-        trace_pos: int = 0,
-        record_idx: int = 0,
-    ) -> None:
-        """Collect one record of radio ``radio_id``, if it qualifies."""
-        self.feed_slice(
-            (record,), 0, 1, trace_pos, radio_id, index_base=record_idx
-        )
+        #: Every reference set seen so far, singletons included.
+        self.sets: Dict[ReferenceKey, Dict[int, int]] = {}
+        #: Each set's earliest arrival coordinate.
+        self.order: Dict[ReferenceKey, ArrivalIndex] = {}
+        #: Count of qualifying (reference-keyed) records consumed.
+        self.seen = 0
 
     def feed_slice(
         self,
@@ -203,22 +185,18 @@ class _BootstrapShard:
         hi: int,
         trace_pos: int,
         radio_id: int,
-        index_base: int = 0,
     ) -> None:
-        """Batch fast path: collect ``records[lo:hi]`` of one trace.
+        """Collect ``records[lo:hi]`` of one trace.
 
         The caller has already resolved the window cutoff (one bisect per
         trace per widen round), so this loop carries no per-record window
         compare — the hot path of the prepass.  ``radio_id`` is the
         *owning trace's* radio — the attribution the merge engine also
         uses — not the record's own field, so a mislabeled record cannot
-        smuggle a foreign radio into the offset graph.  ``index_base``
-        re-anchors a shipped sub-slice at its absolute record index
-        (pool workers receive ``records[lo:hi]`` as a fresh list
-        starting at 0).
+        smuggle a foreign radio into the offset graph.
         """
-        sets = self._sets
-        order = self._order
+        sets = self.sets
+        order = self.order
         ref_key = reference_key
         seen = 0
         for idx in range(lo, hi):
@@ -230,7 +208,7 @@ class _BootstrapShard:
             members = sets.get(key)
             if members is None:
                 sets[key] = {radio_id: record.timestamp_us}
-                order[key] = (trace_pos, index_base + idx)
+                order[key] = (trace_pos, idx)
             else:
                 # A radio hears one transmission once; keep the earliest.
                 members.setdefault(radio_id, record.timestamp_us)
@@ -238,74 +216,33 @@ class _BootstrapShard:
                 # (trace, record) coordinate than the round that created
                 # it; arrival order is the global minimum so incremental
                 # feeding matches a from-scratch collection.
-                arrival = (trace_pos, index_base + idx)
+                arrival = (trace_pos, idx)
                 if arrival < order[key]:
                     order[key] = arrival
-        self._seen += seen
-
-    def finish(self) -> ShardPayload:
-        """This shard's accumulated payload (shareable, not consumed)."""
-        return self._sets, self._order, self._seen
+        self.seen += seen
 
 
-def union_shard_payloads(
-    payloads: Iterable[ShardPayload],
-) -> Tuple[Dict[ReferenceKey, Dict[int, int]], Dict[ReferenceKey, ArrivalIndex], int]:
-    """Union shard payloads into one global collection.
+def _window_cutoff(
+    trace: RadioTrace, window_us: int, lo: int
+) -> Tuple[Sequence[TraceRecord], int]:
+    """Records of ``trace`` and the index one past its examination window.
 
-    Order-independent by construction: a radio's records live in exactly
-    one shard, so member dicts merge disjointly; arrival indices are
-    absolute, so a cross-shard content collision keeps the globally
-    earliest sighting regardless of merge order.
+    One bisect on the (local-time-ordered) records instead of a
+    per-record compare; streaming traces decode just far enough to
+    answer, buffering what they read for later replay.
     """
-    sets: Dict[ReferenceKey, Dict[int, int]] = {}
-    order: Dict[ReferenceKey, ArrivalIndex] = {}
-    seen = 0
-    merged: Set[ReferenceKey] = set()
-    for shard_sets, shard_order, shard_seen in payloads:
-        seen += shard_seen
-        for key, members in shard_sets.items():
-            existing = sets.get(key)
-            if existing is None:
-                sets[key] = members
-                order[key] = shard_order[key]
-            elif existing is not members:
-                # Cross-shard content collision (rare): merge into a copy
-                # so the shard's own accumulator is never mutated.
-                if key not in merged:
-                    existing = dict(existing)
-                    sets[key] = existing
-                    merged.add(key)
-                for radio, ts in members.items():
-                    existing.setdefault(radio, ts)
-                if shard_order[key] < order[key]:
-                    order[key] = shard_order[key]
-    return sets, order, seen
-
-
-def _collect_reference_sets(
-    traces: Sequence[RadioTrace], window_us: int
-) -> Tuple[Dict[ReferenceKey, Dict[int, int]], Dict[ReferenceKey, ArrivalIndex], int]:
-    """Map reference key -> {radio_id: local timestamp} within the window.
-
-    The single-threaded reference implementation: one shard fed every
-    trace in order.  Returns all sets (callers filter to the shared ones)
-    plus the arrival-order index used for deterministic tie-breaking.
-    """
-    shard = _BootstrapShard()
-    for trace_pos, trace in enumerate(traces):
-        first = trace.first_timestamp_us
-        if first is None:
-            continue
-        records = trace.records
-        limit = first + window_us
-        hi = 0
-        for record in records:
-            if record.timestamp_us > limit:
-                break
-            hi += 1
-        shard.feed_slice(records, 0, hi, trace_pos, trace.radio_id)
-    return shard.finish()
+    first = trace.first_timestamp_us
+    if first is None:
+        return (), 0
+    limit = first + window_us
+    if isinstance(trace, StreamingRadioTrace):
+        return trace.buffered_until(limit)
+    records = trace.records
+    if lo < len(records) and records[-1].timestamp_us <= limit:
+        return records, len(records)
+    return records, bisect_right(
+        records, limit, lo=lo, key=lambda r: r.timestamp_us
+    )
 
 
 def _shared_sets(
@@ -360,7 +297,7 @@ def bootstrap_synchronization(
     stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
     island_mode: Optional[str] = None,
 ) -> BootstrapResult:
-    """Compute bootstrap offsets ``T_i`` for every radio (single-threaded).
+    """Compute bootstrap offsets ``T_i`` for every radio.
 
     ``clock_groups`` lists radios that share one physical capture clock
     (the two radios of one monitor) — infrastructure metadata the real
@@ -393,22 +330,33 @@ def bootstrap_synchronization(
     auto-widen round but gained references when the window grew are
     reported in ``rejoined``.
 
-    This is the reference implementation the channel-sharded coordinator
-    (:class:`~repro.core.sync.sharded.ShardedBootstrap`) is held
-    bit-identical to; prefer the coordinator for large fleets — it makes
-    a single pass over each trace even when the window widens.
+    Collection is incremental and single-read: every round feeds one
+    :class:`_BootstrapShard` only the records between the old and the
+    new window limit, and file-backed
+    :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just the
+    prefix the window needs (unification later replays the buffer).
     """
+    if window_us <= 0:
+        raise ValueError("bootstrap window must be positive")
     radios = [trace.radio_id for trace in traces]
     if island_mode is None:
         island_mode = resolve_island_mode(traces)
     locality_of = resolve_locality_map(traces) if island_mode == "local" else None
+    clock_groups = [list(g) for g in clock_groups]
+    shard = _BootstrapShard()
+    positions = [0] * len(traces)
     current_window = window_us
     widen_rounds = 0
     ever_unreachable: Set[int] = set()
     while True:
-        sets, order, seen = _collect_reference_sets(traces, current_window)
-        shared = _shared_sets(sets)
-        family = _select_covering_family(shared, radios, order)
+        for pos, trace in enumerate(traces):
+            lo = positions[pos]
+            records, hi = _window_cutoff(trace, current_window, lo)
+            if hi > lo:
+                shard.feed_slice(records, lo, hi, pos, trace.radio_id)
+                positions[pos] = hi
+        shared = _shared_sets(shard.sets)
+        family = _select_covering_family(shared, radios, shard.order)
         offsets, unreachable, quarantined, islands = _resolve_offsets(
             radios, family, clock_groups, stability_tolerance_us,
             island_mode=island_mode, locality_of=locality_of,
@@ -416,12 +364,12 @@ def bootstrap_synchronization(
         if not unreachable or not auto_widen or current_window >= max_window_us:
             if unreachable and strict:
                 raise SyncPartitionError(unreachable)
-            log_quarantine_warning(quarantined, "bootstrap_synchronization")
+            log_quarantine_warning(quarantined)
             return BootstrapResult(
                 offsets_us=offsets,
                 unreachable=unreachable,
                 reference_sets_used=len(family),
-                reference_frames_seen=seen,
+                reference_frames_seen=shard.seen,
                 window_us=current_window,
                 quarantined=quarantined,
                 islands=islands,
@@ -443,9 +391,7 @@ def resolve_island_mode(traces: Sequence[RadioTrace]) -> str:
     (the campus composition's declaration that the fleet spans
     RF-isolated buildings, each its own expected reference island),
     ``"quarantine"`` otherwise (one building — a partition is a failure,
-    degraded mode keeps only the largest island's timeline).  Both
-    bootstrap implementations share this rule so they stay bit-identical
-    on the same input.
+    degraded mode keeps only the largest island's timeline).
     """
     if traces and all(
         getattr(trace, "building_id", None) is not None for trace in traces
@@ -680,9 +626,7 @@ def _resolve_offsets(
     return offsets, unreachable, quarantined, islands
 
 
-def log_quarantine_warning(
-    quarantined: Dict[int, str], source: str
-) -> None:
+def log_quarantine_warning(quarantined: Dict[int, str]) -> None:
     """One-line operator-facing warning when radios were left behind."""
     if not quarantined:
         return
@@ -691,6 +635,7 @@ def log_quarantine_warning(
     )
     more = "..." if len(quarantined) > 6 else ""
     logger.warning(
-        "%s: %d radio(s) quarantined off the primary timeline [%s%s]",
-        source, len(quarantined), preview, more,
+        "bootstrap_synchronization: %d radio(s) quarantined off the primary "
+        "timeline [%s%s]",
+        len(quarantined), preview, more,
     )

@@ -1,6 +1,5 @@
 """Unification: merging all traces into a single jframe timeline."""
 
-from .hierarchy import MergeTree
 from .jframe import Instance, JFrame, JFrameKind
 from .unifier import (
     DEFAULT_RESYNC_THRESHOLD_US,
@@ -18,7 +17,6 @@ __all__ = [
     "JFrameKind",
     "DEFAULT_RESYNC_THRESHOLD_US",
     "DEFAULT_SEARCH_WINDOW_US",
-    "MergeTree",
     "UnificationResult",
     "Unifier",
     "UnifyStats",

@@ -31,12 +31,10 @@ k-way merged by timestamp:
   jframe) yields incrementally ordered output.
 * :meth:`Unifier.unify` — the batch API, a thin wrapper that drains the
   stream into a :class:`UnificationResult`.
-* :class:`repro.core.unify.hierarchy.MergeTree` — the same shards behind
-  an optional process pool, for multi-core machines.
 
-Because every execution mode runs the same engine over the same shards in
-the same deterministic order, batch, streaming, serial and pooled
-unification produce jframe-for-jframe identical output
+Because both APIs run the same engine over the same shards in the same
+deterministic order, batch and streaming unification produce
+jframe-for-jframe identical output
 (``tests/test_streaming_equivalence.py`` holds this property).
 
 The engine's continuation state (record heap, reorder heap, staleness
@@ -180,8 +178,8 @@ def partition_traces(traces: Sequence[RadioTrace]) -> List[List[RadioTrace]]:
     lacks the stamp the whole input falls back to channel-only sharding,
     so legacy inputs — and mixed fleets where the stamp cannot be
     trusted — behave exactly as before.  Shards are ordered by
-    (locality, smallest channel), one deterministic global order every
-    execution mode — serial, pool, live daemon — enumerates identically;
+    (locality, smallest channel), one deterministic global order the
+    batch merge and the live daemon enumerate identically;
     with a single locality this reduces to the historical
     smallest-channel order.
     """
@@ -825,11 +823,10 @@ class UnifyStream:
     """A lazy unification in progress: iterate to drain the jframes.
 
     ``sources`` holds one ``(tracks, stats)`` pair per shard — a live
-    engine's own (still-advancing) attributes, or a pool worker's
-    completed result.  ``stats`` and ``tracks`` aggregate across them;
-    they are complete once the stream is exhausted (reading them
-    mid-stream over live engines gives the progress so far, which is
-    exactly what a live monitor wants).
+    engine's own (still-advancing) attributes.  ``stats`` and ``tracks``
+    aggregate across them; they are complete once the stream is
+    exhausted (reading them mid-stream gives the progress so far, which
+    is exactly what a live monitor wants).
     """
 
     def __init__(
@@ -873,25 +870,6 @@ class UnifyStream:
         return UnificationResult(
             jframes=jframes, tracks=self.tracks, stats=self.stats
         )
-
-
-def stream_shards(
-    unifier: "Unifier",
-    shards: Sequence[Sequence[RadioTrace]],
-    bootstrap: BootstrapResult,
-    track_order: Sequence[int],
-) -> UnifyStream:
-    """The serial merge: one lazy in-process engine per shard.
-
-    Shared by :meth:`Unifier.stream_unify` and the serial mode of
-    :class:`~repro.core.unify.hierarchy.MergeTree`, each over the one
-    partition it already computed.
-    """
-    engines = [_MergeEngine(unifier, shard, bootstrap) for shard in shards]
-    merged = merge_shard_streams([engine.run() for engine in engines])
-    return UnifyStream(
-        merged, [(e.tracks, e.stats) for e in engines], track_order
-    )
 
 
 def merge_shard_streams(
@@ -959,10 +937,14 @@ class Unifier:
         Returns a :class:`UnifyStream`: iterate it for globally
         time-ordered jframes; read ``.stats`` / ``.tracks`` when done.
         """
-        return stream_shards(
-            self,
-            partition_traces(traces),
-            bootstrap,
+        engines = [
+            _MergeEngine(self, shard, bootstrap)
+            for shard in partition_traces(traces)
+        ]
+        merged = merge_shard_streams([engine.run() for engine in engines])
+        return UnifyStream(
+            merged,
+            [(e.tracks, e.stats) for e in engines],
             [t.radio_id for t in traces],
         )
 

@@ -1,12 +1,11 @@
 """repro.devtools — repo-specific static analysis.
 
 The reproduction's credibility rests on invariants no generic linter
-checks: every execution mode (batch/stream, serial/sharded/pool,
-materialized or not) must stay jframe-for-jframe bit-identical.  That
-property breaks silently the moment someone draws from the global RNG,
-iterates an unordered set into an emission path, or ships an unpicklable
-closure to a pool shard — and the parity/golden suites only catch it
-after the fact, on the inputs they happen to cover.
+checks: every execution mode (batch/stream, daemon, materialized or
+not) must stay jframe-for-jframe bit-identical.  That property breaks
+silently the moment someone draws from the global RNG or iterates an
+unordered set into an emission path — and the parity/golden suites only
+catch it after the fact, on the inputs they happen to cover.
 
 :mod:`repro.devtools.lint` encodes those invariants as machine-checked
 AST rules (see :data:`repro.devtools.rules.ALL_RULES` for the catalog)::

@@ -1,16 +1,16 @@
 """The repro rule catalog: every invariant the linter machine-checks.
 
-Each rule encodes one way the reproduction's bit-identity or pool-safety
-contract has broken (or nearly broken) in a past PR, and names the
-module scope where the invariant lives.  The catalog, with the story
-behind each rule, is documented in ``docs/static-analysis.md``.
+Each rule encodes one way the reproduction's bit-identity contract has
+broken (or nearly broken) in a past PR, and names the module scope where
+the invariant lives.  The catalog, with the story behind each rule, is
+documented in ``docs/static-analysis.md``.
 
-Rules are deliberately syntactic: they flag *definite* hazards (a lambda
-shipped to a process pool, a draw from the process-global RNG, a set
-iterated straight into an emission path) and stay silent on anything
-they cannot prove, so a finding is always worth reading.  Escape hatch:
-``# repro: ignore[rule-name]`` on the flagged line, with a comment
-saying why.
+Rules are deliberately syntactic: they flag *definite* hazards (a draw
+from the process-global RNG, a set iterated straight into an emission
+path, a swallowed exception in a ledger module) and stay silent on
+anything they cannot prove, so a finding is always worth reading.
+Escape hatch: ``# repro: ignore[rule-name]`` on the flagged line, with a
+comment saying why.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ STRICT_TYPED_MODULES = frozenset(
         "repro.core.faults",
         "repro.jtrace.records",
         "repro.core.unify.jframe",
-        "repro.core.unify.sharded",
         "repro.core.sync.sharded",
     }
 )
@@ -415,150 +414,6 @@ class StreamDisciplineRule(Rule):
                     )
 
 
-# --- pool safety ------------------------------------------------------------
-
-
-def _imports_futures(mod: SourceModule) -> bool:
-    return any(
-        target.startswith("concurrent") for target in mod.imports.values()
-    )
-
-
-class PoolCallableRule(Rule):
-    """Work shipped to a process pool must be picklable by construction.
-
-    A lambda or locally-defined closure submitted to
-    ``ProcessPoolExecutor`` (directly or through
-    ``map_shards_with_recovery``) fails to pickle — but only at runtime,
-    on a multi-core host, possibly hours into a run.  The rule rejects
-    them at lint time, along with lambdas hiding inside argument
-    expressions.
-    """
-
-    name = "pool-callable"
-    summary = (
-        "pool submit()/map_shards_with_recovery callables are "
-        "module-level and their arguments lambda-free"
-    )
-
-    @staticmethod
-    def _local_callables(statements: Sequence[ast.stmt]) -> Set[str]:
-        """Names bound to nested defs or lambdas inside this scope."""
-        names: Set[str] = set()
-        queue: List[ast.AST] = list(statements)
-        while queue:
-            node = queue.pop(0)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(node.name)
-                continue  # do not descend: inner scopes bind their own
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Lambda
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            queue.extend(ast.iter_child_nodes(node))
-        return names
-
-    def _sites(
-        self, mod: SourceModule, statements: Sequence[ast.stmt]
-    ) -> Iterator[Tuple[ast.Call, Optional[ast.expr], List[ast.expr]]]:
-        """Yield (call, submitted callable, payload argument expressions)."""
-        futures = _imports_futures(mod)
-        for node in _walk_scope(statements):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                futures
-                and isinstance(func, ast.Attribute)
-                and func.attr == "submit"
-            ):
-                fn = node.args[0] if node.args else None
-                yield node, fn, list(node.args[1:])
-                continue
-            target = mod.resolve(func)
-            if target is None:
-                continue
-            tail = target.rsplit(".", 1)[-1]
-            if tail == "map_shards_with_recovery":
-                fn = node.args[0] if node.args else None
-                if fn is None:
-                    for kw in node.keywords:
-                        if kw.arg == "fn":
-                            fn = kw.value
-                payload = list(node.args[1:])
-                payload.extend(
-                    kw.value for kw in node.keywords if kw.arg != "fn"
-                )
-                yield node, fn, payload
-
-    def check(self, mod: SourceModule) -> Iterator[Finding]:
-        for scope, statements in _iter_scopes(mod.tree):
-            if isinstance(scope, ast.Module):
-                local_names: Set[str] = set()
-            else:
-                local_names = self._local_callables(statements)
-            for call, fn, payload in self._sites(mod, statements):
-                if isinstance(fn, ast.Lambda):
-                    yield self.finding(
-                        mod,
-                        fn,
-                        "lambda submitted to a process pool is unpicklable; "
-                        "use a module-level function",
-                    )
-                elif isinstance(fn, ast.Name) and fn.id in local_names:
-                    yield self.finding(
-                        mod,
-                        fn,
-                        f"locally-defined callable {fn.id!r} submitted to a "
-                        f"process pool is unpicklable; hoist it to module "
-                        f"level",
-                    )
-                for arg in payload:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Lambda):
-                            yield self.finding(
-                                mod,
-                                sub,
-                                "lambda inside a pool-call argument is "
-                                "unpicklable; precompute the value or pass "
-                                "a module-level function",
-                            )
-
-
-class PoolTimeoutRule(Rule):
-    """Every future ``.result()`` carries a timeout.
-
-    A bare ``result()`` on a future whose worker hung blocks the
-    coordinator forever — exactly the failure ``RetryPolicy`` deadlines
-    exist to bound.  Scoped to modules that import
-    ``concurrent.futures``.
-    """
-
-    name = "pool-timeout"
-    summary = "future .result() calls pass a timeout (bounded coordinator waits)"
-
-    def check(self, mod: SourceModule) -> Iterator[Finding]:
-        if not _imports_futures(mod):
-            return
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "result"):
-                continue
-            if node.args or any(kw.arg == "timeout" for kw in node.keywords):
-                continue
-            yield self.finding(
-                mod,
-                node,
-                "future .result() without a timeout can hang the "
-                "coordinator on a dead worker; pass timeout= (None must "
-                "be an explicit choice)",
-            )
-
-
 # --- error-policy hygiene ---------------------------------------------------
 
 
@@ -606,7 +461,7 @@ class ErrorPolicyRule(Rule):
                     node,
                     "exception swallowed with no counter or log in a "
                     "health-ledger module; count it on the relevant "
-                    "DecodeHealth/ShardHealth/SyncHealth (or at least log)",
+                    "DecodeHealth/SyncHealth (or at least log)",
                 )
 
 
@@ -1144,8 +999,6 @@ ALL_RULES = (
     GlobalRngRule,
     UnorderedIterRule,
     StreamDisciplineRule,
-    PoolCallableRule,
-    PoolTimeoutRule,
     ErrorPolicyRule,
     StructConsistencyRule,
     PassConformanceRule,

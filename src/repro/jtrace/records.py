@@ -382,7 +382,7 @@ class BatchTraceRecord(TraceRecord):
     resolve through the batch's shared column store and convert
     vectorized on first access.  Instances compare and hash equal to
     the scalar decoder's output, and pickle as plain eager records so
-    process-pool shard dispatch never ships a column store.
+    a service checkpoint never carries a column store.
     """
 
     _cols: _LazyColumns

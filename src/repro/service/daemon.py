@@ -47,8 +47,7 @@ from ..core.faults import HealthReport
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
 from ..core.pipeline import JigsawReport, ReconstructionDrive, assemble_report
-from ..core.sync.bootstrap import BootstrapResult
-from ..core.sync.sharded import ShardedBootstrap
+from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from ..core.unify.jframe import JFrame
 from ..core.unify.unifier import (
     Unifier,
@@ -226,16 +225,13 @@ class JigsawDaemon:
 
     def _start(self) -> None:
         feed = self.feed
-        coordinator = ShardedBootstrap(
-            max_workers=1,
+        bootstrap = bootstrap_synchronization(
+            feed.traces,
+            clock_groups=feed.clock_groups(),
             window_us=self.bootstrap_window_us,
             auto_widen=self.auto_widen_bootstrap,
         )
-        bootstrap = coordinator.bootstrap(
-            feed.traces, clock_groups=feed.clock_groups()
-        )
         self._bootstrap = bootstrap
-        self._health.bootstrap_shards.merge(coordinator.health)
 
         offsets = bootstrap.offsets_us
         # Quarantined radios contribute nothing; their record counts land

@@ -364,8 +364,7 @@ REGISTRY.register(
         ),
         expectations=(
             "partition_traces yields one (building, channel) leaf per "
-            "pair; MergeTree output is bit-identical to Unifier; "
-            "merge stays faster than real time at 512 radios."
+            "pair; merge stays faster than real time at 512 radios."
         ),
         builders={
             # Per-building shapes stay deliberately light: campus runs

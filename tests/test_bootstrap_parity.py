@@ -1,12 +1,12 @@
-"""Parity suite: channel-sharded bootstrap == single-threaded bootstrap.
+"""Bootstrap suite: incremental single-read collection, pinned absolutely.
 
-The sharded coordinator (serial and process-pool modes, incremental
-single-read ingest, auto-widen over buffered records) must produce
-offsets *bit-identical* to ``bootstrap_synchronization`` — including the
-auto-widen partition path and the strict ``SyncPartitionError`` failure
-mode the paper hits on pod reduction (Section 6) — and the covering
-family must not depend on the order reference sets were collected or
-merged.
+``bootstrap_synchronization`` feeds one collector only the records each
+auto-widen round adds and decodes file-backed traces only as far as the
+window reaches.  An auto-widened run must therefore equal a from-scratch
+collection at its final window — including the partition path and the
+strict ``SyncPartitionError`` failure mode the paper hits on pod
+reduction (Section 6) — and the covering family must not depend on the
+order reference sets were collected.
 """
 
 import random
@@ -15,12 +15,9 @@ import pytest
 
 from repro.core.sync.bootstrap import (
     SyncPartitionError,
-    _BootstrapShard,
     _select_covering_family,
     bootstrap_synchronization,
-    union_shard_payloads,
 )
-from repro.core.sync.sharded import ShardedBootstrap, resolve_pool_workers
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -62,24 +59,20 @@ def result_fingerprint(result):
 
 
 def assert_parity(traces, clock_groups=(), **kwargs):
-    """Serial reference, sharded-serial and sharded-pool must agree."""
-    serial = bootstrap_synchronization(
+    """A (possibly auto-widened) run equals from-scratch collection at
+    the window it ended on — the definition of incremental feeding."""
+    widened = bootstrap_synchronization(
         traces, clock_groups=clock_groups, **kwargs
     )
-    window_kwargs = {
-        k: v
-        for k, v in kwargs.items()
-        if k in ("window_us", "auto_widen", "max_window_us")
-    }
-    sharded = ShardedBootstrap(max_workers=0, **window_kwargs).bootstrap(
-        traces, clock_groups=clock_groups
+    scratch = bootstrap_synchronization(
+        traces,
+        clock_groups=clock_groups,
+        **{**kwargs, "window_us": widened.window_us, "auto_widen": False},
     )
-    pooled = ShardedBootstrap(max_workers=2, **window_kwargs).bootstrap(
-        traces, clock_groups=clock_groups
-    )
-    assert result_fingerprint(sharded) == result_fingerprint(serial)
-    assert result_fingerprint(pooled) == result_fingerprint(serial)
-    return serial
+    assert result_fingerprint(widened) == result_fingerprint(scratch)
+    assert widened.quarantined == scratch.quarantined
+    assert widened.islands == scratch.islands
+    return widened
 
 
 def random_multichannel_traces(seed, n_radios=8, n_frames=40, channels=(1, 6, 11)):
@@ -119,6 +112,11 @@ class TestShardedParity:
         traces, clock_groups = random_multichannel_traces(seed)
         result = assert_parity(traces, clock_groups=clock_groups)
         assert result.offsets_us  # something synchronized
+        # A window shorter than the 17 ms frame spacing forces widening.
+        widened = assert_parity(
+            traces, clock_groups=clock_groups, window_us=10_000
+        )
+        assert widened.widen_rounds > 0
 
     def test_building_scenario(self):
         from repro.sim import ScenarioConfig, run_scenario
@@ -147,7 +145,7 @@ class TestShardedParity:
 
     def test_auto_widen_parity(self):
         """Late references force widening; incremental feed must match
-        the reference implementation's from-scratch re-collection."""
+        a from-scratch collection at the widened window."""
         early = data_frame(seq=1)
         late = data_frame(seq=2)
         later = data_frame(seq=3)
@@ -166,8 +164,8 @@ class TestShardedParity:
         """A widening round can sight a key at an earlier (trace, record)
         coordinate than the round that created it; the incremental shard
         must settle on the same globally-earliest arrival order — and
-        therefore the same covering-family tie-break — as the reference
-        implementation's from-scratch re-collection."""
+        therefore the same covering-family tie-break — as a from-scratch
+        collection."""
         frame_a = data_frame(seq=1)
         frame_x = data_frame(seq=2)
         frame_y = data_frame(seq=3)
@@ -231,16 +229,8 @@ class TestStrictPartition:
             bootstrap_synchronization(self._islands(), strict=True)
         assert set(err.value.unreachable) == {2, 3}
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_sharded_strict_raises(self, workers):
-        with pytest.raises(SyncPartitionError) as err:
-            ShardedBootstrap(max_workers=workers).bootstrap(
-                self._islands(), strict=True
-            )
-        assert set(err.value.unreachable) == {2, 3}
-
     def test_non_strict_reports(self):
-        result = ShardedBootstrap(max_workers=0).bootstrap(self._islands())
+        result = bootstrap_synchronization(self._islands())
         assert set(result.unreachable) == {2, 3}
 
 
@@ -260,22 +250,6 @@ class TestCoveringFamilyDeterminism:
             {key_b: members_b, key_a: members_a}, [0, 1], order
         )
         assert forward == backward == [members_a]
-
-    def test_union_is_merge_order_independent(self):
-        shard_x = _BootstrapShard()
-        shard_y = _BootstrapShard()
-        frame = data_frame(seq=9)
-        shard_x.feed(record_for(frame, 0, 50), 0, trace_pos=0, record_idx=0)
-        shard_y.feed(
-            record_for(frame, 5, 75, channel=6), 5, trace_pos=5, record_idx=2
-        )
-        ab = union_shard_payloads([shard_x.finish(), shard_y.finish()])
-        ba = union_shard_payloads([shard_y.finish(), shard_x.finish()])
-        assert ab[0] == ba[0]   # same member sets
-        assert ab[1] == ba[1]   # same (earliest) arrival order
-        assert ab[2] == ba[2]   # same seen count
-        # Shard accumulators were not polluted by the union.
-        assert list(shard_x.finish()[0].values()) == [{0: 50}]
 
 
 class TestSingleReadIngest:
@@ -298,7 +272,7 @@ class TestSingleReadIngest:
         # (covered by test_batched_ingest_decodes_by_batch below).
         streams = open_trace_streams(tmp_path, vectorized=False, decode_ahead=0)
         reference = bootstrap_synchronization(traces)
-        result = ShardedBootstrap(max_workers=0).bootstrap(streams)
+        result = bootstrap_synchronization(streams)
         assert result_fingerprint(result) == result_fingerprint(reference)
         for stream in streams:
             # 1 s window over 200 ms spacing: ~6 records + 1 lookahead,
@@ -326,7 +300,7 @@ class TestSingleReadIngest:
         stream = open_trace_streams(
             tmp_path, chunk_bytes=4096, decode_ahead=0
         )[0]
-        stream.buffered_until(5_000_000)  # first ~500 records
+        bootstrap_synchronization([stream], window_us=5_000_000)  # ~500 records
         assert len(stream._buffer) < 1000
         assert len(stream.records) == 4000
 
@@ -405,43 +379,3 @@ class TestSingleReadIngest:
         report = pipeline.run([t0, t1])
         assert report.bootstrap.fully_synchronized
         assert report.bootstrap.window_us > 1_000_000
-
-
-class TestWorkerPolicy:
-    def test_resolves_like_sharded_unifier(self):
-        """Bootstrap and merge size their pools through the one policy,
-        and both ledgers record what it resolved to."""
-        from repro.core.unify.hierarchy import MergeTree
-
-        for max_workers, n_shards in [
-            (None, 1), (None, 3), (0, 3), (1, 3), (2, 3), (8, 3), (2, 1),
-        ]:
-            traces = [
-                RadioTrace(
-                    radio_id, channel,
-                    [record_for(data_frame(seq=1), radio_id, 1000, channel)],
-                )
-                for radio_id, channel in enumerate((1, 6, 11)[:n_shards])
-            ]
-            workers = resolve_pool_workers(max_workers, n_shards)
-            expected = workers if workers > 1 else 0
-            prepass = ShardedBootstrap(max_workers=max_workers)
-            bootstrap = prepass.bootstrap(traces)
-            assert prepass.health.pool_workers == expected
-            tree = MergeTree(max_workers=max_workers)
-            tree.unify(traces, bootstrap)
-            assert tree.health.pool_workers == expected
-
-    def test_serial_when_single_shard(self):
-        assert resolve_pool_workers(None, 1) == 1
-        assert resolve_pool_workers(16, 1) == 1
-
-    def test_explicit_pool_capped_by_cpu_count(self):
-        import os
-
-        # An explicit request is capped by the machine's cores, never
-        # demoted to serial (floor of two) and never wider than shards.
-        cap = max(2, os.cpu_count() or 1)
-        assert resolve_pool_workers(16, 4) == min(16, cap, 4)
-        assert resolve_pool_workers(2, 4) == 2
-        assert resolve_pool_workers(10_000, 3) == min(10_000, cap, 3)

@@ -8,6 +8,7 @@ the live ``src/`` tree against the committed baseline — the same gate CI
 runs — so a rule regression and a code regression both fail here first.
 """
 
+import configparser
 import importlib.util
 import json
 import shutil
@@ -250,107 +251,6 @@ class TestStreamDiscipline:
                 """,
             },
             rule=R.StreamDisciplineRule(),
-        )
-        assert result.clean
-
-
-# --- pool safety ------------------------------------------------------------
-
-
-class TestPoolCallable:
-    def test_flags_lambda_and_local_def_submissions(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(shards):
-                    def work(shard):
-                        return shard
-
-                    with ProcessPoolExecutor() as pool:
-                        a = pool.submit(lambda: 1)
-                        b = pool.submit(work, shards[0])
-                    return a, b
-                """
-            },
-            rule=R.PoolCallableRule(),
-        )
-        assert len(result.findings) == 2
-
-    def test_flags_lambda_hiding_in_payload(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from repro.core.faults import map_shards_with_recovery
-
-                def work(shard, key):
-                    return shard
-
-                def run(shards):
-                    return map_shards_with_recovery(
-                        work, [(shards[0], lambda x: x)], max_workers=2
-                    )
-                """
-            },
-            rule=R.PoolCallableRule(),
-        )
-        assert len(result.findings) == 1
-
-    def test_module_level_callable_allowed(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def work(shard):
-                    return shard
-
-                def run(shards):
-                    with ProcessPoolExecutor() as pool:
-                        return pool.submit(work, shards[0])
-                """
-            },
-            rule=R.PoolCallableRule(),
-        )
-        assert result.clean
-
-
-class TestPoolTimeout:
-    def test_flags_bare_result_when_futures_imported(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/thing.py": """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(pool, fn):
-                    return pool.submit(fn).result()
-                """
-            },
-            rule=R.PoolTimeoutRule(),
-        )
-        assert len(result.findings) == 1
-
-    def test_timeout_and_non_pool_modules_allowed(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "repro/core/pooly.py": """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(pool, fn, deadline):
-                    return pool.submit(fn).result(timeout=deadline)
-                """,
-                "repro/core/plain.py": """
-                def run(scanner):
-                    return scanner.result()
-                """,
-            },
-            rule=R.PoolTimeoutRule(),
         )
         assert result.clean
 
@@ -743,7 +643,7 @@ class TestSuppressions:
                 import time
 
                 def stamp():
-                    return time.time()  # repro: ignore[pool-timeout]
+                    return time.time()  # repro: ignore[global-rng]
                 """
             },
             rule=R.WallClockRule(),
@@ -849,6 +749,24 @@ class TestLiveTree:
     def test_rule_catalog_names_are_unique(self):
         names = [cls.name for cls in R.ALL_RULES]
         assert len(names) == len(set(names))
+
+    def test_strict_tier_names_real_modules_and_mirrors_mypy_ini(self):
+        """A strict entry for a deleted module checks nothing (and trips
+        mypy's warn_unused_configs); the two lists must not drift."""
+        for module in sorted(R.STRICT_TYPED_MODULES):
+            path = REPO_ROOT / "src" / Path(*module.split("."))
+            assert (
+                path.with_suffix(".py").is_file()
+                or (path / "__init__.py").is_file()
+            ), module
+        config = configparser.ConfigParser()
+        config.read(REPO_ROOT / "mypy.ini")
+        (strict_section,) = [
+            name for name in config.sections() if name.startswith("mypy-")
+        ]
+        assert R.STRICT_TYPED_MODULES == set(
+            strict_section[len("mypy-"):].split(",")
+        )
 
 
 # --- optional external tools (installed in CI, maybe not locally) -----------

@@ -1,15 +1,12 @@
-"""Fault-matrix tests: damaged bytes, dying workers, partitioned clocks.
+"""Fault-matrix tests: damaged bytes and partitioned clocks.
 
-The robustness contract has three layers, each tested here against
+The robustness contract has two layers, each tested here against
 *ground truth* rather than eyeballed counters:
 
 * **ingest** — corruption and truncation, crossed with every
   :class:`~repro.jtrace.io.ErrorPolicy`: strict raises, skip
   resynchronizes and counts exactly what was lost, drop-trace empties
   the damaged trace;
-* **pool recovery** — a worker killed mid-shard is retried and the run
-  completes; a shard missing its deadline degrades to serial;
-  deterministic worker exceptions still propagate;
 * **degraded sync** — a partitioned reference graph reconstructs the
   largest island and quarantines the rest with reasons; radios whose
   references only appear after auto-widen are reported as rejoined;
@@ -22,26 +19,16 @@ bit-identical to the fault-free pipeline.
 """
 
 import gzip
-import multiprocessing
-import os
-import time
 
 import pytest
 
-from repro.core.faults import (
-    HealthReport,
-    RetryPolicy,
-    ShardHealth,
-    map_shards_with_recovery,
-)
+from repro.core.faults import HealthReport
 from repro.core.pipeline import JigsawPipeline
 from repro.core.sync.bootstrap import (
     QUARANTINE_NO_REFERENCES,
     QUARANTINE_UNSTABLE_CLOCK,
     bootstrap_synchronization,
 )
-from repro.core.sync.sharded import ShardedBootstrap, resolve_pool_workers
-from repro.core.unify.hierarchy import MergeTree
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -66,12 +53,6 @@ pytestmark = pytest.mark.faults
 
 SRC = MacAddress.parse("00:0c:0c:00:00:07")
 DST = MacAddress.parse("00:0a:0a:00:00:07")
-
-_FORK = multiprocessing.get_start_method() == "fork"
-fork_only = pytest.mark.skipif(
-    not _FORK, reason="pool fault tests patch workers via fork inheritance"
-)
-
 
 def record_for(frame, radio_id, ts, channel=1):
     raw = frame_to_bytes(frame)
@@ -208,108 +189,6 @@ class TestErrorPolicyMatrix:
 
 
 # --------------------------------------------------------------------------
-# Pool recovery: dying workers, missed deadlines, serial degradation
-# --------------------------------------------------------------------------
-
-def _crash_once_worker(flag_path, value):
-    if not os.path.exists(flag_path):
-        open(flag_path, "w").close()
-        os._exit(1)  # hard kill: the pool sees BrokenProcessPool
-    return value * 2
-
-
-def _slow_worker(duration_s, value):
-    time.sleep(duration_s)
-    return value
-
-
-def _raising_worker(value):
-    raise ValueError(f"deterministic failure for {value}")
-
-
-class TestPoolWorkerValidation:
-    def test_negative_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            resolve_pool_workers(-1, 4)
-        with pytest.raises(ValueError):
-            MergeTree(max_workers=-2).unify([], bootstrap_synchronization([]))
-
-    def test_zero_and_one_mean_serial(self):
-        assert resolve_pool_workers(0, 4) == 1
-        assert resolve_pool_workers(1, 4) == 1
-
-    def test_never_more_workers_than_shards(self):
-        # Capped by the shard count AND the machine's cores (floor of
-        # two: an explicit pool request is never demoted to serial).
-        assert resolve_pool_workers(8, 3) == min(
-            3, max(2, os.cpu_count() or 1)
-        )
-        assert resolve_pool_workers(2, 3) == 2
-
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(shard_timeout_s=0)
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_cap_s=0.3
-        )
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(5) == pytest.approx(0.3)  # capped
-
-
-class TestPoolRecovery:
-    @fork_only
-    def test_worker_crash_is_retried(self, tmp_path):
-        flag = str(tmp_path / "crashed")
-        health = ShardHealth()
-        results = map_shards_with_recovery(
-            _crash_once_worker,
-            [(flag, 3), (flag, 4)],
-            max_workers=2,
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.0),
-            health=health,
-        )
-        assert results == [6, 8]
-        assert health.worker_crashes >= 1
-        assert health.pool_retries >= 1
-        assert health.shards_degraded_serial == 0
-
-    @fork_only
-    def test_timeout_degrades_to_serial(self):
-        health = ShardHealth()
-        slept = []
-        results = map_shards_with_recovery(
-            _slow_worker,
-            [(0.4, 9)],
-            max_workers=2,
-            policy=RetryPolicy(
-                max_retries=1, backoff_base_s=0.01, shard_timeout_s=0.05
-            ),
-            health=health,
-            sleep=slept.append,
-        )
-        assert results == [9]  # the in-process fallback still answers
-        assert health.shard_timeouts == 2  # initial attempt + one retry
-        assert health.shards_degraded_serial == 1
-        assert slept  # backoff was requested (and injected away)
-
-    @fork_only
-    def test_deterministic_exception_propagates(self):
-        health = ShardHealth()
-        with pytest.raises(ValueError, match="deterministic failure"):
-            map_shards_with_recovery(
-                _raising_worker,
-                [(1,)],
-                max_workers=2,
-                policy=RetryPolicy(max_retries=3),
-                health=health,
-            )
-        assert health.pool_retries == 0  # retrying would fail identically
-
-
-# --------------------------------------------------------------------------
 # Degraded sync: islands, quarantine reasons, rejoin, unstable clocks
 # --------------------------------------------------------------------------
 
@@ -358,11 +237,6 @@ class TestDegradedSync:
         assert sorted(map(sorted, result.islands)) == [
             [0, 1], [2, 3, 4], [5]
         ]
-        sharded = ShardedBootstrap(
-            max_workers=0, auto_widen=False, island_mode="local"
-        ).bootstrap(self._partitioned_traces())
-        assert sharded.offsets_us == result.offsets_us
-        assert sharded.quarantined == result.quarantined
 
     def test_island_mode_defaults_local_for_stamped_fleets(self):
         traces = self._partitioned_traces()
@@ -371,17 +245,6 @@ class TestDegradedSync:
         result = bootstrap_synchronization(traces, auto_widen=False)
         assert set(result.offsets_us) == {0, 1, 2, 3, 4}
         assert result.quarantined == {5: QUARANTINE_NO_REFERENCES}
-
-    def test_sharded_bootstrap_matches_reference_when_degraded(self):
-        traces = self._partitioned_traces()
-        reference = bootstrap_synchronization(traces, auto_widen=False)
-        for workers in (0, 2):
-            sharded = ShardedBootstrap(
-                max_workers=workers, auto_widen=False
-            ).bootstrap(traces)
-            assert sharded.offsets_us == reference.offsets_us
-            assert sharded.quarantined == reference.quarantined
-            assert sharded.islands == reference.islands
 
     def test_rejoin_reported_after_auto_widen(self):
         # The shared frame appears 3 s in — outside the initial window —
@@ -399,9 +262,6 @@ class TestDegradedSync:
         assert result.fully_synchronized
         assert result.widen_rounds >= 1
         assert result.rejoined == [1]
-        sharded = ShardedBootstrap(max_workers=0).bootstrap(traces)
-        assert sharded.rejoined == [1]
-        assert sharded.widen_rounds == result.widen_rounds
 
     def test_unstable_clock_fit_quarantined(self):
         # Set A = {0, 1, 2} then set B = {1, 2, 3, 4}; radio 2's clock
@@ -571,7 +431,7 @@ class TestFaultInjectionHarness:
             [r.radio_id for r in pod.radios] for pod in artifacts.pods
         ]
         streams = open_trace_streams(tmp_path, policy="skip")
-        report = JigsawPipeline(unifier=MergeTree(max_workers=0)).run(
+        report = JigsawPipeline().run(
             streams, clock_groups=clock_groups
         )
         assert report.jframes
@@ -589,13 +449,9 @@ class TestFaultInjectionHarness:
         clock_groups = [
             [r.radio_id for r in pod.radios] for pod in artifacts.pods
         ]
-        baseline = JigsawPipeline(
-            unifier=MergeTree(max_workers=0)
-        ).run(traces, clock_groups=clock_groups)
+        baseline = JigsawPipeline().run(traces, clock_groups=clock_groups)
         streams = open_trace_streams(tmp_path, policy="skip")
-        replayed = JigsawPipeline(
-            unifier=MergeTree(max_workers=0)
-        ).run(streams, clock_groups=clock_groups)
+        replayed = JigsawPipeline().run(streams, clock_groups=clock_groups)
         assert not replayed.health.degraded
         assert "degraded:" not in replayed.summary()
         assert len(replayed.jframes) == len(baseline.jframes)
@@ -612,6 +468,9 @@ class TestFaultInjectionHarness:
         report.ingest.records_skipped = 3
         assert report.degraded
         assert "skipped=3" in report.summary()
+        assert report.summary() == (
+            f"ingest[{report.ingest.summary()}] sync[{report.sync.summary()}]"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -701,7 +560,7 @@ class TestBatchedDecodeParity:
             streams = open_trace_streams(
                 directory, policy="skip", **ingest
             )
-            return JigsawPipeline(unifier=MergeTree(max_workers=0)).run(
+            return JigsawPipeline().run(
                 streams, clock_groups=clock_groups
             )
 

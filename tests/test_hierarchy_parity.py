@@ -1,39 +1,22 @@
-"""Sharded merge parity: ``MergeTree`` against the serial reference.
+"""Sharded merge on campus input: the (building, channel) partition.
 
-:class:`~repro.core.unify.hierarchy.MergeTree` merges the shards of
+:class:`~repro.core.unify.unifier.Unifier` merges the shards of
 ``partition_traces`` — (building, channel) leaves on stamped campus
-input, channel shards on legacy input — serially or on a process pool.
-However the leaves execute (serial, pool, pool with dying workers) and
-whatever damage the capture path injected, the jframe stream is exactly
-the plain :class:`~repro.core.unify.unifier.Unifier`'s.  This suite
-holds that claim over execution mode x input stamping x fault state,
-plus the live daemon (which shards through the same
-``partition_traces``) and the incremental pool-widening protocol of
-:class:`~repro.core.sync.sharded.ShardedBootstrap` (accumulated delta
-payloads must reproduce a full-window collection bit for bit).
+input, channel shards on legacy input — with one in-process engine per
+shard under one stable k-way reduce.  This suite holds what the
+partition promises over input stamping x fault state: re-running the
+merge reproduces it exactly, locality leaves confine headless
+attachment, the live daemon (which shards through the same
+``partition_traces``) emits the batch merge's jframes, and an
+auto-widened bootstrap equals a from-scratch collection at its final
+window.
 """
-
-import os
 
 import pytest
 
-from repro.core.faults import RetryPolicy
-from repro.core.sync.bootstrap import (
-    bootstrap_synchronization,
-    union_shard_payloads,
-)
-from repro.core.sync.sharded import (
-    ShardedBootstrap,
-    _collect_shard_prefixes,
-)
-from repro.core.unify import MergeTree, Unifier, partition_traces
-from repro.core.unify.hierarchy import _unify_shard
-from repro.jtrace.io import (
-    DecodeHealth,
-    RadioTrace,
-    open_trace_streams,
-    write_traces,
-)
+from repro.core.sync.bootstrap import bootstrap_synchronization
+from repro.core.unify import Unifier, partition_traces
+from repro.jtrace.io import RadioTrace
 from repro.service import JigsawDaemon
 from repro.sim.campus import run_campus
 from repro.sim.faults import inject_record_faults
@@ -119,28 +102,20 @@ def assert_results_identical(result, reference):
 
 
 class TestTreeShapeMatrix:
-    """Execution mode x input stamping, all against the plain Unifier."""
+    """Input stamping, against the module's reference merges."""
 
-    @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "pool"])
     @pytest.mark.parametrize("stamped", [True, False], ids=["stamped", "legacy"])
     def test_tree_matches_unifier(
-        self, campus, bootstrap, reference, stripped_reference,
-        stamped, max_workers,
+        self, campus, bootstrap, reference, stripped_reference, stamped
     ):
         """(building, channel) leaves on stamped input, channel shards on
-        legacy (unstamped) input: both execution modes interleave exactly
-        like the serial reference, and keep the same ledger."""
+        legacy (unstamped) input: a second merge in the same process
+        interleaves exactly like the first."""
         traces = campus.traces if stamped else stripped(campus.traces)
-        tree = MergeTree(max_workers=max_workers)
-        result = tree.unify(traces, bootstrap)
+        result = Unifier().unify(traces, bootstrap)
         assert_results_identical(
             result, reference if stamped else stripped_reference
         )
-        assert tree.health.shards == len(partition_traces(traces))
-        if max_workers > 1:
-            assert tree.health.pool_workers == 2
-        else:
-            assert tree.health.pool_workers == 0
 
     def test_hierarchy_confines_headless_attachment(
         self, reference, stripped_reference
@@ -163,43 +138,12 @@ class TestTreeShapeMatrix:
     def test_iter_and_stream_apis_match_batch(
         self, campus, bootstrap, reference
     ):
-        jframes = list(MergeTree(max_workers=1).iter_unify(
-            campus.traces, bootstrap
-        ))
+        jframes = list(Unifier().iter_unify(campus.traces, bootstrap))
         assert fingerprints(jframes) == fingerprints(reference.jframes)
-
-    def test_pool_merges_file_backed_streams(
-        self, campus, bootstrap, reference, tmp_path
-    ):
-        """Decode-ahead streams hold reader threads and do not pickle;
-        the pool must still merge them — drained in the parent, so the
-        ingest ledger is filled where the pipeline reads it."""
-        write_traces(campus.traces, tmp_path)
-
-        def merged(coordinator):
-            streams = open_trace_streams(tmp_path, decode_ahead=2)
-            try:
-                result = coordinator.unify(streams, bootstrap)
-            finally:
-                for stream in streams:
-                    stream.close()
-            ingest = DecodeHealth()
-            for stream in streams:
-                ingest.merge(stream.decode_health)
-            return result, ingest
-
-        serial, serial_ingest = merged(Unifier())
-        assert_results_identical(serial, reference)
-        tree = MergeTree(max_workers=2)
-        result, ingest = merged(tree)
-        assert tree.health.pool_workers == 2
-        assert_results_identical(result, reference)
-        assert ingest == serial_ingest
-        assert ingest.records_decoded == sum(len(t) for t in campus.traces)
 
 
 class TestPlanShapes:
-    """What ``partition_traces`` hands every execution mode."""
+    """What ``partition_traces`` hands the merge and the daemon."""
 
     def test_campus_plan_is_building_major(self, campus):
         shards = partition_traces(campus.traces)
@@ -244,45 +188,15 @@ class TestPlanShapes:
 
 
 # --------------------------------------------------------------------------
-# Fault axis: dying pool workers and capture-path damage
+# Fault axis: capture-path damage
 # --------------------------------------------------------------------------
-
-_CRASH_FLAG = None
-
-
-def _crashy_leaf(unifier, traces, bootstrap):
-    """Shard worker that hard-kills its process once, then behaves."""
-    if _CRASH_FLAG and not os.path.exists(_CRASH_FLAG):
-        open(_CRASH_FLAG, "w").close()
-        os._exit(1)
-    return _unify_shard(unifier, traces, bootstrap)
 
 
 @pytest.mark.faults
 class TestFaultMatrix:
-    def test_tree_survives_worker_death_bit_identical(
-        self, campus, bootstrap, reference, tmp_path, monkeypatch
-    ):
-        global _CRASH_FLAG
-        monkeypatch.setattr(
-            "repro.core.unify.hierarchy._unify_shard", _crashy_leaf
-        )
-        _CRASH_FLAG = str(tmp_path / "tree_crash")
-        try:
-            tree = MergeTree(
-                max_workers=2,
-                retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.0),
-            )
-            result = tree.unify(campus.traces, bootstrap)
-        finally:
-            _CRASH_FLAG = None
-        assert tree.health.worker_crashes >= 1
-        assert_results_identical(result, reference)
-
-    @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "pool"])
-    def test_fault_injected_shards_stay_identical(self, campus, max_workers):
+    def test_fault_injected_shards_stay_identical(self, campus):
         """Blackouts and clock jumps on campus traces: the damaged fleet
-        must still merge identically serially and through the pool."""
+        must still bootstrap, keep its leaves and merge reproducibly."""
         faulted_config = scenario_config(
             "campus",
             "tiny",
@@ -299,7 +213,7 @@ class TestFaultMatrix:
             faulted, clock_groups=campus.clock_groups
         )
         serial = Unifier().unify(faulted, boot)
-        result = MergeTree(max_workers=max_workers).unify(faulted, boot)
+        result = Unifier().unify(faulted, boot)
         assert_results_identical(result, serial)
 
 
@@ -337,17 +251,17 @@ class ListFeed:
 
 class TestDaemonParity:
     def test_daemon_matches_tree_batch(self, campus):
-        """The live daemon over a campus feed emits the tree's jframes,
+        """The live daemon over a campus feed emits the batch jframes,
         jframe for jframe (same partition, same tie-break order)."""
         daemon = JigsawDaemon(ListFeed(campus.traces, campus.clock_groups))
         service = daemon.serve()
         assert service is not None
-        # Reproduce the daemon's bootstrap policy exactly (serial
-        # sharded prepass, 1 s window, auto-widen) for the batch leg.
-        boot = ShardedBootstrap(max_workers=1).bootstrap(
+        # Reproduce the daemon's bootstrap policy exactly (1 s window,
+        # auto-widen) for the batch leg.
+        boot = bootstrap_synchronization(
             campus.traces, clock_groups=campus.clock_groups
         )
-        batch = MergeTree(max_workers=1).unify(campus.traces, boot)
+        batch = Unifier().unify(campus.traces, boot)
         report = service.report
         assert fingerprints(report.jframes) == fingerprints(batch.jframes)
         assert report.unification.stats == batch.stats
@@ -356,69 +270,32 @@ class TestDaemonParity:
 
 
 # --------------------------------------------------------------------------
-# Incremental pool widening: delta shipping is bit-exact
+# Incremental widening: delta feeding is bit-exact
 # --------------------------------------------------------------------------
 
 
 class TestWidenDelta:
-    def test_delta_payload_union_matches_full_collection(self, campus):
-        """The protocol's core identity: a round's payload over just the
-        delta records, re-anchored at its absolute index base, unions
-        with earlier rounds into exactly the payload one full-window
-        collection would have produced."""
-        shard = [
-            (pos, t.radio_id, t.records)
-            for pos, t in enumerate(campus.traces)
-        ]
-        full = _collect_shard_prefixes(
-            [(pos, rid, 0, records) for pos, rid, records in shard]
-        )
-        rounds = []
-        for lo_frac, hi_frac in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0)):
-            rounds.append(
-                _collect_shard_prefixes(
-                    [
-                        (pos, rid, lo, records[lo:hi])
-                        for pos, rid, records in shard
-                        for lo in [int(lo_frac * len(records))]
-                        for hi in [
-                            len(records)
-                            if hi_frac == 1.0
-                            else int(hi_frac * len(records))
-                        ]
-                    ]
-                )
-            )
-        assert union_shard_payloads(rounds) == union_shard_payloads([full])
-
-    def test_pool_widening_matches_serial_and_reference(self, campus):
+    def test_widened_run_matches_from_scratch_collection(self, campus):
         """End to end with a window small enough to force widening: the
-        resident-pool delta protocol must land on the serial incremental
-        path's exact result, which must match the one-shot reference."""
-        kwargs = dict(window_us=20_000, auto_widen=True)
-        serial = ShardedBootstrap(max_workers=1, **kwargs)
-        serial_result = serial.bootstrap(
-            campus.traces, clock_groups=campus.clock_groups
+        run that fed only each round's delta must land on exactly what
+        one collection at the final window produces."""
+        widened = bootstrap_synchronization(
+            campus.traces, clock_groups=campus.clock_groups, window_us=20_000
         )
-        pool = ShardedBootstrap(max_workers=2, **kwargs)
-        pool_result = pool.bootstrap(
-            campus.traces, clock_groups=campus.clock_groups
-        )
-        assert serial_result.widen_rounds > 0, (
+        assert widened.widen_rounds > 0, (
             "window did not force widening; shrink window_us"
         )
-        assert pool.health.pool_workers == 2
-        assert pool_result.offsets_us == serial_result.offsets_us
-        assert pool_result.widen_rounds == serial_result.widen_rounds
-        assert pool_result.window_us == serial_result.window_us
-        assert pool_result.quarantined == serial_result.quarantined
-        assert (
-            pool_result.reference_frames_seen
-            == serial_result.reference_frames_seen
-        )
-        reference = bootstrap_synchronization(
+        scratch = bootstrap_synchronization(
             campus.traces,
             clock_groups=campus.clock_groups,
-            window_us=20_000,
+            window_us=widened.window_us,
+            auto_widen=False,
         )
-        assert serial_result.offsets_us == reference.offsets_us
+        for field in (
+            "offsets_us",
+            "reference_sets_used",
+            "reference_frames_seen",
+            "quarantined",
+            "islands",
+        ):
+            assert getattr(widened, field) == getattr(scratch, field), field

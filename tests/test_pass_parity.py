@@ -2,9 +2,8 @@
 
 Every pass-based analysis must produce results identical to its batch
 ``JigsawReport`` counterpart — on the small and building scenarios,
-with ``materialize=False``, and under ``MergeTree`` (serial and
-process-pool) — plus the satellites: in-order exchange emission and the
-experiment run-cache config fingerprint.
+and with ``materialize=False`` — plus the satellites: in-order exchange
+emission and the experiment run-cache config fingerprint.
 """
 
 import pytest
@@ -29,7 +28,6 @@ from repro.core.analysis import (
 )
 from repro.core.passes import run_passes
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify import MergeTree
 from repro.sim import ScenarioConfig, run_scenario
 
 MIN_PACKETS = 20
@@ -176,21 +174,6 @@ class TestStreamingParitySmall:
         assert report.attempts == []
         assert report.exchanges == []
         assert len(report.flows) > 0  # flows always survive
-        assert_all_equal(report.passes, batch)
-
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_sharded_unifier_forwards_pass_feeds(self, small_setup, max_workers):
-        """Serial and process-pool sharded merges drive passes identically."""
-        config, artifacts, _, batch = small_setup
-        pipeline = JigsawPipeline(
-            unifier=MergeTree(max_workers=max_workers)
-        )
-        report = pipeline.run(
-            artifacts.radio_traces,
-            clock_groups=artifacts.clock_groups(),
-            passes=list(make_passes(config, artifacts.wired_trace).values()),
-            materialize=False,
-        )
         assert_all_equal(report.passes, batch)
 
     def test_replay_refuses_unmaterialized_report(self, small_setup):

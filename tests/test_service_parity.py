@@ -6,7 +6,7 @@ flushing, no final checkpoint) and restored from its last periodic
 checkpoint must finish with exactly the jframes, health ledger, flows
 and sealed pass windows of one uninterrupted run.  And an uninterrupted
 daemon run must itself be bit-identical to the batch pipeline over the
-same records — serial and pool-sharded.
+same records.
 
 The building scenario (compressed duration, full fleet shape) is the
 acceptance case; flash_crowd covers a second traffic shape.  Crash
@@ -22,7 +22,6 @@ import zlib
 import pytest
 
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify.hierarchy import MergeTree
 from repro.service import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -172,14 +171,6 @@ class TestBuildingScenario:
         batch = JigsawPipeline().run(
             streamed.traces, clock_groups=streamed.clock_groups()
         )
-        assert_reports_identical(svc.report, batch)
-
-    def test_daemon_matches_batch_pool_sharded(self, config, reference):
-        _, svc = reference
-        streamed = stream_scenario(config)
-        batch = JigsawPipeline(
-            unifier=MergeTree(max_workers=2)
-        ).run(streamed.traces, clock_groups=streamed.clock_groups())
         assert_reports_identical(svc.report, batch)
 
     @pytest.mark.parametrize("crash_draw", [0, 1, 2])

@@ -2,9 +2,9 @@
 
 The sharded streaming engine must produce jframe-for-jframe identical
 output — timestamps, kinds, instance sets, dispersion, resync counts — to
-the batch ``Unifier.unify()`` across every execution mode (generator
-stream, serial shards, process-pool shards), on randomized multi-channel
-building-style traces.
+the batch ``Unifier.unify()`` through every API (generator stream, a
+repeated batch merge, a pickled-and-resumed engine), on randomized
+multi-channel building-style traces.
 """
 
 import pickle
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sync.bootstrap import BootstrapResult
-from repro.core.unify import MergeTree, Unifier, partition_traces
+from repro.core.unify import Unifier, partition_traces
 from repro.core.unify.unifier import _MergeEngine
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_ack, make_data
@@ -153,26 +153,10 @@ def test_all_execution_modes_identical(seed):
     streamed = list(Unifier().iter_unify(traces, bootstrap))
     assert [jframe_fingerprint(jf) for jf in streamed] == reference
 
-    serial = MergeTree(max_workers=1).unify(traces, bootstrap)
+    serial = Unifier().unify(traces, bootstrap)
     assert [jframe_fingerprint(jf) for jf in serial.jframes] == reference
     assert stats_fingerprint(serial.stats) == stats_fingerprint(batch.stats)
     assert tracks_fingerprint(serial.tracks) == tracks_fingerprint(batch.tracks)
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_process_pool_identical(seed):
-    traces, bootstrap = random_building_traces(
-        seed, transmissions_per_channel=60
-    )
-    batch = Unifier().unify(traces, bootstrap)
-    pooled = MergeTree(max_workers=2).unify(traces, bootstrap)
-    assert [jframe_fingerprint(jf) for jf in pooled.jframes] == [
-        jframe_fingerprint(jf) for jf in batch.jframes
-    ]
-    assert stats_fingerprint(pooled.stats) == stats_fingerprint(batch.stats)
-    assert tracks_fingerprint(pooled.tracks) == tracks_fingerprint(
-        batch.tracks
-    )
 
 
 def test_stream_is_time_ordered_and_lazy():
@@ -247,7 +231,7 @@ def test_unsynchronized_radio_skipped_in_sharded():
     dropped = traces[0].radio_id
     del bootstrap.offsets_us[dropped]
     batch = Unifier().unify(traces, bootstrap)
-    sharded = MergeTree(max_workers=1).unify(traces, bootstrap)
+    sharded = Unifier().unify(traces, bootstrap)
     assert batch.stats.records_skipped_unsynchronized == len(traces[0])
     assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
     assert dropped not in sharded.tracks
@@ -294,9 +278,7 @@ def test_small_simulation_equivalence():
         artifacts.radio_traces, clock_groups=artifacts.clock_groups()
     )
     batch = Unifier().unify(artifacts.radio_traces, bootstrap)
-    sharded = MergeTree(max_workers=1).unify(
-        artifacts.radio_traces, bootstrap
-    )
+    sharded = Unifier().unify(artifacts.radio_traces, bootstrap)
     assert [jframe_fingerprint(jf) for jf in sharded.jframes] == [
         jframe_fingerprint(jf) for jf in batch.jframes
     ]
