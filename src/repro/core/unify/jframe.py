@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import Frame
@@ -35,6 +35,20 @@ class Instance:
     universal_us: float
     record: TraceRecord
     frame: Optional[Frame] = None
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Tuple state: one per merged record rides in every checkpoint,
+        # and the default slots pickling writes a state dict for each.
+        return (
+            Instance,
+            (
+                self.radio_id,
+                self.local_us,
+                self.universal_us,
+                self.record,
+                self.frame,
+            ),
+        )
 
 
 class JFrameKind(enum.Enum):

@@ -41,7 +41,8 @@ The engine's continuation state (record heap, reorder heap, staleness
 deadline, push counter) lives on the object, not in a generator frame —
 a suspended frame cannot be pickled, and the service daemon checkpoints
 its engines mid-merge.  :meth:`_MergeEngine.advance` is the one hot
-loop: batch drives it in slices, the daemon one record per round.
+loop: batch drives each shard to exhaustion in slices, the daemon
+whichever shard's watermark is lowest, a smaller slice at a time.
 """
 
 from __future__ import annotations
@@ -645,6 +646,16 @@ class _MergeEngine:
             self.finished = True
         self._emitted = []
         return emitted
+
+    def take_parked(self) -> List[JFrame]:
+        """Jframes emitted by an :meth:`advance` call its source cut short.
+
+        :attr:`watermark_us` has already moved past them, so a caller
+        that orders shards by watermark must collect them before it
+        trusts one.
+        """
+        parked, self._emitted = self._emitted, []
+        return parked
 
     # --- placement helpers -------------------------------------------------
 

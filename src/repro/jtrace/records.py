@@ -70,6 +70,13 @@ class TraceRecord:
     def is_valid_frame(self) -> bool:
         return self.kind is RecordKind.VALID
 
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Tuple state, not NEWOBJ + a per-record state dict: a service
+        # checkpoint carries tens of thousands of these.  Rebuilding
+        # through the constructor also keeps ``__post_init__`` in force
+        # for anything a pickle carries in.
+        return (_eager_record, _record_key(self))
+
 
 _HEADER = struct.Struct("<HqBBHhHIIHq")
 # radio_id, timestamp, kind, channel, rate*10, rssi, frame_len, fcs,
@@ -369,7 +376,7 @@ def _record_key(record: TraceRecord) -> Tuple[Any, ...]:
 
 
 def _eager_record(*fields: Any) -> TraceRecord:
-    """Rebuild a fully materialized record (pickle target for batch records)."""
+    """Rebuild a fully materialized record (every record's pickle target)."""
     return TraceRecord(*fields)
 
 
@@ -381,8 +388,9 @@ class BatchTraceRecord(TraceRecord):
     ``rate_mbps``, ``rssi_dbm``, ``duration_us``, ``truth_txid`` —
     resolve through the batch's shared column store and convert
     vectorized on first access.  Instances compare and hash equal to
-    the scalar decoder's output, and pickle as plain eager records so
-    a service checkpoint never carries a column store.
+    the scalar decoder's output, and — through the inherited
+    ``TraceRecord.__reduce__`` — pickle as plain eager records, so a
+    service checkpoint never carries a column store.
     """
 
     _cols: _LazyColumns
@@ -399,9 +407,6 @@ class BatchTraceRecord(TraceRecord):
         return NotImplemented
 
     __hash__ = TraceRecord.__hash__
-
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        return (_eager_record, _record_key(self))
 
 
 class FramingHint:
@@ -577,13 +582,9 @@ class FramedRun:
             return len(ok)
         return int((~ok).argmax())
 
-    def decode(self, count: Optional[int] = None, lazy: bool = True) -> RecordBatch:
-        """Materialize the first ``count`` framed records (all by default).
-
-        ``lazy`` selects :class:`BatchTraceRecord` with deferred cold
-        fields; ``lazy=False`` builds plain eager ``TraceRecord``s
-        (used where records outlive their batch, e.g. eager reads).
-        """
+    def decode(self, count: Optional[int] = None) -> RecordBatch:
+        """Materialize the first ``count`` framed records (all by default)
+        as :class:`BatchTraceRecord`s with deferred cold fields."""
         offsets = self.offsets if count is None else self.offsets[:count]
         n = len(offsets)
         if n == 0:
@@ -603,50 +604,25 @@ class FramedRun:
         kind_of = _KIND_BY_VALUE
         records: List[TraceRecord] = []
         append = records.append
-        if lazy:
-            cols = _LazyColumns(h)
-            cls: type = BatchTraceRecord
-            new = cls.__new__
-            for i in range(n):
-                start = offsets[i] + hsize
-                r = new(cls)
-                # One dict display assigned wholesale: measurably cheaper
-                # than filling the instance dict through update(**kwargs)
-                # at millions of records.
-                r.__dict__ = {
-                    "radio_id": radio[i],
-                    "timestamp_us": ts[i],
-                    "kind": kind_of[kind_vals[i]],
-                    "channel": chan[i],
-                    "frame_len": flen[i],
-                    "fcs": fcs[i],
-                    "snap": buffer[start : start + snap_lens[i]],
-                    "_cols": cols,
-                    "_idx": i,
-                }
-                append(r)
-        else:
-            rate = _COLUMN_MATERIALIZERS["rate_mbps"](h)
-            rssi = _COLUMN_MATERIALIZERS["rssi_dbm"](h)
-            dur = _COLUMN_MATERIALIZERS["duration_us"](h)
-            truth = _COLUMN_MATERIALIZERS["truth_txid"](h)
-            cls = TraceRecord
-            new = cls.__new__
-            for i in range(n):
-                start = offsets[i] + hsize
-                r = new(cls)
-                r.__dict__ = {
-                    "radio_id": radio[i],
-                    "timestamp_us": ts[i],
-                    "kind": kind_of[kind_vals[i]],
-                    "channel": chan[i],
-                    "rate_mbps": rate[i],
-                    "rssi_dbm": rssi[i],
-                    "frame_len": flen[i],
-                    "fcs": fcs[i],
-                    "snap": buffer[start : start + snap_lens[i]],
-                    "duration_us": dur[i],
-                    "truth_txid": truth[i],
-                }
-                append(r)
+        cols = _LazyColumns(h)
+        cls = BatchTraceRecord
+        new = cls.__new__
+        for i in range(n):
+            start = offsets[i] + hsize
+            r = new(cls)
+            # One dict display assigned wholesale: measurably cheaper
+            # than filling the instance dict through update(**kwargs)
+            # at millions of records.
+            r.__dict__ = {
+                "radio_id": radio[i],
+                "timestamp_us": ts[i],
+                "kind": kind_of[kind_vals[i]],
+                "channel": chan[i],
+                "frame_len": flen[i],
+                "fcs": fcs[i],
+                "snap": buffer[start : start + snap_lens[i]],
+                "_cols": cols,
+                "_idx": i,
+            }
+            append(r)
         return RecordBatch(records, ts_sorted)

@@ -11,12 +11,15 @@ so a killed daemon resumes mid-trace **bit-identically**.
 
 Determinism is the load-bearing property, and it rests on three legs:
 
-1. **The batch merge engine, one record per round** — each channel
-   shard runs the batch pipeline's own merge engine over cursors that
-   read the feed, advanced one record per scheduling round.  Each pop
+1. **The batch merge engine, laggard first** — each channel shard
+   runs the batch pipeline's own merge engine over cursors that read
+   the feed; every scheduling turn advances the unfinished shard with
+   the lowest emission watermark — the one the release rule of leg 2
+   is waiting for — by a slice of :data:`SLICE` records.  Each pop
    reads that radio's successor before anything else happens, so the
    processing order is a pure function of the per-radio record
-   sequences, never of arrival timing or restart points.
+   sequences, never of arrival timing, slice size or restart points;
+   and the schedule reads nothing but checkpointed engine state.
 2. **Watermark-gated k-way release** — a shard's emitted jframe is
    handed to the downstream drive only when every other shard provably
    cannot emit an earlier one (its FIFO head is later, or its emission
@@ -24,7 +27,7 @@ Determinism is the load-bearing property, and it rests on three legs:
    therefore exactly the batch pipeline's ``heapq.merge`` order, just
    discovered incrementally.
 3. **Checkpoints at deterministic loop boundaries** — state is captured
-   only at the end of a full scheduling round, at a record count every
+   only between two ``advance`` calls, at a record count every
    incarnation passes through, so the uninterrupted run provably visits
    the exact state a restored run starts from.
 
@@ -63,9 +66,19 @@ from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 #: Default checkpoint cadence, in consumed records.
 DEFAULT_CHECKPOINT_EVERY = 2_000
 
+#: Records one scheduling turn merges on the laggard shard.  Sized on
+#: ``benchmarks/e2e`` ``flash_crowd_service`` (seed 7, traced, three
+#: interleaved runs each): ``service.serve_nockpt_s`` median 0.536 /
+#: 0.455 / 0.530 s at 16 / 64 / 256 — inside that host's run-to-run
+#: spread of each other, against 0.58 s for one record per shard per
+#: turn — while the exact-repeat ``window_lag_us_p50`` reads 196,356 /
+#: 196,356 / 229,423: 64 amortizes ``advance``'s prologue without
+#: letting a shard run a visible distance ahead of the others.
+SLICE = 64
+
 
 class _Killed(Exception):
-    """``stop_after_records`` reached: unwinds the drive loop mid-round."""
+    """``stop_after_records`` reached: unwinds the drive loop mid-slice."""
 
 
 @dataclass
@@ -207,7 +220,7 @@ class JigsawDaemon:
 
         ``stop_after_records`` simulates a SIGKILL for the crash/resume
         suite: once the *total* consumed-record count reaches it, the
-        daemon returns ``None`` immediately — mid-round, with no final
+        daemon returns ``None`` immediately — mid-slice, with no final
         checkpoint, no flushing, no cleanup.  Recovery is whatever the
         last periodic checkpoint captured, exactly as a real kill.
         """
@@ -290,43 +303,69 @@ class JigsawDaemon:
                 self._stop_after_records is not None
                 and self._total_consumed >= self._stop_after_records
             ):
-                raise _Killed  # simulated SIGKILL: stop mid-round
+                raise _Killed  # simulated SIGKILL: stop mid-slice
         return record
 
     def _loop(self) -> None:
-        """Round-robin the shards, one record each, until the feed drains."""
-        engines = self._engines
-        fifos = self._fifos
+        """Advance the laggard shard a slice at a time until the feed drains.
+
+        Each turn picks the unfinished engine with the lowest emission
+        watermark (ties: lowest shard index) — the shard every queued
+        jframe is waiting for, by the release rule — and merges up to
+        :data:`SLICE` of its records.  Release is attempted only when
+        that call emitted something or finished the shard (nothing else
+        can unblock a FIFO head), sealing only when release fed the
+        drive.  The choice reads checkpointed engine state only, so a
+        restored daemon continues the identical schedule.
+        """
+        shards = list(zip(self._engines, self._fifos))
         drive = self._drive
         assert drive is not None
+        # A source that raised mid-``advance`` (a stalled uplink, then a
+        # second ``serve()``) left that call's jframes parked on the
+        # engine with its watermark already past them: queue them
+        # before any watermark is consulted.
+        for engine, fifo in shards:
+            fifo.extend(engine.take_parked())
         while True:
-            for engine, fifo in zip(engines, fifos):
-                if not engine.finished:
-                    fifo.extend(engine.advance(1))
-            self._release()
-            self._publish(drive.seal_ready())
+            running = [shard for shard in shards if not shard[0].finished]
+            if not running:
+                break
+            # min() keeps the first of equals: ties go to the lowest shard.
+            engine, fifo = min(running, key=lambda s: s[0].watermark_us)
+            emitted = engine.advance(SLICE)
+            if emitted or engine.finished:
+                fifo.extend(emitted)
+                if self._release():
+                    self._publish(drive.seal_ready())
             if (
                 self.checkpoint_path is not None
                 and self._total_consumed - self._last_checkpoint_at
                 >= self.checkpoint_every
             ):
                 self._write_checkpoint()
-            if not any(fifos) and all(e.finished for e in engines):
-                return
+        # Every watermark is +inf: whatever is still queued drains.
+        if self._release():
+            self._publish(drive.seal_ready())
 
-    def _release(self) -> None:
-        """Feed the drive every jframe that is provably globally next.
+    def _release(self) -> bool:
+        """Feed the drive every jframe that is provably globally next;
+        True if any was fed.
 
         Replicates ``heapq.merge``'s (timestamp, shard index) order: the
         minimum FIFO head is released only when every other shard either
         shows a later head or has an emission watermark at or past the
         candidate (a shard's future emissions are strictly later than
-        its watermark, so it can never produce an earlier jframe).
+        its watermark, so it can never produce an earlier jframe).  The
+        proof holds whenever it is attempted, provided every jframe a
+        watermark has passed is in its FIFO (see :meth:`_loop` on parked
+        emissions).
         """
         fifos = self._fifos
         engines = self._engines
         drive = self._drive
         assert drive is not None
+        fed = False
         while True:
             best_si = -1
             best_ts = 0
@@ -336,13 +375,14 @@ class JigsawDaemon:
                     if best_si < 0 or ts < best_ts:
                         best_si, best_ts = si, ts
             if best_si < 0:
-                return
+                return fed
             for si, engine in enumerate(engines):
                 if si == best_si or fifos[si]:
                     continue
                 if engine.watermark_us < best_ts:
-                    return  # shard si could still emit something earlier
+                    return fed  # shard si could still emit something earlier
             drive.feed(fifos[best_si].popleft())
+            fed = True
 
     def _publish(self, sealed: Sequence[SealedWindow]) -> None:
         """At-least-once publication with a dedup ledger.

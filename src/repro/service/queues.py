@@ -147,6 +147,24 @@ class QueueFeed:
     def consumed(self) -> Dict[int, int]:
         return dict(self._consumed)
 
+    def seek(self, consumed: Dict[int, int]) -> None:
+        """Adopt a checkpoint's consumed counts (fresh feed, on restore).
+
+        The queues hold nothing yet, so this only tells the producer
+        where to pick up: the next record pushed for a radio must be its
+        ``consumed[radio_id]``-th.
+        """
+        for radio_id, count in consumed.items():
+            if radio_id not in self._consumed:
+                raise KeyError(f"unknown radio id {radio_id}")
+            if count < 0:
+                raise ValueError("consumed counts must be non-negative")
+            if self.queues[radio_id].depth:
+                raise ValueError(
+                    f"seek on radio {radio_id}'s non-empty queue"
+                )
+            self._consumed[radio_id] = count
+
     def next_record(self, radio_id: int) -> Optional[TraceRecord]:
         """Pull the next record for ``radio_id``; ``None`` at end of stream.
 
@@ -182,11 +200,15 @@ def feed_pump_from_records(
     """A pump replaying materialized per-radio record lists (tests).
 
     Pushes each radio's records in order, respecting backpressure, and
-    closes the queue at the end — the minimal faithful producer.
+    closes the queue at the end — the minimal faithful producer.  Each
+    radio starts at the feed's consumed count as of the first call, so
+    a pump over a ``seek``-ed feed resumes where the checkpoint left.
     """
-    cursors: Dict[int, int] = {rid: 0 for rid in records_by_radio}
+    cursors: Dict[int, int] = {}
 
     def pump(feed: "QueueFeed", radio_id: int) -> None:
+        if not cursors:
+            cursors.update(feed.consumed())
         for rid, queue in feed.queues.items():
             records: Sequence[TraceRecord] = records_by_radio.get(rid, ())
             index = cursors[rid]

@@ -1,9 +1,14 @@
 """Tests for frame unification: synthetic cases plus simulator integration."""
 
+import copyreg
+import dataclasses
+import io
+import pickle
+
 import pytest
 
 from repro.core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
-from repro.core.unify.jframe import JFrameKind
+from repro.core.unify.jframe import Instance, JFrameKind
 from repro.core.unify.unifier import Unifier
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
@@ -269,6 +274,45 @@ class TestResynchronization:
             [a, b], perfect_bootstrap(range(2))
         )
         assert result.stats.resyncs > 0
+
+
+def test_instance_pickles_as_tuple_state_sharing_its_graph():
+    """Two instances of one transmission share ``frame`` (the parse
+    cache hands both the same object); inside one ``pickle.dumps`` that
+    sharing — and each record's identity with any other reference to it
+    — must survive: checkpoints rely on the single object graph."""
+    frame = data_frame()
+    trace_a = RadioTrace(1, 1, [record_for(frame, 1, 1000)])
+    trace_b = RadioTrace(2, 1, [record_for(frame, 2, 1001)])
+    result = Unifier().unify([trace_a, trace_b], perfect_bootstrap([1, 2]))
+    (jframe,) = result.jframes
+    a, b = jframe.instances
+    assert a.frame is b.frame is not None
+
+    a2, b2, rec_a, rec_b = pickle.loads(
+        pickle.dumps([a, b, a.record, b.record])
+    )
+    assert type(a2) is Instance
+    assert dataclasses.astuple(a2) == dataclasses.astuple(a)
+    assert dataclasses.astuple(b2) == dataclasses.astuple(b)
+    assert a2.record is rec_a and b2.record is rec_b
+    assert a2.frame is b2.frame
+
+    # The layout checkpoints held before the reducer (NEWOBJ + slot
+    # state) still loads: why CHECKPOINT_VERSION did not move.
+    class OldLayout(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is Instance:
+                slots = {f.name: getattr(obj, f.name)
+                         for f in dataclasses.fields(obj)}
+                return copyreg.__newobj__, (Instance,), (None, slots)
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    OldLayout(buffer, pickle.HIGHEST_PROTOCOL).dump(a)
+    assert dataclasses.astuple(pickle.loads(buffer.getvalue())) == (
+        dataclasses.astuple(a)
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,11 @@
 """Unit tests for trace records and trace file I/O."""
 
+import copy
+import copyreg
+import dataclasses
+import io
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +100,61 @@ class TestTraceRecord:
         record = make_record(ts=ts, snap=snap, rate=rate)
         decoded, _ = record_from_bytes(record_to_bytes(record))
         assert decoded == record
+
+
+class TestRecordPickling:
+    """Both record classes pickle as tuple state through the constructor."""
+
+    @staticmethod
+    def _pair():
+        from repro.jtrace.records import BatchTraceRecord, FramedRun
+
+        plain = make_record(snap=b"frame bytes")
+        (batch,) = FramedRun(record_to_bytes(plain)).decode().records
+        assert type(batch) is BatchTraceRecord
+        return plain, batch
+
+    def test_both_classes_pickle_to_equal_plain_records(self):
+        plain, batch = self._pair()
+        restored = [pickle.loads(pickle.dumps(r)) for r in (plain, batch)]
+        for r in restored:
+            assert type(r) is TraceRecord
+            assert r == plain and hash(r) == hash(plain)
+        assert restored[0] == restored[1]
+        assert pickle.dumps(plain) == pickle.dumps(batch)
+
+    def test_copy_and_replace_still_work(self):
+        for record in self._pair():
+            assert copy.copy(record) == record
+            moved = dataclasses.replace(record, timestamp_us=5)
+            assert moved.timestamp_us == 5
+            assert dataclasses.replace(moved, timestamp_us=1000) == record
+
+    def test_overlong_snap_cannot_ride_in_through_a_pickle(self):
+        # Built behind the constructor's back, the way a hostile or
+        # damaged payload would be; unpickling must run __post_init__.
+        smuggled = object.__new__(TraceRecord)
+        smuggled.__dict__.update(
+            dataclasses.asdict(make_record()), snap=b"z" * 500
+        )
+        with pytest.raises(ValueError, match="snap exceeds"):
+            pickle.loads(pickle.dumps(smuggled))
+
+    def test_old_layout_pickles_still_load(self):
+        """NEWOBJ + state dict — what checkpoints written before the
+        reducer hold — is why CHECKPOINT_VERSION did not move."""
+
+        class OldLayout(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is TraceRecord:
+                    return copyreg.__newobj__, (TraceRecord,), dict(vars(obj))
+                return NotImplemented
+
+        record = make_record()
+        buffer = io.BytesIO()
+        OldLayout(buffer, pickle.HIGHEST_PROTOCOL).dump(record)
+        assert buffer.getvalue() != pickle.dumps(record)
+        assert pickle.loads(buffer.getvalue()) == record
 
 
 class TestTraceFiles:

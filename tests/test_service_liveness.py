@@ -9,6 +9,8 @@ Parity says a daemon run ends in the right state; liveness says it
   (a batch pipeline only ever reports at ``finish()``);
 * a consumer that stops draining bounds queue depth at the configured
   maximum, never O(trace) — producers feel backpressure;
+* the daemon's own k-way backlog (jframes merged but not yet provably
+  next) stays bounded by the scheduling slice, not by records consumed;
 * a source that stops producing trips a deterministic idle limit
   (:class:`ServiceStalled`) instead of deadlocking the daemon.
 """
@@ -17,7 +19,14 @@ import pytest
 
 from repro.core.passes import PipelinePass
 from repro.jtrace.records import RecordKind, TraceRecord
-from repro.service import JigsawDaemon, QueueFeed, RadioQueue, ServiceStalled
+from repro.service import (
+    JigsawDaemon,
+    QueueFeed,
+    RadioQueue,
+    ServiceStalled,
+    load_checkpoint,
+)
+from repro.service.daemon import SLICE
 from repro.service.queues import feed_pump_from_records
 from repro.service.windows import WindowedSummaryPass
 from repro.sim import ScenarioConfig
@@ -193,6 +202,83 @@ class TestQueueBackpressure:
         queue.close()
         with pytest.raises(ValueError, match="close"):
             queue.push(make_record(1, 1))
+
+    def test_seek_positions_the_producer(self):
+        records = {1: [make_record(1, 1000 + 10 * i) for i in range(20)]}
+        feed = QueueFeed([1], feed_pump_from_records(records), maxlen=4)
+        feed.seek({1: 12})
+        assert feed.consumed() == {1: 12}
+        assert feed.next_record(1) is records[1][12]
+        assert feed.consumed() == {1: 13}
+
+    def test_seek_rejects_what_it_cannot_honour(self):
+        feed = QueueFeed([1], lambda f, r: None)
+        with pytest.raises(KeyError, match="unknown radio id 2"):
+            feed.seek({2: 0})
+        with pytest.raises(ValueError, match="non-negative"):
+            feed.seek({1: -1})
+        feed.push(1, make_record(1, 1000))
+        with pytest.raises(ValueError, match="non-empty queue"):
+            feed.seek({1: 5})
+
+
+class BacklogObservingFeed:
+    """Delegates to a feed and, each time the daemon's public
+    ``checkpoints_written`` count has advanced, loads the checkpoint
+    and notes what the k-way FIFOs and engines held (the numbers only:
+    keeping every loaded state would hold the trace many times over)."""
+
+    def __init__(self, feed, checkpoint_path):
+        self._feed = feed
+        self._checkpoint_path = checkpoint_path
+        self.daemon = None
+        #: (queued jframes, shards, any finished, any watermark at +inf)
+        self.observed = []
+
+    def __getattr__(self, name):
+        return getattr(self._feed, name)
+
+    def next_record(self, radio_id):
+        if self.daemon.checkpoints_written > len(self.observed):
+            state = load_checkpoint(self._checkpoint_path)
+            self.observed.append(
+                (
+                    sum(len(f) for f in state.fifos),
+                    len(state.engines),
+                    any(e.finished for e in state.engines),
+                    any(e.watermark_us == float("inf") for e in state.engines),
+                )
+            )
+        return self._feed.next_record(radio_id)
+
+
+class TestMergeBacklog:
+    def test_kway_backlog_is_bounded_by_the_slice(self, tmp_path):
+        """Checkpoint size is bounded by open-window state, not records
+        consumed: while every shard is still running, no shard has run
+        ahead to the end of its trace and the jframes parked behind the
+        release rule number at most a slice per shard."""
+        checkpoint = tmp_path / "backlog.ckpt"
+        config = scenario_config(
+            "flash_crowd", "small", seed=13, duration_us=1_000_000
+        )
+        feed = BacklogObservingFeed(live_feed(config), checkpoint)
+        daemon = JigsawDaemon(
+            feed,
+            materialize=False,
+            checkpoint_path=checkpoint,
+            checkpoint_every=4_000,
+        )
+        feed.daemon = daemon
+        assert daemon.serve() is not None
+        running = [o for o in feed.observed if not o[2]]
+        assert len(running) >= 5, "too few mid-trace checkpoints to judge"
+        for queued, shards, _, at_end in running:
+            assert queued <= shards * SLICE
+            assert not at_end
+        # The shards reach the end of the trace together: only the last
+        # stretch's checkpoints see a finished one.
+        assert len(running) >= len(feed.observed) - 2
 
 
 class TestStalledSource:

@@ -373,6 +373,42 @@ def test_stalled_source_leaves_daemon_resumable(hang_at_pump_call):
     assert_service_identical(svc, reference)
 
 
+def test_crash_resume_over_a_queue_feed(tmp_path):
+    """The push-style feed implements the whole feed protocol: a daemon
+    killed over one restores over a *fresh* one (``seek`` tells the
+    producer where to pick up) and finishes bit-identically."""
+    streamed = stream_scenario(scenario_config("flash_crowd", "tiny", seed=13))
+    records = {t.radio_id: t.records for t in streamed.traces}
+
+    def fresh_feed():
+        return ReplayQueueFeed(
+            streamed, feed_pump_from_records(records), maxlen=16
+        )
+
+    reference = JigsawDaemon(fresh_feed(), passes=make_passes()).serve()
+    total = reference.report.unification.stats.records_in
+    cadence = total // 5
+    stop = 2 * total // 3
+    checkpoint = tmp_path / "queue.ckpt"
+
+    crashed = JigsawDaemon(
+        fresh_feed(),
+        passes=make_passes(),
+        checkpoint_path=checkpoint,
+        checkpoint_every=cadence,
+    )
+    assert crashed.serve(stop_after_records=stop) is None
+    assert crashed.checkpoints_written >= 1
+
+    restored = JigsawDaemon.restore(
+        checkpoint, fresh_feed(), checkpoint_every=cadence
+    )
+    assert 0 < restored.total_consumed < stop
+    svc = restored.serve()
+    assert svc is not None and svc.resumed
+    assert_service_identical(svc, reference)
+
+
 @pytest.mark.parametrize(
     "version", [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1],
     ids=["older", "newer"],
