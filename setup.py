@@ -15,7 +15,7 @@ setup(
         "repro": ["py.typed"],
         "repro.devtools": ["lint_baseline.json"],
     },
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

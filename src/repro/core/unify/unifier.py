@@ -250,9 +250,8 @@ class _TraceCursor:
     only the buffer.  Streaming traces decode on demand through
     :meth:`~repro.jtrace.io.StreamingRadioTrace.ensure_index`, so the
     merge pulls batches as its heap advances instead of draining every
-    trace before the first jframe — the seam that lets decode-ahead
-    reader threads overlap decoding with the merge.  The service daemon
-    starts from an empty buffer and binds ``produce`` to its feed.
+    trace before the first jframe.  The service daemon starts from an
+    empty buffer and binds ``produce`` to its feed.
 
     ``counted`` is how many of this cursor's records ``records_in``
     already includes: a materialized trace is counted up front (its

@@ -567,9 +567,8 @@ class StructConsistencyRule(Rule):
         """Literal ``(name, format)`` pairs of a structured-dtype call.
 
         Matches ``NAME_DTYPE = <anything>.dtype([("field", "<u2"), ...])``
-        regardless of how numpy was imported (the gated-import idiom
-        binds it to a local alias, which import resolution can't see).
-        Returns None when the assignment is not that shape.
+        regardless of how numpy was imported.  Returns None when the
+        assignment is not that shape.
         """
         value = node.value
         if not (

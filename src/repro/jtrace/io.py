@@ -35,19 +35,15 @@ import base64
 import enum
 import gzip
 import json
-import os
-import queue
 import struct
-import threading
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import islice, pairwise
 from pathlib import Path
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union, cast
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from .records import (
-    BATCH_DECODE_AVAILABLE,
     FramedRun,
     FramingHint,
     RecordBatch,
@@ -61,13 +57,10 @@ from .records import (
     record_to_bytes,
 )
 
+_T = TypeVar("_T")
+
 #: Chunk size for streaming decompression (1 MiB of decompressed bytes).
 _READ_CHUNK_BYTES = 1 << 20
-
-#: Decoded batches a decode-ahead reader thread keeps ready for the
-#: consumer.  Each batch is at most one decompression chunk of records,
-#: so the prefetch window is bounded in bytes, not record counts.
-DECODE_AHEAD_DEPTH = 2
 
 
 class ErrorPolicy(str, enum.Enum):
@@ -133,7 +126,7 @@ def _meta_path(data_path: Path) -> Path:
 
 
 def _framing_hint_from_meta(
-    meta: dict, vectorized: Optional[bool]
+    meta: dict, vectorized: bool = True
 ) -> Optional[FramingHint]:
     """The sidecar's record-boundary table, when the batch engine runs.
 
@@ -141,9 +134,8 @@ def _framing_hint_from_meta(
     ``None``; the batch framing scan then runs unassisted, exactly as
     before the index existed.
     """
-    use_batch = BATCH_DECODE_AVAILABLE if vectorized is None else vectorized
     packed = meta.get("snap_lens_b64")
-    if not use_batch or packed is None:
+    if not vectorized or packed is None:
         return None
     return FramingHint.from_packed(base64.b64decode(packed))
 
@@ -264,18 +256,28 @@ class StreamingRadioTrace:
         self._batches: Optional[Iterator[RecordBatch]] = (
             iter(batch_source) if batch_source is not None else None
         )
-        # Kept so close() can reach a decode-ahead reader even after the
-        # iterator slot was cleared at exhaustion.
-        self._batch_origin: Optional[Iterable[RecordBatch]] = batch_source
         self._buffer: List[TraceRecord] = []
         self._last_ts: Optional[int] = None
         self._ordered = True
         self._prefix_consumed = False
+        #: What the source raised, re-raised on every later pull: a
+        #: generator that raised reads as exhausted afterwards, and a
+        #: ``strict`` stream must not answer its next caller with a
+        #: silently truncated trace.
+        self._failure: Optional[Exception] = None
+
+    def _next(self, source: Iterator[_T]) -> Optional[_T]:
+        """``next(source, None)``, remembering what the source raises."""
+        try:
+            return next(source, None)
+        except Exception as exc:
+            self._failure = exc
+            raise
 
     def _pull(self) -> Optional[TraceRecord]:
         if self._source is None:
             return None
-        record = next(self._source, None)
+        record = self._next(self._source)
         if record is None:
             self._source = None
             return None
@@ -294,9 +296,11 @@ class StreamingRadioTrace:
         decoded batch at a time, validating order per batch plus one
         boundary comparison instead of per record.
         """
+        if self._failure is not None:
+            raise self._failure
         if self._batches is not None:
             while True:
-                batch = next(self._batches, None)
+                batch = self._next(self._batches)
                 if batch is None:
                     self._batches = None
                     return 0
@@ -385,6 +389,8 @@ class StreamingRadioTrace:
     @property
     def records(self) -> List[TraceRecord]:
         """Drain the source (first access only) and return every record."""
+        if self._failure is not None:
+            raise self._failure
         if self._batches is not None:
             while self._pull_some():
                 continue  # ordering is validated per batch as it lands
@@ -396,7 +402,11 @@ class StreamingRadioTrace:
             # in ``sorted_by_local_time``.
             buffer = self._buffer
             validate_from = max(len(buffer) - 1, 0)
-            buffer.extend(source)
+            try:
+                buffer.extend(source)
+            except Exception as exc:
+                self._failure = exc
+                raise
             self._source = None
             if buffer:
                 self._last_ts = buffer[-1].timestamp_us
@@ -411,12 +421,7 @@ class StreamingRadioTrace:
                 # gated on the ordering this record violates; sorting now
                 # would silently shift records into or out of windows the
                 # prepass already examined.
-                raise ValueError(
-                    f"trace for radio {self.radio_id} is not in "
-                    "local-time order and its window prefix was already "
-                    "consumed by the single-read bootstrap; materialize "
-                    "it with read_trace()/sorted_by_local_time() instead"
-                )
+                raise ValueError(self._unordered_message())
             self._buffer.sort(key=lambda r: r.timestamp_us)
             self._ordered = True
         return self._buffer
@@ -445,18 +450,17 @@ class StreamingRadioTrace:
         return self
 
     def close(self) -> None:
-        """Release the decode source; joins any decode-ahead thread.
+        """Release the decode source — a partially read file's descriptor.
 
-        Idempotent.  The replay buffer stays readable — only the
-        (possibly threaded) source is torn down, so a closed trace can
-        still serve every record it already decoded.
+        Idempotent.  The replay buffer stays readable: closing the
+        source generator only ends the read, so a closed trace still
+        serves every record it already decoded.
         """
-        for source in (self._batches, self._batch_origin, self._source):
+        for source in (self._batches, self._source):
             closer = getattr(source, "close", None)
             if closer is not None:
                 closer()
         self._batches = None
-        self._batch_origin = None
         self._source = None
 
     def __enter__(self) -> "StreamingRadioTrace":
@@ -466,98 +470,11 @@ class StreamingRadioTrace:
         self.close()
 
 
-class _ReaderDone:
-    """Queue sentinel: the decode-ahead worker finished its stream."""
-
-
-_READER_END = _ReaderDone()
-
-
-class _DecodeAheadReader:
-    """Decode-ahead pipelining: a reader thread runs the batch decoder
-    up to ``depth`` batches ahead of the consumer.
-
-    Decompression (which releases the GIL) and batch decode overlap
-    with the merge consuming earlier batches.  The queue is bounded, so
-    an unconsumed trace never decodes more than ``depth`` chunks ahead;
-    exceptions from the decoder (including strict-policy damage) are
-    forwarded and re-raised at the consumer's next pull, preserving the
-    synchronous error contract.  The worker is a daemon and also honors
-    a stop flag, so abandoning the iterator cannot leak a live decode.
-    """
-
-    def __init__(
-        self, batches: Iterator[RecordBatch], depth: int, name: str
-    ) -> None:
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=max(1, depth))
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._work, args=(batches,), name=name, daemon=True
-        )
-        self._thread.start()
-
-    def _put(self, item: object) -> bool:
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue  # re-check the stop flag, then retry
-        return False
-
-    def _work(self, batches: Iterator[RecordBatch]) -> None:
-        try:
-            for batch in batches:
-                if not self._put(batch):
-                    return
-            self._put(_READER_END)
-        except BaseException as exc:  # forwarded to the consuming thread
-            self._put(exc)
-
-    def __iter__(self) -> Iterator[RecordBatch]:
-        return self
-
-    def __next__(self) -> RecordBatch:
-        if self._stop.is_set():
-            raise StopIteration
-        item = self._queue.get()
-        if isinstance(item, _ReaderDone):
-            self._stop.set()
-            raise StopIteration
-        if isinstance(item, BaseException):
-            self._stop.set()
-            raise item
-        return cast(RecordBatch, item)
-
-    def close(self) -> None:
-        """Stop the worker and join it; idempotent.
-
-        Setting the stop flag alone leaves the worker parked in its
-        bounded ``put`` retry loop for up to one timeout interval;
-        draining one queue slot unblocks it immediately so the join
-        returns promptly.  Joining matters for long-lived processes
-        (the service daemon opens and closes many traces): a merely
-        flagged thread still holds its decoder state alive until the
-        scheduler lets it notice the flag.
-        """
-        self._stop.set()
-        try:
-            self._queue.get_nowait()
-        except queue.Empty:  # repro: ignore[error-policy]
-            pass  # nothing buffered means nothing to unblock; no data lost
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-
-    def __del__(self) -> None:
-        self._stop.set()
-
-
 def open_trace_stream(
     data_path: Path,
     policy: PolicyLike = ErrorPolicy.STRICT,
     *,
-    vectorized: Optional[bool] = None,
-    decode_ahead: Optional[int] = None,
+    vectorized: bool = True,
     chunk_bytes: int = _READ_CHUNK_BYTES,
 ) -> StreamingRadioTrace:
     """Open one radio's trace for lazy, single-read consumption.
@@ -567,12 +484,9 @@ def open_trace_stream(
     compressed file exactly once — the bootstrap prepass pulls only its
     examination window before unification picks up the buffer.
 
-    ``vectorized`` selects the decode engine (None = batch when numpy
-    is available); ``decode_ahead`` is how many decoded batches a
-    per-trace reader thread keeps ready ahead of the consumer (None =
-    :data:`DECODE_AHEAD_DEPTH` on the batch path when a second CPU is
-    available to run the reader, else ``0``; ``0`` disables the thread
-    and decodes inline).
+    ``vectorized`` selects the decode engine (``False`` = the scalar
+    reference); either way decoding runs inline on the consuming
+    thread, one chunk per pull.
 
     Damage handling follows ``policy``; what tolerant decoding skipped is
     tallied on the stream's ``decode_health`` as the source is consumed
@@ -588,48 +502,20 @@ def open_trace_stream(
     decode_health = DecodeHealth()
     channels = meta.get("channels")
     channel_set = frozenset(channels) if channels is not None else None
-    batch_source: Iterable[RecordBatch]
+    batch_source: Iterable[RecordBatch] = iter_record_batches(
+        data_path,
+        chunk_bytes=chunk_bytes,
+        policy=policy,
+        health=decode_health,
+        vectorized=vectorized,
+        framing_hint=framing_hint,
+    )
     if policy is ErrorPolicy.DROP_TRACE:
         try:
-            batch_source = list(
-                iter_record_batches(
-                    data_path,
-                    chunk_bytes=chunk_bytes,
-                    policy=policy,
-                    health=decode_health,
-                    vectorized=vectorized,
-                    framing_hint=framing_hint,
-                )
-            )
+            batch_source = list(batch_source)
         except _TraceDamage:
             batch_source = []
             decode_health.traces_dropped += 1
-    else:
-        batches: Iterator[RecordBatch] = iter_record_batches(
-            data_path,
-            chunk_bytes=chunk_bytes,
-            policy=policy,
-            health=decode_health,
-            vectorized=vectorized,
-            framing_hint=framing_hint,
-        )
-        if decode_ahead is None:
-            batch_engine = (
-                BATCH_DECODE_AVAILABLE if vectorized is None else vectorized
-            )
-            # Decode-ahead overlaps decompression with the merge only
-            # when there is a second core to run it on; on a single-CPU
-            # host the reader threads just add scheduling contention.
-            decode_ahead = (
-                DECODE_AHEAD_DEPTH
-                if batch_engine and (os.cpu_count() or 1) > 1
-                else 0
-            )
-        if decode_ahead:
-            batches = _DecodeAheadReader(
-                batches, decode_ahead, name=f"decode-ahead:{data_path.name}"
-            )
-        batch_source = batches
     return StreamingRadioTrace(
         meta["radio_id"],
         meta["channel"],
@@ -644,8 +530,7 @@ def open_trace_streams(
     directory: Path,
     policy: PolicyLike = ErrorPolicy.STRICT,
     *,
-    vectorized: Optional[bool] = None,
-    decode_ahead: Optional[int] = None,
+    vectorized: bool = True,
     chunk_bytes: int = _READ_CHUNK_BYTES,
 ) -> List[StreamingRadioTrace]:
     """Lazily open every trace in a directory (sorted by radio id)."""
@@ -655,7 +540,6 @@ def open_trace_streams(
             path,
             policy=policy,
             vectorized=vectorized,
-            decode_ahead=decode_ahead,
             chunk_bytes=chunk_bytes,
         )
         for path in sorted(directory.glob("radio_*.jtr.gz"))
@@ -803,7 +687,7 @@ def iter_record_batches(
     chunk_bytes: int = _READ_CHUNK_BYTES,
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
     framing_hint: Optional[FramingHint] = None,
 ) -> Iterator[RecordBatch]:
     """Stream-decode a compressed trace file as batches of records.
@@ -813,10 +697,10 @@ def iter_record_batches(
     buffered at a time, so day-long traces decode in constant memory
     instead of materializing the whole decompressed stream.
 
-    ``vectorized=None`` (the default) uses the batch engine when numpy
-    is available: complete records are framed per chunk, their headers
-    gathered into one structured array, validated with vectorized
-    predicates, and materialized column-wise (see
+    ``vectorized=True`` (the default) uses the batch engine: complete
+    records are framed per chunk, their headers gathered into one
+    structured array, validated with vectorized predicates, and
+    materialized column-wise (see
     :class:`~repro.jtrace.records.FramedRun`).  ``vectorized=False``
     forces the scalar per-record engine (the reference path the parity
     suites compare against).  Both engines produce identical records,
@@ -847,14 +731,6 @@ def iter_record_batches(
     policy = ErrorPolicy(policy)
     if health is None:
         health = DecodeHealth()
-    if vectorized is None:
-        use_batch = BATCH_DECODE_AVAILABLE
-    else:
-        use_batch = bool(vectorized)
-        if use_batch and not BATCH_DECODE_AVAILABLE:
-            raise RuntimeError(
-                "vectorized decode requested but numpy is unavailable"
-            )
     data_path = Path(data_path)
     strict = policy is ErrorPolicy.STRICT
 
@@ -885,7 +761,7 @@ def iter_record_batches(
                 if not confirmed:
                     break  # need more data (or: tail handled below)
                 syncing = False
-            if use_batch:
+            if vectorized:
                 # Batch fast path: frame every complete record, validate
                 # vectorized, decode the clean prefix in one go.
                 run = FramedRun(buffer, offset, framing_hint, stream_base)
@@ -993,7 +869,7 @@ def iter_trace_records(
     chunk_bytes: int = _READ_CHUNK_BYTES,
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
     framing_hint: Optional[FramingHint] = None,
 ) -> Iterator[TraceRecord]:
     """Stream-decode records from a compressed trace file.
@@ -1025,7 +901,7 @@ def read_trace(
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
     *,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
 ) -> RadioTrace:
     """Read one radio's trace back from disk.
 
@@ -1079,7 +955,7 @@ def read_traces(
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
     *,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
 ) -> List[RadioTrace]:
     directory = Path(directory)
     return [

@@ -20,18 +20,9 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..dot11.constants import CAPTURE_SNAP_BYTES
-
-_np: Any
-try:
-    import numpy
-
-    _np = numpy
-except ImportError:  # pragma: no cover - numpy is part of the supported env
-    _np = None
-
-#: True when the vectorized batch decoder can run (numpy importable).
-BATCH_DECODE_AVAILABLE: bool = _np is not None
 
 
 class RecordKind(enum.Enum):
@@ -234,40 +225,30 @@ _PHY_VALUE = RecordKind.PHY_ERROR.value
 #: calling ``RecordKind(value)`` in the construction loop.
 _KIND_BY_VALUE: Dict[int, RecordKind] = {k.value: k for k in RecordKind}
 
-_HEADER_DTYPE: Any
-_HEADER_RANGE: Any
-_EMPTY_HEADERS: Any
-_KIND_OK_TABLE: Any
-if _np is not None:
-    #: Structured view of ``_HEADER``: same field order, same packed
-    #: little-endian layout, one name per struct code (itemsize must
-    #: equal ``_HEADER.size``; the devtools struct rule cross-checks).
-    _HEADER_DTYPE = _np.dtype(
-        [
-            ("radio_id", "<u2"),
-            ("timestamp_us", "<i8"),
-            ("kind", "u1"),
-            ("channel", "u1"),
-            ("rate_x10", "<u2"),
-            ("rssi", "<i2"),
-            ("frame_len", "<u2"),
-            ("fcs", "<u4"),
-            ("duration_us", "<u4"),
-            ("snap_len", "<u2"),
-            ("truth_txid", "<i8"),
-        ]
-    )
-    if _HEADER_DTYPE.itemsize != _HEADER.size:  # pragma: no cover
-        raise AssertionError("_HEADER_DTYPE drifted from the _HEADER layout")
-    _HEADER_RANGE = _np.arange(_HEADER.size, dtype=_np.intp)
-    _EMPTY_HEADERS = _np.empty(0, dtype=_HEADER_DTYPE)
-    _KIND_OK_TABLE = _np.zeros(256, dtype=bool)
-    _KIND_OK_TABLE[sorted(_VALID_KINDS)] = True
-else:  # pragma: no cover - numpy is part of the supported env
-    _HEADER_DTYPE = None
-    _HEADER_RANGE = None
-    _EMPTY_HEADERS = None
-    _KIND_OK_TABLE = None
+#: Structured view of ``_HEADER``: same field order, same packed
+#: little-endian layout, one name per struct code (itemsize must equal
+#: ``_HEADER.size``; the devtools struct rule cross-checks).
+_HEADER_DTYPE = _np.dtype(
+    [
+        ("radio_id", "<u2"),
+        ("timestamp_us", "<i8"),
+        ("kind", "u1"),
+        ("channel", "u1"),
+        ("rate_x10", "<u2"),
+        ("rssi", "<i2"),
+        ("frame_len", "<u2"),
+        ("fcs", "<u4"),
+        ("duration_us", "<u4"),
+        ("snap_len", "<u2"),
+        ("truth_txid", "<i8"),
+    ]
+)
+if _HEADER_DTYPE.itemsize != _HEADER.size:  # pragma: no cover
+    raise AssertionError("_HEADER_DTYPE drifted from the _HEADER layout")
+_HEADER_RANGE = _np.arange(_HEADER.size, dtype=_np.intp)
+_EMPTY_HEADERS = _np.empty(0, dtype=_HEADER_DTYPE)
+_KIND_OK_TABLE = _np.zeros(256, dtype=bool)
+_KIND_OK_TABLE[sorted(_VALID_KINDS)] = True
 
 
 @dataclass
@@ -428,8 +409,6 @@ class FramingHint:
     __slots__ = ("starts", "snap_lens")
 
     def __init__(self, snap_lens: Any) -> None:
-        if _np is None:  # pragma: no cover - numpy is part of the env
-            raise RuntimeError("framing hints require numpy")
         self.snap_lens = _np.asarray(snap_lens, dtype=_np.int64)
         sizes = self.snap_lens + _HEADER.size
         starts = _np.empty(len(sizes), dtype=_np.int64)
@@ -506,8 +485,6 @@ class FramedRun:
         hint: Optional[FramingHint] = None,
         stream_base: int = 0,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy is part of the env
-            raise RuntimeError("batch decode requires numpy")
         self.buffer = buffer
         if hint is not None:
             offset, offsets = hint.fast_forward(buffer, offset, stream_base)

@@ -270,7 +270,7 @@ class TestSingleReadIngest:
         # The record-at-a-time laziness this asserts is a scalar-decoder
         # property; the batch engine's granularity is one decoded batch
         # (covered by test_batched_ingest_decodes_by_batch below).
-        streams = open_trace_streams(tmp_path, vectorized=False, decode_ahead=0)
+        streams = open_trace_streams(tmp_path, vectorized=False)
         reference = bootstrap_synchronization(traces)
         result = bootstrap_synchronization(streams)
         assert result_fingerprint(result) == result_fingerprint(reference)
@@ -285,21 +285,15 @@ class TestSingleReadIngest:
         """The batch engine's laziness granularity is one chunk-sized
         batch: a bootstrap prefix pull must not drain a multi-chunk file
         into the replay buffer."""
-        from repro.jtrace import records as jrecords
         from repro.jtrace.io import open_trace_streams, write_traces
 
-        if not jrecords.BATCH_DECODE_AVAILABLE:
-            pytest.skip("numpy not available")
         frame = data_frame(seq=1)
         records = [
             record_for(frame, 0, 10_000 * i) for i in range(1, 4001)
         ]
         write_traces([RadioTrace(0, 1, records)], tmp_path)
-        # Chunk small enough that the file spans many batches; decode
-        # ahead adds at most `depth` batches of overshoot.
-        stream = open_trace_streams(
-            tmp_path, chunk_bytes=4096, decode_ahead=0
-        )[0]
+        # Chunk small enough that the file spans many batches.
+        stream = open_trace_streams(tmp_path, chunk_bytes=4096)[0]
         bootstrap_synchronization([stream], window_us=5_000_000)  # ~500 records
         assert len(stream._buffer) < 1000
         assert len(stream.records) == 4000

@@ -482,14 +482,10 @@ class TestBatchedDecodeParity:
     """The batch-vectorized ingest engine must be indistinguishable from
     the scalar decoder under damage: byte-identical records, identical
     ``DecodeHealth`` ledgers, identical errors at identical positions,
-    and jframe-identical pipeline output — for every error policy, with
-    and without decode-ahead reader threads."""
+    and jframe-identical pipeline output — for every error policy."""
 
     #: Batched ingest variants checked against the scalar reference.
-    BATCHED = (
-        {"vectorized": True, "decode_ahead": 0},   # inline batch decode
-        {"vectorized": True, "decode_ahead": 3},   # + reader thread
-    )
+    BATCHED = ({"vectorized": True},)
 
     @staticmethod
     def _faulted_dir(tmp_path, artifacts, faults):
@@ -514,9 +510,7 @@ class TestBatchedDecodeParity:
             artifacts,
             FaultConfig(corrupt_rate=0.05, truncate_radios=1),
         )
-        scalar = self._drain(
-            directory, policy, vectorized=False, decode_ahead=0
-        )
+        scalar = self._drain(directory, policy, vectorized=False)
         for ingest in self.BATCHED:
             batched = self._drain(directory, policy, **ingest)
             assert batched.keys() == scalar.keys()
@@ -542,7 +536,7 @@ class TestBatchedDecodeParity:
                     errors[stream.radio_id] = str(exc)
             return errors
 
-        scalar = first_error(vectorized=False, decode_ahead=0)
+        scalar = first_error(vectorized=False)
         assert scalar  # the plan corrupted something
         for ingest in self.BATCHED:
             assert first_error(**ingest) == scalar, ingest
@@ -564,7 +558,7 @@ class TestBatchedDecodeParity:
                 streams, clock_groups=clock_groups
             )
 
-        baseline = reconstruct(vectorized=False, decode_ahead=0)
+        baseline = reconstruct(vectorized=False)
         base_frames = [
             (j.timestamp_us, j.channel, j.fcs, j.n_instances,
              [i.radio_id for i in j.instances])

@@ -335,18 +335,8 @@ class TestFramingHint:
         assert hinted == scalar == records
 
 
-class TestDecodeAheadLifecycle:
-    """Closing a stream must not leave its decode-ahead thread running."""
-
-    @staticmethod
-    def _alive_readers():
-        import threading
-
-        return [
-            t
-            for t in threading.enumerate()
-            if t.name.startswith("decode-ahead:") and t.is_alive()
-        ]
+class TestStreamLifecycle:
+    """``close()`` releases a partially read file; the buffer survives."""
 
     def _write(self, tmp_path, n=300):
         trace = RadioTrace(
@@ -357,33 +347,111 @@ class TestDecodeAheadLifecycle:
         )
         return write_trace(trace, tmp_path)
 
-    def test_close_joins_reader_thread(self, tmp_path):
+    @staticmethod
+    def _holds_descriptor(data_path):
+        import os
+
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("/proc/self/fd not available")
+        targets = set()
+        for fd in os.listdir(fd_dir):
+            try:
+                targets.add(os.readlink(os.path.join(fd_dir, fd)))
+            except OSError:
+                continue  # the listing's own descriptor, already closed
+        return os.path.realpath(data_path) in targets
+
+    def test_close_releases_file_descriptor(self, tmp_path):
         from repro.jtrace.io import open_trace_stream
 
         data_path = self._write(tmp_path)
-        stream = open_trace_stream(data_path, decode_ahead=2, chunk_bytes=256)
-        assert stream.ensure_index(0)  # reader thread is live behind this
+        stream = open_trace_stream(data_path, chunk_bytes=256)
+        assert stream.ensure_index(0)  # mid-trace: the file is open
+        assert self._holds_descriptor(data_path)
         stream.close()
-        assert self._alive_readers() == []
+        assert not self._holds_descriptor(data_path)
         stream.close()  # idempotent
 
-    def test_context_manager_joins_reader_thread(self, tmp_path):
+    def test_context_manager_releases_file_descriptor(self, tmp_path):
         from repro.jtrace.io import open_trace_stream
 
         data_path = self._write(tmp_path)
-        with open_trace_stream(
-            data_path, decode_ahead=2, chunk_bytes=256
-        ) as stream:
+        with open_trace_stream(data_path, chunk_bytes=256) as stream:
             assert stream.ensure_index(5)
-        assert self._alive_readers() == []
+            assert self._holds_descriptor(data_path)
+        assert not self._holds_descriptor(data_path)
 
-    def test_abandoned_mid_trace_then_closed(self, tmp_path):
-        """A consumer that stops pulling mid-trace (bounded queue full,
-        worker parked in its put loop) still joins promptly on close."""
+    def test_closed_stream_serves_buffered_records(self, tmp_path):
+        """A consumer that stops pulling mid-trace and closes keeps what
+        it decoded: the replay buffer outlives the source."""
         from repro.jtrace.io import open_trace_stream
 
         data_path = self._write(tmp_path, n=600)
-        stream = open_trace_stream(data_path, decode_ahead=1, chunk_bytes=128)
+        stream = open_trace_stream(data_path, chunk_bytes=128)
         assert stream.ensure_index(0)
+        buffered = list(stream.replay_buffer)
+        assert 0 < len(buffered) < 600
         stream.close()
-        assert self._alive_readers() == []
+        assert stream.records == buffered
+        assert not stream.ensure_index(len(buffered))
+
+
+class TestStrictFailureIsSticky:
+    """``strict`` promises "any damage raises" — on every access, not
+    just the one that met the damage."""
+
+    def _damaged(self, tmp_path, n=300, bad=200):
+        import gzip
+
+        from repro.jtrace.records import _HEADER
+
+        records = [make_record(radio_id=5, ts=1000 + 50 * i) for i in range(n)]
+        data_path = write_trace(RadioTrace(5, 6, records), tmp_path)
+        raw = bytearray(gzip.decompress(data_path.read_bytes()))
+        kind_offset = bad * (_HEADER.size + 3) + 10  # after radio_id, ts
+        raw[kind_offset] = 238
+        data_path.write_bytes(gzip.compress(bytes(raw)))
+        return data_path
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_second_access_raises_the_same_error(self, tmp_path, vectorized):
+        from repro.jtrace.io import open_trace_stream
+
+        stream = open_trace_stream(
+            self._damaged(tmp_path), vectorized=vectorized, chunk_bytes=1024
+        )
+        with pytest.raises(ValueError, match="238 is not a valid") as first:
+            list(stream)
+        for access in (
+            lambda: stream.records,
+            lambda: len(stream),
+            lambda: list(stream),
+            lambda: stream.ensure_index(250),
+            lambda: stream.buffered_until(10**9),
+        ):
+            with pytest.raises(ValueError) as again:
+                access()
+            assert again.value is first.value
+        # What decoded before the damage is still there to inspect.
+        assert 0 < len(stream.replay_buffer) <= 200
+
+    def test_skip_policy_is_unaffected(self, tmp_path):
+        from repro.jtrace.io import open_trace_stream
+
+        stream = open_trace_stream(self._damaged(tmp_path), policy="skip")
+        assert len(list(stream)) == len(stream.records) == 299
+        assert stream.decode_health.records_skipped == 1
+
+    def test_record_source_failure_is_sticky(self):
+        from repro.jtrace.io import StreamingRadioTrace
+
+        def source():
+            yield make_record(ts=1)
+            raise RuntimeError("feed died")
+
+        stream = StreamingRadioTrace(1, 6, source())
+        with pytest.raises(RuntimeError, match="feed died"):
+            stream.records
+        with pytest.raises(RuntimeError, match="feed died"):
+            stream.records

@@ -180,3 +180,53 @@ class TestPartitionBehaviour:
             stats.instances_unified + stats.records_skipped_unsynchronized
             == stats.records_in
         )
+
+
+class TestOneThread:
+    """The library is single-threaded: no module may import a
+    concurrency primitive, and file ingest through the full pipeline
+    starts no thread."""
+
+    BANNED = frozenset(
+        {"threading", "_thread", "queue", "multiprocessing", "concurrent",
+         "asyncio"}
+    )
+
+    def test_no_module_imports_concurrency(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [
+                    (path.name, node.lineno, name)
+                    for name in names
+                    if name.split(".")[0] in self.BANNED
+                ]
+        assert offenders == []
+
+    def test_file_ingest_starts_no_thread(self, tmp_path, pipelined):
+        import threading
+
+        from repro.jtrace import open_trace_streams
+
+        artifacts, _ = pipelined
+        write_traces(artifacts.radio_traces, tmp_path)
+        before = threading.active_count()
+        streams = open_trace_streams(tmp_path)
+        for stream in streams:
+            stream.ensure_index(0)
+        assert threading.active_count() == before
+        JigsawPipeline().run(
+            streams, clock_groups=artifacts.clock_groups(), materialize=False
+        )
+        assert threading.active_count() == before
