@@ -4,11 +4,13 @@
 # `make bench` and `make bench-smoke` run the repo's one benchmark, the
 # command BENCHMARK.json declares (benchmarks/e2e/README.md says what
 # its numbers mean; compare two result sets with benchmarks/e2e/compare.py).
+# `make bench-pair` is how a performance claim is made: interleaved
+# parent/change runs of one workload, then compare.py over the two sets.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-strict bench bench-smoke
+.PHONY: test lint lint-strict bench bench-smoke bench-pair
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,3 +30,52 @@ bench:
 # every workload still runs and checks out, measures nothing.
 bench-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --scale tiny --seconds 0.2
+
+# make bench-pair PARENT=<ref> WORKLOAD=<name>
+# Ten interleaved pairs of PARENT (a git worktree under the git-ignored
+# out/) against the working tree, the settings the driver uses
+# (--seconds 12 --trace 0), alternating which side runs first so drift
+# on a shared host lands on both; compare.py then judges the two sets.
+PAIR_SEEDS ?= 7 8 9 10 11 12 13 14 15 16
+PAIR_DIR := benchmarks/e2e/out/pair
+
+# Folds the per-seed files into the two result sets compare.py reads
+# and prints each pair, since the claim rule counts pairs won.
+define PAIR_MERGE
+import json, sys
+out, seeds = sys.argv[1], sys.argv[2:]
+sets = {"parent": [], "change": []}
+wins = 0
+for seed in seeds:
+    pair = {}
+    for side, runs in sets.items():
+        (run,) = json.load(open(f"{out}/{side}-{seed}.json"))["runs"]
+        runs.append(run)
+        pair[side] = run["metrics"]["e2e_records_per_s"]
+    wins += pair["change"] > pair["parent"]
+    print(f"seed {seed}: parent {pair['parent']:,.0f}  change {pair['change']:,.0f} rec/s")
+print(f"change ahead in {wins} of {len(seeds)} pairs")
+for side, runs in sets.items():
+    json.dump({"runs": runs}, open(f"{out}/{side}.json", "w"))
+endef
+export PAIR_MERGE
+
+bench-pair:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name>"; exit 2; }
+	rm -rf $(PAIR_DIR) && git worktree prune && mkdir -p $(PAIR_DIR)
+	git worktree add --detach $(PAIR_DIR)/parent $(PARENT)
+	@first=parent; second=change; \
+	for seed in $(PAIR_SEEDS); do \
+		for side in $$first $$second; do \
+			if [ $$side = parent ]; then root=$(PAIR_DIR)/parent; else root=.; fi; \
+			echo "== seed $$seed: $$side"; \
+			(cd $$root && $(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) \
+				--seed $$seed --seconds 12 --trace 0 \
+				--out $(CURDIR)/$(PAIR_DIR)/$$side-$$seed.json) || exit 1; \
+		done; \
+		swap=$$first; first=$$second; second=$$swap; \
+	done
+	@$(PYTHON) -c "$$PAIR_MERGE" $(PAIR_DIR) $(PAIR_SEEDS)
+	git worktree remove --force $(PAIR_DIR)/parent
+	$(PYTHON) benchmarks/e2e/compare.py $(PAIR_DIR)/parent.json $(PAIR_DIR)/change.json

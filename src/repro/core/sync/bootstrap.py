@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...jtrace.io import RadioTrace, StreamingRadioTrace
-from ...jtrace.records import TraceRecord
+from ...jtrace.records import RecordKind, TraceRecord
 from .refs import ReferenceKey, reference_key
 
 logger = logging.getLogger(__name__)
@@ -198,9 +198,14 @@ class _BootstrapShard:
         sets = self.sets
         order = self.order
         ref_key = reference_key
+        valid = RecordKind.VALID
         seen = 0
         for idx in range(lo, hi):
             record = records[idx]
+            # Most of a building's records are PHY errors or corrupt
+            # captures; skip them without the call.
+            if record.kind is not valid:
+                continue
             key = ref_key(record)
             if key is None:
                 continue

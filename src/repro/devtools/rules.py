@@ -992,6 +992,61 @@ class TypedApiRule(Rule):
             )
 
 
+# --- record construction ----------------------------------------------------
+
+
+class RecordConstructorRule(Rule):
+    """``TraceRecord`` is built through its validating constructor.
+
+    The record is a tuple subclass, so ``tuple.__new__(TraceRecord, ...)``,
+    ``TraceRecord._make(...)`` and ``object.__new__(TraceRecord)`` all
+    skip the snap-length and PHY-error checks in ``TraceRecord.__new__``.
+    That is safe in exactly one place — ``FramedRun.decode``, which runs
+    behind the vectorized validators that make the same checks on the
+    whole batch — so the bypass is legal only in ``repro.jtrace.records``.
+    """
+
+    name = "record-constructor"
+    summary = (
+        "no tuple.__new__(TraceRecord, ...) / TraceRecord._make / "
+        "object.__new__(TraceRecord) outside jtrace/records.py"
+    )
+
+    HOME = "repro.jtrace.records"
+    _RAW_NEW = frozenset({"tuple.__new__", "object.__new__"})
+
+    @staticmethod
+    def _is_record(mod: SourceModule, node: ast.expr) -> bool:
+        target = mod.resolve(node)
+        return target is not None and target.rsplit(".", 1)[-1] == "TraceRecord"
+
+    def check(self, mod: SourceModule) -> Iterator[Finding]:
+        if mod.module == self.HOME:
+            return
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.Attribute):
+                if node.attr != "_make" or not self._is_record(mod, node.value):
+                    continue
+                how = "TraceRecord._make"
+            elif isinstance(node, ast.Call) and node.args:
+                raw_new = mod.resolve(node.func)
+                if raw_new not in self._RAW_NEW or not self._is_record(
+                    mod, node.args[0]
+                ):
+                    continue
+                how = f"{raw_new}(TraceRecord, ...)"
+            else:
+                continue
+            yield self.finding(
+                mod,
+                node,
+                f"{how} builds a record without the constructor's checks; "
+                f"call TraceRecord(...) or record._replace(...) — only "
+                f"{self.HOME} may bypass them, behind its vectorized "
+                f"validators",
+            )
+
+
 #: The catalog, in reporting order.
 ALL_RULES = (
     WallClockRule,
@@ -1003,4 +1058,5 @@ ALL_RULES = (
     PassConformanceRule,
     MutableDefaultRule,
     TypedApiRule,
+    RecordConstructorRule,
 )

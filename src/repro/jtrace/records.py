@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
@@ -35,10 +36,7 @@ class RecordKind(enum.Enum):
         return self is not RecordKind.PHY_ERROR
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One captured physical event at one radio."""
-
+class _RecordFields(NamedTuple):
     radio_id: int
     timestamp_us: int            # local clock, integer microseconds
     kind: RecordKind
@@ -51,22 +49,65 @@ class TraceRecord:
     duration_us: int             # airtime occupied by this event
     truth_txid: int = 0          # simulator oracle only — never read by Jigsaw
 
-    def __post_init__(self) -> None:
-        if len(self.snap) > CAPTURE_SNAP_BYTES + 64:
+
+class TraceRecord(_RecordFields):
+    """One captured physical event at one radio.
+
+    An immutable tuple-backed value: no ``__dict__``, the size of a
+    plain eleven-tuple.  The constructor validates; pickling and
+    ``copy.copy`` rebuild through it (``__getnewargs__`` →
+    ``__new__``), and so does :meth:`_replace`.  The only way around it
+    is ``tuple.__new__(TraceRecord, ...)`` / ``_make``, which
+    :meth:`FramedRun.decode` uses on records the vectorized validators
+    have already accepted and the ``record-constructor`` lint rule
+    forbids everywhere else.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        radio_id: int,
+        timestamp_us: int,
+        kind: RecordKind,
+        channel: int,
+        rate_mbps: float,
+        rssi_dbm: float,
+        frame_len: int,
+        fcs: int,
+        snap: bytes,
+        duration_us: int,
+        truth_txid: int = 0,
+    ) -> "TraceRecord":
+        if len(snap) > CAPTURE_SNAP_BYTES + 64:
             raise ValueError("snap exceeds capture limit")
-        if self.kind is RecordKind.PHY_ERROR and self.snap:
+        if kind is RecordKind.PHY_ERROR and snap:
             raise ValueError("PHY error records carry no frame bytes")
+        return tuple.__new__(
+            cls,
+            (
+                radio_id,
+                timestamp_us,
+                kind,
+                channel,
+                rate_mbps,
+                rssi_dbm,
+                frame_len,
+                fcs,
+                snap,
+                duration_us,
+                truth_txid,
+            ),
+        )
+
+    def _replace(self, **changes: Any) -> "TraceRecord":
+        """A copy with ``changes`` applied, through the validating
+        constructor (the inherited one goes through ``_make``)."""
+        return TraceRecord(**{**self._asdict(), **changes})
 
     @property
     def is_valid_frame(self) -> bool:
         return self.kind is RecordKind.VALID
-
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Tuple state, not NEWOBJ + a per-record state dict: a service
-        # checkpoint carries tens of thousands of these.  Rebuilding
-        # through the constructor also keeps ``__post_init__`` in force
-        # for anything a pickle carries in.
-        return (_eager_record, _record_key(self))
 
 
 _HEADER = struct.Struct("<HqBBHhHIIHq")
@@ -203,15 +244,15 @@ def record_from_bytes(raw: bytes, offset: int = 0) -> Tuple[TraceRecord, int]:
 
 # --- batch-vectorized decode -------------------------------------------------
 #
-# The scalar decoder above costs ~7 us/record: one 11-field struct unpack,
-# one frozen-dataclass construction (eleven object.__setattr__ calls plus
-# __post_init__), and one enum call per record.  At building scale
-# (~1.5M records) that is most of the end-to-end wall clock.  The batch
+# The scalar decoder above costs one 11-field struct unpack, one enum
+# call and one validating ``TraceRecord.__new__`` per record.  The batch
 # path amortizes all three: headers for a whole framed run are gathered
-# into one numpy structured array, validated with vectorized predicates,
-# converted column-wise, and materialized through ``__new__`` +
-# ``__dict__`` — bypassing the per-field frozen setattr while keeping the
-# records it builds equal (and hash-equal) to scalar-decoded ones.
+# into one numpy structured array and validated with vectorized
+# predicates (``strict_violation`` / ``plausible_prefix`` — the same
+# checks the constructor makes); only then are the accepted records
+# built, column-wise, by ``tuple.__new__`` mapped at C speed over the
+# zipped columns.  Both decoders return the same type with equal
+# ``==`` / ``hash`` / pickle bytes.
 
 #: Struct reading just ``snap_len``, for the cheap framing hop.
 _SNAP_LEN_STRUCT = struct.Struct("<H")
@@ -282,112 +323,6 @@ def batch_from_records(records: List[TraceRecord]) -> RecordBatch:
         a.timestamp_us <= b.timestamp_us for a, b in zip(records, records[1:])
     )
     return RecordBatch(records, ts_sorted)
-
-
-#: Vectorized converters for the lazily-materialized columns.  Each runs
-#: at most once per batch, on first access of that field by any record.
-_COLUMN_MATERIALIZERS: Dict[str, Callable[[Any], List[Any]]] = {
-    "rate_mbps": lambda h: (h["rate_x10"] / 10.0).tolist(),
-    "rssi_dbm": lambda h: h["rssi"].astype("f8").tolist(),
-    "duration_us": lambda h: h["duration_us"].tolist(),
-    "truth_txid": lambda h: h["truth_txid"].tolist(),
-}
-
-
-class _LazyColumns:
-    """Cold header columns of one decoded batch, materialized on demand.
-
-    Shared by every record of the batch; a column converts from its
-    packed numpy form to Python scalars the first time any record in
-    the batch touches the corresponding field.
-    """
-
-    __slots__ = ("_headers", "_cache")
-
-    def __init__(self, headers: Any) -> None:
-        self._headers = headers
-        self._cache: Dict[str, List[Any]] = {}
-
-    def get(self, name: str, index: int) -> Any:
-        col = self._cache.get(name)
-        if col is None:
-            col = _COLUMN_MATERIALIZERS[name](self._headers)
-            self._cache[name] = col
-        return col[index]
-
-
-class _LazyField:
-    """Non-data descriptor for a lazily-materialized record field.
-
-    Reads fall through to the batch column store.  Anything that writes
-    the instance attribute — ``dataclasses.replace``, the inherited
-    dataclass ``__init__`` — shadows the descriptor with a plain
-    instance value, so batch records degrade to eager ones under every
-    mutation-by-copy idiom.
-    """
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __get__(
-        self, obj: Optional["BatchTraceRecord"], objtype: Optional[type] = None
-    ) -> Any:
-        if obj is None:
-            return self
-        return obj._cols.get(self._name, obj._idx)
-
-
-def _record_key(record: TraceRecord) -> Tuple[Any, ...]:
-    """Field tuple in declaration order (equality / pickle payload)."""
-    return (
-        record.radio_id,
-        record.timestamp_us,
-        record.kind,
-        record.channel,
-        record.rate_mbps,
-        record.rssi_dbm,
-        record.frame_len,
-        record.fcs,
-        record.snap,
-        record.duration_us,
-        record.truth_txid,
-    )
-
-
-def _eager_record(*fields: Any) -> TraceRecord:
-    """Rebuild a fully materialized record (every record's pickle target)."""
-    return TraceRecord(*fields)
-
-
-class BatchTraceRecord(TraceRecord):
-    """A record decoded by the batch path, with lazy cold fields.
-
-    Hot fields (identity, timestamp, kind, channel, framing, snap) live
-    eagerly in the instance; the fields most jframes never touch —
-    ``rate_mbps``, ``rssi_dbm``, ``duration_us``, ``truth_txid`` —
-    resolve through the batch's shared column store and convert
-    vectorized on first access.  Instances compare and hash equal to
-    the scalar decoder's output, and — through the inherited
-    ``TraceRecord.__reduce__`` — pickle as plain eager records, so a
-    service checkpoint never carries a column store.
-    """
-
-    _cols: _LazyColumns
-    _idx: int
-
-    rate_mbps = _LazyField("rate_mbps")  # type: ignore[assignment]
-    rssi_dbm = _LazyField("rssi_dbm")  # type: ignore[assignment]
-    duration_us = _LazyField("duration_us")  # type: ignore[assignment]
-    truth_txid = _LazyField("truth_txid")  # type: ignore[assignment]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceRecord):
-            return _record_key(self) == _record_key(other)
-        return NotImplemented
-
-    __hash__ = TraceRecord.__hash__
 
 
 class FramingHint:
@@ -560,8 +495,12 @@ class FramedRun:
         return int((~ok).argmax())
 
     def decode(self, count: Optional[int] = None) -> RecordBatch:
-        """Materialize the first ``count`` framed records (all by default)
-        as :class:`BatchTraceRecord`s with deferred cold fields."""
+        """Materialize the first ``count`` framed records (all by default).
+
+        Builds through the unvalidated tuple constructor: call only on
+        records :meth:`strict_violation` / :meth:`plausible_prefix` have
+        accepted.
+        """
         offsets = self.offsets if count is None else self.offsets[:count]
         n = len(offsets)
         if n == 0:
@@ -569,37 +508,21 @@ class FramedRun:
         h = self._headers if count is None else self._headers[:count]
         ts_col = h["timestamp_us"]
         ts_sorted = bool(_np.all(ts_col[1:] >= ts_col[:-1])) if n > 1 else True
-        radio = h["radio_id"].tolist()
-        ts = ts_col.tolist()
-        kind_vals = h["kind"].tolist()
-        chan = h["channel"].tolist()
-        flen = h["frame_len"].tolist()
-        fcs = h["fcs"].tolist()
-        snap_lens = h["snap_len"].tolist()
         buffer = self.buffer
-        hsize = _HEADER.size
-        kind_of = _KIND_BY_VALUE
-        records: List[TraceRecord] = []
-        append = records.append
-        cols = _LazyColumns(h)
-        cls = BatchTraceRecord
-        new = cls.__new__
-        for i in range(n):
-            start = offsets[i] + hsize
-            r = new(cls)
-            # One dict display assigned wholesale: measurably cheaper
-            # than filling the instance dict through update(**kwargs)
-            # at millions of records.
-            r.__dict__ = {
-                "radio_id": radio[i],
-                "timestamp_us": ts[i],
-                "kind": kind_of[kind_vals[i]],
-                "channel": chan[i],
-                "frame_len": flen[i],
-                "fcs": fcs[i],
-                "snap": buffer[start : start + snap_lens[i]],
-                "_cols": cols,
-                "_idx": i,
-            }
-            append(r)
+        starts = _np.asarray(offsets, dtype=_np.intp) + _HEADER.size
+        ends = starts + h["snap_len"]
+        columns = zip(
+            h["radio_id"].tolist(),
+            ts_col.tolist(),
+            map(_KIND_BY_VALUE.__getitem__, h["kind"].tolist()),
+            h["channel"].tolist(),
+            (h["rate_x10"] / 10.0).tolist(),
+            h["rssi"].astype("f8").tolist(),
+            h["frame_len"].tolist(),
+            h["fcs"].tolist(),
+            [buffer[a:b] for a, b in zip(starts.tolist(), ends.tolist())],
+            h["duration_us"].tolist(),
+            h["truth_txid"].tolist(),
+        )
+        records = list(map(tuple.__new__, repeat(TraceRecord), columns))
         return RecordBatch(records, ts_sorted)

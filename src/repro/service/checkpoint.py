@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 

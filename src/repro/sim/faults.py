@@ -33,7 +33,7 @@ import base64
 import gzip
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -143,7 +143,7 @@ def inject_record_faults(
             span = records[-1].timestamp_us - first
             cut = first + int(fc.clock_jump_at_fraction * span)
             records = [
-                replace(r, timestamp_us=r.timestamp_us + fc.clock_jump_us)
+                r._replace(timestamp_us=r.timestamp_us + fc.clock_jump_us)
                 if r.timestamp_us >= cut
                 else r
                 for r in records

@@ -298,8 +298,7 @@ def test_instance_pickles_as_tuple_state_sharing_its_graph():
     assert a2.record is rec_a and b2.record is rec_b
     assert a2.frame is b2.frame
 
-    # The layout checkpoints held before the reducer (NEWOBJ + slot
-    # state) still loads: why CHECKPOINT_VERSION did not move.
+    # The NEWOBJ + slot-state layout still loads.
     class OldLayout(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is Instance:

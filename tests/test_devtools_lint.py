@@ -612,6 +612,55 @@ class TestTypedApi:
         assert result.clean
 
 
+class TestRecordConstructor:
+    def test_flags_every_unvalidated_constructor(self, tmp_path):
+        result = lint_tree(
+            tmp_path,
+            {
+                "repro/sim/thing.py": """
+                from ..jtrace import records
+                from ..jtrace.records import TraceRecord
+
+                def forge(fields):
+                    a = tuple.__new__(TraceRecord, fields)
+                    b = TraceRecord._make(fields)
+                    c = object.__new__(records.TraceRecord)
+                    return a, b, c, list(map(TraceRecord._make, [fields]))
+                """
+            },
+            rule=R.RecordConstructorRule(),
+        )
+        assert [f.line for f in result.findings] == [6, 7, 8, 9]
+        assert all("without the constructor's checks" in m
+                   for m in messages(result))
+
+    def test_constructor_replace_and_the_home_module_allowed(self, tmp_path):
+        result = lint_tree(
+            tmp_path,
+            {
+                "repro/jtrace/records.py": """
+                class TraceRecord(tuple):
+                    pass
+
+                def decode(columns):
+                    one = tuple.__new__(TraceRecord, next(columns))
+                    return [one, TraceRecord._make(next(columns))]
+                """,
+                "repro/sim/thing.py": """
+                from ..jtrace.records import TraceRecord
+
+                def shift(record, fields, other):
+                    made = TraceRecord(*fields)
+                    plain = tuple.__new__(tuple, fields)
+                    moved = record._replace(timestamp_us=5)
+                    return moved, made, plain, other._make(fields)
+                """,
+            },
+            rule=R.RecordConstructorRule(),
+        )
+        assert result.clean
+
+
 # --- engine mechanics: suppressions, baseline, CLI --------------------------
 
 

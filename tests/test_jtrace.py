@@ -1,15 +1,14 @@
 """Unit tests for trace records and trace file I/O."""
 
 import copy
-import copyreg
-import dataclasses
-import io
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dot11.constants import CAPTURE_SNAP_BYTES
 from repro.jtrace.io import (
     RadioTrace,
     read_trace,
@@ -18,6 +17,7 @@ from repro.jtrace.io import (
     write_traces,
 )
 from repro.jtrace.records import (
+    FramedRun,
     RecordKind,
     TraceRecord,
     record_from_bytes,
@@ -102,59 +102,80 @@ class TestTraceRecord:
         assert decoded == record
 
 
+class TestRecordContract:
+    """One record type: a validated, tuple-backed value whichever
+    decoder (or pickle, or copy) built it."""
+
+    @given(
+        kind=st.sampled_from(list(RecordKind)),
+        snap=st.binary(max_size=CAPTURE_SNAP_BYTES + 64),
+        rate=st.sampled_from([1.0, 2.0, 5.5, 11.0, 6.0, 54.0]),
+        rssi=st.integers(min_value=-120, max_value=0),
+        ts=st.integers(min_value=-(2**40), max_value=2**40),
+        txid=st.integers(min_value=0, max_value=2**40),
+    )
+    def test_batch_and_scalar_decode_build_the_same_record(
+        self, kind, snap, rate, rssi, ts, txid
+    ):
+        raw = record_to_bytes(
+            make_record(ts=ts, kind=kind, snap=snap, rate=rate, txid=txid)
+            ._replace(rssi_dbm=float(rssi))
+        )
+        scalar, _ = record_from_bytes(raw)
+        run = FramedRun(raw)
+        assert run.strict_violation() is None
+        (batch,) = run.decode().records
+        assert type(batch) is type(scalar) is TraceRecord
+        assert tuple(batch) == tuple(scalar) and len(batch) == 11
+        assert batch == scalar and hash(batch) == hash(scalar)
+        assert pickle.dumps(batch) == pickle.dumps(scalar)
+        restored = pickle.loads(pickle.dumps(batch))
+        assert type(restored) is TraceRecord and restored == scalar
+
+    def test_decoded_record_is_a_bare_tuple(self):
+        # The allocation diet: no instance dict, nothing beyond the
+        # eleven slots of the tuple itself.
+        (record,) = FramedRun(record_to_bytes(make_record())).decode().records
+        assert TraceRecord.__slots__ == ()
+        assert not hasattr(record, "__dict__")
+        assert sys.getsizeof(record) == sys.getsizeof(tuple(record))
+        assert not hasattr(make_record(), "__dict__")
+
+
 class TestRecordPickling:
-    """Both record classes pickle as tuple state through the constructor."""
-
-    @staticmethod
-    def _pair():
-        from repro.jtrace.records import BatchTraceRecord, FramedRun
-
-        plain = make_record(snap=b"frame bytes")
-        (batch,) = FramedRun(record_to_bytes(plain)).decode().records
-        assert type(batch) is BatchTraceRecord
-        return plain, batch
-
-    def test_both_classes_pickle_to_equal_plain_records(self):
-        plain, batch = self._pair()
-        restored = [pickle.loads(pickle.dumps(r)) for r in (plain, batch)]
-        for r in restored:
-            assert type(r) is TraceRecord
-            assert r == plain and hash(r) == hash(plain)
-        assert restored[0] == restored[1]
-        assert pickle.dumps(plain) == pickle.dumps(batch)
+    """Pickling, copying and replace-by-copy all rebuild through the
+    validating constructor."""
 
     def test_copy_and_replace_still_work(self):
-        for record in self._pair():
-            assert copy.copy(record) == record
-            moved = dataclasses.replace(record, timestamp_us=5)
-            assert moved.timestamp_us == 5
-            assert dataclasses.replace(moved, timestamp_us=1000) == record
+        record = make_record(snap=b"frame bytes")
+        assert copy.copy(record) == record
+        moved = record._replace(timestamp_us=5)
+        assert type(moved) is TraceRecord and moved.timestamp_us == 5
+        assert moved._replace(timestamp_us=1000) == record
+        with pytest.raises(TypeError):
+            record._replace(no_such_field=1)
+
+    def test_replace_runs_the_constructor_checks(self):
+        with pytest.raises(ValueError, match="snap exceeds"):
+            make_record()._replace(snap=b"z" * 500)
+        with pytest.raises(ValueError, match="PHY error"):
+            make_record()._replace(kind=RecordKind.PHY_ERROR)
+        phy = make_record(kind=RecordKind.PHY_ERROR)
+        with pytest.raises(ValueError, match="PHY error"):
+            phy._replace(snap=b"oops")
 
     def test_overlong_snap_cannot_ride_in_through_a_pickle(self):
         # Built behind the constructor's back, the way a hostile or
-        # damaged payload would be; unpickling must run __post_init__.
-        smuggled = object.__new__(TraceRecord)
-        smuggled.__dict__.update(
-            dataclasses.asdict(make_record()), snap=b"z" * 500
+        # damaged payload would be; unpickling and copying go through
+        # ``__new__`` and must refuse it.
+        smuggled = tuple.__new__(  # repro: ignore[record-constructor]
+            TraceRecord, tuple(make_record())[:8] + (b"z" * 500, 222, 7)
         )
+        assert len(smuggled.snap) == 500
         with pytest.raises(ValueError, match="snap exceeds"):
             pickle.loads(pickle.dumps(smuggled))
-
-    def test_old_layout_pickles_still_load(self):
-        """NEWOBJ + state dict — what checkpoints written before the
-        reducer hold — is why CHECKPOINT_VERSION did not move."""
-
-        class OldLayout(pickle.Pickler):
-            def reducer_override(self, obj):
-                if type(obj) is TraceRecord:
-                    return copyreg.__newobj__, (TraceRecord,), dict(vars(obj))
-                return NotImplemented
-
-        record = make_record()
-        buffer = io.BytesIO()
-        OldLayout(buffer, pickle.HIGHEST_PROTOCOL).dump(record)
-        assert buffer.getvalue() != pickle.dumps(record)
-        assert pickle.loads(buffer.getvalue()) == record
+        with pytest.raises(ValueError, match="snap exceeds"):
+            copy.copy(smuggled)
 
 
 class TestTraceFiles:
