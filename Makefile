@@ -32,29 +32,34 @@ bench-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --scale tiny --seconds 0.2
 
 # make bench-pair PARENT=<ref> WORKLOAD=<name>
-# Ten interleaved pairs of PARENT (a git worktree under the git-ignored
-# out/) against the working tree, the settings the driver uses
+# Ten interleaved pairs of PARENT (a `git archive` export under the
+# git-ignored out/) against the working tree, the settings the driver uses
 # (--seconds 12 --trace 0), alternating which side runs first so drift
 # on a shared host lands on both; compare.py then judges the two sets.
 PAIR_SEEDS ?= 7 8 9 10 11 12 13 14 15 16
 PAIR_DIR := benchmarks/e2e/out/pair
 
 # Folds the per-seed files into the two result sets compare.py reads
-# and prints each pair, since the claim rule counts pairs won.
+# and prints each pair on all three end-to-end metrics, since the claim
+# rule counts pairs won and the gate rejects a regression on any of them.
 define PAIR_MERGE
 import json, sys
 out, seeds = sys.argv[1], sys.argv[2:]
 sets = {"parent": [], "change": []}
+shown = ("e2e_records_per_s", "peak_rss_mb", "setup_s")
 wins = 0
 for seed in seeds:
     pair = {}
     for side, runs in sets.items():
         (run,) = json.load(open(f"{out}/{side}-{seed}.json"))["runs"]
         runs.append(run)
-        pair[side] = run["metrics"]["e2e_records_per_s"]
-    wins += pair["change"] > pair["parent"]
-    print(f"seed {seed}: parent {pair['parent']:,.0f}  change {pair['change']:,.0f} rec/s")
-print(f"change ahead in {wins} of {len(seeds)} pairs")
+        pair[side] = [run["metrics"][name] for name in shown]
+    wins += pair["change"][0] > pair["parent"][0]
+    print(f"seed {seed}: " + "  ".join(
+        f"{name} {parent:,.6g} -> {change:,.6g}"
+        for name, parent, change in zip(shown, pair["parent"], pair["change"])
+    ))
+print(f"change ahead on {shown[0]} in {wins} of {len(seeds)} pairs")
 for side, runs in sets.items():
     json.dump({"runs": runs}, open(f"{out}/{side}.json", "w"))
 endef
@@ -63,8 +68,8 @@ export PAIR_MERGE
 bench-pair:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
 		{ echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name>"; exit 2; }
-	rm -rf $(PAIR_DIR) && git worktree prune && mkdir -p $(PAIR_DIR)
-	git worktree add --detach $(PAIR_DIR)/parent $(PARENT)
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/parent
+	git archive $(PARENT) | tar -x -C $(PAIR_DIR)/parent
 	@first=parent; second=change; \
 	for seed in $(PAIR_SEEDS); do \
 		for side in $$first $$second; do \
@@ -77,5 +82,5 @@ bench-pair:
 		swap=$$first; first=$$second; second=$$swap; \
 	done
 	@$(PYTHON) -c "$$PAIR_MERGE" $(PAIR_DIR) $(PAIR_SEEDS)
-	git worktree remove --force $(PAIR_DIR)/parent
+	rm -rf $(PAIR_DIR)/parent
 	$(PYTHON) benchmarks/e2e/compare.py $(PAIR_DIR)/parent.json $(PAIR_DIR)/change.json

@@ -37,8 +37,9 @@ class Instance:
     frame: Optional[Frame] = None
 
     def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Tuple state: one per merged record rides in every checkpoint,
-        # and the default slots pickling writes a state dict for each.
+        # Tuple state, not the default slots state dict.  Only the merge
+        # engines' *open* groups pickle bare instances; a finalized
+        # jframe writes its instances as one flat run (JFrame.__reduce__).
         return (
             Instance,
             (
@@ -49,6 +50,11 @@ class Instance:
                 self.frame,
             ),
         )
+
+
+#: Values one instance contributes to a pickled jframe's flat run: the
+#: four :class:`Instance` scalars, then the record's eleven fields.
+_RUN_STRIDE = 4 + len(TraceRecord._fields)
 
 
 class JFrameKind(enum.Enum):
@@ -78,6 +84,38 @@ class JFrame:
     duration_us: int = 0
     dispersion_us: float = 0.0
     transmitter: Optional[MacAddress] = None
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # The ten scalars plus one flat list: per instance ``radio_id,
+        # local_us, universal_us, frame`` then the record's fields.  A
+        # checkpoint holds tens of thousands of retained instances; as
+        # objects each costs a Python-level reduce call and two tuples
+        # for the pickler to memoise, as a run they cost their values.
+        # A finalized jframe owns its instance list exclusively, so no
+        # sharing is severed; the jframe itself is still one memo entry.
+        run: List[Any] = []
+        extend = run.extend
+        for inst in self.instances:
+            extend(
+                (inst.radio_id, inst.local_us, inst.universal_us, inst.frame)
+            )
+            extend(inst.record)
+        return (
+            _rebuild_jframe,
+            (
+                self.timestamp_us,
+                self.kind,
+                self.channel,
+                self.frame,
+                self.frame_len,
+                self.fcs,
+                self.rate_mbps,
+                self.duration_us,
+                self.dispersion_us,
+                self.transmitter,
+                run,
+            ),
+        )
 
     @property
     def n_instances(self) -> int:
@@ -120,3 +158,48 @@ class JFrame:
             f"JFrame[t={self.timestamp_us} ch{self.channel} x{self.n_instances} "
             f"disp={self.dispersion_us:.1f}us {desc}]"
         )
+
+
+def _rebuild_jframe(
+    timestamp_us: int,
+    kind: JFrameKind,
+    channel: int,
+    frame: Optional[Frame],
+    frame_len: int,
+    fcs: int,
+    rate_mbps: float,
+    duration_us: int,
+    dispersion_us: float,
+    transmitter: Optional[MacAddress],
+    run: List[Any],
+) -> JFrame:
+    """Unpickle a jframe from its scalars and flat instance run.
+
+    Every record goes back through the validating ``TraceRecord(...)``
+    constructor, exactly as when records pickled themselves.
+    """
+    if len(run) % _RUN_STRIDE:
+        raise ValueError("jframe run is not a whole number of instances")
+    instances = [
+        Instance(
+            run[i],
+            run[i + 1],
+            run[i + 2],
+            TraceRecord(*run[i + 4:i + _RUN_STRIDE]),
+            run[i + 3],
+        )
+        for i in range(0, len(run), _RUN_STRIDE)
+    ]
+    return JFrame(
+        timestamp_us,
+        kind,
+        channel,
+        instances,
+        frame,
+        frame_len,
+        fcs,
+        rate_mbps,
+        duration_us,
+        dispersion_us,
+        transmitter,
+    )

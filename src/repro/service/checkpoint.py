@@ -8,6 +8,12 @@ the assemblers' ``id()``-keyed working sets are rebuilt from object
 identity on restore.  Pickling pieces separately would sever that
 sharing and the restored daemon would silently diverge.
 
+Within that graph a finalized :class:`~repro.core.unify.jframe.JFrame`
+— almost all of a checkpoint's bulk — writes its instances as one flat
+run of field values (it owns that list exclusively), so a checkpoint
+costs what the records it keeps cost, not one object walk per record;
+restore rebuilds every record through the validating constructor.
+
 On-disk format::
 
     MAGIC (4 bytes) | version (u32 LE) | crc32 (u32 LE) | length (u64 LE)
@@ -21,8 +27,10 @@ previous checkpoint intact — the recovery point is always the last
 Compatibility policy (documented in ``docs/service.md``): the version
 is bumped whenever any pickled class's layout changes incompatibly;
 ``load_checkpoint`` refuses foreign magic, any other version — older
-or newer — and payloads whose CRC or length disagree with the header,
-raising :class:`CheckpointError` rather than unpickling garbage.
+or newer — payloads whose CRC or length disagree with the header, and
+payloads that do not unpickle (a class that has since moved, a record
+its constructor rejects), raising :class:`CheckpointError` rather than
+unpickling garbage or leaking the unpickler's own exception.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -86,8 +94,12 @@ class CheckpointState:
         return [window.key for window in self.published]
 
 
-def save_checkpoint(path: Path, state: CheckpointState) -> None:
-    """Atomically write ``state`` to ``path`` (temp file + rename)."""
+def save_checkpoint(path: Path, state: CheckpointState) -> int:
+    """Atomically write ``state`` to ``path`` (temp file + rename).
+
+    Returns the bytes written, header included.  A failed write removes
+    its temp file and leaves the previous checkpoint in place.
+    """
     path = Path(path)
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     header = _CHECKPOINT_HEADER.pack(
@@ -97,12 +109,17 @@ def save_checkpoint(path: Path, state: CheckpointState) -> None:
         len(payload),
     )
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return len(header) + len(payload)
 
 
 def load_checkpoint(path: Path) -> CheckpointState:
@@ -128,7 +145,13 @@ def load_checkpoint(path: Path) -> CheckpointState:
         )
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
         raise CheckpointError(f"{path}: payload CRC mismatch (corruption)")
-    state = pickle.loads(payload)
+    try:
+        state = pickle.loads(payload)
+    except Exception as exc:
+        raise CheckpointError(
+            f"{path}: payload does not unpickle with this build "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     if not isinstance(state, CheckpointState):
         raise CheckpointError(
             f"{path}: payload is {type(state).__name__}, "

@@ -95,6 +95,10 @@ class ServiceReport:
     report: JigsawReport
     published: List[SealedWindow] = field(default_factory=list)
     checkpoints_written: int = 0
+    #: Size of the last checkpoint file written (0 if none was).
+    checkpoint_bytes_last: int = 0
+    #: Wall time this incarnation spent building and writing checkpoints.
+    checkpoint_seconds_total: float = 0.0
     resumed: bool = False
 
     def published_for(self, pass_name: str) -> List[SealedWindow]:
@@ -142,6 +146,8 @@ class JigsawDaemon:
         self._stop_after_records: Optional[int] = None
         self._last_checkpoint_at = 0
         self._checkpoints_written = 0
+        self._checkpoint_bytes_last = 0
+        self._checkpoint_seconds_total = 0.0
 
     # --- observability -----------------------------------------------------
 
@@ -163,6 +169,16 @@ class JigsawDaemon:
     @property
     def checkpoints_written(self) -> int:
         return self._checkpoints_written
+
+    @property
+    def checkpoint_bytes_last(self) -> int:
+        """Size of the last checkpoint this incarnation wrote (0: none)."""
+        return self._checkpoint_bytes_last
+
+    @property
+    def checkpoint_seconds_total(self) -> float:
+        """Wall time this incarnation has spent writing checkpoints."""
+        return self._checkpoint_seconds_total
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -398,6 +414,7 @@ class JigsawDaemon:
 
     def _write_checkpoint(self) -> None:
         assert self.checkpoint_path is not None
+        started = time.perf_counter()
         state = CheckpointState(
             consumed=self.feed.consumed(),
             total_consumed=self._total_consumed,
@@ -417,9 +434,12 @@ class JigsawDaemon:
             published=list(self._published.values()),
             checkpoints_written=self._checkpoints_written + 1,
         )
-        save_checkpoint(self.checkpoint_path, state)
+        self._checkpoint_bytes_last = save_checkpoint(
+            self.checkpoint_path, state
+        )
         self._checkpoints_written += 1
         self._last_checkpoint_at = self._total_consumed
+        self._checkpoint_seconds_total += time.perf_counter() - started
 
     # --- completion --------------------------------------------------------
 
@@ -456,6 +476,8 @@ class JigsawDaemon:
             report=report,
             published=list(self._published.values()),
             checkpoints_written=self._checkpoints_written,
+            checkpoint_bytes_last=self._checkpoint_bytes_last,
+            checkpoint_seconds_total=self._checkpoint_seconds_total,
             resumed=self._resumed,
         )
 

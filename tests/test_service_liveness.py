@@ -10,14 +10,27 @@ Parity says a daemon run ends in the right state; liveness says it
 * a consumer that stops draining bounds queue depth at the configured
   maximum, never O(trace) — producers feel backpressure;
 * the daemon's own k-way backlog (jframes merged but not yet provably
-  next) stays bounded by the scheduling slice, not by records consumed;
+  next) stays bounded by the scheduling slice, not by records consumed,
+  and what the exchange assembler retains by its horizons;
+* the checkpoint counters advance with every checkpoint written;
 * a source that stops producing trips a deterministic idle limit
   (:class:`ServiceStalled`) instead of deadlocking the daemon.
 """
 
+import io
+import pickle
+
 import pytest
 
+from repro.core.link.attempt import TransmissionAttempt
+from repro.core.link.exchange import (
+    EXCHANGE_SPAN_LIMIT_HORIZONS,
+    ExchangeAssembler,
+)
 from repro.core.passes import PipelinePass
+from repro.core.unify.jframe import JFrame, JFrameKind
+from repro.dot11.address import MacAddress
+from repro.dot11.frame import make_data
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service import (
     JigsawDaemon,
@@ -222,17 +235,18 @@ class TestQueueBackpressure:
             feed.seek({1: 5})
 
 
-class BacklogObservingFeed:
+class CheckpointObservingFeed:
     """Delegates to a feed and, each time the daemon's public
     ``checkpoints_written`` count has advanced, loads the checkpoint
-    and notes what the k-way FIFOs and engines held (the numbers only:
-    keeping every loaded state would hold the trace many times over)."""
+    and notes what ``observe(state, daemon)`` makes of it (numbers
+    only: keeping every loaded state would hold the trace many times
+    over)."""
 
-    def __init__(self, feed, checkpoint_path):
+    def __init__(self, feed, checkpoint_path, observe):
         self._feed = feed
         self._checkpoint_path = checkpoint_path
+        self._observe = observe
         self.daemon = None
-        #: (queued jframes, shards, any finished, any watermark at +inf)
         self.observed = []
 
     def __getattr__(self, name):
@@ -241,28 +255,102 @@ class BacklogObservingFeed:
     def next_record(self, radio_id):
         if self.daemon.checkpoints_written > len(self.observed):
             state = load_checkpoint(self._checkpoint_path)
-            self.observed.append(
-                (
-                    sum(len(f) for f in state.fifos),
-                    len(state.engines),
-                    any(e.finished for e in state.engines),
-                    any(e.watermark_us == float("inf") for e in state.engines),
-                )
-            )
+            self.observed.append(self._observe(state, self.daemon))
         return self._feed.next_record(radio_id)
 
 
+def backlog(state, daemon):
+    """(queued jframes, shards, any finished, any watermark at +inf)"""
+    return (
+        sum(len(f) for f in state.fifos),
+        len(state.engines),
+        any(e.finished for e in state.engines),
+        any(e.watermark_us == float("inf") for e in state.engines),
+    )
+
+
+def reachable_types(obj):
+    """Every class the pickler meets walking ``obj``'s graph."""
+    seen = set()
+
+    class Walk(pickle.Pickler):
+        def reducer_override(self, o):
+            seen.add(type(o))
+            return NotImplemented
+
+    Walk(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(obj)
+    return seen
+
+
+def retained_attempts(assembler):
+    """Every attempt an ``ExchangeAssembler`` still holds: open
+    exchanges, orphan queues, the reorder heap."""
+    for sender in assembler._senders.values():
+        if sender.open_exchange is not None:
+            yield from sender.open_exchange.attempts
+        yield from sender.orphan_queue
+    for _, _, exchange in assembler._reorder:
+        yield from exchange.attempts
+
+
+def retention_floor(assembler):
+    """The earliest start the span cap and the quarter-horizon sweep
+    let a retained attempt have.  Measured from the feed watermark less
+    the reorder slack; the cached emission bound never runs ahead of
+    that, so this floor is at or above the same distance behind it."""
+    ahead = assembler._watermark - assembler.reorder_slack_us
+    assert assembler._bound <= ahead
+    return ahead - (EXCHANGE_SPAN_LIMIT_HORIZONS + 0.25) * assembler.horizon_us
+
+
+def drive_state(state, daemon):
+    assembler = state.drive.exchange_assembler
+    starts = [a.start_us for a in retained_attempts(assembler)]
+    collector = state.drive.flow_collector
+    pinned = JFrame in reachable_types(collector)
+    for flow in collector._flows.values():
+        flow.trim_exchange_refs()
+    return {
+        "retained": len(starts),
+        "earliest": min(starts, default=float("inf")),
+        "floor": retention_floor(assembler),
+        "collector_pins_jframes": pinned,
+        "pins_after_trim": JFrame in reachable_types(collector),
+        "finished": any(e.finished for e in state.engines),
+    }
+
+
+def counters(state, daemon):
+    """(written per the daemon, per the file, bytes per the daemon,
+    bytes on disk, seconds so far)"""
+    return (
+        daemon.checkpoints_written,
+        state.checkpoints_written,
+        daemon.checkpoint_bytes_last,
+        daemon.checkpoint_path.stat().st_size,
+        daemon.checkpoint_seconds_total,
+    )
+
+
 class TestMergeBacklog:
-    def test_kway_backlog_is_bounded_by_the_slice(self, tmp_path):
-        """Checkpoint size is bounded by open-window state, not records
-        consumed: while every shard is still running, no shard has run
-        ahead to the end of its trace and the jframes parked behind the
-        release rule number at most a slice per shard."""
-        checkpoint = tmp_path / "backlog.ckpt"
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        """One ``materialize=False`` run of a one-second flash crowd,
+        checkpointing every 4,000 records: what each observer noted at
+        every checkpoint, the final report and the checkpoint file."""
+        checkpoint = tmp_path_factory.mktemp("observed") / "svc.ckpt"
         config = scenario_config(
             "flash_crowd", "small", seed=13, duration_us=1_000_000
         )
-        feed = BacklogObservingFeed(live_feed(config), checkpoint)
+
+        def observe(state, daemon):
+            # drive_state last: it trims the loaded copy's flows.
+            return {
+                f.__name__: f(state, daemon)
+                for f in (backlog, counters, drive_state)
+            }
+
+        feed = CheckpointObservingFeed(live_feed(config), checkpoint, observe)
         daemon = JigsawDaemon(
             feed,
             materialize=False,
@@ -270,15 +358,98 @@ class TestMergeBacklog:
             checkpoint_every=4_000,
         )
         feed.daemon = daemon
-        assert daemon.serve() is not None
-        running = [o for o in feed.observed if not o[2]]
+        svc = daemon.serve()
+        assert svc is not None
+        return feed.observed, svc, checkpoint
+
+    def test_kway_backlog_is_bounded_by_the_slice(self, served):
+        """Checkpoint size is bounded by open-window state, not records
+        consumed: while every shard is still running, no shard has run
+        ahead to the end of its trace and the jframes parked behind the
+        release rule number at most a slice per shard."""
+        observed = [o["backlog"] for o in served[0]]
+        running = [o for o in observed if not o[2]]
         assert len(running) >= 5, "too few mid-trace checkpoints to judge"
         for queued, shards, _, at_end in running:
             assert queued <= shards * SLICE
             assert not at_end
         # The shards reach the end of the trace together: only the last
         # stretch's checkpoints see a finished one.
-        assert len(running) >= len(feed.observed) - 2
+        assert len(running) >= len(observed) - 2
+
+    def test_drive_state_is_bounded_by_the_exchange_horizons(self, served):
+        """The drive's share of a ``materialize=False`` checkpoint: the
+        exchange assembler keeps no attempt from further behind the
+        feed than the span cap plus one sweep step, and the flow
+        collector reaches jframes only through the observation ->
+        exchange back-references ``trim_exchange_refs`` severs at the
+        end of the run — the O(TCP segments) term still to bound."""
+        observed = [o["drive_state"] for o in served[0]]
+        running = [o for o in observed if not o["finished"]]
+        assert len(running) >= 5, "too few mid-trace checkpoints to judge"
+        assert all(o["retained"] for o in running)
+        for o in running:
+            assert o["earliest"] >= o["floor"]
+            assert not o["pins_after_trim"]
+        assert any(o["collector_pins_jframes"] for o in running), (
+            "the collector no longer pins jframes mid-trace: assert that"
+        )
+
+    def test_retention_floor_holds_where_it_bites(self):
+        """A one-second trace never reaches the span cap, so drive the
+        assembler alone for twelve: one sender retransmitting a single
+        sequence number for ever (never stale, so only the cap closes
+        it), one behaving."""
+        stuck = MacAddress.parse("00:0c:0c:00:00:01")
+        moving = MacAddress.parse("00:0c:0c:00:00:02")
+        access_point = MacAddress.parse("00:0a:0a:00:00:01")
+
+        def attempt(src, seq, end_us, retry):
+            frame = make_data(
+                src, access_point, access_point, seq=seq, body=b"x",
+                retry=retry,
+            )
+            data = JFrame(
+                end_us, JFrameKind.VALID, 1, [], frame=frame,
+                duration_us=100, transmitter=src,
+            )
+            return TransmissionAttempt(src, access_point, data=data)
+
+        assembler = ExchangeAssembler()
+        emitted = []
+        for step in range(120):
+            t = 1_000 + step * 100_000
+            for fed in (
+                attempt(stuck, 5, t, retry=step > 0),
+                attempt(moving, step % 4096, t + 500, retry=False),
+            ):
+                emitted.extend(assembler.feed(fed))
+                earliest = min(
+                    a.start_us for a in retained_attempts(assembler)
+                )
+                assert earliest >= retention_floor(assembler)
+        emitted.extend(assembler.finish())
+        chains = [e for e in emitted if e.transmitter == stuck]
+        assert len(chains) >= 2, "the span cap never closed the endless chain"
+        assert sum(e.n_attempts for e in chains) == 120
+
+    def test_checkpoint_counters_advance_with_every_checkpoint(self, served):
+        idle = JigsawDaemon(live_feed(tiny_config()))
+        assert idle.checkpoint_bytes_last == 0
+        assert idle.checkpoint_seconds_total == 0.0
+
+        noted, svc, checkpoint = served
+        observed = [o["counters"] for o in noted]
+        assert len(observed) >= 5
+        for written, in_file, bytes_last, on_disk, _ in observed:
+            assert written == in_file
+            assert bytes_last == on_disk > 0
+        seconds = [o[4] for o in observed]
+        assert seconds[0] > 0.0
+        assert all(a < b for a, b in zip(seconds, seconds[1:]))
+        assert svc.checkpoints_written >= len(observed)
+        assert svc.checkpoint_bytes_last == checkpoint.stat().st_size
+        assert svc.checkpoint_seconds_total >= seconds[-1]
 
 
 class TestStalledSource:
