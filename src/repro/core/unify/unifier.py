@@ -21,28 +21,29 @@ Content keys, open-group queues and clock tracks are all channel-local: a
 frame on channel 1 can never group with — or resynchronize against — a
 record captured on channel 11.  The merge core therefore runs as one
 :class:`_MergeEngine` per *channel shard* (traces partitioned by the
-channels their records occupy), and the per-shard jframe streams are
-k-way merged by timestamp:
+channels their records occupy).  Inside a shard, finalization lags
+arrival by at most the search window, so a small bounded reorder heap
+(rather than an end-of-run sort over every jframe) yields incrementally
+ordered output.
 
-* :meth:`Unifier.iter_unify` / :meth:`Unifier.stream_unify` — the
-  streaming API: a generator of globally time-ordered jframes.  Inside a
-  shard, finalization lags arrival by at most the search window, so a
-  small bounded reorder heap (rather than an end-of-run sort over every
-  jframe) yields incrementally ordered output.
-* :meth:`Unifier.unify` — the batch API, a thin wrapper that drains the
-  stream into a :class:`UnificationResult`.
+One coordinator, :class:`UnifyStream`, reduces the shards into the
+global timeline.  Each :meth:`~UnifyStream.step` advances the *laggard*
+— the unfinished shard with the lowest emission watermark — by a slice
+of records, and releases every queued jframe no shard can still precede,
+in (timestamp, shard) order: a stable k-way merge, discovered
+incrementally.  :meth:`Unifier.stream_unify` returns the coordinator,
+:meth:`Unifier.iter_unify` iterates it and :meth:`Unifier.unify` drains
+it into a :class:`UnificationResult`; iteration steps it
+:data:`_BATCH_SLICE` records at a time.  The service daemon holds one
+over feed-backed cursors and steps it itself, a smaller slice at a time.
+Batch and daemon share the schedule and the release rule, not just the
+engine, and differ only in where records come from.
 
-Because both APIs run the same engine over the same shards in the same
-deterministic order, batch and streaming unification produce
-jframe-for-jframe identical output
-(``tests/test_streaming_equivalence.py`` holds this property).
-
-The engine's continuation state (record heap, reorder heap, staleness
-deadline, push counter) lives on the object, not in a generator frame —
-a suspended frame cannot be pickled, and the service daemon checkpoints
-its engines mid-merge.  :meth:`_MergeEngine.advance` is the one hot
-loop: batch drives each shard to exhaustion in slices, the daemon
-whichever shard's watermark is lowest, a smaller slice at a time.
+The engines' continuation state (record heap, reorder heap, staleness
+deadline, push counter) lives on the objects, not in a generator frame —
+a suspended frame cannot be pickled, and the daemon checkpoints the
+coordinator mid-merge.  :meth:`_MergeEngine.advance` is the one hot
+loop.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, fields
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -81,9 +83,10 @@ DEFAULT_PHY_ATTACH_US = 60.0
 
 _INF = float("inf")
 
-#: Records one batch ``advance`` call merges before handing its jframes
-#: to the consumer: large enough that the per-call prologue vanishes,
-#: small enough that a lazy consumer holds a sliver of the shard.
+#: Records one batch :meth:`UnifyStream.step` merges before handing its
+#: jframes to the consumer: large enough that the per-call prologue
+#: vanishes, small enough that a lazy consumer holds a sliver of the
+#: shard.
 _BATCH_SLICE = 1024
 
 
@@ -318,6 +321,9 @@ class _MergeEngine:
     restored engine picked up.  Between any two :meth:`advance` calls
     the whole engine pickles (cursors drop their ``produce``; see
     :class:`_TraceCursor`) and a restored one continues bit-identically.
+
+    ``traces`` are the shard's synchronized radios only; the
+    coordinator counts the quarantined ones.
     """
 
     def __init__(
@@ -332,15 +338,6 @@ class _MergeEngine:
         self.cursors: Dict[int, _TraceCursor] = {}
         offsets = bootstrap.offsets_us
         for trace in traces:
-            offset = offsets.get(trace.radio_id)
-            if offset is None:
-                # Quarantined radios contribute nothing; their length is
-                # needed for the ledger, which drains them here exactly
-                # as the materializing engine did.
-                skipped = len(trace)
-                self.stats.records_in += skipped
-                self.stats.records_skipped_unsynchronized += skipped
-                continue
             displaced = self.cursors.get(trace.radio_id)
             if displaced is not None:
                 # Duplicate radio id: the later trace wins (dict
@@ -351,7 +348,7 @@ class _MergeEngine:
                 )
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
-                offset_us=offset,
+                offset_us=offsets[trace.radio_id],
                 alpha=unifier.skew_alpha,
                 compensate_skew=unifier.compensate_skew,
             )
@@ -384,11 +381,6 @@ class _MergeEngine:
         self.finished = False
 
     # --- the merge hot loop ------------------------------------------------
-
-    def run(self) -> Iterator[JFrame]:
-        """Yield this shard's jframes in (timestamp, finalization) order."""
-        while not self.finished:
-            yield from self.advance(_BATCH_SLICE)
 
     def advance(self, max_records: Optional[int] = None) -> List[JFrame]:
         """Merge up to ``max_records`` records (all that remain if None).
@@ -649,9 +641,8 @@ class _MergeEngine:
     def take_parked(self) -> List[JFrame]:
         """Jframes emitted by an :meth:`advance` call its source cut short.
 
-        :attr:`watermark_us` has already moved past them, so a caller
-        that orders shards by watermark must collect them before it
-        trusts one.
+        :attr:`watermark_us` has already moved past them, so the
+        coordinator queues them before any release can trust it.
         """
         parked, self._emitted = self._emitted, []
         return parked
@@ -718,14 +709,9 @@ class _MergeEngine:
             now_universal - open_order[0].first_universal > window
         ):
             group = open_order.popleft()
-            channel_queue = open_by_channel[group.channel]
-            if channel_queue and channel_queue[0] is group:
-                channel_queue.popleft()
-            else:  # rare: out-of-order creation across channels
-                try:
-                    channel_queue.remove(group)
-                except ValueError:
-                    pass
+            # A group joins open_order and its channel's deque together
+            # and leaves both only here, oldest first: it heads both.
+            open_by_channel[group.channel].popleft()
             if group.key is not None and open_by_key.get(group.key) is group:
                 del open_by_key[group.key]
             jframe = self._finalize(group)
@@ -830,41 +816,137 @@ class _MergeEngine:
 
 
 class UnifyStream:
-    """A lazy unification in progress: iterate to drain the jframes.
+    """The shard coordinator: one unification in progress.
 
-    ``sources`` holds one ``(tracks, stats)`` pair per shard — a live
-    engine's own (still-advancing) attributes.  ``stats`` and ``tracks``
-    aggregate across them; they are complete once the stream is
-    exhausted (reading them mid-stream gives the progress so far, which
-    is exactly what a live monitor wants).
+    Holds one :class:`_MergeEngine` per shard with a synchronized radio
+    (a shard without one can never emit), a FIFO per engine of jframes
+    emitted but not yet released, the quarantined radios' ingest
+    counters and the input-trace order tracks are reported in.  Between
+    two :meth:`step` calls the whole coordinator pickles (cursors drop
+    their ``produce``; see :class:`_TraceCursor`).
+
+    Iterating drains it, :data:`_BATCH_SLICE` records a step.
+    ``stats`` and ``tracks`` aggregate across the shards; they are
+    complete once the stream is finished (read mid-stream they give
+    the progress so far, which is exactly what a live monitor wants).
     """
 
     def __init__(
         self,
-        iterator: Iterator[JFrame],
-        sources: Sequence[Tuple[Dict[int, ClockTrack], UnifyStats]],
+        unifier: "Unifier",
+        shards: Sequence[Sequence[RadioTrace]],
+        bootstrap: BootstrapResult,
         track_order: Sequence[int],
     ) -> None:
-        self._iterator = iterator
-        self._sources = list(sources)
+        self.unifier = unifier
+        self.engines: List[_MergeEngine] = []
+        offsets = bootstrap.offsets_us
+        quarantined = self._quarantined = UnifyStats()
+        for shard in shards:
+            synchronized = []
+            for trace in shard:
+                if trace.radio_id in offsets:
+                    synchronized.append(trace)
+                else:
+                    # Quarantined radios contribute nothing but their
+                    # length to the ledger, read once, here.
+                    skipped = len(trace)
+                    quarantined.records_in += skipped
+                    quarantined.records_skipped_unsynchronized += skipped
+            if synchronized:
+                self.engines.append(
+                    _MergeEngine(unifier, synchronized, bootstrap)
+                )
+        self.fifos: List[Deque[JFrame]] = [deque() for _ in self.engines]
         self._track_order = list(track_order)
 
     def __iter__(self) -> Iterator[JFrame]:
-        return self._iterator
+        while not self.finished:
+            yield from self.step(_BATCH_SLICE)
+
+    @property
+    def finished(self) -> bool:
+        """True once every record is merged and every jframe released."""
+        return all(e.finished for e in self.engines) and not any(self.fifos)
+
+    def step(self, max_records: int) -> List[JFrame]:
+        """Merge up to ``max_records`` records on the laggard shard.
+
+        The laggard is the unfinished shard with the lowest emission
+        watermark (ties: lowest shard index): by the release rule,
+        every queued jframe is waiting for it.  Returns the jframes now
+        provably next, in (timestamp, shard) order — none unless the
+        call emitted a jframe or finished its shard.  The choice reads
+        only pickled state, so a restored coordinator continues the
+        identical schedule.  If a source raises, the call's emissions
+        are queued first; the next call resumes where it stopped.
+        """
+        engines = self.engines
+        laggard = -1
+        for si, engine in enumerate(engines):
+            if not engine.finished and (
+                laggard < 0
+                or engine.watermark_us < engines[laggard].watermark_us
+            ):
+                laggard = si
+        if laggard < 0:
+            return self._release()
+        engine, fifo = engines[laggard], self.fifos[laggard]
+        try:
+            emitted = engine.advance(max_records)
+        except BaseException:
+            fifo.extend(engine.take_parked())
+            raise
+        if not emitted and not engine.finished:
+            return []
+        fifo.extend(emitted)
+        return self._release()
+
+    def _release(self) -> List[JFrame]:
+        """Dequeue every jframe no shard can still precede.
+
+        A shard with an empty FIFO emits only jframes later than its
+        watermark, so the lowest such watermark is the frontier: FIFO
+        heads at or below it come out through a heap keyed
+        (timestamp, shard index), and a FIFO that empties lowers the
+        frontier to its own shard's watermark.  O(shards) per call plus
+        O(log shards) per jframe.
+        """
+        engines, fifos = self.engines, self.fifos
+        frontier = _INF
+        heads: List[Tuple[int, int]] = []
+        for si, fifo in enumerate(fifos):
+            if fifo:
+                heads.append((fifo[0].timestamp_us, si))
+            else:
+                frontier = min(frontier, engines[si].watermark_us)
+        heapq.heapify(heads)
+        released: List[JFrame] = []
+        while heads and heads[0][0] <= frontier:
+            si = heads[0][1]
+            fifo = fifos[si]
+            released.append(fifo.popleft())
+            if fifo:
+                heapq.heapreplace(heads, (fifo[0].timestamp_us, si))
+            else:
+                heapq.heappop(heads)
+                frontier = min(frontier, engines[si].watermark_us)
+        return released
 
     @property
     def stats(self) -> UnifyStats:
         merged = UnifyStats()
-        for _, stats in self._sources:
-            merged.merge(stats)
+        merged.merge(self._quarantined)
+        for engine in self.engines:
+            merged.merge(engine.stats)
         return merged
 
     @property
     def tracks(self) -> Dict[int, ClockTrack]:
         """Every shard's clock tracks, in input-trace order."""
         combined: Dict[int, ClockTrack] = {}
-        for tracks, _ in self._sources:
-            combined.update(tracks)
+        for engine in self.engines:
+            combined.update(engine.tracks)
         return {
             rid: combined[rid]
             for rid in self._track_order
@@ -873,31 +955,9 @@ class UnifyStream:
 
     def drain(self) -> UnificationResult:
         """Exhaust the stream into the batch result shape."""
-        jframes = list(self)
-        # The stream is ordered by construction; the sort is a stable no-op
-        # safety net that keeps the documented invariant unconditional.
-        jframes.sort(key=_timestamp_key)
         return UnificationResult(
-            jframes=jframes, tracks=self.tracks, stats=self.stats
+            jframes=list(self), tracks=self.tracks, stats=self.stats
         )
-
-
-def merge_shard_streams(
-    streams: Sequence[Iterator[JFrame]],
-) -> Iterator[JFrame]:
-    """K-way merge per-shard jframe streams into one global timeline.
-
-    Shard streams are each (timestamp, finalization)-ordered; ``heapq.merge``
-    breaks timestamp ties by stream position, so the interleaving is
-    deterministic given the (sorted-by-channel) shard order.
-    """
-    if len(streams) == 1:
-        return iter(streams[0])
-    return heapq.merge(*streams, key=_timestamp_key)
-
-
-def _timestamp_key(jframe: JFrame) -> int:
-    return jframe.timestamp_us
 
 
 class Unifier:
@@ -947,14 +1007,10 @@ class Unifier:
         Returns a :class:`UnifyStream`: iterate it for globally
         time-ordered jframes; read ``.stats`` / ``.tracks`` when done.
         """
-        engines = [
-            _MergeEngine(self, shard, bootstrap)
-            for shard in partition_traces(traces)
-        ]
-        merged = merge_shard_streams([engine.run() for engine in engines])
         return UnifyStream(
-            merged,
-            [(e.tracks, e.stats) for e in engines],
+            self,
+            partition_traces(traces),
+            bootstrap,
             [t.radio_id for t in traces],
         )
 

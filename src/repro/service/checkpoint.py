@@ -1,11 +1,11 @@
 """Versioned, integrity-checked checkpoint codec for the service daemon.
 
-A checkpoint is one pickle of a :class:`CheckpointState` — engines,
-drive, k-way FIFOs, ledger and counters serialized as a **single object
-graph**.  One graph matters: the merge engines, the assemblers and the
-materialized jframes share objects (instances, tracks, attempts), and
-the assemblers' ``id()``-keyed working sets are rebuilt from object
-identity on restore.  Pickling pieces separately would sever that
+A checkpoint is one pickle of a :class:`CheckpointState` — the shard
+coordinator (engines and their FIFOs), drive, ledger and counters
+serialized as a **single object graph**.  One graph matters: the merge
+engines, the assemblers and the materialized jframes share objects
+(instances, tracks, attempts), and the assemblers' ``id()``-keyed
+working sets are rebuilt from object identity on restore.  Pickling pieces separately would sever that
 sharing and the restored daemon would silently diverge.
 
 Within that graph a finalized :class:`~repro.core.unify.jframe.JFrame`
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -68,11 +68,11 @@ class CheckpointState:
     consumed: Dict[int, int]
     #: Total records consumed (checkpoint cadence anchor).
     total_consumed: int
-    #: One merge engine per channel shard, between two ``advance``
-    #: calls; its cursors come back without their feed binding.
-    engines: List[Any]
-    #: Per-shard jframes emitted but not yet released to the drive.
-    fifos: List[List[Any]]
+    #: The shard coordinator (:class:`~repro.core.unify.UnifyStream`)
+    #: between two ``step`` calls: merge engines, per-shard FIFOs of
+    #: unreleased jframes, quarantine counters and track order.  Its
+    #: cursors come back without their feed binding.
+    merge: Any
     #: The downstream drive: assemblers, flow collector, passes.
     drive: Any
     #: The offset ledger as :meth:`BootstrapResult.to_state` plain data
@@ -81,10 +81,6 @@ class CheckpointState:
     bootstrap: Any
     #: Run health ledger accumulated so far.
     health: Any
-    #: Quarantined-radio ingest counters (drained once, at first start).
-    quarantine_stats: Any
-    #: Track ordering for the final report (feed trace order).
-    track_order: List[int]
     #: Published windows, in publication order, keyed for dedup.
     published: List[Any] = field(default_factory=list)
     #: Checkpoints written before this one (monotone counter).

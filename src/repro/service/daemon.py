@@ -9,27 +9,24 @@ incrementally, publishes windowed pass output as the emission watermark
 passes it, and periodically checkpoints the entire reconstruction state
 so a killed daemon resumes mid-trace **bit-identically**.
 
-Determinism is the load-bearing property, and it rests on three legs:
+Determinism is the load-bearing property, and it rests on two legs:
 
-1. **The batch merge engine, laggard first** — each channel shard
-   runs the batch pipeline's own merge engine over cursors that read
-   the feed; every scheduling turn advances the unfinished shard with
-   the lowest emission watermark — the one the release rule of leg 2
-   is waiting for — by a slice of :data:`SLICE` records.  Each pop
-   reads that radio's successor before anything else happens, so the
-   processing order is a pure function of the per-radio record
-   sequences, never of arrival timing, slice size or restart points;
-   and the schedule reads nothing but checkpointed engine state.
-2. **Watermark-gated k-way release** — a shard's emitted jframe is
-   handed to the downstream drive only when every other shard provably
-   cannot emit an earlier one (its FIFO head is later, or its emission
-   watermark has passed the candidate).  The released sequence is
-   therefore exactly the batch pipeline's ``heapq.merge`` order, just
-   discovered incrementally.
-3. **Checkpoints at deterministic loop boundaries** — state is captured
-   only between two ``advance`` calls, at a record count every
+1. **The batch coordinator** — the daemon holds the batch pipeline's
+   own shard coordinator (:class:`~repro.core.unify.unifier.UnifyStream`)
+   over cursors that read the feed, and steps it :data:`SLICE` records
+   at a time where batch steps it a larger slice.  Each step advances
+   the laggard shard and releases the jframes no shard can still
+   precede, in (timestamp, shard) order; each pop reads that radio's
+   successor before anything else happens, so what reaches the drive
+   is a pure function of the per-radio record sequences, never of
+   arrival timing, slice size or restart points.
+2. **Checkpoints at deterministic loop boundaries** — state is captured
+   only between two ``step`` calls, at a record count every
    incarnation passes through, so the uninterrupted run provably visits
    the exact state a restored run starts from.
+
+Batch and daemon differ only in record source, checkpoint cadence and
+window sealing.
 
 The feed protocol: ``next_record(radio_id) -> Optional[TraceRecord]``
 (``None`` = end of that radio's stream), plus ``traces`` /
@@ -40,25 +37,17 @@ The feed protocol: ``next_record(radio_id) -> Optional[TraceRecord]``
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.faults import HealthReport
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
 from ..core.pipeline import JigsawReport, ReconstructionDrive, assemble_report
 from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
-from ..core.unify.jframe import JFrame
-from ..core.unify.unifier import (
-    Unifier,
-    UnifyStats,
-    UnifyStream,
-    _MergeEngine,
-    partition_traces,
-)
+from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
 from ..jtrace.io import RadioTrace
 from ..jtrace.records import TraceRecord
 from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
@@ -66,7 +55,7 @@ from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 #: Default checkpoint cadence, in consumed records.
 DEFAULT_CHECKPOINT_EVERY = 2_000
 
-#: Records one scheduling turn merges on the laggard shard.  Sized on
+#: Records one daemon ``step`` merges on the laggard shard.  Sized on
 #: ``benchmarks/e2e`` ``flash_crowd_service`` (seed 7, traced, three
 #: interleaved runs each): ``service.serve_nockpt_s`` median 0.536 /
 #: 0.455 / 0.530 s at 16 / 64 / 256 — inside that host's run-to-run
@@ -134,13 +123,11 @@ class JigsawDaemon:
 
         self._started = False
         self._resumed = False
-        self._engines: List[_MergeEngine] = []
-        self._fifos: List[Deque[JFrame]] = []
+        self._reported = False
+        self._merge: Optional[UnifyStream] = None
         self._drive: Optional[ReconstructionDrive] = None
         self._bootstrap: Optional[BootstrapResult] = None
         self._health = HealthReport()
-        self._quarantine_stats = UnifyStats()
-        self._track_order: List[int] = []
         self._published: Dict[Tuple[str, int], SealedWindow] = {}
         self._total_consumed = 0
         self._stop_after_records: Optional[int] = None
@@ -199,19 +186,17 @@ class JigsawDaemon:
         crashed daemon's own, carried by the checkpointed drive.
         """
         state = load_checkpoint(checkpoint_path)
-        engines: List[_MergeEngine] = state.engines
-        unifier = engines[0].unifier if engines else Unifier()
+        merge: UnifyStream = state.merge
         daemon = cls(
             feed,
-            unifier=unifier,
+            unifier=merge.unifier,
             materialize=state.drive.materializer is not None,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )
         feed.seek(state.consumed)
-        daemon._engines = engines
+        daemon._merge = merge
         daemon._bind_feed()
-        daemon._fifos = [deque(f) for f in state.fifos]
         daemon._drive = state.drive
         daemon._passes = list(state.drive.passes)
         daemon._bootstrap = (
@@ -219,8 +204,6 @@ class JigsawDaemon:
             else BootstrapResult.from_state(state.bootstrap)
         )
         daemon._health = state.health
-        daemon._quarantine_stats = state.quarantine_stats
-        daemon._track_order = list(state.track_order)
         daemon._published = {w.key: w for w in state.published}
         daemon._total_consumed = state.total_consumed
         daemon._last_checkpoint_at = state.total_consumed
@@ -239,7 +222,15 @@ class JigsawDaemon:
         daemon returns ``None`` immediately — mid-slice, with no final
         checkpoint, no flushing, no cleanup.  Recovery is whatever the
         last periodic checkpoint captured, exactly as a real kill.
+
+        A daemon reports once: ``serve()`` after the report was returned
+        raises :class:`RuntimeError` and changes nothing.
         """
+        if self._reported:
+            raise RuntimeError(
+                "this daemon has already returned its report; restore a "
+                "new one from its checkpoint to serve again"
+            )
         started_clock = time.perf_counter()
         if not self._started:
             self._start()
@@ -248,7 +239,9 @@ class JigsawDaemon:
             self._loop()
         except _Killed:
             return None
-        return self._finalize(started_clock)
+        report = self._finalize(started_clock)
+        self._reported = True
+        return report
 
     # --- startup -----------------------------------------------------------
 
@@ -263,41 +256,30 @@ class JigsawDaemon:
         self._bootstrap = bootstrap
 
         offsets = bootstrap.offsets_us
-        # Quarantined radios contribute nothing; their record counts land
-        # in the ledger exactly as the batch merge counts them.  Drained
-        # once, here — the counters ride in every checkpoint, so a
-        # restored daemon never re-drains.
-        for trace in feed.traces:
-            if trace.radio_id not in offsets:
-                skipped = len(trace)
-                self._quarantine_stats.records_in += skipped
-                self._quarantine_stats.records_skipped_unsynchronized += (
-                    skipped
-                )
-
-        # Same shard structure (and therefore the same k-way tie-break
-        # order) as the batch pipeline; shards with no synchronized radio
-        # are skipped — they can never emit.
-        for shard in partition_traces(feed.traces):
-            # Record-less stand-ins: an engine must not read the feed's
-            # traces behind ``next_record``'s back, and a cursor that
-            # starts empty retains nothing it is handed later.
-            pending = [
-                RadioTrace(t.radio_id, t.channel)
-                for t in shard
-                if t.radio_id in offsets
-            ]
-            if not pending:
-                continue
-            self._engines.append(
-                _MergeEngine(self.unifier, pending, bootstrap)
-            )
-            self._fifos.append(deque())
+        # The batch shards, with record-less stand-ins for synchronized
+        # radios: an engine must not read the feed's traces behind
+        # ``next_record``'s back, and a cursor that starts empty retains
+        # nothing it is handed later.  Quarantined radios go in as they
+        # are: the coordinator reads their length once, here, and its
+        # counters ride in every checkpoint.
+        self._merge = UnifyStream(
+            self.unifier,
+            [
+                [
+                    RadioTrace(t.radio_id, t.channel)
+                    if t.radio_id in offsets
+                    else t
+                    for t in shard
+                ]
+                for shard in partition_traces(feed.traces)
+            ],
+            bootstrap,
+            [t.radio_id for t in feed.traces],
+        )
         self._bind_feed()
         self._drive = ReconstructionDrive(
             self._passes, materialize=self.materialize
         )
-        self._track_order = [t.radio_id for t in feed.traces]
         self._started = True
 
     # --- the drive loop ----------------------------------------------------
@@ -305,7 +287,8 @@ class JigsawDaemon:
     def _bind_feed(self) -> None:
         """Point every engine cursor at the feed: at first start, and on
         restore — feed-bound callables never enter a checkpoint."""
-        for engine in self._engines:
+        assert self._merge is not None
+        for engine in self._merge.engines:
             for radio_id, cursor in engine.cursors.items():
                 cursor.produce = partial(self._next_record, radio_id)
 
@@ -323,82 +306,26 @@ class JigsawDaemon:
         return record
 
     def _loop(self) -> None:
-        """Advance the laggard shard a slice at a time until the feed drains.
+        """Step the coordinator a slice at a time until the feed drains.
 
-        Each turn picks the unfinished engine with the lowest emission
-        watermark (ties: lowest shard index) — the shard every queued
-        jframe is waiting for, by the release rule — and merges up to
-        :data:`SLICE` of its records.  Release is attempted only when
-        that call emitted something or finished the shard (nothing else
-        can unblock a FIFO head), sealing only when release fed the
-        drive.  The choice reads checkpointed engine state only, so a
-        restored daemon continues the identical schedule.
+        Windows are sealed only when a step fed the drive.  A source
+        that raised mid-step (a stalled uplink) left the coordinator
+        resumable, so a second ``serve()`` re-enters here.
         """
-        shards = list(zip(self._engines, self._fifos))
-        drive = self._drive
-        assert drive is not None
-        # A source that raised mid-``advance`` (a stalled uplink, then a
-        # second ``serve()``) left that call's jframes parked on the
-        # engine with its watermark already past them: queue them
-        # before any watermark is consulted.
-        for engine, fifo in shards:
-            fifo.extend(engine.take_parked())
-        while True:
-            running = [shard for shard in shards if not shard[0].finished]
-            if not running:
-                break
-            # min() keeps the first of equals: ties go to the lowest shard.
-            engine, fifo = min(running, key=lambda s: s[0].watermark_us)
-            emitted = engine.advance(SLICE)
-            if emitted or engine.finished:
-                fifo.extend(emitted)
-                if self._release():
-                    self._publish(drive.seal_ready())
+        merge, drive = self._merge, self._drive
+        assert merge is not None and drive is not None
+        while not merge.finished:
+            released = merge.step(SLICE)
+            if released:
+                for jframe in released:
+                    drive.feed(jframe)
+                self._publish(drive.seal_ready())
             if (
                 self.checkpoint_path is not None
                 and self._total_consumed - self._last_checkpoint_at
                 >= self.checkpoint_every
             ):
                 self._write_checkpoint()
-        # Every watermark is +inf: whatever is still queued drains.
-        if self._release():
-            self._publish(drive.seal_ready())
-
-    def _release(self) -> bool:
-        """Feed the drive every jframe that is provably globally next;
-        True if any was fed.
-
-        Replicates ``heapq.merge``'s (timestamp, shard index) order: the
-        minimum FIFO head is released only when every other shard either
-        shows a later head or has an emission watermark at or past the
-        candidate (a shard's future emissions are strictly later than
-        its watermark, so it can never produce an earlier jframe).  The
-        proof holds whenever it is attempted, provided every jframe a
-        watermark has passed is in its FIFO (see :meth:`_loop` on parked
-        emissions).
-        """
-        fifos = self._fifos
-        engines = self._engines
-        drive = self._drive
-        assert drive is not None
-        fed = False
-        while True:
-            best_si = -1
-            best_ts = 0
-            for si, fifo in enumerate(fifos):
-                if fifo:
-                    ts = fifo[0].timestamp_us
-                    if best_si < 0 or ts < best_ts:
-                        best_si, best_ts = si, ts
-            if best_si < 0:
-                return fed
-            for si, engine in enumerate(engines):
-                if si == best_si or fifos[si]:
-                    continue
-                if engine.watermark_us < best_ts:
-                    return fed  # shard si could still emit something earlier
-            drive.feed(fifos[best_si].popleft())
-            fed = True
 
     def _publish(self, sealed: Sequence[SealedWindow]) -> None:
         """At-least-once publication with a dedup ledger.
@@ -418,8 +345,7 @@ class JigsawDaemon:
         state = CheckpointState(
             consumed=self.feed.consumed(),
             total_consumed=self._total_consumed,
-            engines=self._engines,
-            fifos=[list(f) for f in self._fifos],
+            merge=self._merge,
             drive=self._drive,
             # The offset ledger goes through its explicit plain-data
             # schema, not object pickling: the one part of the format
@@ -429,8 +355,6 @@ class JigsawDaemon:
                 else self._bootstrap.to_state()
             ),
             health=self._health,
-            quarantine_stats=self._quarantine_stats,
-            track_order=list(self._track_order),
             published=list(self._published.values()),
             checkpoints_written=self._checkpoints_written + 1,
         )
@@ -444,9 +368,9 @@ class JigsawDaemon:
     # --- completion --------------------------------------------------------
 
     def _finalize(self, started_clock: float) -> ServiceReport:
-        drive = self._drive
-        bootstrap = self._bootstrap
-        assert drive is not None and bootstrap is not None
+        merge, drive, bootstrap = self._merge, self._drive, self._bootstrap
+        assert merge is not None and drive is not None
+        assert bootstrap is not None
         flows = drive.finish_streams(trim_exchange_refs=not self.materialize)
         # Everything has now been delivered to every hook; seal whatever
         # windows remain (watermark = +inf) and publish them.
@@ -455,18 +379,11 @@ class JigsawDaemon:
             tail.extend(p.seal_ready(float("inf")))
         self._publish(tail)
 
-        # Quarantined radios ride as one more (track-less) shard source.
-        merged = UnifyStream(
-            iter(()),
-            [(engine.tracks, engine.stats) for engine in self._engines]
-            + [({}, self._quarantine_stats)],
-            self._track_order,
-        )
         report = assemble_report(
             drive,
             bootstrap,
-            merged.tracks,
-            merged.stats,
+            merge.tracks,
+            merge.stats,
             self.feed.traces,
             self._health,
             flows,

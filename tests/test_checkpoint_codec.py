@@ -131,9 +131,8 @@ class TestJFramePickleForm:
 
 def empty_state(total_consumed=0):
     return CheckpointState(
-        consumed={}, total_consumed=total_consumed, engines=[], fifos=[],
-        drive=None, bootstrap=None, health=None, quarantine_stats=None,
-        track_order=[],
+        consumed={}, total_consumed=total_consumed, merge=None,
+        drive=None, bootstrap=None, health=None,
     )
 
 
@@ -190,7 +189,7 @@ class TestLoadRefusesWhatDoesNotUnpickle:
         assert run[snap_at] == RAW[:200]
         run[snap_at] = b"x" * (CAPTURE_SNAP_BYTES + 65)
         state = empty_state()
-        state.fifos = [[_Forged((rebuild, args))]]
+        state.merge = [[_Forged((rebuild, args))]]
         path = tmp_path / "overlong.ckpt"
         write_framed(path, pickle.dumps(state))
         with pytest.raises(CheckpointError, match="snap exceeds") as err:

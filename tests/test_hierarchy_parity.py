@@ -249,6 +249,7 @@ class ListFeed:
         return trace.records[index]
 
 
+@pytest.mark.service
 class TestDaemonParity:
     def test_daemon_matches_tree_batch(self, campus):
         """The live daemon over a campus feed emits the batch jframes,

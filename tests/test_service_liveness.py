@@ -262,10 +262,10 @@ class CheckpointObservingFeed:
 def backlog(state, daemon):
     """(queued jframes, shards, any finished, any watermark at +inf)"""
     return (
-        sum(len(f) for f in state.fifos),
-        len(state.engines),
-        any(e.finished for e in state.engines),
-        any(e.watermark_us == float("inf") for e in state.engines),
+        sum(len(f) for f in state.merge.fifos),
+        len(state.merge.engines),
+        any(e.finished for e in state.merge.engines),
+        any(e.watermark_us == float("inf") for e in state.merge.engines),
     )
 
 
@@ -316,7 +316,7 @@ def drive_state(state, daemon):
         "floor": retention_floor(assembler),
         "collector_pins_jframes": pinned,
         "pins_after_trim": JFrame in reachable_types(collector),
-        "finished": any(e.finished for e in state.engines),
+        "finished": any(e.finished for e in state.merge.engines),
     }
 
 

@@ -220,7 +220,7 @@ class TestBuildingScenario:
         # so the captured count sits just past 2x the cadence.
         assert 2 * BUILDING_CHECKPOINT_EVERY <= state.total_consumed < stop
         assert sum(state.consumed.values()) == state.total_consumed
-        assert state.engines and state.drive is not None
+        assert state.merge.engines and state.drive is not None
 
 
 class TestFlashCrowdScenario:
@@ -407,6 +407,34 @@ def test_crash_resume_over_a_queue_feed(tmp_path):
     svc = restored.serve()
     assert svc is not None and svc.resumed
     assert_service_identical(svc, reference)
+
+
+def test_second_serve_is_refused_and_leaves_the_report_alone():
+    """A daemon reports once.  Serving a finished daemon again must
+    raise and touch nothing: re-running the completion step would flush
+    the drive a second time and rewrite the first report's link-layer
+    counters in place."""
+    daemon = JigsawDaemon(
+        live_feed(scenario_config("flash_crowd", "tiny", seed=3))
+    )
+    svc = daemon.serve()
+    assert svc is not None and svc.report.materialized
+
+    def snapshot():
+        report = svc.report
+        return (
+            dataclasses.asdict(report.attempt_stats),
+            dataclasses.asdict(report.exchange_stats),
+            len(report.attempts),
+            len(report.exchanges),
+            daemon.total_consumed,
+        )
+
+    before = snapshot()
+    assert before[0]["attempts"] > 0 and before[1]["exchanges"] > 0
+    with pytest.raises(RuntimeError, match="already returned its report"):
+        daemon.serve()
+    assert snapshot() == before
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 The sharded streaming engine must produce jframe-for-jframe identical
 output — timestamps, kinds, instance sets, dispersion, resync counts — to
 the batch ``Unifier.unify()`` through every API (generator stream, a
-repeated batch merge, a pickled-and-resumed engine), on randomized
+repeated batch merge, a pickled-and-resumed engine or shard
+coordinator), on randomized
 multi-channel building-style traces.
 """
 
@@ -22,6 +23,7 @@ from repro.dot11.frame import make_ack, make_data
 from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import RecordKind, TraceRecord
+from repro.service.daemon import SLICE
 
 
 def _record(radio_id, ts, channel, raw=None, kind=RecordKind.VALID,
@@ -177,38 +179,59 @@ def test_stream_is_time_ordered_and_lazy():
 @pytest.mark.service
 @given(
     seed=st.integers(min_value=0, max_value=50),
+    coordinated=st.booleans(),
     calls=st.lists(
         st.tuples(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=150)),
+            st.one_of(
+                st.none(),
+                st.sampled_from([1, SLICE]),
+                st.integers(min_value=1, max_value=150),
+            ),
             st.booleans(),
         ),
         min_size=1,
         max_size=10,
     ),
 )
-@settings(max_examples=25, deadline=None)
-def test_engine_resumes_identically_from_any_call_boundary(seed, calls):
-    """The contract the daemon's checkpoints rest on, at engine level:
-    however the merge is sliced into ``advance`` calls, and wherever
-    between two calls the engine is pickled and restored, the output is
-    the one uninterrupted batch merge's."""
-    traces, bootstrap = random_building_traces(seed, n_channels=1)
+@settings(max_examples=40, deadline=None)
+def test_engine_resumes_identically_from_any_call_boundary(
+    seed, coordinated, calls
+):
+    """The contract the daemon's checkpoints rest on: however the merge
+    is sliced into calls, and wherever between two calls it is pickled
+    and restored, the output is the one uninterrupted batch merge's.
+    Held for one engine on one channel (``advance`` calls) and for the
+    shard coordinator over several (``step`` calls; ``None`` steps a
+    daemon slice)."""
+    if coordinated:
+        traces, bootstrap = random_building_traces(seed)
+        merge = Unifier().stream_unify(traces, bootstrap)
+        assert len(merge.engines) > 1
+        jframes = []
+        for max_records, cut in calls:
+            jframes.extend(merge.step(max_records or SLICE))
+            if cut:
+                merge = pickle.loads(pickle.dumps(merge))
+        jframes.extend(merge)
+        assert merge.finished and merge.step(1) == []
+        stats, tracks = merge.stats, merge.tracks
+    else:
+        traces, bootstrap = random_building_traces(seed, n_channels=1)
+        engine = _MergeEngine(Unifier(), traces, bootstrap)
+        jframes = []
+        for max_records, cut in calls:
+            jframes.extend(engine.advance(max_records))
+            if cut:
+                engine = pickle.loads(pickle.dumps(engine))
+        jframes.extend(engine.advance())
+        assert engine.finished and engine.advance(1) == []
+        stats, tracks = engine.stats, engine.tracks
     batch = Unifier().unify(traces, bootstrap)
-    engine = _MergeEngine(Unifier(), traces, bootstrap)
-    jframes = []
-    for max_records, cut in calls:
-        jframes.extend(engine.advance(max_records))
-        if cut:
-            engine = pickle.loads(pickle.dumps(engine))
-    jframes.extend(engine.advance())
-    assert engine.finished and engine.advance(1) == []
     assert [jframe_fingerprint(jf) for jf in jframes] == [
         jframe_fingerprint(jf) for jf in batch.jframes
     ]
-    assert stats_fingerprint(engine.stats) == stats_fingerprint(batch.stats)
-    assert tracks_fingerprint(engine.tracks) == tracks_fingerprint(
-        batch.tracks
-    )
+    assert stats_fingerprint(stats) == stats_fingerprint(batch.stats)
+    assert tracks_fingerprint(tracks) == tracks_fingerprint(batch.tracks)
 
 
 @pytest.mark.parametrize("window", [60, 200])
