@@ -114,7 +114,10 @@ class PipelinePass:
 
     Subclasses override only the hooks they need; every hook defaults to
     a no-op.  A pass instance is single-use: it accumulates state across
-    the hooks and surrenders its result from :meth:`finish`.
+    the hooks and surrenders its result from :meth:`finish`.  Service
+    checkpoints pickle it like any other object, so that state must be
+    picklable (a pass holding a file handle or socket defines
+    ``__getstate__``/``__setstate__`` to drop and re-acquire it).
     """
 
     #: Key under which the result lands in ``report.passes``.
@@ -160,29 +163,6 @@ class PipelinePass:
         restore is bit-identical to the uninterrupted run's.
         """
         return []
-
-    # --- checkpoint state protocol (service mode) -------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Picklable accumulator state for a service checkpoint.
-
-        The default captures the instance dict, which suits passes whose
-        state is plain data (counters, lists, dicts of dataclasses).  A
-        pass holding unpicklable resources (file handles, sockets)
-        overrides this pair to exclude and re-acquire them.
-        """
-        return dict(self.__dict__)
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore accumulator state captured by :meth:`snapshot_state`."""
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle through the snapshot protocol (checkpoint codec hook)."""
-        return self.snapshot_state()
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.restore_state(state)
 
 
 class MaterializePass(PipelinePass):

@@ -211,11 +211,13 @@ class ReconstructionDrive:
             sealed.extend(p.seal_ready(watermark))
         return sealed
 
-    def finish_streams(self, trim_exchange_refs: bool = False) -> List[TcpFlow]:
+    def finish_streams(self) -> List[TcpFlow]:
         """Flush the assemblers, run transport inference, fire flow hooks.
 
         Returns the reconstructed flows; per-layer statistics stay
-        readable on the assemblers and :attr:`transport_stats`.
+        readable on the assemblers and :attr:`transport_stats`.  An
+        unmaterialized drive then severs the flows' exchange
+        back-references: nothing else holds those exchanges.
         """
         self._advance(self.attempt_assembler.finish())
         for exchange in self.exchange_assembler.finish():
@@ -228,7 +230,7 @@ class ReconstructionDrive:
         for flow in flows:
             for p in self._active:
                 p.on_flow(flow)
-        if trim_exchange_refs:
+        if self.materializer is None:
             # Inference and the on_flow hooks have consumed the exchange
             # back-references; severing them lets the data jframes go the
             # way of the rest of the unmaterialized timeline.
@@ -320,7 +322,6 @@ class JigsawPipeline:
         bootstrap: Optional[BootstrapResult] = None,
         passes: Sequence[PipelinePass] = (),
         materialize: bool = True,
-        trim_exchange_refs: Optional[bool] = None,
     ) -> JigsawReport:
         """Run the full reconstruction.
 
@@ -337,18 +338,13 @@ class JigsawPipeline:
         ``passes`` are :class:`~repro.core.passes.PipelinePass` instances
         driven inside the one-pass loop; each result lands in
         ``report.passes[pass.name]``.  ``materialize=False`` drops the
-        built-in materialization pass, bounding memory for long traces.
-        ``trim_exchange_refs`` severs observation -> exchange
+        built-in materialization pass, bounding memory for long traces;
+        such a report's flows also drop their observation -> exchange
         back-references once transport inference has folded its verdicts
-        into the flows, so the returned report's flows stop retaining the
-        data-subset jframe graph; the default (``None``) trims exactly
-        when ``materialize=False`` — a materialized report holds every
-        exchange anyway.
+        into them, so they stop retaining the data-subset jframe graph.
         """
         started = time.perf_counter()
         check_pass_names(passes)
-        if trim_exchange_refs is None:
-            trim_exchange_refs = not materialize
         # ``sorted_by_local_time`` returns the trace itself when records
         # are already ordered (the common case), so this no longer copies
         # every record list.  Streaming traces validate ordering during
@@ -379,7 +375,7 @@ class JigsawPipeline:
         drive = ReconstructionDrive(passes, materialize=materialize)
         for jframe in stream:
             drive.feed(jframe)
-        flows = drive.finish_streams(trim_exchange_refs=trim_exchange_refs)
+        flows = drive.finish_streams()
 
         return assemble_report(
             drive,

@@ -41,7 +41,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 CHECKPOINT_MAGIC = b"JGSV"
 CHECKPOINT_VERSION = 6
@@ -85,9 +85,6 @@ class CheckpointState:
     published: List[Any] = field(default_factory=list)
     #: Checkpoints written before this one (monotone counter).
     checkpoints_written: int = 0
-
-    def published_keys(self) -> List[Tuple[str, int]]:
-        return [window.key for window in self.published]
 
 
 def save_checkpoint(path: Path, state: CheckpointState) -> int:

@@ -371,7 +371,7 @@ class JigsawDaemon:
         merge, drive, bootstrap = self._merge, self._drive, self._bootstrap
         assert merge is not None and drive is not None
         assert bootstrap is not None
-        flows = drive.finish_streams(trim_exchange_refs=not self.materialize)
+        flows = drive.finish_streams()
         # Everything has now been delivered to every hook; seal whatever
         # windows remain (watermark = +inf) and publish them.
         tail: List[SealedWindow] = []

@@ -22,8 +22,8 @@ Sealing discipline (shared by every pass here):
   ``seal_ready`` was called, so a window sealed after a checkpoint
   restore is bit-identical to the uninterrupted run's.
 
-State is plain dicts of counters, so the default pass snapshot protocol
-(pickle the instance dict) checkpoints these passes unchanged.
+State is plain dicts of counters, so default instance pickling
+checkpoints these passes unchanged.
 """
 
 from __future__ import annotations

@@ -254,6 +254,7 @@ def write_faulty_traces(
         meta = {
             "radio_id": radio,
             "channel": trace.channel,
+            "building_id": trace.building_id,
             "records": len(records),
             "first_timestamp_us": records[0].timestamp_us if records else None,
             "last_timestamp_us": records[-1].timestamp_us if records else None,

@@ -20,8 +20,8 @@ Because the simulation itself is deterministic and oblivious to when its
 records are harvested, a streamed run is bit-identical — jframe for
 jframe — to materializing the same scenario with
 :func:`~repro.sim.runner.run_scenario` and piping the traces in
-afterwards (``tests/test_sim_stream.py`` holds this, including on the
-building scenario).
+afterwards (``tests/test_sim_stream.py`` holds this on a small scenario,
+``tests/test_scenario_registry.py`` on every registered family).
 
 Typical use::
 

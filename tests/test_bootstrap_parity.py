@@ -13,39 +13,15 @@ import random
 
 import pytest
 
+from helpers import data_frame, record_for
 from repro.core.sync.bootstrap import (
     SyncPartitionError,
     _select_covering_family,
     bootstrap_synchronization,
 )
-from repro.dot11.address import MacAddress
-from repro.dot11.frame import make_data
-from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace, StreamingRadioTrace
-from repro.jtrace.records import RecordKind, TraceRecord
-
-SRC = MacAddress.parse("00:0c:0c:00:00:02")
-DST = MacAddress.parse("00:0a:0a:00:00:02")
-
-
-def record_for(frame, radio_id, ts, channel=1):
-    raw = frame_to_bytes(frame)
-    return TraceRecord(
-        radio_id=radio_id,
-        timestamp_us=ts,
-        kind=RecordKind.VALID,
-        channel=channel,
-        rate_mbps=11.0,
-        rssi_dbm=-60.0,
-        frame_len=len(raw),
-        fcs=int.from_bytes(raw[-4:], "little"),
-        snap=raw[:200],
-        duration_us=100,
-    )
-
-
-def data_frame(seq, body=b"payload"):
-    return make_data(SRC, DST, DST, seq=seq, body=body)
+from repro.sim.campus import run_campus
+from repro.sim.registry import scenario_config
 
 
 def result_fingerprint(result):
@@ -106,7 +82,7 @@ def random_multichannel_traces(seed, n_radios=8, n_frames=40, channels=(1, 6, 11
     return traces, clock_groups
 
 
-class TestShardedParity:
+class TestFromScratchParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_multichannel_property(self, seed):
         traces, clock_groups = random_multichannel_traces(seed)
@@ -213,6 +189,36 @@ class TestShardedParity:
         result = assert_parity(island_a + island_b, clock_groups=[(1, 2)])
         assert result.fully_synchronized
         assert result.offsets_us[2] == pytest.approx(result.offsets_us[1])
+
+
+class TestWidenDelta:
+    def test_widened_run_matches_from_scratch_collection(self):
+        """End to end with a window small enough to force widening: the
+        run that fed only each round's delta must land on exactly what
+        one collection at the final window produces."""
+        campus = run_campus(
+            scenario_config("campus", "tiny", seed=17, n_buildings=4)
+        )
+        widened = bootstrap_synchronization(
+            campus.traces, clock_groups=campus.clock_groups, window_us=20_000
+        )
+        assert widened.widen_rounds > 0, (
+            "window did not force widening; shrink window_us"
+        )
+        scratch = bootstrap_synchronization(
+            campus.traces,
+            clock_groups=campus.clock_groups,
+            window_us=widened.window_us,
+            auto_widen=False,
+        )
+        for field in (
+            "offsets_us",
+            "reference_sets_used",
+            "reference_frames_seen",
+            "quarantined",
+            "islands",
+        ):
+            assert getattr(widened, field) == getattr(scratch, field), field
 
 
 class TestStrictPartition:

@@ -2,40 +2,14 @@
 
 import pytest
 
+from helpers import DST, SRC, data_frame, record_for
 from repro.core.sync.bootstrap import bootstrap_synchronization
 from repro.core.sync.refs import parse_record_frame, reference_key
 from repro.core.sync.skew import ClockTrack
-from repro.dot11.address import MacAddress
-from repro.dot11.frame import make_ack, make_beacon, make_data
+from repro.dot11.frame import make_ack, make_beacon
 from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import RecordKind, TraceRecord
-
-SRC = MacAddress.parse("00:0c:0c:00:00:01")
-DST = MacAddress.parse("00:0a:0a:00:00:01")
-
-
-def record_for(frame, radio_id, ts, kind=RecordKind.VALID, channel=1, rate=11.0):
-    raw = frame_to_bytes(frame)
-    snap = raw[:200]
-    if kind is RecordKind.CORRUPT:
-        snap = bytes([snap[0]]) + snap[1:]  # content unchanged; kind marks it
-    return TraceRecord(
-        radio_id=radio_id,
-        timestamp_us=ts,
-        kind=kind,
-        channel=channel,
-        rate_mbps=rate,
-        rssi_dbm=-60.0,
-        frame_len=len(raw),
-        fcs=int.from_bytes(raw[-4:], "little"),
-        snap=snap,
-        duration_us=100,
-    )
-
-
-def data_frame(seq=1, body=b"payload", retry=False):
-    return make_data(SRC, DST, DST, seq=seq, body=body, retry=retry)
 
 
 class TestReferenceKeys:

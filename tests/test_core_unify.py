@@ -7,44 +7,20 @@ import pickle
 
 import pytest
 
+from helpers import SRC, data_frame, record_for
 from repro.core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from repro.core.unify.jframe import Instance, JFrameKind
 from repro.core.unify.unifier import Unifier
 from repro.dot11.address import MacAddress
-from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
-from repro.jtrace.records import RecordKind, TraceRecord
+from repro.jtrace.records import RecordKind
 
-SRC = MacAddress.parse("00:0c:0c:00:00:01")
 SRC2 = MacAddress.parse("00:0c:0c:00:00:02")
-DST = MacAddress.parse("00:0a:0a:00:00:01")
-
-
-def record_for(frame, radio_id, ts, kind=RecordKind.VALID, channel=1,
-               txid=0, corrupt_bytes=None):
-    raw = frame_to_bytes(frame)
-    if kind is RecordKind.PHY_ERROR:
-        snap, frame_len, fcs = b"", 0, 0
-    elif corrupt_bytes is not None:
-        snap, frame_len = corrupt_bytes[:200], len(corrupt_bytes)
-        fcs = int.from_bytes(corrupt_bytes[-4:], "little")
-    else:
-        snap, frame_len = raw[:200], len(raw)
-        fcs = int.from_bytes(raw[-4:], "little")
-    return TraceRecord(
-        radio_id=radio_id, timestamp_us=ts, kind=kind, channel=channel,
-        rate_mbps=11.0, rssi_dbm=-60.0, frame_len=frame_len, fcs=fcs,
-        snap=snap, duration_us=100, truth_txid=txid,
-    )
 
 
 def perfect_bootstrap(radio_ids):
     return BootstrapResult(offsets_us={r: 0.0 for r in radio_ids})
-
-
-def data_frame(seq=1, body=b"payload", retry=False, src=SRC):
-    return make_data(src, DST, DST, seq=seq, body=body, retry=retry)
 
 
 class TestBasicUnification:

@@ -12,16 +12,18 @@ The robustness contract has two layers, each tested here against
   references only appear after auto-widen are reported as rejoined;
   an internally inconsistent clock fit is evicted.
 
-Plus the end-to-end property the whole PR hangs on: the sim fault
-harness's damage shows up, accurately, in ``report.health`` — and with
-an all-off :class:`~repro.sim.scenario.FaultConfig` the output is
-bit-identical to the fault-free pipeline.
+Plus the end-to-end property the whole layer hangs on: the sim fault
+harness's damage shows up, accurately, in ``report.health``.  That an
+all-off :class:`~repro.sim.scenario.FaultConfig` leaves the output
+bit-identical to the fault-free pipeline is held by the fault-off
+corpora of ``tests/test_modes.py``.
 """
 
 import gzip
 
 import pytest
 
+from helpers import data_frame, record_for
 from repro.core.faults import HealthReport
 from repro.core.pipeline import JigsawPipeline
 from repro.core.sync.bootstrap import (
@@ -29,9 +31,6 @@ from repro.core.sync.bootstrap import (
     QUARANTINE_UNSTABLE_CLOCK,
     bootstrap_synchronization,
 )
-from repro.dot11.address import MacAddress
-from repro.dot11.frame import make_data
-from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import (
     DecodeHealth,
     ErrorPolicy,
@@ -40,7 +39,7 @@ from repro.jtrace.io import (
     read_trace,
     write_traces,
 )
-from repro.jtrace.records import RecordKind, TraceRecord, record_to_bytes
+from repro.jtrace.records import record_to_bytes
 from repro.sim import (
     FaultConfig,
     ScenarioConfig,
@@ -50,28 +49,6 @@ from repro.sim import (
 from repro.sim.runner import run_scenario
 
 pytestmark = pytest.mark.faults
-
-SRC = MacAddress.parse("00:0c:0c:00:00:07")
-DST = MacAddress.parse("00:0a:0a:00:00:07")
-
-def record_for(frame, radio_id, ts, channel=1):
-    raw = frame_to_bytes(frame)
-    return TraceRecord(
-        radio_id=radio_id,
-        timestamp_us=ts,
-        kind=RecordKind.VALID,
-        channel=channel,
-        rate_mbps=11.0,
-        rssi_dbm=-55.0,
-        frame_len=len(raw),
-        fcs=int.from_bytes(raw[-4:], "little"),
-        snap=raw[:200],
-        duration_us=100,
-    )
-
-
-def data_frame(seq, body=b"payload"):
-    return make_data(SRC, DST, DST, seq=seq, body=body)
 
 
 # --------------------------------------------------------------------------
@@ -441,26 +418,6 @@ class TestFaultInjectionHarness:
         assert report.health.ingest.records_skipped <= n_corrupt
         assert report.health.ingest.truncated_tails == 1
         assert "degraded:" in report.summary()
-
-    def test_clean_faultless_run_is_bit_identical(self, tmp_path, tiny_run):
-        config, artifacts = tiny_run
-        traces = artifacts.radio_traces
-        write_faulty_traces(traces, tmp_path, config)
-        clock_groups = [
-            [r.radio_id for r in pod.radios] for pod in artifacts.pods
-        ]
-        baseline = JigsawPipeline().run(traces, clock_groups=clock_groups)
-        streams = open_trace_streams(tmp_path, policy="skip")
-        replayed = JigsawPipeline().run(streams, clock_groups=clock_groups)
-        assert not replayed.health.degraded
-        assert "degraded:" not in replayed.summary()
-        assert len(replayed.jframes) == len(baseline.jframes)
-        for a, b in zip(baseline.jframes, replayed.jframes):
-            assert a.timestamp_us == b.timestamp_us
-            assert a.kind == b.kind
-            assert [i.radio_id for i in a.instances] == [
-                i.radio_id for i in b.instances
-            ]
 
     def test_health_report_summary_shape(self):
         report = HealthReport()

@@ -1,8 +1,9 @@
 """Parity suite: streaming analysis passes == batch report analyses.
 
 Every pass-based analysis must produce results identical to its batch
-``JigsawReport`` counterpart — on the small and building scenarios,
-and with ``materialize=False`` — plus the satellites: in-order exchange
+``JigsawReport`` counterpart — on the small scenario, and with
+``materialize=False`` — and equal to the values the pre-rewrite batch
+implementations produced, plus the satellites: in-order exchange
 emission and the experiment run-cache config fingerprint.
 """
 
@@ -428,29 +429,3 @@ class TestPreRewriteGolden:
         assert coverage_projection(
             report.passes["wired_coverage"]
         ) == g["coverage_rows"]
-
-
-@pytest.fixture(scope="module")
-def building_setup():
-    """The paper-shaped deployment (compressed): the acceptance scenario."""
-    from repro.experiments.common import building_config
-
-    config = building_config(seed=7, duration_us=4_000_000)
-    artifacts = run_scenario(config)
-    report = JigsawPipeline().run(
-        artifacts.radio_traces,
-        clock_groups=artifacts.clock_groups(),
-        passes=list(make_passes(config, artifacts.wired_trace).values()),
-    )
-    return config, artifacts, report
-
-
-class TestStreamingParityBuilding:
-    def test_inline_passes_match_batch(self, building_setup):
-        config, artifacts, report = building_setup
-        assert_all_equal(
-            report.passes, batch_results(report, artifacts, config)
-        )
-        assert report.passes["summary"].jframes > 10_000
-        assert report.passes["interference"].n_pairs > 0
-        assert report.passes["tcp_loss"].n_flows > 0

@@ -143,20 +143,6 @@ class TestExchangeRefTrimming:
             for f in batch.flows
         ]
 
-    def test_trim_can_be_disabled(self, pipelined):
-        artifacts, _ = pipelined
-        report = JigsawPipeline().run(
-            artifacts.radio_traces,
-            clock_groups=artifacts.clock_groups(),
-            materialize=False,
-            trim_exchange_refs=False,
-        )
-        assert any(
-            obs.exchange is not None
-            for f in report.flows
-            for obs in f.observations
-        )
-
 
 class TestPartitionBehaviour:
     def test_sparse_fleet_partitions_or_degrades(self):

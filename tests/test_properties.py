@@ -4,29 +4,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import DST, SRC, record_for
 from repro.core.sync.bootstrap import bootstrap_synchronization
 from repro.core.sync.skew import ClockTrack
-from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
-from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
-from repro.jtrace.records import RecordKind, TraceRecord
 from repro.monitor.clock import RadioClock
 from repro.sim.scenario import ClockConfig
-
-
-def record_for(frame, radio_id, ts):
-    raw = frame_to_bytes(frame)
-    return TraceRecord(
-        radio_id=radio_id, timestamp_us=ts, kind=RecordKind.VALID,
-        channel=1, rate_mbps=11.0, rssi_dbm=-60.0, frame_len=len(raw),
-        fcs=int.from_bytes(raw[-4:], "little"), snap=raw[:200],
-        duration_us=100,
-    )
-
-
-SRC = MacAddress.parse("00:0c:0c:00:00:01")
-DST = MacAddress.parse("00:0a:0a:00:00:01")
 
 
 class TestClockProperties:

@@ -9,6 +9,7 @@ identical traces, even after unrelated components are reconfigured — and
 
 import pytest
 
+from helpers import fingerprints
 from repro.core.analysis import (
     ActivityPass,
     BroadcastAirtimePass,
@@ -144,26 +145,9 @@ class TestFamilyMatrix:
         report = JigsawPipeline().run(
             streamed.traces, clock_groups=streamed.clock_groups()
         )
-        assert _fingerprints(report.jframes) == _fingerprints(batch.jframes)
+        assert fingerprints(report.jframes) == fingerprints(batch.jframes)
         assert report.unification.stats.jframes == batch.unification.stats.jframes
         assert len(report.flows) == len(batch.flows)
-
-
-def _fingerprints(jframes):
-    return [
-        (
-            jf.timestamp_us,
-            jf.kind,
-            jf.channel,
-            jf.frame_len,
-            jf.fcs,
-            tuple(
-                (i.radio_id, i.local_us, i.universal_us)
-                for i in jf.instances
-            ),
-        )
-        for jf in jframes
-    ]
 
 
 class TestFamilySignals:

@@ -3,57 +3,18 @@
 ``stream_scenario`` must feed ``JigsawPipeline.run`` through the same
 single-read ``StreamingRadioTrace`` interface trace files use, producing
 output bit-identical — jframe for jframe — to materializing the run with
-``run_scenario`` and piping the traces in afterwards.  The building
-scenario is the acceptance case.
+``run_scenario`` and piping the traces in afterwards.  The family matrix
+(``tests/test_scenario_registry.py``) holds the same parity on every
+registered family.
 """
 
 import pytest
 
+from helpers import assert_reports_identical
 from repro.core.pipeline import JigsawPipeline
 from repro.jtrace.io import StreamingRadioTrace
 from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.stream import stream_scenario
-
-
-def fingerprints(jframes):
-    return [
-        (
-            jf.timestamp_us,
-            jf.kind,
-            jf.channel,
-            jf.frame_len,
-            jf.fcs,
-            jf.rate_mbps,
-            jf.duration_us,
-            jf.dispersion_us,
-            None if jf.transmitter is None else jf.transmitter.value,
-            tuple(
-                (i.radio_id, i.local_us, i.universal_us)
-                for i in jf.instances
-            ),
-        )
-        for jf in jframes
-    ]
-
-
-def assert_reports_identical(streamed_report, batch_report):
-    assert fingerprints(streamed_report.jframes) == fingerprints(
-        batch_report.jframes
-    )
-    s, b = streamed_report.unification.stats, batch_report.unification.stats
-    assert (s.records_in, s.jframes, s.instances_unified, s.resyncs) == (
-        b.records_in,
-        b.jframes,
-        b.instances_unified,
-        b.resyncs,
-    )
-    assert [str(f.key) for f in streamed_report.flows] == [
-        str(f.key) for f in batch_report.flows
-    ]
-    assert (
-        streamed_report.bootstrap.offsets_us
-        == batch_report.bootstrap.offsets_us
-    )
 
 
 class TestStreamedScenario:
@@ -123,25 +84,3 @@ class TestLazyExecution:
     def test_chunk_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_us"):
             stream_scenario(ScenarioConfig.tiny(), chunk_us=0)
-
-
-class TestBuildingScenarioParity:
-    def test_building_bit_parity(self):
-        """The acceptance case: the paper-shaped building scenario,
-        streamed sim ingest bit-identical to the materialized path.
-
-        Duration is compressed (the building *shape* is what matters:
-        full fleet, 4 floors, channels 1/6/11, diurnal + microwave) to
-        keep the double simulation affordable in the tier-1 suite.
-        """
-        config = ScenarioConfig.building(seed=7, duration_us=2_000_000)
-        artifacts = run_scenario(config)
-        batch = JigsawPipeline().run(
-            artifacts.radio_traces, clock_groups=artifacts.clock_groups()
-        )
-        streamed = stream_scenario(config)
-        report = JigsawPipeline().run(
-            streamed.traces, clock_groups=streamed.clock_groups()
-        )
-        assert_reports_identical(report, batch)
-        assert report.unification.stats.jframes > 1_000

@@ -1,11 +1,11 @@
-"""Property tests: sharded/streaming unification ≡ batch unification.
+"""Property tests: the shard coordinator and the partition it merges.
 
-The sharded streaming engine must produce jframe-for-jframe identical
-output — timestamps, kinds, instance sets, dispersion, resync counts — to
-the batch ``Unifier.unify()`` through every API (generator stream, a
-repeated batch merge, a pickled-and-resumed engine or shard
-coordinator), on randomized
-multi-channel building-style traces.
+However the merge is sliced into calls, and wherever it is pickled and
+restored, the output is the one uninterrupted batch merge's; the stream
+is time-ordered and lazy; and ``partition_traces`` hands the merge
+channel shards on legacy input and (building, channel) leaves on
+stamped campus input.  Randomized multi-channel building-style traces
+and a tiny four-building campus are the inputs.
 """
 
 import pickle
@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sync.bootstrap import BootstrapResult
+from helpers import jframe_fingerprint
+from repro.core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from repro.core.unify import Unifier, partition_traces
 from repro.core.unify.unifier import _MergeEngine
 from repro.dot11.address import MacAddress
@@ -24,6 +25,8 @@ from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service.daemon import SLICE
+from repro.sim.campus import run_campus
+from repro.sim.registry import scenario_config
 
 
 def _record(radio_id, ts, channel, raw=None, kind=RecordKind.VALID,
@@ -104,24 +107,6 @@ def random_building_traces(seed, n_channels=3, radios_per_channel=3,
     return traces, BootstrapResult(offsets_us=offsets)
 
 
-def jframe_fingerprint(jf):
-    return (
-        jf.timestamp_us,
-        jf.kind,
-        jf.channel,
-        jf.frame_len,
-        jf.fcs,
-        jf.rate_mbps,
-        jf.duration_us,
-        jf.dispersion_us,
-        None if jf.transmitter is None else jf.transmitter.value,
-        tuple(
-            (inst.radio_id, inst.local_us, inst.universal_us)
-            for inst in jf.instances
-        ),
-    )
-
-
 def stats_fingerprint(stats):
     return (
         stats.records_in,
@@ -141,24 +126,6 @@ def tracks_fingerprint(tracks):
               t.skew_samples)
         for rid, t in tracks.items()
     }
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_all_execution_modes_identical(seed):
-    traces, bootstrap = random_building_traces(seed)
-    batch = Unifier().unify(traces, bootstrap)
-    reference = [jframe_fingerprint(jf) for jf in batch.jframes]
-    assert reference, "generator produced an empty scenario"
-    assert any(jf.n_instances >= 2 for jf in batch.jframes)
-    assert batch.stats.resyncs > 0, "scenario must exercise resynchronization"
-
-    streamed = list(Unifier().iter_unify(traces, bootstrap))
-    assert [jframe_fingerprint(jf) for jf in streamed] == reference
-
-    serial = Unifier().unify(traces, bootstrap)
-    assert [jframe_fingerprint(jf) for jf in serial.jframes] == reference
-    assert stats_fingerprint(serial.stats) == stats_fingerprint(batch.stats)
-    assert tracks_fingerprint(serial.tracks) == tracks_fingerprint(batch.tracks)
 
 
 def test_stream_is_time_ordered_and_lazy():
@@ -249,15 +216,54 @@ def test_stream_ordered_with_tiny_search_window(window):
     assert count == len(unifier.unify(traces, bootstrap).jframes)
 
 
-def test_unsynchronized_radio_skipped_in_sharded():
-    traces, bootstrap = random_building_traces(21)
-    dropped = traces[0].radio_id
-    del bootstrap.offsets_us[dropped]
-    batch = Unifier().unify(traces, bootstrap)
-    sharded = Unifier().unify(traces, bootstrap)
-    assert batch.stats.records_skipped_unsynchronized == len(traces[0])
-    assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
-    assert dropped not in sharded.tracks
+N_BUILDINGS = 4
+
+
+def stripped(traces):
+    """The same records with the locality stamps removed (legacy input)."""
+    return [RadioTrace(t.radio_id, t.channel, t.records) for t in traces]
+
+
+@pytest.fixture(scope="module")
+def campus():
+    return run_campus(
+        scenario_config("campus", "tiny", seed=17, n_buildings=N_BUILDINGS)
+    )
+
+
+@pytest.fixture(scope="module")
+def bootstrap(campus):
+    result = bootstrap_synchronization(
+        campus.traces, clock_groups=campus.clock_groups
+    )
+    # Stamped fleets default to island_mode="local": every building is
+    # its own expected reference island, nobody gets quarantined off a
+    # "primary" building's timeline.
+    assert result.quarantined == {}
+    assert sorted(len(i) for i in result.islands) == sorted(
+        len([t for t in campus.traces if t.building_id == b])
+        for b in range(N_BUILDINGS)
+    )
+    return result
+
+
+@pytest.fixture(scope="module")
+def reference(campus, bootstrap):
+    """The stamped merge: (building, channel) leaves."""
+    return Unifier().unify(campus.traces, bootstrap)
+
+
+@pytest.fixture(scope="module")
+def stripped_reference(campus, bootstrap):
+    """The legacy merge: locality stamps removed, channel shards only.
+
+    Not bit-identical to ``reference`` — and that is a feature, pinned by
+    ``test_hierarchy_confines_headless_attachment``: mixed channel shards
+    let a headless corrupt record attach to a timestamp-adjacent group
+    from a *different building*, which (building, channel) leaves
+    preclude.  Valid-frame assembly is partition-independent either way.
+    """
+    return Unifier().unify(stripped(campus.traces), bootstrap)
 
 
 class TestPartition:
@@ -290,19 +296,63 @@ class TestPartition:
         shards = partition_traces([empty])
         assert shards == [[empty]]
 
+    # --- stamped campus input: (building, channel) leaves -------------------
 
-def test_small_simulation_equivalence():
-    """End-to-end: the simulator's multi-channel fleet, all modes agree."""
-    from repro.sim import ScenarioConfig, run_scenario
-    from repro.core.sync.bootstrap import bootstrap_synchronization
+    def test_campus_plan_is_building_major(self, campus):
+        shards = partition_traces(campus.traces)
+        localities = [{t.building_id for t in shard} for shard in shards]
+        # Every leaf sits inside one building; buildings come in order.
+        assert all(len(loc) == 1 for loc in localities)
+        order = [loc.pop() for loc in localities]
+        assert order == sorted(order)
+        assert set(order) == set(range(N_BUILDINGS))
+        # One leaf per (building, channel) pair actually present.
+        pairs = {
+            (t.building_id, t.channel) for t in campus.traces if len(t)
+        }
+        assert len(shards) >= len(pairs)
+        assert sorted(t.radio_id for shard in shards for t in shard) == sorted(
+            t.radio_id for t in campus.traces
+        )
 
-    artifacts = run_scenario(ScenarioConfig.small(seed=97))
-    bootstrap = bootstrap_synchronization(
-        artifacts.radio_traces, clock_groups=artifacts.clock_groups()
-    )
-    batch = Unifier().unify(artifacts.radio_traces, bootstrap)
-    sharded = Unifier().unify(artifacts.radio_traces, bootstrap)
-    assert [jframe_fingerprint(jf) for jf in sharded.jframes] == [
-        jframe_fingerprint(jf) for jf in batch.jframes
-    ]
-    assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
+    def test_legacy_plan_falls_back_to_channels(self, campus):
+        shards = partition_traces(stripped(campus.traces))
+        assert len(shards) == len({t.channel for t in campus.traces})
+        # Channel shards span buildings: no locality confinement left.
+        by_radio = {t.radio_id: t.building_id for t in campus.traces}
+        assert all(
+            len({by_radio[t.radio_id] for t in shard}) == N_BUILDINGS
+            for shard in shards
+        )
+
+    def test_mixed_stamps_fall_back_to_channels(self, campus):
+        """partition_traces is all-or-nothing on locality: one unstamped
+        trace must demote the whole plan (never a half-hierarchy)."""
+        traces = list(campus.traces)
+        traces[0] = RadioTrace(
+            traces[0].radio_id, traces[0].channel, traces[0].records
+        )
+        assert [
+            [t.radio_id for t in shard] for shard in partition_traces(traces)
+        ] == [
+            [t.radio_id for t in shard]
+            for shard in partition_traces(stripped(campus.traces))
+        ]
+
+    def test_hierarchy_confines_headless_attachment(
+        self, reference, stripped_reference
+    ):
+        """The one sanctioned divergence between the stamped and legacy
+        partitions: a corrupt record whose header is unparseable attaches
+        to the timestamp-nearest open group *in its shard*.  Mixed
+        channel shards can pick a group from another building; locality
+        leaves cannot, so the hierarchy emits at least as many jframes
+        (the strays front their own groups).  Re-partitioning only moves
+        records between groups — it never drops or duplicates one — so
+        the total instance count is conserved."""
+        assert len(reference.jframes) >= len(stripped_reference.jframes)
+
+        def instances(result):
+            return sum(len(jf.instances) for jf in result.jframes)
+
+        assert instances(reference) == instances(stripped_reference)
