@@ -15,14 +15,17 @@ and interference passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf, itemgetter
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType
 from ...jtrace.io import RadioTrace
-from ...jtrace.records import RecordKind
+from ...jtrace.records import RecordKind, TraceRecord
 from ..passes import PassContext, PipelinePass, run_passes
 from ..pipeline import JigsawReport
+
+_KIND = itemgetter(TraceRecord._fields.index("kind"))
 
 
 @dataclass
@@ -146,11 +149,8 @@ class SummaryPass(PipelinePass):
         clients, aps = self._tracker.finish()
         traces = context.traces
         total_events = sum(len(trace) for trace in traces)
-        error_events = sum(
-            1
-            for trace in traces
-            for record in trace
-            if record.kind is not RecordKind.VALID
+        error_events = total_events - sum(
+            countOf(map(_KIND, trace), RecordKind.VALID) for trace in traces
         )
         stats = context.unify_stats
         return TraceSummary(

@@ -45,13 +45,17 @@ import logging
 from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import is_, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...jtrace.io import RadioTrace, StreamingRadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
-from .refs import ReferenceKey, reference_key
+from .refs import _REFERENCE_VERDICTS, ReferenceKey, reference_verdict
 
 logger = logging.getLogger(__name__)
+
+_KIND = itemgetter(TraceRecord._fields.index("kind"))
 
 #: Default bootstrap examination window ("the first second of data").
 DEFAULT_BOOTSTRAP_WINDOW_US = 1_000_000
@@ -197,18 +201,25 @@ class _BootstrapShard:
         """
         sets = self.sets
         order = self.order
-        ref_key = reference_key
-        valid = RecordKind.VALID
+        verdict_get = _REFERENCE_VERDICTS.get
         seen = 0
-        for idx in range(lo, hi):
+        # Most of a building's records are PHY errors or corrupt
+        # captures; the VALID ones are picked out at C speed.
+        valid = map(
+            is_, map(_KIND, islice(records, lo, hi)), repeat(RecordKind.VALID)
+        )
+        for idx in compress(range(lo, hi), valid):
             record = records[idx]
-            # Most of a building's records are PHY errors or corrupt
-            # captures; skip them without the call.
-            if record.kind is not valid:
+            # One verdict per distinct capture: a probe, and a parse
+            # only the first time these bytes are seen.
+            snap = record.snap
+            frame_len = record.frame_len
+            eligible = verdict_get((snap, frame_len))
+            if eligible is None:
+                eligible = reference_verdict(record)
+            if not eligible:
                 continue
-            key = ref_key(record)
-            if key is None:
-                continue
+            key = (frame_len, record.fcs, snap)
             seen += 1
             members = sets.get(key)
             if members is None:

@@ -65,18 +65,43 @@ def parse_record_frame(record: TraceRecord) -> Optional[Frame]:
     return frame
 
 
+#: Reference eligibility per capture content, keyed like
+#: :data:`_PARSE_CACHE` and bounded the same way: does the capture parse
+#: into a sequence-carrying frame with its retry bit clear?  It holds
+#: the verdict, never the reference key — ``fcs`` is not part of the
+#: probe, and two transmissions' truncated snaps can share a prefix.
+_REFERENCE_VERDICTS: Dict[Tuple[bytes, int], bool] = {}
+
+
+def reference_verdict(record: TraceRecord) -> bool:
+    """Whether a VALID capture's frame can serve as a reference.
+
+    Each distinct ``(snap, frame_len)`` is classified once; callers
+    check the record kind first.
+    """
+    probe = (record.snap, record.frame_len)
+    verdict = _REFERENCE_VERDICTS.get(probe)
+    if verdict is None:
+        frame = parse_record_frame(record)
+        verdict = bool(
+            frame is not None
+            and frame.ftype.carries_sequence
+            and not frame.retry
+        )
+        verdicts = _REFERENCE_VERDICTS
+        if len(verdicts) >= _PARSE_CACHE_LIMIT:
+            del verdicts[next(iter(verdicts))]  # oldest inserted
+        verdicts[probe] = verdict
+    return verdict
+
+
 def reference_key(record: TraceRecord) -> Optional[ReferenceKey]:
     """The synchronization reference key for a record, if it qualifies.
 
     Requirements: a VALID capture of a sequence-carrying frame whose retry
     bit is clear.  Returns ``None`` otherwise.
     """
-    if record.kind is not RecordKind.VALID:
-        return None
-    frame = parse_record_frame(record)
-    if frame is None:
-        return None
-    if not frame.ftype.carries_sequence or frame.retry:
+    if record.kind is not RecordKind.VALID or not reference_verdict(record):
         return None
     return (record.frame_len, record.fcs, record.snap)
 

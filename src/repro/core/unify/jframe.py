@@ -11,23 +11,25 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Any, List, Optional, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import Frame
-from ...jtrace.records import TraceRecord
+from ...jtrace.records import RecordKind, TraceRecord
 
 
 @dataclass(slots=True)
 class Instance:
     """One radio's observation of a transmission.
 
-    ``frame`` caches the parse of a VALID record's snap: every record is
-    decoded at most once, when it is popped from the merge queue.
-
-    One :class:`Instance` is created per trace record, so construction is
-    on the merge hot path — ``slots=True`` keeps it allocation-cheap (and
-    drops the frozen-dataclass ``object.__setattr__`` overhead).
+    A read-side view: a jframe stores its observations as columns and
+    builds these on the first read of :attr:`JFrame.instances`.
+    ``frame`` is the jframe's parsed frame for a VALID record (every
+    VALID capture in a jframe carries the same bytes) and ``None``
+    otherwise.
     """
 
     radio_id: int
@@ -36,25 +38,10 @@ class Instance:
     record: TraceRecord
     frame: Optional[Frame] = None
 
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Tuple state, not the default slots state dict.  Only the merge
-        # engines' *open* groups pickle bare instances; a finalized
-        # jframe writes its instances as one flat run (JFrame.__reduce__).
-        return (
-            Instance,
-            (
-                self.radio_id,
-                self.local_us,
-                self.universal_us,
-                self.record,
-                self.frame,
-            ),
-        )
 
-
-#: Values one instance contributes to a pickled jframe's flat run: the
-#: four :class:`Instance` scalars, then the record's eleven fields.
-_RUN_STRIDE = 4 + len(TraceRecord._fields)
+#: Values one record contributes to a pickled jframe's flat run.
+_RECORD_STRIDE = len(TraceRecord._fields)
+_TRUTH_TXID = itemgetter(TraceRecord._fields.index("truth_txid"))
 
 
 class JFrameKind(enum.Enum):
@@ -71,12 +58,19 @@ class JFrame:
     hardware stamps a frame once it has fully arrived (Section 3.3's 1 us
     Atheros capture clock does exactly this).  ``start_us`` subtracts the
     airtime back out for analyses that need occupancy intervals.
+
+    The observations are three parallel columns, one entry per instance
+    in merge order: ``radio_ids``, ``universal_us`` (each instance's
+    universal timestamp) and ``records``.  :attr:`instances` builds the
+    per-instance view from them on first read and keeps it.
     """
 
     timestamp_us: int
     kind: JFrameKind
     channel: int
-    instances: List[Instance]
+    radio_ids: List[int]
+    universal_us: List[float]
+    records: List[TraceRecord]
     frame: Optional[Frame] = None          # parsed representative (VALID only)
     frame_len: int = 0
     fcs: int = 0
@@ -86,20 +80,13 @@ class JFrame:
     transmitter: Optional[MacAddress] = None
 
     def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # The ten scalars plus one flat list: per instance ``radio_id,
-        # local_us, universal_us, frame`` then the record's fields.  A
-        # checkpoint holds tens of thousands of retained instances; as
-        # objects each costs a Python-level reduce call and two tuples
-        # for the pickler to memoise, as a run they cost their values.
-        # A finalized jframe owns its instance list exclusively, so no
-        # sharing is severed; the jframe itself is still one memo entry.
-        run: List[Any] = []
-        extend = run.extend
-        for inst in self.instances:
-            extend(
-                (inst.radio_id, inst.local_us, inst.universal_us, inst.frame)
-            )
-            extend(inst.record)
+        # The ten scalars, the two scalar columns and one flat run of
+        # record fields.  A checkpoint holds tens of thousands of
+        # retained records; as objects each costs a Python-level reduce
+        # call and a tuple for the pickler to memoise, as a run they
+        # cost their values.  A finalized jframe owns its columns
+        # exclusively, so no sharing is severed; the jframe itself is
+        # still one memo entry.  A built :attr:`instances` is not kept.
         return (
             _rebuild_jframe,
             (
@@ -113,17 +100,37 @@ class JFrame:
                 self.duration_us,
                 self.dispersion_us,
                 self.transmitter,
-                run,
+                self.radio_ids,
+                self.universal_us,
+                list(chain.from_iterable(self.records)),
             ),
         )
 
+    @cached_property
+    def instances(self) -> List[Instance]:
+        """One :class:`Instance` per observation, built on first read."""
+        valid = RecordKind.VALID
+        frame = self.frame
+        return [
+            Instance(
+                radio_id,
+                record.timestamp_us,
+                universal,
+                record,
+                frame if record.kind is valid else None,
+            )
+            for radio_id, universal, record in zip(
+                self.radio_ids, self.universal_us, self.records
+            )
+        ]
+
     @property
     def n_instances(self) -> int:
-        return len(self.instances)
+        return len(self.records)
 
     @property
     def radios(self) -> List[int]:
-        return [instance.radio_id for instance in self.instances]
+        return list(self.radio_ids)
 
     @property
     def end_us(self) -> int:
@@ -143,10 +150,8 @@ class JFrame:
         The Jigsaw pipeline never consults this; evaluation code uses it to
         score unification against the simulator's oracle.
         """
-        counts = Counter(
-            inst.record.truth_txid
-            for inst in self.instances
-            if inst.record.truth_txid
+        counts: Counter[int] = Counter(
+            filter(None, map(_TRUTH_TXID, self.records))
         )
         if not counts:
             return 0
@@ -171,30 +176,29 @@ def _rebuild_jframe(
     duration_us: int,
     dispersion_us: float,
     transmitter: Optional[MacAddress],
+    radio_ids: List[int],
+    universal_us: List[float],
     run: List[Any],
 ) -> JFrame:
-    """Unpickle a jframe from its scalars and flat instance run.
+    """Unpickle a jframe from its scalars, columns and flat record run.
 
     Every record goes back through the validating ``TraceRecord(...)``
     constructor, exactly as when records pickled themselves.
     """
-    if len(run) % _RUN_STRIDE:
-        raise ValueError("jframe run is not a whole number of instances")
-    instances = [
-        Instance(
-            run[i],
-            run[i + 1],
-            run[i + 2],
-            TraceRecord(*run[i + 4:i + _RUN_STRIDE]),
-            run[i + 3],
-        )
-        for i in range(0, len(run), _RUN_STRIDE)
+    n = len(radio_ids)
+    if len(universal_us) != n or len(run) != n * _RECORD_STRIDE:
+        raise ValueError("jframe columns disagree on the instance count")
+    records = [
+        TraceRecord(*run[i:i + _RECORD_STRIDE])
+        for i in range(0, len(run), _RECORD_STRIDE)
     ]
     return JFrame(
         timestamp_us,
         kind,
         channel,
-        instances,
+        radio_ids,
+        universal_us,
+        records,
         frame,
         frame_len,
         fcs,

@@ -49,13 +49,15 @@ loop.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
+from itertools import compress, islice, repeat
+from operator import countOf, is_, itemgetter
 from typing import (
     Callable,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -65,13 +67,19 @@ from typing import (
 )
 
 from ...dot11.address import MacAddress
+from ...dot11.frame import Frame
 from ...dot11.serialize import transmitter_from_corrupt_bytes
 from ...jtrace.io import RadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
 from ..sync.bootstrap import BootstrapResult
-from ..sync.refs import _PARSE_CACHE, ReferenceKey, parse_record_frame
+from ..sync.refs import (
+    _PARSE_CACHE,
+    ReferenceKey,
+    parse_record_frame,
+    reference_verdict,
+)
 from ..sync.skew import ClockTrack
-from .jframe import Instance, JFrame, JFrameKind
+from .jframe import JFrame, JFrameKind
 
 #: Paper defaults: 10 ms search window, 10 us resync threshold.
 DEFAULT_SEARCH_WINDOW_US = 10_000
@@ -88,6 +96,11 @@ _INF = float("inf")
 #: vanishes, small enough that a lazy consumer holds a sliver of the
 #: shard.
 _BATCH_SLICE = 1024
+
+#: Record field readers for C-speed ``map`` walks over record lists.
+_KIND = itemgetter(TraceRecord._fields.index("kind"))
+_CHANNEL = itemgetter(TraceRecord._fields.index("channel"))
+_TIMESTAMP = itemgetter(TraceRecord._fields.index("timestamp_us"))
 
 
 @dataclass
@@ -131,41 +144,51 @@ class UnificationResult:
 
 
 class _Group:
-    """An open (not yet finalized) jframe under construction."""
+    """An open (not yet finalized) jframe under construction.
+
+    Holds the jframe's columns (``radio_ids``, ``universal_us``,
+    ``records``); finalizing hands them over as they are.
+    """
 
     __slots__ = (
         "first_universal",
         "channel",
         "key",
-        "instances",
+        "radio_ids",
+        "universal_us",
+        "records",
         "rep_record",
         "rep_frame",
         "transmitter",
         "radios",
-        "is_reference",
     )
 
     def __init__(
         self,
-        instance: Instance,
+        radio_id: int,
+        universal: float,
+        record: TraceRecord,
         channel: int,
         key: Optional[ReferenceKey],
         rep_record: Optional[TraceRecord],
         transmitter: Optional[MacAddress],
     ) -> None:
-        self.first_universal = instance.universal_us
+        self.first_universal = universal
         self.channel = channel
         self.key = key
-        self.instances = [instance]
+        self.radio_ids = [radio_id]
+        self.universal_us = [universal]
+        self.records = [record]
         self.rep_record = rep_record
-        self.rep_frame = None
+        self.rep_frame: Optional[Frame] = None
         self.transmitter = transmitter
-        self.radios = {instance.radio_id}
-        self.is_reference = False
+        self.radios = {radio_id}
 
-    def add(self, instance: Instance) -> None:
-        self.instances.append(instance)
-        self.radios.add(instance.radio_id)
+    def add(self, radio_id: int, universal: float, record: TraceRecord) -> None:
+        self.radio_ids.append(radio_id)
+        self.universal_us.append(universal)
+        self.records.append(record)
+        self.radios.add(radio_id)
 
 
 def partition_traces(traces: Sequence[RadioTrace]) -> List[List[RadioTrace]]:
@@ -225,7 +248,7 @@ def _partition_by_channel(
             # the merge can even start.
             channels.update(declared)
         else:
-            channels.update(r.channel for r in trace.records)
+            channels.update(map(_CHANNEL, trace.records))
         trace_channels.append(frozenset(channels))
         # Union-by-min makes the final roots order-independent, but the
         # sorted walk keeps every intermediate parent table identical
@@ -418,7 +441,6 @@ class _MergeEngine:
         kind_corrupt = RecordKind.CORRUPT
         heappush, heappop = heapq.heappush, heapq.heappop
         heapreplace = heapq.heapreplace
-        inst_new = Instance.__new__
 
         # One entry per radio: (est universal, tiebreak, radio, record,
         # next index, track generation at push time, track, cursor).  The
@@ -437,7 +459,7 @@ class _MergeEngine:
         budget = -1 if max_records is None else max_records
         try:
             if self._primed < len(self.cursors):
-                for radio_id, cursor in itertools.islice(
+                for radio_id, cursor in islice(
                     self.cursors.items(), self._primed, None
                 ):
                     first = cursor.get(0)
@@ -513,29 +535,6 @@ class _MergeEngine:
                 else:
                     universal = track.universal_us(record.timestamp_us)
 
-                kind = record.kind
-                if kind is kind_valid:
-                    # parse_record_frame's hit path, inlined: a valid record
-                    # always satisfies its kind/snap preconditions, so a bare
-                    # cache probe replaces the call for the common repeat
-                    # (control frames and duplicate receptions).
-                    cached = parse_cache_get(
-                        (record.snap, record.frame_len), False
-                    )
-                    frame = (
-                        cached if cached is not False else parse_frame(record)
-                    )
-                else:
-                    frame = None
-                # Instance(...), with the dataclass-__init__ call layer
-                # peeled off: five slot stores per record.
-                instance = inst_new(Instance)
-                instance.radio_id = radio_id
-                instance.local_us = record.timestamp_us
-                instance.universal_us = universal
-                instance.record = record
-                instance.frame = frame
-
                 if universal > oldest_deadline:
                     oldest_deadline = finalize_stale(universal, reorder)
                     bound = universal - emit_lag
@@ -545,18 +544,36 @@ class _MergeEngine:
                         emitted.append(heappop(reorder)[2])
 
                 # --- placement (inlined: once per record) -----------------
+                # A group's columns grow by three appends; no per-record
+                # object is built.
                 channel = record.channel
+                kind = record.kind
                 if kind is kind_valid:
-                    key = (channel, record.frame_len, record.fcs, record.snap)
+                    snap = record.snap
+                    frame_len = record.frame_len
+                    key = (channel, frame_len, record.fcs, snap)
                     group = open_by_key.get(key)
                     if (
                         group is not None
                         and radio_id not in group.radios
                         and universal - group.first_universal <= gap_limit
                     ):
-                        group.instances.append(instance)
+                        group.radio_ids.append(radio_id)
+                        group.universal_us.append(universal)
+                        group.records.append(record)
                         group.radios.add(radio_id)
                         continue
+                    # Opening or upgrading a group is the one place a
+                    # capture is parsed: a joining capture's frame is its
+                    # group's, since the key holds (snap, frame_len).
+                    # parse_record_frame's hit path, inlined: a valid
+                    # record always satisfies its kind/snap preconditions,
+                    # so a bare cache probe replaces the call for the
+                    # common repeat (control frames, duplicate receptions).
+                    cached = parse_cache_get((snap, frame_len), False)
+                    frame = (
+                        cached if cached is not False else parse_frame(record)
+                    )
                     transmitter = None
                     if frame is not None:
                         # CTS-to-self carries the sender in RA; a plain
@@ -566,31 +583,36 @@ class _MergeEngine:
                     # A valid capture may complete a group opened by a corrupt
                     # or PHY-error observation of the same transmission.
                     upgrade = find_attachable(
-                        instance, open_by_channel[channel],
+                        universal, radio_id, open_by_channel[channel],
                         corrupt_attach, need_headless=True,
                     )
                     if upgrade is not None:
-                        upgrade.add(instance)
+                        upgrade.add(radio_id, universal, record)
                         upgrade.key = key
                         upgrade.rep_record = record
                         upgrade.rep_frame = frame
                         upgrade.transmitter = transmitter
                         open_by_key[key] = upgrade
                         continue
-                    group = _Group(instance, channel, key, record, transmitter)
+                    group = _Group(
+                        radio_id, universal, record, channel, key, record,
+                        transmitter,
+                    )
                     group.rep_frame = frame
                     open_by_key[key] = group
                 elif kind is kind_corrupt:
                     transmitter = transmitter_from_corrupt_bytes(record.snap)
                     existing = find_attachable(
-                        instance, open_by_channel[channel],
+                        universal, radio_id, open_by_channel[channel],
                         corrupt_attach, transmitter=transmitter,
                     )
                     if existing is not None:
-                        existing.instances.append(instance)
-                        existing.radios.add(radio_id)
+                        existing.add(radio_id, universal, record)
                         continue
-                    group = _Group(instance, channel, None, None, transmitter)
+                    group = _Group(
+                        radio_id, universal, record, channel, None, None,
+                        transmitter,
+                    )
                 else:  # PHY_ERROR
                     # _find_attachable, inlined for its hottest caller (PHY
                     # errors are half the fleet's records): the transmitter
@@ -613,10 +635,14 @@ class _MergeEngine:
                             best = g
                             best_gap = gap
                     if best is not None:
-                        best.instances.append(instance)
+                        best.radio_ids.append(radio_id)
+                        best.universal_us.append(universal)
+                        best.records.append(record)
                         best.radios.add(radio_id)
                         continue
-                    group = _Group(instance, channel, None, None, None)
+                    group = _Group(
+                        radio_id, universal, record, channel, None, None, None
+                    )
 
                 open_by_channel[channel].append(group)
                 open_order.append(group)
@@ -651,7 +677,8 @@ class _MergeEngine:
 
     def _find_attachable(
         self,
-        instance: Instance,
+        universal: float,
+        radio_id: int,
         channel_groups: deque,
         window_us: float,
         transmitter: Optional[MacAddress] = None,
@@ -666,8 +693,6 @@ class _MergeEngine:
         """
         best: Optional[_Group] = None
         best_gap = window_us
-        universal = instance.universal_us
-        radio_id = instance.radio_id
         for group in reversed(channel_groups):
             gap = universal - group.first_universal
             if gap > window_us:
@@ -728,17 +753,25 @@ class _MergeEngine:
         # Timing (median, dispersion, resync) uses only FCS-good instances:
         # corrupt and PHY-error attachments identify *which* radios saw the
         # event but their timestamps are not synchronization-grade.
-        kind_valid = RecordKind.VALID
-        instances = group.instances
-        timing_instances = [
-            inst for inst in instances if inst.record.kind is kind_valid
-        ] or instances
-        n_timing = len(timing_instances)
+        # A group holds a VALID capture exactly when it has a
+        # representative; without one every instance times it.
+        rep = group.rep_record
+        records = group.records
+        times = group.universal_us
+        # Which instances time the jframe; None means all of them.
+        timing: Optional[List[bool]] = None
+        if rep is not None and len(records) > 1:
+            kind_valid = RecordKind.VALID
+            kinds = list(map(_KIND, records))
+            if countOf(kinds, kind_valid) < len(kinds):
+                timing = list(map(is_, kinds, repeat(kind_valid)))
+                times = list(compress(times, timing))
+        n_timing = len(times)
         if n_timing == 1:
-            timestamp = timing_instances[0].universal_us
+            timestamp = times[0]
             dispersion = 0.0
         else:
-            times = sorted(inst.universal_us for inst in timing_instances)
+            times = sorted(times)
             mid = n_timing // 2
             if unifier.use_median_timestamp:
                 if n_timing % 2:
@@ -749,7 +782,6 @@ class _MergeEngine:
                 timestamp = sum(times) / n_timing
             dispersion = times[-1] - times[0]
 
-        rep = group.rep_record
         if rep is not None:
             kind = JFrameKind.VALID
             frame = group.rep_frame
@@ -757,10 +789,8 @@ class _MergeEngine:
             duration = rep.duration_us
         else:
             frame = None
-            any_record = instances[0].record
-            if any(
-                inst.record.kind is RecordKind.CORRUPT for inst in instances
-            ):
+            any_record = records[0]
+            if RecordKind.CORRUPT in map(_KIND, records):
                 kind = JFrameKind.CORRUPT
             else:
                 kind = JFrameKind.PHY_ERROR
@@ -772,25 +802,28 @@ class _MergeEngine:
             duration = any_record.duration_us
 
         # Resynchronize contributing clocks — unique frames only, gated on
-        # the dispersion threshold (Section 4.2's accuracy/overhead trade).
-        rep_frame = group.rep_frame
+        # the dispersion threshold (Section 4.2's accuracy/overhead trade);
+        # "unique" is the bootstrap's own reference verdict.
         if (
             rep is not None
-            and rep_frame is not None
             and n_timing >= 2
             and dispersion >= unifier.resync_threshold_us
-            and rep_frame.ftype.carries_sequence
-            and not rep_frame.retry
+            and reference_verdict(rep)
         ):
             tracks = self.tracks
-            for inst in timing_instances:
-                track = tracks.get(inst.radio_id)
+            radio_ids: Iterable[int] = group.radio_ids
+            locals_us: Iterable[int] = map(_TIMESTAMP, records)
+            if timing is not None:
+                radio_ids = compress(radio_ids, timing)
+                locals_us = compress(locals_us, timing)
+            for radio_id, local_us in zip(radio_ids, locals_us):
+                track = tracks.get(radio_id)
                 if track is not None:
-                    track.resync(inst.local_us, timestamp)
+                    track.resync(local_us, timestamp)
                     stats.resyncs += 1
 
         stats.jframes += 1
-        stats.instances_unified += len(instances)
+        stats.instances_unified += len(records)
         if kind is JFrameKind.VALID:
             stats.valid_jframes += 1
         elif kind is JFrameKind.CORRUPT:
@@ -802,7 +835,9 @@ class _MergeEngine:
             timestamp_us=int(round(timestamp)),
             kind=kind,
             channel=group.channel,
-            instances=instances,
+            radio_ids=group.radio_ids,
+            universal_us=group.universal_us,
+            records=records,
             frame=frame,
             frame_len=frame_len,
             fcs=fcs,

@@ -39,7 +39,8 @@ import struct
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import islice, pairwise
+from itertools import islice
+from operator import itemgetter, le
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
@@ -61,6 +62,14 @@ _T = TypeVar("_T")
 
 #: Chunk size for streaming decompression (1 MiB of decompressed bytes).
 _READ_CHUNK_BYTES = 1 << 20
+
+_TIMESTAMP = itemgetter(TraceRecord._fields.index("timestamp_us"))
+
+
+def _locally_ordered(records: List[TraceRecord], start: int = 0) -> bool:
+    """Whether ``records[start:]`` are in local-time order (a C-speed walk)."""
+    stamps = list(map(_TIMESTAMP, islice(records, start, None)))
+    return all(map(le, stamps, islice(stamps, 1, None)))
 
 
 class ErrorPolicy(str, enum.Enum):
@@ -180,7 +189,7 @@ class RadioTrace:
         that mutate the result must therefore copy explicitly.
         """
         records = self.records
-        if all(a.timestamp_us <= b.timestamp_us for a, b in pairwise(records)):
+        if _locally_ordered(records):
             return self
         ordered = sorted(records, key=lambda r: r.timestamp_us)
         return RadioTrace(
@@ -410,10 +419,7 @@ class StreamingRadioTrace:
             self._source = None
             if buffer:
                 self._last_ts = buffer[-1].timestamp_us
-            if self._ordered and any(
-                a.timestamp_us > b.timestamp_us
-                for a, b in pairwise(islice(buffer, validate_from, None))
-            ):
+            if self._ordered and not _locally_ordered(buffer, validate_from):
                 self._ordered = False
         if not self._ordered:
             if self._prefix_consumed:

@@ -4,15 +4,16 @@ A checkpoint is one pickle of a :class:`CheckpointState` — the shard
 coordinator (engines and their FIFOs), drive, ledger and counters
 serialized as a **single object graph**.  One graph matters: the merge
 engines, the assemblers and the materialized jframes share objects
-(instances, tracks, attempts), and the assemblers' ``id()``-keyed
+(jframes, tracks, attempts), and the assemblers' ``id()``-keyed
 working sets are rebuilt from object identity on restore.  Pickling pieces separately would sever that
 sharing and the restored daemon would silently diverge.
 
 Within that graph a finalized :class:`~repro.core.unify.jframe.JFrame`
-— almost all of a checkpoint's bulk — writes its instances as one flat
-run of field values (it owns that list exclusively), so a checkpoint
-costs what the records it keeps cost, not one object walk per record;
-restore rebuilds every record through the validating constructor.
+— almost all of a checkpoint's bulk — writes its radio-id and
+universal-time columns plus its records as one flat run of field values
+(it owns those columns exclusively), so a checkpoint costs what the
+records it keeps cost, not one object walk per record; restore rebuilds
+every record through the validating constructor.
 
 On-disk format::
 
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 

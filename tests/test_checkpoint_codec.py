@@ -136,13 +136,13 @@ def empty_state(total_consumed=0):
     )
 
 
-def write_framed(path, payload):
+def write_framed(path, payload, version=CHECKPOINT_VERSION):
     """A checkpoint file whose header is right in every respect."""
     path.write_bytes(
         struct.pack(
             "<4sIIQ",
             CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
+            version,
             zlib.crc32(payload) & 0xFFFFFFFF,
             len(payload),
         )
@@ -185,7 +185,7 @@ class TestLoadRefusesWhatDoesNotUnpickle:
     ):
         rebuild, args = unify_one(RecordKind.VALID).__reduce__()
         run = args[-1]
-        snap_at = 4 + TraceRecord._fields.index("snap")
+        snap_at = TraceRecord._fields.index("snap")
         assert run[snap_at] == RAW[:200]
         run[snap_at] = b"x" * (CAPTURE_SNAP_BYTES + 65)
         state = empty_state()
@@ -195,6 +195,17 @@ class TestLoadRefusesWhatDoesNotUnpickle:
         with pytest.raises(CheckpointError, match="snap exceeds") as err:
             load_checkpoint(path)
         assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_version_6_checkpoint_is_refused(tmp_path):
+    """Version 6 pickled jframes as instance runs and merge groups as
+    instance lists; this build reads neither, so it refuses the version
+    before unpickling anything."""
+    assert CHECKPOINT_VERSION == 7
+    path = tmp_path / "v6.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=6)
+    with pytest.raises(CheckpointError, match="version 6"):
+        load_checkpoint(path)
 
 
 class TestSaveIsAtomicInFailure:

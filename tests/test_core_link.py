@@ -3,7 +3,7 @@
 
 from repro.core.link.attempt import AttemptAssembler
 from repro.core.link.exchange import ExchangeAssembler
-from repro.core.unify.jframe import Instance, JFrame, JFrameKind
+from repro.core.unify.jframe import JFrame, JFrameKind
 from repro.dot11.address import BROADCAST, MacAddress
 from repro.dot11.frame import make_ack, make_cts_to_self, make_data
 from repro.dot11.rates import (
@@ -36,7 +36,7 @@ def jf(frame, end_us, rate=RATE_11, channel=1, txid=0):
     )
     return JFrame(
         timestamp_us=end_us, kind=JFrameKind.VALID, channel=channel,
-        instances=[Instance(0, end_us, float(end_us), record)],
+        radio_ids=[0], universal_us=[float(end_us)], records=[record],
         frame=frame, frame_len=len(raw),
         fcs=record.fcs, rate_mbps=rate.mbps, duration_us=duration,
         transmitter=frame.transmitter,

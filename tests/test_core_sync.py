@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import DST, SRC, data_frame, record_for
-from repro.core.sync.bootstrap import bootstrap_synchronization
+from repro.core.sync.bootstrap import _BootstrapShard, bootstrap_synchronization
 from repro.core.sync.refs import parse_record_frame, reference_key
 from repro.core.sync.skew import ClockTrack
 from repro.dot11.frame import make_ack, make_beacon
@@ -146,6 +146,22 @@ class TestBootstrap:
         widened = bootstrap_synchronization([t0, t1], auto_widen=True)
         assert widened.fully_synchronized
         assert widened.window_us > 1_000_000
+
+    def test_shared_truncated_prefix_stays_two_reference_sets(self):
+        """Eligibility is classified once per (snap, frame_len), a probe
+        without the FCS: two transmissions whose truncated snaps share a
+        prefix share that verdict, never a reference set."""
+        first = data_frame(seq=3, body=b"z" * 300 + b"1")
+        second = data_frame(seq=3, body=b"z" * 300 + b"2")
+        a = record_for(first, 0, 1000)
+        b = record_for(second, 1, 1005)
+        assert (a.snap, a.frame_len) == (b.snap, b.frame_len)
+        assert a.frame_len > len(a.snap) and a.fcs != b.fcs
+        shard = _BootstrapShard()
+        shard.feed_slice([a], 0, 1, 0, 0)
+        shard.feed_slice([b], 0, 1, 1, 1)
+        assert shard.seen == 2
+        assert list(shard.sets.values()) == [{0: 1000}, {1: 1005}]
 
     def test_empty_traces(self):
         result = bootstrap_synchronization([RadioTrace(0, 1), RadioTrace(1, 1)],

@@ -8,7 +8,7 @@ from repro.core.transport.inference import (
     LossCause,
     TransportInference,
 )
-from repro.core.unify.jframe import Instance, JFrame, JFrameKind
+from repro.core.unify.jframe import JFrame, JFrameKind
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.rates import RATE_11, frame_airtime_us
@@ -63,7 +63,7 @@ def tcp_exchange(
     )
     jframe = JFrame(
         timestamp_us=t_end, kind=JFrameKind.VALID, channel=1,
-        instances=[Instance(0, t_end, float(t_end), record)],
+        radio_ids=[0], universal_us=[float(t_end)], records=[record],
         frame=frame, frame_len=len(raw), fcs=record.fcs,
         rate_mbps=11.0, duration_us=duration, transmitter=frame.transmitter,
     )
@@ -156,7 +156,8 @@ class TestFlowCollection:
         duration = frame_airtime_us(frame.size_bytes, RATE_11)
         jframe = JFrame(
             timestamp_us=1000, kind=JFrameKind.VALID, channel=1,
-            instances=[], frame=frame, duration_us=duration,
+            radio_ids=[], universal_us=[], records=[], frame=frame,
+            duration_us=duration,
         )
         attempt = TransmissionAttempt(STA, AP, data=jframe)
         junk = FrameExchange(STA, AP, attempts=[attempt])

@@ -1,8 +1,6 @@
 """Tests for frame unification: synthetic cases plus simulator integration."""
 
-import copyreg
-import dataclasses
-import io
+import copy
 import pickle
 
 import pytest
@@ -252,42 +250,30 @@ class TestResynchronization:
         assert result.stats.resyncs > 0
 
 
-def test_instance_pickles_as_tuple_state_sharing_its_graph():
-    """Two instances of one transmission share ``frame`` (the parse
-    cache hands both the same object); inside one ``pickle.dumps`` that
-    sharing — and each record's identity with any other reference to it
-    — must survive: checkpoints rely on the single object graph."""
+def test_instances_are_built_once_on_first_read():
+    """A jframe holds columns; ``.instances`` is a view built on first
+    read and kept.  Counting, listing radios, pickling and copying read
+    the columns and leave it unbuilt."""
     frame = data_frame()
     trace_a = RadioTrace(1, 1, [record_for(frame, 1, 1000)])
     trace_b = RadioTrace(2, 1, [record_for(frame, 2, 1001)])
     result = Unifier().unify([trace_a, trace_b], perfect_bootstrap([1, 2]))
     (jframe,) = result.jframes
-    a, b = jframe.instances
-    assert a.frame is b.frame is not None
+    assert jframe.n_instances == 2 and jframe.radios == [1, 2]
+    loaded = pickle.loads(pickle.dumps(jframe))
+    copied = copy.copy(jframe)
+    assert "instances" not in vars(jframe)
 
-    a2, b2, rec_a, rec_b = pickle.loads(
-        pickle.dumps([a, b, a.record, b.record])
-    )
-    assert type(a2) is Instance
-    assert dataclasses.astuple(a2) == dataclasses.astuple(a)
-    assert dataclasses.astuple(b2) == dataclasses.astuple(b)
-    assert a2.record is rec_a and b2.record is rec_b
-    assert a2.frame is b2.frame
-
-    # The NEWOBJ + slot-state layout still loads.
-    class OldLayout(pickle.Pickler):
-        def reducer_override(self, obj):
-            if type(obj) is Instance:
-                slots = {f.name: getattr(obj, f.name)
-                         for f in dataclasses.fields(obj)}
-                return copyreg.__newobj__, (Instance,), (None, slots)
-            return NotImplemented
-
-    buffer = io.BytesIO()
-    OldLayout(buffer, pickle.HIGHEST_PROTOCOL).dump(a)
-    assert dataclasses.astuple(pickle.loads(buffer.getvalue())) == (
-        dataclasses.astuple(a)
-    )
+    built = jframe.instances
+    assert jframe.instances is built
+    a, b = built
+    assert type(a) is Instance
+    assert (a.radio_id, a.local_us, a.record) == (1, 1000, trace_a.records[0])
+    assert (b.radio_id, b.local_us, b.record) == (2, 1001, trace_b.records[0])
+    assert a.frame is b.frame is jframe.frame is not None
+    # A copy builds its own view from the same columns.
+    assert copied.instances == built and copied.instances is not built
+    assert [i.frame for i in loaded.instances] == [loaded.frame] * 2
 
 
 @pytest.fixture(scope="module")

@@ -410,7 +410,7 @@ class TestMergeBacklog:
                 retry=retry,
             )
             data = JFrame(
-                end_us, JFrameKind.VALID, 1, [], frame=frame,
+                end_us, JFrameKind.VALID, 1, [], [], [], frame=frame,
                 duration_us=100, transmitter=src,
             )
             return TransmissionAttempt(src, access_point, data=data)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analysis.visualize import busiest_window, render_timeline
-from repro.core.unify.jframe import Instance, JFrame, JFrameKind
+from repro.core.unify.jframe import JFrame, JFrameKind
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.jtrace.records import RecordKind, TraceRecord
@@ -14,19 +14,21 @@ DST = MacAddress.parse("00:0a:0a:00:00:01")
 
 def jframe_at(ts, radio_ids, kind=RecordKind.VALID):
     frame = make_data(SRC, DST, DST, seq=1, body=b"x")
-    instances = []
-    for radio_id in radio_ids:
-        record = TraceRecord(
+    records = [
+        TraceRecord(
             radio_id=radio_id, timestamp_us=ts, kind=kind, channel=1,
             rate_mbps=11.0, rssi_dbm=-60.0, frame_len=10, fcs=0,
             snap=b"abcdef" if kind is not RecordKind.PHY_ERROR else b"",
             duration_us=100,
         )
-        instances.append(Instance(radio_id, ts, float(ts), record))
+        for radio_id in radio_ids
+    ]
     return JFrame(
         timestamp_us=ts,
         kind=JFrameKind.VALID if kind is RecordKind.VALID else JFrameKind.PHY_ERROR,
-        channel=1, instances=instances, frame=frame, duration_us=100,
+        channel=1, radio_ids=list(radio_ids),
+        universal_us=[float(ts)] * len(records), records=records,
+        frame=frame, duration_us=100,
     )
 
 
