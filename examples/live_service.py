@@ -63,7 +63,10 @@ def main() -> None:
         print(f"  watermark at death: {daemon.watermark_us / 1e3:.0f} ms")
         print(f"  windows already published: {len(daemon.published_windows)}"
               " (live output — no finish() involved)")
-        print(f"  checkpoints on disk: {daemon.checkpoints_written}")
+        print(f"  checkpoints on disk: {daemon.checkpoints_written} "
+              f"(serve() blocked {daemon.checkpoint_seconds_total * 1e3:.1f} ms "
+              f"by them; the writers spent "
+              f"{daemon.checkpoint_writer_cpu_s * 1e3:.1f} ms of CPU)")
 
         # --- phase 2: restore and run to end of stream ---------------
         restored = JigsawDaemon.restore(

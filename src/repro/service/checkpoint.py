@@ -51,7 +51,8 @@ _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
 
 class CheckpointError(RuntimeError):
-    """The checkpoint file is foreign, damaged or of another version."""
+    """The checkpoint file is foreign, damaged or of another version,
+    or the daemon's writer failed to write one."""
 
 
 @dataclass

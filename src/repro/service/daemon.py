@@ -25,6 +25,13 @@ Determinism is the load-bearing property, and it rests on two legs:
    incarnation passes through, so the uninterrupted run provably visits
    the exact state a restored run starts from.
 
+A checkpoint leaves the critical path by ``fork``: the child pickles
+the copy-on-write snapshot of the boundary's state into a pending file
+while the parent goes back to merging, and the parent publishes it
+(``os.replace`` onto ``checkpoint_path``) when it reaps the child.
+Where ``os.fork`` is missing the same writer runs inline and goes
+through the same publication.
+
 Batch and daemon differ only in record source, checkpoint cadence and
 window sealing.
 
@@ -36,6 +43,8 @@ The feed protocol: ``next_record(radio_id) -> Optional[TraceRecord]``
 
 from __future__ import annotations
 
+import gc
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -50,7 +59,12 @@ from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
 from ..jtrace.io import RadioTrace
 from ..jtrace.records import TraceRecord
-from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    CheckpointState,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 #: Default checkpoint cadence, in consumed records.
 DEFAULT_CHECKPOINT_EVERY = 2_000
@@ -66,8 +80,42 @@ DEFAULT_CHECKPOINT_EVERY = 2_000
 SLICE = 64
 
 
+#: Bytes of a failed writer's exception text its pipe carries: one
+#: atomic pipe write, so the writer never blocks on an unread pipe.
+_ERROR_TEXT_MAX = 4096
+
+
 class _Killed(Exception):
     """``stop_after_records`` reached: unwinds the drive loop mid-slice."""
+
+
+def _write_pending(pending: Path, state: CheckpointState) -> str:
+    """The one checkpoint writer: ``state`` into ``pending``.
+
+    Returns the failure as text, ``""`` on success, so a forked writer
+    can hand it to its parent; ``save_checkpoint`` has already removed
+    its temp file when it fails.
+    """
+    try:
+        save_checkpoint(pending, state)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ""
+
+
+@dataclass
+class _Writer:
+    """A checkpoint write not yet published.
+
+    A forked writer has its ``pid`` and the read end of the pipe its
+    exception text comes back on; an inline one (``pid`` 0) has already
+    run and holds its outcome in ``error``.
+    """
+
+    pending: Path
+    pid: int = 0
+    errors_fd: int = -1
+    error: str = ""
 
 
 @dataclass
@@ -84,10 +132,17 @@ class ServiceReport:
     report: JigsawReport
     published: List[SealedWindow] = field(default_factory=list)
     checkpoints_written: int = 0
-    #: Size of the last checkpoint file written (0 if none was).
+    #: Size of the last checkpoint file published (0 if none was).
     checkpoint_bytes_last: int = 0
-    #: Wall time this incarnation spent building and writing checkpoints.
+    #: Wall time ``serve()`` was blocked by checkpoints in this
+    #: incarnation: state build, fork, waits on writers and publication
+    #: (the whole write, where it runs inline).
     checkpoint_seconds_total: float = 0.0
+    #: CPU seconds (user + sys) the forked writers spent; 0 inline.
+    checkpoint_writer_cpu_s: float = 0.0
+    #: Largest writer ``ru_maxrss`` in KiB, pages shared with the daemon
+    #: included; 0 inline.
+    checkpoint_writer_peak_rss_kb: int = 0
     resumed: bool = False
 
     def published_for(self, pass_name: str) -> List[SealedWindow]:
@@ -135,6 +190,9 @@ class JigsawDaemon:
         self._checkpoints_written = 0
         self._checkpoint_bytes_last = 0
         self._checkpoint_seconds_total = 0.0
+        self._checkpoint_writer_cpu_s = 0.0
+        self._checkpoint_writer_peak_rss_kb = 0
+        self._writer: Optional[_Writer] = None
 
     # --- observability -----------------------------------------------------
 
@@ -159,13 +217,24 @@ class JigsawDaemon:
 
     @property
     def checkpoint_bytes_last(self) -> int:
-        """Size of the last checkpoint this incarnation wrote (0: none)."""
+        """Size of the last checkpoint this incarnation published (0: none)."""
         return self._checkpoint_bytes_last
 
     @property
     def checkpoint_seconds_total(self) -> float:
-        """Wall time this incarnation has spent writing checkpoints."""
+        """Wall time checkpoints have blocked this incarnation's
+        ``serve()``: state build, fork, writer waits and publication."""
         return self._checkpoint_seconds_total
+
+    @property
+    def checkpoint_writer_cpu_s(self) -> float:
+        """User + sys CPU seconds of the reaped forked writers (0 inline)."""
+        return self._checkpoint_writer_cpu_s
+
+    @property
+    def checkpoint_writer_peak_rss_kb(self) -> int:
+        """Largest reaped writer's ``ru_maxrss`` in KiB (0 inline)."""
+        return self._checkpoint_writer_peak_rss_kb
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -222,6 +291,11 @@ class JigsawDaemon:
         daemon returns ``None`` immediately — mid-slice, with no final
         checkpoint, no flushing, no cleanup.  Recovery is whatever the
         last periodic checkpoint captured, exactly as a real kill.
+
+        Every return — report, simulated kill or a raising source —
+        first waits for the checkpoint writer in flight and publishes
+        it, so the file on disk is the last boundary's checkpoint.  A
+        writer that failed raises :class:`CheckpointError` there.
 
         A daemon reports once: ``serve()`` after the report was returned
         raises :class:`RuntimeError` and changes nothing.
@@ -314,18 +388,23 @@ class JigsawDaemon:
         """
         merge, drive = self._merge, self._drive
         assert merge is not None and drive is not None
-        while not merge.finished:
-            released = merge.step(SLICE)
-            if released:
-                for jframe in released:
-                    drive.feed(jframe)
-                self._publish(drive.seal_ready())
-            if (
-                self.checkpoint_path is not None
-                and self._total_consumed - self._last_checkpoint_at
-                >= self.checkpoint_every
-            ):
-                self._write_checkpoint()
+        try:
+            while not merge.finished:
+                released = merge.step(SLICE)
+                if released:
+                    for jframe in released:
+                        drive.feed(jframe)
+                    self._publish(drive.seal_ready())
+                if self._writer is not None:
+                    self._reap(block=False)
+                if (
+                    self.checkpoint_path is not None
+                    and self._total_consumed - self._last_checkpoint_at
+                    >= self.checkpoint_every
+                ):
+                    self._write_checkpoint()
+        finally:
+            self._reap(block=True)
 
     def _publish(self, sealed: Sequence[SealedWindow]) -> None:
         """At-least-once publication with a dedup ledger.
@@ -340,7 +419,12 @@ class JigsawDaemon:
                 self._published[window.key] = window
 
     def _write_checkpoint(self) -> None:
+        """Capture this boundary's state and hand it to a writer: a
+        forked child where ``os.fork`` exists, else the same writer
+        inline.  One writer at a time, so the previous one is reaped
+        first and the ordinal is the published count plus one."""
         assert self.checkpoint_path is not None
+        self._reap(block=True)
         started = time.perf_counter()
         state = CheckpointState(
             consumed=self.feed.consumed(),
@@ -358,12 +442,88 @@ class JigsawDaemon:
             published=list(self._published.values()),
             checkpoints_written=self._checkpoints_written + 1,
         )
-        self._checkpoint_bytes_last = save_checkpoint(
-            self.checkpoint_path, state
-        )
-        self._checkpoints_written += 1
         self._last_checkpoint_at = self._total_consumed
+        self._writer = self._start_writer(state)
         self._checkpoint_seconds_total += time.perf_counter() - started
+
+    def _pending(self, pid: int) -> Path:
+        """The file writer ``pid`` fills: never shared with a writer an
+        earlier, killed incarnation left running."""
+        assert self.checkpoint_path is not None
+        return self.checkpoint_path.with_name(
+            f"{self.checkpoint_path.name}.{pid}.pending"
+        )
+
+    def _start_writer(self, state: CheckpointState) -> _Writer:
+        if not hasattr(os, "fork"):
+            pending = self._pending(os.getpid())
+            return _Writer(pending, error=_write_pending(pending, state))
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            # The writer: encode, write, fsync, exit — never return into
+            # the daemon.  A collection here would walk (and so copy)
+            # every page the snapshot shares with the parent.
+            status = 1
+            try:
+                gc.disable()
+                os.close(read_end)
+                error = _write_pending(self._pending(os.getpid()), state)
+                os.write(write_end, error.encode()[:_ERROR_TEXT_MAX])
+                status = 1 if error else 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        return _Writer(self._pending(pid), pid=pid, errors_fd=read_end)
+
+    def _reap(self, block: bool) -> None:
+        """Publish the writer in flight once it is done (waiting for it
+        if ``block``): its pending file replaces ``checkpoint_path``,
+        then the counters advance, so counter and file always agree.  A
+        failed writer's pending file is removed, the previous checkpoint
+        stays, and :class:`CheckpointError` carries its exception."""
+        writer, path = self._writer, self.checkpoint_path
+        if writer is None:
+            return
+        assert path is not None
+        started = time.perf_counter()
+        try:
+            error = writer.error
+            if writer.pid:
+                pid, status, usage = os.wait4(
+                    writer.pid, 0 if block else os.WNOHANG
+                )
+                if pid == 0:
+                    return
+                error = os.read(writer.errors_fd, _ERROR_TEXT_MAX).decode(
+                    errors="replace"
+                )
+                os.close(writer.errors_fd)
+                code = os.waitstatus_to_exitcode(status)
+                if code and not error:
+                    error = f"writer exited with status {code}"
+                self._checkpoint_writer_cpu_s += usage.ru_utime + usage.ru_stime
+                self._checkpoint_writer_peak_rss_kb = max(
+                    self._checkpoint_writer_peak_rss_kb, usage.ru_maxrss
+                )
+            self._writer = None
+            ordinal = self._checkpoints_written + 1
+            if error:
+                writer.pending.unlink(missing_ok=True)
+                raise CheckpointError(
+                    f"{path}: checkpoint {ordinal} was not written ({error})"
+                )
+            size = writer.pending.stat().st_size
+            os.replace(writer.pending, path)
+            self._checkpoints_written = ordinal
+            self._checkpoint_bytes_last = size
+        finally:
+            self._checkpoint_seconds_total += time.perf_counter() - started
 
     # --- completion --------------------------------------------------------
 
@@ -395,6 +555,8 @@ class JigsawDaemon:
             checkpoints_written=self._checkpoints_written,
             checkpoint_bytes_last=self._checkpoint_bytes_last,
             checkpoint_seconds_total=self._checkpoint_seconds_total,
+            checkpoint_writer_cpu_s=self._checkpoint_writer_cpu_s,
+            checkpoint_writer_peak_rss_kb=self._checkpoint_writer_peak_rss_kb,
             resumed=self._resumed,
         )
 

@@ -13,12 +13,18 @@ Parity says a daemon run ends in the right state; liveness says it
   next) stays bounded by the scheduling slice, not by records consumed,
   and what the exchange assembler retains by its horizons;
 * the checkpoint counters advance with every checkpoint written;
+* a checkpoint written by a forked writer is byte for byte the one the
+  inline writer writes, a writer that fails surfaces as
+  :class:`CheckpointError` with the previous checkpoint intact, and a
+  killed daemon leaves on disk the last boundary's checkpoint;
 * a source that stops producing trips a deterministic idle limit
   (:class:`ServiceStalled`) instead of deadlocking the daemon.
 """
 
 import io
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,7 @@ from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service import (
+    CheckpointError,
     JigsawDaemon,
     QueueFeed,
     RadioQueue,
@@ -489,3 +496,153 @@ class TestStalledSource:
         feed = QueueFeed([1], lambda f, r: f.close_radio(1), idle_limit=5)
         assert feed.next_record(1) is None
         assert feed.next_record(1) is None
+
+
+class PoisonablePass(PipelinePass):
+    """A pass whose state stops pickling once ``poison`` is set."""
+
+    name = "poisonable"
+
+    def __init__(self):
+        self.poison = None
+
+    def finish(self, context):
+        return None
+
+
+class PoisoningFeed:
+    """Delegates to a feed and, at the ``after``-th record request, gives
+    ``target`` state no pickler can write."""
+
+    def __init__(self, feed, target, after):
+        self._feed = feed
+        self._target = target
+        self._after = after
+        self._requests = 0
+
+    def __getattr__(self, name):
+        return getattr(self._feed, name)
+
+    def next_record(self, radio_id):
+        self._requests += 1
+        if self._requests == self._after:
+            self._target.poison = (n for n in ())
+        return self._feed.next_record(radio_id)
+
+
+WRITER_EVERY = 1_500
+
+
+def flash_config():
+    return scenario_config("flash_crowd", "tiny", seed=13)
+
+
+def published_checkpoints(checkpoint, forked):
+    """Serve a tiny flash crowd to the end with the forked writer or,
+    with ``os.fork`` removed, the inline one; the bytes of every
+    checkpoint the daemon published, read as it renamed each into
+    place."""
+    published = []
+    replace = os.replace
+
+    def noting_replace(src, dst):
+        if Path(dst) == checkpoint:
+            published.append(Path(src).read_bytes())
+        replace(src, dst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not forked:
+            mp.delattr(os, "fork")
+        mp.setattr(os, "replace", noting_replace)
+        svc = JigsawDaemon(
+            live_feed(flash_config()),
+            checkpoint_path=checkpoint,
+            checkpoint_every=WRITER_EVERY,
+        ).serve()
+    assert svc is not None
+    assert svc.checkpoints_written == len(published)
+    assert checkpoint.read_bytes() == published[-1]
+    if forked:
+        assert svc.checkpoint_writer_cpu_s > 0.0
+        assert svc.checkpoint_writer_peak_rss_kb > 0
+    else:
+        assert svc.checkpoint_writer_cpu_s == 0.0
+        assert svc.checkpoint_writer_peak_rss_kb == 0
+    return published
+
+
+def loaded(raw, path):
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestCheckpointWriter:
+    @pytest.fixture(scope="class")
+    def published(self, tmp_path_factory):
+        return {
+            forked: published_checkpoints(
+                tmp_path_factory.mktemp("writer") / "svc.ckpt", forked
+            )
+            for forked in (True, False)
+        }
+
+    def test_forked_and_inline_writers_write_identical_files(
+        self, published, tmp_path
+    ):
+        forked, inline = published[True], published[False]
+        assert len(inline) >= 3
+        assert forked == inline
+        ordinals = [
+            loaded(raw, tmp_path / "c.ckpt").checkpoints_written
+            for raw in inline
+        ]
+        assert ordinals == list(range(1, len(inline) + 1))
+
+    def test_kill_leaves_the_last_boundary_on_disk(self, published, tmp_path):
+        """A kill returns only once the writer in flight is published:
+        one record after a boundary, its checkpoint is already the
+        file, and between two boundaries the earlier one is."""
+        files = published[True]
+        boundaries = [
+            loaded(raw, tmp_path / "c.ckpt").total_consumed for raw in files
+        ]
+        checkpoint = tmp_path / "svc.ckpt"
+        for k in (boundaries[0] + 1, (boundaries[1] + boundaries[2]) // 2):
+            daemon = JigsawDaemon(
+                live_feed(flash_config()),
+                checkpoint_path=checkpoint,
+                checkpoint_every=WRITER_EVERY,
+            )
+            assert daemon.serve(stop_after_records=k) is None
+            last = max(i for i, b in enumerate(boundaries) if b <= k)
+            assert load_checkpoint(checkpoint).total_consumed == boundaries[last]
+            assert checkpoint.read_bytes() == files[last]
+            assert daemon.checkpoints_written == last + 1
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    def test_failed_writer_raises_and_keeps_the_previous_checkpoint(
+        self, forked, tmp_path, monkeypatch
+    ):
+        """A pass that stops pickling after the first checkpoint: the
+        second writer fails, ``serve()`` raises with its exception, and
+        the first checkpoint is still the file, with nothing beside it."""
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        checkpoint = tmp_path / "svc.ckpt"
+        target = PoisonablePass()
+        daemon = JigsawDaemon(
+            PoisoningFeed(
+                live_feed(flash_config()), target, after=3 * WRITER_EVERY // 2
+            ),
+            passes=[target],
+            checkpoint_path=checkpoint,
+            checkpoint_every=WRITER_EVERY,
+        )
+        with pytest.raises(
+            CheckpointError, match="cannot pickle 'generator' object"
+        ):
+            daemon.serve()
+        assert daemon.checkpoints_written == 1
+        assert load_checkpoint(checkpoint).checkpoints_written == 1
+        assert [p.name for p in tmp_path.iterdir()] == [checkpoint.name]
