@@ -38,9 +38,8 @@ The bootstrap prepass
 (:func:`~repro.core.sync.bootstrap.bootstrap_synchronization`) is fused
 with ingest: each trace's records are consumed exactly once for the
 examination window — widening rounds feed only the delta — and
-file-backed :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode
-just that prefix before unification replays the buffered read.  Every
-trace is read once per run, not twice.
+file-backed streaming inputs decode just that prefix before unification
+replays the buffered read.  Every trace is read once per run, not twice.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..jtrace.io import RadioTrace, StreamingRadioTrace
+from ..jtrace.io import RadioTrace
 from .faults import HealthReport
 from .link.attempt import AttemptAssembler, AttemptStats, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, ExchangeStats, FrameExchange
@@ -305,15 +304,8 @@ def assemble_report(
 class JigsawPipeline:
     """traces -> bootstrap -> unify -> link -> transport (+ passes)."""
 
-    def __init__(
-        self,
-        unifier: Optional[Unifier] = None,
-        bootstrap_window_us: int = 1_000_000,
-        auto_widen_bootstrap: bool = True,
-    ) -> None:
+    def __init__(self, unifier: Optional[Unifier] = None) -> None:
         self.unifier = unifier or Unifier()
-        self.bootstrap_window_us = bootstrap_window_us
-        self.auto_widen_bootstrap = auto_widen_bootstrap
 
     def run(
         self,
@@ -330,10 +322,9 @@ class JigsawPipeline:
         ``bootstrap`` to skip that phase (ablations do).  Otherwise the
         prepass runs with single-read ingest: each trace's records are
         consumed exactly once for the bootstrap window (widening rounds
-        feed only the delta), and
-        :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just
-        that prefix before unification replays the buffer — no second
-        read of the trace.
+        feed only the delta), and streaming inputs decode just that
+        prefix before unification replays the buffer — no second read of
+        the trace.
 
         ``passes`` are :class:`~repro.core.passes.PipelinePass` instances
         driven inside the one-pass loop; each result lands in
@@ -346,25 +337,14 @@ class JigsawPipeline:
         started = time.perf_counter()
         check_pass_names(passes)
         # ``sorted_by_local_time`` returns the trace itself when records
-        # are already ordered (the common case), so this no longer copies
-        # every record list.  Streaming traces validate ordering during
-        # their (single) decode instead — sorting them here would force a
-        # full drain before bootstrap could overlap with ingest.
-        ordered = [
-            trace
-            if isinstance(trace, StreamingRadioTrace)
-            else trace.sorted_by_local_time()
-            for trace in traces
-        ]
+        # are already ordered (the common case), so this copies no record
+        # list; a streaming trace validates order as it is read and
+        # returns itself without draining.
+        ordered = [trace.sorted_by_local_time() for trace in traces]
         health = HealthReport()
         if bootstrap is None:
-            # The public attributes are read per run, so reconfiguring
-            # them (window, widening) between runs keeps working.
             bootstrap = bootstrap_synchronization(
-                ordered,
-                clock_groups=clock_groups,
-                window_us=self.bootstrap_window_us,
-                auto_widen=self.auto_widen_bootstrap,
+                ordered, clock_groups=clock_groups
             )
 
         # One pass: jframes stream out of the merge and straight through

@@ -26,10 +26,10 @@ Collection architecture
 Reference-set collection is *incremental and single-read*: one
 :class:`_BootstrapShard` accumulates the sets across auto-widen rounds,
 and each round feeds it only the records between the old and the new
-window limit (:func:`_window_cutoff` — one bisect per trace per round).
-File-backed :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode
-just the prefix the window needs and buffer it for unification to
-replay, so every trace is read once per run.  Arrival order is recorded
+window limit (:func:`_window_cutoff` — one ``buffered_until`` per trace
+per round).  File-backed streaming inputs decode just the prefix the
+window needs and buffer it for unification to replay, so every trace is
+read once per run.  Arrival order is recorded
 as absolute ``(trace position, record index)`` pairs, so incremental
 feeding reproduces a from-scratch collection at the final window exactly.
 
@@ -42,14 +42,13 @@ dict insertion order.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ...jtrace.io import RadioTrace, StreamingRadioTrace
+from ...jtrace.io import RadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
 from .refs import _REFERENCE_VERDICTS, ReferenceKey, reference_verdict
 
@@ -250,15 +249,7 @@ def _window_cutoff(
     first = trace.first_timestamp_us
     if first is None:
         return (), 0
-    limit = first + window_us
-    if isinstance(trace, StreamingRadioTrace):
-        return trace.buffered_until(limit)
-    records = trace.records
-    if lo < len(records) and records[-1].timestamp_us <= limit:
-        return records, len(records)
-    return records, bisect_right(
-        records, limit, lo=lo, key=lambda r: r.timestamp_us
-    )
+    return trace.buffered_until(first + window_us, lo)
 
 
 def _shared_sets(
@@ -348,8 +339,7 @@ def bootstrap_synchronization(
 
     Collection is incremental and single-read: every round feeds one
     :class:`_BootstrapShard` only the records between the old and the
-    new window limit, and file-backed
-    :class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just the
+    new window limit, and file-backed streaming inputs decode just the
     prefix the window needs (unification later replays the buffer).
     """
     if window_us <= 0:

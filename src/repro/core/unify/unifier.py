@@ -31,10 +31,10 @@ global timeline.  Each :meth:`~UnifyStream.step` advances the *laggard*
 — the unfinished shard with the lowest emission watermark — by a slice
 of records, and releases every queued jframe no shard can still precede,
 in (timestamp, shard) order: a stable k-way merge, discovered
-incrementally.  :meth:`Unifier.stream_unify` returns the coordinator,
-:meth:`Unifier.iter_unify` iterates it and :meth:`Unifier.unify` drains
-it into a :class:`UnificationResult`; iteration steps it
-:data:`_BATCH_SLICE` records at a time.  The service daemon holds one
+incrementally.  :meth:`Unifier.stream_unify` returns the coordinator
+(iterate it for jframes) and :meth:`Unifier.unify` drains it into a
+:class:`UnificationResult`; iteration steps it :data:`_BATCH_SLICE`
+records at a time.  The service daemon holds one
 over feed-backed cursors and steps it itself, a smaller slice at a time.
 Batch and daemon share the schedule and the release rule, not just the
 engine, and differ only in where records come from.
@@ -273,11 +273,11 @@ class _TraceCursor:
     A cursor is ``buffer`` (the records already in memory, possibly
     none) plus an optional ``produce(index)`` that returns record
     ``index`` or ``None`` at end of stream.  Materialized traces have
-    only the buffer.  Streaming traces decode on demand through
-    :meth:`~repro.jtrace.io.StreamingRadioTrace.ensure_index`, so the
-    merge pulls batches as its heap advances instead of draining every
-    trace before the first jframe.  The service daemon starts from an
-    empty buffer and binds ``produce`` to its feed.
+    only the buffer.  Streaming traces decode on demand through their
+    ``ensure_index``, so the merge pulls batches as its heap advances
+    instead of draining every trace before the first jframe.  The
+    service daemon starts from an empty buffer and binds ``produce`` to
+    its feed.
 
     ``counted`` is how many of this cursor's records ``records_in``
     already includes: a materialized trace is counted up front (its
@@ -1048,12 +1048,6 @@ class Unifier:
             bootstrap,
             [t.radio_id for t in traces],
         )
-
-    def iter_unify(
-        self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult
-    ) -> Iterator[JFrame]:
-        """Generator of globally time-ordered jframes (streaming API)."""
-        return iter(self.stream_unify(traces, bootstrap))
 
     def unify(
         self, traces: Sequence[RadioTrace], bootstrap: BootstrapResult

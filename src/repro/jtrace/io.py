@@ -4,8 +4,10 @@ jigdump "compresses them using the LZO algorithm to minimize storage and
 I/O overhead ... and generates a metadata index record to facilitate
 subsequent accesses.  Data and metadata are written to separate files"
 (Section 3.3).  We use gzip (LZO is not in the stdlib; the role — cheap
-stream compression — is identical) and a JSON sidecar index with record
-counts and the local-time range.
+stream compression — is identical) and a JSON sidecar index, written by
+:func:`write_sidecar` for clean and damaged captures alike: the radio's
+identity, its record count, its local-time range and the channels its
+records carry.
 
 Reading is streaming: :func:`iter_trace_records` context-manages the file
 handle and decodes chunk by chunk in constant memory, so day-long traces
@@ -20,8 +22,9 @@ point is imperfect.  Every reader accepts an :class:`ErrorPolicy`:
   historical behavior;
 * ``skip`` — corrupt or truncated records are skipped: the decoder
   resynchronizes to the next plausible record boundary (structural header
-  probe plus a successor-header confirmation), keeps decoding, and counts
-  what it lost in a :class:`DecodeHealth`;
+  probe, bounded by the sidecar's time range and channels, plus a
+  successor-header confirmation), keeps decoding, and counts what it
+  lost in a :class:`DecodeHealth`;
 * ``drop-trace`` — a damaged trace contributes nothing: the first decode
   error discards the whole trace (counted in the health), so one rotten
   capture cannot pollute a run that wants only pristine inputs.
@@ -31,23 +34,21 @@ Clean files decode byte-identically under every policy.
 
 from __future__ import annotations
 
-import base64
 import enum
 import gzip
 import json
-import struct
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import itemgetter, le
 from pathlib import Path
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .records import (
     FramedRun,
-    FramingHint,
     RecordBatch,
+    SidecarBound,
     TraceRecord,
     _HEADER,
     batch_from_records,
@@ -58,17 +59,15 @@ from .records import (
     record_to_bytes,
 )
 
-_T = TypeVar("_T")
-
 #: Chunk size for streaming decompression (1 MiB of decompressed bytes).
 _READ_CHUNK_BYTES = 1 << 20
 
 _TIMESTAMP = itemgetter(TraceRecord._fields.index("timestamp_us"))
 
 
-def _locally_ordered(records: List[TraceRecord], start: int = 0) -> bool:
-    """Whether ``records[start:]`` are in local-time order (a C-speed walk)."""
-    stamps = list(map(_TIMESTAMP, islice(records, start, None)))
+def _locally_ordered(records: List[TraceRecord]) -> bool:
+    """Whether ``records`` are in local-time order (a C-speed walk)."""
+    stamps = list(map(_TIMESTAMP, records))
     return all(map(le, stamps, islice(stamps, 1, None)))
 
 
@@ -134,19 +133,8 @@ def _meta_path(data_path: Path) -> Path:
     return data_path.with_name(data_path.name.replace(".jtr.gz", ".meta.json"))
 
 
-def _framing_hint_from_meta(
-    meta: dict, vectorized: bool = True
-) -> Optional[FramingHint]:
-    """The sidecar's record-boundary table, when the batch engine runs.
-
-    Older sidecars (no ``snap_lens_b64``) and the scalar engine get
-    ``None``; the batch framing scan then runs unassisted, exactly as
-    before the index existed.
-    """
-    packed = meta.get("snap_lens_b64")
-    if not vectorized or packed is None:
-        return None
-    return FramingHint.from_packed(base64.b64decode(packed))
+def _read_meta(data_path: Path) -> dict:
+    return json.loads(_meta_path(data_path).read_text())
 
 
 @dataclass
@@ -178,6 +166,17 @@ class RadioTrace:
     def last_timestamp_us(self) -> Optional[int]:
         return self.records[-1].timestamp_us if self.records else None
 
+    def buffered_until(
+        self, limit_us: int, lo: int = 0
+    ) -> Tuple[List[TraceRecord], int]:
+        """``(records, hi)``: ``records[:hi]`` have ``timestamp_us <=
+        limit_us``.  One bisect from ``lo`` (a lower bound on ``hi``) on
+        a local-time-ordered trace; see :meth:`sorted_by_local_time`."""
+        records = self.records
+        if records and records[-1].timestamp_us <= limit_us:
+            return records, len(records)
+        return records, bisect_right(records, limit_us, lo=lo, key=_TIMESTAMP)
+
     def sorted_by_local_time(self) -> "RadioTrace":
         """This trace in local-timestamp order.
 
@@ -200,31 +199,34 @@ class RadioTrace:
 class StreamingRadioTrace:
     """A radio trace that decodes its record stream lazily — and only once.
 
-    Duck-typed against :class:`RadioTrace` (``radio_id``, ``channel``,
-    ``records``, iteration, ``first_timestamp_us``,
-    ``sorted_by_local_time``), but the records come from a one-shot
-    source iterator (typically :func:`iter_trace_records` streaming off a
-    compressed file) through an internal tee: every record pulled is
-    buffered, so early consumers — the bootstrap prepass examining the
-    first second — read just the prefix they need, and later consumers
-    replay that buffer before continuing the same underlying read.  The
-    file is decoded exactly once no matter how many phases consume it.
+    Answers the same protocol as :class:`RadioTrace` (``radio_id``,
+    ``channel``, ``records``, iteration, ``first_timestamp_us``,
+    :meth:`buffered_until`, :meth:`sorted_by_local_time`), but the
+    records come from a one-shot source of :class:`RecordBatch` — the
+    decoder of :func:`iter_record_batches` streaming off a compressed
+    file, or a simulation handing over each slice it ran — through an
+    internal tee: every batch pulled is buffered, so early consumers —
+    the bootstrap prepass examining the first second — read just the
+    prefix they need, and later consumers replay that buffer before
+    continuing the same underlying read.  The source is read exactly
+    once no matter how many phases consume it.
 
-    * :meth:`buffered_until` — pull (and buffer) records up to a
+    * :meth:`buffered_until` — pull (and buffer) batches up to a
       local-time limit; the bootstrap window feed, including auto-widen
       rounds, costs only the prefix decode.
     * ``.records`` — drain the remainder and return the full list; from
       then on the trace behaves exactly like a materialized
       :class:`RadioTrace`.
 
-    Local-time ordering is validated during the single read (replacing
-    the separate full-trace scan ``sorted_by_local_time`` performs on
-    materialized traces).  Disorder encountered *before* any prefix has
-    been handed out downgrades to a full drain + sort (the same silent
-    semantics ``sorted_by_local_time`` gives materialized traces).
-    Disorder discovered *after* a consumer has gated on a prefix —
-    a record sorting into a window the bootstrap already examined —
-    raises ``ValueError`` instead: the single-read prepass cannot be
+    Local-time ordering is validated as each batch lands (its own
+    ``ts_sorted`` flag plus one boundary comparison), so
+    :meth:`sorted_by_local_time` has nothing left to check.  Disorder
+    encountered *before* any prefix has been handed out downgrades to a
+    full drain + sort (the same silent semantics
+    ``sorted_by_local_time`` gives materialized traces).  Disorder
+    discovered *after* a consumer has gated on a prefix — a record
+    sorting into a window the bootstrap already examined — raises
+    ``ValueError`` instead: the single-read prepass cannot be
     retroactively corrected, and a loud failure beats silently diverging
     from the materialized path.  Real capture files are written in
     local-time order; unordered inputs should go through
@@ -235,18 +237,12 @@ class StreamingRadioTrace:
         self,
         radio_id: int,
         channel: int,
-        source: Optional[Iterable[TraceRecord]] = None,
+        batch_source: Iterable[RecordBatch],
         decode_health: Optional[DecodeHealth] = None,
         *,
-        batch_source: Optional[Iterable[RecordBatch]] = None,
         channel_set: Optional[FrozenSet[int]] = None,
         building_id: Optional[int] = None,
     ) -> None:
-        if (source is None) == (batch_source is None):
-            raise ValueError(
-                "exactly one of source= (records) or batch_source= "
-                "(decoded batches) must be provided"
-            )
         self.radio_id = radio_id
         self.channel = channel
         #: Locality stamp from the metadata sidecar (None = unknown).
@@ -259,12 +255,7 @@ class StreamingRadioTrace:
         self.decode_health = (
             decode_health if decode_health is not None else DecodeHealth()
         )
-        self._source: Optional[Iterator[TraceRecord]] = (
-            iter(source) if source is not None else None
-        )
-        self._batches: Optional[Iterator[RecordBatch]] = (
-            iter(batch_source) if batch_source is not None else None
-        )
+        self._batches: Optional[Iterator[RecordBatch]] = iter(batch_source)
         self._buffer: List[TraceRecord] = []
         self._last_ts: Optional[int] = None
         self._ordered = True
@@ -275,58 +266,37 @@ class StreamingRadioTrace:
         #: silently truncated trace.
         self._failure: Optional[Exception] = None
 
-    def _next(self, source: Iterator[_T]) -> Optional[_T]:
-        """``next(source, None)``, remembering what the source raises."""
-        try:
-            return next(source, None)
-        except Exception as exc:
-            self._failure = exc
-            raise
-
-    def _pull(self) -> Optional[TraceRecord]:
-        if self._source is None:
-            return None
-        record = self._next(self._source)
-        if record is None:
-            self._source = None
-            return None
-        ts = record.timestamp_us
-        if self._last_ts is not None and ts < self._last_ts:
-            self._ordered = False
-        self._last_ts = ts
-        self._buffer.append(record)
-        return record
-
     def _pull_some(self) -> int:
-        """Extend the replay buffer by one pull; returns records gained.
+        """Extend the replay buffer by one non-empty batch; returns
+        records gained (0 at end of stream).
 
-        Record sources advance one record at a time (simulated sources
-        stay lazily coupled to the kernel); batch sources advance one
-        decoded batch at a time, validating order per batch plus one
-        boundary comparison instead of per record.
+        Order is validated per batch plus one boundary comparison
+        instead of per record.
         """
         if self._failure is not None:
             raise self._failure
-        if self._batches is not None:
-            while True:
-                batch = self._next(self._batches)
-                if batch is None:
-                    self._batches = None
-                    return 0
-                records = batch.records
-                if records:
-                    break
-            if (
-                self._last_ts is not None
-                and records[0].timestamp_us < self._last_ts
-            ):
-                self._ordered = False
-            if not batch.ts_sorted:
-                self._ordered = False
-            self._last_ts = records[-1].timestamp_us
-            self._buffer.extend(records)
-            return len(records)
-        return 0 if self._pull() is None else 1
+        if self._batches is None:
+            return 0
+        while True:
+            try:
+                batch = next(self._batches, None)
+            except Exception as exc:
+                self._failure = exc
+                raise
+            if batch is None:
+                self._batches = None
+                return 0
+            records = batch.records
+            if records:
+                break
+        if not batch.ts_sorted or (
+            self._last_ts is not None
+            and records[0].timestamp_us < self._last_ts
+        ):
+            self._ordered = False
+        self._last_ts = records[-1].timestamp_us
+        self._buffer.extend(records)
+        return len(records)
 
     def ensure_index(self, index: int) -> bool:
         """Pull until the replay buffer holds ``index``; False at EOF.
@@ -355,34 +325,27 @@ class StreamingRadioTrace:
             "it with read_trace()/sorted_by_local_time() instead"
         )
 
-    def buffered_until(self, limit_us: int) -> Tuple[List[TraceRecord], int]:
+    def buffered_until(
+        self, limit_us: int, lo: int = 0
+    ) -> Tuple[List[TraceRecord], int]:
         """Records with ``timestamp_us <= limit_us``, decoding on demand.
 
         Returns ``(buffer, hi)`` where ``buffer[:hi]`` is the prefix
-        within the limit; record sources decode at most one record
-        beyond the limit (the cursor for the next call or the eventual
-        drain), batch sources at most one batch beyond it.
+        within the limit (``lo`` is a lower bound on ``hi``, the answer
+        to an earlier, smaller limit); decodes at most one batch beyond
+        the limit.
         """
-        if (
-            (self._source is None and self._batches is None)
-            or not self._ordered
-        ):
-            records = self.records
-            hi = bisect_right(records, limit_us, key=lambda r: r.timestamp_us)
-            self._prefix_consumed = True
-            return records, hi
         buffer = self._buffer
-        while not buffer or buffer[-1].timestamp_us <= limit_us:
+        while self._ordered and (
+            not buffer or buffer[-1].timestamp_us <= limit_us
+        ):
             if self._pull_some() == 0:
-                if not self._ordered:
-                    return self.buffered_until(limit_us)
-                self._prefix_consumed = True
-                return buffer, len(buffer)
+                break
         if not self._ordered:
-            return self.buffered_until(limit_us)
+            buffer = self.records
         self._prefix_consumed = True
         return buffer, bisect_right(
-            buffer, limit_us, key=lambda r: r.timestamp_us
+            buffer, limit_us, lo=lo, key=_TIMESTAMP
         )
 
     @property
@@ -398,29 +361,8 @@ class StreamingRadioTrace:
     @property
     def records(self) -> List[TraceRecord]:
         """Drain the source (first access only) and return every record."""
-        if self._failure is not None:
-            raise self._failure
-        if self._batches is not None:
-            while self._pull_some():
-                continue  # ordering is validated per batch as it lands
-        source = self._source
-        if source is not None:
-            # Bulk drain at C speed, then validate ordering from the last
-            # prefix record onward (the prefix was validated as it was
-            # pulled) — the same one-scan cost a materialized trace pays
-            # in ``sorted_by_local_time``.
-            buffer = self._buffer
-            validate_from = max(len(buffer) - 1, 0)
-            try:
-                buffer.extend(source)
-            except Exception as exc:
-                self._failure = exc
-                raise
-            self._source = None
-            if buffer:
-                self._last_ts = buffer[-1].timestamp_us
-            if self._ordered and not _locally_ordered(buffer, validate_from):
-                self._ordered = False
+        while self._pull_some():
+            continue  # ordering is validated per batch as it lands
         if not self._ordered:
             if self._prefix_consumed:
                 # A window prefix was already handed to the bootstrap,
@@ -428,7 +370,7 @@ class StreamingRadioTrace:
                 # would silently shift records into or out of windows the
                 # prepass already examined.
                 raise ValueError(self._unordered_message())
-            self._buffer.sort(key=lambda r: r.timestamp_us)
+            self._buffer.sort(key=_TIMESTAMP)
             self._ordered = True
         return self._buffer
 
@@ -440,9 +382,8 @@ class StreamingRadioTrace:
 
     @property
     def first_timestamp_us(self) -> Optional[int]:
-        buffer = self._buffer
-        if not buffer and self._pull_some() == 0:
-            return None
+        if not self._buffer:
+            self._pull_some()
         return self._buffer[0].timestamp_us if self._buffer else None
 
     @property
@@ -451,8 +392,7 @@ class StreamingRadioTrace:
         return records[-1].timestamp_us if records else None
 
     def sorted_by_local_time(self) -> "StreamingRadioTrace":
-        """Self, with ordering guaranteed by the drain-time validation."""
-        self.records
+        """Self: order is validated as the stream is read."""
         return self
 
     def close(self) -> None:
@@ -462,12 +402,10 @@ class StreamingRadioTrace:
         source generator only ends the read, so a closed trace still
         serves every record it already decoded.
         """
-        for source in (self._batches, self._source):
-            closer = getattr(source, "close", None)
-            if closer is not None:
-                closer()
+        closer = getattr(self._batches, "close", None)
+        if closer is not None:
+            closer()
         self._batches = None
-        self._source = None
 
     def __enter__(self) -> "StreamingRadioTrace":
         return self
@@ -503,8 +441,7 @@ def open_trace_stream(
     """
     data_path = Path(data_path)
     policy = ErrorPolicy(policy)
-    meta = json.loads(_meta_path(data_path).read_text())
-    framing_hint = _framing_hint_from_meta(meta, vectorized)
+    meta = _read_meta(data_path)
     decode_health = DecodeHealth()
     channels = meta.get("channels")
     channel_set = frozenset(channels) if channels is not None else None
@@ -514,7 +451,6 @@ def open_trace_stream(
         policy=policy,
         health=decode_health,
         vectorized=vectorized,
-        framing_hint=framing_hint,
     )
     if policy is ErrorPolicy.DROP_TRACE:
         try:
@@ -525,8 +461,8 @@ def open_trace_stream(
     return StreamingRadioTrace(
         meta["radio_id"],
         meta["channel"],
-        decode_health=decode_health,
-        batch_source=batch_source,
+        batch_source,
+        decode_health,
         channel_set=channel_set,
         building_id=meta.get("building_id"),
     )
@@ -560,37 +496,57 @@ def write_trace(trace: RadioTrace, directory: Path) -> Path:
     with gzip.open(data_path, "wb") as fh:
         for record in trace.records:
             fh.write(record_to_bytes(record))
-    snap_lens = [len(record.snap) for record in trace.records]
+    write_sidecar(trace, data_path)
+    return data_path
+
+
+def write_sidecar(trace: RadioTrace, data_path: Path) -> None:
+    """Write the JSON index sidecar describing ``trace`` next to its data.
+
+    The one sidecar builder: :func:`write_trace` and the fault injector
+    both call it, so a damaged capture's index describes what the radio
+    believed it wrote in exactly the shape a clean one does.
+    """
+    records = trace.records
     meta = {
         "radio_id": trace.radio_id,
         "channel": trace.channel,
         # Locality stamp (absent/None on single-building captures): lets
-        # the hierarchical shard planner group file-backed traces by
-        # building from the sidecar alone.
+        # the shard planner group file-backed traces by building from
+        # the sidecar alone.
         "building_id": trace.building_id,
-        "records": len(trace.records),
+        "records": len(records),
         "first_timestamp_us": trace.first_timestamp_us,
         "last_timestamp_us": trace.last_timestamp_us,
-        # Channel index: every channel any record was captured on, so
-        # channel-shard partitioning can group file-backed traces from
-        # the sidecar alone instead of decoding every record first.
-        "channels": sorted({record.channel for record in trace.records}),
-        # Framing index: every record's snap_len, packed little-endian
-        # u16.  The batch decoder rebuilds record boundaries from this
-        # and byte-verifies them against the data stream
-        # (:class:`FramingHint`), replacing its serial framing scan; a
-        # stale or damaged index degrades to the scan, never to wrong
-        # framing.
-        "snap_lens_b64": base64.b64encode(
-            struct.pack(f"<{len(snap_lens)}H", *snap_lens)
-        ).decode("ascii"),
+        # Every channel any record was captured on: channel partitioning
+        # groups file-backed traces from the sidecar alone, and tolerant
+        # decoding rejects a header on any other channel.
+        "channels": sorted({record.channel for record in records}),
     }
     _meta_path(data_path).write_text(json.dumps(meta, indent=1))
-    return data_path
+
+
+def _sidecar_bound(data_path: Path) -> Optional[SidecarBound]:
+    """What the trace's sidecar says its radio wrote (the tolerant
+    decoder's bound); a field the sidecar lacks stays open, and a data
+    file without a sidecar is unbounded."""
+    try:
+        meta = _read_meta(data_path)
+    except FileNotFoundError:
+        return None
+    return SidecarBound(
+        meta.get("first_timestamp_us"),
+        meta.get("last_timestamp_us"),
+        meta.get("channels"),
+    )
 
 
 def _scan_boundary(
-    buffer: bytes, offset: int, last_ts: Optional[int], at_eof: bool
+    buffer: bytes,
+    offset: int,
+    last_ts: Optional[int],
+    at_eof: bool,
+    bound: Optional[SidecarBound],
 ) -> Tuple[int, bool]:
     """Find the next plausible record boundary at or after ``offset``.
 
@@ -599,17 +555,19 @@ def _scan_boundary(
     successor header also probes plausible, or the record ends exactly at
     a completed stream.  Unconfirmed means scanning must resume at
     ``position`` once more data arrives (bytes before it are definitively
-    not boundaries).
+    not boundaries).  Both headers must lie inside the sidecar ``bound``.
     """
     size = _HEADER.size
     n = len(buffer)
     p = offset
     while p + size <= n:
-        if probe_record_header(buffer, p, last_ts):
+        if probe_record_header(buffer, p, last_ts, bound):
             span = record_span(buffer, p)
             end = p + span
             if end + size <= n:
-                if probe_record_header(buffer, end, header_timestamp_us(buffer, p)):
+                if probe_record_header(
+                    buffer, end, header_timestamp_us(buffer, p), bound
+                ):
                     return p, True
                 # Mis-framed candidate (its successor is implausible):
                 # keep scanning.
@@ -694,7 +652,6 @@ def iter_record_batches(
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
     vectorized: bool = True,
-    framing_hint: Optional[FramingHint] = None,
 ) -> Iterator[RecordBatch]:
     """Stream-decode a compressed trace file as batches of records.
 
@@ -720,19 +677,19 @@ def iter_record_batches(
     structurally plausible header starts *and* its successor header is
     also plausible (or the record ends a completed stream), counts the
     skipped bytes in ``health``, and the batch path re-enters at the
-    confirmed boundary.  A capture cut mid-record — radio power loss,
+    confirmed boundary.  Tolerant decoding also holds every record to
+    the trace's index sidecar (:class:`~repro.jtrace.records.SidecarBound`):
+    a header stamped outside the radio's ``[first_timestamp_us,
+    last_timestamp_us]`` or on a channel missing from its ``channels``
+    is damage, however plausible its structure — random bytes that frame
+    as a record would otherwise enter the trace (a sidecar that lacks a
+    field imposes no bound on it).  A capture cut mid-record — radio power loss,
     or a gzip stream truncated before its end marker — yields every
     complete record and reports the partial tail via the health
     counters instead of raising mid-iteration.  ``drop-trace`` stops at
     the first damage and re-raises a sentinel the trace-level readers
     use to discard the whole trace.  Clean files decode identically
     under every policy.
-
-    ``framing_hint`` (batch engine only) is the sidecar's record
-    boundary table: the framing scan fast-forwards over the prefix it
-    can byte-verify and finishes serially from the verified frontier,
-    so hinted decode output is identical on every input — the hint only
-    removes the serial ``snap_len``-hop walk on clean streams.
     """
     policy = ErrorPolicy(policy)
     if health is None:
@@ -740,6 +697,7 @@ def iter_record_batches(
     data_path = Path(data_path)
     strict = policy is ErrorPolicy.STRICT
 
+    bound = None if strict else _sidecar_bound(data_path)
     if strict:
         chunk_iter: Iterator[bytes] = _strict_chunks(data_path, chunk_bytes)
     else:
@@ -747,7 +705,6 @@ def iter_record_batches(
 
     buffer = b""
     offset = 0
-    stream_base = 0  # absolute decompressed-stream position of buffer[0]
     last_ts: Optional[int] = None
     syncing = False
     at_eof = False
@@ -755,12 +712,11 @@ def iter_record_batches(
         chunk = next(chunk_iter, b"")
         at_eof = not chunk
         buffer = buffer[offset:] + chunk
-        stream_base += offset
         offset = 0
         while True:
             if syncing:
                 pos, confirmed = _scan_boundary(
-                    buffer, offset, last_ts, at_eof
+                    buffer, offset, last_ts, at_eof, bound
                 )
                 health.bytes_resynced += pos - offset
                 offset = pos
@@ -770,13 +726,13 @@ def iter_record_batches(
             if vectorized:
                 # Batch fast path: frame every complete record, validate
                 # vectorized, decode the clean prefix in one go.
-                run = FramedRun(buffer, offset, framing_hint, stream_base)
+                run = FramedRun(buffer, offset)
                 total = len(run.offsets)
                 if total:
                     if strict:
                         bad = run.strict_violation()
                     else:
-                        prefix = run.plausible_prefix(last_ts)
+                        prefix = run.plausible_prefix(last_ts, bound)
                         bad = None if prefix == total else prefix
                     count = total if bad is None else bad
                     if count:
@@ -825,7 +781,7 @@ def iter_record_batches(
             # this point — clean complete records were consumed above.
             if len(buffer) - offset < _HEADER.size:
                 break  # partial header: wait for the next chunk
-            if not probe_record_header(buffer, offset, last_ts):
+            if not probe_record_header(buffer, offset, last_ts, bound):
                 if policy is ErrorPolicy.DROP_TRACE:
                     raise _TraceDamage(data_path)
                 health.records_skipped += 1
@@ -876,7 +832,6 @@ def iter_trace_records(
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
     vectorized: bool = True,
-    framing_hint: Optional[FramingHint] = None,
 ) -> Iterator[TraceRecord]:
     """Stream-decode records from a compressed trace file.
 
@@ -889,7 +844,6 @@ def iter_trace_records(
         policy=policy,
         health=health,
         vectorized=vectorized,
-        framing_hint=framing_hint,
     ):
         yield from batch.records
 
@@ -921,7 +875,7 @@ def read_trace(
     """
     data_path = Path(data_path)
     policy = ErrorPolicy(policy)
-    meta = json.loads(_meta_path(data_path).read_text())
+    meta = _read_meta(data_path)
     trace_health = DecodeHealth()
     try:
         records = list(
@@ -930,7 +884,6 @@ def read_trace(
                 policy=policy,
                 health=trace_health,
                 vectorized=vectorized,
-                framing_hint=_framing_hint_from_meta(meta, vectorized),
             )
         )
     except _TraceDamage:

@@ -19,7 +19,7 @@ import enum
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
@@ -125,8 +125,59 @@ _MAX_PLAUSIBLE_FRAME_LEN = 8192
 _MAX_PLAUSIBLE_RATE_X10 = 6000
 
 
+class SidecarBound:
+    """What a trace's index sidecar says its radio wrote.
+
+    The writer records the local-time span ``[first_us, last_us]`` and
+    the set of channels its records carry.  Tolerant decoding rejects a
+    header outside either, so damaged bytes that happen to frame as a
+    structurally plausible record — stamped ~1e16 us on channel 0, say —
+    cannot enter the trace.  A ``None`` field imposes no bound.
+    """
+
+    __slots__ = ("first_us", "last_us", "channels", "_channel_ok")
+
+    def __init__(
+        self,
+        first_us: Optional[int],
+        last_us: Optional[int],
+        channels: Optional[Iterable[int]],
+    ) -> None:
+        self.first_us = first_us
+        self.last_us = last_us
+        self.channels = None if channels is None else frozenset(channels)
+        self._channel_ok: Any = None
+        if self.channels is not None:
+            # Channel is one header byte: a 256-entry lookup table.
+            self._channel_ok = _np.zeros(256, dtype=bool)
+            self._channel_ok[[c for c in self.channels if 0 <= c < 256]] = True
+
+    def admits(self, timestamp_us: int, channel: int) -> bool:
+        """Whether one header lies inside the bound."""
+        if self.first_us is not None and timestamp_us < self.first_us:
+            return False
+        if self.last_us is not None and timestamp_us > self.last_us:
+            return False
+        return self.channels is None or channel in self.channels
+
+    def admit_mask(self, headers: Any) -> Any:
+        """:meth:`admits` over a structured header array."""
+        ts = headers["timestamp_us"]
+        ok = _np.ones(len(headers), dtype=bool)
+        if self.first_us is not None:
+            ok &= ts >= self.first_us
+        if self.last_us is not None:
+            ok &= ts <= self.last_us
+        if self._channel_ok is not None:
+            ok &= self._channel_ok[headers["channel"]]
+        return ok
+
+
 def probe_record_header(
-    raw: bytes, offset: int = 0, min_timestamp_us: Optional[int] = None
+    raw: bytes,
+    offset: int = 0,
+    min_timestamp_us: Optional[int] = None,
+    bound: Optional[SidecarBound] = None,
 ) -> bool:
     """Cheap plausibility check: could a record header start at ``offset``?
 
@@ -136,7 +187,8 @@ def probe_record_header(
     ``kind``, bounded snap/frame/rate fields, PHY errors carry no snap)
     plus local-time monotonicity when ``min_timestamp_us`` is given —
     capture files are written in local-time order, so a boundary whose
-    timestamp runs backwards is a mis-framed candidate, not a record.
+    timestamp runs backwards is a mis-framed candidate, not a record —
+    plus the sidecar's span and channels when ``bound`` is given.
 
     Returns ``False`` when fewer than a full header's bytes are available.
     """
@@ -146,7 +198,7 @@ def probe_record_header(
         _radio_id,
         timestamp,
         kind,
-        _channel,
+        channel,
         rate_x10,
         _rssi,
         frame_len,
@@ -167,7 +219,7 @@ def probe_record_header(
         return False
     if min_timestamp_us is not None and timestamp < min_timestamp_us:
         return False
-    return True
+    return bound is None or bound.admits(timestamp, channel)
 
 
 def header_timestamp_us(raw: bytes, offset: int = 0) -> int:
@@ -325,74 +377,6 @@ def batch_from_records(records: List[TraceRecord]) -> RecordBatch:
     return RecordBatch(records, ts_sorted)
 
 
-class FramingHint:
-    """Record boundaries claimed by a trace's metadata sidecar.
-
-    ``write_trace`` knows every record's ``snap_len``, so the sidecar can
-    carry the whole framing chain and spare the reader its serial
-    ``snap_len``-hop scan — the one data-dependent (hence unvectorizable)
-    step left in batch decode.  The table is a *hint*, never an
-    authority: :meth:`fast_forward` re-reads the actual ``snap_len``
-    bytes at every claimed offset with one vectorized gather and trusts
-    only the byte-verified prefix.  Any divergence — damaged bytes, a
-    resynchronized stream position the table does not know, a stale
-    sidecar — hands the exact divergence offset back to the serial scan,
-    so framing output is byte-for-byte what the scan alone would
-    produce on every input, clean or damaged.
-    """
-
-    __slots__ = ("starts", "snap_lens")
-
-    def __init__(self, snap_lens: Any) -> None:
-        self.snap_lens = _np.asarray(snap_lens, dtype=_np.int64)
-        sizes = self.snap_lens + _HEADER.size
-        starts = _np.empty(len(sizes), dtype=_np.int64)
-        if len(sizes):
-            starts[0] = 0
-            _np.cumsum(sizes[:-1], out=starts[1:])
-        self.starts = starts
-
-    @classmethod
-    def from_packed(cls, packed: bytes) -> "FramingHint":
-        """Build from the sidecar's packed little-endian u16 array."""
-        return cls(_np.frombuffer(packed, dtype="<u2"))
-
-    def fast_forward(
-        self, buffer: bytes, offset: int, stream_base: int
-    ) -> Tuple[int, List[int]]:
-        """Byte-verified framing prefix at ``offset`` (``stream_base`` is
-        the absolute decompressed-stream position of ``buffer[0]``).
-
-        Returns ``(resume_offset, verified_offsets)``: the record start
-        offsets whose claimed ``snap_len`` matches the buffer bytes and
-        whose spans fit, plus the offset where the serial scan must
-        resume.  Returns ``(offset, [])`` when the table has nothing
-        verifiable at this position.
-        """
-        abs_off = stream_base + offset
-        i0 = int(_np.searchsorted(self.starts, abs_off))
-        if i0 >= len(self.starts) or int(self.starts[i0]) != abs_off:
-            return offset, []
-        rel = self.starts[i0:] - stream_base
-        snaps = self.snap_lens[i0:]
-        ends = rel + (snaps + _HEADER.size)
-        k = int(_np.searchsorted(ends, len(buffer), side="right"))
-        if not k:
-            return offset, []
-        rel = rel[:k]
-        base = _np.frombuffer(buffer, dtype=_np.uint8)
-        pos = rel + _SNAP_LEN_OFFSET
-        actual = base[pos].astype(_np.int64) | (
-            base[pos + 1].astype(_np.int64) << 8
-        )
-        matched = actual == snaps[:k]
-        j = k if matched.all() else int(_np.argmax(~matched))
-        if not j:
-            return offset, []
-        resume = int(rel[j - 1]) + _HEADER.size + int(snaps[j - 1])
-        return resume, rel[:j].tolist()
-
-
 class FramedRun:
     """Complete records framed from a decode buffer, headers gathered.
 
@@ -400,10 +384,6 @@ class FramedRun:
     contract; the tolerant path validates before decoding).  The run
     stops at the first record whose span overruns the buffer — the
     partial tail the streaming reader completes with its next chunk.
-
-    A :class:`FramingHint` fast-forwards the hop scan over the prefix it
-    can byte-verify; the serial scan always finishes the job from the
-    verified frontier, so hinted and unhinted framing are identical.
     """
 
     __slots__ = ("buffer", "offsets", "next_offset", "_headers")
@@ -413,18 +393,9 @@ class FramedRun:
     next_offset: int
     _headers: Any
 
-    def __init__(
-        self,
-        buffer: bytes,
-        offset: int = 0,
-        hint: Optional[FramingHint] = None,
-        stream_base: int = 0,
-    ) -> None:
+    def __init__(self, buffer: bytes, offset: int = 0) -> None:
         self.buffer = buffer
-        if hint is not None:
-            offset, offsets = hint.fast_forward(buffer, offset, stream_base)
-        else:
-            offsets = []
+        offsets: List[int] = []
         append = offsets.append
         unpack = _SNAP_LEN_STRUCT.unpack_from
         header = _HEADER.size
@@ -466,14 +437,18 @@ class FramedRun:
             return None
         return int(bad.argmax())
 
-    def plausible_prefix(self, min_timestamp_us: Optional[int]) -> int:
+    def plausible_prefix(
+        self,
+        min_timestamp_us: Optional[int],
+        bound: Optional[SidecarBound] = None,
+    ) -> int:
         """How many leading records pass :func:`probe_record_header`.
 
         The same predicate set the tolerant scalar decoder probes with —
-        structural bounds plus local-time monotonicity against the
-        previous record (``min_timestamp_us`` seeds the chain) — so the
-        batch fast path accepts byte-for-byte what the scalar path
-        accepts, and hands over at the same damaged offset.
+        structural bounds, local-time monotonicity against the previous
+        record (``min_timestamp_us`` seeds the chain) and the sidecar
+        ``bound`` — so the batch fast path accepts byte-for-byte what the
+        scalar path accepts, and hands over at the same damaged offset.
         """
         h = self._headers
         if not len(h):
@@ -485,6 +460,8 @@ class FramedRun:
         ok &= ~((kind == _PHY_VALUE) & (snap != 0))
         ok &= h["frame_len"] <= _MAX_PLAUSIBLE_FRAME_LEN
         ok &= h["rate_x10"] <= _MAX_PLAUSIBLE_RATE_X10
+        if bound is not None:
+            ok &= bound.admit_mask(h)
         ts = h["timestamp_us"]
         if min_timestamp_us is not None and ts[0] < min_timestamp_us:
             ok[0] = False

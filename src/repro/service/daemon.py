@@ -160,8 +160,6 @@ class JigsawDaemon:
         materialize: bool = True,
         checkpoint_path: Optional[Path] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        bootstrap_window_us: int = 1_000_000,
-        auto_widen_bootstrap: bool = True,
     ) -> None:
         if checkpoint_every <= 0:
             raise ValueError("checkpoint cadence must be positive")
@@ -172,8 +170,6 @@ class JigsawDaemon:
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
         self.checkpoint_every = checkpoint_every
-        self.bootstrap_window_us = bootstrap_window_us
-        self.auto_widen_bootstrap = auto_widen_bootstrap
         self._passes: List[PipelinePass] = list(passes)
 
         self._started = False
@@ -322,10 +318,7 @@ class JigsawDaemon:
     def _start(self) -> None:
         feed = self.feed
         bootstrap = bootstrap_synchronization(
-            feed.traces,
-            clock_groups=feed.clock_groups(),
-            window_us=self.bootstrap_window_us,
-            auto_widen=self.auto_widen_bootstrap,
+            feed.traces, clock_groups=feed.clock_groups()
         )
         self._bootstrap = bootstrap
 

@@ -29,15 +29,12 @@ truth rather than eyeballing counters.
 
 from __future__ import annotations
 
-import base64
 import gzip
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from ..jtrace.io import RadioTrace, _meta_path
+from ..jtrace.io import RadioTrace, write_sidecar
 from ..jtrace.records import _HEADER, record_to_bytes
 from .scenario import FaultConfig, ScenarioConfig
 
@@ -182,9 +179,12 @@ def write_faulty_traces(
     gzip whose payload just stops) or mid-file in the compressed bytes
     (``"stream"`` mode: the gzip stream itself is damaged).
 
-    The metadata sidecar always indexes the *pre-damage* record count —
-    the count the radio believed it wrote — which is what makes strict
-    reads of a damaged trace fail loudly and tolerant reads measurable.
+    The metadata sidecar, written by the same
+    :func:`~repro.jtrace.io.write_sidecar` clean traces use, always
+    indexes the *pre-damage* records — the count, span and channels the
+    radio believed it wrote — which is what makes strict reads of a
+    damaged trace fail loudly, tolerant reads measurable, and a damaged
+    header stamped outside that span or those channels detectable.
 
     With an all-off config the written traces decode to exactly what
     :func:`repro.jtrace.io.write_traces` would have produced.
@@ -244,23 +244,5 @@ def write_faulty_traces(
             cut = max(24, int(fc.truncate_at_fraction * len(gz)))
             data_path.write_bytes(gz[: min(cut, len(gz) - 1)])
             plan.truncated[radio] = mode
-        # Like the record count, the framing index describes the
-        # *pre-damage* stream the radio believed it wrote.  On a damaged
-        # file the batch decoder's byte verification rejects the claims
-        # the corruption invalidated and degrades to its serial scan at
-        # exactly those offsets — which is precisely the adversarial
-        # path the fault parity suite pins against the scalar decoder.
-        snap_lens = [len(r.snap) for r in records]
-        meta = {
-            "radio_id": radio,
-            "channel": trace.channel,
-            "building_id": trace.building_id,
-            "records": len(records),
-            "first_timestamp_us": records[0].timestamp_us if records else None,
-            "last_timestamp_us": records[-1].timestamp_us if records else None,
-            "snap_lens_b64": base64.b64encode(
-                struct.pack(f"<{len(snap_lens)}H", *snap_lens)
-            ).decode("ascii"),
-        }
-        _meta_path(data_path).write_text(json.dumps(meta, indent=1))
+        write_sidecar(trace, data_path)
     return plan

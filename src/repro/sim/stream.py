@@ -13,8 +13,10 @@ the identical single-read path it uses for on-disk traces:
 * unification replays the buffered prefix and drains the remainder,
   pulling the rest of the simulation through the same read;
 * record ownership moves from the monitor radios to the consuming
-  readers (:meth:`~repro.monitor.radio.MonitorRadio.drain_captured`), so
-  a streamed run never holds a second materialized copy of the traces.
+  readers (:meth:`~repro.monitor.radio.MonitorRadio.drain_captured`),
+  each kernel slice's captures handed over as one
+  :class:`~repro.jtrace.records.RecordBatch`, so a streamed run never
+  holds a second materialized copy of the traces.
 
 Because the simulation itself is deterministic and oblivious to when its
 records are harvested, a streamed run is bit-identical — jframe for
@@ -41,7 +43,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
 from ..jtrace.io import StreamingRadioTrace
-from ..jtrace.records import TraceRecord
+from ..jtrace.records import RecordBatch, TraceRecord, batch_from_records
 from ..sim.runner import (
     ScenarioWorld,
     SimulationArtifacts,
@@ -78,7 +80,7 @@ class StreamedScenario:
         self._radios = [
             radio for pod in world.pods for radio in pod.radios
         ]
-        self._queues: Dict[int, Deque[TraceRecord]] = {
+        self._queues: Dict[int, Deque[RecordBatch]] = {
             radio.radio_id: deque() for radio in self._radios
         }
         #: One streaming reader per radio — the pipeline's input.
@@ -131,9 +133,11 @@ class StreamedScenario:
         for radio in self._radios:
             drained = radio.drain_captured()
             if drained:
-                self._queues[radio.radio_id].extend(drained)
+                self._queues[radio.radio_id].append(
+                    batch_from_records(drained)
+                )
 
-    def _source(self, radio_id: int) -> Iterator[TraceRecord]:
+    def _source(self, radio_id: int) -> Iterator[RecordBatch]:
         queue = self._queues[radio_id]
         while True:
             while queue:

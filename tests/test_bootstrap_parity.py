@@ -20,6 +20,7 @@ from repro.core.sync.bootstrap import (
     bootstrap_synchronization,
 )
 from repro.jtrace.io import RadioTrace, StreamingRadioTrace
+from repro.jtrace.records import batch_from_records
 from repro.sim.campus import run_campus
 from repro.sim.registry import scenario_config
 
@@ -335,7 +336,7 @@ class TestSingleReadIngest:
         records = [
             record_for(frame, 0, ts) for ts in (500, 100, 900, 300)
         ]
-        stream = StreamingRadioTrace(0, 1, iter(records))
+        stream = StreamingRadioTrace(0, 1, [batch_from_records(records)])
         buffered, hi = stream.buffered_until(600)
         assert [r.timestamp_us for r in buffered[:hi]] == [100, 300, 500]
         assert [r.timestamp_us for r in stream.records] == [100, 300, 500, 900]
@@ -345,37 +346,23 @@ class TestSingleReadIngest:
         examined cannot be silently fixed — it must raise, both when a
         later widening round trips over it and at drain time."""
         frame = data_frame(seq=5)
-        # Ordered through the first window, then a record from the past.
-        records = [
-            record_for(frame, 0, ts)
-            for ts in (100, 900, 2_000_000, 400, 3_000_000)
-        ]
-        stream = StreamingRadioTrace(0, 1, iter(records))
+        # Ordered through the first window, then — in the next batch,
+        # after that window was handed out — a record from the past.
+        def batches():
+            return [
+                batch_from_records(
+                    [record_for(frame, 0, ts) for ts in run]
+                )
+                for run in ((100, 900, 2_000_000), (400, 3_000_000))
+            ]
+
+        stream = StreamingRadioTrace(0, 1, batches())
         buffered, hi = stream.buffered_until(1_000)
         assert hi == 2
         with pytest.raises(ValueError, match="local-time order"):
             stream.records
         # Widening (a second prefix request past the disorder) also raises.
-        stream2 = StreamingRadioTrace(0, 1, iter(records))
+        stream2 = StreamingRadioTrace(0, 1, batches())
         stream2.buffered_until(1_000)
         with pytest.raises(ValueError, match="local-time order"):
             stream2.buffered_until(2_500_000)
-
-    def test_pipeline_attributes_stay_live(self):
-        """Mutating the pipeline's bootstrap knobs between runs must take
-        effect (the coordinator is derived per run, not frozen)."""
-        from repro.core.pipeline import JigsawPipeline
-
-        early = data_frame(seq=1)
-        late = data_frame(seq=2)
-        t0 = RadioTrace(0, 1, [
-            record_for(early, 0, 0),
-            record_for(late, 0, 3_000_000),
-        ])
-        t1 = RadioTrace(1, 1, [record_for(late, 1, 3_000_400)])
-        pipeline = JigsawPipeline(auto_widen_bootstrap=False)
-        assert not pipeline.run([t0, t1]).bootstrap.fully_synchronized
-        pipeline.auto_widen_bootstrap = True
-        report = pipeline.run([t0, t1])
-        assert report.bootstrap.fully_synchronized
-        assert report.bootstrap.window_us > 1_000_000

@@ -46,6 +46,7 @@ from repro.sim import (
     inject_record_faults,
     write_faulty_traces,
 )
+from repro.sim.registry import scenario_config
 from repro.sim.runner import run_scenario
 
 pytestmark = pytest.mark.faults
@@ -531,3 +532,46 @@ class TestBatchedDecodeParity:
                 for j in report.jframes
             ]
             assert frames == base_frames, ingest
+
+
+class TestSidecarBound:
+    """Under ``skip`` damaged bytes that happen to frame as a plausible
+    record must not decode into one: every record either engine salvages
+    lies inside the span and channels its radio wrote, as the sidecar
+    declares them, and the engines still agree record for record."""
+
+    @pytest.mark.parametrize(
+        "family, corrupt_rate", [("building", 0.03), ("flash_crowd", 0.01)]
+    )
+    def test_no_fabricated_records(self, tmp_path, family, corrupt_rate):
+        # Seed 12 corpora: without the bound, both decode fabricated
+        # records (stamped far past the trace, on channels it never used).
+        config = scenario_config(
+            family,
+            "tiny",
+            seed=12,
+            faults=FaultConfig(corrupt_rate=corrupt_rate),
+        )
+        traces = run_scenario(config).radio_traces
+        plan = write_faulty_traces(traces, tmp_path, config)
+        assert plan.corrupted_records
+        written, _ = inject_record_faults(traces, config)
+        decoded = {
+            vectorized: {
+                stream.radio_id: (list(stream), stream.decode_health)
+                for stream in open_trace_streams(
+                    tmp_path, policy="skip", vectorized=vectorized
+                )
+            }
+            for vectorized in (True, False)
+        }
+        assert decoded[True] == decoded[False]
+        for trace in written:
+            records, _ = decoded[False][trace.radio_id]
+            channels = {r.channel for r in trace.records}
+            assert all(
+                trace.first_timestamp_us <= r.timestamp_us
+                <= trace.last_timestamp_us
+                and r.channel in channels
+                for r in records
+            ), trace.radio_id

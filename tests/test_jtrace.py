@@ -222,138 +222,71 @@ class TestTraceFiles:
         assert [r.timestamp_us for r in ordered] == [100, 500]
 
 
-class TestFramingHint:
-    """The sidecar record-boundary index and its byte-verified use."""
+class TestSidecar:
+    """The JSON index sidecar: one builder, read by every reader."""
 
-    def _records(self, n=8):
-        return [
-            make_record(ts=1000 + 10 * i, snap=bytes([65 + i]) * (5 + i))
+    def _trace(self, n=32):
+        records = [
+            make_record(ts=1000 + 10 * i, snap=bytes([65 + i % 26]) * (5 + i))
+            ._replace(channel=(1, 6)[i % 2])
             for i in range(n)
         ]
+        return RadioTrace(radio_id=3, channel=6, records=records, building_id=2)
 
-    def test_sidecar_carries_framing_index(self, tmp_path):
-        import base64
-        import json
-        import struct
-
-        records = self._records()
-        trace = RadioTrace(radio_id=3, channel=6, records=records)
-        data_path = write_trace(trace, tmp_path)
-        meta = json.loads(
-            (tmp_path / "radio_0003.meta.json").read_text()
-        )
-        packed = base64.b64decode(meta["snap_lens_b64"])
-        snap_lens = struct.unpack(f"<{len(records)}H", packed)
-        assert list(snap_lens) == [len(r.snap) for r in records]
-        assert data_path.exists()
-
-    def test_fast_forward_matches_serial_scan(self):
-        from repro.jtrace.records import FramedRun, FramingHint
-
-        records = self._records()
-        buffer = b"".join(record_to_bytes(r) for r in records)
-        hint = FramingHint([len(r.snap) for r in records])
-        plain = FramedRun(buffer)
-        hinted = FramedRun(buffer, 0, hint, 0)
-        assert hinted.offsets == plain.offsets
-        assert hinted.next_offset == plain.next_offset
-        # The fast-forward really did the framing (full verified chain).
-        resume, verified = hint.fast_forward(buffer, 0, 0)
-        assert verified == plain.offsets
-        assert resume == plain.next_offset
-
-    def test_partial_tail_stops_where_the_scan_stops(self):
-        from repro.jtrace.records import FramedRun, FramingHint
-
-        records = self._records()
-        full = b"".join(record_to_bytes(r) for r in records)
-        buffer = full[:-5]  # cut inside the last record
-        hint = FramingHint([len(r.snap) for r in records])
-        plain = FramedRun(buffer)
-        hinted = FramedRun(buffer, 0, hint, 0)
-        assert hinted.offsets == plain.offsets
-        assert hinted.next_offset == plain.next_offset
-
-    def test_stale_hint_degrades_to_identical_framing(self):
-        from repro.jtrace.records import FramedRun, FramingHint
-
-        records = self._records()
-        buffer = b"".join(record_to_bytes(r) for r in records)
-        # An index describing different records: byte verification must
-        # reject it at the first divergent claim and the serial scan
-        # must deliver exactly the unhinted framing.
-        stale = FramingHint([len(r.snap) + 1 for r in records])
-        plain = FramedRun(buffer)
-        hinted = FramedRun(buffer, 0, stale, 0)
-        assert hinted.offsets == plain.offsets
-        assert hinted.next_offset == plain.next_offset
-
-    def test_damaged_snap_len_rejected_mid_chain(self):
-        from repro.jtrace.records import (
-            FramedRun,
-            FramingHint,
-            _HEADER,
-            _SNAP_LEN_OFFSET,
-        )
-
-        records = self._records()
-        encoded = [bytearray(record_to_bytes(r)) for r in records]
-        # Smash record 4's snap_len on disk; the sidecar still claims
-        # the clean value.
-        target = encoded[4]
-        target[_SNAP_LEN_OFFSET] ^= 0xFF
-        buffer = b"".join(bytes(e) for e in encoded)
-        hint = FramingHint([len(r.snap) for r in records])
-        plain = FramedRun(buffer)
-        hinted = FramedRun(buffer, 0, hint, 0)
-        assert hinted.offsets == plain.offsets
-        assert hinted.next_offset == plain.next_offset
-        # The verified prefix ends exactly at the damaged record.
-        resume, verified = hint.fast_forward(buffer, 0, 0)
-        assert len(verified) == 4
-        assert resume == sum(_HEADER.size + len(r.snap) for r in records[:4])
-
-    def test_unknown_offset_is_ignored(self):
-        from repro.jtrace.records import FramingHint
-
-        records = self._records()
-        buffer = b"".join(record_to_bytes(r) for r in records)
-        hint = FramingHint([len(r.snap) for r in records])
-        # A resynchronized position the table does not know: no claim.
-        assert hint.fast_forward(buffer, 3, 0) == (3, [])
-
-    def test_multi_chunk_stream_base_accounting(self, tmp_path):
+    def test_both_writers_build_one_sidecar(self, tmp_path):
         import json
 
-        from repro.jtrace.io import (
-            _framing_hint_from_meta,
-            _meta_path,
-            iter_record_batches,
-        )
+        from repro.sim import ScenarioConfig, write_faulty_traces
 
-        records = self._records(32)
-        trace = RadioTrace(radio_id=5, channel=6, records=records)
+        trace = self._trace()
+        write_trace(trace, tmp_path / "clean")
+        write_faulty_traces([trace], tmp_path / "faulty", ScenarioConfig.tiny())
+        clean, faulty = (
+            json.loads((tmp_path / side / "radio_0003.meta.json").read_text())
+            for side in ("clean", "faulty")
+        )
+        assert clean == faulty == {
+            "radio_id": 3,
+            "channel": 6,
+            "building_id": 2,
+            "records": 32,
+            "first_timestamp_us": 1000,
+            "last_timestamp_us": 1310,
+            "channels": [1, 6],
+        }
+
+    def test_legacy_sidecar_decodes_the_same_in_small_chunks(self, tmp_path):
+        """Older sidecars declare no channels and carry keys today's
+        readers ignore (a retired per-record framing table); they read
+        exactly like current ones, under both engines, with chunks far
+        smaller than the stream."""
+        import json
+
+        from repro.jtrace.io import DecodeHealth, _meta_path, iter_record_batches
+
+        trace = self._trace()
         data_path = write_trace(trace, tmp_path)
-        meta = json.loads(_meta_path(data_path).read_text())
-        hint = _framing_hint_from_meta(meta, vectorized=True)
-        assert hint is not None
-        # Chunks far smaller than the stream force the carried-tail path,
-        # so the hint must anchor through stream_base, not buffer offsets.
-        hinted = [
-            r
-            for batch in iter_record_batches(
-                data_path, chunk_bytes=64, framing_hint=hint
-            )
-            for r in batch.records
-        ]
-        scalar = [
-            r
-            for batch in iter_record_batches(
-                data_path, chunk_bytes=64, vectorized=False
-            )
-            for r in batch.records
-        ]
-        assert hinted == scalar == records
+        meta_path = _meta_path(data_path)
+        meta = json.loads(meta_path.read_text())
+        del meta["channels"]
+        meta["retired_table"] = "AAAA"
+        meta_path.write_text(json.dumps(meta))
+        for policy in ("strict", "skip"):
+            for vectorized in (True, False):
+                health = DecodeHealth()
+                decoded = [
+                    r
+                    for batch in iter_record_batches(
+                        data_path,
+                        chunk_bytes=64,
+                        policy=policy,
+                        health=health,
+                        vectorized=vectorized,
+                    )
+                    for r in batch.records
+                ]
+                assert decoded == trace.records
+                assert health == DecodeHealth(records_decoded=32)
 
 
 class TestStreamLifecycle:
@@ -466,9 +399,10 @@ class TestStrictFailureIsSticky:
 
     def test_record_source_failure_is_sticky(self):
         from repro.jtrace.io import StreamingRadioTrace
+        from repro.jtrace.records import batch_from_records
 
         def source():
-            yield make_record(ts=1)
+            yield batch_from_records([make_record(ts=1)])
             raise RuntimeError("feed died")
 
         stream = StreamingRadioTrace(1, 6, source())

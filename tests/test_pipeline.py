@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import JigsawPipeline
+from repro.core.sync.bootstrap import bootstrap_synchronization
 from repro.core.unify.unifier import Unifier
 from repro.jtrace import read_traces, write_traces
 from repro.sim import ScenarioConfig, run_scenario
@@ -156,8 +157,12 @@ class TestPartitionBehaviour:
         groups = [
             g for g in artifacts.clock_groups() if all(r in radios for r in g)
         ]
-        pipeline = JigsawPipeline(auto_widen_bootstrap=False)
-        report = pipeline.run(traces, clock_groups=groups)
+        bootstrap = bootstrap_synchronization(
+            traces, clock_groups=groups, auto_widen=False
+        )
+        report = JigsawPipeline().run(
+            traces, clock_groups=groups, bootstrap=bootstrap
+        )
         # Either partitioned, or fully synced via shared frames — both are
         # legitimate; what may not happen is records silently vanishing.
         stats = report.unification.stats

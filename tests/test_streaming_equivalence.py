@@ -209,7 +209,7 @@ def test_stream_ordered_with_tiny_search_window(window):
     unifier = Unifier(search_window_us=window)
     last = float("-inf")
     count = 0
-    for jf in unifier.iter_unify(traces, bootstrap):
+    for jf in unifier.stream_unify(traces, bootstrap):
         assert jf.timestamp_us >= last
         last = jf.timestamp_us
         count += 1
