@@ -13,7 +13,7 @@ export PYTHONPATH := src
 .PHONY: test lint lint-strict bench bench-smoke bench-pair
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 lint:
 	$(PYTHON) -m repro.devtools.check

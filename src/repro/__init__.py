@@ -28,7 +28,7 @@ from .core import (
     PipelinePass,
     run_passes,
 )
-from .jtrace import RadioTrace, RecordKind, StreamingRadioTrace, TraceRecord
+from .jtrace import RadioTrace, RecordKind, TraceRecord
 
 __version__ = "1.0.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "PipelinePass",
     "RadioTrace",
     "RecordKind",
-    "StreamingRadioTrace",
     "TraceRecord",
     "run_passes",
     "__version__",

@@ -252,8 +252,8 @@ def assemble_report(
 
     Call after :meth:`ReconstructionDrive.finish_streams`: completes the
     ``health`` ledger (the sync verdicts of ``bootstrap``, and the
-    traces' ingest damage counters — streaming traces fill their
-    ``decode_health`` only as the merge drains them), hands every pass
+    traces' ingest damage counters — a trace reading a file fills its
+    ``decode_health`` only as the merge drains it), hands every pass
     the run context, and collects the results.  ``started`` is the
     ``time.perf_counter()`` reading the run began at.
     """
@@ -263,9 +263,7 @@ def assemble_report(
     sync.rejoined = list(bootstrap.rejoined)
     sync.widen_rounds = bootstrap.widen_rounds
     for trace in traces:
-        decode_health = getattr(trace, "decode_health", None)
-        if decode_health is not None:
-            health.ingest.merge(decode_health)
+        health.ingest.merge(trace.decode_health)
 
     context = PassContext(
         bootstrap=bootstrap,
@@ -319,12 +317,14 @@ class JigsawPipeline:
 
         ``clock_groups`` is the infrastructure metadata (radios sharing a
         capture clock) used for cross-channel bridging; pass a precomputed
-        ``bootstrap`` to skip that phase (ablations do).  Otherwise the
-        prepass runs with single-read ingest: each trace's records are
-        consumed exactly once for the bootstrap window (widening rounds
-        feed only the delta), and streaming inputs decode just that
-        prefix before unification replays the buffer — no second read of
-        the trace.
+        ``bootstrap`` — an earlier run's, or one
+        :func:`~repro.core.sync.bootstrap.bootstrap_synchronization`
+        computed with non-default settings — to skip that phase.
+        Otherwise the prepass runs with single-read ingest: each trace's
+        records are consumed exactly once for the bootstrap window
+        (widening rounds feed only the delta), and a trace reading a
+        source decodes just that prefix before unification replays the
+        buffer — no second read of the trace.
 
         ``passes`` are :class:`~repro.core.passes.PipelinePass` instances
         driven inside the one-pass loop; each result lands in
@@ -338,8 +338,8 @@ class JigsawPipeline:
         check_pass_names(passes)
         # ``sorted_by_local_time`` returns the trace itself when records
         # are already ordered (the common case), so this copies no record
-        # list; a streaming trace validates order as it is read and
-        # returns itself without draining.
+        # list; a trace still reading its source validates order as it
+        # is read and returns itself without draining.
         ordered = [trace.sorted_by_local_time() for trace in traces]
         health = HealthReport()
         if bootstrap is None:

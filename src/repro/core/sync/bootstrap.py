@@ -399,20 +399,19 @@ def resolve_island_mode(traces: Sequence[RadioTrace]) -> str:
     ``"quarantine"`` otherwise (one building — a partition is a failure,
     degraded mode keeps only the largest island's timeline).
     """
-    if traces and all(
-        getattr(trace, "building_id", None) is not None for trace in traces
-    ):
-        return "local"
-    return "quarantine"
+    return "quarantine" if resolve_locality_map(traces) is None else "local"
 
 
 def resolve_locality_map(
     traces: Sequence[RadioTrace],
 ) -> Optional[Dict[int, int]]:
-    """radio id -> locality stamp, or ``None`` when any stamp is missing."""
-    stamps = {
-        trace.radio_id: getattr(trace, "building_id", None) for trace in traces
-    }
+    """radio id -> locality stamp, or ``None`` when any stamp is missing.
+
+    The one place that decides whether a fleet is stamped: the island
+    policy (:func:`resolve_island_mode`) and the merge's shard partition
+    both ask it.
+    """
+    stamps = {trace.radio_id: trace.building_id for trace in traces}
     if not stamps or any(value is None for value in stamps.values()):
         return None
     return stamps  # type: ignore[return-value]

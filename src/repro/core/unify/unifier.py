@@ -71,14 +71,14 @@ from ...dot11.frame import Frame
 from ...dot11.serialize import transmitter_from_corrupt_bytes
 from ...jtrace.io import RadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
-from ..sync.bootstrap import BootstrapResult
+from ..sync.bootstrap import BootstrapResult, resolve_locality_map
 from ..sync.refs import (
     _PARSE_CACHE,
     ReferenceKey,
     parse_record_frame,
     reference_verdict,
 )
-from ..sync.skew import ClockTrack
+from ..sync.skew import DEFAULT_SKEW_ALPHA, ClockTrack
 from .jframe import JFrame, JFrameKind
 
 #: Paper defaults: 10 ms search window, 10 us resync threshold.
@@ -86,8 +86,8 @@ DEFAULT_SEARCH_WINDOW_US = 10_000
 DEFAULT_RESYNC_THRESHOLD_US = 10.0
 
 #: Attachment windows for content-less instances (corrupt/PHY-error).
-DEFAULT_CORRUPT_ATTACH_US = 120.0
-DEFAULT_PHY_ATTACH_US = 60.0
+CORRUPT_ATTACH_US = 120.0
+PHY_ATTACH_US = 60.0
 
 _INF = float("inf")
 
@@ -210,12 +210,11 @@ def partition_traces(traces: Sequence[RadioTrace]) -> List[List[RadioTrace]]:
     with a single locality this reduces to the historical
     smallest-channel order.
     """
-    keys = [getattr(t, "building_id", None) for t in traces]
-    if traces and all(k is not None for k in keys):
+    if resolve_locality_map(traces) is not None:
         shards: List[List[RadioTrace]] = []
         by_key: Dict[int, List[RadioTrace]] = defaultdict(list)
-        for key, trace in zip(keys, traces):
-            by_key[cast(int, key)].append(trace)
+        for trace in traces:
+            by_key[cast(int, trace.building_id)].append(trace)
         for key in sorted(by_key):
             shards.extend(_partition_by_channel(by_key[key]))
         return shards
@@ -240,7 +239,7 @@ def _partition_by_channel(
     trace_channels: List[frozenset] = []
     for trace in traces:
         channels = {trace.channel}
-        declared = getattr(trace, "channel_set", None)
+        declared = trace.channel_set
         if declared is not None:
             # File-backed streams carry the writer's channel index in the
             # metadata sidecar; partitioning off it keeps the partition a
@@ -272,17 +271,14 @@ class _TraceCursor:
 
     A cursor is ``buffer`` (the records already in memory, possibly
     none) plus an optional ``produce(index)`` that returns record
-    ``index`` or ``None`` at end of stream.  Materialized traces have
-    only the buffer.  Streaming traces decode on demand through their
-    ``ensure_index``, so the merge pulls batches as its heap advances
-    instead of draining every trace before the first jframe.  The
-    service daemon starts from an empty buffer and binds ``produce`` to
-    its feed.
+    ``index`` or ``None`` at end of stream.  A trace's cursor is its
+    buffer and its ``ensure_index``: a trace reading a source decodes on
+    demand, so the merge pulls batches as its heap advances instead of
+    draining every trace before the first jframe.  The service daemon
+    starts from an empty buffer and binds ``produce`` to its feed.
 
     ``counted`` is how many of this cursor's records ``records_in``
-    already includes: a materialized trace is counted up front (its
-    length is free), anything produced on demand at exhaustion (its
-    length is only known then).
+    already includes; a cursor is counted when it is exhausted.
 
     ``produce`` is bound to a live source (a decoder, a feed), so it is
     not pickled; whoever restores an engine rebinds it.
@@ -291,17 +287,12 @@ class _TraceCursor:
     __slots__ = ("buffer", "produce", "counted")
 
     def __init__(self, trace: RadioTrace) -> None:
-        self.produce: Optional[Callable[[int], Optional[TraceRecord]]] = None
-        ensure = getattr(trace, "ensure_index", None)
-        if ensure is None:
-            self.buffer: List[TraceRecord] = trace.records
-            self.counted = len(self.buffer)
-        else:
-            buffer = self.buffer = trace.replay_buffer
-            self.produce = lambda index: (
-                buffer[index] if ensure(index) else None
-            )
-            self.counted = 0
+        buffer = self.buffer = trace.replay_buffer
+        ensure = trace.ensure_index
+        self.produce: Optional[Callable[[int], Optional[TraceRecord]]] = (
+            lambda index: buffer[index] if ensure(index) else None
+        )
+        self.counted = 0
 
     def __getstate__(self) -> Tuple[List[TraceRecord], int]:
         return self.buffer, self.counted
@@ -366,18 +357,14 @@ class _MergeEngine:
                 # Duplicate radio id: the later trace wins (dict
                 # semantics, unchanged), but the displaced records still
                 # count as engine input like they always did.
-                self.stats.records_in += (
-                    displaced.drained_length() - displaced.counted
-                )
+                self.stats.records_in += displaced.drained_length()
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
                 offset_us=offsets[trace.radio_id],
                 alpha=unifier.skew_alpha,
                 compensate_skew=unifier.compensate_skew,
             )
-            cursor = _TraceCursor(trace)
-            self.stats.records_in += cursor.counted
-            self.cursors[trace.radio_id] = cursor
+            self.cursors[trace.radio_id] = _TraceCursor(trace)
         # Open-group state (channel-local by construction of the shard).
         self.open_by_key: Dict[ReferenceKey, _Group] = {}
         self.open_by_channel: Dict[int, deque] = defaultdict(deque)
@@ -1002,22 +989,18 @@ class Unifier:
         self,
         search_window_us: int = DEFAULT_SEARCH_WINDOW_US,
         resync_threshold_us: float = DEFAULT_RESYNC_THRESHOLD_US,
-        skew_alpha: float = 0.2,
         compensate_skew: bool = True,
-        corrupt_attach_us: float = DEFAULT_CORRUPT_ATTACH_US,
-        phy_attach_us: float = DEFAULT_PHY_ATTACH_US,
         use_median_timestamp: bool = True,
-        instance_gap_us: Optional[float] = None,
     ) -> None:
         if search_window_us <= 0:
             raise ValueError("search window must be positive")
         self.search_window_us = search_window_us
         self.resync_threshold_us = resync_threshold_us
-        self.skew_alpha = skew_alpha
         self.compensate_skew = compensate_skew
-        self.corrupt_attach_us = corrupt_attach_us
-        self.phy_attach_us = phy_attach_us
         self.use_median_timestamp = use_median_timestamp
+        self.skew_alpha = DEFAULT_SKEW_ALPHA
+        self.corrupt_attach_us = CORRUPT_ATTACH_US
+        self.phy_attach_us = PHY_ATTACH_US
         # Instances of one transmission cluster within clock error; the
         # paper pops candidates only "until the timestamp of the next
         # instance differs by a significant amount".  Joining a group
@@ -1026,11 +1009,7 @@ class Unifier:
         # milliseconds apart) merge across distinct transmissions.  Scaling
         # with the window reproduces the paper's warning that overly large
         # windows become "dangerous".
-        self.instance_gap_us = (
-            float(instance_gap_us)
-            if instance_gap_us is not None
-            else max(50.0, search_window_us / 50.0)
-        )
+        self.instance_gap_us = max(50.0, search_window_us / 50.0)
 
     # --- public API --------------------------------------------------------
 

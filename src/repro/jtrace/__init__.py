@@ -4,8 +4,6 @@ from .io import (
     DecodeHealth,
     ErrorPolicy,
     RadioTrace,
-    StreamingRadioTrace,
-    iter_trace_records,
     open_trace_stream,
     open_trace_streams,
     read_trace,
@@ -19,8 +17,6 @@ __all__ = [
     "DecodeHealth",
     "ErrorPolicy",
     "RadioTrace",
-    "StreamingRadioTrace",
-    "iter_trace_records",
     "open_trace_stream",
     "open_trace_streams",
     "read_trace",

@@ -9,9 +9,11 @@ stream compression — is identical) and a JSON sidecar index, written by
 identity, its record count, its local-time range and the channels its
 records carry.
 
-Reading is streaming: :func:`iter_trace_records` context-manages the file
+Reading is streaming: :func:`iter_record_batches` context-manages the file
 handle and decodes chunk by chunk in constant memory, so day-long traces
-never materialize a decompressed byte blob.
+never materialize a decompressed byte blob; :func:`open_trace_stream`
+wraps it in a lazily read :class:`RadioTrace`, and :func:`read_trace`
+drains one.
 
 Decoding is fault-tolerant on request.  Real day-scale captures get
 damaged — a radio loses power mid-record, a disk sector corrupts, a gzip
@@ -39,7 +41,7 @@ import gzip
 import json
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice
 from operator import itemgetter, le
 from pathlib import Path
@@ -137,127 +139,73 @@ def _read_meta(data_path: Path) -> dict:
     return json.loads(_meta_path(data_path).read_text())
 
 
-@dataclass
 class RadioTrace:
-    """All records captured by one radio, in local-time order."""
+    """All records captured by one radio, in local-time order.
 
-    radio_id: int
-    channel: int
-    records: List[TraceRecord] = field(default_factory=list)
-    #: Locality stamp for hierarchical sharding: the building (or pod
-    #: group) this radio was deployed in.  ``None`` means "unknown" —
-    #: legacy traces without the stamp partition by channel only.
-    building_id: Optional[int] = None
-
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    @property
-    def first_timestamp_us(self) -> Optional[int]:
-        return self.records[0].timestamp_us if self.records else None
-
-    @property
-    def last_timestamp_us(self) -> Optional[int]:
-        return self.records[-1].timestamp_us if self.records else None
-
-    def buffered_until(
-        self, limit_us: int, lo: int = 0
-    ) -> Tuple[List[TraceRecord], int]:
-        """``(records, hi)``: ``records[:hi]`` have ``timestamp_us <=
-        limit_us``.  One bisect from ``lo`` (a lower bound on ``hi``) on
-        a local-time-ordered trace; see :meth:`sorted_by_local_time`."""
-        records = self.records
-        if records and records[-1].timestamp_us <= limit_us:
-            return records, len(records)
-        return records, bisect_right(records, limit_us, lo=lo, key=_TIMESTAMP)
-
-    def sorted_by_local_time(self) -> "RadioTrace":
-        """This trace in local-timestamp order.
-
-        Capture order and local-time order coincide for a monotonic clock,
-        but tests construct traces by hand; the merge pipeline requires
-        local-time order.  When the records are already ordered — the
-        common case for real captures — the trace itself is returned, so
-        building-scale pipelines stop copying every record list.  Callers
-        that mutate the result must therefore copy explicitly.
-        """
-        records = self.records
-        if _locally_ordered(records):
-            return self
-        ordered = sorted(records, key=lambda r: r.timestamp_us)
-        return RadioTrace(
-            self.radio_id, self.channel, ordered, building_id=self.building_id
-        )
-
-
-class StreamingRadioTrace:
-    """A radio trace that decodes its record stream lazily — and only once.
-
-    Answers the same protocol as :class:`RadioTrace` (``radio_id``,
-    ``channel``, ``records``, iteration, ``first_timestamp_us``,
-    :meth:`buffered_until`, :meth:`sorted_by_local_time`), but the
-    records come from a one-shot source of :class:`RecordBatch` — the
-    decoder of :func:`iter_record_batches` streaming off a compressed
-    file, or a simulation handing over each slice it ran — through an
-    internal tee: every batch pulled is buffered, so early consumers —
-    the bootstrap prepass examining the first second — read just the
-    prefix they need, and later consumers replay that buffer before
-    continuing the same underlying read.  The source is read exactly
-    once no matter how many phases consume it.
+    A record buffer plus, optionally, a one-shot ``source`` of
+    :class:`RecordBatch` — the decoder of :func:`iter_record_batches`
+    streaming off a compressed file, or a simulation handing over each
+    slice it ran.  A trace without a source holds every record in its
+    buffer.  A trace with one decodes lazily, and only once: every batch
+    pulled lands in the buffer, so early consumers — the bootstrap
+    prepass examining the first second — read just the prefix they
+    need, and later consumers replay that buffer before continuing the
+    same underlying read.
 
     * :meth:`buffered_until` — pull (and buffer) batches up to a
       local-time limit; the bootstrap window feed, including auto-widen
       rounds, costs only the prefix decode.
-    * ``.records`` — drain the remainder and return the full list; from
-      then on the trace behaves exactly like a materialized
-      :class:`RadioTrace`.
+    * :meth:`ensure_index` — pull until one index is buffered; the
+      merge's cursor.
+    * ``records`` — drain the source and return the full list.
 
-    Local-time ordering is validated as each batch lands (its own
-    ``ts_sorted`` flag plus one boundary comparison), so
+    Local-time ordering of a source is validated as each batch lands
+    (its own ``ts_sorted`` flag plus one boundary comparison), so
     :meth:`sorted_by_local_time` has nothing left to check.  Disorder
     encountered *before* any prefix has been handed out downgrades to a
     full drain + sort (the same silent semantics
-    ``sorted_by_local_time`` gives materialized traces).  Disorder
+    ``sorted_by_local_time`` gives a trace without a source).  Disorder
     discovered *after* a consumer has gated on a prefix — a record
     sorting into a window the bootstrap already examined — raises
     ``ValueError`` instead: the single-read prepass cannot be
-    retroactively corrected, and a loud failure beats silently diverging
-    from the materialized path.  Real capture files are written in
-    local-time order; unordered inputs should go through
-    :func:`read_trace` / :meth:`RadioTrace.sorted_by_local_time`.
+    retroactively corrected, and a loud failure beats silently
+    diverging from the materialized path.  Real capture files are
+    written in local-time order; unordered inputs should go through
+    :func:`read_trace` / :meth:`sorted_by_local_time`.
+
+    ``decode_health`` fills as a file source decodes (fully accurate
+    once drained); ``channel_set`` is the channels the writer's index
+    sidecar declared (``None`` when unknown), which lets channel
+    partitioning run off the metadata instead of forcing a full decode;
+    ``building_id`` is the locality stamp for hierarchical sharding —
+    the building (or pod group) the radio was deployed in, ``None``
+    meaning unknown (such traces partition by channel only).
     """
 
     def __init__(
         self,
         radio_id: int,
         channel: int,
-        batch_source: Iterable[RecordBatch],
-        decode_health: Optional[DecodeHealth] = None,
-        *,
-        channel_set: Optional[FrozenSet[int]] = None,
+        records: Optional[List[TraceRecord]] = None,
         building_id: Optional[int] = None,
+        *,
+        source: Optional[Iterable[RecordBatch]] = None,
+        decode_health: Optional[DecodeHealth] = None,
+        channel_set: Optional[FrozenSet[int]] = None,
     ) -> None:
         self.radio_id = radio_id
         self.channel = channel
-        #: Locality stamp from the metadata sidecar (None = unknown).
         self.building_id = building_id
-        #: Channels the writer's index sidecar declared for this trace
-        #: (None when unknown).  Lets channel partitioning run off the
-        #: metadata instead of forcing a full decode.
         self.channel_set = channel_set
-        #: Populated as the source decodes (fully accurate once drained).
         self.decode_health = (
             decode_health if decode_health is not None else DecodeHealth()
         )
-        self._batches: Optional[Iterator[RecordBatch]] = iter(batch_source)
-        self._buffer: List[TraceRecord] = []
-        self._last_ts: Optional[int] = None
+        self._records: List[TraceRecord] = (
+            records if records is not None else []
+        )
+        self._batches: Optional[Iterator[RecordBatch]] = (
+            iter(source) if source is not None else None
+        )
         self._ordered = True
         self._prefix_consumed = False
         #: What the source raised, re-raised on every later pull: a
@@ -267,8 +215,8 @@ class StreamingRadioTrace:
         self._failure: Optional[Exception] = None
 
     def _pull_some(self) -> int:
-        """Extend the replay buffer by one non-empty batch; returns
-        records gained (0 at end of stream).
+        """Extend the buffer by one non-empty batch from the source;
+        returns records gained (0 at end of stream, or with no source).
 
         Order is validated per batch plus one boundary comparison
         instead of per record.
@@ -289,27 +237,26 @@ class StreamingRadioTrace:
             records = batch.records
             if records:
                 break
+        buffer = self._records
         if not batch.ts_sorted or (
-            self._last_ts is not None
-            and records[0].timestamp_us < self._last_ts
+            buffer and records[0].timestamp_us < buffer[-1].timestamp_us
         ):
             self._ordered = False
-        self._last_ts = records[-1].timestamp_us
-        self._buffer.extend(records)
+        buffer.extend(records)
         return len(records)
 
     def ensure_index(self, index: int) -> bool:
-        """Pull until the replay buffer holds ``index``; False at EOF.
+        """Pull until the buffer holds ``index``; False at end of stream.
 
-        The streaming merge consumes traces through this cursor-style
-        accessor so decoding stays incremental — the buffer only ever
-        extends, so indices handed out earlier remain valid.  Consuming
-        by index gates on local-time order exactly like a window prefix
-        does: records already fed to the merge cannot be re-sorted, so
+        The merge consumes traces through this cursor-style accessor so
+        decoding stays incremental — the buffer only ever extends, so
+        indices handed out earlier remain valid.  Consuming by index
+        gates on local-time order exactly like a window prefix does:
+        records already fed to the merge cannot be re-sorted, so
         disorder discovered here raises instead of silently sorting.
         """
         self._prefix_consumed = True
-        buffer = self._buffer
+        buffer = self._records
         while index >= len(buffer):
             if self._pull_some() == 0:
                 return False
@@ -335,7 +282,7 @@ class StreamingRadioTrace:
         to an earlier, smaller limit); decodes at most one batch beyond
         the limit.
         """
-        buffer = self._buffer
+        buffer = self._records
         while self._ordered and (
             not buffer or buffer[-1].timestamp_us <= limit_us
         ):
@@ -344,9 +291,9 @@ class StreamingRadioTrace:
         if not self._ordered:
             buffer = self.records
         self._prefix_consumed = True
-        return buffer, bisect_right(
-            buffer, limit_us, lo=lo, key=_TIMESTAMP
-        )
+        if buffer and buffer[-1].timestamp_us <= limit_us:
+            return buffer, len(buffer)
+        return buffer, bisect_right(buffer, limit_us, lo=lo, key=_TIMESTAMP)
 
     @property
     def replay_buffer(self) -> List[TraceRecord]:
@@ -356,11 +303,11 @@ class StreamingRadioTrace:
         append-only: the same list object is returned every time, so an
         index proven present once stays valid for the trace's lifetime.
         """
-        return self._buffer
+        return self._records
 
     @property
     def records(self) -> List[TraceRecord]:
-        """Drain the source (first access only) and return every record."""
+        """Drain the source (if any is left) and return every record."""
         while self._pull_some():
             continue  # ordering is validated per batch as it lands
         if not self._ordered:
@@ -370,9 +317,16 @@ class StreamingRadioTrace:
                 # would silently shift records into or out of windows the
                 # prepass already examined.
                 raise ValueError(self._unordered_message())
-            self._buffer.sort(key=_TIMESTAMP)
+            self._records.sort(key=_TIMESTAMP)
             self._ordered = True
-        return self._buffer
+        return self._records
+
+    @records.setter
+    def records(self, records: List[TraceRecord]) -> None:
+        self._records = records
+
+    def append(self, record: TraceRecord) -> None:
+        self._records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -382,32 +336,54 @@ class StreamingRadioTrace:
 
     @property
     def first_timestamp_us(self) -> Optional[int]:
-        if not self._buffer:
+        if not self._records:
             self._pull_some()
-        return self._buffer[0].timestamp_us if self._buffer else None
+        return self._records[0].timestamp_us if self._records else None
 
     @property
     def last_timestamp_us(self) -> Optional[int]:
         records = self.records
         return records[-1].timestamp_us if records else None
 
-    def sorted_by_local_time(self) -> "StreamingRadioTrace":
-        """Self: order is validated as the stream is read."""
-        return self
+    def sorted_by_local_time(self) -> "RadioTrace":
+        """This trace in local-timestamp order.
+
+        A trace still reading its source returns itself without
+        draining: order is validated as the source is read.  Otherwise
+        capture order and local-time order coincide for a monotonic
+        clock, but tests construct traces by hand; the merge pipeline
+        requires local-time order.  When the records are already
+        ordered — the common case for real captures — the trace itself
+        is returned, so building-scale pipelines stop copying every
+        record list; callers that mutate the result must therefore copy
+        explicitly.  A sorted copy keeps the trace's ``building_id``,
+        ``decode_health`` and ``channel_set``.
+        """
+        records = self._records
+        if self._batches is not None or _locally_ordered(records):
+            return self
+        return RadioTrace(
+            self.radio_id,
+            self.channel,
+            sorted(records, key=_TIMESTAMP),
+            self.building_id,
+            decode_health=self.decode_health,
+            channel_set=self.channel_set,
+        )
 
     def close(self) -> None:
-        """Release the decode source — a partially read file's descriptor.
+        """Release the source — a partially read file's descriptor.
 
-        Idempotent.  The replay buffer stays readable: closing the
-        source generator only ends the read, so a closed trace still
-        serves every record it already decoded.
+        Idempotent.  The buffer stays readable: closing the source
+        generator only ends the read, so a closed trace still serves
+        every record it already decoded.
         """
         closer = getattr(self._batches, "close", None)
         if closer is not None:
             closer()
         self._batches = None
 
-    def __enter__(self) -> "StreamingRadioTrace":
+    def __enter__(self) -> "RadioTrace":
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -420,52 +396,69 @@ def open_trace_stream(
     *,
     vectorized: bool = True,
     chunk_bytes: int = _READ_CHUNK_BYTES,
-) -> StreamingRadioTrace:
+) -> RadioTrace:
     """Open one radio's trace for lazy, single-read consumption.
 
-    Identity (radio id, channel) comes from the metadata sidecar; records
-    decode on demand through the replay tee, so a pipeline run reads the
-    compressed file exactly once — the bootstrap prepass pulls only its
-    examination window before unification picks up the buffer.
+    Identity (radio id, channel, locality, channels) comes from the
+    metadata sidecar; records decode on demand into the trace's buffer,
+    so a pipeline run reads the compressed file exactly once — the
+    bootstrap prepass pulls only its examination window before
+    unification picks up the buffer.
 
     ``vectorized`` selects the decode engine (``False`` = the scalar
     reference); either way decoding runs inline on the consuming
     thread, one chunk per pull.
 
     Damage handling follows ``policy``; what tolerant decoding skipped is
-    tallied on the stream's ``decode_health`` as the source is consumed
-    (fully accurate once the trace is drained).  ``drop-trace`` decodes
-    eagerly — a lazily-dropped trace would vanish halfway through the
-    merge — so a damaged file becomes an empty stream up front and the
-    radio is simply absent from the run.
+    tallied on the trace's ``decode_health`` as the source is consumed
+    (fully accurate once the trace is drained).  ``strict`` also holds
+    the drained stream to the sidecar's record count, raising
+    ``ValueError("index mismatch ...")`` when the stream is exhausted.
+    ``drop-trace`` decodes eagerly — a lazily-dropped trace would vanish
+    halfway through the merge — so a damaged file becomes an empty
+    trace up front and the radio is simply absent from the run.
     """
     data_path = Path(data_path)
     policy = ErrorPolicy(policy)
     meta = _read_meta(data_path)
     decode_health = DecodeHealth()
     channels = meta.get("channels")
-    channel_set = frozenset(channels) if channels is not None else None
-    batch_source: Iterable[RecordBatch] = iter_record_batches(
+    source: Iterable[RecordBatch] = iter_record_batches(
         data_path,
         chunk_bytes=chunk_bytes,
         policy=policy,
         health=decode_health,
         vectorized=vectorized,
     )
-    if policy is ErrorPolicy.DROP_TRACE:
+    if policy is ErrorPolicy.STRICT:
+        source = _index_checked(source, decode_health, meta["records"])
+    elif policy is ErrorPolicy.DROP_TRACE:
         try:
-            batch_source = list(batch_source)
+            source = list(source)
         except _TraceDamage:
-            batch_source = []
+            source = []
             decode_health.traces_dropped += 1
-    return StreamingRadioTrace(
+    return RadioTrace(
         meta["radio_id"],
         meta["channel"],
-        batch_source,
-        decode_health,
-        channel_set=channel_set,
         building_id=meta.get("building_id"),
+        source=source,
+        decode_health=decode_health,
+        channel_set=frozenset(channels) if channels is not None else None,
     )
+
+
+def _index_checked(
+    batches: Iterator[RecordBatch], health: DecodeHealth, indexed: int
+) -> Iterator[RecordBatch]:
+    """``batches``, then the strict cross-check of the decoded count
+    against the ``indexed`` count the sidecar declares."""
+    yield from batches
+    if health.records_decoded != indexed:
+        raise ValueError(
+            f"index mismatch: {health.records_decoded} records vs "
+            f"{indexed} indexed"
+        )
 
 
 def open_trace_streams(
@@ -474,7 +467,7 @@ def open_trace_streams(
     *,
     vectorized: bool = True,
     chunk_bytes: int = _READ_CHUNK_BYTES,
-) -> List[StreamingRadioTrace]:
+) -> List[RadioTrace]:
     """Lazily open every trace in a directory (sorted by radio id)."""
     directory = Path(directory)
     return [
@@ -826,28 +819,6 @@ def iter_record_batches(
             health.truncated_tail_bytes += remainder
 
 
-def iter_trace_records(
-    data_path: Path,
-    chunk_bytes: int = _READ_CHUNK_BYTES,
-    policy: PolicyLike = ErrorPolicy.STRICT,
-    health: Optional[DecodeHealth] = None,
-    vectorized: bool = True,
-) -> Iterator[TraceRecord]:
-    """Stream-decode records from a compressed trace file.
-
-    A flattening wrapper over :func:`iter_record_batches` — same
-    engines, same policies, same errors; see there for the contract.
-    """
-    for batch in iter_record_batches(
-        data_path,
-        chunk_bytes,
-        policy=policy,
-        health=health,
-        vectorized=vectorized,
-    ):
-        yield from batch.records
-
-
 class _TraceDamage(Exception):
     """Internal sentinel: ``drop-trace`` policy met damaged bytes."""
 
@@ -863,45 +834,22 @@ def read_trace(
     *,
     vectorized: bool = True,
 ) -> RadioTrace:
-    """Read one radio's trace back from disk.
+    """Read one radio's trace back from disk: :func:`open_trace_stream`,
+    drained.
 
-    The index-count cross-check against the metadata sidecar only applies
-    under ``strict`` — tolerant policies expect to decode fewer records
-    than the index promises, and report the difference through ``health``
-    (and the returned trace's ``decode_health`` attribute) instead.
-    Under ``drop-trace`` a damaged file yields an empty trace.
-    ``vectorized`` selects the decode engine as in
-    :func:`iter_trace_records`.
+    The drained trace is in local-time order and carries what decoding
+    observed in ``decode_health``, also merged into ``health`` when one
+    is given.  The index-count cross-check against the metadata sidecar
+    only applies under ``strict`` — tolerant policies expect to decode
+    fewer records than the index promises, and report the difference
+    through the health counters instead.  Under ``drop-trace`` a damaged
+    file yields an empty trace.  ``vectorized`` selects the decode
+    engine as in :func:`iter_record_batches`.
     """
-    data_path = Path(data_path)
-    policy = ErrorPolicy(policy)
-    meta = _read_meta(data_path)
-    trace_health = DecodeHealth()
-    try:
-        records = list(
-            iter_trace_records(
-                data_path,
-                policy=policy,
-                health=trace_health,
-                vectorized=vectorized,
-            )
-        )
-    except _TraceDamage:
-        records = []
-        trace_health.traces_dropped += 1
-    if policy is ErrorPolicy.STRICT and len(records) != meta["records"]:
-        raise ValueError(
-            f"index mismatch: {len(records)} records vs {meta['records']} indexed"
-        )
+    trace = open_trace_stream(data_path, policy, vectorized=vectorized)
+    trace.records  # drains the file (strict: and checks the index count)
     if health is not None:
-        health.merge(trace_health)
-    trace = RadioTrace(
-        meta["radio_id"],
-        meta["channel"],
-        records,
-        building_id=meta.get("building_id"),
-    )
-    trace.decode_health = trace_health
+        health.merge(trace.decode_health)
     return trace
 
 

@@ -86,7 +86,7 @@ class MonitorRadio:
         records out of the radio as the simulation advances, so a
         streamed run never holds a second materialized copy of the trace:
         ownership passes to the consuming
-        :class:`~repro.jtrace.io.StreamingRadioTrace`.
+        :class:`~repro.jtrace.io.RadioTrace` that reads the feed.
         """
         drained = self.trace.records
         if not drained:

@@ -97,7 +97,7 @@ class SimulationArtifacts:
 
         Empty for a streamed run: :func:`repro.sim.stream.stream_scenario`
         moves record ownership into the consuming
-        :class:`~repro.jtrace.io.StreamingRadioTrace` readers.
+        :class:`~repro.jtrace.io.RadioTrace` readers.
         """
         return [radio.trace for pod in self.pods for radio in pod.radios]
 

@@ -2,11 +2,12 @@
 
 :func:`stream_scenario` runs a scenario *incrementally*: instead of
 driving the kernel to completion and materializing every monitor trace,
-it exposes one :class:`~repro.jtrace.io.StreamingRadioTrace` per radio —
-the same reader interface trace files use — whose records are produced by
-advancing the shared discrete-event kernel in bounded time slices on
-demand.  ``JigsawPipeline.run`` therefore consumes a simulated run through
-the identical single-read path it uses for on-disk traces:
+it exposes one :class:`~repro.jtrace.io.RadioTrace` per radio — with a
+batch source, like the traces :func:`~repro.jtrace.io.open_trace_stream`
+opens — whose records are produced by advancing the shared
+discrete-event kernel in bounded time slices on demand.
+``JigsawPipeline.run`` therefore consumes a simulated run through the
+identical single-read path it uses for on-disk traces:
 
 * the bootstrap prepass pulls only each radio's examination-window
   prefix, which advances the simulation just far enough to produce it;
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
-from ..jtrace.io import StreamingRadioTrace
+from ..jtrace.io import RadioTrace
 from ..jtrace.records import RecordBatch, TraceRecord, batch_from_records
 from ..sim.runner import (
     ScenarioWorld,
@@ -61,7 +62,7 @@ DEFAULT_CHUNK_US = 250_000
 class StreamedScenario:
     """A scenario being executed lazily behind streaming trace readers.
 
-    ``traces`` are genuine :class:`StreamingRadioTrace` objects; any
+    ``traces`` are :class:`RadioTrace` objects reading a batch source; any
     consumer pulling records (the pipeline's bootstrap window feed, the
     merge's drain) advances the shared kernel chunk by chunk until the
     requested records exist.  All readers share one simulation: advancing
@@ -84,12 +85,12 @@ class StreamedScenario:
             radio.radio_id: deque() for radio in self._radios
         }
         #: One streaming reader per radio — the pipeline's input.
-        self.traces: List[StreamingRadioTrace] = [
-            StreamingRadioTrace(
+        self.traces: List[RadioTrace] = [
+            RadioTrace(
                 radio.radio_id,
                 radio.channel.number,
-                self._source(radio.radio_id),
                 building_id=radio.trace.building_id,
+                source=self._source(radio.radio_id),
             )
             for radio in self._radios
         ]
@@ -176,7 +177,7 @@ class LiveScenarioFeed:
 
     def __init__(self, scenario: StreamedScenario) -> None:
         self._scenario = scenario
-        self._by_radio: Dict[int, StreamingRadioTrace] = {
+        self._by_radio: Dict[int, RadioTrace] = {
             trace.radio_id: trace for trace in scenario.traces
         }
         self._cursor: Dict[int, int] = {
@@ -188,7 +189,7 @@ class LiveScenarioFeed:
         return self._scenario.config
 
     @property
-    def traces(self) -> List[StreamingRadioTrace]:
+    def traces(self) -> List[RadioTrace]:
         """The underlying streaming traces (bootstrap prepass input)."""
         return self._scenario.traces
 

@@ -19,7 +19,7 @@ from repro.core.sync.bootstrap import (
     _select_covering_family,
     bootstrap_synchronization,
 )
-from repro.jtrace.io import RadioTrace, StreamingRadioTrace
+from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import batch_from_records
 from repro.sim.campus import run_campus
 from repro.sim.registry import scenario_config
@@ -284,7 +284,7 @@ class TestSingleReadIngest:
         for stream in streams:
             # 1 s window over 200 ms spacing: ~6 records + 1 lookahead,
             # far fewer than the 29 in the file.
-            assert len(stream._buffer) < 10
+            assert len(stream.replay_buffer) < 10
         # Unification later drains the remainder of the same read.
         assert len(streams[0].records) == 29
 
@@ -302,7 +302,7 @@ class TestSingleReadIngest:
         # Chunk small enough that the file spans many batches.
         stream = open_trace_streams(tmp_path, chunk_bytes=4096)[0]
         bootstrap_synchronization([stream], window_us=5_000_000)  # ~500 records
-        assert len(stream._buffer) < 1000
+        assert len(stream.replay_buffer) < 1000
         assert len(stream.records) == 4000
 
     def test_streaming_pipeline_matches_memory_pipeline(self, tmp_path):
@@ -336,7 +336,7 @@ class TestSingleReadIngest:
         records = [
             record_for(frame, 0, ts) for ts in (500, 100, 900, 300)
         ]
-        stream = StreamingRadioTrace(0, 1, [batch_from_records(records)])
+        stream = RadioTrace(0, 1, source=[batch_from_records(records)])
         buffered, hi = stream.buffered_until(600)
         assert [r.timestamp_us for r in buffered[:hi]] == [100, 300, 500]
         assert [r.timestamp_us for r in stream.records] == [100, 300, 500, 900]
@@ -356,13 +356,13 @@ class TestSingleReadIngest:
                 for run in ((100, 900, 2_000_000), (400, 3_000_000))
             ]
 
-        stream = StreamingRadioTrace(0, 1, batches())
+        stream = RadioTrace(0, 1, source=batches())
         buffered, hi = stream.buffered_until(1_000)
         assert hi == 2
         with pytest.raises(ValueError, match="local-time order"):
             stream.records
         # Widening (a second prefix request past the disorder) also raises.
-        stream2 = StreamingRadioTrace(0, 1, batches())
+        stream2 = RadioTrace(0, 1, source=batches())
         stream2.buffered_until(1_000)
         with pytest.raises(ValueError, match="local-time order"):
             stream2.buffered_until(2_500_000)

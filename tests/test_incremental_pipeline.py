@@ -10,7 +10,12 @@ from repro.core.link.exchange import ExchangeAssembler
 from repro.core.sync.bootstrap import bootstrap_synchronization
 from repro.core.transport.flows import FlowCollector, collect_flows
 from repro.core.unify import Unifier
-from repro.jtrace.io import RadioTrace, iter_trace_records, read_trace, write_trace
+from repro.jtrace.io import (
+    RadioTrace,
+    iter_record_batches,
+    read_trace,
+    write_trace,
+)
 from repro.jtrace.records import RecordKind, TraceRecord
 
 
@@ -181,7 +186,11 @@ class TestStreamingTraceReader:
         trace = RadioTrace(3, 6, records)
         data_path = write_trace(trace, tmp_path)
         # A chunk smaller than one record forces the partial-record path.
-        streamed = list(iter_trace_records(data_path, chunk_bytes=7))
+        streamed = [
+            record
+            for batch in iter_record_batches(data_path, chunk_bytes=7)
+            for record in batch.records
+        ]
         assert streamed == records
         # And the full read_trace wrapper agrees.
         back = read_trace(data_path)
@@ -195,7 +204,7 @@ class TestStreamingTraceReader:
         raw = gzip.decompress(data_path.read_bytes())
         data_path.write_bytes(gzip.compress(raw[:-4]))
         with pytest.raises(ValueError, match="truncated"):
-            list(iter_trace_records(data_path))
+            list(iter_record_batches(data_path))
 
 
 class TestParseCacheEviction:

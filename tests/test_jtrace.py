@@ -197,6 +197,31 @@ class TestTraceFiles:
         with pytest.raises(ValueError):
             read_trace(tmp_path / "radio_0001.jtr.gz")
 
+    @pytest.mark.parametrize("delta", [5, -5])
+    def test_strict_stream_checks_the_index_count(self, tmp_path, delta):
+        """A strict lazily read stream holds the file to its sidecar's
+        record count once it is exhausted, as read_trace does — whether
+        the sidecar overstates or understates the count."""
+        import json
+
+        from repro.jtrace.io import _meta_path, open_trace_stream
+
+        trace = RadioTrace(1, 6, [make_record(ts=100 * i) for i in range(42)])
+        data_path = write_trace(trace, tmp_path)
+        meta_path = _meta_path(data_path)
+        meta = json.loads(meta_path.read_text())
+        meta["records"] += delta
+        meta_path.write_text(json.dumps(meta))
+        mismatch = f"index mismatch: 42 records vs {42 + delta} indexed"
+        with pytest.raises(ValueError, match=mismatch):
+            read_trace(data_path)
+        stream = open_trace_stream(data_path)
+        assert stream.ensure_index(41)  # the count is known only at the end
+        with pytest.raises(ValueError, match=mismatch):
+            stream.records
+        # Tolerant policies expect to lose records: no count check.
+        assert len(open_trace_stream(data_path, policy="skip")) == 42
+
     def test_multi_trace_directory(self, tmp_path):
         traces = [
             RadioTrace(radio_id=i, channel=1, records=[make_record(radio_id=i)])
@@ -220,6 +245,20 @@ class TestTraceFiles:
         )
         ordered = trace.sorted_by_local_time()
         assert [r.timestamp_us for r in ordered] == [100, 500]
+
+    def test_sorted_copy_keeps_ingest_metadata(self):
+        from repro.jtrace.io import DecodeHealth
+
+        health = DecodeHealth(records_decoded=2)
+        trace = RadioTrace(
+            1, 1, [make_record(ts=500), make_record(ts=100)], 3,
+            decode_health=health, channel_set=frozenset({6}),
+        )
+        ordered = trace.sorted_by_local_time()
+        assert ordered is not trace
+        assert ordered.building_id == 3
+        assert ordered.decode_health is health
+        assert ordered.channel_set == frozenset({6})
 
 
 class TestSidecar:
@@ -398,14 +437,13 @@ class TestStrictFailureIsSticky:
         assert stream.decode_health.records_skipped == 1
 
     def test_record_source_failure_is_sticky(self):
-        from repro.jtrace.io import StreamingRadioTrace
         from repro.jtrace.records import batch_from_records
 
         def source():
             yield batch_from_records([make_record(ts=1)])
             raise RuntimeError("feed died")
 
-        stream = StreamingRadioTrace(1, 6, source())
+        stream = RadioTrace(1, 6, source=source())
         with pytest.raises(RuntimeError, match="feed died"):
             stream.records
         with pytest.raises(RuntimeError, match="feed died"):

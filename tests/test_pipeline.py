@@ -111,6 +111,27 @@ class TestPipelineEndToEnd:
         assert report.unification.stats.jframes > 0
 
 
+class TestIngestHealth:
+    def test_decode_health_survives_the_local_time_sort(self, tmp_path):
+        """A strictly read file with two records out of local-time order
+        still reports every record it decoded in the run's health."""
+        artifacts = run_scenario(ScenarioConfig.tiny(seed=3))
+        records = max(artifacts.radio_traces, key=len).records
+        i = next(
+            i for i in range(len(records) - 1)
+            if records[i].timestamp_us < records[i + 1].timestamp_us
+        )
+        records[i], records[i + 1] = records[i + 1], records[i]
+        write_traces(artifacts.radio_traces, tmp_path)
+        traces = read_traces(tmp_path)
+        report = JigsawPipeline().run(
+            traces, clock_groups=artifacts.clock_groups()
+        )
+        decoded = sum(len(t) for t in traces)
+        assert decoded == sum(len(t) for t in artifacts.radio_traces)
+        assert report.health.ingest.records_decoded == decoded
+
+
 class TestExchangeRefTrimming:
     def test_materialized_run_keeps_exchange_refs(self, pipelined):
         _, report = pipelined

@@ -1,7 +1,7 @@
 """Streaming sim -> pipeline ingest: bit parity with the materialized path.
 
 ``stream_scenario`` must feed ``JigsawPipeline.run`` through the same
-single-read ``StreamingRadioTrace`` interface trace files use, producing
+single-read ``RadioTrace`` batch source trace files use, producing
 output bit-identical — jframe for jframe — to materializing the run with
 ``run_scenario`` and piping the traces in afterwards.  The family matrix
 (``tests/test_scenario_registry.py``) holds the same parity on every
@@ -12,7 +12,7 @@ import pytest
 
 from helpers import assert_reports_identical
 from repro.core.pipeline import JigsawPipeline
-from repro.jtrace.io import StreamingRadioTrace
+from repro.jtrace.io import RadioTrace
 from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.stream import stream_scenario
 
@@ -36,10 +36,15 @@ class TestStreamedScenario:
         assert_reports_identical(report, batch)
 
     def test_traces_are_streaming_readers(self, small_pair):
+        """Each trace reads a source: nothing is simulated until a
+        consumer pulls, and a pull runs a slice, not the whole run."""
         _, _, streamed, _ = small_pair
-        assert all(
-            isinstance(t, StreamingRadioTrace) for t in streamed.traces
-        )
+        assert all(isinstance(t, RadioTrace) for t in streamed.traces)
+        fresh = stream_scenario(streamed.config)
+        assert not any(t.replay_buffer for t in fresh.traces)
+        first = fresh.traces[0]
+        assert first.ensure_index(0)
+        assert 0 < len(first.replay_buffer) < len(streamed.traces[0])
 
     def test_record_ownership_moves_to_readers(self, small_pair):
         """A streamed run keeps one copy of the trace: the radios are
