@@ -45,22 +45,42 @@ class Channel:
         return 2412.0 + (self.number - 1) * CHANNEL_SPACING_MHZ
 
     def overlap_fraction(self, other: "Channel") -> float:
-        """Fraction of spectral power from ``other`` landing in this channel.
-
-        A triangular overlap model: 1.0 for co-channel, decaying linearly to
-        zero at >= 5 channels (25 MHz) separation — which makes channels
-        1/6/11 orthogonal, as the paper assumes.
-        """
-        separation_mhz = abs(self.center_mhz - other.center_mhz)
-        if separation_mhz >= CHANNEL_WIDTH_MHZ + 3.0:
-            return 0.0
-        return max(0.0, 1.0 - separation_mhz / (CHANNEL_WIDTH_MHZ + 3.0))
+        """Fraction of spectral power from ``other`` landing in this channel
+        (the triangular model of :data:`OVERLAP`)."""
+        return OVERLAP[self.number][other.number]
 
     def is_orthogonal_to(self, other: "Channel") -> bool:
         return self.overlap_fraction(other) == 0.0
 
     def __str__(self) -> str:
         return f"ch{self.number}"
+
+
+def _triangular_overlap(receiver: Channel, sender: Channel) -> float:
+    """Fraction of spectral power from ``sender`` landing in ``receiver``.
+
+    A triangular overlap model: 1.0 for co-channel, decaying linearly to
+    zero at >= 5 channels (25 MHz) separation — which makes channels
+    1/6/11 orthogonal, as the paper assumes.
+    """
+    separation_mhz = abs(receiver.center_mhz - sender.center_mhz)
+    if separation_mhz >= CHANNEL_WIDTH_MHZ + 3.0:
+        return 0.0
+    return max(0.0, 1.0 - separation_mhz / (CHANNEL_WIDTH_MHZ + 3.0))
+
+
+#: ``OVERLAP[a][b]``: the triangular overlap of channel ``b`` into channel
+#: ``a``, for channel numbers 1..14 (row and column 0 are unused); it
+#: depends only on the separation, so it is symmetric.  The simulated
+#: medium reads it once per receiver per transmission, so it is evaluated
+#: here once instead of on every delivery.
+OVERLAP: Tuple[Tuple[float, ...], ...] = tuple(
+    tuple(
+        0.0 if 0 in (a, b) else _triangular_overlap(Channel(a), Channel(b))
+        for b in range(15)
+    )
+    for a in range(15)
+)
 
 
 CHANNEL_1 = Channel(1)

@@ -95,20 +95,24 @@ ALL_RATES: Tuple[PhyRate, ...] = tuple(
 
 #: Minimum SNR (dB) required to decode each rate with high probability.
 #: Derived from standard receiver-sensitivity ladders; the reception model
-#: perturbs around these thresholds.
+#: perturbs around these thresholds.  Keyed by the rate's coded Mbps, which
+#: is unique across the b/g rate set: the reception model reads a
+#: threshold for every frame at every receiver, and a float key hashes
+#: without calling back into Python the way a ``PhyRate`` and its
+#: ``Modulation`` would.
 RATE_SNR_THRESHOLDS_DB = {
-    RATE_1: 2.0,
-    RATE_2: 4.0,
-    RATE_5_5: 7.0,
-    RATE_11: 10.0,
-    RATE_6: 6.0,
-    RATE_9: 8.0,
-    RATE_12: 10.0,
-    RATE_18: 12.0,
-    RATE_24: 16.0,
-    RATE_36: 20.0,
-    RATE_48: 24.0,
-    RATE_54: 26.0,
+    RATE_1.mbps: 2.0,
+    RATE_2.mbps: 4.0,
+    RATE_5_5.mbps: 7.0,
+    RATE_11.mbps: 10.0,
+    RATE_6.mbps: 6.0,
+    RATE_9.mbps: 8.0,
+    RATE_12.mbps: 10.0,
+    RATE_18.mbps: 12.0,
+    RATE_24.mbps: 16.0,
+    RATE_36.mbps: 20.0,
+    RATE_48.mbps: 24.0,
+    RATE_54.mbps: 26.0,
 }
 
 

@@ -4,7 +4,9 @@ jigdump "compresses them using the LZO algorithm to minimize storage and
 I/O overhead ... and generates a metadata index record to facilitate
 subsequent accesses.  Data and metadata are written to separate files"
 (Section 3.3).  We use gzip (LZO is not in the stdlib; the role — cheap
-stream compression — is identical) and a JSON sidecar index, written by
+stream compression — is identical), at zlib's default level and with a
+zero header timestamp so the same records always write the same bytes,
+and a JSON sidecar index, written by
 :func:`write_sidecar` for clean and damaged captures alike: the radio's
 identity, its record count, its local-time range and the channels its
 records carry.
@@ -60,6 +62,10 @@ from .records import (
     record_span,
     record_to_bytes,
 )
+
+#: zlib level every trace file is written at: the default, since level 9
+#: costs ~10x the time for a ~2 % smaller file.
+COMPRESSION_LEVEL = 6
 
 #: Chunk size for streaming decompression (1 MiB of decompressed bytes).
 _READ_CHUNK_BYTES = 1 << 20
@@ -486,11 +492,15 @@ def write_trace(trace: RadioTrace, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     data_path = directory / f"radio_{trace.radio_id:04d}.jtr.gz"
-    with gzip.open(data_path, "wb") as fh:
-        for record in trace.records:
-            fh.write(record_to_bytes(record))
+    blob = b"".join([record_to_bytes(record) for record in trace.records])
+    data_path.write_bytes(compress_trace(blob))
     write_sidecar(trace, data_path)
     return data_path
+
+
+def compress_trace(blob: bytes) -> bytes:
+    """The gzip file body of encoded records, the same bytes every time."""
+    return gzip.compress(blob, compresslevel=COMPRESSION_LEVEL, mtime=0)
 
 
 def write_sidecar(trace: RadioTrace, data_path: Path) -> None:

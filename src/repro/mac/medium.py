@@ -18,16 +18,48 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Protocol, Sequence, Tuple
 
-from ..dot11.channels import Channel
+from ..dot11.channels import Channel, OVERLAP
 from ..dot11.frame import Frame
 from ..dot11.rates import PhyRate
-from ..phy.noisefloor import BroadbandInterferer, ambient_interference_dbm
+from ..phy.noisefloor import BroadbandInterferer, NEGLIGIBLE_DBM, active_sources
 from ..phy.propagation import Point, PropagationModel
 from ..phy.reception import CARRIER_SENSE_DBM
 from ..sim.kernel import Kernel
+
+#: How long a finished transmission stays a candidate interferer: longer
+#: than any frame, so a late-starting overlap still sees it.
+RECENT_HORIZON_US = 20_000
+
+
+#: Sort key of the recent list, which completions keep in end-time order.
+_END_US = attrgetter("end_us")
+
+
+def _coupling_db(coupling: float) -> Optional[float]:
+    """What a received level gains from a channel coupling, in dB.
+
+    ``None`` for orthogonal channels, which deliver nothing; ``0.0`` for
+    co-channel, which is left unadded.
+    """
+    if coupling <= 0.0:
+        return None
+    if coupling < 1.0:
+        return 10.0 * math.log10(coupling)
+    return 0.0
+
+
+#: ``_COUPLING_DB[a][b]``: :func:`_coupling_db` of ``OVERLAP[a][b]``, so
+#: ``10·log10`` is taken once per channel pair, not per delivery.
+#: Symmetric, like the overlap, so a transmission's row serves all of its
+#: receivers.
+_COUPLING_DB: Tuple[Tuple[Optional[float], ...], ...] = tuple(
+    tuple(_coupling_db(coupling) for coupling in row) for row in OVERLAP
+)
 
 
 @dataclass(frozen=True)
@@ -53,9 +85,6 @@ class Transmission:
     @property
     def end_us(self) -> int:
         return self.start_us + self.duration_us
-
-    def overlaps(self, other: "Transmission") -> bool:
-        return self.start_us < other.end_us and other.start_us < self.end_us
 
 
 class Receiver(Protocol):
@@ -87,8 +116,9 @@ class Medium:
         self._interferers = tuple(interferers)
         self._receivers: List[Receiver] = []
         self._active: List[Transmission] = []
-        #: Transmissions that ended recently; kept one max-frame-time back
-        #: so late-starting overlaps still see them as interferers.
+        #: Transmissions that ended recently, in end-time order; kept
+        #: ``RECENT_HORIZON_US`` back so late-starting overlaps still see
+        #: them as interferers.
         self._recent: List[Transmission] = []
         self._txid = itertools.count(1)
         #: Ground truth: every transmission, in start order.
@@ -138,58 +168,98 @@ class Medium:
         return tx
 
     def _complete(self, tx: Transmission, sender: Optional[Receiver]) -> None:
-        self._active.remove(tx)
-        self._recent.append(tx)
-        self._gc_recent()
-        overlapping = [
-            other
-            for other in itertools.chain(self._active, self._recent)
-            if other is not tx and other.overlaps(tx)
+        """Deliver ``tx`` to every receiver whose channel overlaps it.
+
+        Everything that depends only on the transmission is looked up
+        once here: the coupling row of each overlapping transmission's
+        channel, its path-loss row, and which broadband sources are on.
+        Each receiver's channel and position are read at its turn, since
+        stations retune during scans and move when they roam.
+        """
+        active = self._active
+        for index, other in enumerate(active):
+            if other is tx:
+                del active[index]
+                break
+        recent = self._recent
+        recent.append(tx)
+        # Completions append in end-time order, so what has fallen behind
+        # the horizon is a prefix, and so is what ended before ``tx`` began.
+        del recent[
+            : bisect_left(
+                recent, self._kernel.now_us - RECENT_HORIZON_US, key=_END_US
+            )
         ]
+        start_us = tx.start_us
+        end_us = start_us + tx.duration_us
+        candidates = itertools.chain(
+            active,
+            itertools.islice(
+                recent, bisect_right(recent, start_us, key=_END_US), None
+            ),
+        )
+        propagation = self._propagation
+        path_loss_db = propagation.path_loss_db
+        overlapping = [
+            (
+                _COUPLING_DB[other.channel.number],
+                other.tx_power_dbm,
+                propagation.losses_from(other.tx_position),
+                other.tx_position,
+            )
+            for other in candidates
+            if other is not tx
+            and other.start_us < end_us
+            and start_us < other.start_us + other.duration_us
+        ]
+        ambient = [
+            (
+                source.power_dbm,
+                propagation.losses_from(source.position),
+                source.position,
+            )
+            for source in active_sources(self._interferers, start_us)
+        ]
+        couplings = _COUPLING_DB[tx.channel.number]
+        power = tx.tx_power_dbm
+        tx_position = tx.tx_position
+        losses = propagation.losses_from(tx_position)
         for receiver in self._receivers:
             if receiver is sender:
                 continue
-            coupling = receiver.channel.overlap_fraction(tx.channel)
-            if coupling <= 0.0:
+            channel = receiver.channel.number
+            coupling_db = couplings[channel]
+            if coupling_db is None:
                 continue
-            rssi = self._rssi_at(tx, receiver.position, coupling)
-            interference = self._interference_at(
-                tx, overlapping, receiver, sender
-            )
-            receiver.on_air_event(tx, rssi, interference)
-
-    def _rssi_at(self, tx: Transmission, rx: Point, coupling: float) -> float:
-        rssi = self._propagation.rssi_dbm(tx.tx_power_dbm, tx.tx_position, rx)
-        if coupling < 1.0:
-            rssi += 10.0 * math.log10(coupling)
-        return rssi
-
-    def _interference_at(
-        self,
-        tx: Transmission,
-        overlapping: Sequence[Transmission],
-        receiver: Receiver,
-        sender: Optional[Receiver],
-    ) -> Tuple[float, ...]:
-        levels = []
-        for other in overlapping:
-            coupling = receiver.channel.overlap_fraction(other.channel)
-            if coupling <= 0.0:
-                continue
-            levels.append(self._rssi_at(other, receiver.position, coupling))
-        levels.extend(
-            ambient_interference_dbm(
-                self._interferers,
-                tx.start_us,
-                receiver.position,
-                self._propagation,
-            )
-        )
-        return tuple(levels)
-
-    def _gc_recent(self) -> None:
-        horizon = self._kernel.now_us - 20_000
-        self._recent = [t for t in self._recent if t.end_us >= horizon]
+            position = receiver.position
+            loss = losses.get(position)
+            if loss is None:
+                loss = path_loss_db(tx_position, position)
+            rssi = power - loss
+            if coupling_db:
+                rssi += coupling_db
+            levels = []
+            for other_couplings, other_power, other_losses, other_position in (
+                overlapping
+            ):
+                coupling_db = other_couplings[channel]
+                if coupling_db is None:
+                    continue
+                loss = other_losses.get(position)
+                if loss is None:
+                    loss = path_loss_db(other_position, position)
+                level = other_power - loss
+                if coupling_db:
+                    level += coupling_db
+                levels.append(level)
+            for source_power, source_losses, source_position in ambient:
+                loss = source_losses.get(position)
+                if loss is None:
+                    loss = path_loss_db(source_position, position)
+                level = source_power - loss
+                if level > NEGLIGIBLE_DBM:
+                    levels.append(level)
+            receiver.on_air_event(tx, rssi, tuple(levels))
 
     # --- carrier sense ----------------------------------------------------
 
@@ -205,12 +275,17 @@ class Medium:
         threshold is invisible here — the hidden-terminal situation whose
         interference Section 7.2 quantifies.
         """
+        couplings = _COUPLING_DB[channel.number]
+        path_loss_db = self._propagation.path_loss_db
         latest = 0
         for tx in self._active:
-            coupling = channel.overlap_fraction(tx.channel)
-            if coupling <= 0.0:
+            coupling_db = couplings[tx.channel.number]
+            if coupling_db is None:
                 continue
-            if self._rssi_at(tx, position, coupling) >= threshold_dbm:
+            rssi = tx.tx_power_dbm - path_loss_db(tx.tx_position, position)
+            if coupling_db:
+                rssi += coupling_db
+            if rssi >= threshold_dbm:
                 latest = max(latest, tx.end_us)
         return latest
 

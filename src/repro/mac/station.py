@@ -78,7 +78,7 @@ def select_rate(
     eligible = [
         r
         for r in allowed
-        if RATE_SNR_THRESHOLDS_DB[r] + RATE_SELECTION_MARGIN_DB <= snr
+        if RATE_SNR_THRESHOLDS_DB[r.mbps] + RATE_SELECTION_MARGIN_DB <= snr
     ]
     if not eligible:
         return min(allowed, key=lambda r: r.mbps)

@@ -33,16 +33,20 @@ class BroadbandInterferer:
         phase = (t_us - self.start_us) % self.period_us
         return phase < self.period_us * self.duty_cycle
 
-    def power_at(
-        self, t_us: int, rx: Point, propagation: PropagationModel
-    ) -> float:
-        """Interference power (dBm) this source lands on ``rx`` at ``t_us``.
 
-        Returns ``-inf``-like small value when inactive; callers filter.
-        """
-        if not self.active_at(t_us):
-            return -300.0
-        return propagation.rssi_dbm(self.power_dbm, self.position, rx)
+#: Levels at or below this are negligible and not reported as interference.
+NEGLIGIBLE_DBM = -200.0
+
+
+def active_sources(
+    interferers: Sequence[BroadbandInterferer], t_us: int
+) -> Tuple[BroadbandInterferer, ...]:
+    """The sources on at ``t_us``.
+
+    A frame sees each source's state at its start time, and that state is
+    the same at every receiver, so the medium asks once per transmission.
+    """
+    return tuple(source for source in interferers if source.active_at(t_us))
 
 
 def ambient_interference_dbm(
@@ -53,8 +57,8 @@ def ambient_interference_dbm(
 ) -> Tuple[float, ...]:
     """Interference levels from every active broadband source at ``rx``."""
     levels = []
-    for source in interferers:
-        level = source.power_at(t_us, rx, propagation)
-        if level > -200.0:
+    for source in active_sources(interferers, t_us):
+        level = propagation.rssi_dbm(source.power_dbm, source.position, rx)
+        if level > NEGLIGIBLE_DBM:
             levels.append(level)
     return tuple(levels)

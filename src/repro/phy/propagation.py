@@ -21,8 +21,8 @@ has a stable character across a run — like a real pair of locations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -57,31 +57,44 @@ def distance_m(a: Point, b: Point) -> float:
 class PropagationModel:
     """Log-distance path loss + floor loss + stable per-link shadowing.
 
-    Losses are cached per endpoint pair: device positions are static in our
-    scenarios and a building-scale fleet evaluates every transmission
-    against ~250 receivers, so the cache turns the hot path into a dict
-    lookup.
+    Losses are cached per endpoint pair: a building-scale fleet evaluates
+    every transmission against ~250 receivers, so each unordered pair of
+    positions is computed once and every later probe, in either
+    direction, is a plain two-level dict lookup.  Positions are the keys,
+    so a device that moves simply probes a new pair.
     """
 
     path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
     floor_loss_db: float = DEFAULT_FLOOR_LOSS_DB
     shadowing_sigma_db: float = DEFAULT_SHADOWING_SIGMA_DB
     shadowing_seed: int = 0
+    _losses: Dict[Point, Dict[Point, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_cache", {})
+    def losses_from(self, tx: Point) -> Dict[Point, float]:
+        """The live map from position to cached loss for endpoint ``tx``.
+
+        A miss in it means the pair has not been computed yet:
+        :meth:`path_loss_db` computes it and fills this map (and the
+        reverse direction's) in place.
+        """
+        row = self._losses.get(tx)
+        if row is None:
+            row = self._losses[tx] = {}
+        return row
 
     def path_loss_db(self, tx: Point, rx: Point) -> float:
         """Total propagation loss from ``tx`` to ``rx`` in dB (symmetric)."""
-        key = (tx, rx) if tx <= rx else (rx, tx)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        dist = max(distance_m(tx, rx), 1.0)
-        loss = REFERENCE_LOSS_DB + 10.0 * self.path_loss_exponent * math.log10(dist)
-        loss += self._floor_crossings(tx, rx) * self.floor_loss_db
-        loss += self._shadowing_db(tx, rx)
-        self._cache[key] = loss
+        row = self.losses_from(tx)
+        loss = row.get(rx)
+        if loss is None:
+            dist = max(distance_m(tx, rx), 1.0)
+            loss = REFERENCE_LOSS_DB + 10.0 * self.path_loss_exponent * math.log10(dist)
+            loss += self._floor_crossings(tx, rx) * self.floor_loss_db
+            loss += self._shadowing_db(tx, rx)
+            row[rx] = loss
+            self.losses_from(rx)[tx] = loss
         return loss
 
     def rssi_dbm(self, tx_power_dbm: float, tx: Point, rx: Point) -> float:

@@ -83,7 +83,7 @@ def decode_probability(snr: float, rate: PhyRate) -> float:
     saturating within a few dB either side — the standard shape of measured
     frame-delivery-vs-SNR curves.
     """
-    threshold = RATE_SNR_THRESHOLDS_DB[rate]
+    threshold = RATE_SNR_THRESHOLDS_DB[rate.mbps]
     x = (snr - threshold) / SNR_CURVE_WIDTH_DB
     return 1.0 / (1.0 + math.exp(-x))
 
@@ -125,7 +125,7 @@ class ReceptionModel:
             return ReceptionOutcome.DECODED
         # Failed decode: deep-failure events never achieved frame lock and
         # surface as PHY errors; marginal ones are captured with a bad CRC.
-        threshold = RATE_SNR_THRESHOLDS_DB[rate]
+        threshold = RATE_SNR_THRESHOLDS_DB[rate.mbps]
         if snr < threshold - PHY_ERROR_MARGIN_DB:
             return ReceptionOutcome.PHY_ERROR
         return ReceptionOutcome.CORRUPT

@@ -29,12 +29,11 @@ truth rather than eyeballing counters.
 
 from __future__ import annotations
 
-import gzip
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from ..jtrace.io import RadioTrace, write_sidecar
+from ..jtrace.io import RadioTrace, compress_trace, write_sidecar
 from ..jtrace.records import _HEADER, record_to_bytes
 from .scenario import FaultConfig, ScenarioConfig
 
@@ -235,14 +234,13 @@ def write_faulty_traces(
                 cut = max(1, len(blob) - 1)
             blob = blob[:cut]
             plan.truncated[radio] = mode
-        with gzip.open(data_path, "wb") as fh:
-            fh.write(blob)
+        gz = compress_trace(blob)
         if mode == "stream":
-            gz = data_path.read_bytes()
             # Chop the compressed file itself; keep the gzip header so the
             # reader starts decoding before hitting the damage.
             cut = max(24, int(fc.truncate_at_fraction * len(gz)))
-            data_path.write_bytes(gz[: min(cut, len(gz) - 1)])
+            gz = gz[: min(cut, len(gz) - 1)]
             plan.truncated[radio] = mode
+        data_path.write_bytes(gz)
         write_sidecar(trace, data_path)
     return plan
