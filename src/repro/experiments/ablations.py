@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the unifier's design choices (README.md, "Experiments").
 
 Each ablation reruns unification on the *same* building traces with one
 knob changed, and reports the Figure 4 dispersion percentiles plus the

@@ -5,12 +5,10 @@ canonical run: the registry's workload families
 (:mod:`repro.sim.registry`) each stress a different slice of the paper's
 analyses, and this module runs the reconstruction across all of them.
 
-:func:`get_family_run` is one cached simulate+reconstruct per
-(family, scale, seed), shared with the table/figure benchmarks via the
-common run cache (whose fingerprint includes the family name and the
-registry schema version).  ``benchmarks/bench_scenarios.py`` checks each
-family's signal and pipeline rate on those runs; timing lives in
-``benchmarks/e2e``.
+:func:`get_family_run` is one cached simulate+reconstruct per family
+config, shared with the table/figure experiments via the common run
+cache.  ``tests/paper/test_scenarios.py`` checks each family's signal
+and pipeline rate on those runs; timing lives in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -26,12 +24,7 @@ def get_family_run(
     **overrides,
 ) -> ExperimentRun:
     """The cached simulate+reconstruct for one registered family."""
-    return get_run(
-        f"family:{family}:{scale}",
-        lambda: scenario_config(family, scale=scale, seed=seed, **overrides),
-        seed=seed,
-        family=family,
-    )
+    return get_run(scenario_config(family, scale=scale, seed=seed, **overrides))
 
 
 def main() -> None:

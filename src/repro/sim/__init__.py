@@ -12,7 +12,6 @@ from .kernel import EventHandle, Kernel
 from .registry import (
     REGISTRY,
     SCALES,
-    SCENARIO_SCHEMA_VERSION,
     ScenarioFamily,
     ScenarioRegistry,
     scenario_config,
@@ -61,7 +60,6 @@ __all__ = [
     "WorkloadConfig",
     "REGISTRY",
     "SCALES",
-    "SCENARIO_SCHEMA_VERSION",
     "ScenarioFamily",
     "ScenarioRegistry",
     "scenario_config",

@@ -28,12 +28,6 @@ Registered families (see ``docs/scenarios.md`` for the full map):
                      trace set (``repro.sim.campus``) — stresses
                      hierarchical sharding and the merge's radio-count
                      scaling at 500+ radios.
-
-Cache compatibility: any change to the component schema or to a family's
-meaning must bump :data:`SCENARIO_SCHEMA_VERSION`; the experiment
-run-cache folds the version and family name into its fingerprint so
-artifacts cached under an older schema can never be served for a
-new-style scenario.
 """
 
 from __future__ import annotations
@@ -42,10 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 from .scenario import ScenarioConfig
-
-#: Bump when the component schema or a registered family's semantics
-#: change in a way that invalidates previously cached runs.
-SCENARIO_SCHEMA_VERSION = 1
 
 #: The scales every family must provide.
 SCALES: Tuple[str, ...] = ("tiny", "small", "full")

@@ -1,17 +1,19 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablations of the unifier's design choices (README.md, "Experiments").
 
 Reruns unification on the same building traces with one knob changed each
 time; checks the paper's qualitative arguments (resynchronization and skew
 compensation are what keep a large fleet synchronized).
 """
 
+import pytest
+
 from repro.experiments.ablations import run_ablations
 
+pytestmark = pytest.mark.paper
 
-def test_unifier_ablations(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_ablations, args=(building_run,), rounds=1, iterations=1
-    )
+
+def test_unifier_ablations(building_run, capsys):
+    result = run_ablations(building_run)
     with capsys.disabled():
         print("\n=== Unifier ablations ===")
         print(result.format_table())

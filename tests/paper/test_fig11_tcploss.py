@@ -1,16 +1,18 @@
-"""Bench F11 — Figure 11: TCP loss decomposition.
+"""Figure 11: TCP loss decomposition.
 
 Paper: across completed-handshake flows, "the wireless component of TCP
 loss is dominant."
 """
 
+import pytest
+
 from repro.experiments.fig11_tcploss import run_fig11
 
+pytestmark = pytest.mark.paper
 
-def test_fig11_tcp_loss_decomposition(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_fig11, args=(building_run,), rounds=2, iterations=1
-    )
+
+def test_fig11_tcp_loss_decomposition(building_run, capsys):
+    result = run_fig11(building_run)
     with capsys.disabled():
         print("\n=== Figure 11: TCP loss decomposition ===")
         print(result.format_table())

@@ -1,15 +1,17 @@
-"""Bench F4 — Figure 4: CDF of jframe group dispersion.
+"""Figure 4: CDF of jframe group dispersion.
 
 Paper: 90% of jframes < 10 us worst-case inter-radio offset; 99% < 20 us.
 """
 
+import pytest
+
 from repro.experiments.fig4_dispersion import run_fig4
 
+pytestmark = pytest.mark.paper
 
-def test_fig4_dispersion_cdf(benchmark, building_run, capsys):
-    cdf = benchmark.pedantic(
-        run_fig4, args=(building_run,), rounds=3, iterations=1
-    )
+
+def test_fig4_dispersion_cdf(building_run, capsys):
+    cdf = run_fig4(building_run)
     with capsys.disabled():
         print("\n=== Figure 4: group dispersion CDF ===")
         print(cdf.format_table())

@@ -1,17 +1,19 @@
-"""Bench F6 — Figure 6: per-station coverage against the wired trace.
+"""Figure 6: per-station coverage against the wired trace.
 
 Paper: 97% of wired unicast packets appear in the wireless trace; APs are
 covered better than clients (pods sit near APs); 78% of clients and 94% of
 APs exceed 95% coverage.
 """
 
+import pytest
+
 from repro.experiments.fig6_coverage import run_fig6
 
+pytestmark = pytest.mark.paper
 
-def test_fig6_wired_coverage(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_fig6, args=(building_run,), rounds=2, iterations=1
-    )
+
+def test_fig6_wired_coverage(building_run, capsys):
+    result = run_fig6(building_run)
     with capsys.disabled():
         print("\n=== Figure 6: wired-trace coverage ===")
         print(result.format_table())

@@ -1,21 +1,19 @@
-"""Bench F7 — Figure 7: coverage vs number of sensor pods.
+"""Figure 7: coverage vs number of sensor pods.
 
 Paper: AP coverage stays ~94% down to 20 pods while client coverage drops
 92% -> 71% -> 68%; 10 pods partitions the synchronization bootstrap.
-Each configuration reruns the full pipeline, so this is the slowest bench.
+Each configuration reruns the full pipeline, so this is the slowest test.
 """
+
+import pytest
 
 from repro.experiments.fig7_pods import run_fig7
 
+pytestmark = pytest.mark.paper
 
-def test_fig7_pod_reduction(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_fig7,
-        args=(building_run,),
-        kwargs={"pod_counts": (39, 30, 20, 10)},
-        rounds=1,
-        iterations=1,
-    )
+
+def test_fig7_pod_reduction(building_run, capsys):
+    result = run_fig7(building_run, pod_counts=(39, 30, 20, 10))
     with capsys.disabled():
         print("\n=== Figure 7: coverage vs pod count ===")
         print(result.format_table())

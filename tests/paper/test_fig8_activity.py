@@ -1,17 +1,19 @@
-"""Bench F8 — Figure 8: diurnal activity time series and traffic mix.
+"""Figure 8: diurnal activity time series and traffic mix.
 
 Paper: active clients follow a day curve with an overnight floor; beacon
 traffic is constant while data is bursty; broadcast (ARP + beacons) burns
 ~10% of any monitor's channel airtime.
 """
 
+import pytest
+
 from repro.experiments.fig8_activity import run_fig8
 
+pytestmark = pytest.mark.paper
 
-def test_fig8_activity_timeline(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_fig8, args=(building_run,), rounds=2, iterations=1
-    )
+
+def test_fig8_activity_timeline(building_run, capsys):
+    result = run_fig8(building_run)
     with capsys.disabled():
         print("\n=== Figure 8: activity time series ===")
         print(result.timeline.format_table(max_rows=12))

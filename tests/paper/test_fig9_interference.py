@@ -1,17 +1,19 @@
-"""Bench F9 — Figure 9: interference loss rate across (s, r) pairs.
+"""Figure 9: interference loss rate across (s, r) pairs.
 
 Paper: 88% of scored pairs experience interference loss; senders split
 56%/44% between APs and clients; half the pairs sit at X <= 0.025 while
 10% reach X >= 0.1 and 5% reach X >= 0.2.
 """
 
+import pytest
+
 from repro.experiments.fig9_interference import run_fig9
 
+pytestmark = pytest.mark.paper
 
-def test_fig9_interference(benchmark, building_run, capsys):
-    result = benchmark.pedantic(
-        run_fig9, args=(building_run,), rounds=2, iterations=1
-    )
+
+def test_fig9_interference(building_run, capsys):
+    result = run_fig9(building_run)
     with capsys.disabled():
         print("\n=== Figure 9: interference loss rate ===")
         print(result.format_table())

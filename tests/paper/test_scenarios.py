@@ -1,4 +1,4 @@
-"""Bench S1 — the scenario-family sweep.
+"""The scenario-family sweep.
 
 The pipeline must stay faster than the paper's event rate on *every*
 registered workload family, not just the canonical building run — and
@@ -9,9 +9,13 @@ a flash-crowd wave).
 
 import itertools
 
+import pytest
+
 from repro.dot11.frame import FrameType
 from repro.experiments.scenarios import get_family_run
 from repro.sim import REGISTRY
+
+pytestmark = pytest.mark.paper
 
 #: The paper's day-long trace: 2.7 B events over 86,400 seconds.
 PAPER_EVENTS_PER_SECOND = 2_700_000_000 / 86_400

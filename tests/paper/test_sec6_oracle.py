@@ -1,20 +1,18 @@
-"""Bench S6a — Section 6: controlled link-event coverage oracle.
+"""Section 6: controlled link-event coverage oracle.
 
 Paper: the platform observed ~95% of all link-level events generated by a
 laptop walked through the building (prior studies: 80-97%).
 """
 
+import pytest
+
 from repro.experiments.sec6_oracle import run_sec6_oracle
 
+pytestmark = pytest.mark.paper
 
-def test_sec6_oracle_coverage(benchmark, building_run, capsys):
-    results = benchmark.pedantic(
-        run_sec6_oracle,
-        args=(building_run,),
-        kwargs={"max_stations": 20},
-        rounds=2,
-        iterations=1,
-    )
+
+def test_sec6_oracle_coverage(building_run, capsys):
+    results = run_sec6_oracle(building_run, max_stations=20)
     observed = sum(r.observed for r in results)
     transmitted = sum(r.transmitted for r in results)
     coverage = observed / max(1, transmitted)

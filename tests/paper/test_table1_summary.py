@@ -1,12 +1,14 @@
-"""Bench T1 — Table 1: trace summary characteristics."""
+"""Table 1: trace summary characteristics."""
+
+import pytest
 
 from repro.experiments.table1_summary import run_table1
 
+pytestmark = pytest.mark.paper
 
-def test_table1_summary(benchmark, building_run, capsys):
-    summary = benchmark.pedantic(
-        run_table1, args=(building_run,), rounds=2, iterations=1
-    )
+
+def test_table1_summary(building_run, capsys):
+    summary = run_table1(building_run)
     with capsys.disabled():
         print("\n=== Table 1: trace summary ===")
         print(summary.format_table())

@@ -268,30 +268,6 @@ class TestExchangeOrdering:
         ), "abandoned open exchange stalled the reorder buffer"
 
 
-class TestRunCacheFingerprint:
-    def test_config_overrides_get_distinct_cache_entries(self):
-        from repro.experiments import common
-
-        common.clear_cache()
-        try:
-            base = common.get_run(
-                "parity-cache", lambda: ScenarioConfig.tiny(seed=3), seed=3
-            )
-            override = common.get_run(
-                "parity-cache",
-                lambda: ScenarioConfig.tiny(seed=3, duration_us=700_000),
-                seed=3,
-            )
-            again = common.get_run(
-                "parity-cache", lambda: ScenarioConfig.tiny(seed=3), seed=3
-            )
-        finally:
-            common.clear_cache()
-        assert base is not override
-        assert override.config.duration_us == 700_000
-        assert again is base  # identical config still hits the cache
-
-
 #: Reference values computed by the PRE-REWRITE batch implementations
 #: (git HEAD before the pass API, commit fdd8ab5) on the exact scenario
 #: `small_setup` builds.  The pass rewrites must reproduce them bit for

@@ -216,39 +216,19 @@ class TestCompositionStability:
         assert _clock_offsets(base) == _clock_offsets(waved)
 
 
-class TestRunCacheFingerprint:
-    """The satellite: family name and schema version key the run cache."""
-
-    def test_family_distinguishes_cache_entries(self):
+class TestRunCache:
+    def test_the_config_alone_keys_the_run_cache(self):
         from repro.experiments import common
 
         common.clear_cache()
         try:
-            plain = common.get_run(
-                "fp-test", lambda: ScenarioConfig.tiny(seed=2), seed=2
-            )
-            familied = common.get_run(
-                "fp-test",
-                lambda: ScenarioConfig.tiny(seed=2),
-                seed=2,
-                family="roaming",
-            )
-            again = common.get_run(
-                "fp-test",
-                lambda: ScenarioConfig.tiny(seed=2),
-                seed=2,
-                family="roaming",
+            base = common.get_run(ScenarioConfig.tiny(seed=3))
+            again = common.get_run(ScenarioConfig.tiny(seed=3))
+            override = common.get_run(
+                ScenarioConfig.tiny(seed=3, duration_us=700_000)
             )
         finally:
             common.clear_cache()
-        assert plain is not familied
-        assert again is familied
-
-    def test_fingerprint_carries_schema_version_and_family(self):
-        from repro.experiments.common import _config_fingerprint
-        from repro.sim import SCENARIO_SCHEMA_VERSION
-
-        fp = _config_fingerprint(ScenarioConfig.tiny(), "scanning")
-        assert f"schema-v{SCENARIO_SCHEMA_VERSION}:" in fp
-        assert "family=scanning:" in fp
-        assert _config_fingerprint(ScenarioConfig.tiny(), None) != fp
+        assert again is base
+        assert override is not base
+        assert override.config.duration_us == 700_000

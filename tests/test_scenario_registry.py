@@ -152,7 +152,7 @@ class TestFamilyMatrix:
 
 class TestFamilySignals:
     """Each family produces the phenomenon it exists to stress (cheap
-    tiny-scale checks; the small-scale versions live in the bench suite)."""
+    tiny-scale checks; the small-scale versions live in tests/paper)."""
 
     def test_roaming_hands_off(self):
         artifacts = run_scenario(
@@ -224,8 +224,8 @@ class TestFamilySignals:
             for f in artifacts.flows
             if abs(f.start_us / config.duration_us - center) < 2 * width
         )
-        # Tiny scale is sparse; demand a clear (1.5x) concentration, the
-        # bench suite holds the sharper 2x bound at small scale.
+        # Tiny scale is sparse; demand a clear (1.5x) concentration,
+        # tests/paper holds the sharper 2x bound at small scale.
         assert in_wave / len(artifacts.flows) > 1.5 * (4 * width)
         # The arrival wave also compresses association times.
         window = config.behavior.start_window_us
