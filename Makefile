@@ -39,27 +39,35 @@ bench-smoke:
 PAIR_SEEDS ?= 7 8 9 10 11 12 13 14 15 16
 PAIR_DIR := benchmarks/e2e/out/pair
 
-# Folds the per-seed files into the two result sets compare.py reads
-# and prints each pair on all three end-to-end metrics, since the claim
-# rule counts pairs won and the gate rejects a regression on any of them.
+# Folds the per-seed files into the two result sets compare.py reads,
+# prints each pair on every end-to-end metric BENCHMARK.json declares,
+# and counts the pairs the change won on each, in the direction that
+# metric's `better` gives: the claim rule counts pairs won and the gate
+# rejects a regression on any of them.
 define PAIR_MERGE
 import json, sys
 out, seeds = sys.argv[1], sys.argv[2:]
 sets = {"parent": [], "change": []}
-shown = ("e2e_records_per_s", "peak_rss_mb", "setup_s")
-wins = 0
+metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+wins = {metric["name"]: 0 for metric in metrics}
 for seed in seeds:
     pair = {}
     for side, runs in sets.items():
         (run,) = json.load(open(f"{out}/{side}-{seed}.json"))["runs"]
         runs.append(run)
-        pair[side] = [run["metrics"][name] for name in shown]
-    wins += pair["change"][0] > pair["parent"][0]
+        pair[side] = [run["metrics"][name] for name in wins]
+    for metric, parent, change in zip(metrics, pair["parent"], pair["change"]):
+        higher = metric["better"] == "higher"
+        wins[metric["name"]] += change > parent if higher else change < parent
     print(f"seed {seed}: " + "  ".join(
         f"{name} {parent:,.6g} -> {change:,.6g}"
-        for name, parent, change in zip(shown, pair["parent"], pair["change"])
+        for name, parent, change in zip(wins, pair["parent"], pair["change"])
     ))
-print(f"change ahead on {shown[0]} in {wins} of {len(seeds)} pairs")
+for metric in metrics:
+    print(
+        f"change ahead on {metric['name']} ({metric['better']} is better) "
+        f"in {wins[metric['name']]} of {len(seeds)} pairs"
+    )
 for side, runs in sets.items():
     json.dump({"runs": runs}, open(f"{out}/{side}.json", "w"))
 endef

@@ -6,8 +6,9 @@ Every analysis exists in two interchangeable forms:
   :class:`ProtectionPass`, :class:`TcpLossPass`, :class:`SummaryPass`,
   :class:`InterferencePass`, :class:`WiredCoveragePass`,
   :class:`BroadcastAirtimePass`) that taps
-  ``JigsawPipeline.run(traces, passes=[...])`` directly and runs in
-  bounded memory with ``materialize=False``;
+  ``JigsawPipeline.run(traces, passes=[...])`` directly, so with
+  ``materialize=False`` the report keeps no per-layer lists (the input
+  traces still hold every record until the run ends);
 * the classic **function entry point** (``activity_timeline(report)``
   etc.), now a thin wrapper that replays a materialized report through
   the very same pass — so both styles produce identical results by

@@ -24,7 +24,9 @@ A :class:`PipelinePass` taps that pass directly:
 ``JigsawPipeline.run(traces, passes=[...])`` drives registered passes
 inside the one-pass loop.  Report materialization itself is just the
 built-in :class:`MaterializePass`; pass ``materialize=False`` to drop it
-and run analyses in bounded memory over arbitrarily long traces.
+and run analyses without the per-layer lists.  That bounds the report,
+not the input: a file-backed trace keeps every record it decoded until
+the run ends.
 
 :func:`run_passes` replays an already-materialized report through the
 same hooks, so the classic function-style entry points

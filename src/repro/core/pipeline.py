@@ -30,9 +30,11 @@ Each registered :class:`~repro.core.passes.PipelinePass` receives every
 jframe/attempt/exchange/flow as the loop produces it and surrenders its
 result into ``report.passes``.  Report materialization itself is just the
 built-in :class:`~repro.core.passes.MaterializePass`; disable it with
-``materialize=False`` to run analyses in bounded memory over arbitrarily
-long traces — the report then carries statistics, flows and pass results
-but empty per-layer lists.
+``materialize=False`` and the report carries statistics, flows and pass
+results but empty per-layer lists.  That bounds the report, not the
+input: a file-backed trace keeps every record it decoded until the run
+ends (:class:`~repro.core.analysis.SummaryPass` counts them), so a
+file-backed run's memory grows with its records.
 
 The bootstrap prepass
 (:func:`~repro.core.sync.bootstrap.bootstrap_synchronization`) is fused
@@ -329,10 +331,12 @@ class JigsawPipeline:
         ``passes`` are :class:`~repro.core.passes.PipelinePass` instances
         driven inside the one-pass loop; each result lands in
         ``report.passes[pass.name]``.  ``materialize=False`` drops the
-        built-in materialization pass, bounding memory for long traces;
-        such a report's flows also drop their observation -> exchange
-        back-references once transport inference has folded its verdicts
-        into them, so they stop retaining the data-subset jframe graph.
+        built-in materialization pass, so the report keeps no jframes,
+        attempts or exchanges; such a report's flows also drop their
+        observation -> exchange back-references once transport inference
+        has folded its verdicts into them, so they stop retaining the
+        data-subset jframe graph.  The input is not bounded: each trace
+        keeps every record it holds or decoded until the run ends.
         """
         started = time.perf_counter()
         check_pass_names(passes)

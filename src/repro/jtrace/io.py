@@ -15,7 +15,13 @@ Reading is streaming: :func:`iter_record_batches` context-manages the file
 handle and decodes chunk by chunk in constant memory, so day-long traces
 never materialize a decompressed byte blob; :func:`open_trace_stream`
 wraps it in a lazily read :class:`RadioTrace`, and :func:`read_trace`
-drains one.
+drains one.  The decoder's memory is constant; the trace's is not: a
+:class:`RadioTrace` keeps every record it decoded in its buffer until
+it is dropped, so a run over file-backed traces holds each record it
+read.  To keep that per-record cost low, the batch decoder hands out
+repeated field values from the read's
+:class:`~repro.jtrace.records.ValueTables` — one set per
+:func:`open_trace_streams` call — instead of building a copy per record.
 
 Decoding is fault-tolerant on request.  Real day-scale captures get
 damaged — a radio loses power mid-record, a disk sector corrupts, a gzip
@@ -45,7 +51,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import islice
-from operator import itemgetter, le
+from operator import attrgetter, itemgetter, le
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -54,6 +60,7 @@ from .records import (
     RecordBatch,
     SidecarBound,
     TraceRecord,
+    ValueTables,
     _HEADER,
     batch_from_records,
     header_timestamp_us,
@@ -423,9 +430,24 @@ def open_trace_stream(
     ``drop-trace`` decodes eagerly — a lazily-dropped trace would vanish
     halfway through the merge — so a damaged file becomes an empty
     trace up front and the radio is simply absent from the run.
+
+    The stream has its own :class:`~repro.jtrace.records.ValueTables`;
+    the streams of one :func:`open_trace_streams` call share one set.
     """
-    data_path = Path(data_path)
-    policy = ErrorPolicy(policy)
+    return _open_stream(
+        Path(data_path), ErrorPolicy(policy), vectorized, chunk_bytes,
+        ValueTables(),
+    )
+
+
+def _open_stream(
+    data_path: Path,
+    policy: ErrorPolicy,
+    vectorized: bool,
+    chunk_bytes: int,
+    values: ValueTables,
+) -> RadioTrace:
+    """:func:`open_trace_stream`, decoding into the read's ``values``."""
     meta = _read_meta(data_path)
     decode_health = DecodeHealth()
     channels = meta.get("channels")
@@ -435,6 +457,7 @@ def open_trace_stream(
         policy=policy,
         health=decode_health,
         vectorized=vectorized,
+        values=values,
     )
     if policy is ErrorPolicy.STRICT:
         source = _index_checked(source, decode_health, meta["records"])
@@ -474,17 +497,21 @@ def open_trace_streams(
     vectorized: bool = True,
     chunk_bytes: int = _READ_CHUNK_BYTES,
 ) -> List[RadioTrace]:
-    """Lazily open every trace in a directory (sorted by radio id)."""
-    directory = Path(directory)
-    return [
-        open_trace_stream(
-            path,
-            policy=policy,
-            vectorized=vectorized,
-            chunk_bytes=chunk_bytes,
-        )
-        for path in sorted(directory.glob("radio_*.jtr.gz"))
+    """Lazily open every trace in a directory, in radio-id order.
+
+    The order is the sidecars' ``radio_id``, not the file names': a
+    four-digit name sorts radio 10000 before radio 1001.  Every stream
+    decodes into one :class:`~repro.jtrace.records.ValueTables`, so a
+    value many radios captured is one object across the whole read.
+    """
+    policy = ErrorPolicy(policy)
+    values = ValueTables()
+    traces = [
+        _open_stream(path, policy, vectorized, chunk_bytes, values)
+        for path in sorted(Path(directory).glob("radio_*.jtr.gz"))
     ]
+    traces.sort(key=attrgetter("radio_id"))
+    return traces
 
 
 def write_trace(trace: RadioTrace, directory: Path) -> Path:
@@ -655,6 +682,8 @@ def iter_record_batches(
     policy: PolicyLike = ErrorPolicy.STRICT,
     health: Optional[DecodeHealth] = None,
     vectorized: bool = True,
+    *,
+    values: Optional[ValueTables] = None,
 ) -> Iterator[RecordBatch]:
     """Stream-decode a compressed trace file as batches of records.
 
@@ -671,7 +700,12 @@ def iter_record_batches(
     forces the scalar per-record engine (the reference path the parity
     suites compare against).  Both engines produce identical records,
     identical :class:`DecodeHealth` ledgers, and raise identical errors
-    at identical stream positions.
+    at identical stream positions.  The batch engine hands out repeated
+    field values from ``values``, the read's
+    :class:`~repro.jtrace.records.ValueTables` (a set of this stream's
+    own when ``None``); the scalar engine, and the batch engine's
+    record-at-a-time fallback at damaged boundaries, build every value
+    afresh.
 
     ``policy`` selects damage handling (see :class:`ErrorPolicy`).  Under
     ``skip``, a corrupt record triggers resynchronization: the batch
@@ -699,6 +733,8 @@ def iter_record_batches(
         health = DecodeHealth()
     data_path = Path(data_path)
     strict = policy is ErrorPolicy.STRICT
+    if values is None:
+        values = ValueTables()
 
     bound = None if strict else _sidecar_bound(data_path)
     if strict:
@@ -739,7 +775,7 @@ def iter_record_batches(
                         bad = None if prefix == total else prefix
                     count = total if bad is None else bad
                     if count:
-                        batch = run.decode(count)
+                        batch = run.decode(count, values)
                         health.records_decoded += count
                         last_batch_ts = batch.last_timestamp_us
                         if last_batch_ts is not None:
@@ -874,8 +910,12 @@ def read_traces(
     *,
     vectorized: bool = True,
 ) -> List[RadioTrace]:
-    directory = Path(directory)
-    return [
-        read_trace(path, policy=policy, health=health, vectorized=vectorized)
-        for path in sorted(directory.glob("radio_*.jtr.gz"))
-    ]
+    """Read every trace in a directory back from disk:
+    :func:`open_trace_streams`, each drained as :func:`read_trace`
+    drains one."""
+    traces = open_trace_streams(directory, policy, vectorized=vectorized)
+    for trace in traces:
+        trace.records  # drains the file (strict: and checks the index count)
+        if health is not None:
+            health.merge(trace.decode_health)
+    return traces

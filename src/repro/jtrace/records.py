@@ -19,7 +19,16 @@ import enum
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as _np
 
@@ -313,10 +322,63 @@ _SNAP_LEN_STRUCT = struct.Struct("<H")
 _SNAP_LEN_OFFSET = struct.calcsize("<HqBBHhHII")
 
 _PHY_VALUE = RecordKind.PHY_ERROR.value
+_VALID_VALUE = RecordKind.VALID.value
+_CORRUPT_VALUE = RecordKind.CORRUPT.value
 
 #: ``kind`` byte -> enum member; a dict lookup is ~15x cheaper than
 #: calling ``RecordKind(value)`` in the construction loop.
 _KIND_BY_VALUE: Dict[int, RecordKind] = {k.value: k for k in RecordKind}
+
+
+class _CodeTable(Dict[int, float]):
+    """Header code -> field value, each value built once, on first
+    lookup, by ``convert``; read through ``map(table.__getitem__, codes)``
+    so a hit costs one C-level dict probe."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert: Callable[[int], float]) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, code: int) -> float:
+        value = self[code] = self.convert(code)
+        return value
+
+
+class ValueTables:
+    """One read's field values, each kept once however many records carry it.
+
+    Every radio in range captures a transmission, so its records at
+    different radios carry equal frame bytes, FCS, airtime and truth id,
+    and the rate and RSSI codes of a whole read take a few hundred
+    values.  :meth:`FramedRun.decode` hands out the table's object for a
+    value it has seen instead of a fresh copy, so a run that keeps every
+    decoded record pays for each distinct value once.  Record values are
+    unchanged; only duplicate objects go.
+
+    Each field has its own table, so no two fields of one record share
+    an object and a record pickles to the scalar decoder's bytes.  Frame
+    bytes and FCS are shared for VALID records only: a damaged capture's
+    are unique, and a PHY error carries no frame.  Frame lengths and
+    timestamps are not shared: a table of the former costs more than it
+    saves, and each radio clock makes the latter unique.
+
+    A set lives as long as the read that made it — one
+    :func:`~repro.jtrace.io.open_trace_streams` call, shared by every
+    stream it opens, or one lone stream — and dies with its streams.
+    """
+
+    __slots__ = ("rate", "rssi", "duration", "truth", "snap", "fcs")
+
+    def __init__(self) -> None:
+        self.rate = _CodeTable(lambda rate_x10: rate_x10 / 10.0)
+        self.rssi = _CodeTable(float)
+        self.duration: Dict[int, int] = {}
+        self.truth: Dict[int, int] = {}
+        self.snap: Dict[bytes, bytes] = {}
+        self.fcs: Dict[int, int] = {}
+
 
 #: Structured view of ``_HEADER``: same field order, same packed
 #: little-endian layout, one name per struct code (itemsize must equal
@@ -471,8 +533,13 @@ class FramedRun:
             return len(ok)
         return int((~ok).argmax())
 
-    def decode(self, count: Optional[int] = None) -> RecordBatch:
+    def decode(
+        self, count: Optional[int] = None, values: Optional[ValueTables] = None
+    ) -> RecordBatch:
         """Materialize the first ``count`` framed records (all by default).
+
+        Repeated field values come out of ``values`` (a fresh set when
+        none is given), so equal values across the read are one object.
 
         Builds through the unvalidated tuple constructor: call only on
         records :meth:`strict_violation` / :meth:`plausible_prefix` have
@@ -482,24 +549,49 @@ class FramedRun:
         n = len(offsets)
         if n == 0:
             return RecordBatch([], True)
+        if values is None:
+            values = ValueTables()
         h = self._headers if count is None else self._headers[:count]
         ts_col = h["timestamp_us"]
         ts_sorted = bool(_np.all(ts_col[1:] >= ts_col[:-1])) if n > 1 else True
         buffer = self.buffer
         starts = _np.asarray(offsets, dtype=_np.intp) + _HEADER.size
         ends = starts + h["snap_len"]
+        # Frame bytes by kind: a PHY error's are ``b""`` (the validators
+        # saw to it), a damaged capture's are its own, and a VALID
+        # capture's are the read's shared copy.
+        kind = h["kind"]
+        snaps = [b""] * n
+        fcs = h["fcs"].tolist()
+        share_snap = values.snap.setdefault
+        share_fcs = values.fcs.setdefault
+        valid = _np.flatnonzero(kind == _VALID_VALUE)
+        for i, a, b in zip(
+            valid.tolist(), starts[valid].tolist(), ends[valid].tolist()
+        ):
+            snap = buffer[a:b]
+            snaps[i] = share_snap(snap, snap)
+            check = fcs[i]
+            fcs[i] = share_fcs(check, check)
+        damaged = _np.flatnonzero(kind == _CORRUPT_VALUE)
+        for i, a, b in zip(
+            damaged.tolist(), starts[damaged].tolist(), ends[damaged].tolist()
+        ):
+            snaps[i] = buffer[a:b]
+        durations = h["duration_us"].tolist()
+        truths = h["truth_txid"].tolist()
         columns = zip(
             h["radio_id"].tolist(),
             ts_col.tolist(),
-            map(_KIND_BY_VALUE.__getitem__, h["kind"].tolist()),
+            map(_KIND_BY_VALUE.__getitem__, kind.tolist()),
             h["channel"].tolist(),
-            (h["rate_x10"] / 10.0).tolist(),
-            h["rssi"].astype("f8").tolist(),
+            map(values.rate.__getitem__, h["rate_x10"].tolist()),
+            map(values.rssi.__getitem__, h["rssi"].tolist()),
             h["frame_len"].tolist(),
-            h["fcs"].tolist(),
-            [buffer[a:b] for a, b in zip(starts.tolist(), ends.tolist())],
-            h["duration_us"].tolist(),
-            h["truth_txid"].tolist(),
+            fcs,
+            snaps,
+            map(values.duration.setdefault, durations, durations),
+            map(values.truth.setdefault, truths, truths),
         )
         records = list(map(tuple.__new__, repeat(TraceRecord), columns))
         return RecordBatch(records, ts_sorted)

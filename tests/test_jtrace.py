@@ -231,6 +231,23 @@ class TestTraceFiles:
         loaded = read_traces(tmp_path)
         assert [t.radio_id for t in loaded] == [0, 1, 2, 3]
 
+    def test_directories_read_back_in_radio_id_order(self, tmp_path):
+        """File names pad ids to four digits, so radio 10000's file sorts
+        between 1001's and 9999's; both readers still return the traces
+        in the memory order, radio-id order."""
+        from repro.jtrace.io import open_trace_streams
+
+        traces = [
+            RadioTrace(radio_id=i, channel=1, records=[make_record(radio_id=i)])
+            for i in (1001, 9999, 10000)
+        ]
+        write_traces(traces, tmp_path)
+        memory_order = [t.radio_id for t in traces]
+        assert [t.radio_id for t in read_traces(tmp_path)] == memory_order
+        streams = open_trace_streams(tmp_path)
+        assert [t.radio_id for t in streams] == memory_order
+        assert [t.records for t in streams] == [t.records for t in traces]
+
     def test_empty_trace(self, tmp_path):
         trace = RadioTrace(radio_id=9, channel=11)
         write_trace(trace, tmp_path)
@@ -259,6 +276,99 @@ class TestTraceFiles:
         assert ordered.building_id == 3
         assert ordered.decode_health is health
         assert ordered.channel_set == frozenset({6})
+
+
+class TestValueSharing:
+    """Decoded records share equal field values within one read, and
+    only within it."""
+
+    RADIOS = (1, 2, 3)
+    TRANSMISSIONS = 6
+
+    def _corpus(self, tmp_path):
+        """Every radio captures every transmission, plus one damaged
+        capture and one PHY error of its own."""
+        from helpers import data_frame, record_for
+
+        traces = []
+        for radio in self.RADIOS:
+            records = [
+                record_for(
+                    data_frame(seq=i, body=b"x" * (40 + i)), radio,
+                    ts=10_000 * i + radio, txid=1000 + i,
+                )._replace(duration_us=300 + i, rssi_dbm=-50.0 - radio)
+                for i in range(self.TRANSMISSIONS)
+            ]
+            records.append(
+                record_for(
+                    data_frame(seq=99), radio, ts=90_000 + radio,
+                    kind=RecordKind.CORRUPT,
+                    corrupt_bytes=bytes([radio]) * 60,
+                )
+            )
+            records.append(
+                record_for(
+                    data_frame(), radio, ts=95_000 + radio,
+                    kind=RecordKind.PHY_ERROR,
+                )
+            )
+            traces.append(RadioTrace(radio, 6, records))
+        write_traces(traces, tmp_path)
+        return traces
+
+    @staticmethod
+    def _live_tables():
+        import gc
+
+        from repro.jtrace.records import ValueTables
+
+        gc.collect()
+        return sum(isinstance(o, ValueTables) for o in gc.get_objects())
+
+    def test_one_transmission_is_one_set_of_objects(self, tmp_path):
+        from repro.jtrace.io import open_trace_streams
+
+        written = self._corpus(tmp_path)
+        streams = [t.records for t in open_trace_streams(tmp_path)]
+        scalar = read_traces(tmp_path, vectorized=False)
+        assert streams == [t.records for t in scalar]
+        assert streams == [t.records for t in written]
+        for i in range(self.TRANSMISSIONS):
+            first, *others = (records[i] for records in streams)
+            assert first.kind is RecordKind.VALID
+            for record in others:
+                assert record.snap is first.snap
+                assert record.fcs is first.fcs
+                assert record.duration_us is first.duration_us
+                assert record.truth_txid is first.truth_txid
+                assert record.rate_mbps is first.rate_mbps
+        # Damaged captures are unique, and the scalar reference shares
+        # nothing.
+        corrupt = [records[self.TRANSMISSIONS] for records in streams]
+        assert len({id(r.snap) for r in corrupt}) == len(self.RADIOS)
+        first, *others = (t.records[0] for t in scalar)
+        assert all(r.snap is not first.snap for r in others)
+
+    def test_tables_are_scoped_to_one_read(self, tmp_path):
+        from repro.jtrace.io import open_trace_stream, open_trace_streams
+
+        self._corpus(tmp_path)
+        before = self._live_tables()
+        one = open_trace_streams(tmp_path)
+        other = open_trace_streams(tmp_path)
+        lone = open_trace_stream(tmp_path / "radio_0001.jtr.gz")
+        # One set per open_trace_streams call, one per lone stream...
+        assert self._live_tables() == before + 3
+        for trace in (*one, *other, lone):
+            trace.records
+        # ...and none outlives its drained streams.
+        assert self._live_tables() == before
+        # ...and separate reads hand out equal, distinct objects.
+        txid = one[0].records[0].truth_txid
+        assert txid > 256
+        for trace in (other[0], lone):
+            assert trace.records[0].truth_txid == txid
+            assert trace.records[0].truth_txid is not txid
 
 
 class TestSidecar:
