@@ -42,13 +42,23 @@ with ingest: each trace's records are consumed exactly once for the
 examination window — widening rounds feed only the delta — and
 file-backed streaming inputs decode just that prefix before unification
 replays the buffered read.  Every trace is read once per run, not twice.
+
+A batch run pauses automatic cyclic garbage collection, for the whole
+process, from its first line to its report: it makes no reference
+cycles, and every collection it set off would re-walk its decoded
+records (tuple subclasses, never untracked) for nothing.  The caller's
+collector state comes back on every exit.  The service daemon's
+``serve()`` loop runs unbounded over a feed it does not own and keeps
+automatic collection on.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..jtrace.io import RadioTrace
 from .faults import HealthReport
@@ -301,6 +311,23 @@ def assemble_report(
     )
 
 
+@contextmanager
+def _collection_paused() -> Iterator[None]:
+    """Pause automatic cyclic collection; restore the caller's state.
+
+    Only ``gc.isenabled()`` changes, and only for the duration: no
+    freeze, no threshold, no closing collection.  The allocation counts
+    carry over to the caller's next automatic collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class JigsawPipeline:
     """traces -> bootstrap -> unify -> link -> transport (+ passes)."""
 
@@ -337,37 +364,47 @@ class JigsawPipeline:
         has folded its verdicts into them, so they stop retaining the
         data-subset jframe graph.  The input is not bounded: each trace
         keeps every record it holds or decoded until the run ends.
+
+        While a run is in progress, automatic cyclic garbage collection
+        is paused for the whole process (the library is single-threaded).
+        A run makes no reference cycles, so a collection would only
+        re-walk the run's own records — each a tuple subclass, which the
+        collector never untracks — and free nothing.  Every exit,
+        including an exception, hands back the collector state the
+        caller had: enabled only if it was enabled before.
         """
         started = time.perf_counter()
-        check_pass_names(passes)
-        # ``sorted_by_local_time`` returns the trace itself when records
-        # are already ordered (the common case), so this copies no record
-        # list; a trace still reading its source validates order as it
-        # is read and returns itself without draining.
-        ordered = [trace.sorted_by_local_time() for trace in traces]
-        health = HealthReport()
-        if bootstrap is None:
-            bootstrap = bootstrap_synchronization(
-                ordered, clock_groups=clock_groups
+        with _collection_paused():
+            check_pass_names(passes)
+            # ``sorted_by_local_time`` returns the trace itself when
+            # records are already ordered (the common case), so this
+            # copies no record list; a trace still reading its source
+            # validates order as it is read and returns itself without
+            # draining.
+            ordered = [trace.sorted_by_local_time() for trace in traces]
+            health = HealthReport()
+            if bootstrap is None:
+                bootstrap = bootstrap_synchronization(
+                    ordered, clock_groups=clock_groups
+                )
+
+            # One pass: jframes stream out of the merge and straight
+            # through attempt grouping, the exchange FSM, flow binning and
+            # every registered analysis pass (the drive — shared verbatim
+            # with the service daemon's incremental loop).
+            stream = self.unifier.stream_unify(ordered, bootstrap)
+            drive = ReconstructionDrive(passes, materialize=materialize)
+            for jframe in stream:
+                drive.feed(jframe)
+            flows = drive.finish_streams()
+
+            return assemble_report(
+                drive,
+                bootstrap,
+                stream.tracks,
+                stream.stats,
+                ordered,
+                health,
+                flows,
+                started,
             )
-
-        # One pass: jframes stream out of the merge and straight through
-        # attempt grouping, the exchange FSM, flow binning and every
-        # registered analysis pass (the drive — shared verbatim with the
-        # service daemon's incremental loop).
-        stream = self.unifier.stream_unify(ordered, bootstrap)
-        drive = ReconstructionDrive(passes, materialize=materialize)
-        for jframe in stream:
-            drive.feed(jframe)
-        flows = drive.finish_streams()
-
-        return assemble_report(
-            drive,
-            bootstrap,
-            stream.tracks,
-            stream.stats,
-            ordered,
-            health,
-            flows,
-            started,
-        )

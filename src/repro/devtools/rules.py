@@ -1047,6 +1047,57 @@ class RecordConstructorRule(Rule):
             )
 
 
+# --- process-wide state -----------------------------------------------------
+
+
+class GcControlRule(Rule):
+    """One place per execution mode may change the collector's state.
+
+    ``gc.disable()`` and friends are process-wide: a library call that
+    pauses collection and forgets to restore it, or freezes the caller's
+    objects for good, changes every later allocation's cost in code the
+    library does not own.  Two modules may do it, each in one place:
+    ``repro.core.pipeline`` pauses automatic collection for a batch run
+    and restores the caller's state on every exit, and
+    ``repro.service.daemon`` turns it off in the forked checkpoint
+    writer, which never returns into the daemon.
+    """
+
+    name = "gc-control"
+    summary = (
+        "no gc.disable/enable/freeze/unfreeze/set_threshold outside "
+        "core/pipeline.py, service/daemon.py and measurement code"
+    )
+
+    HOMES = frozenset({"repro.core.pipeline", "repro.service.daemon"})
+    BANNED = frozenset(
+        {
+            "gc.disable",
+            "gc.enable",
+            "gc.freeze",
+            "gc.unfreeze",
+            "gc.set_threshold",
+        }
+    )
+
+    def check(self, mod: SourceModule) -> Iterator[Finding]:
+        if mod.module in self.HOMES or in_scope(mod, MEASUREMENT_SCOPES):
+            return
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = mod.resolve(node.func)
+            if target in self.BANNED:
+                yield self.finding(
+                    mod,
+                    node,
+                    f"{target}() changes the collector for the whole "
+                    f"process; only the batch run's pause "
+                    f"(repro.core.pipeline) and the checkpoint writer "
+                    f"(repro.service.daemon) may",
+                )
+
+
 #: The catalog, in reporting order.
 ALL_RULES = (
     WallClockRule,
@@ -1059,4 +1110,5 @@ ALL_RULES = (
     MutableDefaultRule,
     TypedApiRule,
     RecordConstructorRule,
+    GcControlRule,
 )

@@ -9,7 +9,6 @@ study.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import Dict
 
@@ -55,21 +54,15 @@ def get_run(config: ScenarioConfig) -> ExperimentRun:
     """Fetch (or compute and cache) a scenario run + pipeline report.
 
     A frozen ``ScenarioConfig`` determines its run, so the config alone
-    is the cache key.  Everything alive before the reconstruction —
-    this run's simulation and every run cached earlier — is frozen out
-    of the garbage collector while it runs, so ``report.elapsed_seconds``
-    times this pipeline, not full collections over other runs' objects.
+    is the cache key.  The pipeline pauses automatic collection while it
+    runs, so ``report.elapsed_seconds`` times this reconstruction, not
+    collections over the objects of runs cached earlier.
     """
     if config not in _CACHE:
         artifacts = run_scenario(config)
-        gc.collect()
-        gc.freeze()
-        try:
-            report = JigsawPipeline().run(
-                artifacts.radio_traces, clock_groups=artifacts.clock_groups()
-            )
-        finally:
-            gc.unfreeze()
+        report = JigsawPipeline().run(
+            artifacts.radio_traces, clock_groups=artifacts.clock_groups()
+        )
         _CACHE[config] = ExperimentRun(artifacts=artifacts, report=report)
     return _CACHE[config]
 

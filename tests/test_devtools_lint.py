@@ -661,6 +661,53 @@ class TestRecordConstructor:
         assert result.clean
 
 
+class TestGcControl:
+    def test_flags_collector_state_changes_in_library_code(self, tmp_path):
+        result = lint_tree(
+            tmp_path,
+            {
+                "repro/core/unify/thing.py": """
+                import gc
+                from gc import freeze as pin
+
+                def merge(records):
+                    gc.disable()
+                    pin()
+                    gc.set_threshold(100_000)
+                    gc.collect()
+                    gc.unfreeze()
+                    gc.enable()
+                    return gc.isenabled(), records
+                """
+            },
+            rule=R.GcControlRule(),
+        )
+        assert [f.line for f in result.findings] == [6, 7, 8, 10, 11]
+        assert all("for the whole process" in m for m in messages(result))
+
+    def test_pipeline_daemon_and_measurement_code_allowed(self, tmp_path):
+        source = """
+        import gc
+
+        def run():
+            enabled = gc.isenabled()
+            gc.disable()
+            gc.freeze()
+            if enabled:
+                gc.enable()
+        """
+        result = lint_tree(
+            tmp_path,
+            {
+                "repro/core/pipeline.py": source,
+                "repro/service/daemon.py": source,
+                "repro/experiments/common.py": source,
+            },
+            rule=R.GcControlRule(),
+        )
+        assert result.clean
+
+
 # --- engine mechanics: suppressions, baseline, CLI --------------------------
 
 
