@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.constants import SLOT_TIME_LONG_US
@@ -110,9 +110,12 @@ class TransmissionAttempt:
         raise ValueError("empty attempt")
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingData:
-    """A DATA jframe awaiting its ACK (until the Duration deadline)."""
+    """A DATA jframe awaiting its ACK (until the Duration deadline).
+
+    Compared and hashed by identity: the unsealed set holds these.
+    """
 
     attempt: TransmissionAttempt
     ack_deadline_us: int
@@ -135,11 +138,15 @@ class AttemptAssembler:
         # Per-channel pending state.
         self._pending_cts: Dict[int, Dict[MacAddress, JFrame]] = {}
         self._pending_data: Dict[int, List[_PendingData]] = {}
-        # Attempts in creation order; an attempt leaves the queue once it
-        # is *sealed* (no future jframe can mutate it).  ``_unsealed``
-        # holds the ids of attempts still awaiting an ACK or its deadline.
-        self._emit: Deque[TransmissionAttempt] = deque()
-        self._unsealed: Set[int] = set()
+        # Attempts in creation order, each with the pending entry it
+        # awaits its ACK under (None if it awaits none); an attempt
+        # leaves the queue once it is *sealed* (no future jframe can
+        # mutate it).  ``_unsealed`` holds the entries still awaiting an
+        # ACK or its deadline.
+        self._emit: Deque[
+            Tuple[TransmissionAttempt, Optional[_PendingData]]
+        ] = deque()
+        self._unsealed: Set[_PendingData] = set()
         self._data_attempts = 0
 
     def feed(self, jframe: JFrame) -> List[TransmissionAttempt]:
@@ -189,17 +196,19 @@ class AttemptAssembler:
                     attempt.cts = cts
                 else:
                     self.stats.cts_orphaned += 1
-            self._emit.append(attempt)
-            self._data_attempts += 1
-            self.stats.attempts += 1
+            pending: Optional[_PendingData] = None
             if frame.expects_ack:
                 deadline = (
                     jframe.end_us
                     + frame.duration_us
                     + ACK_MATCH_SLACK_US
                 )
-                data_list.append(_PendingData(attempt, deadline))
-                self._unsealed.add(id(attempt))
+                pending = _PendingData(attempt, deadline)
+                data_list.append(pending)
+                self._unsealed.add(pending)
+            self._emit.append((attempt, pending))
+            self._data_attempts += 1
+            self.stats.attempts += 1
         # RTS and other control frames: ignored (the production network
         # does not use RTS/CTS exchanges; CTS-to-self is handled above).
         return self._drain()
@@ -226,28 +235,6 @@ class AttemptAssembler:
         attempts.extend(self.finish())
         return attempts
 
-    # --- checkpoint support ----------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle with ``_unsealed`` converted to stable references.
-
-        ``_unsealed`` keys attempts by ``id()``, and ids are not stable
-        across a pickle round trip.  The state carries the unsealed
-        attempt *objects* instead (in emission-queue order); pickling the
-        assembler as one graph preserves their identity with the copies
-        in ``_emit``/``_pending_data``, so ``__setstate__`` can rebuild
-        the id set exactly.
-        """
-        state = self.__dict__.copy()
-        unsealed = self._unsealed
-        state["_unsealed"] = [a for a in self._emit if id(a) in unsealed]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        unsealed = state.pop("_unsealed")
-        self.__dict__.update(state)
-        self._unsealed = {id(a) for a in unsealed}
-
     # --- helpers ---------------------------------------------------------
 
     def _drain(self) -> List[TransmissionAttempt]:
@@ -255,8 +242,8 @@ class AttemptAssembler:
         emit = self._emit
         unsealed = self._unsealed
         out: List[TransmissionAttempt] = []
-        while emit and id(emit[0]) not in unsealed:
-            out.append(emit.popleft())
+        while emit and emit[0][1] not in unsealed:
+            out.append(emit.popleft()[0])
         return out
 
     def _match_ack(
@@ -285,13 +272,16 @@ class AttemptAssembler:
         if best is not None:
             best.attempt.ack = ack
             data_list.remove(best)
-            self._unsealed.discard(id(best.attempt))
+            self._unsealed.discard(best)
             self.stats.acks_matched += 1
         else:
             # Evidence of a DATA frame the platform missed entirely.
             self._emit.append(
-                TransmissionAttempt(
-                    transmitter=target, receiver=None, ack=ack
+                (
+                    TransmissionAttempt(
+                        transmitter=target, receiver=None, ack=ack
+                    ),
+                    None,
                 )
             )
             self.stats.acks_orphaned += 1
@@ -306,7 +296,7 @@ class AttemptAssembler:
         if len(kept) != len(data_list):
             for pending in data_list:
                 if pending.ack_deadline_us < now_us:
-                    self._unsealed.discard(id(pending.attempt))
+                    self._unsealed.discard(pending)
             data_list[:] = kept
         stale = [
             addr

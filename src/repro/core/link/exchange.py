@@ -122,8 +122,11 @@ class ExchangeStats:
     orphans_discarded: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _SenderState:
+    """One transmitter's FSM; hashed by identity, so the assembler's
+    open and orphan sets hold the states themselves."""
+
     last_seq: Optional[int] = None
     open_exchange: Optional[FrameExchange] = None
     orphan_queue: List[TransmissionAttempt] = field(default_factory=list)
@@ -154,26 +157,22 @@ class ExchangeAssembler:
     both.
     """
 
-    def __init__(
-        self,
-        horizon_us: int = EXCHANGE_HORIZON_US,
-        reorder_slack_us: int = EXCHANGE_REORDER_SLACK_US,
-    ) -> None:
-        self.horizon_us = horizon_us
-        self.reorder_slack_us = reorder_slack_us
+    def __init__(self) -> None:
         self.stats = ExchangeStats()
         self._senders: Dict[Optional[MacAddress], _SenderState] = {}
         self._closed = 0
-        #: States currently holding an open exchange (id(state) -> state):
-        #: the emission bound scans only these, and the stale sweep keeps
-        #: the set trimmed to senders active within the last few horizons.
-        self._open_states: Dict[int, _SenderState] = {}
+        #: States currently holding an open exchange, in the insertion
+        #: order the stale sweep closes them in (a dict used as an
+        #: ordered set): the emission bound scans only these, and the
+        #: sweep keeps the set trimmed to senders active within the last
+        #: few horizons.
+        self._open_states: Dict[_SenderState, None] = {}
         #: States with queued orphan attempts: the sweep discards orphans
         #: too old to ever resolve (resolution needs an open exchange
         #: ending at or before the orphan, and every future exchange ends
         #: after the watermark), so a sender whose data frames are never
         #: captured cannot grow its queue O(trace).
-        self._orphan_states: Dict[int, _SenderState] = {}
+        self._orphan_states: Dict[_SenderState, None] = {}
         #: Closed exchanges awaiting ordered emission: (start, seq, exch).
         self._reorder: List[Tuple[int, int, FrameExchange]] = []
         self._emit_seq = 0
@@ -206,30 +205,6 @@ class ExchangeAssembler:
         """
         return self._bound
 
-    # --- checkpoint support ----------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle with the ``id()``-keyed state dicts made stable.
-
-        ``_open_states``/``_orphan_states`` key sender states by ``id()``
-        — not stable across a round trip — and their *insertion order*
-        drives the stale sweep's closure order, so the state stores the
-        values as ordered lists.  Identity with ``_senders``' values is
-        preserved by pickling the assembler as one graph, and
-        ``__setstate__`` rebuilds the dicts in the recorded order.
-        """
-        state = self.__dict__.copy()
-        state["_open_states"] = list(self._open_states.values())
-        state["_orphan_states"] = list(self._orphan_states.values())
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        open_states = state.pop("_open_states")
-        orphan_states = state.pop("_orphan_states")
-        self.__dict__.update(state)
-        self._open_states = {id(s): s for s in open_states}
-        self._orphan_states = {id(s): s for s in orphan_states}
-
     def feed(self, attempt: TransmissionAttempt) -> List[FrameExchange]:
         """Consume one attempt; return exchanges ready in start order."""
         closed: List[FrameExchange] = []
@@ -239,7 +214,7 @@ class ExchangeAssembler:
         # Stale open exchange: frame exchanges complete within 500 ms.
         if (
             state.open_exchange is not None
-            and attempt.start_us - state.last_time_us > self.horizon_us
+            and attempt.start_us - state.last_time_us > EXCHANGE_HORIZON_US
         ):
             self._close(state, closed, moved_on=False)
         state.last_time_us = attempt.start_us
@@ -260,7 +235,7 @@ class ExchangeAssembler:
             # An orphan (ACK- or CTS-only) attempt: queue until data
             # resolves its position.
             state.orphan_queue.append(attempt)
-            self._orphan_states[id(state)] = state
+            self._orphan_states[state] = None
         elif state.last_seq is None or state.open_exchange is None:
             self._open_new(state, attempt, closed)
         else:
@@ -283,7 +258,7 @@ class ExchangeAssembler:
                 # R4: sequence gap — no inference; flush.
                 self.stats.orphans_discarded += len(state.orphan_queue)
                 state.orphan_queue.clear()
-                self._orphan_states.pop(id(state), None)
+                self._orphan_states.pop(state, None)
                 self._open_new(state, attempt, closed, moved_on=False)
 
         # The attempt's creation jframe is its DATA frame when it has one
@@ -316,15 +291,15 @@ class ExchangeAssembler:
         # above (watermark-at-sweep - slack) >= bound, so a stale bound
         # only *delays* emission by at most one step, never emits early.
         if self._watermark >= self._next_sweep:
-            bound = self._watermark - self.reorder_slack_us
-            stale_deadline = bound - self.horizon_us
+            bound = self._watermark - EXCHANGE_REORDER_SLACK_US
+            stale_deadline = bound - EXCHANGE_HORIZON_US
             span_deadline = (
-                bound - EXCHANGE_SPAN_LIMIT_HORIZONS * self.horizon_us
+                bound - EXCHANGE_SPAN_LIMIT_HORIZONS * EXCHANGE_HORIZON_US
             )
             open_states = self._open_states
             if open_states:
                 stale: List[_SenderState] = []
-                for open_state in open_states.values():
+                for open_state in open_states:
                     start = open_state.open_exchange.start_us
                     if (
                         open_state.last_time_us < stale_deadline
@@ -342,7 +317,7 @@ class ExchangeAssembler:
             # older than the bound are dead — discard them (the same
             # verdict finish() or the next R3/R4 would reach).
             if self._orphan_states:
-                for orphan_state in list(self._orphan_states.values()):
+                for orphan_state in list(self._orphan_states):
                     if orphan_state.open_exchange is not None:
                         continue  # handled when that exchange closes
                     queue = orphan_state.orphan_queue
@@ -351,9 +326,9 @@ class ExchangeAssembler:
                         self.stats.orphans_discarded += len(queue) - len(kept)
                         queue[:] = kept
                     if not queue:
-                        self._orphan_states.pop(id(orphan_state), None)
+                        self._orphan_states.pop(orphan_state, None)
             self._bound = bound
-            self._next_sweep = self._watermark + self.horizon_us // 4
+            self._next_sweep = self._watermark + EXCHANGE_HORIZON_US // 4
 
         self._closed += len(closed)
         for exchange in closed:
@@ -435,7 +410,7 @@ class ExchangeAssembler:
             exchange.needed_inference = True
             self.stats.attempts_needing_inference += 1
         state.open_exchange = exchange
-        self._open_states[id(state)] = state
+        self._open_states[state] = None
         state.last_seq = attempt.seq
 
     def _close(
@@ -452,7 +427,7 @@ class ExchangeAssembler:
             self.stats.exchanges_needing_inference += 1
         exchanges.append(exchange)
         state.open_exchange = None
-        self._open_states.pop(id(state), None)
+        self._open_states.pop(state, None)
 
     def _infer_delivery(self, exchange: FrameExchange, moved_on: bool) -> None:
         """Deduce delivery from the sender's visible MAC behaviour.
@@ -504,7 +479,7 @@ class ExchangeAssembler:
                 and open_exchange.delivered is not True
             ):
                 gap = orphan.start_us - open_exchange.end_us
-                if 0 <= gap <= self.horizon_us:
+                if 0 <= gap <= EXCHANGE_HORIZON_US:
                     # The missing-DATA ACK completes the open exchange.
                     open_exchange.attempts.append(orphan)
                     open_exchange.delivered = True
@@ -515,4 +490,4 @@ class ExchangeAssembler:
             if not resolved:
                 self.stats.orphans_discarded += 1
         state.orphan_queue.clear()
-        self._orphan_states.pop(id(state), None)
+        self._orphan_states.pop(state, None)

@@ -162,8 +162,8 @@ class ReconstructionDrive:
     * the service daemon (:mod:`repro.service`) drives it incrementally
       forever, reads :attr:`watermark_us` to seal windowed pass output
       mid-stream, and pickles the whole drive — assemblers, collector,
-      pass accumulators — into its periodic checkpoints (every piece of
-      held state serializes, see the assemblers' ``__getstate__``).
+      pass accumulators — into its periodic checkpoints by default
+      pickling (every piece of held state serializes as it is).
 
     Hook delivery order is part of the cross-mode bit-identity contract
     and is unchanged: jframe hooks fire before the jframe's attempts,
@@ -256,19 +256,19 @@ def assemble_report(
     tracks: Dict[int, ClockTrack],
     stats: UnifyStats,
     traces: Sequence[RadioTrace],
-    health: HealthReport,
     flows: List[TcpFlow],
     started: float,
 ) -> JigsawReport:
     """Close a finished drive into its report (batch and daemon alike).
 
-    Call after :meth:`ReconstructionDrive.finish_streams`: completes the
-    ``health`` ledger (the sync verdicts of ``bootstrap``, and the
-    traces' ingest damage counters — a trace reading a file fills its
+    Call after :meth:`ReconstructionDrive.finish_streams`: builds the
+    health ledger (the sync verdicts of ``bootstrap``, and the traces'
+    ingest damage counters — a trace reading a file fills its
     ``decode_health`` only as the merge drains it), hands every pass
     the run context, and collects the results.  ``started`` is the
     ``time.perf_counter()`` reading the run began at.
     """
+    health = HealthReport()
     sync = health.sync
     sync.quarantined = dict(bootstrap.quarantined)
     sync.islands = [list(i) for i in bootstrap.islands]
@@ -382,7 +382,6 @@ class JigsawPipeline:
             # validates order as it is read and returns itself without
             # draining.
             ordered = [trace.sorted_by_local_time() for trace in traces]
-            health = HealthReport()
             if bootstrap is None:
                 bootstrap = bootstrap_synchronization(
                     ordered, clock_groups=clock_groups
@@ -404,7 +403,6 @@ class JigsawPipeline:
                 stream.tracks,
                 stream.stats,
                 ordered,
-                health,
                 flows,
                 started,
             )

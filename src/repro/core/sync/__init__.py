@@ -8,7 +8,6 @@ from .bootstrap import (
     QUARANTINE_UNSTABLE_CLOCK,
     SyncPartitionError,
     bootstrap_synchronization,
-    resolve_island_mode,
 )
 from .refs import ReferenceKey, content_key, parse_record_frame, reference_key
 from .skew import ClockTrack, DEFAULT_SKEW_ALPHA
@@ -21,7 +20,6 @@ __all__ = [
     "QUARANTINE_UNSTABLE_CLOCK",
     "SyncPartitionError",
     "bootstrap_synchronization",
-    "resolve_island_mode",
     "ReferenceKey",
     "content_key",
     "parse_record_frame",

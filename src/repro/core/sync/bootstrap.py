@@ -124,42 +124,6 @@ class BootstrapResult:
     def fully_synchronized(self) -> bool:
         return not self.unreachable
 
-    def to_state(self) -> dict:
-        """A plain-data (JSON-able) snapshot of the offset ledger.
-
-        The service checkpoint codec stores bootstrap state through this
-        explicit schema rather than opaque object pickling, so the
-        on-disk checkpoint format stays inspectable and versionable:
-        radio ids become string keys (JSON objects key by string), and
-        :meth:`from_state` restores them exactly.
-        """
-        return {
-            "offsets_us": {str(r): t for r, t in self.offsets_us.items()},
-            "unreachable": list(self.unreachable),
-            "reference_sets_used": self.reference_sets_used,
-            "reference_frames_seen": self.reference_frames_seen,
-            "window_us": self.window_us,
-            "quarantined": {str(r): why for r, why in self.quarantined.items()},
-            "islands": [list(island) for island in self.islands],
-            "rejoined": list(self.rejoined),
-            "widen_rounds": self.widen_rounds,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BootstrapResult":
-        """Rebuild a result from :meth:`to_state` output (exact inverse)."""
-        return cls(
-            offsets_us={int(r): t for r, t in state["offsets_us"].items()},
-            unreachable=list(state["unreachable"]),
-            reference_sets_used=state["reference_sets_used"],
-            reference_frames_seen=state["reference_frames_seen"],
-            window_us=state["window_us"],
-            quarantined={int(r): why for r, why in state["quarantined"].items()},
-            islands=[list(island) for island in state["islands"]],
-            rejoined=list(state["rejoined"]),
-            widen_rounds=state["widen_rounds"],
-        )
-
 
 class _BootstrapShard:
     """Incremental reference-set collector.
@@ -302,7 +266,6 @@ def bootstrap_synchronization(
     max_window_us: int = 16_000_000,
     strict: bool = False,
     stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
-    island_mode: Optional[str] = None,
 ) -> BootstrapResult:
     """Compute bootstrap offsets ``T_i`` for every radio.
 
@@ -315,23 +278,21 @@ def bootstrap_synchronization(
     :class:`SyncPartitionError` (the Section 6 pod-reduction failure)
     instead of returning a partial result.
 
-    Non-strict partitions resolve per ``island_mode``.  ``"quarantine"``
-    is degraded mode: the largest reference-graph island becomes the
-    primary timeline and every other radio is quarantined with a reason
-    (``BootstrapResult.quarantined``).  ``"local"`` expects one island
-    per *locality* (``building_id`` stamp): each locality's primary
-    island synchronizes on its own local timeline (its root at
-    ``T = 0``), while radios fragmented off their locality's primary
-    island remain unreachable — auto-widen still heals intra-building
-    partitions, which are failures in any mode.  This is campus
-    semantics: RF-isolated buildings can never share references, and
-    cross-island timestamp alignment is physically meaningless (no frame
-    spans islands, so the merge never compares timestamps across
-    them).  The default (``None``)
-    picks ``"local"`` exactly when every trace carries a ``building_id``
-    locality stamp — the stamp is the caller's declaration that the
-    fleet spans isolated localities — and ``"quarantine"`` otherwise.
-    In both modes radios whose clock fit is internally inconsistent
+    Non-strict partitions resolve by the traces' ``building_id`` stamps.
+    Unless every trace is stamped, the run is in degraded mode: the
+    largest reference-graph island becomes the primary timeline and
+    every other radio is quarantined with a reason
+    (``BootstrapResult.quarantined``).  A fully stamped fleet — the
+    caller's declaration that it spans isolated localities — expects
+    one island per locality: each locality's primary island
+    synchronizes on its own local timeline (its root at ``T = 0``),
+    while radios fragmented off their locality's primary island remain
+    unreachable — auto-widen still heals intra-building partitions,
+    which are failures in any mode.  This is campus semantics:
+    RF-isolated buildings can never share references, and cross-island
+    timestamp alignment is physically meaningless (no frame spans
+    islands, so the merge never compares timestamps across them).
+    Either way radios whose clock fit is internally inconsistent
     beyond ``stability_tolerance_us`` are evicted as
     ``unstable-clock-fit``.  Radios that were unreachable in an early
     auto-widen round but gained references when the window grew are
@@ -345,9 +306,7 @@ def bootstrap_synchronization(
     if window_us <= 0:
         raise ValueError("bootstrap window must be positive")
     radios = [trace.radio_id for trace in traces]
-    if island_mode is None:
-        island_mode = resolve_island_mode(traces)
-    locality_of = resolve_locality_map(traces) if island_mode == "local" else None
+    locality_of = resolve_locality_map(traces)
     clock_groups = [list(g) for g in clock_groups]
     shard = _BootstrapShard()
     positions = [0] * len(traces)
@@ -364,8 +323,7 @@ def bootstrap_synchronization(
         shared = _shared_sets(shard.sets)
         family = _select_covering_family(shared, radios, shard.order)
         offsets, unreachable, quarantined, islands = _resolve_offsets(
-            radios, family, clock_groups, stability_tolerance_us,
-            island_mode=island_mode, locality_of=locality_of,
+            radios, family, clock_groups, stability_tolerance_us, locality_of
         )
         if not unreachable or not auto_widen or current_window >= max_window_us:
             if unreachable and strict:
@@ -390,26 +348,14 @@ def bootstrap_synchronization(
         current_window = min(current_window * 2, max_window_us)
 
 
-def resolve_island_mode(traces: Sequence[RadioTrace]) -> str:
-    """The default island policy for a fleet: campus inputs sync locally.
-
-    ``"local"`` when every trace carries a ``building_id`` locality stamp
-    (the campus composition's declaration that the fleet spans
-    RF-isolated buildings, each its own expected reference island),
-    ``"quarantine"`` otherwise (one building — a partition is a failure,
-    degraded mode keeps only the largest island's timeline).
-    """
-    return "quarantine" if resolve_locality_map(traces) is None else "local"
-
-
 def resolve_locality_map(
     traces: Sequence[RadioTrace],
 ) -> Optional[Dict[int, int]]:
     """radio id -> locality stamp, or ``None`` when any stamp is missing.
 
     The one place that decides whether a fleet is stamped: the island
-    policy (:func:`resolve_island_mode`) and the merge's shard partition
-    both ask it.
+    policy of :func:`bootstrap_synchronization` and the merge's shard
+    partition both ask it.
     """
     stamps = {trace.radio_id: trace.building_id for trace in traces}
     if not stamps or any(value is None for value in stamps.values()):
@@ -527,42 +473,37 @@ def _resolve_offsets(
     family: Sequence[Dict[int, int]],
     clock_groups: Iterable[Sequence[int]],
     stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
-    island_mode: str = "quarantine",
     locality_of: Optional[Dict[int, int]] = None,
 ) -> Tuple[Dict[int, float], List[int], Dict[int, str], List[List[int]]]:
     """Offset resolution over the reference-graph islands.
 
-    ``island_mode="quarantine"`` (degraded mode): instead of hard-failing
-    on a partition, synchronize the *largest* island of the reference
-    graph (ties go to the earliest-discovered island, which for a
-    connected graph — or the historical tests' equal splits — reproduces
-    the old BFS-from-``radios[0]`` result exactly) and quarantine
-    everyone else with a reason.  ``island_mode="local"`` (campus mode):
-    one timeline per declared *locality* — each locality's primary
-    island (the one holding the plurality of its radios; ties to the
-    earliest discovered) synchronizes rooted at its earliest-discovered
-    member, while radios fragmented off their locality's primary island
-    stay unreachable (so auto-widen keeps working on intra-locality
+    Without a ``locality_of`` map (degraded mode): instead of
+    hard-failing on a partition, synchronize the *largest* island of the
+    reference graph (ties go to the earliest-discovered island, which
+    for a connected graph — or the historical tests' equal splits —
+    reproduces the old BFS-from-``radios[0]`` result exactly) and
+    quarantine everyone else with a reason.  With one (campus mode): one
+    timeline per declared *locality* — each locality's primary island
+    (the one holding the plurality of its radios; ties to the earliest
+    discovered) synchronizes rooted at its earliest-discovered member,
+    while radios fragmented off their locality's primary island stay
+    unreachable (so auto-widen keeps working on intra-locality
     partitions, which are still failures) and are quarantined with a
-    reason if the window cannot heal them.  Without a ``locality_of``
-    map, local mode treats every multi-radio island as its own locality.
-    In both modes radios whose clock fit is unstable (see
+    reason if the window cannot heal them.  In both modes radios whose clock fit is unstable (see
     :func:`_unstable_radios`) are evicted and the resolution re-run once
     without them, so one rebooting radio cannot drag its island's
     timeline around.
 
     Returns ``(offsets, unreachable, quarantined, islands)``.
     """
-    if island_mode not in ("quarantine", "local"):
-        raise ValueError(f"unknown island_mode {island_mode!r}")
     if not radios:
         return {}, [], {}, []
     clock_groups = [list(g) for g in clock_groups]
 
-    def local_roots(islands: List[List[int]]) -> List[int]:
-        """Indexes of the islands local mode synchronizes."""
-        if locality_of is None:
-            return [i for i, members in enumerate(islands) if len(members) > 1]
+    def local_roots(
+        islands: List[List[int]], locality_of: Dict[int, int]
+    ) -> List[int]:
+        """Indexes of the islands campus mode synchronizes."""
         # Primary island per locality: plurality of the locality's
         # radios, ties to the earliest-discovered island.
         votes: Dict[int, Dict[int, int]] = {}
@@ -584,8 +525,8 @@ def _resolve_offsets(
         adjacency = _build_adjacency(active, active_family, active_clock_groups)
         islands = _island_partition(active, adjacency)
         offsets: Dict[int, float] = {}
-        if island_mode == "local":
-            for index in local_roots(islands):
+        if locality_of is not None:
+            for index in local_roots(islands, locality_of):
                 offsets.update(_offsets_from(islands[index][0], adjacency))
         else:
             primary = max(

@@ -140,10 +140,6 @@ class JFrame:
     def start_us(self) -> int:
         return self.timestamp_us - self.duration_us
 
-    @property
-    def is_valid(self) -> bool:
-        return self.kind is JFrameKind.VALID
-
     def truth_txid(self) -> int:
         """Majority ground-truth transmission id (evaluation only).
 

@@ -49,9 +49,6 @@ class Channel:
         (the triangular model of :data:`OVERLAP`)."""
         return OVERLAP[self.number][other.number]
 
-    def is_orthogonal_to(self, other: "Channel") -> bool:
-        return self.overlap_fraction(other) == 0.0
-
     def __str__(self) -> str:
         return f"ch{self.number}"
 

@@ -110,10 +110,6 @@ class Dcf:
     def idle(self) -> bool:
         return self._current is None and not self._queue
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def notify_ack_received(self) -> None:
         """Owner decoded an ACK addressed to it — completes the exchange."""
         if not self._awaiting_ack or self._current is None:

@@ -4,9 +4,8 @@ A checkpoint is one pickle of a :class:`CheckpointState` — the shard
 coordinator (engines and their FIFOs), drive, ledger and counters
 serialized as a **single object graph**.  One graph matters: the merge
 engines, the assemblers and the materialized jframes share objects
-(jframes, tracks, attempts), and the assemblers' ``id()``-keyed
-working sets are rebuilt from object identity on restore.  Pickling pieces separately would sever that
-sharing and the restored daemon would silently diverge.
+(jframes, tracks, attempts).  Pickling pieces separately would sever
+that sharing and the restored daemon would silently diverge.
 
 Within that graph a finalized :class:`~repro.core.unify.jframe.JFrame`
 — almost all of a checkpoint's bulk — writes its radio-id and
@@ -42,10 +41,10 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -59,33 +58,29 @@ class CheckpointError(RuntimeError):
 class CheckpointState:
     """Everything a restarted daemon needs, minus the record source.
 
+    The daemon keeps its restorable state in this object, and a restore
+    adopts the loaded one, so a checkpoint is the daemon's own objects
+    at a deterministic loop boundary: the feed's per-radio ``consumed``
+    counts (the seek target) and their ``total_consumed``; the shard
+    coordinator ``merge`` (a :class:`~repro.core.unify.UnifyStream`
+    whose cursors come back without their feed binding); the
+    downstream ``drive``; the ``bootstrap`` offset ledger; the
+    ``published`` windows by key, in publication order; and
+    ``checkpoints_written``, the checkpoints published, a file counting
+    itself.
+
     The feed itself is *not* checkpointed — a restored daemon rebuilds
     it from configuration and seeks it to ``consumed`` (the simulator
     test double re-derives identical records; a live deployment replays
-    from its upstream spool).  Everything else is the daemon's exact
-    in-memory state at a deterministic loop boundary.
+    from its upstream spool).
     """
 
-    #: Per-radio records consumed from the feed (the seek target).
     consumed: Dict[int, int]
-    #: Total records consumed (checkpoint cadence anchor).
     total_consumed: int
-    #: The shard coordinator (:class:`~repro.core.unify.UnifyStream`)
-    #: between two ``step`` calls: merge engines, per-shard FIFOs of
-    #: unreleased jframes, quarantine counters and track order.  Its
-    #: cursors come back without their feed binding.
     merge: Any
-    #: The downstream drive: assemblers, flow collector, passes.
     drive: Any
-    #: The offset ledger as :meth:`BootstrapResult.to_state` plain data
-    #: (offsets, quarantine, islands) — inspectable without unpickling
-    #: domain classes.
     bootstrap: Any
-    #: Run health ledger accumulated so far.
-    health: Any
-    #: Published windows, in publication order, keyed for dedup.
-    published: List[Any] = field(default_factory=list)
-    #: Checkpoints written before this one (monotone counter).
+    published: Dict[Any, Any] = field(default_factory=dict)
     checkpoints_written: int = 0
 
 

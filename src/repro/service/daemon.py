@@ -49,13 +49,12 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from ..core.faults import HealthReport
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
 from ..core.pipeline import JigsawReport, ReconstructionDrive, assemble_report
-from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
+from ..core.sync.bootstrap import bootstrap_synchronization
 from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
 from ..jtrace.io import RadioTrace
 from ..jtrace.records import TraceRecord
@@ -172,18 +171,16 @@ class JigsawDaemon:
         self.checkpoint_every = checkpoint_every
         self._passes: List[PipelinePass] = list(passes)
 
-        self._started = False
+        # The restorable state: merge, drive and bootstrap are filled in
+        # at start, or the whole object replaced by a restore.
+        self._state = CheckpointState(
+            consumed={}, total_consumed=0, merge=None, drive=None,
+            bootstrap=None,
+        )
         self._resumed = False
         self._reported = False
-        self._merge: Optional[UnifyStream] = None
-        self._drive: Optional[ReconstructionDrive] = None
-        self._bootstrap: Optional[BootstrapResult] = None
-        self._health = HealthReport()
-        self._published: Dict[Tuple[str, int], SealedWindow] = {}
-        self._total_consumed = 0
         self._stop_after_records: Optional[int] = None
         self._last_checkpoint_at = 0
-        self._checkpoints_written = 0
         self._checkpoint_bytes_last = 0
         self._checkpoint_seconds_total = 0.0
         self._checkpoint_writer_cpu_s = 0.0
@@ -195,21 +192,22 @@ class JigsawDaemon:
     @property
     def watermark_us(self) -> float:
         """Conservative downstream watermark (monotone, never regresses)."""
-        if self._drive is None:
+        drive = self._state.drive
+        if drive is None:
             return float("-inf")
-        return self._drive.watermark_us
+        return drive.watermark_us
 
     @property
     def total_consumed(self) -> int:
-        return self._total_consumed
+        return self._state.total_consumed
 
     @property
     def published_windows(self) -> List[SealedWindow]:
-        return list(self._published.values())
+        return list(self._state.published.values())
 
     @property
     def checkpoints_written(self) -> int:
-        return self._checkpoints_written
+        return self._state.checkpoints_written
 
     @property
     def checkpoint_bytes_last(self) -> int:
@@ -251,29 +249,18 @@ class JigsawDaemon:
         crashed daemon's own, carried by the checkpointed drive.
         """
         state = load_checkpoint(checkpoint_path)
-        merge: UnifyStream = state.merge
         daemon = cls(
             feed,
-            unifier=merge.unifier,
+            unifier=state.merge.unifier,
+            passes=state.drive.passes,
             materialize=state.drive.materializer is not None,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )
         feed.seek(state.consumed)
-        daemon._merge = merge
+        daemon._state = state
         daemon._bind_feed()
-        daemon._drive = state.drive
-        daemon._passes = list(state.drive.passes)
-        daemon._bootstrap = (
-            None if state.bootstrap is None
-            else BootstrapResult.from_state(state.bootstrap)
-        )
-        daemon._health = state.health
-        daemon._published = {w.key: w for w in state.published}
-        daemon._total_consumed = state.total_consumed
         daemon._last_checkpoint_at = state.total_consumed
-        daemon._checkpoints_written = state.checkpoints_written
-        daemon._started = True
         daemon._resumed = True
         return daemon
 
@@ -302,7 +289,7 @@ class JigsawDaemon:
                 "new one from its checkpoint to serve again"
             )
         started_clock = time.perf_counter()
-        if not self._started:
+        if self._state.merge is None:
             self._start()
         self._stop_after_records = stop_after_records
         try:
@@ -316,11 +303,16 @@ class JigsawDaemon:
     # --- startup -----------------------------------------------------------
 
     def _start(self) -> None:
-        feed = self.feed
+        """Fill the state in; the merge goes last, because ``serve()``
+        starts again until it is set."""
+        feed, state = self.feed, self._state
+        state.drive = ReconstructionDrive(
+            self._passes, materialize=self.materialize
+        )
         bootstrap = bootstrap_synchronization(
             feed.traces, clock_groups=feed.clock_groups()
         )
-        self._bootstrap = bootstrap
+        state.bootstrap = bootstrap
 
         offsets = bootstrap.offsets_us
         # The batch shards, with record-less stand-ins for synchronized
@@ -329,7 +321,7 @@ class JigsawDaemon:
         # nothing it is handed later.  Quarantined radios go in as they
         # are: the coordinator reads their length once, here, and its
         # counters ride in every checkpoint.
-        self._merge = UnifyStream(
+        state.merge = UnifyStream(
             self.unifier,
             [
                 [
@@ -344,18 +336,13 @@ class JigsawDaemon:
             [t.radio_id for t in feed.traces],
         )
         self._bind_feed()
-        self._drive = ReconstructionDrive(
-            self._passes, materialize=self.materialize
-        )
-        self._started = True
 
     # --- the drive loop ----------------------------------------------------
 
     def _bind_feed(self) -> None:
         """Point every engine cursor at the feed: at first start, and on
         restore — feed-bound callables never enter a checkpoint."""
-        assert self._merge is not None
-        for engine in self._merge.engines:
+        for engine in self._state.merge.engines:
             for radio_id, cursor in engine.cursors.items():
                 cursor.produce = partial(self._next_record, radio_id)
 
@@ -364,10 +351,11 @@ class JigsawDaemon:
         (the feed keeps each radio's position, so ``index`` goes unused)."""
         record = self.feed.next_record(radio_id)
         if record is not None:
-            self._total_consumed += 1
+            state = self._state
+            state.total_consumed += 1
             if (
                 self._stop_after_records is not None
-                and self._total_consumed >= self._stop_after_records
+                and state.total_consumed >= self._stop_after_records
             ):
                 raise _Killed  # simulated SIGKILL: stop mid-slice
         return record
@@ -379,8 +367,8 @@ class JigsawDaemon:
         that raised mid-step (a stalled uplink) left the coordinator
         resumable, so a second ``serve()`` re-enters here.
         """
-        merge, drive = self._merge, self._drive
-        assert merge is not None and drive is not None
+        state = self._state
+        merge, drive = state.merge, state.drive
         try:
             while not merge.finished:
                 released = merge.step(SLICE)
@@ -392,7 +380,7 @@ class JigsawDaemon:
                     self._reap(block=False)
                 if (
                     self.checkpoint_path is not None
-                    and self._total_consumed - self._last_checkpoint_at
+                    and state.total_consumed - self._last_checkpoint_at
                     >= self.checkpoint_every
                 ):
                     self._write_checkpoint()
@@ -407,36 +395,28 @@ class JigsawDaemon:
         ledger keeps the first copy — determinism guarantees any repeat
         is bit-identical.
         """
+        published = self._state.published
         for window in sealed:
-            if window.key not in self._published:
-                self._published[window.key] = window
+            if window.key not in published:
+                published[window.key] = window
 
     def _write_checkpoint(self) -> None:
         """Capture this boundary's state and hand it to a writer: a
         forked child where ``os.fork`` exists, else the same writer
         inline.  One writer at a time, so the previous one is reaped
-        first and the ordinal is the published count plus one."""
+        first and the file records the published count plus one, which
+        the live count reaches only when :meth:`_reap` publishes it."""
         assert self.checkpoint_path is not None
         self._reap(block=True)
         started = time.perf_counter()
-        state = CheckpointState(
-            consumed=self.feed.consumed(),
-            total_consumed=self._total_consumed,
-            merge=self._merge,
-            drive=self._drive,
-            # The offset ledger goes through its explicit plain-data
-            # schema, not object pickling: the one part of the format
-            # an operator can inspect and other tools can parse.
-            bootstrap=(
-                None if self._bootstrap is None
-                else self._bootstrap.to_state()
-            ),
-            health=self._health,
-            published=list(self._published.values()),
-            checkpoints_written=self._checkpoints_written + 1,
-        )
-        self._last_checkpoint_at = self._total_consumed
-        self._writer = self._start_writer(state)
+        state = self._state
+        state.consumed = self.feed.consumed()
+        self._last_checkpoint_at = state.total_consumed
+        state.checkpoints_written += 1
+        try:
+            self._writer = self._start_writer(state)
+        finally:
+            state.checkpoints_written -= 1
         self._checkpoint_seconds_total += time.perf_counter() - started
 
     def _pending(self, pid: int) -> Path:
@@ -505,7 +485,7 @@ class JigsawDaemon:
                     self._checkpoint_writer_peak_rss_kb, usage.ru_maxrss
                 )
             self._writer = None
-            ordinal = self._checkpoints_written + 1
+            ordinal = self._state.checkpoints_written + 1
             if error:
                 writer.pending.unlink(missing_ok=True)
                 raise CheckpointError(
@@ -513,7 +493,7 @@ class JigsawDaemon:
                 )
             size = writer.pending.stat().st_size
             os.replace(writer.pending, path)
-            self._checkpoints_written = ordinal
+            self._state.checkpoints_written = ordinal
             self._checkpoint_bytes_last = size
         finally:
             self._checkpoint_seconds_total += time.perf_counter() - started
@@ -521,9 +501,8 @@ class JigsawDaemon:
     # --- completion --------------------------------------------------------
 
     def _finalize(self, started_clock: float) -> ServiceReport:
-        merge, drive, bootstrap = self._merge, self._drive, self._bootstrap
-        assert merge is not None and drive is not None
-        assert bootstrap is not None
+        state = self._state
+        merge, drive = state.merge, state.drive
         flows = drive.finish_streams()
         # Everything has now been delivered to every hook; seal whatever
         # windows remain (watermark = +inf) and publish them.
@@ -534,18 +513,17 @@ class JigsawDaemon:
 
         report = assemble_report(
             drive,
-            bootstrap,
+            state.bootstrap,
             merge.tracks,
             merge.stats,
             self.feed.traces,
-            self._health,
             flows,
             started_clock,
         )
         return ServiceReport(
             report=report,
-            published=list(self._published.values()),
-            checkpoints_written=self._checkpoints_written,
+            published=list(state.published.values()),
+            checkpoints_written=state.checkpoints_written,
             checkpoint_bytes_last=self._checkpoint_bytes_last,
             checkpoint_seconds_total=self._checkpoint_seconds_total,
             checkpoint_writer_cpu_s=self._checkpoint_writer_cpu_s,

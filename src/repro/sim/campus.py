@@ -16,10 +16,10 @@ exactly the composition of independent single-building simulations:
   sharding partitions on;
 * clock groups are offset the same way.  Buildings share no
   observations and no clocks, so each is its own synchronization
-  island; the ``building_id`` stamps switch the bootstrap into
-  ``island_mode="local"`` (each building's island synchronizes on its
-  own local timeline, no radio is quarantined — verified by the campus
-  tests).  Cross-building timestamps are only aligned up to the
+  island; the bootstrap follows the ``building_id`` stamps, not an
+  argument: a fully stamped fleet synchronizes each building's island
+  on its own local timeline, and no radio is quarantined (verified by
+  the campus tests).  Cross-building timestamps are only aligned up to the
   per-island reference offsets, which is exactly the paper's situation
   for radios that never hear a common frame — and harmless here,
   because no transmission spans buildings.

@@ -150,11 +150,6 @@ class TcpPeer:
     def finished(self) -> bool:
         return self.state in (TcpState.DONE, TcpState.ABORTED)
 
-    @property
-    def data_end_seq(self) -> int:
-        """Sequence number just past the last payload byte."""
-        return seq_add(self.isn, 1 + self.bytes_to_send)
-
     # --- receive path ----------------------------------------------------------
 
     def handle(self, seg: TcpSegment) -> None:

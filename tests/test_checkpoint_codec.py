@@ -132,7 +132,7 @@ class TestJFramePickleForm:
 def empty_state(total_consumed=0):
     return CheckpointState(
         consumed={}, total_consumed=total_consumed, merge=None,
-        drive=None, bootstrap=None, health=None,
+        drive=None, bootstrap=None,
     )
 
 
@@ -201,10 +201,20 @@ def test_version_6_checkpoint_is_refused(tmp_path):
     """Version 6 pickled jframes as instance runs and merge groups as
     instance lists; this build reads neither, so it refuses the version
     before unpickling anything."""
-    assert CHECKPOINT_VERSION == 7
+    assert CHECKPOINT_VERSION == 8
     path = tmp_path / "v6.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=6)
     with pytest.raises(CheckpointError, match="version 6"):
+        load_checkpoint(path)
+
+
+def test_version_7_checkpoint_is_refused(tmp_path):
+    """Version 7 held the bootstrap as a plain-data dict, a health
+    field and the assemblers' id()-rebuilding pickle state; this build
+    refuses it before unpickling anything."""
+    path = tmp_path / "v7.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=7)
+    with pytest.raises(CheckpointError, match="version 7"):
         load_checkpoint(path)
 
 

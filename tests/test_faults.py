@@ -202,27 +202,20 @@ class TestDegradedSync:
         ]
         assert not result.fully_synchronized
 
-    def test_local_island_mode_synchronizes_every_island(self):
-        # Campus semantics: islands are expected, each multi-radio island
-        # gets its own local timeline; only the reference-less singleton
-        # stays quarantined.
-        result = bootstrap_synchronization(
-            self._partitioned_traces(), auto_widen=False, island_mode="local"
-        )
+    def test_island_mode_defaults_local_for_stamped_fleets(self):
+        # Campus semantics: islands are expected, each locality's primary
+        # island gets its own local timeline; only the reference-less
+        # singleton stays quarantined.
+        traces = self._partitioned_traces()
+        for trace in traces:
+            trace.building_id = trace.radio_id // 2
+        result = bootstrap_synchronization(traces, auto_widen=False)
         assert set(result.offsets_us) == {0, 1, 2, 3, 4}
         assert sorted(result.unreachable) == [5]
         assert result.quarantined == {5: QUARANTINE_NO_REFERENCES}
         assert sorted(map(sorted, result.islands)) == [
             [0, 1], [2, 3, 4], [5]
         ]
-
-    def test_island_mode_defaults_local_for_stamped_fleets(self):
-        traces = self._partitioned_traces()
-        for trace in traces:
-            trace.building_id = trace.radio_id // 2
-        result = bootstrap_synchronization(traces, auto_widen=False)
-        assert set(result.offsets_us) == {0, 1, 2, 3, 4}
-        assert result.quarantined == {5: QUARANTINE_NO_REFERENCES}
 
     def test_rejoin_reported_after_auto_widen(self):
         # The shared frame appears 3 s in — outside the initial window —

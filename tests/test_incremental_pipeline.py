@@ -1,7 +1,9 @@
 """Incremental (feed/finish) stage APIs must match their batch wrappers,
 plus the I/O and cache satellites of the streaming rework."""
 
+import dataclasses
 import gzip
+import pickle
 
 import pytest
 
@@ -30,21 +32,22 @@ def small_jframes():
     return Unifier().unify(artifacts.radio_traces, bootstrap).jframes
 
 
-def attempt_fingerprint(attempt):
+def attempt_fingerprint(attempt, key=id):
+    """``key`` names a jframe: its identity unless a test says otherwise."""
     return (
         attempt.transmitter,
         attempt.receiver,
-        None if attempt.data is None else id(attempt.data),
-        None if attempt.cts is None else id(attempt.cts),
-        None if attempt.ack is None else id(attempt.ack),
+        None if attempt.data is None else key(attempt.data),
+        None if attempt.cts is None else key(attempt.cts),
+        None if attempt.ack is None else key(attempt.ack),
     )
 
 
-def exchange_fingerprint(exchange):
+def exchange_fingerprint(exchange, key=id):
     return (
         exchange.transmitter,
         exchange.receiver,
-        tuple(attempt_fingerprint(a) for a in exchange.attempts),
+        tuple(attempt_fingerprint(a, key) for a in exchange.attempts),
         exchange.delivered,
         exchange.needed_inference,
     )
@@ -130,6 +133,94 @@ class TestIncrementalExchanges:
             exchange_fingerprint(e) for e in batch
         ]
         assert inc_asm.stats == batch_asm.stats
+
+
+def positional(jframes):
+    """A fingerprint ``key`` naming a jframe by its place in ``jframes``."""
+    position = {id(jframe): i for i, jframe in enumerate(jframes)}
+    return lambda jframe: position[id(jframe)]
+
+
+def working_sets(attempt_asm, exchange_asm):
+    """The assemblers' working sets in order, each member named by its
+    place in the structure that owns it: a sender state by its
+    transmitter, a pending ACK wait by its place in the pending lists."""
+    sender_of = {
+        id(state): sender for sender, state in exchange_asm._senders.items()
+    }
+    pending = [
+        id(entry)
+        for entries in attempt_asm._pending_data.values()
+        for entry in entries
+    ]
+    return (
+        [sender_of[id(state)] for state in exchange_asm._open_states],
+        [sender_of[id(state)] for state in exchange_asm._orphan_states],
+        sorted(pending.index(id(entry)) for entry in attempt_asm._unsealed),
+    )
+
+
+def test_assemblers_survive_a_pickle_round_trip():
+    """Both assemblers pickled mid-stream, with every working set
+    occupied, then fed the rest alongside the originals: the copies
+    emit the same attempts and exchanges, in the same order, with the
+    same stats.  The copies hold copied jframes, so fingerprints name a
+    jframe by its position in the stream."""
+    from repro.sim import run_scenario
+    from repro.sim.registry import scenario_config
+
+    artifacts = run_scenario(scenario_config("flash_crowd", "tiny", seed=7))
+    bootstrap = bootstrap_synchronization(
+        artifacts.radio_traces, clock_groups=artifacts.clock_groups()
+    )
+    jframes = Unifier().unify(artifacts.radio_traces, bootstrap).jframes
+    attempts, exchanges = AttemptAssembler(), ExchangeAssembler()
+    # The first boundary past half the stream with an attempt awaiting
+    # its ACK, an open exchange and an orphan queue all at once.
+    cut = 0
+    while cut < len(jframes) and not (
+        cut >= len(jframes) // 2
+        and attempts._unsealed
+        and exchanges._open_states
+        and exchanges._orphan_states
+    ):
+        for attempt in attempts.feed(jframes[cut]):
+            exchanges.feed(attempt)
+        cut += 1
+    assert cut < len(jframes)
+    assert attempts._unsealed
+    assert exchanges._open_states and exchanges._orphan_states
+
+    copies = pickle.loads(pickle.dumps((attempts, exchanges, jframes)))
+    assert working_sets(*copies[:2]) == working_sets(attempts, exchanges)
+    runs = []
+    for attempt_asm, exchange_asm, frames in [
+        (attempts, exchanges, jframes), copies
+    ]:
+        # Step by step, fingerprinted as emitted: a working set lost in
+        # the round trip shows as an attempt sealed before its ACK or an
+        # orphan discarded late, even where the final totals agree.
+        key = positional(frames)
+        steps = []
+        for jframe in frames[cut:] + [None]:
+            fed = (
+                attempt_asm.finish() if jframe is None
+                else attempt_asm.feed(jframe)
+            )
+            emitted = [e for a in fed for e in exchange_asm.feed(a)]
+            if jframe is None:
+                emitted.extend(exchange_asm.finish())
+            steps.append((
+                [attempt_fingerprint(a, key) for a in fed],
+                [exchange_fingerprint(e, key) for e in emitted],
+                dataclasses.astuple(attempt_asm.stats),
+                dataclasses.astuple(exchange_asm.stats),
+            ))
+        runs.append(steps)
+    original, restored = runs
+    assert any(fed for fed, _, _, _ in original)
+    assert any(emitted for _, emitted, _, _ in original)
+    assert restored == original
 
 
 class TestFlowCollector:

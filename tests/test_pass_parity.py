@@ -231,6 +231,7 @@ class TestExchangeOrdering:
         horizon + slack it is stale-closed and emission resumes."""
         from repro.core.link.attempt import AttemptAssembler
         from repro.core.link.exchange import (
+            EXCHANGE_HORIZON_US,
             EXCHANGE_REORDER_SLACK_US,
             ExchangeAssembler,
         )
@@ -247,7 +248,7 @@ class TestExchangeOrdering:
         emitted = list(assembler.feed(lead))
         horizon_span = (
             lead.start_us
-            + assembler.horizon_us
+            + EXCHANGE_HORIZON_US
             + EXCHANGE_REORDER_SLACK_US
         )
         # Emission lag is bounded by a few horizons (stale sweep cadence +
@@ -258,7 +259,7 @@ class TestExchangeOrdering:
             if attempt.start_us > (
                 horizon_span
                 + EXCHANGE_REORDER_SLACK_US
-                + assembler.horizon_us
+                + EXCHANGE_HORIZON_US
             ):
                 break
         # The silent sender's exchange was stale-closed and emitted — the

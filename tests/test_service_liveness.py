@@ -305,9 +305,14 @@ def retention_floor(assembler):
     let a retained attempt have.  Measured from the feed watermark less
     the reorder slack; the cached emission bound never runs ahead of
     that, so this floor is at or above the same distance behind it."""
-    ahead = assembler._watermark - assembler.reorder_slack_us
+    from repro.core.link.exchange import (
+        EXCHANGE_HORIZON_US,
+        EXCHANGE_REORDER_SLACK_US,
+    )
+
+    ahead = assembler._watermark - EXCHANGE_REORDER_SLACK_US
     assert assembler._bound <= ahead
-    return ahead - (EXCHANGE_SPAN_LIMIT_HORIZONS + 0.25) * assembler.horizon_us
+    return ahead - (EXCHANGE_SPAN_LIMIT_HORIZONS + 0.25) * EXCHANGE_HORIZON_US
 
 
 def drive_state(state, daemon):
