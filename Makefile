@@ -36,10 +36,13 @@ bench-smoke:
 # git-ignored out/) against the working tree, the settings the driver uses
 # (--seconds 12 --trace 0), alternating which side runs first so drift
 # on a shared host lands on both; compare.py then judges the two sets.
-PAIR_SEEDS ?= 7 8 9 10 11 12 13 14 15 16
+# Every pair runs the same seed, so the pairs differ in code alone: build
+# time varies by seed far more than by most changes.  Files and printed
+# lines are named by pair index, so a seed may repeat.
+PAIR_SEEDS ?= 7 7 7 7 7 7 7 7 7 7
 PAIR_DIR := benchmarks/e2e/out/pair
 
-# Folds the per-seed files into the two result sets compare.py reads,
+# Folds the per-pair files into the two result sets compare.py reads,
 # prints each pair on every end-to-end metric BENCHMARK.json declares,
 # and counts the pairs the change won on each, in the direction that
 # metric's `better` gives: the claim rule counts pairs won and the gate
@@ -50,16 +53,16 @@ out, seeds = sys.argv[1], sys.argv[2:]
 sets = {"parent": [], "change": []}
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 wins = {metric["name"]: 0 for metric in metrics}
-for seed in seeds:
+for index, seed in enumerate(seeds, 1):
     pair = {}
     for side, runs in sets.items():
-        (run,) = json.load(open(f"{out}/{side}-{seed}.json"))["runs"]
+        (run,) = json.load(open(f"{out}/{side}-{index}.json"))["runs"]
         runs.append(run)
         pair[side] = [run["metrics"][name] for name in wins]
     for metric, parent, change in zip(metrics, pair["parent"], pair["change"]):
         higher = metric["better"] == "higher"
         wins[metric["name"]] += change > parent if higher else change < parent
-    print(f"seed {seed}: " + "  ".join(
+    print(f"pair {index} (seed {seed}): " + "  ".join(
         f"{name} {parent:,.6g} -> {change:,.6g}"
         for name, parent, change in zip(wins, pair["parent"], pair["change"])
     ))
@@ -78,14 +81,15 @@ bench-pair:
 		{ echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name>"; exit 2; }
 	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/parent
 	git archive $(PARENT) | tar -x -C $(PAIR_DIR)/parent
-	@first=parent; second=change; \
+	@first=parent; second=change; index=0; \
 	for seed in $(PAIR_SEEDS); do \
+		index=$$((index + 1)); \
 		for side in $$first $$second; do \
 			if [ $$side = parent ]; then root=$(PAIR_DIR)/parent; else root=.; fi; \
-			echo "== seed $$seed: $$side"; \
+			echo "== pair $$index (seed $$seed): $$side"; \
 			(cd $$root && $(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) \
 				--seed $$seed --seconds 12 --trace 0 \
-				--out $(CURDIR)/$(PAIR_DIR)/$$side-$$seed.json) || exit 1; \
+				--out $(CURDIR)/$(PAIR_DIR)/$$side-$$index.json) || exit 1; \
 		done; \
 		swap=$$first; first=$$second; second=$$swap; \
 	done

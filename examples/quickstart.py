@@ -6,6 +6,7 @@ Run with::
 """
 
 from repro.core import JigsawPipeline
+from repro.core.analysis import ActivityPass, DispersionPass
 from repro.sim import ScenarioConfig, run_scenario
 
 
@@ -22,9 +23,12 @@ def main() -> None:
     )
 
     # 2. Run the Jigsaw pipeline: bootstrap synchronization, unification,
-    #    link-layer and transport-layer reconstruction.
+    #    link-layer and transport-layer reconstruction.  Analyses ride the
+    #    same pass as registered passes; here, the paper's Figure 4.
     report = JigsawPipeline().run(
-        artifacts.radio_traces, clock_groups=artifacts.clock_groups()
+        artifacts.radio_traces,
+        clock_groups=artifacts.clock_groups(),
+        passes=[DispersionPass()],
     )
     print("\n--- Jigsaw report ---")
     print(report.summary())
@@ -41,19 +45,15 @@ def main() -> None:
         )
 
     # 4. And the synchronization quality (the paper's Figure 4).
-    from repro.core.analysis import dispersion_cdf
-
-    cdf = dispersion_cdf(report.unification)
+    cdf = report.passes["dispersion"]
     print(
         f"\nsync quality: p90 dispersion {cdf.p90_us:.1f} us, "
         f"p99 {cdf.p99_us:.1f} us (paper: <10 us / <20 us)"
     )
 
-    # 5. The same analyses can tap the pipeline's one-pass loop directly —
-    #    no materialized report lists, bounded memory for huge traces.
+    # 5. Passes need no materialized report lists: materialize=False
+    #    bounds memory for huge traces.
     #    (See examples/streaming_analyses.py for the full tour.)
-    from repro.core.analysis import ActivityPass, DispersionPass
-
     duration = config.duration_us
     streaming = JigsawPipeline().run(
         artifacts.radio_traces,

@@ -15,10 +15,10 @@ Run with::
 from collections import defaultdict
 
 from repro.core.analysis import (
-    analyze_protection,
-    analyze_tcp_loss,
-    estimate_interference,
-    identify_stations,
+    InterferencePass,
+    ProtectionPass,
+    StationTracker,
+    TcpLossPass,
 )
 from repro.core.pipeline import JigsawPipeline
 from repro.core.transport.inference import LossCause
@@ -30,28 +30,37 @@ def main() -> None:
     config = ScenarioConfig.building(seed=11, duration_us=6_000_000)
     print("capturing and reconstructing...")
     artifacts = run_scenario(config)
+    # One reconstruction pass carries every analysis the diagnosis needs:
+    # per-flow TCP loss, per-link interference, and protection mode, all
+    # classifying stations with one shared tracker.
+    tracker = StationTracker()
     report = JigsawPipeline().run(
-        artifacts.radio_traces, clock_groups=artifacts.clock_groups()
+        artifacts.radio_traces,
+        clock_groups=artifacts.clock_groups(),
+        passes=[
+            TcpLossPass(),
+            InterferencePass(min_packets=20, tracker=tracker),
+            ProtectionPass(
+                config.duration_us,
+                bin_us=config.duration_us // 24,
+                practical_timeout_us=2 * config.client_rescan_interval_us,
+                tracker=tracker,
+            ),
+        ],
     )
-    clients, aps = identify_stations(report)
+    clients, aps = tracker.finish()
 
     # Rank flows by loss rate.
-    loss = analyze_tcp_loss(report)
+    loss = report.passes["tcp_loss"]
     worst = sorted(loss.flows, key=lambda f: f.loss_rate, reverse=True)[:8]
 
     # Cross-layer context: interference estimates per link and the set of
     # overprotective APs.
-    interference = estimate_interference(report, min_packets=20)
     pair_rate = {
         (p.sender, p.receiver): p.interference_loss_rate
-        for p in interference.pairs
+        for p in report.passes["interference"].pairs
     }
-    protection = analyze_protection(
-        report,
-        config.duration_us,
-        bin_us=config.duration_us // 24,
-        practical_timeout_us=2 * config.client_rescan_interval_us,
-    )
+    protection = report.passes["protection"]
     overprotective = set()
     for time_bin in protection.bins:
         overprotective |= time_bin.overprotective_aps

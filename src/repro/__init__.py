@@ -26,7 +26,6 @@ from .core import (
     MaterializePass,
     PassContext,
     PipelinePass,
-    run_passes,
 )
 from .jtrace import RadioTrace, RecordKind, TraceRecord
 
@@ -46,6 +45,5 @@ __all__ = [
     "RadioTrace",
     "RecordKind",
     "TraceRecord",
-    "run_passes",
     "__version__",
 ]

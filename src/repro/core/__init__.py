@@ -3,7 +3,7 @@
 from .faults import HealthReport, SyncHealth
 from .link.attempt import AttemptAssembler, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, FrameExchange
-from .passes import MaterializePass, PassContext, PipelinePass, run_passes
+from .passes import MaterializePass, PassContext, PipelinePass
 from .pipeline import JigsawPipeline, JigsawReport
 from .sync.bootstrap import (
     BootstrapResult,
@@ -28,7 +28,6 @@ __all__ = [
     "MaterializePass",
     "PassContext",
     "PipelinePass",
-    "run_passes",
     "BootstrapResult",
     "SyncPartitionError",
     "bootstrap_synchronization",

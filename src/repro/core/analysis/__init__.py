@@ -1,18 +1,13 @@
 """Analyses exploiting the global viewpoint (Sections 6 and 7).
 
-Every analysis exists in two interchangeable forms:
-
-* a **streaming pass** (:class:`ActivityPass`, :class:`DispersionPass`,
-  :class:`ProtectionPass`, :class:`TcpLossPass`, :class:`SummaryPass`,
-  :class:`InterferencePass`, :class:`WiredCoveragePass`,
-  :class:`BroadcastAirtimePass`) that taps
-  ``JigsawPipeline.run(traces, passes=[...])`` directly, so with
-  ``materialize=False`` the report keeps no per-layer lists (the input
-  traces still hold every record until the run ends);
-* the classic **function entry point** (``activity_timeline(report)``
-  etc.), now a thin wrapper that replays a materialized report through
-  the very same pass — so both styles produce identical results by
-  construction.
+Every analysis is a streaming pass (:class:`ActivityPass`,
+:class:`DispersionPass`, :class:`ProtectionPass`, :class:`TcpLossPass`,
+:class:`SummaryPass`, :class:`InterferencePass`,
+:class:`WiredCoveragePass`, :class:`BroadcastAirtimePass`) registered on
+``JigsawPipeline.run(traces, passes=[...])``; its result lands on
+``report.passes[pass.name]``.  With ``materialize=False`` the report keeps
+no per-layer lists (the input traces still hold every record until the
+run ends).
 """
 
 from .activity import (
@@ -20,8 +15,6 @@ from .activity import (
     ActivityPass,
     ActivityTimeline,
     BroadcastAirtimePass,
-    activity_timeline,
-    broadcast_airtime_share,
 )
 from .coverage import (
     CoverageResult,
@@ -31,33 +24,28 @@ from .coverage import (
     WiredCoveragePass,
     oracle_coverage,
     pod_reduction_coverage,
-    wired_coverage,
 )
-from .dispersion import DispersionCdf, DispersionPass, dispersion_cdf
+from .dispersion import DispersionCdf, DispersionPass
 from .interference import (
     InterferencePass,
     InterferenceResult,
     InterferenceScanner,
     PairInterference,
-    estimate_interference,
 )
-from .protection import ProtectionPass, ProtectionResult, analyze_protection
+from .protection import ProtectionPass, ProtectionResult
 from .summary import (
     StationTracker,
     SummaryPass,
     TraceSummary,
     identify_stations,
-    summarize,
 )
-from .tcploss import TcpLossPass, TcpLossResult, analyze_tcp_loss
+from .tcploss import TcpLossPass, TcpLossResult
 
 __all__ = [
     "ActivityBin",
     "ActivityPass",
     "ActivityTimeline",
     "BroadcastAirtimePass",
-    "activity_timeline",
-    "broadcast_airtime_share",
     "CoverageResult",
     "OracleCoverage",
     "PodReductionResult",
@@ -65,24 +53,18 @@ __all__ = [
     "WiredCoveragePass",
     "oracle_coverage",
     "pod_reduction_coverage",
-    "wired_coverage",
     "DispersionCdf",
     "DispersionPass",
-    "dispersion_cdf",
     "InterferencePass",
     "InterferenceResult",
     "InterferenceScanner",
     "PairInterference",
-    "estimate_interference",
     "ProtectionPass",
     "ProtectionResult",
-    "analyze_protection",
     "StationTracker",
     "SummaryPass",
     "TraceSummary",
     "identify_stations",
-    "summarize",
     "TcpLossPass",
     "TcpLossResult",
-    "analyze_tcp_loss",
 ]

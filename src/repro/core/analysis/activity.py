@@ -15,8 +15,7 @@ Implemented as streaming passes (:class:`ActivityPass`,
 while per-bin *activity* — which depends on the trace-global client/AP
 classification — accumulates compact per-bin candidate sets (bounded by
 station pairs, not trace length) that are resolved once the
-classification is final.  :func:`activity_timeline` and
-:func:`broadcast_airtime_share` are replay wrappers.
+classification is final.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType
 from ...net.packets import ArpPacket, try_parse_packet
-from ..passes import PassContext, PipelinePass, run_passes
-from ..pipeline import JigsawReport
+from ..passes import PassContext, PipelinePass
 from .summary import StationTracker
 
 
@@ -171,7 +169,7 @@ class ActivityPass(PipelinePass):
         if frame.ftype is FrameType.DATA:
             self._data_pairs[index].add((sender, receiver))
 
-    def finish(self, context: Optional[PassContext]) -> ActivityTimeline:
+    def finish(self, context: PassContext) -> ActivityTimeline:
         clients, aps = self._tracker.finish()
         for slot, candidates, pairs in zip(
             self._bins, self._client_candidates, self._data_pairs
@@ -211,28 +209,8 @@ class BroadcastAirtimePass(PipelinePass):
             self._by_channel.get(jframe.channel, 0) + jframe.duration_us
         )
 
-    def finish(self, context: Optional[PassContext]) -> Dict[int, float]:
+    def finish(self, context: PassContext) -> Dict[int, float]:
         return {
             channel: airtime / self.duration_us
             for channel, airtime in sorted(self._by_channel.items())
         }
-
-
-def activity_timeline(
-    report: JigsawReport,
-    duration_us: int,
-    bin_us: int = 60_000_000,
-) -> ActivityTimeline:
-    """Bin the unified trace into the Figure 8 time series."""
-    return run_passes(report, [ActivityPass(duration_us, bin_us=bin_us)])[
-        "activity"
-    ]
-
-
-def broadcast_airtime_share(
-    report: JigsawReport, duration_us: int
-) -> Dict[int, float]:
-    """Per-channel fraction of airtime consumed by broadcast frames."""
-    return run_passes(report, [BroadcastAirtimePass(duration_us)])[
-        "broadcast_airtime"
-    ]

@@ -2,7 +2,7 @@
 
 Three experiments:
 
-* :func:`wired_coverage` — "for every packet in every flow in the wired
+* :class:`WiredCoveragePass` — "for every packet in every flow in the wired
   trace that would result in a unicast DATA packet on the wireless network,
   we checked to see if the packet also appeared in the wireless trace",
   reported per station and split clients vs APs (Figure 6);
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType
 from ...net.wired import WiredTraceRecord
 from ..passes import PassContext, PipelinePass
-from ..unify.jframe import JFrame
 
 
 @dataclass
@@ -112,7 +111,7 @@ class WiredCoveragePass(PipelinePass):
             return
         self._index[(frame.addr2, bytes(frame.body[:64]))] += 1
 
-    def finish(self, context: Optional[PassContext]) -> CoverageResult:
+    def finish(self, context: PassContext) -> CoverageResult:
         index = self._index
         per_station: Dict[Tuple[MacAddress, bool], List[int]] = defaultdict(
             lambda: [0, 0]
@@ -140,17 +139,6 @@ class WiredCoveragePass(PipelinePass):
             )
         ]
         return CoverageResult(stations=stations)
-
-
-def wired_coverage(
-    wired_trace: Sequence[WiredTraceRecord],
-    jframes: Iterable[JFrame],
-) -> CoverageResult:
-    """Figure 6: match every wired unicast packet against the air trace."""
-    cpass = WiredCoveragePass(wired_trace)
-    for jframe in jframes:
-        cpass.on_jframe(jframe)
-    return cpass.finish(None)
 
 
 @dataclass
@@ -183,13 +171,13 @@ class PodReductionResult:
 def pod_reduction_coverage(
     artifacts,
     pod_counts: Sequence[int],
-    pipeline_factory=None,
 ) -> PodReductionResult:
     """Figure 7: coverage as the pod deployment shrinks.
 
     Pods are removed in visual-redundancy order (most redundant first),
-    the full pipeline re-runs on the surviving radios, and coverage is
-    recomputed against the same wired trace.  A partitioned bootstrap —
+    the full pipeline re-runs on the surviving radios with a
+    :class:`WiredCoveragePass` registered and no per-layer lists kept,
+    and coverage is recomputed against the same wired trace.  A partitioned bootstrap —
     the paper's 10-pod failure — is reported rather than hidden.
     """
     from ..pipeline import JigsawPipeline
@@ -210,11 +198,13 @@ def pod_reduction_coverage(
             for g in artifacts.clock_groups()
             if all(r in kept_radios for r in g)
         ]
-        pipeline = (
-            pipeline_factory() if pipeline_factory else JigsawPipeline()
+        report = JigsawPipeline().run(
+            traces,
+            clock_groups=clock_groups,
+            passes=[WiredCoveragePass(artifacts.wired_trace)],
+            materialize=False,
         )
-        report = pipeline.run(traces, clock_groups=clock_groups)
-        coverage = wired_coverage(artifacts.wired_trace, report.jframes)
+        coverage = report.passes["wired_coverage"]
         points.append(
             PodReductionPoint(
                 n_pods=count,

@@ -6,19 +6,17 @@ all jframes, the worst case time offset between any two radios is less than
 10 us, and 99% see a worst case offset under 20 us."
 
 :class:`DispersionPass` streams the samples off the pipeline's jframe
-feed; :func:`dispersion_cdf` is the batch wrapper over a
-:class:`~repro.core.unify.unifier.UnificationResult`.
+feed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..passes import PassContext, PipelinePass
-from ..unify.unifier import UnificationResult
 
 
 @dataclass
@@ -96,13 +94,5 @@ class DispersionPass(PipelinePass):
         if jframe.n_instances >= self.min_instances:
             self._samples.append(jframe.dispersion_us)
 
-    def finish(self, context: Optional[PassContext]) -> DispersionCdf:
+    def finish(self, context: PassContext) -> DispersionCdf:
         return DispersionCdf(samples_us=self._samples)
-
-
-def dispersion_cdf(result: UnificationResult) -> DispersionCdf:
-    """Figure 4 from a unification result."""
-    dpass = DispersionPass(min_instances=2)
-    for jframe in result.jframes:
-        dpass.on_jframe(jframe)
-    return dpass.finish(None)

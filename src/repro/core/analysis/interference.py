@@ -19,7 +19,7 @@ attempts both arrive in stream order — intervals that can no longer
 overlap any future attempt are pruned, keeping the live window bounded
 by tens of milliseconds of airtime rather than the whole trace.
 :class:`InterferencePass` plugs the scanner into the pipeline's pass
-API; :func:`estimate_interference` is the batch replay wrapper.
+API.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ..link.attempt import TransmissionAttempt
-from ..passes import PassContext, PipelinePass, run_passes
-from ..pipeline import JigsawReport
+from ..passes import PassContext, PipelinePass
 from ..unify.jframe import JFrame
 from .summary import StationTracker
 
@@ -245,8 +244,8 @@ class InterferenceScanner:
         #: Largest data end over scorable attempts fed so far.  Attempts
         #: arrive in data-frame stream order, so every future query ends
         #: at or after this — the only safe prune anchor in both feeding
-        #: styles (live interleaved, and replay where all jframes precede
-        #: all attempts).
+        #: styles (live interleaved, and ``benchmarks/e2e/staged.py``,
+        #: where all jframes precede all attempts).
         self._max_attempt_end: Optional[int] = None
 
     def feed_jframe(self, jframe: JFrame) -> None:
@@ -360,16 +359,6 @@ class InterferencePass(PipelinePass):
     def on_attempt(self, attempt) -> None:
         self._scanner.feed_attempt(attempt)
 
-    def finish(self, context: Optional[PassContext]) -> InterferenceResult:
+    def finish(self, context: PassContext) -> InterferenceResult:
         _, aps = self._tracker.finish()
         return self._scanner.result(aps, min_packets=self.min_packets)
-
-
-def estimate_interference(
-    report: JigsawReport,
-    min_packets: int = 100,
-) -> InterferenceResult:
-    """Run the Section 7.2 estimator over a pipeline report."""
-    return run_passes(report, [InterferencePass(min_packets=min_packets)])[
-        "interference"
-    ]

@@ -18,8 +18,7 @@ client/AP split, the 802.11b classification, the final client->AP
 association map — is deferred: the pass accumulates compact event tuples
 (CTS targets, probe responses, per-bin data pairs) and resolves them in
 ``finish`` exactly the way the batch two-walk implementation did, so the
-results are identical by construction.  :func:`analyze_protection` is
-the replay wrapper.
+results are identical by construction.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType, frame_marks_cck_only
-from ..passes import PassContext, PipelinePass, run_passes
-from ..pipeline import JigsawReport
+from ..passes import PassContext, PipelinePass
 from .summary import StationTracker
 
 
@@ -171,7 +169,7 @@ class ProtectionPass(PipelinePass):
             index = min(max(t, 0) // self.bin_us, self._n_bins - 1)
             self._data_pairs[index].add((sender, frame.addr1))
 
-    def finish(self, context: Optional[PassContext]) -> ProtectionResult:
+    def finish(self, context: PassContext) -> ProtectionResult:
         clients, aps = self._tracker.finish()
         b_clients = self._b_clients
         g_clients = {c for c in clients if c not in b_clients}
@@ -231,25 +229,6 @@ class ProtectionPass(PipelinePass):
         return ProtectionResult(
             bins=bins, bin_us=bin_us, b_clients=b_clients, g_clients=g_clients
         )
-
-
-def analyze_protection(
-    report: JigsawReport,
-    duration_us: int,
-    bin_us: int = 60_000_000,
-    practical_timeout_us: int = 60_000_000,
-) -> ProtectionResult:
-    """Figure 10 from a pipeline report."""
-    return run_passes(
-        report,
-        [
-            ProtectionPass(
-                duration_us,
-                bin_us=bin_us,
-                practical_timeout_us=practical_timeout_us,
-            )
-        ],
-    )["protection"]
 
 
 def _b_client_recently_in_range(

@@ -4,25 +4,23 @@
 analyses" : duration, monitors, APs, clients, raw event counts, the error
 share, jframe counts and the events-per-jframe ratio.
 
-The analysis is implemented as :class:`SummaryPass`, a streaming
-:class:`~repro.core.passes.PipelinePass`; :func:`summarize` and
-:func:`identify_stations` are thin wrappers replaying a materialized
-report through the same code.  :class:`StationTracker` — the incremental
-behavioural client/AP classifier — is shared by the activity, protection
-and interference passes.
+The analysis is :class:`SummaryPass`, a streaming
+:class:`~repro.core.passes.PipelinePass`.  :class:`StationTracker` — the
+incremental behavioural client/AP classifier — is shared by the
+activity, protection and interference passes; :func:`identify_stations`
+runs it over a materialized report's jframes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import countOf, itemgetter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType
-from ...jtrace.io import RadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
-from ..passes import PassContext, PipelinePass, run_passes
+from ..passes import PassContext, PipelinePass
 from ..pipeline import JigsawReport
 
 _KIND = itemgetter(TraceRecord._fields.index("kind"))
@@ -138,14 +136,7 @@ class SummaryPass(PipelinePass):
     def on_jframe(self, jframe) -> None:
         self._tracker.feed(jframe)
 
-    def finish(self, context: Optional[PassContext]) -> TraceSummary:
-        if context is None or not context.traces:
-            raise ValueError(
-                "SummaryPass needs the run's input radio traces to count "
-                "raw/error events: a live pipeline run provides them "
-                "automatically, a replay must pass "
-                "run_passes(report, passes, traces=...)"
-            )
+    def finish(self, context: PassContext) -> TraceSummary:
         clients, aps = self._tracker.finish()
         traces = context.traces
         total_events = sum(len(trace) for trace in traces)
@@ -175,14 +166,3 @@ def identify_stations(report: JigsawReport) -> Tuple[Set[MacAddress], Set[MacAdd
     for jframe in report.jframes:
         tracker.feed(jframe)
     return tracker.finish()
-
-
-def summarize(
-    report: JigsawReport,
-    traces: Sequence[RadioTrace],
-    duration_us: int,
-) -> TraceSummary:
-    """Build the Table 1 summary from a pipeline report and its inputs."""
-    return run_passes(report, [SummaryPass(duration_us)], traces=traces)[
-        "summary"
-    ]

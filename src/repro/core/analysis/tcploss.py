@@ -11,10 +11,9 @@ headline: the wireless component dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..passes import PassContext, PipelinePass, run_passes
-from ..pipeline import JigsawReport
+from ..passes import PassContext, PipelinePass
 from ..transport.flows import TcpFlow
 from ..transport.inference import LossCause
 
@@ -129,10 +128,5 @@ class TcpLossPass(PipelinePass):
             )
         )
 
-    def finish(self, context: Optional[PassContext]) -> TcpLossResult:
+    def finish(self, context: PassContext) -> TcpLossResult:
         return TcpLossResult(flows=self._rows)
-
-
-def analyze_tcp_loss(report: JigsawReport) -> TcpLossResult:
-    """Figure 11 from a pipeline report (completed-handshake flows only)."""
-    return run_passes(report, [TcpLossPass()])["tcp_loss"]

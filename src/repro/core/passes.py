@@ -27,17 +27,12 @@ built-in :class:`MaterializePass`; pass ``materialize=False`` to drop it
 and run analyses without the per-layer lists.  That bounds the report,
 not the input: a file-backed trace keeps every record it decoded until
 the run ends.
-
-:func:`run_passes` replays an already-materialized report through the
-same hooks, so the classic function-style entry points
-(``activity_timeline(report, ...)`` and friends) are thin wrappers over
-their pass implementations — one implementation, two consumption styles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # import-light at runtime: passes sits below these layers
     from .link.attempt import TransmissionAttempt
@@ -77,9 +72,7 @@ class SealedWindow:
 class PassContext:
     """Run-level state handed to :meth:`PipelinePass.finish`.
 
-    Everything here is available in both execution styles: populated by
-    the pipeline at the end of a streaming run, or derived from a
-    materialized report when replaying (:func:`run_passes`).  Fields are
+    The pipeline populates it at the end of a run.  Fields are
     deliberately loosely typed to keep this module import-light (it sits
     below both the pipeline and the analysis package).
     """
@@ -95,20 +88,6 @@ class PassContext:
     #: passes that must stay O(1) in trace length simply don't.
     traces: Sequence[Any] = ()
     n_flows: int = 0
-
-    @classmethod
-    def from_report(cls, report: Any, traces: Sequence[Any] = ()) -> "PassContext":
-        """Build the context a pipeline run would have produced."""
-        return cls(
-            bootstrap=report.bootstrap,
-            tracks=report.tracks,
-            unify_stats=report.unification.stats,
-            attempt_stats=report.attempt_stats,
-            exchange_stats=report.exchange_stats,
-            transport_stats=report.transport_stats,
-            traces=traces,
-            n_flows=len(report.flows),
-        )
 
 
 class PipelinePass:
@@ -134,18 +113,17 @@ class PipelinePass:
     def on_exchange(self, exchange: FrameExchange) -> None:
         """One closed frame exchange, in ``start_us`` order.
 
-        Caveat: in a live pipeline run this fires *before* transport
-        inference, which may later upgrade ``exchange.delivered`` (and
-        ``delivery_inferred_from_transport``) in place — a replay over a
-        materialized report sees the post-inference state instead.  A
-        pass that depends on final delivery verdicts should read them
-        from flows in :meth:`on_flow`/:meth:`finish`, not here.
+        Caveat: this fires *before* transport inference, which may later
+        upgrade ``exchange.delivered`` (and
+        ``delivery_inferred_from_transport``) in place.  A pass that
+        depends on final delivery verdicts should read them from flows
+        in :meth:`on_flow`/:meth:`finish`, not here.
         """
 
     def on_flow(self, flow: TcpFlow) -> None:
         """One reconstructed TCP flow, after transport inference."""
 
-    def finish(self, context: Optional[PassContext]) -> Any:
+    def finish(self, context: PassContext) -> Any:
         """Finalize and return this pass's result."""
         return None
 
@@ -191,7 +169,7 @@ class MaterializePass(PipelinePass):
     def on_exchange(self, exchange: FrameExchange) -> None:
         self.exchanges.append(exchange)
 
-    def finish(self, context: Optional[PassContext]) -> None:
+    def finish(self, context: PassContext) -> None:
         return None
 
 
@@ -205,42 +183,3 @@ def check_pass_names(passes: Iterable[PipelinePass]) -> None:
                 f"name — give one of the passes a distinct .name"
             )
         seen[p.name] = p
-
-
-def run_passes(
-    report: Any,
-    passes: Sequence[PipelinePass],
-    traces: Sequence[Any] = (),
-) -> Dict[str, Any]:
-    """Replay a materialized report through analysis passes.
-
-    Feeds every jframe, attempt, exchange and flow of ``report`` through
-    the hooks (each list is already in the order the live pipeline would
-    have delivered it), then finishes each pass with a context derived
-    from the report.  Returns ``{pass.name: result}``.
-
-    This is what the function-style analysis entry points do internally,
-    which keeps the batch and streaming paths behaviourally identical by
-    construction.
-    """
-    if not getattr(report, "materialized", True):
-        raise ValueError(
-            "report was produced with materialize=False and carries no "
-            "jframe/attempt/exchange lists to replay; register the passes "
-            "on the pipeline run instead (JigsawPipeline.run(..., passes=...))"
-        )
-    check_pass_names(passes)
-    for jframe in report.jframes:
-        for p in passes:
-            p.on_jframe(jframe)
-    for attempt in report.attempts:
-        for p in passes:
-            p.on_attempt(attempt)
-    for exchange in report.exchanges:
-        for p in passes:
-            p.on_exchange(exchange)
-    for flow in report.flows:
-        for p in passes:
-            p.on_flow(flow)
-    context = PassContext.from_report(report, traces=traces)
-    return {p.name: p.finish(context) for p in passes}

@@ -9,31 +9,14 @@ Footnote 7's arithmetic bounds the potential throughput win at ~1.98x.
 
 from __future__ import annotations
 
-from ..core.analysis.protection import ProtectionResult, analyze_protection
+from ..core.analysis.protection import ProtectionResult
 from ..dot11.rates import protection_overhead_factor
 from .common import ExperimentRun, get_building_run
-
-#: Bins per compressed day (matches fig8).
-BINS_PER_DAY = 24
 
 
 def run_fig10(run: ExperimentRun = None) -> ProtectionResult:
     run = run or get_building_run()
-    bin_us = max(1, run.duration_us // BINS_PER_DAY)
-    # The practical timeout compresses with the day, but must comfortably
-    # exceed the clients' background-probe cadence — otherwise every AP
-    # looks overprotective between probes, which the paper's real minutes
-    # vs seconds-scale probing never suffered.
-    practical_timeout_us = max(
-        run.duration_us // 24,
-        2 * max(1, run.config.client_rescan_interval_us),
-    )
-    return analyze_protection(
-        run.report,
-        run.duration_us,
-        bin_us=bin_us,
-        practical_timeout_us=practical_timeout_us,
-    )
+    return run.report.passes["protection"]
 
 
 def main() -> None:

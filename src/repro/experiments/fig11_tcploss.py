@@ -7,13 +7,13 @@ component of TCP loss is dominant."
 
 from __future__ import annotations
 
-from ..core.analysis.tcploss import TcpLossResult, analyze_tcp_loss
+from ..core.analysis.tcploss import TcpLossResult
 from .common import ExperimentRun, get_building_run
 
 
 def run_fig11(run: ExperimentRun = None) -> TcpLossResult:
     run = run or get_building_run()
-    return analyze_tcp_loss(run.report)
+    return run.report.passes["tcp_loss"]
 
 
 def main() -> None:

@@ -7,13 +7,13 @@ radios is less than 10 us, and 99% see a worst case offset under 20 us."
 
 from __future__ import annotations
 
-from ..core.analysis.dispersion import DispersionCdf, dispersion_cdf
+from ..core.analysis.dispersion import DispersionCdf
 from .common import ExperimentRun, get_building_run
 
 
 def run_fig4(run: ExperimentRun = None) -> DispersionCdf:
     run = run or get_building_run()
-    return dispersion_cdf(run.report.unification)
+    return run.report.passes["dispersion"]
 
 
 def main() -> None:

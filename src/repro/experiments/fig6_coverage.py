@@ -9,13 +9,13 @@ deployed near APs.
 
 from __future__ import annotations
 
-from ..core.analysis.coverage import CoverageResult, wired_coverage
+from ..core.analysis.coverage import CoverageResult
 from .common import ExperimentRun, get_building_run
 
 
 def run_fig6(run: ExperimentRun = None) -> CoverageResult:
     run = run or get_building_run()
-    return wired_coverage(run.artifacts.wired_trace, run.report.jframes)
+    return run.report.passes["wired_coverage"]
 
 
 def main() -> None:

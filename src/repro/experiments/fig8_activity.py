@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.analysis.activity import (
-    ActivityTimeline,
-    activity_timeline,
-    broadcast_airtime_share,
-)
+from ..core.analysis.activity import ActivityTimeline
 from .common import ExperimentRun, get_building_run
-
-#: Bins per "day" — the compressed analogue of the paper's minutes.
-BINS_PER_DAY = 24
 
 
 @dataclass
@@ -38,10 +31,10 @@ class Fig8Result:
 
 def run_fig8(run: ExperimentRun = None) -> Fig8Result:
     run = run or get_building_run()
-    bin_us = max(1, run.duration_us // BINS_PER_DAY)
-    timeline = activity_timeline(run.report, run.duration_us, bin_us=bin_us)
-    share = broadcast_airtime_share(run.report, run.duration_us)
-    return Fig8Result(timeline=timeline, airtime_share=share)
+    passes = run.report.passes
+    return Fig8Result(
+        timeline=passes["activity"], airtime_share=passes["broadcast_airtime"]
+    )
 
 
 def main() -> None:

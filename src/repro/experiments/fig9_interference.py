@@ -9,22 +9,13 @@ above 0.5; negative estimates (11% of pairs) truncate to zero.
 
 from __future__ import annotations
 
-from ..core.analysis.interference import (
-    InterferenceResult,
-    estimate_interference,
-)
+from ..core.analysis.interference import InterferenceResult
 from .common import ExperimentRun, get_building_run
 
-#: Compressed traces carry fewer packets per pair than a full day; scale
-#: the paper's >=100-packet cut to keep a usable pair population.
-MIN_PACKETS = 30
 
-
-def run_fig9(
-    run: ExperimentRun = None, min_packets: int = MIN_PACKETS
-) -> InterferenceResult:
+def run_fig9(run: ExperimentRun = None) -> InterferenceResult:
     run = run or get_building_run()
-    return estimate_interference(run.report, min_packets=min_packets)
+    return run.report.passes["interference"]
 
 
 def main() -> None:

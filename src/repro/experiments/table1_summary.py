@@ -10,15 +10,13 @@ makes three observations of every observed transmission").
 
 from __future__ import annotations
 
-from ..core.analysis.summary import TraceSummary, summarize
+from ..core.analysis.summary import TraceSummary
 from .common import ExperimentRun, get_building_run
 
 
 def run_table1(run: ExperimentRun = None) -> TraceSummary:
     run = run or get_building_run()
-    return summarize(
-        run.report, run.artifacts.radio_traces, run.duration_us
-    )
+    return run.report.passes["summary"]
 
 
 def main() -> None:

@@ -28,7 +28,7 @@ checkpoints these passes unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.link.attempt import TransmissionAttempt
 from ..core.link.exchange import FrameExchange
@@ -96,7 +96,7 @@ class _WindowedPass(PipelinePass):
             payload=payload,
         )
 
-    def finish(self, context: Optional[PassContext]) -> Dict[str, Any]:
+    def finish(self, context: PassContext) -> Dict[str, Any]:
         """Seal every remaining window and return the full sequence.
 
         The daemon publishes the remainder through a final

@@ -2,9 +2,20 @@
 
 ``record_for`` / ``data_frame`` build one radio's capture of one frame;
 ``fingerprints`` and ``assert_reports_identical`` state what "the same
-reconstruction" means wherever two runs are held to each other.
+reconstruction" means wherever two runs are held to each other;
+``small_passes`` is the analysis set the ``small_run`` fixture registers.
 """
 
+from repro.core.analysis import (
+    ActivityPass,
+    BroadcastAirtimePass,
+    DispersionPass,
+    InterferencePass,
+    ProtectionPass,
+    SummaryPass,
+    TcpLossPass,
+    WiredCoveragePass,
+)
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -80,3 +91,21 @@ def assert_reports_identical(report, reference):
     )
     assert report.bootstrap.offsets_us == reference.bootstrap.offsets_us
     assert report.health.sync == reference.health.sync
+
+
+def small_passes(config, wired_trace):
+    """The eight Section 6/7 analyses at ten bins per run."""
+    duration = config.duration_us
+    bin_us = duration // 10
+    return [
+        ActivityPass(duration, bin_us=bin_us),
+        BroadcastAirtimePass(duration),
+        DispersionPass(),
+        ProtectionPass(
+            duration, bin_us=bin_us, practical_timeout_us=duration // 8
+        ),
+        TcpLossPass(),
+        SummaryPass(duration),
+        InterferencePass(min_packets=20),
+        WiredCoveragePass(wired_trace),
+    ]

@@ -46,13 +46,11 @@ def test_family_sweep_merge_throughput(capsys):
 def test_roaming_family_produces_handoffs(capsys):
     """Roamers actually hand off between APs, and the merge keeps group
     dispersion samples flowing under moving vantage points (Fig 4/6)."""
-    from repro.core.analysis import dispersion_cdf
-
     run = get_family_run("roaming", scale=SCALE)
     assert run.artifacts.roam_events, "no AP handoffs in roaming family"
     distinct_roamers = {e.station_index for e in run.artifacts.roam_events}
     assert len(distinct_roamers) >= 2
-    cdf = dispersion_cdf(run.report.unification)
+    cdf = run.report.passes["dispersion"]
     assert cdf.n > 100
     with capsys.disabled():
         print(

@@ -1,39 +1,15 @@
-"""Tests for the Section 6/7 analysis modules, on a shared small scenario."""
+"""Tests for the Section 6/7 analysis modules, on the shared small run
+(``small_run`` in conftest.py), whose passes the report carries."""
 
 import pytest
 
-from repro.core.analysis import (
-    activity_timeline,
-    analyze_protection,
-    analyze_tcp_loss,
-    broadcast_airtime_share,
-    dispersion_cdf,
-    estimate_interference,
-    identify_stations,
-    oracle_coverage,
-    summarize,
-    wired_coverage,
-)
+from repro.core.analysis import identify_stations, oracle_coverage
 from repro.core.analysis.dispersion import DispersionCdf
-from repro.core.pipeline import JigsawPipeline
-from repro.sim import ScenarioConfig, run_scenario
-
-
-@pytest.fixture(scope="module")
-def analysed():
-    config = ScenarioConfig.small(
-        seed=99, fraction_11b_clients=0.3, client_rescan_interval_us=800_000
-    )
-    artifacts = run_scenario(config)
-    report = JigsawPipeline().run(
-        artifacts.radio_traces, clock_groups=artifacts.clock_groups()
-    )
-    return config, artifacts, report
 
 
 class TestIdentifyStations:
-    def test_aps_and_clients_split(self, analysed):
-        config, artifacts, report = analysed
+    def test_aps_and_clients_split(self, small_run):
+        config, artifacts, report = small_run
         clients, aps = identify_stations(report)
         true_aps = {ap.mac for ap in artifacts.aps}
         true_clients = {sta.mac for sta in artifacts.stations}
@@ -44,9 +20,9 @@ class TestIdentifyStations:
 
 
 class TestSummary:
-    def test_counts_consistent(self, analysed):
-        config, artifacts, report = analysed
-        summary = summarize(report, artifacts.radio_traces, config.duration_us)
+    def test_counts_consistent(self, small_run):
+        config, artifacts, report = small_run
+        summary = report.passes["summary"]
         assert summary.total_events == sum(
             len(t) for t in artifacts.radio_traces
         )
@@ -54,25 +30,25 @@ class TestSummary:
         assert 0 < summary.error_event_fraction < 1
         assert summary.events_per_jframe > 1
 
-    def test_format_table(self, analysed):
-        config, artifacts, report = analysed
-        summary = summarize(report, artifacts.radio_traces, config.duration_us)
+    def test_format_table(self, small_run):
+        config, artifacts, report = small_run
+        summary = report.passes["summary"]
         text = summary.format_table()
         assert "Raw events" in text and "jframes" in text.lower()
 
 
 class TestDispersion:
-    def test_cdf_monotone(self, analysed):
-        _, _, report = analysed
-        cdf = dispersion_cdf(report.unification)
+    def test_cdf_monotone(self, small_run):
+        _, _, report = small_run
+        cdf = report.passes["dispersion"]
         points = cdf.cdf_points()
         fractions = [y for _, y in points]
         assert fractions == sorted(fractions)
         assert points[-1][1] == 1.0
 
-    def test_percentiles_ordered(self, analysed):
-        _, _, report = analysed
-        cdf = dispersion_cdf(report.unification)
+    def test_percentiles_ordered(self, small_run):
+        _, _, report = small_run
+        cdf = report.passes["dispersion"]
         assert cdf.p50_us <= cdf.p90_us <= cdf.p99_us
 
     def test_empty_cdf(self):
@@ -83,51 +59,45 @@ class TestDispersion:
 
 
 class TestActivity:
-    def test_bins_cover_duration(self, analysed):
-        config, _, report = analysed
-        timeline = activity_timeline(
-            report, config.duration_us, bin_us=config.duration_us // 10
-        )
+    def test_bins_cover_duration(self, small_run):
+        config, _, report = small_run
+        timeline = report.passes["activity"]
+        assert timeline.bin_us == config.duration_us // 10
         assert len(timeline.bins) == 10
 
-    def test_beacons_in_every_bin(self, analysed):
-        config, _, report = analysed
-        timeline = activity_timeline(
-            report, config.duration_us, bin_us=config.duration_us // 5
-        )
+    def test_beacons_in_every_bin(self, small_run):
+        _, _, report = small_run
+        timeline = report.passes["activity"]
         assert all(b.beacon_frames > 0 for b in timeline.bins)
 
-    def test_active_clients_detected(self, analysed):
-        config, _, report = analysed
-        timeline = activity_timeline(
-            report, config.duration_us, bin_us=config.duration_us
-        )
-        assert timeline.peak_clients() > 0
+    def test_active_clients_detected(self, small_run):
+        _, _, report = small_run
+        assert report.passes["activity"].peak_clients() > 0
 
-    def test_broadcast_airtime_positive(self, analysed):
-        config, _, report = analysed
-        share = broadcast_airtime_share(report, config.duration_us)
+    def test_broadcast_airtime_positive(self, small_run):
+        _, _, report = small_run
+        share = report.passes["broadcast_airtime"]
         assert share
         assert all(0 < s < 1 for s in share.values())
 
 
 class TestCoverageAnalysis:
-    def test_wired_coverage_bounds(self, analysed):
-        _, artifacts, report = analysed
-        result = wired_coverage(artifacts.wired_trace, report.jframes)
+    def test_wired_coverage_bounds(self, small_run):
+        _, _, report = small_run
+        result = report.passes["wired_coverage"]
         assert 0 <= result.overall() <= 1
         for station in result.stations:
             assert 0 <= station.coverage <= 1
             assert station.observed_packets <= station.wired_packets
 
-    def test_both_kinds_of_stations_present(self, analysed):
-        _, artifacts, report = analysed
-        result = wired_coverage(artifacts.wired_trace, report.jframes)
+    def test_both_kinds_of_stations_present(self, small_run):
+        _, _, report = small_run
+        result = report.passes["wired_coverage"]
         kinds = {s.is_ap for s in result.stations}
         assert kinds == {True, False}
 
-    def test_oracle_coverage(self, analysed):
-        _, artifacts, _ = analysed
+    def test_oracle_coverage(self, small_run):
+        _, artifacts, _ = small_run
         result = oracle_coverage(artifacts, artifacts.stations[0].mac)
         assert 0 <= result.coverage <= 1
         assert result.transmitted > 0
@@ -167,56 +137,45 @@ class TestInterferenceAnalysis:
         )
         assert pair.p_interference is None
 
-    def test_end_to_end(self, analysed):
-        _, _, report = analysed
-        result = estimate_interference(report, min_packets=10)
+    def test_end_to_end(self, small_run):
+        _, _, report = small_run
+        result = report.passes["interference"]
+        assert result.n_pairs > 0
         for pair in result.pairs:
             assert pair.n == pair.n0 + pair.nx
             assert 0 <= pair.interference_loss_rate <= 1
 
 
 class TestProtectionAnalysis:
-    def test_b_and_g_clients_found(self, analysed):
-        config, _, report = analysed
-        result = analyze_protection(
-            report, config.duration_us,
-            bin_us=config.duration_us // 6,
-            practical_timeout_us=config.duration_us // 3,
-        )
+    def test_b_and_g_clients_found(self, small_run):
+        _, _, report = small_run
+        result = report.passes["protection"]
         assert result.b_clients
         assert result.g_clients
 
-    def test_protection_detected_with_11b_present(self, analysed):
-        config, _, report = analysed
-        result = analyze_protection(
-            report, config.duration_us,
-            bin_us=config.duration_us // 6,
-            practical_timeout_us=config.duration_us // 3,
-        )
+    def test_protection_detected_with_11b_present(self, small_run):
+        _, _, report = small_run
+        result = report.passes["protection"]
         assert any(b.protecting_aps for b in result.bins)
 
-    def test_affected_fraction_bounded(self, analysed):
-        config, _, report = analysed
-        result = analyze_protection(
-            report, config.duration_us,
-            bin_us=config.duration_us // 6,
-            practical_timeout_us=config.duration_us // 3,
-        )
+    def test_affected_fraction_bounded(self, small_run):
+        _, _, report = small_run
+        result = report.passes["protection"]
         assert 0.0 <= result.peak_affected_fraction() <= 1.0
 
 
 class TestTcpLossAnalysis:
-    def test_rates_bounded(self, analysed):
-        _, _, report = analysed
-        result = analyze_tcp_loss(report)
+    def test_rates_bounded(self, small_run):
+        _, _, report = small_run
+        result = report.passes["tcp_loss"]
         assert result.n_flows > 0
         for row in result.flows:
             assert 0 <= row.loss_rate <= 1
         wireless, wired, unknown = result.aggregate_rates()
         assert 0 <= wireless + wired + unknown <= 1
 
-    def test_cdf_sorted(self, analysed):
-        _, _, report = analysed
-        result = analyze_tcp_loss(report)
+    def test_cdf_sorted(self, small_run):
+        _, _, report = small_run
+        result = report.passes["tcp_loss"]
         xs = result.loss_rate_cdf()
         assert xs == sorted(xs)

@@ -1,72 +1,15 @@
-"""Parity suite: streaming analysis passes == batch report analyses.
+"""Parity suite: the analysis passes on the one reconstruction pass.
 
-Every pass-based analysis must produce results identical to its batch
-``JigsawReport`` counterpart — on the small scenario, and with
-``materialize=False`` — and equal to the values the pre-rewrite batch
-implementations produced, plus the satellites: in-order exchange
-emission and the experiment run-cache config fingerprint.
+A ``materialize=False`` run's pass results must equal the materialized
+run's, and both must equal the values the pre-rewrite batch
+implementations produced; plus in-order exchange emission.
 """
 
 import pytest
 
-from repro.core.analysis import (
-    ActivityPass,
-    BroadcastAirtimePass,
-    DispersionPass,
-    InterferencePass,
-    ProtectionPass,
-    SummaryPass,
-    TcpLossPass,
-    WiredCoveragePass,
-    activity_timeline,
-    analyze_protection,
-    analyze_tcp_loss,
-    broadcast_airtime_share,
-    dispersion_cdf,
-    estimate_interference,
-    summarize,
-    wired_coverage,
-)
-from repro.core.passes import run_passes
+from helpers import small_passes
+from repro.core.analysis import DispersionPass, identify_stations
 from repro.core.pipeline import JigsawPipeline
-from repro.sim import ScenarioConfig, run_scenario
-
-MIN_PACKETS = 20
-
-
-def make_passes(config, wired_trace):
-    duration = config.duration_us
-    bin_us = duration // 10
-    return {
-        "activity": ActivityPass(duration, bin_us=bin_us),
-        "broadcast_airtime": BroadcastAirtimePass(duration),
-        "dispersion": DispersionPass(),
-        "protection": ProtectionPass(
-            duration, bin_us=bin_us, practical_timeout_us=duration // 8
-        ),
-        "tcp_loss": TcpLossPass(),
-        "summary": SummaryPass(duration),
-        "interference": InterferencePass(min_packets=MIN_PACKETS),
-        "wired_coverage": WiredCoveragePass(wired_trace),
-    }
-
-
-def batch_results(report, artifacts, config):
-    """Every analysis through its classic batch entry point."""
-    duration = config.duration_us
-    bin_us = duration // 10
-    return {
-        "activity": activity_timeline(report, duration, bin_us=bin_us),
-        "broadcast_airtime": broadcast_airtime_share(report, duration),
-        "dispersion": dispersion_cdf(report.unification),
-        "protection": analyze_protection(
-            report, duration, bin_us=bin_us, practical_timeout_us=duration // 8
-        ),
-        "tcp_loss": analyze_tcp_loss(report),
-        "summary": summarize(report, artifacts.radio_traces, duration),
-        "interference": estimate_interference(report, min_packets=MIN_PACKETS),
-        "wired_coverage": wired_coverage(artifacts.wired_trace, report.jframes),
-    }
 
 
 def tcploss_projection(result):
@@ -105,69 +48,61 @@ def coverage_projection(result):
     ]
 
 
-def assert_all_equal(streamed, batch):
-    """Compare every analysis's streaming result against its batch twin."""
-    assert streamed["activity"] == batch["activity"]
-    assert streamed["broadcast_airtime"] == batch["broadcast_airtime"]
+def assert_all_equal(streamed, materialized):
+    """Compare every analysis's result across the two runs."""
+    assert streamed["activity"] == materialized["activity"]
+    assert streamed["broadcast_airtime"] == materialized["broadcast_airtime"]
     assert (
-        streamed["dispersion"].samples_us == batch["dispersion"].samples_us
+        streamed["dispersion"].samples_us
+        == materialized["dispersion"].samples_us
     )
-    assert streamed["protection"] == batch["protection"]
+    assert streamed["protection"] == materialized["protection"]
     assert tcploss_projection(streamed["tcp_loss"]) == tcploss_projection(
-        batch["tcp_loss"]
+        materialized["tcp_loss"]
     )
-    assert streamed["summary"] == batch["summary"]
+    assert streamed["summary"] == materialized["summary"]
     assert interference_projection(
         streamed["interference"]
-    ) == interference_projection(batch["interference"])
+    ) == interference_projection(materialized["interference"])
     assert coverage_projection(
         streamed["wired_coverage"]
-    ) == coverage_projection(batch["wired_coverage"])
-
-
-@pytest.fixture(scope="module")
-def small_setup():
-    config = ScenarioConfig.small(
-        seed=99, fraction_11b_clients=0.3, client_rescan_interval_us=800_000
-    )
-    artifacts = run_scenario(config)
-    report = JigsawPipeline().run(
-        artifacts.radio_traces,
-        clock_groups=artifacts.clock_groups(),
-        passes=list(make_passes(config, artifacts.wired_trace).values()),
-    )
-    return config, artifacts, report, batch_results(report, artifacts, config)
+    ) == coverage_projection(materialized["wired_coverage"])
 
 
 class TestStreamingParitySmall:
-    def test_inline_passes_match_batch(self, small_setup):
-        """Passes driven inside the one-pass loop == batch over the same
-        (materialized) report."""
-        _, _, report, batch = small_setup
-        assert_all_equal(report.passes, batch)
-        # Sanity: the scenario exercises every analysis non-trivially.
-        assert report.passes["interference"].n_pairs > 0
-        assert report.passes["tcp_loss"].n_flows > 0
-        assert report.passes["protection"].total_overprotective_aps() >= 0
-        assert report.passes["dispersion"].n > 100
-
-    def test_replay_matches_batch(self, small_setup):
-        """run_passes over a materialized report == batch entry points."""
-        config, artifacts, report, batch = small_setup
-        replayed = run_passes(
-            report,
-            list(make_passes(config, artifacts.wired_trace).values()),
-            traces=artifacts.radio_traces,
+    def test_inline_passes_match_batch(self, small_run):
+        """Passes driven inside the one-pass loop agree with the lists the
+        same (materialized) report holds."""
+        _, _, report = small_run
+        passes = report.passes
+        assert (
+            passes["dispersion"].samples_us
+            == report.unification.dispersions_us()
         )
-        assert_all_equal(replayed, batch)
+        summary = passes["summary"]
+        assert summary.jframes == len(report.jframes)
+        assert summary.transmission_attempts == len(report.attempts)
+        assert summary.frame_exchanges == len(report.exchanges)
+        assert summary.tcp_flows == len(report.flows)
+        clients, aps = identify_stations(report)
+        assert (summary.unique_clients, summary.unique_aps) == (
+            len(clients),
+            len(aps),
+        )
+        # Sanity: the scenario exercises every analysis non-trivially.
+        assert passes["interference"].n_pairs > 0
+        assert passes["tcp_loss"].n_flows > 0
+        assert passes["protection"].total_overprotective_aps() >= 0
+        assert passes["dispersion"].n > 100
 
-    def test_materialize_false_matches_batch(self, small_setup):
-        """A bounded-memory run (no report lists) still matches batch."""
-        config, artifacts, _, batch = small_setup
+    def test_materialize_false_matches_batch(self, small_run):
+        """A bounded-memory run (no report lists) yields the same pass
+        results as the materialized run."""
+        config, artifacts, materialized = small_run
         report = JigsawPipeline().run(
             artifacts.radio_traces,
             clock_groups=artifacts.clock_groups(),
-            passes=list(make_passes(config, artifacts.wired_trace).values()),
+            passes=small_passes(config, artifacts.wired_trace),
             materialize=False,
         )
         assert not report.materialized
@@ -175,41 +110,31 @@ class TestStreamingParitySmall:
         assert report.attempts == []
         assert report.exchanges == []
         assert len(report.flows) > 0  # flows always survive
-        assert_all_equal(report.passes, batch)
+        assert_all_equal(report.passes, materialized.passes)
 
-    def test_replay_refuses_unmaterialized_report(self, small_setup):
-        config, artifacts, _, _ = small_setup
-        report = JigsawPipeline().run(
-            artifacts.radio_traces,
-            clock_groups=artifacts.clock_groups(),
-            materialize=False,
-        )
-        with pytest.raises(ValueError, match="materialize=False"):
-            activity_timeline(report, config.duration_us)
-
-    def test_duplicate_pass_names_rejected(self, small_setup):
-        config, artifacts, _, _ = small_setup
+    def test_duplicate_pass_names_rejected(self, small_run):
+        _, artifacts, _ = small_run
         with pytest.raises(ValueError, match="duplicate pass name"):
             JigsawPipeline().run(
                 artifacts.radio_traces[:2],
                 passes=[DispersionPass(), DispersionPass()],
             )
 
-    def test_pass_result_accessor(self, small_setup):
-        _, _, report, _ = small_setup
+    def test_pass_result_accessor(self, small_run):
+        _, _, report = small_run
         assert report.pass_result("dispersion") is report.passes["dispersion"]
         with pytest.raises(KeyError, match="no pass named"):
             report.pass_result("nope")
 
 
 class TestExchangeOrdering:
-    def test_feed_emits_in_start_order(self, small_setup):
+    def test_feed_emits_in_start_order(self, small_run):
         """The reorder buffer delivers exchanges sorted by start_us, equal
         to the stable start-time sort of the closure sequence."""
         from repro.core.link.attempt import AttemptAssembler
         from repro.core.link.exchange import ExchangeAssembler
 
-        _, _, report, _ = small_setup
+        _, _, report = small_run
         attempts = AttemptAssembler().assemble(report.jframes)
         assembler = ExchangeAssembler()
         streamed = []
@@ -220,12 +145,12 @@ class TestExchangeOrdering:
         assert starts == sorted(starts)
         assert len(streamed) == assembler.stats.exchanges
 
-    def test_pipeline_exchanges_sorted_without_barrier(self, small_setup):
-        _, _, report, _ = small_setup
+    def test_pipeline_exchanges_sorted_without_barrier(self, small_run):
+        _, _, report = small_run
         starts = [e.start_us for e in report.exchanges]
         assert starts == sorted(starts)
 
-    def test_silent_sender_does_not_stall_emission(self, small_setup):
+    def test_silent_sender_does_not_stall_emission(self, small_run):
         """An abandoned open exchange (sender never transmits again) must
         not pin the reorder buffer: once the feed watermark passes it by
         horizon + slack it is stale-closed and emission resumes."""
@@ -236,7 +161,7 @@ class TestExchangeOrdering:
             ExchangeAssembler,
         )
 
-        _, _, report, _ = small_setup
+        _, _, report = small_run
         attempts = AttemptAssembler().assemble(report.jframes)
         # Find a sender with an early unicast data attempt, then feed only
         # that one attempt followed by every *other* sender's attempts.
@@ -271,9 +196,9 @@ class TestExchangeOrdering:
 
 #: Reference values computed by the PRE-REWRITE batch implementations
 #: (git HEAD before the pass API, commit fdd8ab5) on the exact scenario
-#: `small_setup` builds.  The pass rewrites must reproduce them bit for
-#: bit — this pins the old semantics independently of the wrappers,
-#: which now share code with the passes.
+#: and analysis settings `small_run` uses.  The passes must reproduce
+#: them bit for bit — this pins the old semantics independently of the
+#: pass code itself.
 PRE_REWRITE_GOLDEN = {
     "jframes": 4904,
     "events_per_jframe": 6.168433931484502,
@@ -345,16 +270,15 @@ PRE_REWRITE_GOLDEN = {
 
 
 class TestPreRewriteGolden:
-    """Pin the pass rewrites against the deleted batch implementations.
+    """Pin the passes against the deleted batch implementations.
 
-    The wrappers now replay the very pass classes under test, so the
-    streaming-vs-batch comparisons above cannot catch semantic drift
-    introduced by the rewrite itself; these values were captured from
-    the pre-rewrite code on a fixed seed.
+    The run-vs-run comparison above cannot catch semantic drift shared
+    by both runs; these values were captured from the pre-rewrite code
+    on a fixed seed.
     """
 
-    def test_results_match_pre_rewrite_implementations(self, small_setup):
-        _, _, report, _ = small_setup
+    def test_results_match_pre_rewrite_implementations(self, small_run):
+        _, _, report = small_run
         g = PRE_REWRITE_GOLDEN
         summary = report.passes["summary"]
         assert summary.jframes == g["jframes"]

@@ -232,3 +232,32 @@ class TestRunCache:
         assert again is base
         assert override is not base
         assert override.config.duration_us == 700_000
+
+    def test_every_experiment_reads_the_one_shared_run(self):
+        from repro.experiments import common
+        from repro.experiments.fig4_dispersion import run_fig4
+        from repro.experiments.fig6_coverage import run_fig6
+        from repro.experiments.fig7_pods import run_fig7
+        from repro.experiments.fig8_activity import run_fig8
+        from repro.experiments.fig9_interference import run_fig9
+        from repro.experiments.fig10_protection import run_fig10
+        from repro.experiments.fig11_tcploss import run_fig11
+        from repro.experiments.table1_summary import run_table1
+
+        common.clear_cache()
+        try:
+            run = common.get_run(ScenarioConfig.tiny(seed=3))
+            results = [
+                experiment(run)
+                for experiment in (
+                    run_fig4, run_fig6, run_fig7, run_fig8, run_fig9,
+                    run_fig10, run_fig11, run_table1,
+                )
+            ]
+        finally:
+            common.clear_cache()
+        assert set(run.report.passes) >= {
+            "activity", "broadcast_airtime", "dispersion", "interference",
+            "protection", "summary", "tcp_loss", "wired_coverage",
+        }
+        assert all(result is not None for result in results)

@@ -236,9 +236,9 @@ def bootstrap(campus):
     result = bootstrap_synchronization(
         campus.traces, clock_groups=campus.clock_groups
     )
-    # Stamped fleets default to island_mode="local": every building is
-    # its own expected reference island, nobody gets quarantined off a
-    # "primary" building's timeline.
+    # Stamped fleets synchronize each building on its own: every
+    # building is its own expected reference island, nobody gets
+    # quarantined off a "primary" building's timeline.
     assert result.quarantined == {}
     assert sorted(len(i) for i in result.islands) == sorted(
         len([t for t in campus.traces if t.building_id == b])
