@@ -34,12 +34,9 @@ point is imperfect.  Every reader accepts an :class:`ErrorPolicy`:
   resynchronizes to the next plausible record boundary (structural header
   probe, bounded by the sidecar's time range and channels, plus a
   successor-header confirmation), keeps decoding, and counts what it
-  lost in a :class:`DecodeHealth`;
-* ``drop-trace`` — a damaged trace contributes nothing: the first decode
-  error discards the whole trace (counted in the health), so one rotten
-  capture cannot pollute a run that wants only pristine inputs.
+  lost in a :class:`DecodeHealth`.
 
-Clean files decode byte-identically under every policy.
+Clean files decode byte-identically under both policies.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ import json
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter, le
 from pathlib import Path
@@ -91,7 +89,6 @@ class ErrorPolicy(str, enum.Enum):
 
     STRICT = "strict"
     SKIP = "skip"
-    DROP_TRACE = "drop-trace"
 
 
 #: Accepted spellings for reader ``policy`` arguments.
@@ -114,7 +111,6 @@ class DecodeHealth:
     truncated_tails: int = 0
     truncated_tail_bytes: int = 0
     stream_errors: int = 0
-    traces_dropped: int = 0
 
     def merge(self, other: "DecodeHealth") -> None:
         """Fold another trace's counters into this aggregate."""
@@ -129,7 +125,6 @@ class DecodeHealth:
             or self.bytes_resynced
             or self.truncated_tails
             or self.stream_errors
-            or self.traces_dropped
         )
 
     def summary(self) -> str:
@@ -138,8 +133,7 @@ class DecodeHealth:
             f"resynced_bytes={self.bytes_resynced} "
             f"truncated_tails={self.truncated_tails} "
             f"tail_bytes={self.truncated_tail_bytes} "
-            f"stream_errors={self.stream_errors} "
-            f"dropped_traces={self.traces_dropped}"
+            f"stream_errors={self.stream_errors}"
         )
 
 
@@ -427,9 +421,6 @@ def open_trace_stream(
     (fully accurate once the trace is drained).  ``strict`` also holds
     the drained stream to the sidecar's record count, raising
     ``ValueError("index mismatch ...")`` when the stream is exhausted.
-    ``drop-trace`` decodes eagerly — a lazily-dropped trace would vanish
-    halfway through the merge — so a damaged file becomes an empty
-    trace up front and the radio is simply absent from the run.
 
     The stream has its own :class:`~repro.jtrace.records.ValueTables`;
     the streams of one :func:`open_trace_streams` call share one set.
@@ -461,12 +452,6 @@ def _open_stream(
     )
     if policy is ErrorPolicy.STRICT:
         source = _index_checked(source, decode_health, meta["records"])
-    elif policy is ErrorPolicy.DROP_TRACE:
-        try:
-            source = list(source)
-        except _TraceDamage:
-            source = []
-            decode_health.traces_dropped += 1
     return RadioTrace(
         meta["radio_id"],
         meta["channel"],
@@ -611,68 +596,45 @@ def _scan_boundary(
     return p, False
 
 
-def _strict_chunks(data_path: Path, chunk_bytes: int) -> Iterator[bytes]:
-    """Decompressed chunks via ``gzip``; damage raises ``ValueError``."""
-    with gzip.open(data_path, "rb") as fh:
-        while True:
-            try:
-                chunk = fh.read(chunk_bytes)
-            except (EOFError, OSError, zlib.error) as exc:
-                raise ValueError(
-                    f"corrupt or truncated compressed stream in "
-                    f"{data_path}: {exc}"
-                ) from exc
-            if not chunk:
-                return
-            yield chunk
-
-
-def _tolerant_chunks(
-    data_path: Path,
-    chunk_bytes: int,
-    policy: ErrorPolicy,
-    health: DecodeHealth,
+def _inflate(
+    data_path: Path, chunk_bytes: int, strict: bool, health: DecodeHealth
 ) -> Iterator[bytes]:
-    """Decompressed chunks that salvage everything before stream damage.
+    """The decompressed stream, in steps of at most ``chunk_bytes``.
 
-    ``gzip.GzipFile.read`` discards whatever one call decompressed before
-    hitting a truncation or CRC error, so the tolerant path drives
-    ``zlib.decompressobj`` directly: every byte successfully inflated is
-    yielded before the error is reported.  Damage counts one
-    ``stream_errors`` (or drops the trace under ``drop-trace``) and ends
-    the stream — the record-level decoder then treats what it has as a
+    zlib discards the output of the call that meets damage — a CRC
+    mismatch or a corrupt block — so what the damaged step inflated is
+    lost: at most ``chunk_bytes`` of decompressed data, everything before
+    it having been yielded already.  Damage, and a file that ends before
+    its stream does (a capture cut), raise ``ValueError`` under
+    ``strict``; otherwise they count one ``stream_errors`` and end the
+    stream, and the record-level decoder treats what it has as a
     truncated capture.
     """
     obj = zlib.decompressobj(wbits=47)  # auto-detect gzip/zlib headers
     fed = False
-    with open(data_path, "rb") as fh:
-        while True:
-            comp = fh.read(chunk_bytes)
-            if not comp:
-                break
-            fed = True
-            while comp:
-                try:
-                    out = obj.decompress(comp)
-                except zlib.error as exc:
-                    if policy is ErrorPolicy.DROP_TRACE:
-                        raise _TraceDamage(data_path) from exc
-                    health.stream_errors += 1
-                    return
-                if out:
-                    yield out
-                comp = b""
-                if obj.eof and obj.unused_data:
-                    # Concatenated gzip members: restart on the remainder.
-                    comp = obj.unused_data
-                    obj = zlib.decompressobj(wbits=47)
-    tail = obj.flush()
-    if tail:
-        yield tail
-    if fed and not obj.eof:
-        # The file ended before the compressed stream did (capture cut).
-        if policy is ErrorPolicy.DROP_TRACE:
-            raise _TraceDamage(data_path)
+    try:
+        with open(data_path, "rb") as fh:
+            for comp in iter(partial(fh.read, chunk_bytes), b""):
+                fed = True
+                while comp:
+                    out = obj.decompress(comp, chunk_bytes)
+                    if out:
+                        yield out
+                    comp = obj.unconsumed_tail
+                    if obj.eof and obj.unused_data:
+                        # Concatenated gzip members: restart on the remainder.
+                        comp = obj.unused_data
+                        obj = zlib.decompressobj(wbits=47)
+        tail = obj.flush()
+        if tail:
+            yield tail
+        if fed and not obj.eof:
+            raise zlib.error("file ends before the end-of-stream marker")
+    except zlib.error as exc:
+        if strict:
+            raise ValueError(
+                f"corrupt or truncated compressed stream in {data_path}: {exc}"
+            ) from exc
         health.stream_errors += 1
 
 
@@ -687,10 +649,11 @@ def iter_record_batches(
 ) -> Iterator[RecordBatch]:
     """Stream-decode a compressed trace file as batches of records.
 
-    The file handle is context-managed (no descriptor leak) and at most
-    ``chunk_bytes`` of decompressed data plus one partial record is
-    buffered at a time, so day-long traces decode in constant memory
-    instead of materializing the whole decompressed stream.
+    The file handle is context-managed (no descriptor leak) and, under
+    either policy, at most ``chunk_bytes`` of decompressed data plus one
+    partial record is buffered at a time, so day-long traces decode in
+    constant memory instead of materializing the whole decompressed
+    stream.
 
     ``vectorized=True`` (the default) uses the batch engine: complete
     records are framed per chunk, their headers gathered into one
@@ -720,13 +683,11 @@ def iter_record_batches(
     last_timestamp_us]`` or on a channel missing from its ``channels``
     is damage, however plausible its structure — random bytes that frame
     as a record would otherwise enter the trace (a sidecar that lacks a
-    field imposes no bound on it).  A capture cut mid-record — radio power loss,
-    or a gzip stream truncated before its end marker — yields every
-    complete record and reports the partial tail via the health
-    counters instead of raising mid-iteration.  ``drop-trace`` stops at
-    the first damage and re-raises a sentinel the trace-level readers
-    use to discard the whole trace.  Clean files decode identically
-    under every policy.
+    field imposes no bound on it).  A capture cut mid-record — radio
+    power loss, or a gzip stream truncated before its end marker —
+    yields every complete record and reports the partial tail via the
+    health counters instead of raising mid-iteration.  Clean files
+    decode identically under both policies.
     """
     policy = ErrorPolicy(policy)
     if health is None:
@@ -737,10 +698,7 @@ def iter_record_batches(
         values = ValueTables()
 
     bound = None if strict else _sidecar_bound(data_path)
-    if strict:
-        chunk_iter: Iterator[bytes] = _strict_chunks(data_path, chunk_bytes)
-    else:
-        chunk_iter = _tolerant_chunks(data_path, chunk_bytes, policy, health)
+    chunk_iter = _inflate(data_path, chunk_bytes, strict, health)
 
     buffer = b""
     offset = 0
@@ -796,47 +754,38 @@ def iter_record_batches(
                                 "batch validation rejected a record the "
                                 "scalar decoder accepts"
                             )
-                        if policy is ErrorPolicy.DROP_TRACE:
-                            raise _TraceDamage(data_path)
                         health.records_skipped += 1
                         syncing = True
                         continue
                 if strict:
                     break  # every complete record framed; wait for data
-            elif strict:
-                span = record_span(buffer, offset)
-                if span is None or offset + span > len(buffer):
-                    break  # partial record: wait for the next chunk
-                record, offset = record_from_bytes(buffer, offset)
-                health.records_decoded += 1
-                yield batch_from_records([record])
-                continue
-            # Tolerant remainder: probe before trusting the header
-            # framing, so a corrupted snap_len cannot stall the stream,
-            # and enforce local-time order (capture files are written in
-            # order; a backwards timestamp is damage, and letting it
-            # through would poison the single-read merge downstream).
-            # On the batch path only damaged or incomplete bytes reach
-            # this point — clean complete records were consumed above.
+            # The scalar record step.  Under ``skip`` it probes before
+            # trusting the header framing, so a corrupted snap_len cannot
+            # stall the stream, and enforces local-time order (capture
+            # files are written in order; a backwards timestamp is
+            # damage, and letting it through would poison the single-read
+            # merge downstream).  On the batch path only damaged or
+            # incomplete bytes under ``skip`` reach this point — clean
+            # complete records were consumed above.
             if len(buffer) - offset < _HEADER.size:
                 break  # partial header: wait for the next chunk
-            if not probe_record_header(buffer, offset, last_ts, bound):
-                if policy is ErrorPolicy.DROP_TRACE:
-                    raise _TraceDamage(data_path)
+            if not strict and not probe_record_header(
+                buffer, offset, last_ts, bound
+            ):
                 health.records_skipped += 1
                 syncing = True
                 continue
             span = record_span(buffer, offset)
             if span is None or offset + span > len(buffer):
                 # Partial record: wait for the next chunk — or, at EOF,
-                # a plausible header whose stream ends mid-record: the
-                # truncated tail, handled below.
+                # a stream that ends mid-record: the truncated tail,
+                # handled below.
                 break
             try:
                 record, offset = record_from_bytes(buffer, offset)
             except ValueError:
-                if policy is ErrorPolicy.DROP_TRACE:
-                    raise _TraceDamage(data_path)
+                if strict:
+                    raise
                 health.records_skipped += 1
                 syncing = True
                 continue
@@ -854,8 +803,6 @@ def iter_record_batches(
                 f"trailing truncated record ({remainder} bytes) "
                 f"in {data_path}"
             )
-        if policy is ErrorPolicy.DROP_TRACE:
-            raise _TraceDamage(data_path)
         if syncing:
             # Damage ran into the end of the stream: the remnant is
             # part of the resynchronization loss, not a clean tail.
@@ -863,14 +810,6 @@ def iter_record_batches(
         else:
             health.truncated_tails += 1
             health.truncated_tail_bytes += remainder
-
-
-class _TraceDamage(Exception):
-    """Internal sentinel: ``drop-trace`` policy met damaged bytes."""
-
-    def __init__(self, data_path: Path) -> None:
-        self.data_path = data_path
-        super().__init__(f"damaged trace dropped: {data_path}")
 
 
 def read_trace(
@@ -886,11 +825,10 @@ def read_trace(
     The drained trace is in local-time order and carries what decoding
     observed in ``decode_health``, also merged into ``health`` when one
     is given.  The index-count cross-check against the metadata sidecar
-    only applies under ``strict`` — tolerant policies expect to decode
-    fewer records than the index promises, and report the difference
-    through the health counters instead.  Under ``drop-trace`` a damaged
-    file yields an empty trace.  ``vectorized`` selects the decode
-    engine as in :func:`iter_record_batches`.
+    only applies under ``strict`` — ``skip`` expects to decode fewer
+    records than the index promises, and reports the difference through
+    the health counters instead.  ``vectorized`` selects the
+    decode engine as in :func:`iter_record_batches`.
     """
     trace = open_trace_stream(data_path, policy, vectorized=vectorized)
     trace.records  # drains the file (strict: and checks the index count)

@@ -8,10 +8,14 @@ a flash-crowd wave).
 """
 
 import itertools
+import statistics
 
 import pytest
 
+from repro.core.pipeline import JigsawPipeline
+from repro.core.sync.refs import _PARSE_CACHE, _REFERENCE_VERDICTS
 from repro.dot11.frame import FrameType
+from repro.experiments.common import paper_passes
 from repro.experiments.scenarios import get_family_run
 from repro.sim import REGISTRY
 
@@ -26,18 +30,39 @@ SCALE = "small"
 
 def test_family_sweep_merge_throughput(capsys):
     """Every family's trace reconstructs faster than the paper's event
-    rate (Section 4), read off the cached run's own report: the whole
-    pipeline's wall time, not just the merge, so the stricter claim."""
+    rate (Section 4): the whole pipeline's wall time, not just the
+    merge, so the stricter claim.  One timing sits inside a shared
+    host's noise, so each family is timed three times — the cached run,
+    then two reruns of its traces with fresh passes, each from emptied
+    reference-parse caches so it repeats the cached run's parsing — and
+    the median is held to the rate."""
     with capsys.disabled():
         print("\n=== Scenario-family pipeline sweep ===")
     for name in REGISTRY.names():
-        report = get_family_run(name, scale=SCALE).report
-        records = report.unification.stats.records_in
-        rate = records / report.elapsed_seconds
+        run = get_family_run(name, scale=SCALE)
+        reports = [run.report]
+        for _ in range(2):
+            _PARSE_CACHE.clear()
+            _REFERENCE_VERDICTS.clear()
+            reports.append(
+                JigsawPipeline().run(
+                    run.artifacts.radio_traces,
+                    clock_groups=run.artifacts.clock_groups(),
+                    passes=paper_passes(run.config, run.artifacts),
+                )
+            )
+        records = run.report.unification.stats.records_in
+        assert all(
+            report.unification.stats.records_in == records
+            for report in reports
+        ), name
+        rates = [records / report.elapsed_seconds for report in reports]
+        rate = statistics.median(rates)
         with capsys.disabled():
             print(
                 f"  {name:16s} {records:>8,} records  {rate:>10,.0f} rec/s  "
-                f"({rate / PAPER_EVENTS_PER_SECOND:.2f}x the paper's rate)"
+                f"({rate / PAPER_EVENTS_PER_SECOND:.2f}x the paper's rate; "
+                f"samples {', '.join(f'{r:,.0f}' for r in rates)})"
             )
         assert records > 0, name
         assert rate > PAPER_EVENTS_PER_SECOND, name

@@ -3,10 +3,9 @@
 The robustness contract has two layers, each tested here against
 *ground truth* rather than eyeballed counters:
 
-* **ingest** — corruption and truncation, crossed with every
-  :class:`~repro.jtrace.io.ErrorPolicy`: strict raises, skip
-  resynchronizes and counts exactly what was lost, drop-trace empties
-  the damaged trace;
+* **ingest** — corruption and truncation, crossed with both
+  :class:`~repro.jtrace.io.ErrorPolicy` values: strict raises, skip
+  resynchronizes and counts exactly what was lost;
 * **degraded sync** — a partitioned reference graph reconstructs the
   largest island and quarantines the rest with reasons; radios whose
   references only appear after auto-widen are reported as rejoined;
@@ -121,14 +120,6 @@ class TestErrorPolicyMatrix:
         assert len(trace.records) == len(records) - 2
         assert 1 <= health.records_skipped <= 2
         assert health.bytes_resynced == sizes[7] + sizes[8]
-
-    def test_corruption_drop_trace(self, tmp_path):
-        path, _, sizes = _write_single_trace(tmp_path)
-        _smash_record(path, sizes, 5)
-        health = DecodeHealth()
-        trace = read_trace(path, policy=ErrorPolicy.DROP_TRACE, health=health)
-        assert len(trace.records) == 0
-        assert health.traces_dropped == 1
 
     def test_truncated_tail_skip_yields_complete_records(self, tmp_path):
         path, records, sizes = _write_single_trace(tmp_path)
@@ -451,7 +442,7 @@ class TestBatchedDecodeParity:
             out[stream.radio_id] = (list(stream), stream.decode_health)
         return out
 
-    @pytest.mark.parametrize("policy", ["skip", "drop-trace"])
+    @pytest.mark.parametrize("policy", ["skip"])
     def test_faulted_ledgers_and_records_identical(
         self, tmp_path, tiny_run, policy
     ):

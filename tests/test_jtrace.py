@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.dot11.constants import CAPTURE_SNAP_BYTES
 from repro.jtrace.io import (
+    DecodeHealth,
     RadioTrace,
+    iter_record_batches,
     read_trace,
     read_traces,
     write_trace,
@@ -558,3 +560,63 @@ class TestStrictFailureIsSticky:
             stream.records
         with pytest.raises(RuntimeError, match="feed died"):
             stream.records
+
+
+class TestDecoderMemoryBound:
+    """The decoder holds at most ``chunk_bytes`` of decompressed data
+    plus one partial record under either policy, and a damaged gzip
+    trailer costs only the inflater step that met it."""
+
+    CHUNK = 256
+
+    @pytest.fixture
+    def small_records(self, tmp_path):
+        records = [
+            make_record(radio_id=5, ts=1000 + 50 * i) for i in range(5000)
+        ]
+        return write_trace(RadioTrace(5, 6, records), tmp_path), records
+
+    @staticmethod
+    def _encoded_bytes(records):
+        return sum(len(record_to_bytes(record)) for record in records)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("policy", ["strict", "skip"])
+    def test_no_batch_outgrows_one_chunk(
+        self, small_records, policy, vectorized
+    ):
+        path, records = small_records
+        largest = max(len(record_to_bytes(record)) for record in records)
+        decoded = []
+        for batch in iter_record_batches(
+            path, chunk_bytes=self.CHUNK, policy=policy, vectorized=vectorized
+        ):
+            assert self._encoded_bytes(batch.records) <= self.CHUNK + largest
+            decoded.extend(batch.records)
+        assert decoded == records
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_damaged_trailer_loses_at_most_one_step(
+        self, small_records, vectorized
+    ):
+        path, records = small_records
+        gz = bytearray(path.read_bytes())
+        gz[-8] ^= 0xFF  # the gzip trailer's CRC32
+        path.write_bytes(bytes(gz))
+        with pytest.raises(
+            ValueError, match="corrupt or truncated compressed stream"
+        ):
+            read_trace(path, vectorized=vectorized)
+        health = DecodeHealth()
+        kept = [
+            record
+            for batch in iter_record_batches(
+                path, chunk_bytes=self.CHUNK, policy="skip", health=health,
+                vectorized=vectorized,
+            )
+            for record in batch.records
+        ]
+        assert health.stream_errors == 1
+        assert kept == records[: len(kept)]
+        smallest = min(len(record_to_bytes(record)) for record in records)
+        assert len(records) - len(kept) <= -(-self.CHUNK // smallest) + 1

@@ -41,23 +41,23 @@ FILE_DAMAGE = FaultConfig(corrupt_rate=0.02, truncate_radios=1)
 
 EXPECTED = {
     "memory": {
-        "building": "0424074f77a55dc0b806674f9d6289e4",
-        "campus": "b01ad2153c6dd548ea4447bba5e524cf",
-        "flash_crowd": "24723064b4483cd58b5d03b2f666ce31",
-        "hidden_terminal": "bb024bf1fdd35347359b21a4be6a64ad",
-        "roaming": "3d38c35a9901f1a7eaa262825ae25312",
-        "scanning": "2db5569cbc690680fdbac863ac40ffeb",
+        "building": "433c5394b10375ff4cc4ff78e9a675d5",
+        "campus": "09ac62519f195af69c91b28f99e43043",
+        "flash_crowd": "d1478c09f60a30deac661cbc845e86fd",
+        "hidden_terminal": "aeb3ec5729e0424628482ee1142866ee",
+        "roaming": "35631a97d2f9aa43fe5740df75e82085",
+        "scanning": "394978d95a4bc5f1ce8d8cb7bd4030ca",
     },
     "files": {
-        "building": "333a5535e409ca2d45c1919bc76e885a",
-        "campus": "50cc47e365c59dbc491b6d9783e41634",
-        "flash_crowd": "f6b4ea2bd1d7325ddcdb5dd34bc91189",
-        "hidden_terminal": "667678b9f07642dc06d106fa1213af7f",
-        "roaming": "d8411c7d5015a9b15506928842a14b5f",
-        "scanning": "8712dd05e3714659361b492f1c7b01c0",
+        "building": "130a1f51751b3993e69ddf2822f15e40",
+        "campus": "7d7dcf98e7507aec14da776f94d885c9",
+        "flash_crowd": "d5035971fcb956e894b67986fe0f3cbd",
+        "hidden_terminal": "8c2d350252248a6ac419c1e47ac0abdb",
+        "roaming": "9e69a378a93322a178d827b147f8b242",
+        "scanning": "2a2a2f7288225743d8ea09f9bc4db7cd",
     },
 }
-EXPECTED_DAMAGED_FLASH_CROWD = "a0dfaedd400fcbd942fd830f0136e518"
+EXPECTED_DAMAGED_FLASH_CROWD = "0389a232cf232e06ec84ce12cf8f9d13"
 
 
 def _mac(address):
