@@ -56,40 +56,42 @@ def main() -> None:
     total = sum(len(t) for t in traces)
     print(f"  {len(traces)} radios, {total:,} records captured")
 
-    out = Path(tempfile.mkdtemp(prefix="jigsaw-faulty-"))
-    plan = write_faulty_traces(traces, out, config)
-    print(f"\ninjected faults while writing -> {out}")
-    print(f"  ground truth: {plan.summary()}")
+    with tempfile.TemporaryDirectory(prefix="jigsaw-faulty-") as tmp:
+        out = Path(tmp)
+        plan = write_faulty_traces(traces, out, config)
+        print(f"\ninjected faults while writing -> {out}")
+        print(f"  ground truth: {plan.summary()}")
 
-    # The strict reader (the historical default) refuses damaged files.
-    try:
-        read_traces(out)
-    except ValueError as exc:
-        print(f"\nstrict read fails as it should:\n  ValueError: {exc}")
+        # The strict reader (the historical default) refuses damaged files.
+        try:
+            read_traces(out)
+        except ValueError as exc:
+            print(f"\nstrict read fails as it should:\n  ValueError: {exc}")
 
-    # Tolerant ingest: skip what cannot be decoded, count what was skipped.
-    started = time.perf_counter()
-    report = JigsawPipeline().run(
-        open_trace_streams(out, policy="skip"), clock_groups=clock_groups
-    )
-    elapsed = time.perf_counter() - started
+        # Tolerant ingest: skip what cannot be decoded, count what was
+        # skipped.
+        started = time.perf_counter()
+        report = JigsawPipeline().run(
+            open_trace_streams(out, policy="skip"), clock_groups=clock_groups
+        )
+        elapsed = time.perf_counter() - started
 
-    print(f"\npipeline completed in {elapsed:.1f}s despite everything:")
-    print(report.summary())
+        print(f"\npipeline completed in {elapsed:.1f}s despite everything:")
+        print(report.summary())
 
-    health = report.health
-    n_corrupt = sum(len(v) for v in plan.corrupted_records.values())
-    print("\nhealth vs ground truth:")
-    print(f"  corrupted records injected: {n_corrupt:4d}   "
-          f"resync events counted: {health.ingest.records_skipped}")
-    print(f"  truncated files injected:   {len(plan.truncated):4d}   "
-          f"truncated tails observed: {health.ingest.truncated_tails + health.ingest.stream_errors}")
-    print(f"  blackout holes injected:    {len(plan.blackouts):4d}   "
-          f"(records silently absent — invisible to decode, visible as a "
-          f"coverage gap)")
-    assert health.ingest.records_skipped > 0, "the damage must be counted"
-    assert health.degraded, "a damaged run must report degraded health"
-    print("\nreport.health.degraded =", health.degraded)
+        health = report.health
+        n_corrupt = sum(len(v) for v in plan.corrupted_records.values())
+        print("\nhealth vs ground truth:")
+        print(f"  corrupted records injected: {n_corrupt:4d}   "
+              f"resync events counted: {health.ingest.records_skipped}")
+        print(f"  truncated files injected:   {len(plan.truncated):4d}   "
+              f"truncated tails observed: {health.ingest.truncated_tails + health.ingest.stream_errors}")
+        print(f"  blackout holes injected:    {len(plan.blackouts):4d}   "
+              f"(records silently absent — invisible to decode, visible as a "
+              f"coverage gap)")
+        assert health.ingest.records_skipped > 0, "the damage must be counted"
+        assert health.degraded, "a damaged run must report degraded health"
+        print("\nreport.health.degraded =", health.degraded)
 
 
 if __name__ == "__main__":

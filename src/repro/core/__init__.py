@@ -5,13 +5,9 @@ from .link.attempt import AttemptAssembler, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, FrameExchange
 from .passes import MaterializePass, PassContext, PipelinePass
 from .pipeline import JigsawPipeline, JigsawReport
-from .sync.bootstrap import (
-    BootstrapResult,
-    SyncPartitionError,
-    bootstrap_synchronization,
-)
+from .sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from .sync.skew import ClockTrack
-from .transport.flows import FlowKey, TcpFlow, collect_flows
+from .transport.flows import FlowKey, TcpFlow
 from .transport.inference import LossCause, TransportInference
 from .unify.jframe import JFrame, JFrameKind
 from .unify.unifier import UnificationResult, Unifier
@@ -29,12 +25,10 @@ __all__ = [
     "PassContext",
     "PipelinePass",
     "BootstrapResult",
-    "SyncPartitionError",
     "bootstrap_synchronization",
     "ClockTrack",
     "FlowKey",
     "TcpFlow",
-    "collect_flows",
     "LossCause",
     "TransportInference",
     "JFrame",

@@ -18,16 +18,15 @@ resolves or discards.
 The assembler is incremental: :meth:`AttemptAssembler.feed` accepts one
 jframe from the unification stream and returns the attempts that can no
 longer change (their ACK arrived or its Duration-field deadline passed),
-in creation order; :meth:`AttemptAssembler.finish` flushes the rest.  The
-batch :meth:`AttemptAssembler.assemble` is a thin wrapper, so the one-pass
-pipeline and the batch path share one implementation.
+in creation order; :meth:`AttemptAssembler.finish` flushes the rest.  An
+assembler drives one jframe stream: fed once, finished once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.constants import SLOT_TIME_LONG_US
@@ -214,26 +213,10 @@ class AttemptAssembler:
         return self._drain()
 
     def finish(self) -> List[TransmissionAttempt]:
-        """Flush attempts still awaiting an ACK deadline; fix up stats.
-
-        Also resets the per-run pending state, so the assembler can be
-        reused for another jframe stream (counters in ``stats`` keep
-        accumulating, as they always have).
-        """
-        self._pending_data.clear()
-        self._pending_cts.clear()
+        """Flush attempts still awaiting an ACK deadline; fix up stats."""
         self._unsealed.clear()
         self.stats.attempts = self._data_attempts + self.stats.acks_orphaned
-        self._data_attempts = 0
         return self._drain()
-
-    def assemble(self, jframes: Sequence[JFrame]) -> List[TransmissionAttempt]:
-        """Batch wrapper: feed every jframe, then flush."""
-        attempts: List[TransmissionAttempt] = []
-        for jframe in jframes:
-            attempts.extend(self.feed(jframe))
-        attempts.extend(self.finish())
-        return attempts
 
     # --- helpers ---------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.constants import EXCHANGE_HORIZON_US, RETRY_LIMIT, SEQ_MODULO
@@ -153,8 +153,8 @@ class ExchangeAssembler:
     consumers
     (the pipeline's analysis passes) get in-order delivery without an
     end-of-run sort barrier.  :meth:`finish` closes every still-open
-    exchange and drains the buffer.  The batch :meth:`assemble` wraps
-    both.
+    exchange and drains the buffer.  An assembler drives one attempt
+    stream: fed once, finished once.
     """
 
     def __init__(self) -> None:
@@ -199,7 +199,8 @@ class ExchangeAssembler:
         jframes, so a consumer that has drained :meth:`feed`'s returns
         has seen *every* layer's events up to this bound.  The service
         daemon seals windowed pass output against it.  ``-inf`` until
-        the first emission sweep; monotonically non-decreasing after —
+        the first emission sweep, ``+inf`` once :meth:`finish` has
+        drained everything; monotonically non-decreasing in between —
         including across a checkpoint/restore, since the cached bound is
         part of the pickled state.
         """
@@ -348,8 +349,8 @@ class ExchangeAssembler:
         """Close every open exchange, resolve remaining orphans and drain
         the reorder buffer (in start order, like :meth:`feed`).
 
-        Resets the per-sender FSM state so the assembler can be reused
-        for another attempt stream (``stats`` counters keep accumulating).
+        Nothing can precede the drained exchanges any more, so the
+        emission bound becomes ``+inf``.
         """
         closed: List[FrameExchange] = []
         for state in self._senders.values():
@@ -357,36 +358,12 @@ class ExchangeAssembler:
             self._close(state, closed, moved_on=False)
         self._closed += len(closed)
         self.stats.exchanges = self._closed
-        self._senders.clear()
-        self._open_states.clear()
-        self._orphan_states.clear()
-        self._closed = 0
         reorder = self._reorder
         for exchange in closed:
             heapq.heappush(reorder, (exchange.start_us, self._emit_seq, exchange))
             self._emit_seq += 1
-        drained = [heapq.heappop(reorder)[2] for _ in range(len(reorder))]
-        self._watermark = float("-inf")
-        self._bound = float("-inf")
-        self._next_sweep = float("-inf")
-        self._emit_seq = 0
-        return drained
-
-    def assemble(
-        self, attempts: Sequence[TransmissionAttempt]
-    ) -> List[FrameExchange]:
-        """Batch wrapper: feed every attempt, then flush.
-
-        ``feed``/``finish`` already emit in start order; the sort is a
-        stable no-op safety net keeping the documented invariant
-        unconditional.
-        """
-        exchanges: List[FrameExchange] = []
-        for attempt in attempts:
-            exchanges.extend(self.feed(attempt))
-        exchanges.extend(self.finish())
-        exchanges.sort(key=lambda e: e.start_us)
-        return exchanges
+        self._bound = float("inf")
+        return [heapq.heappop(reorder)[2] for _ in range(len(reorder))]
 
     # --- internals --------------------------------------------------------
 

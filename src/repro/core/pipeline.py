@@ -150,7 +150,7 @@ class JigsawReport:
 
 
 class ReconstructionDrive:
-    """The downstream half of the one-pass loop, extracted and reusable.
+    """The downstream half of the one-pass loop, as one object.
 
     Feeds each unified jframe through attempt grouping, the exchange
     FSM, flow binning and every registered pass — exactly the traversal

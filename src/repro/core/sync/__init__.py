@@ -6,7 +6,6 @@ from .bootstrap import (
     DEFAULT_STABILITY_TOLERANCE_US,
     QUARANTINE_NO_REFERENCES,
     QUARANTINE_UNSTABLE_CLOCK,
-    SyncPartitionError,
     bootstrap_synchronization,
 )
 from .refs import ReferenceKey, content_key, parse_record_frame, reference_key
@@ -18,7 +17,6 @@ __all__ = [
     "DEFAULT_STABILITY_TOLERANCE_US",
     "QUARANTINE_NO_REFERENCES",
     "QUARANTINE_UNSTABLE_CLOCK",
-    "SyncPartitionError",
     "bootstrap_synchronization",
     "ReferenceKey",
     "content_key",

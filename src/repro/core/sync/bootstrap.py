@@ -16,9 +16,8 @@ unification begins:
    never heard by a radio parked on channel 11.
 
 Radios unreachable from ``r1`` are reported as a partition — the failure
-mode the paper hits when reducing to 10 pods (Section 6).  Callers that
-cannot proceed partitioned pass ``strict=True`` to get a
-:class:`SyncPartitionError` instead of a partitioned result.
+mode the paper hits when reducing to 10 pods (Section 6) — and resolved
+into a quarantine ledger rather than an error.
 
 Collection architecture
 -----------------------
@@ -75,17 +74,6 @@ QUARANTINE_UNSTABLE_CLOCK = "unstable-clock-fit"
 #: absolute — not a collection-order counter — it is identical whether the
 #: records were consumed in one sweep or in widening increments.
 ArrivalIndex = Tuple[int, int]
-
-
-class SyncPartitionError(RuntimeError):
-    """The reference graph does not connect all radios."""
-
-    def __init__(self, unreachable: Sequence[int]) -> None:
-        self.unreachable = list(unreachable)
-        super().__init__(
-            f"{len(self.unreachable)} radios unreachable during bootstrap: "
-            f"{self.unreachable[:8]}{'...' if len(self.unreachable) > 8 else ''}"
-        )
 
 
 @dataclass
@@ -264,7 +252,6 @@ def bootstrap_synchronization(
     window_us: int = DEFAULT_BOOTSTRAP_WINDOW_US,
     auto_widen: bool = True,
     max_window_us: int = 16_000_000,
-    strict: bool = False,
     stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
 ) -> BootstrapResult:
     """Compute bootstrap offsets ``T_i`` for every radio.
@@ -273,12 +260,10 @@ def bootstrap_synchronization(
     (the two radios of one monitor) — infrastructure metadata the real
     deployment has from its driver configuration.  When ``auto_widen`` is
     set and the graph partitions, the examination window doubles (up to
-    ``max_window_us``) before giving up, as the paper suggests.  With
-    ``strict=True`` a still-partitioned graph raises
-    :class:`SyncPartitionError` (the Section 6 pod-reduction failure)
-    instead of returning a partial result.
+    ``max_window_us``) before giving up, as the paper suggests.
 
-    Non-strict partitions resolve by the traces' ``building_id`` stamps.
+    A still-partitioned graph (the Section 6 pod-reduction failure)
+    resolves by the traces' ``building_id`` stamps.
     Unless every trace is stamped, the run is in degraded mode: the
     largest reference-graph island becomes the primary timeline and
     every other radio is quarantined with a reason
@@ -326,8 +311,6 @@ def bootstrap_synchronization(
             radios, family, clock_groups, stability_tolerance_us, locality_of
         )
         if not unreachable or not auto_widen or current_window >= max_window_us:
-            if unreachable and strict:
-                raise SyncPartitionError(unreachable)
             log_quarantine_warning(quarantined)
             return BootstrapResult(
                 offsets_us=offsets,

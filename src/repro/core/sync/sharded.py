@@ -31,8 +31,5 @@ class ShardedBootstrap:
         self,
         traces: Sequence[RadioTrace],
         clock_groups: Iterable[Sequence[int]] = (),
-        strict: bool = False,
     ) -> BootstrapResult:
-        return bootstrap_synchronization(
-            traces, clock_groups=clock_groups, strict=strict
-        )
+        return bootstrap_synchronization(traces, clock_groups=clock_groups)

@@ -5,7 +5,6 @@ from .flows import (
     FlowKey,
     SegmentObservation,
     TcpFlow,
-    collect_flows,
 )
 from .inference import (
     InferenceStats,
@@ -19,7 +18,6 @@ __all__ = [
     "FlowKey",
     "SegmentObservation",
     "TcpFlow",
-    "collect_flows",
     "InferenceStats",
     "LossCause",
     "TcpLossEvent",

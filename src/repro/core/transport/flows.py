@@ -12,7 +12,7 @@ ACK-coverage oracle, loss classification, RTT estimation) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...net.packets import IpPacket, TcpSegment, try_parse_packet
 from ..link.exchange import FrameExchange
@@ -168,10 +168,3 @@ class FlowCollector:
             flow.observations.sort(key=lambda obs: obs.time_us)
         return sorted(flows.values(), key=lambda f: f.observations[0].time_us)
 
-
-def collect_flows(exchanges: Sequence[FrameExchange]) -> List[TcpFlow]:
-    """Bin data-bearing exchanges into flows by canonical 4-tuple."""
-    collector = FlowCollector()
-    for exchange in exchanges:
-        collector.feed(exchange)
-    return collector.finish()

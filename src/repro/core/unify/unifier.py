@@ -392,8 +392,8 @@ class _MergeEngine:
 
     # --- the merge hot loop ------------------------------------------------
 
-    def advance(self, max_records: Optional[int] = None) -> List[JFrame]:
-        """Merge up to ``max_records`` records (all that remain if None).
+    def advance(self, max_records: int) -> List[JFrame]:
+        """Merge up to ``max_records`` records.
 
         Returns the jframes whose emission watermark passed, in
         (timestamp, finalization) order; the call that merges the last
@@ -443,7 +443,6 @@ class _MergeEngine:
         # the ``finally``, so a raising source leaves them current.
         counter = self._counter
         oldest_deadline = self._oldest_deadline
-        budget = -1 if max_records is None else max_records
         try:
             if self._primed < len(self.cursors):
                 for radio_id, cursor in islice(
@@ -468,8 +467,8 @@ class _MergeEngine:
                         counter += 1
                     self._primed += 1
 
-            while heap and budget:
-                budget -= 1
+            while heap and max_records:
+                max_records -= 1
                 # Read the successor *before* committing the pop: if its
                 # source raises, this record is still on the heap.  Pop
                 # order is unchanged — (estimate, tiebreak) keys are

@@ -8,7 +8,7 @@ mis-merge ("split") rate against the simulator oracle:
 * the dispersion-gated resync threshold (0 / 10 / 100 us);
 * EWMA skew/drift compensation on vs off;
 * search-window size (the paper: dangerously large windows lose sync);
-* the reference-frame uniqueness filter (unique frames vs everything).
+* never resynchronizing (no resync, no skew compensation).
 """
 
 from __future__ import annotations

@@ -504,12 +504,9 @@ class JigsawDaemon:
         state = self._state
         merge, drive = state.merge, state.drive
         flows = drive.finish_streams()
-        # Everything has now been delivered to every hook; seal whatever
-        # windows remain (watermark = +inf) and publish them.
-        tail: List[SealedWindow] = []
-        for p in drive.passes:
-            tail.extend(p.seal_ready(float("inf")))
-        self._publish(tail)
+        # Everything has now been delivered to every hook and the
+        # watermark reads +inf: seal whatever windows remain.
+        self._publish(drive.seal_ready())
 
         report = assemble_report(
             drive,

@@ -12,7 +12,7 @@ stages matching where real damage happens:
 * **byte-level** (:func:`write_faulty_traces`) — faults that damage *the
   bytes on disk*: header corruption and truncated files.  Applied while
   writing, producing trace files whose damage exercises the tolerant
-  decoder's resynchronization, truncated-tail and stream-error paths.
+  decoder's resynchronization and truncated-tail paths.
 
 Everything drawn is deterministic per scenario seed via the dedicated
 ``faults`` spawn-keyed stream (PR 4 conventions): enabling a fault cannot
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..jtrace.io import RadioTrace, compress_trace, write_sidecar
 from ..jtrace.records import _HEADER, record_to_bytes
@@ -55,8 +55,8 @@ class FaultPlan:
 
     #: radio -> record indices whose on-disk header bytes were smashed.
     corrupted_records: Dict[int, List[int]] = field(default_factory=dict)
-    #: radio -> truncate mode ("record" or "stream").
-    truncated: Dict[int, str] = field(default_factory=dict)
+    #: radios whose file was cut mid-record.
+    truncated: Set[int] = field(default_factory=set)
     #: radio -> (start_us, end_us) local-time hole (records dropped).
     blackouts: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: radio -> (cut_timestamp_us, jump_us): records at/after the cut
@@ -173,10 +173,9 @@ def write_faulty_traces(
     every radio independently corrupts its header with probability
     ``corrupt_rate`` (drawn from the per-radio ``faults`` sub-stream, so
     the damage pattern is stable under fleet growth), and the chosen
-    ``truncate_radios`` victims are cut at ``truncate_at_fraction`` —
-    mid-record in the decompressed stream (``"record"`` mode: a clean
-    gzip whose payload just stops) or mid-file in the compressed bytes
-    (``"stream"`` mode: the gzip stream itself is damaged).
+    ``truncate_radios`` victims are cut at ``truncate_at_fraction``,
+    mid-record in the decompressed stream: a clean gzip whose payload
+    just stops.
 
     The metadata sidecar, written by the same
     :func:`~repro.jtrace.io.write_sidecar` clean traces use, always
@@ -194,9 +193,8 @@ def write_faulty_traces(
 
     faulted, plan = inject_record_faults(traces, config)
     candidates = sorted(t.radio_id for t in faulted if len(t))
-    truncate_targets = dict.fromkeys(
-        _pick_radios(config, _TRUNCATE_STREAM, fc.truncate_radios, candidates),
-        fc.truncate_mode,
+    truncate_targets = set(
+        _pick_radios(config, _TRUNCATE_STREAM, fc.truncate_radios, candidates)
     )
 
     for trace in faulted:
@@ -218,9 +216,8 @@ def write_faulty_traces(
                 plan.corrupted_records[radio] = hit
 
         blob = b"".join(bytes(e) for e in encoded)
-        mode = truncate_targets.get(radio)
         data_path = directory / f"radio_{radio:04d}.jtr.gz"
-        if mode == "record" and blob:
+        if radio in truncate_targets and blob:
             # Cut inside the record that spans the fraction point, so the
             # decompressed stream ends with a partial record.
             cut = int(fc.truncate_at_fraction * len(blob))
@@ -233,14 +230,7 @@ def write_faulty_traces(
             else:
                 cut = max(1, len(blob) - 1)
             blob = blob[:cut]
-            plan.truncated[radio] = mode
-        gz = compress_trace(blob)
-        if mode == "stream":
-            # Chop the compressed file itself; keep the gzip header so the
-            # reader starts decoding before hitting the damage.
-            cut = max(24, int(fc.truncate_at_fraction * len(gz)))
-            gz = gz[: min(cut, len(gz) - 1)]
-            plan.truncated[radio] = mode
-        data_path.write_bytes(gz)
+            plan.truncated.add(radio)
+        data_path.write_bytes(compress_trace(blob))
         write_sidecar(trace, data_path)
     return plan

@@ -282,11 +282,6 @@ class WorkloadConfig:
         return 1.0 + self.flash_intensity if self.flash_crowd else 1.0
 
 
-#: Capture fault modes understood by the trace writer (see
-#: :mod:`repro.sim.faults`).
-TRUNCATE_MODES = ("record", "stream")
-
-
 @dataclass(frozen=True)
 class FaultConfig:
     """Injected capture-path faults (the robustness harness).
@@ -300,10 +295,8 @@ class FaultConfig:
       header bytes are smashed on the way to disk (disk/DMA corruption;
       exercises the skip-policy resynchronization scanner);
     * ``truncate_radios`` — this many radios' trace files are cut at
-      ``truncate_at_fraction`` of the run: ``"record"`` mode cuts the
-      decompressed byte stream mid-record (radio power loss), ``"stream"``
-      mode chops the compressed file itself (incomplete flush at
-      collection time);
+      ``truncate_at_fraction`` of the run, mid-record in the decompressed
+      byte stream (radio power loss);
     * ``blackout_radios`` — this many radios go dark (capture nothing) for
       ``blackout_duration_fraction`` of the run starting at
       ``blackout_start_fraction``, then resume — the radio
@@ -325,7 +318,6 @@ class FaultConfig:
     corrupt_rate: float = 0.0
     truncate_radios: int = 0
     truncate_at_fraction: float = 0.8
-    truncate_mode: str = "record"
     blackout_radios: int = 0
     blackout_start_fraction: float = 0.4
     blackout_duration_fraction: float = 0.2
@@ -340,11 +332,6 @@ class FaultConfig:
             raise ValueError("fault radio counts must be >= 0")
         if self.clock_jump_radios < 0:
             raise ValueError("fault radio counts must be >= 0")
-        if self.truncate_mode not in TRUNCATE_MODES:
-            raise ValueError(
-                f"unknown truncate_mode {self.truncate_mode!r} "
-                f"(choose from {TRUNCATE_MODES})"
-            )
         for name in (
             "truncate_at_fraction",
             "blackout_start_fraction",

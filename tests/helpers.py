@@ -3,7 +3,8 @@
 ``record_for`` / ``data_frame`` build one radio's capture of one frame;
 ``fingerprints`` and ``assert_reports_identical`` state what "the same
 reconstruction" means wherever two runs are held to each other;
-``small_passes`` is the analysis set the ``small_run`` fixture registers.
+``small_passes`` is the analysis set the ``small_run`` fixture registers;
+``run_stage`` drives one reconstruction stage over a finished input.
 """
 
 from repro.core.analysis import (
@@ -46,6 +47,17 @@ def record_for(frame, radio_id, ts, channel=1, kind=RecordKind.VALID,
         rate_mbps=11.0, rssi_dbm=-60.0, frame_len=frame_len, fcs=fcs,
         snap=snap, duration_us=100, truth_txid=txid,
     )
+
+
+def run_stage(stage, items):
+    """Feed every item to a fresh single-use stage, then finish it;
+    return everything it emitted, in emission order (a flow collector
+    emits only from ``finish``)."""
+    out = []
+    for item in items:
+        out.extend(stage.feed(item) or ())
+    out.extend(stage.finish())
+    return out
 
 
 def jframe_fingerprint(jf):

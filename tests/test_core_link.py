@@ -1,6 +1,7 @@
 """Tests for link-layer reconstruction: attempts and frame exchanges."""
 
 
+from helpers import run_stage
 from repro.core.link.attempt import AttemptAssembler
 from repro.core.link.exchange import ExchangeAssembler
 from repro.core.unify.jframe import JFrame, JFrameKind
@@ -57,7 +58,7 @@ def data_ack_pair(seq, t_end, rate=RATE_11, retry=False, src=STA, dst=AP,
 class TestAttemptAssembly:
     def test_data_plus_ack_grouped(self):
         frames = data_ack_pair(seq=5, t_end=10_000)
-        attempts = AttemptAssembler().assemble(frames)
+        attempts = run_stage(AttemptAssembler(), frames)
         assert len(attempts) == 1
         attempt = attempts[0]
         assert attempt.acked
@@ -70,7 +71,7 @@ class TestAttemptAssembly:
         data, _ = data_ack_pair(seq=5, t_end=10_000)
         stray_ack = jf(make_ack(STA), 14_000, RATE_11)  # 4 ms later
         assembler = AttemptAssembler()
-        attempts = assembler.assemble([data, stray_ack])
+        attempts = run_stage(assembler, [data, stray_ack])
         with_data = [a for a in attempts if a.has_data]
         assert len(with_data) == 1 and not with_data[0].acked
         orphans = [a for a in attempts if not a.has_data]
@@ -85,7 +86,7 @@ class TestAttemptAssembly:
         frames = [cts_jf] + data_ack_pair(
             seq=9, t_end=10_300, rate=RATE_54, body=body
         )
-        attempts = AttemptAssembler().assemble(frames)
+        attempts = run_stage(AttemptAssembler(), frames)
         assert len(attempts) == 1
         assert attempts[0].cts is cts_jf
         assert attempts[0].acked
@@ -93,20 +94,20 @@ class TestAttemptAssembly:
     def test_stale_cts_not_attached(self):
         cts = make_cts_to_self(STA, 300)
         frames = [jf(cts, 10_000)] + data_ack_pair(seq=9, t_end=40_000)
-        attempts = AttemptAssembler().assemble(frames)
+        attempts = run_stage(AttemptAssembler(), frames)
         assert attempts[0].cts is None
 
     def test_ack_matches_correct_sender(self):
         d1, _ = data_ack_pair(seq=1, t_end=10_000, src=STA)
         d2, a2 = data_ack_pair(seq=7, t_end=10_200, src=STA2)
-        attempts = AttemptAssembler().assemble([d1, d2, a2])
+        attempts = run_stage(AttemptAssembler(), [d1, d2, a2])
         by_src = {a.transmitter: a for a in attempts if a.has_data}
         assert not by_src[STA].acked
         assert by_src[STA2].acked
 
     def test_broadcast_attempt(self):
         frame = make_data(AP, BROADCAST, AP, seq=3, body=b"arp")
-        attempts = AttemptAssembler().assemble([jf(frame, 5_000)])
+        attempts = run_stage(AttemptAssembler(), [jf(frame, 5_000)])
         assert len(attempts) == 1
         assert attempts[0].is_broadcast
         assert not attempts[0].acked
@@ -114,9 +115,9 @@ class TestAttemptAssembly:
 
 class TestExchangeAssembly:
     def assemble(self, jframes):
-        attempts = AttemptAssembler().assemble(jframes)
+        attempts = run_stage(AttemptAssembler(), jframes)
         assembler = ExchangeAssembler()
-        return assembler.assemble(attempts), assembler.stats
+        return run_stage(assembler, attempts), assembler.stats
 
     def test_single_acked_exchange(self):
         exchanges, _ = self.assemble(data_ack_pair(seq=1, t_end=10_000))

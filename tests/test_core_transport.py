@@ -2,8 +2,9 @@
 
 import pytest
 
+from helpers import run_stage
 from repro.core.link.exchange import FrameExchange
-from repro.core.transport.flows import FlowKey, collect_flows
+from repro.core.transport.flows import FlowCollector, FlowKey
 from repro.core.transport.inference import (
     LossCause,
     TransportInference,
@@ -143,7 +144,7 @@ class TestFlowKey:
 
 class TestFlowCollection:
     def test_flow_assembled(self):
-        flows = collect_flows(full_flow())
+        flows = run_stage(FlowCollector(), full_flow())
         assert len(flows) == 1
         flow = flows[0]
         assert flow.n_segments == 3 + 4 * 2
@@ -161,7 +162,7 @@ class TestFlowCollection:
         )
         attempt = TransmissionAttempt(STA, AP, data=jframe)
         junk = FrameExchange(STA, AP, attempts=[attempt])
-        assert collect_flows([junk]) == []
+        assert run_stage(FlowCollector(), [junk]) == []
 
     def test_two_flows_separate(self):
         a = full_flow(t0=1_000_000)
@@ -169,13 +170,13 @@ class TestFlowCollection:
             tcp_exchange(5, 0, TcpFlags.SYN, 0, 2_000_000, uplink=True,
                          client_port=41_000)
         ]
-        flows = collect_flows(a + b)
+        flows = run_stage(FlowCollector(), a + b)
         assert len(flows) == 2
 
 
 class TestHandshakeDetection:
     def test_complete_handshake(self):
-        flows = collect_flows(full_flow())
+        flows = run_stage(FlowCollector(), full_flow())
         stats = TransportInference().run(flows)
         assert stats.handshakes_completed == 1
         assert flows[0].handshake_complete
@@ -184,7 +185,7 @@ class TestHandshakeDetection:
 
     def test_syn_scan_not_completed(self):
         scan = [tcp_exchange(7, 0, TcpFlags.SYN, 0, 1_000, uplink=True)]
-        flows = collect_flows(scan)
+        flows = run_stage(FlowCollector(), scan)
         stats = TransportInference().run(flows)
         assert stats.handshakes_completed == 0
 
@@ -192,7 +193,7 @@ class TestHandshakeDetection:
 class TestAckCoverageOracle:
     def test_ambiguous_exchange_upgraded(self):
         exchanges = full_flow(with_losses={1: {"delivered": None}})
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.exchanges_upgraded_by_ack_coverage == 1
         upgraded = [
@@ -207,7 +208,7 @@ class TestAckCoverageOracle:
         exchanges = full_flow(
             with_losses={1: {"delivered": None, "retransmit": True}}
         )
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         # The covering ACK follows the retransmission, so it proves nothing
         # about the first copy.
@@ -219,7 +220,7 @@ class TestLossClassification:
         exchanges = full_flow(
             with_losses={2: {"delivered": False, "retransmit": True}}
         )
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.loss_events == 1
         assert stats.wireless_losses == 1
@@ -231,7 +232,7 @@ class TestLossClassification:
         exchanges = full_flow(
             with_losses={2: {"delivered": True, "retransmit": True}}
         )
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.loss_events == 1
         assert stats.wired_losses == 1
@@ -240,7 +241,7 @@ class TestLossClassification:
         exchanges = full_flow(
             with_losses={2: {"delivered": None, "retransmit": True}}
         )
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.loss_events == 1
         assert stats.unknown_losses == 1
@@ -263,13 +264,13 @@ class TestLossClassification:
             tcp_exchange(1101, 501, TcpFlags.ACK | TcpFlags.PSH, 1000,
                          t + 80_000, uplink=False, mac_seq=22),
         ]
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.loss_events == 1
         assert flows[0].loss_events[0].cause is LossCause.WIRED
 
     def test_no_losses_clean_flow(self):
-        flows = collect_flows(full_flow())
+        flows = run_stage(FlowCollector(), full_flow())
         stats = TransportInference().run(flows)
         assert stats.loss_events == 0
 
@@ -293,7 +294,7 @@ class TestHiddenSegments:
             tcp_exchange(9001, 4001, TcpFlags.ACK, 0, t + 50_000,
                          uplink=False),
         ]
-        flows = collect_flows(exchanges)
+        flows = run_stage(FlowCollector(), exchanges)
         stats = TransportInference().run(flows)
         assert stats.hidden_segments_inferred == 1
         assert flows[0].inferred_hidden_segments == 1
@@ -301,23 +302,24 @@ class TestHiddenSegments:
 
 class TestRttEstimation:
     def test_handshake_rtt_sampled(self):
-        flows = collect_flows(full_flow())
+        flows = run_stage(FlowCollector(), full_flow())
         TransportInference().run(flows)
         assert flows[0].rtt_samples_us
         assert flows[0].rtt_samples_us[0] == pytest.approx(5_000)
 
     def test_retransmitted_segments_excluded(self):
-        clean = collect_flows(full_flow())
+        clean = run_stage(FlowCollector(), full_flow())
         TransportInference().run(clean)
-        lossy = collect_flows(
-            full_flow(with_losses={1: {"delivered": False, "retransmit": True}})
+        lossy = run_stage(
+            FlowCollector(),
+            full_flow(with_losses={1: {"delivered": False, "retransmit": True}}),
         )
         TransportInference().run(lossy)
         # The lossy flow has one fewer valid data RTT sample.
         assert len(lossy[0].rtt_samples_us) == len(clean[0].rtt_samples_us) - 1
 
     def test_median_rtt(self):
-        flows = collect_flows(full_flow())
+        flows = run_stage(FlowCollector(), full_flow())
         TransportInference().run(flows)
         assert flows[0].median_rtt_us is not None
         assert flows[0].median_rtt_us > 0

@@ -1,5 +1,6 @@
-"""Incremental (feed/finish) stage APIs must match their batch wrappers,
-plus the I/O and cache satellites of the streaming rework."""
+"""The single-use (feed/finish) reconstruction stages: sealed emission,
+pickle round trips and feed-order independence, plus the I/O and cache
+satellites of the streaming rework."""
 
 import dataclasses
 import gzip
@@ -7,10 +8,11 @@ import pickle
 
 import pytest
 
+from helpers import run_stage
 from repro.core.link.attempt import AttemptAssembler
 from repro.core.link.exchange import ExchangeAssembler
 from repro.core.sync.bootstrap import bootstrap_synchronization
-from repro.core.transport.flows import FlowCollector, collect_flows
+from repro.core.transport.flows import FlowCollector
 from repro.core.unify import Unifier
 from repro.jtrace.io import (
     RadioTrace,
@@ -54,21 +56,6 @@ def exchange_fingerprint(exchange, key=id):
 
 
 class TestIncrementalAttempts:
-    def test_feed_matches_assemble(self, small_jframes):
-        batch_asm = AttemptAssembler()
-        batch = batch_asm.assemble(small_jframes)
-
-        inc_asm = AttemptAssembler()
-        streamed = []
-        for jframe in small_jframes:
-            streamed.extend(inc_asm.feed(jframe))
-        streamed.extend(inc_asm.finish())
-
-        assert [attempt_fingerprint(a) for a in streamed] == [
-            attempt_fingerprint(a) for a in batch
-        ]
-        assert inc_asm.stats == batch_asm.stats
-
     def test_fed_attempts_are_sealed(self, small_jframes):
         """An attempt returned by feed() must never mutate afterwards."""
         asm = AttemptAssembler()
@@ -81,58 +68,6 @@ class TestIncrementalAttempts:
         assert emitted
         for attempt, emitted_fp in emitted:
             assert attempt_fingerprint(attempt) == emitted_fp
-
-
-class TestAssemblerReuse:
-    def test_attempt_assembler_reusable_after_finish(self, small_jframes):
-        asm = AttemptAssembler()
-        first = asm.assemble(small_jframes)
-        second = asm.assemble(small_jframes)
-        # finish() resets the pending state: a second run over the same
-        # stream must produce the same structure (stats keep accumulating).
-        assert [attempt_fingerprint(a) for a in second] == [
-            attempt_fingerprint(a) for a in first
-        ]
-        fresh = AttemptAssembler()
-        fresh.assemble(small_jframes)
-        # Counters accumulate across runs (seed semantics): attempts is
-        # this run's data attempts plus the cumulative orphaned ACKs.
-        assert asm.stats.jframes_in == 2 * fresh.stats.jframes_in
-        assert asm.stats.attempts == (
-            fresh.stats.attempts + fresh.stats.acks_orphaned
-        )
-
-    def test_exchange_assembler_reusable_after_finish(self, small_jframes):
-        attempts = AttemptAssembler().assemble(small_jframes)
-        asm = ExchangeAssembler()
-        first = asm.assemble(attempts)
-        second = asm.assemble(attempts)
-        assert [exchange_fingerprint(e) for e in second] == [
-            exchange_fingerprint(e) for e in first
-        ]
-        fresh = ExchangeAssembler()
-        fresh.assemble(attempts)
-        assert asm.stats.exchanges == fresh.stats.exchanges
-
-
-class TestIncrementalExchanges:
-    def test_feed_matches_assemble(self, small_jframes):
-        attempts = AttemptAssembler().assemble(small_jframes)
-
-        batch_asm = ExchangeAssembler()
-        batch = batch_asm.assemble(attempts)
-
-        inc_asm = ExchangeAssembler()
-        streamed = []
-        for attempt in attempts:
-            streamed.extend(inc_asm.feed(attempt))
-        streamed.extend(inc_asm.finish())
-        streamed.sort(key=lambda e: e.start_us)
-
-        assert [exchange_fingerprint(e) for e in streamed] == [
-            exchange_fingerprint(e) for e in batch
-        ]
-        assert inc_asm.stats == batch_asm.stats
 
 
 def positional(jframes):
@@ -224,22 +159,20 @@ def test_assemblers_survive_a_pickle_round_trip():
 
 
 class TestFlowCollector:
-    def test_feed_matches_collect_flows(self, small_jframes):
-        attempts = AttemptAssembler().assemble(small_jframes)
-        exchanges = ExchangeAssembler().assemble(attempts)
+    def test_feed_order_does_not_matter(self, small_jframes):
+        attempts = run_stage(AttemptAssembler(), small_jframes)
+        exchanges = run_stage(ExchangeAssembler(), attempts)
 
-        batch = collect_flows(exchanges)
-        collector = FlowCollector()
-        # Feed in closure-ish (shuffled) order: result must not depend on it.
-        for exchange in reversed(exchanges):
-            collector.feed(exchange)
-        streamed = collector.finish()
+        forward = run_stage(FlowCollector(), exchanges)
+        # Reversed feed: finish() time-sorts, so the flows are the same.
+        backward = run_stage(FlowCollector(), reversed(exchanges))
 
-        assert [f.key for f in streamed] == [f.key for f in batch]
-        for sf, bf in zip(streamed, batch):
+        assert forward
+        assert [f.key for f in backward] == [f.key for f in forward]
+        for bf, ff in zip(backward, forward):
             assert [
-                (o.time_us, id(o.exchange)) for o in sf.observations
-            ] == [(o.time_us, id(o.exchange)) for o in bf.observations]
+                (o.time_us, id(o.exchange)) for o in bf.observations
+            ] == [(o.time_us, id(o.exchange)) for o in ff.observations]
 
 
 def _make_record(radio_id, ts, channel=1, snap=b"x" * 24):

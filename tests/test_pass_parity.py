@@ -7,7 +7,7 @@ implementations produced; plus in-order exchange emission.
 
 import pytest
 
-from helpers import small_passes
+from helpers import run_stage, small_passes
 from repro.core.analysis import DispersionPass, identify_stations
 from repro.core.pipeline import JigsawPipeline
 
@@ -135,12 +135,9 @@ class TestExchangeOrdering:
         from repro.core.link.exchange import ExchangeAssembler
 
         _, _, report = small_run
-        attempts = AttemptAssembler().assemble(report.jframes)
+        attempts = run_stage(AttemptAssembler(), report.jframes)
         assembler = ExchangeAssembler()
-        streamed = []
-        for attempt in attempts:
-            streamed.extend(assembler.feed(attempt))
-        streamed.extend(assembler.finish())
+        streamed = run_stage(assembler, attempts)
         starts = [e.start_us for e in streamed]
         assert starts == sorted(starts)
         assert len(streamed) == assembler.stats.exchanges
@@ -162,7 +159,7 @@ class TestExchangeOrdering:
         )
 
         _, _, report = small_run
-        attempts = AttemptAssembler().assemble(report.jframes)
+        attempts = run_stage(AttemptAssembler(), report.jframes)
         # Find a sender with an early unicast data attempt, then feed only
         # that one attempt followed by every *other* sender's attempts.
         lead = next(

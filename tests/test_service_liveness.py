@@ -112,6 +112,9 @@ class TestWatermarkMonotonicity:
             a <= b for a, b in zip(observed, observed[1:])
         ), "watermark regressed mid-run"
         assert observed[-1] > float("-inf")
+        # A finished run has delivered everything: the watermark stays
+        # at +inf rather than falling back.
+        assert daemon.watermark_us == float("inf")
 
     def test_watermark_never_regresses_across_restore(self, tmp_path):
         checkpoint = tmp_path / "svc.ckpt"

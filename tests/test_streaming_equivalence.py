@@ -168,8 +168,8 @@ def test_engine_resumes_identically_from_any_call_boundary(
     is sliced into calls, and wherever between two calls it is pickled
     and restored, the output is the one uninterrupted batch merge's.
     Held for one engine on one channel (``advance`` calls) and for the
-    shard coordinator over several (``step`` calls; ``None`` steps a
-    daemon slice)."""
+    shard coordinator over several (``step`` calls); ``None`` is a
+    daemon slice."""
     if coordinated:
         traces, bootstrap = random_building_traces(seed)
         merge = Unifier().stream_unify(traces, bootstrap)
@@ -187,10 +187,11 @@ def test_engine_resumes_identically_from_any_call_boundary(
         engine = _MergeEngine(Unifier(), traces, bootstrap)
         jframes = []
         for max_records, cut in calls:
-            jframes.extend(engine.advance(max_records))
+            jframes.extend(engine.advance(max_records or SLICE))
             if cut:
                 engine = pickle.loads(pickle.dumps(engine))
-        jframes.extend(engine.advance())
+        while not engine.finished:
+            jframes.extend(engine.advance(SLICE))
         assert engine.finished and engine.advance(1) == []
         stats, tracks = engine.stats, engine.tracks
     batch = Unifier().unify(traces, bootstrap)
