@@ -146,7 +146,6 @@ class AttemptAssembler:
             Tuple[TransmissionAttempt, Optional[_PendingData]]
         ] = deque()
         self._unsealed: Set[_PendingData] = set()
-        self._data_attempts = 0
 
     def feed(self, jframe: JFrame) -> List[TransmissionAttempt]:
         """Consume one time-ordered jframe; return newly sealed attempts.
@@ -206,16 +205,14 @@ class AttemptAssembler:
                 data_list.append(pending)
                 self._unsealed.add(pending)
             self._emit.append((attempt, pending))
-            self._data_attempts += 1
             self.stats.attempts += 1
         # RTS and other control frames: ignored (the production network
         # does not use RTS/CTS exchanges; CTS-to-self is handled above).
         return self._drain()
 
     def finish(self) -> List[TransmissionAttempt]:
-        """Flush attempts still awaiting an ACK deadline; fix up stats."""
+        """Flush attempts still awaiting an ACK deadline."""
         self._unsealed.clear()
-        self.stats.attempts = self._data_attempts + self.stats.acks_orphaned
         return self._drain()
 
     # --- helpers ---------------------------------------------------------
@@ -268,6 +265,7 @@ class AttemptAssembler:
                 )
             )
             self.stats.acks_orphaned += 1
+            self.stats.attempts += 1
 
     def _expire(
         self,

@@ -48,8 +48,8 @@ process, from its first line to its report: it makes no reference
 cycles, and every collection it set off would re-walk its decoded
 records (tuple subclasses, never untracked) for nothing.  The caller's
 collector state comes back on every exit.  The service daemon's
-``serve()`` loop runs unbounded over a feed it does not own and keeps
-automatic collection on.
+``serve()`` uses the same pause and, because it runs unbounded over a
+feed it does not own, collects at its checkpoint boundaries instead.
 """
 
 from __future__ import annotations

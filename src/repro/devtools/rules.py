@@ -1051,25 +1051,23 @@ class RecordConstructorRule(Rule):
 
 
 class GcControlRule(Rule):
-    """One place per execution mode may change the collector's state.
+    """One place may change the collector's state.
 
     ``gc.disable()`` and friends are process-wide: a library call that
     pauses collection and forgets to restore it, or freezes the caller's
     objects for good, changes every later allocation's cost in code the
-    library does not own.  Two modules may do it, each in one place:
-    ``repro.core.pipeline`` pauses automatic collection for a batch run
-    and restores the caller's state on every exit, and
-    ``repro.service.daemon`` turns it off in the forked checkpoint
-    writer, which never returns into the daemon.
+    library does not own.  ``repro.core.pipeline`` holds the one pause,
+    which restores the caller's state on every exit; a batch run and
+    the service daemon both use it.  ``gc.collect`` is not banned.
     """
 
     name = "gc-control"
     summary = (
         "no gc.disable/enable/freeze/unfreeze/set_threshold outside "
-        "core/pipeline.py, service/daemon.py and measurement code"
+        "core/pipeline.py and measurement code"
     )
 
-    HOMES = frozenset({"repro.core.pipeline", "repro.service.daemon"})
+    HOMES = frozenset({"repro.core.pipeline"})
     BANNED = frozenset(
         {
             "gc.disable",
@@ -1092,9 +1090,7 @@ class GcControlRule(Rule):
                     mod,
                     node,
                     f"{target}() changes the collector for the whole "
-                    f"process; only the batch run's pause "
-                    f"(repro.core.pipeline) and the checkpoint writer "
-                    f"(repro.service.daemon) may",
+                    f"process; only the pause in repro.core.pipeline may",
                 )
 
 

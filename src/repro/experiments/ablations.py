@@ -39,7 +39,6 @@ class AblationPoint:
 def _score(result: UnificationResult, label: str) -> AblationPoint:
     dispersions = sorted(result.dispersions_us())
     by_txid: Dict[int, int] = defaultdict(int)
-    multi = 0
     for jframe in result.jframes:
         if jframe.kind is JFrameKind.VALID:
             txid = jframe.truth_txid()

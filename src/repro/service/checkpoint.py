@@ -22,7 +22,9 @@ On-disk format::
 Writes are atomic: the payload lands in a same-directory temp file which
 is ``os.replace``-d over the target, so a crash mid-write leaves the
 previous checkpoint intact — the recovery point is always the last
-*complete* checkpoint.
+*complete* checkpoint.  The pickle streams into that file as it is
+built (the header, whose CRC and length are known only at the end, is
+written last), so a write never holds a second copy of the payload.
 
 Compatibility policy (documented in ``docs/service.md``): the version
 is bumped whenever any pickled class's layout changes incompatibly;
@@ -41,10 +43,10 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, BinaryIO, Dict
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -84,6 +86,18 @@ class CheckpointState:
     checkpoints_written: int = 0
 
 
+class _CrcSink:
+    """A binary file's ``write`` that keeps the CRC of what it passed."""
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._write = fh.write
+        self.crc = 0
+
+    def write(self, data: bytes) -> int:
+        self.crc = zlib.crc32(data, self.crc)
+        return self._write(data)
+
+
 def save_checkpoint(path: Path, state: CheckpointState) -> int:
     """Atomically write ``state`` to ``path`` (temp file + rename).
 
@@ -91,25 +105,29 @@ def save_checkpoint(path: Path, state: CheckpointState) -> int:
     its temp file and leaves the previous checkpoint in place.
     """
     path = Path(path)
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _CHECKPOINT_HEADER.pack(
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        zlib.crc32(payload) & 0xFFFFFFFF,
-        len(payload),
-    )
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+            fh.write(bytes(_CHECKPOINT_HEADER.size))
+            sink = _CrcSink(fh)
+            pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+            size = fh.tell()
+            fh.seek(0)
+            fh.write(
+                _CHECKPOINT_HEADER.pack(
+                    CHECKPOINT_MAGIC,
+                    CHECKPOINT_VERSION,
+                    sink.crc,
+                    size - _CHECKPOINT_HEADER.size,
+                )
+            )
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return len(header) + len(payload)
+    return size
 
 
 def load_checkpoint(path: Path) -> CheckpointState:

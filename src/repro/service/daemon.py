@@ -32,6 +32,16 @@ while the parent goes back to merging, and the parent publishes it
 Where ``os.fork`` is missing the same writer runs inline and goes
 through the same publication.
 
+The same boundaries, every ``checkpoint_every`` consumed records, are
+the collector's schedule.  ``serve()`` pauses automatic cyclic
+collection from its first line to its report (the batch run's pause,
+handing the caller's state back on every exit) and runs one young
+collection, ``gc.collect(1)``, at each boundary, with or without a
+checkpoint path, and a full one when CPython's own rule says one is
+due (see :meth:`JigsawDaemon._collect`).  A forked writer inherits the
+paused collector, so it never walks, and so never copies, the pages it
+shares with the daemon.
+
 Batch and daemon differ only in record source, checkpoint cadence and
 window sealing.
 
@@ -47,13 +57,17 @@ import gc
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
-from ..core.pipeline import JigsawReport, ReconstructionDrive, assemble_report
+from ..core.pipeline import (
+    JigsawReport,
+    ReconstructionDrive,
+    _collection_paused,
+    assemble_report,
+)
 from ..core.sync.bootstrap import bootstrap_synchronization
 from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
 from ..jtrace.io import RadioTrace
@@ -78,6 +92,12 @@ DEFAULT_CHECKPOINT_EVERY = 2_000
 #: letting a shard run a visible distance ahead of the others.
 SLICE = 64
 
+#: CPython's own rule for a full collection, at its default thresholds:
+#: one is due once ten young collections have run since the last, and
+#: they have moved into the oldest generation more than a quarter of
+#: what the last one left there.
+FULL_COLLECTION_AFTER = 10
+FULL_COLLECTION_SHARE = 0.25
 
 #: Bytes of a failed writer's exception text its pipe carries: one
 #: atomic pipe write, so the writer never blocks on an unread pipe.
@@ -106,15 +126,18 @@ def _write_pending(pending: Path, state: CheckpointState) -> str:
 class _Writer:
     """A checkpoint write not yet published.
 
-    A forked writer has its ``pid`` and the read end of the pipe its
-    exception text comes back on; an inline one (``pid`` 0) has already
-    run and holds its outcome in ``error``.
+    A forked writer has its ``pid``, the read end of the pipe its
+    exception text comes back on, and the daemon's wall and CPU clocks
+    when it was forked; an inline one (``pid`` 0) has already run and
+    holds its outcome in ``error``.
     """
 
     pending: Path
     pid: int = 0
     errors_fd: int = -1
     error: str = ""
+    forked_wall: float = 0.0
+    forked_cpu: float = 0.0
 
 
 @dataclass
@@ -178,14 +201,24 @@ class JigsawDaemon:
             bootstrap=None,
         )
         self._resumed = False
+        # Built once the feed has drained; ``serve()`` hands it over
+        # once the last writer is reaped.
+        self._report: Optional[JigsawReport] = None
         self._reported = False
         self._stop_after_records: Optional[int] = None
-        self._last_checkpoint_at = 0
+        self._last_boundary_at = 0
         self._checkpoint_bytes_last = 0
         self._checkpoint_seconds_total = 0.0
         self._checkpoint_writer_cpu_s = 0.0
         self._checkpoint_writer_peak_rss_kb = 0
         self._writer: Optional[_Writer] = None
+        self._forking = True
+        # The collector's ledger (see ``_collect``): objects in the
+        # oldest generation after the last full collection, and those
+        # the young collections have moved there since.
+        self._old_objects = 0
+        self._promoted = 0
+        self._young_collections = 0
 
     # --- observability -----------------------------------------------------
 
@@ -259,8 +292,7 @@ class JigsawDaemon:
         )
         feed.seek(state.consumed)
         daemon._state = state
-        daemon._bind_feed()
-        daemon._last_checkpoint_at = state.total_consumed
+        daemon._last_boundary_at = state.total_consumed
         daemon._resumed = True
         return daemon
 
@@ -278,7 +310,13 @@ class JigsawDaemon:
         Every return — report, simulated kill or a raising source —
         first waits for the checkpoint writer in flight and publishes
         it, so the file on disk is the last boundary's checkpoint.  A
-        writer that failed raises :class:`CheckpointError` there.
+        writer that failed raises :class:`CheckpointError` there.  At
+        feed end the report is built first, while that writer runs; if
+        the writer then fails, the next ``serve()`` returns the report.
+
+        Automatic cyclic collection is paused for the whole call, and
+        the caller's collector state comes back on every exit; the
+        collections in between are the boundaries' (:meth:`_collect`).
 
         A daemon reports once: ``serve()`` after the report was returned
         raises :class:`RuntimeError` and changes nothing.
@@ -289,16 +327,37 @@ class JigsawDaemon:
                 "new one from its checkpoint to serve again"
             )
         started_clock = time.perf_counter()
-        if self._state.merge is None:
-            self._start()
-        self._stop_after_records = stop_after_records
-        try:
-            self._loop()
-        except _Killed:
-            return None
-        report = self._finalize(started_clock)
+        with _collection_paused():
+            if self._report is None:
+                if self._state.merge is None:
+                    self._start()
+                self._stop_after_records = stop_after_records
+                self._old_objects = len(gc.get_objects(2))
+                self._promoted = self._young_collections = 0
+                self._bind_feed(True)
+                try:
+                    self._loop()
+                    # Before the last reap, so that the writer in flight
+                    # pickles while the daemon finishes its streams.
+                    self._report = self._finalize(started_clock)
+                except _Killed:
+                    return None
+                finally:
+                    self._bind_feed(False)
+                    self._reap(block=True)
         self._reported = True
-        return report
+        state, report = self._state, self._report
+        assert report is not None
+        return ServiceReport(
+            report=report,
+            published=list(state.published.values()),
+            checkpoints_written=state.checkpoints_written,
+            checkpoint_bytes_last=self._checkpoint_bytes_last,
+            checkpoint_seconds_total=self._checkpoint_seconds_total,
+            checkpoint_writer_cpu_s=self._checkpoint_writer_cpu_s,
+            checkpoint_writer_peak_rss_kb=self._checkpoint_writer_peak_rss_kb,
+            resumed=self._resumed,
+        )
 
     # --- startup -----------------------------------------------------------
 
@@ -335,57 +394,95 @@ class JigsawDaemon:
             bootstrap,
             [t.radio_id for t in feed.traces],
         )
-        self._bind_feed()
 
     # --- the drive loop ----------------------------------------------------
 
-    def _bind_feed(self) -> None:
-        """Point every engine cursor at the feed: at first start, and on
-        restore — feed-bound callables never enter a checkpoint."""
+    def _bind_feed(self, bound: bool) -> None:
+        """Point every engine cursor at the feed, or at nothing.
+
+        ``serve()`` binds on entry and unbinds on every exit.  A bound
+        cursor calls back into the daemon's state, so a bound daemon is
+        a reference cycle; unbound, a dropped daemon is freed by
+        reference counting instead of waiting for a full collection.
+        Feed-bound callables never enter a checkpoint either way.
+        """
         for engine in self._state.merge.engines:
             for radio_id, cursor in engine.cursors.items():
-                cursor.produce = partial(self._next_record, radio_id)
+                cursor.produce = self._producer(radio_id) if bound else None
 
-    def _next_record(self, radio_id: int, index: int) -> Optional[TraceRecord]:
+    def _producer(
+        self, radio_id: int
+    ) -> Callable[[int], Optional[TraceRecord]]:
         """A cursor's ``produce``: the feed's next record for the radio
-        (the feed keeps each radio's position, so ``index`` goes unused)."""
-        record = self.feed.next_record(radio_id)
-        if record is not None:
-            state = self._state
-            state.total_consumed += 1
-            if (
-                self._stop_after_records is not None
-                and state.total_consumed >= self._stop_after_records
-            ):
-                raise _Killed  # simulated SIGKILL: stop mid-slice
-        return record
+        (the feed keeps each radio's position, so ``index`` goes
+        unused), counted into ``total_consumed``.  It runs once per
+        record, so what it reads is bound in the closure, not looked up
+        on the daemon."""
+        next_record = self.feed.next_record
+        state = self._state
+        stop = self._stop_after_records
+
+        def produce(index: int) -> Optional[TraceRecord]:
+            record = next_record(radio_id)
+            if record is not None:
+                state.total_consumed += 1
+                if stop is not None and state.total_consumed >= stop:
+                    raise _Killed  # simulated SIGKILL: stop mid-slice
+            return record
+
+        return produce
 
     def _loop(self) -> None:
         """Step the coordinator a slice at a time until the feed drains.
 
-        Windows are sealed only when a step fed the drive.  A source
-        that raised mid-step (a stalled uplink) left the coordinator
+        Windows are sealed only when a step fed the drive.  Every
+        ``checkpoint_every`` consumed records is a boundary: the
+        collection, then the checkpoint, if there is a path to write.
+        The writer in flight is polled after every step.  A source that
+        raised mid-step (a stalled uplink) left the coordinator
         resumable, so a second ``serve()`` re-enters here.
         """
         state = self._state
         merge, drive = state.merge, state.drive
-        try:
-            while not merge.finished:
-                released = merge.step(SLICE)
-                if released:
-                    for jframe in released:
-                        drive.feed(jframe)
-                    self._publish(drive.seal_ready())
-                if self._writer is not None:
-                    self._reap(block=False)
-                if (
-                    self.checkpoint_path is not None
-                    and state.total_consumed - self._last_checkpoint_at
-                    >= self.checkpoint_every
-                ):
+        while not merge.finished:
+            released = merge.step(SLICE)
+            if released:
+                for jframe in released:
+                    drive.feed(jframe)
+                self._publish(drive.seal_ready())
+            if self._writer is not None:
+                self._reap(block=False)
+            if (
+                state.total_consumed - self._last_boundary_at
+                >= self.checkpoint_every
+            ):
+                self._last_boundary_at = state.total_consumed
+                self._collect()
+                if self.checkpoint_path is not None:
                     self._write_checkpoint()
-        finally:
-            self._reap(block=True)
+
+    def _collect(self) -> None:
+        """A boundary's collection: a young one, and a full one when due.
+
+        The young collection walks only what was allocated since the
+        last boundary and moves what survives into the oldest
+        generation, so a record is walked once, not once per boundary.
+        A cycle dropped after it was moved waits for the next full
+        collection, so the garbage ``serve()`` holds stays in proportion
+        to what it keeps alive.  Moves are counted as the young
+        generation's allocation count, which is net of frees, less what
+        the young collection found.
+        """
+        young = gc.get_count()[0]
+        self._promoted += max(young - gc.collect(1), 0)
+        self._young_collections += 1
+        if (
+            self._young_collections >= FULL_COLLECTION_AFTER
+            and self._promoted > FULL_COLLECTION_SHARE * self._old_objects
+        ):
+            gc.collect()
+            self._old_objects = len(gc.get_objects(2))
+            self._promoted = self._young_collections = 0
 
     def _publish(self, sealed: Sequence[SealedWindow]) -> None:
         """At-least-once publication with a dedup ledger.
@@ -411,7 +508,6 @@ class JigsawDaemon:
         started = time.perf_counter()
         state = self._state
         state.consumed = self.feed.consumed()
-        self._last_checkpoint_at = state.total_consumed
         state.checkpoints_written += 1
         try:
             self._writer = self._start_writer(state)
@@ -428,9 +524,10 @@ class JigsawDaemon:
         )
 
     def _start_writer(self, state: CheckpointState) -> _Writer:
-        if not hasattr(os, "fork"):
+        if not (self._forking and hasattr(os, "fork")):
             pending = self._pending(os.getpid())
             return _Writer(pending, error=_write_pending(pending, state))
+        forked_wall, forked_cpu = time.perf_counter(), time.process_time()
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -440,11 +537,11 @@ class JigsawDaemon:
             raise
         if pid == 0:
             # The writer: encode, write, fsync, exit — never return into
-            # the daemon.  A collection here would walk (and so copy)
-            # every page the snapshot shares with the parent.
+            # the daemon.  It inherits ``serve()``'s paused collector,
+            # so no collection walks (and so copies) the pages the
+            # snapshot shares with the parent.
             status = 1
             try:
-                gc.disable()
                 os.close(read_end)
                 error = _write_pending(self._pending(os.getpid()), state)
                 os.write(write_end, error.encode()[:_ERROR_TEXT_MAX])
@@ -452,14 +549,28 @@ class JigsawDaemon:
             finally:
                 os._exit(status)
         os.close(write_end)
-        return _Writer(self._pending(pid), pid=pid, errors_fd=read_end)
+        return _Writer(
+            self._pending(pid),
+            pid=pid,
+            errors_fd=read_end,
+            forked_wall=forked_wall,
+            forked_cpu=forked_cpu,
+        )
 
     def _reap(self, block: bool) -> None:
         """Publish the writer in flight once it is done (waiting for it
         if ``block``): its pending file replaces ``checkpoint_path``,
         then the counters advance, so counter and file always agree.  A
         failed writer's pending file is removed, the previous checkpoint
-        stays, and :class:`CheckpointError` carries its exception."""
+        stays, and :class:`CheckpointError` carries its exception.
+
+        A forked writer is worth its fork only if it ran beside the
+        daemon.  If, while it lived, the daemon lost wall time (time it
+        was not running: waiting for the writer, or for a CPU) of at
+        least half the writer's CPU time, the two took turns on one CPU,
+        and pickling inline costs less than the writer plus the pages
+        the fork made both copy: this daemon's later checkpoints are
+        written inline."""
         writer, path = self._writer, self.checkpoint_path
         if writer is None:
             return
@@ -480,7 +591,13 @@ class JigsawDaemon:
                 code = os.waitstatus_to_exitcode(status)
                 if code and not error:
                     error = f"writer exited with status {code}"
-                self._checkpoint_writer_cpu_s += usage.ru_utime + usage.ru_stime
+                writer_cpu = usage.ru_utime + usage.ru_stime
+                lost = (time.perf_counter() - writer.forked_wall) - (
+                    time.process_time() - writer.forked_cpu
+                )
+                if lost >= writer_cpu / 2:
+                    self._forking = False
+                self._checkpoint_writer_cpu_s += writer_cpu
                 self._checkpoint_writer_peak_rss_kb = max(
                     self._checkpoint_writer_peak_rss_kb, usage.ru_maxrss
                 )
@@ -500,7 +617,7 @@ class JigsawDaemon:
 
     # --- completion --------------------------------------------------------
 
-    def _finalize(self, started_clock: float) -> ServiceReport:
+    def _finalize(self, started_clock: float) -> JigsawReport:
         state = self._state
         merge, drive = state.merge, state.drive
         flows = drive.finish_streams()
@@ -508,7 +625,7 @@ class JigsawDaemon:
         # watermark reads +inf: seal whatever windows remain.
         self._publish(drive.seal_ready())
 
-        report = assemble_report(
+        return assemble_report(
             drive,
             state.bootstrap,
             merge.tracks,
@@ -516,16 +633,6 @@ class JigsawDaemon:
             self.feed.traces,
             flows,
             started_clock,
-        )
-        return ServiceReport(
-            report=report,
-            published=list(state.published.values()),
-            checkpoints_written=state.checkpoints_written,
-            checkpoint_bytes_last=self._checkpoint_bytes_last,
-            checkpoint_seconds_total=self._checkpoint_seconds_total,
-            checkpoint_writer_cpu_s=self._checkpoint_writer_cpu_s,
-            checkpoint_writer_peak_rss_kb=self._checkpoint_writer_peak_rss_kb,
-            resumed=self._resumed,
         )
 
 

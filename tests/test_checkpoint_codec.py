@@ -201,7 +201,7 @@ def test_version_6_checkpoint_is_refused(tmp_path):
     """Version 6 pickled jframes as instance runs and merge groups as
     instance lists; this build reads neither, so it refuses the version
     before unpickling anything."""
-    assert CHECKPOINT_VERSION == 8
+    assert CHECKPOINT_VERSION == 9
     path = tmp_path / "v6.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=6)
     with pytest.raises(CheckpointError, match="version 6"):
@@ -215,6 +215,16 @@ def test_version_7_checkpoint_is_refused(tmp_path):
     path = tmp_path / "v7.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=7)
     with pytest.raises(CheckpointError, match="version 7"):
+        load_checkpoint(path)
+
+
+def test_version_8_checkpoint_is_refused(tmp_path):
+    """Version 8's attempt assembler added orphan-ACK attempts to its
+    count only at ``finish()``; this build counts them as they are made,
+    so a restored version 8 assembler would under-count."""
+    path = tmp_path / "v8.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=8)
+    with pytest.raises(CheckpointError, match="version 8"):
         load_checkpoint(path)
 
 

@@ -1,4 +1,4 @@
-"""What pausing the cycle collector during a batch run relies on.
+"""What pausing the cycle collector during a run relies on.
 
 ``JigsawPipeline.run`` pauses automatic cyclic collection for its whole
 body.  That is safe only because a batch run makes no cyclic garbage,
@@ -7,6 +7,14 @@ registry family, from memory (materialized or not) and from files,
 clean or damaged, leaves ``gc.collect()`` nothing to find while its
 report is still alive.  The run must also hand the caller back the
 collector state it found, on every exit.
+
+``JigsawDaemon.serve`` pauses the same way and runs one young
+collection at each checkpoint boundary, so a daemon makes no cyclic
+garbage either, and what a pass drops cyclic waits at most one
+boundary; a cycle dropped after a boundary moved it to the oldest
+generation waits for the next full collection, which CPython's own
+rule schedules at a boundary, so a long ``serve()`` keeps its garbage
+bounded.
 """
 
 import gc
@@ -16,6 +24,12 @@ import pytest
 from repro.core.passes import PipelinePass
 from repro.core.pipeline import JigsawPipeline
 from repro.jtrace.io import open_trace_streams, write_traces
+from repro.service import CheckpointError, JigsawDaemon
+from repro.service.windows import (
+    WindowedInterferencePass,
+    WindowedLossPass,
+    WindowedSummaryPass,
+)
 from repro.sim import (
     REGISTRY,
     FaultConfig,
@@ -23,6 +37,7 @@ from repro.sim import (
     scenario_config,
     write_faulty_traces,
 )
+from repro.sim.stream import live_feed
 
 SEED = 17
 
@@ -188,3 +203,247 @@ def test_strict_truncated_read_restores_collection(
             open_trace_streams(tmp_path), clock_groups=campus.clock_groups
         )
     assert gc.isenabled()
+
+
+# --- the daemon ---------------------------------------------------------
+
+#: Checkpoint cadence: eight boundaries in the tiny flash crowd.
+EVERY = 1_500
+BOUNDARIES = 8
+
+
+class ReplayFeed:
+    """The daemon's feed protocol over a finished campus's traces (a
+    streamed simulation leaves cyclic garbage of its own)."""
+
+    def __init__(self, campus, raise_at=None):
+        self.traces = campus.traces
+        self._clock_groups = campus.clock_groups
+        self._records = {t.radio_id: t.records for t in campus.traces}
+        self._cursor = dict.fromkeys(self._records, 0)
+        self._raise_at = raise_at
+        self._served = 0
+
+    def clock_groups(self):
+        return self._clock_groups
+
+    def consumed(self):
+        return dict(self._cursor)
+
+    def next_record(self, radio_id):
+        self._served += 1
+        if self._served == self._raise_at:
+            raise Boom
+        records, index = self._records[radio_id], self._cursor[radio_id]
+        if index == len(records):
+            return None
+        self._cursor[radio_id] = index + 1
+        return records[index]
+
+
+def windowed_passes():
+    return [
+        cls(100_000)
+        for cls in (
+            WindowedSummaryPass,
+            WindowedInterferencePass,
+            WindowedLossPass,
+        )
+    ]
+
+
+@pytest.fixture
+def flash(simulate):
+    _, campus = simulate("flash_crowd")
+    return campus
+
+
+class Unpicklable(PipelinePass):
+    """A pass no checkpoint can hold."""
+
+    name = "unpicklable"
+
+    def __init__(self):
+        self.generator = (n for n in ())
+
+
+def test_serve_pauses_collection_and_restores_it(collector_on, flash):
+    svc = JigsawDaemon(ReplayFeed(flash), passes=[CollectorProbe()]).serve()
+    assert svc.report.passes["collector_probe"] == [False]
+    assert gc.isenabled()
+
+
+def test_serve_leaves_a_disabled_collector_disabled(collector_on, flash):
+    gc.disable()
+    svc = JigsawDaemon(ReplayFeed(flash), passes=[CollectorProbe()]).serve()
+    assert svc.report.passes["collector_probe"] == [False]
+    assert not gc.isenabled()
+
+
+def test_killed_serve_restores_collection(collector_on, flash, tmp_path):
+    daemon = JigsawDaemon(
+        ReplayFeed(flash),
+        checkpoint_path=tmp_path / "svc.ckpt",
+        checkpoint_every=EVERY,
+    )
+    assert daemon.serve(stop_after_records=2 * EVERY) is None
+    assert daemon.checkpoints_written >= 1
+    assert gc.isenabled()
+
+
+def test_raising_source_restores_collection(collector_on, flash):
+    daemon = JigsawDaemon(ReplayFeed(flash, raise_at=2 * EVERY))
+    with pytest.raises(Boom):
+        daemon.serve()
+    assert gc.isenabled()
+
+
+def test_failed_checkpoint_restores_collection(
+    collector_on, flash, tmp_path
+):
+    daemon = JigsawDaemon(
+        ReplayFeed(flash),
+        passes=[Unpicklable()],
+        checkpoint_path=tmp_path / "svc.ckpt",
+        checkpoint_every=EVERY,
+    )
+    with pytest.raises(CheckpointError, match="checkpoint 1 was not written"):
+        daemon.serve()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "every", [EVERY, 10**9], ids=["boundaries", "no-boundary"]
+)
+def test_daemon_makes_no_cyclic_garbage(every, flash, tmp_path):
+    """With checkpoints, and with a cadence past the end of the trace,
+    so that no boundary collection runs to hide what the daemon left.
+    The daemon itself is dropped: ``serve()`` unbinds the cursors that
+    call back into it, so it is not left in a cycle either."""
+
+    def serve():
+        svc = JigsawDaemon(
+            ReplayFeed(flash),
+            passes=windowed_passes(),
+            checkpoint_path=tmp_path / "svc.ckpt",
+            checkpoint_every=every,
+        ).serve()
+        boundaries = BOUNDARIES if every == EVERY else 0
+        assert svc.checkpoints_written == boundaries
+        return svc
+
+    assert unreachable_after(serve) == 0
+
+
+class Cycle:
+    """One reference cycle; ``alive`` counts the ones not yet freed."""
+
+    alive = 0
+
+    def __init__(self):
+        self.me = self
+        Cycle.alive += 1
+
+    def __del__(self):
+        Cycle.alive -= 1
+
+
+class CyclePass(PipelinePass):
+    """Drops one reference cycle per jframe; as a ``gc.callbacks`` hook,
+    notes how many jframes it had seen when each collection began."""
+
+    name = "cycles"
+
+    def __init__(self):
+        self.jframes = 0
+        self.collections = []
+
+    def on_jframe(self, jframe):
+        self.jframes += 1
+        Cycle()
+
+    def note(self, phase, info):
+        if phase == "start":
+            self.collections.append((info["generation"], self.jframes))
+
+    def finish(self, context):
+        return list(self.collections), self.jframes, Cycle.alive
+
+
+def test_cycles_wait_at_most_one_boundary(collector_on, flash, tmp_path):
+    """Automatic collection stays off, so the only collections are the
+    young ones at the boundaries; each frees every cycle dropped before
+    it, and ``serve()`` returns holding only those dropped since the
+    last one."""
+    gc.collect()
+    probe = CyclePass()
+    daemon = JigsawDaemon(
+        ReplayFeed(flash),
+        passes=[probe],
+        checkpoint_path=tmp_path / "svc.ckpt",
+        checkpoint_every=EVERY,
+    )
+    gc.callbacks.append(probe.note)
+    try:
+        svc = daemon.serve()
+    finally:
+        gc.callbacks.remove(probe.note)
+    collections, jframes, alive = svc.report.passes["cycles"]
+    assert [generation for generation, _ in collections] == [1] * BOUNDARIES
+    assert svc.checkpoints_written == BOUNDARIES
+    seen = [0] + [fed for _, fed in collections]
+    assert alive == jframes - seen[-1]
+    assert alive <= max(b - a for a, b in zip(seen, seen[1:]))
+    gc.collect()
+    assert Cycle.alive == 0
+
+
+class LateCyclePass(CyclePass):
+    """Holds each cycle for ``hold`` jframes before dropping it, longer
+    than a boundary apart, so a young collection has already moved it
+    to the oldest generation and only a full collection frees it."""
+
+    name = "late_cycles"
+
+    def __init__(self, hold):
+        super().__init__()
+        self.hold = hold
+        self.held = []
+
+    def on_jframe(self, jframe):
+        self.jframes += 1
+        self.held.append(Cycle())
+        if len(self.held) > self.hold:
+            self.held.pop(0)
+
+
+def test_live_serve_keeps_its_garbage_bounded(collector_on):
+    """A live feed over dozens of boundaries, with what the caller held
+    before ``serve()`` frozen, as a long-running service would have it:
+    full collections run at boundaries, and ``serve()`` returns holding
+    only the cycles it holds on purpose and those dropped since the
+    last full collection, a small part of all it dropped."""
+    hold = 100
+    probe = LateCyclePass(hold)
+    gc.collect()
+    gc.freeze()
+    gc.callbacks.append(probe.note)
+    try:
+        svc = JigsawDaemon(
+            live_feed(scenario_config("flash_crowd", "tiny", seed=13)),
+            passes=[probe],
+            checkpoint_every=200,
+        ).serve()
+        collections, jframes, alive = svc.report.passes["late_cycles"]
+    finally:
+        gc.callbacks.remove(probe.note)
+        gc.unfreeze()
+    young = [fed for generation, fed in collections if generation == 1]
+    full = [fed for generation, fed in collections if generation == 2]
+    assert len(young) >= 30
+    assert full and set(full) <= set(young)
+    assert alive <= hold + jframes - full[-1]
+    assert alive - hold < (jframes - hold) // 4
+    probe.held.clear()
+    gc.collect()
+    assert Cycle.alive == 0

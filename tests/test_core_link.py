@@ -4,7 +4,9 @@
 from helpers import run_stage
 from repro.core.link.attempt import AttemptAssembler
 from repro.core.link.exchange import ExchangeAssembler
+from repro.core.sync.bootstrap import bootstrap_synchronization
 from repro.core.unify.jframe import JFrame, JFrameKind
+from repro.core.unify.unifier import Unifier
 from repro.dot11.address import BROADCAST, MacAddress
 from repro.dot11.frame import make_ack, make_cts_to_self, make_data
 from repro.dot11.rates import (
@@ -16,6 +18,7 @@ from repro.dot11.rates import (
     data_duration_field_us,
     frame_airtime_us,
 )
+from repro.sim import run_scenario, scenario_config
 
 STA = MacAddress.parse("00:0c:0c:00:00:01")
 STA2 = MacAddress.parse("00:0c:0c:00:00:02")
@@ -104,6 +107,33 @@ class TestAttemptAssembly:
         by_src = {a.transmitter: a for a in attempts if a.has_data}
         assert not by_src[STA].acked
         assert by_src[STA2].acked
+
+    def test_orphan_ack_attempt_counted_as_it_is_emitted(self):
+        data, _ = data_ack_pair(seq=5, t_end=10_000)
+        stray_ack = jf(make_ack(STA), 14_000, RATE_11)
+        assembler = AttemptAssembler()
+        emitted = [a for j in (data, stray_ack) for a in assembler.feed(j)]
+        assert assembler.stats.attempts == 2
+        emitted += assembler.finish()
+        assert len(emitted) == assembler.stats.attempts == 2
+
+    def test_attempts_counted_before_finish_on_a_flash_crowd(self):
+        """``finish()`` only flushes: the count read before it is
+        already every attempt the assembler emits, orphan ACKs
+        included."""
+        artifacts = run_scenario(scenario_config("flash_crowd", "tiny", seed=13))
+        traces = artifacts.radio_traces
+        bootstrap = bootstrap_synchronization(
+            traces, clock_groups=artifacts.clock_groups()
+        )
+        assembler = AttemptAssembler()
+        emitted = 0
+        for jframe in Unifier().unify(traces, bootstrap).jframes:
+            emitted += len(assembler.feed(jframe))
+        before = assembler.stats.attempts
+        emitted += len(assembler.finish())
+        assert assembler.stats.acks_orphaned > 0
+        assert before == assembler.stats.attempts == emitted == 1_221
 
     def test_broadcast_attempt(self):
         frame = make_data(AP, BROADCAST, AP, seq=3, body=b"arp")

@@ -685,27 +685,37 @@ class TestGcControl:
         assert [f.line for f in result.findings] == [6, 7, 8, 10, 11]
         assert all("for the whole process" in m for m in messages(result))
 
-    def test_pipeline_daemon_and_measurement_code_allowed(self, tmp_path):
-        source = """
-        import gc
+    SOURCE = """
+    import gc
 
-        def run():
-            enabled = gc.isenabled()
-            gc.disable()
-            gc.freeze()
-            if enabled:
-                gc.enable()
-        """
+    def run():
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.freeze()
+        if enabled:
+            gc.enable()
+    """
+
+    def test_pipeline_and_measurement_code_allowed(self, tmp_path):
         result = lint_tree(
             tmp_path,
             {
-                "repro/core/pipeline.py": source,
-                "repro/service/daemon.py": source,
-                "repro/experiments/common.py": source,
+                "repro/core/pipeline.py": self.SOURCE,
+                "repro/experiments/common.py": self.SOURCE,
             },
             rule=R.GcControlRule(),
         )
         assert result.clean
+
+    def test_daemon_is_flagged(self, tmp_path):
+        """The daemon pauses through the pipeline's pause and only
+        calls ``gc.collect``; a change of state of its own is flagged."""
+        result = lint_tree(
+            tmp_path,
+            {"repro/service/daemon.py": self.SOURCE},
+            rule=R.GcControlRule(),
+        )
+        assert [f.line for f in result.findings] == [6, 7, 9]
 
 
 # --- engine mechanics: suppressions, baseline, CLI --------------------------

@@ -14,7 +14,8 @@ Parity says a daemon run ends in the right state; liveness says it
   and what the exchange assembler retains by its horizons;
 * the checkpoint counters advance with every checkpoint written;
 * a checkpoint written by a forked writer is byte for byte the one the
-  inline writer writes, a writer that fails surfaces as
+  inline writer writes, which is its header plus ``pickle.dumps`` of
+  the state it holds, a writer that fails surfaces as
   :class:`CheckpointError` with the previous checkpoint intact, and a
   killed daemon leaves on disk the last boundary's checkpoint;
 * a source that stops producing trips a deterministic idle limit
@@ -24,10 +25,14 @@ Parity says a daemon run ends in the right state; liveness says it
 import io
 import os
 import pickle
+import struct
+import time
+import zlib
 from pathlib import Path
 
 import pytest
 
+from helpers import assert_reports_identical
 from repro.core.link.attempt import TransmissionAttempt
 from repro.core.link.exchange import (
     EXCHANGE_SPAN_LIMIT_HORIZONS,
@@ -39,12 +44,15 @@ from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     JigsawDaemon,
     QueueFeed,
     RadioQueue,
     ServiceStalled,
     load_checkpoint,
+    save_checkpoint,
 )
 from repro.service.daemon import SLICE
 from repro.service.queues import feed_pump_from_records
@@ -549,8 +557,8 @@ def published_checkpoints(checkpoint, forked):
     """Serve a tiny flash crowd to the end with the forked writer or,
     with ``os.fork`` removed, the inline one; the bytes of every
     checkpoint the daemon published, read as it renamed each into
-    place."""
-    published = []
+    place, and, inline, ``pickle.dumps`` of each state it wrote."""
+    published, payloads = [], []
     replace = os.replace
 
     def noting_replace(src, dst):
@@ -558,9 +566,14 @@ def published_checkpoints(checkpoint, forked):
             published.append(Path(src).read_bytes())
         replace(src, dst)
 
+    def noting_save(path, state):
+        payloads.append(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        return save_checkpoint(path, state)
+
     with pytest.MonkeyPatch.context() as mp:
         if not forked:
             mp.delattr(os, "fork")
+            mp.setattr("repro.service.daemon.save_checkpoint", noting_save)
         mp.setattr(os, "replace", noting_replace)
         svc = JigsawDaemon(
             live_feed(flash_config()),
@@ -576,7 +589,8 @@ def published_checkpoints(checkpoint, forked):
     else:
         assert svc.checkpoint_writer_cpu_s == 0.0
         assert svc.checkpoint_writer_peak_rss_kb == 0
-    return published
+        assert len(payloads) == len(published)
+    return published, payloads
 
 
 def loaded(raw, path):
@@ -598,7 +612,7 @@ class TestCheckpointWriter:
     def test_forked_and_inline_writers_write_identical_files(
         self, published, tmp_path
     ):
-        forked, inline = published[True], published[False]
+        (forked, _), (inline, _) = published[True], published[False]
         assert len(inline) >= 3
         assert forked == inline
         ordinals = [
@@ -607,11 +621,25 @@ class TestCheckpointWriter:
         ]
         assert ordinals == list(range(1, len(inline) + 1))
 
+    def test_each_file_is_its_header_and_pickle(self, published):
+        """The streamed write is byte for byte the framed
+        ``pickle.dumps`` of the state it captured."""
+        files, payloads = published[False]
+        for raw, payload in zip(files, payloads):
+            header = struct.pack(
+                "<4sIIQ",
+                CHECKPOINT_MAGIC,
+                CHECKPOINT_VERSION,
+                zlib.crc32(payload),
+                len(payload),
+            )
+            assert raw == header + payload
+
     def test_kill_leaves_the_last_boundary_on_disk(self, published, tmp_path):
         """A kill returns only once the writer in flight is published:
         one record after a boundary, its checkpoint is already the
         file, and between two boundaries the earlier one is."""
-        files = published[True]
+        files, _ = published[True]
         boundaries = [
             loaded(raw, tmp_path / "c.ckpt").total_consumed for raw in files
         ]
@@ -627,6 +655,63 @@ class TestCheckpointWriter:
             assert load_checkpoint(checkpoint).total_consumed == boundaries[last]
             assert checkpoint.read_bytes() == files[last]
             assert daemon.checkpoints_written == last + 1
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-cpu", "shared-cpu"])
+    def test_a_writer_sharing_the_cpu_sends_later_ones_inline(
+        self, shared, tmp_path, monkeypatch
+    ):
+        """The daemon forks each writer until one costs it lost wall
+        time of half that writer's CPU time, and then writes inline.  A
+        daemon CPU clock that keeps pace with the wall clock loses
+        none; one that stands still loses the writer's whole life."""
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(
+            time, "process_time", (lambda: 0.0) if shared else time.perf_counter
+        )
+        svc = JigsawDaemon(
+            live_feed(flash_config()),
+            checkpoint_path=tmp_path / "svc.ckpt",
+            checkpoint_every=WRITER_EVERY,
+        ).serve()
+        assert svc.checkpoints_written >= 3
+        assert len(forks) == (1 if shared else svc.checkpoints_written)
+
+    def test_a_last_writer_failing_after_the_report_keeps_it(
+        self, tmp_path, monkeypatch
+    ):
+        """At feed end the report is built before the last writer is
+        reaped.  A writer that fails only then makes ``serve()`` raise,
+        and the next ``serve()`` returns the report, the streams
+        finished once."""
+
+        def slow_failure(pending, state):
+            time.sleep(2.0)
+            return "OSError: no space left"
+
+        monkeypatch.setattr(
+            "repro.service.daemon._write_pending", slow_failure
+        )
+        daemon = JigsawDaemon(
+            live_feed(flash_config()),
+            checkpoint_path=tmp_path / "svc.ckpt",
+            checkpoint_every=8_000,
+        )
+        with pytest.raises(CheckpointError, match="checkpoint 1 was not"):
+            daemon.serve()
+        svc = daemon.serve()
+        assert svc is not None and svc.checkpoints_written == 0
+        reference = JigsawDaemon(live_feed(flash_config())).serve()
+        assert_reports_identical(svc.report, reference.report)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
     def test_failed_writer_raises_and_keeps_the_previous_checkpoint(
