@@ -57,9 +57,11 @@ def main() -> None:
             checkpoint_path=checkpoint,
             checkpoint_every=CHECKPOINT_EVERY,
         )
-        crashed = daemon.serve(stop_after_records=3 * CHECKPOINT_EVERY)
+        kill_at = 3 * CHECKPOINT_EVERY
+        crashed = daemon.serve(stop_after_records=kill_at)
         assert crashed is None, "the daemon was supposed to crash"
-        print(f"daemon killed after {daemon.total_consumed} records")
+        print(f"daemon killed after {daemon.total_consumed} records "
+              f"(the end of the merge step that reached {kill_at})")
         print(f"  watermark at death: {daemon.watermark_us / 1e3:.0f} ms")
         print(f"  windows already published: {len(daemon.published_windows)}"
               " (live output — no finish() involved)")

@@ -270,12 +270,13 @@ class _TraceCursor:
     """Incremental record access for the merge hot loop.
 
     A cursor is ``buffer`` (the records already in memory, possibly
-    none) plus an optional ``produce(index)`` that returns record
-    ``index`` or ``None`` at end of stream.  A trace's cursor is its
-    buffer and its ``ensure_index``: a trace reading a source decodes on
-    demand, so the merge pulls batches as its heap advances instead of
-    draining every trace before the first jframe.  The service daemon
-    starts from an empty buffer and binds ``produce`` to its feed.
+    none) plus an optional ``produce()`` that returns the record at
+    ``len(buffer)``, where a cursor reading in order asks for it, or
+    ``None`` at end of stream.  A trace's cursor is its buffer and its
+    ``ensure_index``: a trace reading a source decodes on demand, so the
+    merge pulls batches as its heap advances instead of draining every
+    trace before the first jframe.  The service daemon starts from an
+    empty buffer and binds ``produce`` to its feed.
 
     ``counted`` is how many of this cursor's records ``records_in``
     already includes; a cursor is counted when it is exhausted.
@@ -289,9 +290,12 @@ class _TraceCursor:
     def __init__(self, trace: RadioTrace) -> None:
         buffer = self.buffer = trace.replay_buffer
         ensure = trace.ensure_index
-        self.produce: Optional[Callable[[int], Optional[TraceRecord]]] = (
-            lambda index: buffer[index] if ensure(index) else None
-        )
+
+        def produce() -> Optional[TraceRecord]:
+            index = len(buffer)
+            return buffer[index] if ensure(index) else None
+
+        self.produce: Optional[Callable[[], Optional[TraceRecord]]] = produce
         self.counted = 0
 
     def __getstate__(self) -> Tuple[List[TraceRecord], int]:
@@ -304,7 +308,7 @@ class _TraceCursor:
     def get(self, index: int) -> Optional[TraceRecord]:
         if index < len(self.buffer):
             return self.buffer[index]
-        return self.produce(index) if self.produce is not None else None
+        return self.produce() if self.produce is not None else None
 
     def drained_length(self) -> int:
         """Total record count, decoding the remainder if necessary."""
@@ -481,7 +485,7 @@ class _MergeEngine:
                     nxt = buffer[idx]
                 else:
                     produce = cursor.produce
-                    nxt = produce(idx) if produce is not None else None
+                    nxt = produce() if produce is not None else None
                 if nxt is not None:
                     # ClockTrack.universal_us, inlined verbatim (the resync
                     # paths still go through the method): one method call
@@ -953,6 +957,21 @@ class UnifyStream:
                 heapq.heappop(heads)
                 frontier = min(frontier, engines[si].watermark_us)
         return released
+
+    def read_counts(self) -> Dict[int, int]:
+        """Records read from each synchronized radio: its heap entry's
+        next index, or off the heap its cursor's ``counted``."""
+        reads: Dict[int, int] = {}
+        for engine in self.engines:
+            for radio_id, cursor in engine.cursors.items():
+                reads[radio_id] = cursor.counted
+            reads.update((entry[2], entry[4]) for entry in engine._heap)
+        return reads
+
+    @property
+    def records_read(self) -> int:
+        """All radios' read counts: one heap push per record read."""
+        return sum(engine._counter for engine in self.engines)
 
     @property
     def stats(self) -> UnifyStats:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import enum
 import gzip
 import json
+import os
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, fields
@@ -596,35 +597,53 @@ def _scan_boundary(
     return p, False
 
 
+#: A gzip member ends in its data's CRC-32 and length.
+_GZIP_TRAILER_BYTES = 8
+
+
+def _file_reads(data_path: Path, chunk_bytes: int) -> Iterator[bytes]:
+    """The file in reads of at most ``chunk_bytes``; its last
+    :data:`_GZIP_TRAILER_BYTES` come in a read of their own."""
+    with open(data_path, "rb") as fh:
+        body = os.fstat(fh.fileno()).st_size - _GZIP_TRAILER_BYTES
+        while body > 0 and (comp := fh.read(min(chunk_bytes, body))):
+            body -= len(comp)
+            yield comp
+        yield from iter(partial(fh.read, chunk_bytes), b"")
+
+
 def _inflate(
     data_path: Path, chunk_bytes: int, strict: bool, health: DecodeHealth
 ) -> Iterator[bytes]:
     """The decompressed stream, in steps of at most ``chunk_bytes``.
 
-    zlib discards the output of the call that meets damage — a CRC
-    mismatch or a corrupt block — so what the damaged step inflated is
-    lost: at most ``chunk_bytes`` of decompressed data, everything before
-    it having been yielded already.  Damage, and a file that ends before
-    its stream does (a capture cut), raise ``ValueError`` under
-    ``strict``; otherwise they count one ``stream_errors`` and end the
-    stream, and the record-level decoder treats what it has as a
-    truncated capture.
+    zlib discards the output of the call that meets damage, so a
+    corrupt block costs what that step inflated: at most ``chunk_bytes``
+    of decompressed data, everything before it having been yielded
+    already.  The file's last member's trailer — its final 8 bytes, the
+    CRC and length zlib checks — goes to the inflater alone, after every
+    byte of the body has come out, so a bad CRC or length costs no data.
+    Damage, and a file that ends before its stream does (a capture cut),
+    raise ``ValueError`` under ``strict``; otherwise they count one
+    ``stream_errors`` and end the stream, and the record-level decoder
+    treats what it has as a truncated capture.
     """
     obj = zlib.decompressobj(wbits=47)  # auto-detect gzip/zlib headers
     fed = False
     try:
-        with open(data_path, "rb") as fh:
-            for comp in iter(partial(fh.read, chunk_bytes), b""):
-                fed = True
-                while comp:
-                    out = obj.decompress(comp, chunk_bytes)
-                    if out:
-                        yield out
-                    comp = obj.unconsumed_tail
-                    if obj.eof and obj.unused_data:
-                        # Concatenated gzip members: restart on the remainder.
-                        comp = obj.unused_data
-                        obj = zlib.decompressobj(wbits=47)
+        for comp in _file_reads(data_path, chunk_bytes):
+            fed = True
+            while True:
+                out = obj.decompress(comp, chunk_bytes)
+                if out:
+                    yield out
+                comp = obj.unconsumed_tail
+                if obj.eof and obj.unused_data:
+                    # Concatenated gzip members: restart on the remainder.
+                    comp = obj.unused_data
+                    obj = zlib.decompressobj(wbits=47)
+                elif not comp and len(out) < chunk_bytes:
+                    break  # a full step may leave output in zlib
         tail = obj.flush()
         if tail:
             yield tail

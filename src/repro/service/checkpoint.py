@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -62,28 +62,33 @@ class CheckpointState:
 
     The daemon keeps its restorable state in this object, and a restore
     adopts the loaded one, so a checkpoint is the daemon's own objects
-    at a deterministic loop boundary: the feed's per-radio ``consumed``
-    counts (the seek target) and their ``total_consumed``; the shard
-    coordinator ``merge`` (a :class:`~repro.core.unify.UnifyStream`
-    whose cursors come back without their feed binding); the
-    downstream ``drive``; the ``bootstrap`` offset ledger; the
-    ``published`` windows by key, in publication order; and
-    ``checkpoints_written``, the checkpoints published, a file counting
-    itself.
+    at a deterministic loop boundary: the shard coordinator ``merge`` (a
+    :class:`~repro.core.unify.UnifyStream` whose cursors come back
+    without their feed binding); the downstream ``drive``; the
+    ``bootstrap`` offset ledger; the ``published`` windows by key, in
+    publication order; and ``checkpoints_written``, the checkpoints
+    published, a file counting itself.
 
     The feed itself is *not* checkpointed — a restored daemon rebuilds
-    it from configuration and seeks it to ``consumed`` (the simulator
-    test double re-derives identical records; a live deployment replays
-    from its upstream spool).
+    it from configuration and seeks it to ``consumed``, what the merge
+    has read from each radio (the simulator test double re-derives
+    identical records; a live deployment replays from its upstream
+    spool).
     """
 
-    consumed: Dict[int, int]
-    total_consumed: int
     merge: Any
     drive: Any
     bootstrap: Any
     published: Dict[Any, Any] = field(default_factory=dict)
     checkpoints_written: int = 0
+
+    #: What the merge has read: per radio, and all radios together.
+    consumed = property(
+        lambda self: {} if self.merge is None else self.merge.read_counts()
+    )
+    total_consumed = property(
+        lambda self: 0 if self.merge is None else self.merge.records_read
+    )
 
 
 class _CrcSink:

@@ -47,8 +47,9 @@ window sealing.
 
 The feed protocol: ``next_record(radio_id) -> Optional[TraceRecord]``
 (``None`` = end of that radio's stream), plus ``traces`` /
-``clock_groups()`` for the bootstrap prepass and ``consumed()`` /
-``seek()`` for checkpoint alignment.
+``clock_groups()`` for the bootstrap prepass and ``seek()`` for a
+restore.  What the daemon has read is the merge's count, not the
+feed's (``UnifyStream.read_counts``): a restore seeks the feed to it.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ import gc
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
@@ -71,7 +73,6 @@ from ..core.pipeline import (
 from ..core.sync.bootstrap import bootstrap_synchronization
 from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
 from ..jtrace.io import RadioTrace
-from ..jtrace.records import TraceRecord
 from .checkpoint import (
     CheckpointError,
     CheckpointState,
@@ -102,10 +103,6 @@ FULL_COLLECTION_SHARE = 0.25
 #: Bytes of a failed writer's exception text its pipe carries: one
 #: atomic pipe write, so the writer never blocks on an unread pipe.
 _ERROR_TEXT_MAX = 4096
-
-
-class _Killed(Exception):
-    """``stop_after_records`` reached: unwinds the drive loop mid-slice."""
 
 
 def _write_pending(pending: Path, state: CheckpointState) -> str:
@@ -196,16 +193,12 @@ class JigsawDaemon:
 
         # The restorable state: merge, drive and bootstrap are filled in
         # at start, or the whole object replaced by a restore.
-        self._state = CheckpointState(
-            consumed={}, total_consumed=0, merge=None, drive=None,
-            bootstrap=None,
-        )
+        self._state = CheckpointState(merge=None, drive=None, bootstrap=None)
         self._resumed = False
         # Built once the feed has drained; ``serve()`` hands it over
         # once the last writer is reaped.
         self._report: Optional[JigsawReport] = None
         self._reported = False
-        self._stop_after_records: Optional[int] = None
         self._last_boundary_at = 0
         self._checkpoint_bytes_last = 0
         self._checkpoint_seconds_total = 0.0
@@ -232,6 +225,7 @@ class JigsawDaemon:
 
     @property
     def total_consumed(self) -> int:
+        """Records read from the feed, as the merge counts them."""
         return self._state.total_consumed
 
     @property
@@ -276,10 +270,11 @@ class JigsawDaemon:
 
         ``feed`` must be a fresh feed over the *same* record source (the
         simulator test double re-derives it from the scenario config); it
-        is ``seek``-ed to the checkpoint's consumed counts so the next
-        ``next_record`` returns the first record the crashed daemon
-        never consumed.  Passes and the materialize choice are the
-        crashed daemon's own, carried by the checkpointed drive.
+        is ``seek``-ed to what the checkpointed merge had read from each
+        radio, so the next ``next_record`` returns the first record the
+        crashed daemon's merge never read.  Passes and the materialize
+        choice are the crashed daemon's own, carried by the checkpointed
+        drive.
         """
         state = load_checkpoint(checkpoint_path)
         daemon = cls(
@@ -291,6 +286,7 @@ class JigsawDaemon:
             checkpoint_every=checkpoint_every,
         )
         feed.seek(state.consumed)
+        daemon._bind_feed(state.merge)
         daemon._state = state
         daemon._last_boundary_at = state.total_consumed
         daemon._resumed = True
@@ -302,10 +298,12 @@ class JigsawDaemon:
         """Run until the feed ends; return the final report.
 
         ``stop_after_records`` simulates a SIGKILL for the crash/resume
-        suite: once the *total* consumed-record count reaches it, the
-        daemon returns ``None`` immediately — mid-slice, with no final
-        checkpoint, no flushing, no cleanup.  Recovery is whatever the
-        last periodic checkpoint captured, exactly as a real kill.
+        suite: the daemon returns ``None`` at the end of the step whose
+        reads bring :attr:`total_consumed` to it, before that step's
+        boundary — at most ``SLICE - 1`` records past it once each shard
+        has read its radios' first records — with no final checkpoint,
+        no flushing, no cleanup.  Recovery is whatever the last periodic
+        checkpoint captured, exactly as a real kill.
 
         Every return — report, simulated kill or a raising source —
         first waits for the checkpoint writer in flight and publishes
@@ -331,19 +329,15 @@ class JigsawDaemon:
             if self._report is None:
                 if self._state.merge is None:
                     self._start()
-                self._stop_after_records = stop_after_records
                 self._old_objects = len(gc.get_objects(2))
                 self._promoted = self._young_collections = 0
-                self._bind_feed(True)
                 try:
-                    self._loop()
+                    if not self._loop(stop_after_records):
+                        return None
                     # Before the last reap, so that the writer in flight
                     # pickles while the daemon finishes its streams.
                     self._report = self._finalize(started_clock)
-                except _Killed:
-                    return None
                 finally:
-                    self._bind_feed(False)
                     self._reap(block=True)
         self._reported = True
         state, report = self._state, self._report
@@ -380,7 +374,7 @@ class JigsawDaemon:
         # nothing it is handed later.  Quarantined radios go in as they
         # are: the coordinator reads their length once, here, and its
         # counters ride in every checkpoint.
-        state.merge = UnifyStream(
+        merge = UnifyStream(
             self.unifier,
             [
                 [
@@ -394,53 +388,30 @@ class JigsawDaemon:
             bootstrap,
             [t.radio_id for t in feed.traces],
         )
+        self._bind_feed(merge)
+        state.merge = merge
 
     # --- the drive loop ----------------------------------------------------
 
-    def _bind_feed(self, bound: bool) -> None:
-        """Point every engine cursor at the feed, or at nothing.
-
-        ``serve()`` binds on entry and unbinds on every exit.  A bound
-        cursor calls back into the daemon's state, so a bound daemon is
-        a reference cycle; unbound, a dropped daemon is freed by
-        reference counting instead of waiting for a full collection.
-        Feed-bound callables never enter a checkpoint either way.
-        """
-        for engine in self._state.merge.engines:
-            for radio_id, cursor in engine.cursors.items():
-                cursor.produce = self._producer(radio_id) if bound else None
-
-    def _producer(
-        self, radio_id: int
-    ) -> Callable[[int], Optional[TraceRecord]]:
-        """A cursor's ``produce``: the feed's next record for the radio
-        (the feed keeps each radio's position, so ``index`` goes
-        unused), counted into ``total_consumed``.  It runs once per
-        record, so what it reads is bound in the closure, not looked up
-        on the daemon."""
+    def _bind_feed(self, merge: UnifyStream) -> None:
+        """Point every engine cursor of ``merge`` at the feed's records
+        for its radio; the binding never enters a checkpoint."""
         next_record = self.feed.next_record
-        state = self._state
-        stop = self._stop_after_records
+        for engine in merge.engines:
+            for radio_id, cursor in engine.cursors.items():
+                cursor.produce = partial(next_record, radio_id)
 
-        def produce(index: int) -> Optional[TraceRecord]:
-            record = next_record(radio_id)
-            if record is not None:
-                state.total_consumed += 1
-                if stop is not None and state.total_consumed >= stop:
-                    raise _Killed  # simulated SIGKILL: stop mid-slice
-            return record
+    def _loop(self, stop_after_records: Optional[int]) -> bool:
+        """Step the coordinator a slice at a time until the feed drains;
+        ``False`` if ``stop_after_records`` killed it first.
 
-        return produce
-
-    def _loop(self) -> None:
-        """Step the coordinator a slice at a time until the feed drains.
-
-        Windows are sealed only when a step fed the drive.  Every
-        ``checkpoint_every`` consumed records is a boundary: the
-        collection, then the checkpoint, if there is a path to write.
-        The writer in flight is polled after every step.  A source that
-        raised mid-step (a stalled uplink) left the coordinator
-        resumable, so a second ``serve()`` re-enters here.
+        Windows are sealed only when a step fed the drive.  After every
+        step the merge's read count is checked against the kill, and
+        then against the boundary: every ``checkpoint_every`` records
+        read is one, the collection, then the checkpoint, if there is a
+        path to write.  The writer in flight is polled after every step.
+        A source that raised mid-step (a stalled uplink) left the
+        coordinator resumable, so a second ``serve()`` re-enters here.
         """
         state = self._state
         merge, drive = state.merge, state.drive
@@ -452,14 +423,15 @@ class JigsawDaemon:
                 self._publish(drive.seal_ready())
             if self._writer is not None:
                 self._reap(block=False)
-            if (
-                state.total_consumed - self._last_boundary_at
-                >= self.checkpoint_every
-            ):
-                self._last_boundary_at = state.total_consumed
+            read = merge.records_read
+            if stop_after_records is not None and read >= stop_after_records:
+                return False
+            if read - self._last_boundary_at >= self.checkpoint_every:
+                self._last_boundary_at = read
                 self._collect()
                 if self.checkpoint_path is not None:
                     self._write_checkpoint()
+        return True
 
     def _collect(self) -> None:
         """A boundary's collection: a young one, and a full one when due.
@@ -507,7 +479,6 @@ class JigsawDaemon:
         self._reap(block=True)
         started = time.perf_counter()
         state = self._state
-        state.consumed = self.feed.consumed()
         state.checkpoints_written += 1
         try:
             self._writer = self._start_writer(state)

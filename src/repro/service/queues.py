@@ -2,8 +2,8 @@
 
 The daemon pulls records through a tiny *feed protocol* — any object
 with ``next_record(radio_id) -> Optional[TraceRecord]`` (plus the
-``traces`` / ``clock_groups()`` / ``consumed()`` / ``seek()`` surface
-used at bootstrap and restore).  :class:`QueueFeed` is the protocol
+``traces`` / ``clock_groups()`` / ``seek()`` surface used at bootstrap
+and restore).  :class:`QueueFeed` is the protocol
 implementation for push-style producers: each radio owns a bounded
 :class:`RadioQueue`, producers push into it and observe backpressure
 (``push`` returns ``False`` when the queue is full — the producer must
@@ -141,10 +141,8 @@ class QueueFeed:
     def close_radio(self, radio_id: int) -> None:
         self.queues[radio_id].close()
 
-    def depths(self) -> Dict[int, int]:
-        return {rid: q.depth for rid, q in self.queues.items()}
-
     def consumed(self) -> Dict[int, int]:
+        """Records handed out per radio: where a pump picks up."""
         return dict(self._consumed)
 
     def seek(self, consumed: Dict[int, int]) -> None:
@@ -206,10 +204,10 @@ def feed_pump_from_records(
     """
     cursors: Dict[int, int] = {}
 
-    def pump(feed: "QueueFeed", radio_id: int) -> None:
+    def pump(sink: "QueueFeed", radio_id: int) -> None:
         if not cursors:
-            cursors.update(feed.consumed())
-        for rid, queue in feed.queues.items():
+            cursors.update(sink.consumed())
+        for rid, queue in sink.queues.items():
             records: Sequence[TraceRecord] = records_by_radio.get(rid, ())
             index = cursors[rid]
             while index < len(records) and queue.push(records[index]):

@@ -199,10 +199,6 @@ class LiveScenarioFeed:
     def artifacts(self) -> SimulationArtifacts:
         return self._scenario.artifacts()
 
-    def consumed(self) -> Dict[int, int]:
-        """Per-radio count of records handed out (checkpoint state)."""
-        return dict(self._cursor)
-
     def seek(self, consumed: Dict[int, int]) -> None:
         """Position every cursor at a checkpoint's consumed counts."""
         for radio_id, count in consumed.items():

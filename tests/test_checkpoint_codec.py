@@ -129,10 +129,10 @@ class TestJFramePickleForm:
         assert loaded.frame is loaded.instances[1].frame
 
 
-def empty_state(total_consumed=0):
+def empty_state(checkpoints_written=0):
     return CheckpointState(
-        consumed={}, total_consumed=total_consumed, merge=None,
-        drive=None, bootstrap=None,
+        merge=None, drive=None, bootstrap=None,
+        checkpoints_written=checkpoints_written,
     )
 
 
@@ -201,7 +201,7 @@ def test_version_6_checkpoint_is_refused(tmp_path):
     """Version 6 pickled jframes as instance runs and merge groups as
     instance lists; this build reads neither, so it refuses the version
     before unpickling anything."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     path = tmp_path / "v6.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=6)
     with pytest.raises(CheckpointError, match="version 6"):
@@ -228,10 +228,20 @@ def test_version_8_checkpoint_is_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_9_checkpoint_is_refused(tmp_path):
+    """Version 9 stored the feed's consumed counts and their total
+    beside the merge; this build reads both from the merge, and refuses
+    a state that carries a second ledger."""
+    path = tmp_path / "v9.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=9)
+    with pytest.raises(CheckpointError, match="version 9"):
+        load_checkpoint(path)
+
+
 class TestSaveIsAtomicInFailure:
     def test_failed_fsync_strands_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "svc.ckpt"
-        written = save_checkpoint(path, empty_state(total_consumed=1))
+        written = save_checkpoint(path, empty_state(checkpoints_written=1))
         assert written == path.stat().st_size
 
         def failing_fsync(fd):
@@ -239,8 +249,8 @@ class TestSaveIsAtomicInFailure:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, empty_state(total_consumed=2))
+            save_checkpoint(path, empty_state(checkpoints_written=2))
         monkeypatch.undo()
 
         assert [p.name for p in tmp_path.iterdir()] == ["svc.ckpt"]
-        assert load_checkpoint(path).total_consumed == 1
+        assert load_checkpoint(path).checkpoints_written == 1

@@ -34,6 +34,7 @@ from repro.jtrace.io import (
     DecodeHealth,
     ErrorPolicy,
     RadioTrace,
+    iter_record_batches,
     open_trace_streams,
     read_trace,
     write_traces,
@@ -147,6 +148,28 @@ class TestErrorPolicyMatrix:
         assert trace.records[0].timestamp_us == records[0].timestamp_us
         assert health.stream_errors == 1
         assert not health.clean
+
+    @pytest.mark.parametrize("at", [-8, -1], ids=["crc", "length"])
+    def test_damaged_gzip_trailer_costs_no_record(self, tmp_path, at):
+        """The file's last 8 bytes reach the inflater alone, after the
+        body's output: a bad CRC or length is one stream error and
+        loses no record, whatever the step size."""
+        path, records, _ = _write_single_trace(tmp_path)
+        gz = bytearray(path.read_bytes())
+        gz[at] ^= 0xFF
+        path.write_bytes(bytes(gz))
+        with pytest.raises(
+            ValueError, match="^corrupt or truncated compressed stream"
+        ):
+            read_trace(path)  # strict
+        for chunk_bytes in (1 << 20, 256, 7):
+            health = DecodeHealth()
+            batches = iter_record_batches(
+                path, chunk_bytes, policy="skip", health=health
+            )
+            assert [r for b in batches for r in b.records] == records
+            assert health.stream_errors == 1
+            assert health.truncated_tails == 0
 
     def test_clean_trace_identical_under_all_policies(self, tmp_path):
         path, records, _ = _write_single_trace(tmp_path)

@@ -10,8 +10,10 @@ serve again, and checkpoints of another format version are refused.
 """
 
 import dataclasses
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.service import (
     JigsawDaemon,
     load_checkpoint,
 )
+from repro.service.daemon import SLICE
 from repro.service.windows import (
     WindowedInterferencePass,
     WindowedLossPass,
@@ -63,13 +66,25 @@ def assert_service_identical(svc_a, svc_b):
     assert pub_a, "parity over zero published windows proves nothing"
 
 
+class ProtocolFeed:
+    """The feed protocol and nothing else: ``traces``,
+    ``clock_groups()``, ``seek()`` and ``next_record()``."""
+
+    def __init__(self, config):
+        live = live_feed(config)
+        self.traces = live.traces
+        self.clock_groups = live.clock_groups
+        self.seek = live.seek
+        self.next_record = live.next_record
+
+
 def run_daemon(
     config, tmp_path, cadence, stop_after=None, name="svc.ckpt",
-    materialize=True,
+    materialize=True, feed=live_feed,
 ):
     checkpoint = tmp_path / name
     daemon = JigsawDaemon(
-        live_feed(config),
+        feed(config),
         passes=make_passes(),
         materialize=materialize,
         checkpoint_path=checkpoint,
@@ -115,6 +130,62 @@ class TestFlashCrowdScenario:
         assert 2 * FLASH_CHECKPOINT_EVERY <= state.total_consumed < stop
         assert sum(state.consumed.values()) == state.total_consumed
         assert state.merge.engines and state.drive is not None
+
+    def test_a_feed_of_four_members_kills_restores_and_finishes(
+        self, config, tmp_path
+    ):
+        """What the daemon has read is the merge's ledger, so a feed
+        that only hands out records and seeks is enough to checkpoint,
+        restore and finish identically."""
+        _, svc_ref, _ = run_daemon(
+            config, tmp_path, FLASH_CHECKPOINT_EVERY, name="ref.ckpt"
+        )
+        crashed, result, checkpoint = run_daemon(
+            config, tmp_path, FLASH_CHECKPOINT_EVERY,
+            stop_after=2 * FLASH_CHECKPOINT_EVERY + 500, feed=ProtocolFeed,
+        )
+        assert result is None and checkpoint.exists()
+        restored = JigsawDaemon.restore(
+            checkpoint,
+            ProtocolFeed(config),
+            checkpoint_every=FLASH_CHECKPOINT_EVERY,
+        )
+        svc = restored.serve()
+        assert svc is not None and svc.resumed
+        assert_service_identical(svc, svc_ref)
+
+    def test_a_kill_lands_at_the_end_of_its_step(
+        self, config, tmp_path, monkeypatch
+    ):
+        """``serve(stop_after_records=k)`` returns at the end of the step
+        that read the k-th record, before that step's boundary: within
+        one step of ``k``, with the last boundary below ``k`` on disk —
+        so a kill at a boundary's own count lands before it."""
+        boundaries, replace = [], os.replace
+
+        def noting_replace(src, dst):
+            replace(src, dst)
+            if Path(dst).name == "ref.ckpt":
+                boundaries.append(load_checkpoint(dst).total_consumed)
+
+        monkeypatch.setattr(os, "replace", noting_replace)
+        run_daemon(config, tmp_path, FLASH_CHECKPOINT_EVERY, name="ref.ckpt")
+        monkeypatch.undo()
+        assert len(boundaries) >= 3
+        for k in (
+            boundaries[0] + 1,
+            (boundaries[1] + boundaries[2]) // 2,
+            boundaries[2],
+        ):
+            daemon, result, checkpoint = run_daemon(
+                config, tmp_path, FLASH_CHECKPOINT_EVERY, stop_after=k,
+                name=f"kill-{k}.ckpt",
+            )
+            assert result is None
+            assert k <= daemon.total_consumed < k + SLICE
+            last = max(b for b in boundaries if b < k)
+            assert load_checkpoint(checkpoint).total_consumed == last
+            assert daemon.checkpoints_written == boundaries.index(last) + 1
 
     def test_crash_resume_keeps_materialize_false(self, config, tmp_path):
         """A bounded-memory daemon restores as one: the materialize
