@@ -13,7 +13,6 @@ setup(
     package_data={
         # PEP 561: the package ships inline type annotations.
         "repro": ["py.typed"],
-        "repro.devtools": ["lint_baseline.json"],
     },
     python_requires=">=3.11",
     install_requires=["numpy"],

@@ -1,6 +1,6 @@
 """The Jigsaw core: synchronization, unification, reconstruction, analyses."""
 
-from .faults import HealthReport, SyncHealth
+from .faults import HealthReport
 from .link.attempt import AttemptAssembler, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, FrameExchange
 from .passes import MaterializePass, PassContext, PipelinePass
@@ -14,7 +14,6 @@ from .unify.unifier import UnificationResult, Unifier
 
 __all__ = [
     "HealthReport",
-    "SyncHealth",
     "AttemptAssembler",
     "TransmissionAttempt",
     "ExchangeAssembler",

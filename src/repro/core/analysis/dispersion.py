@@ -17,6 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..passes import PassContext, PipelinePass
+from ..unify.unifier import DISPERSION_MIN_INSTANCES
 
 
 @dataclass
@@ -86,12 +87,11 @@ class DispersionPass(PipelinePass):
 
     name = "dispersion"
 
-    def __init__(self, min_instances: int = 2) -> None:
-        self.min_instances = min_instances
+    def __init__(self) -> None:
         self._samples: List[float] = []
 
     def on_jframe(self, jframe) -> None:
-        if jframe.n_instances >= self.min_instances:
+        if jframe.n_instances >= DISPERSION_MIN_INSTANCES:
             self._samples.append(jframe.dispersion_us)
 
     def finish(self, context: PassContext) -> DispersionCdf:

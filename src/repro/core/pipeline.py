@@ -262,18 +262,13 @@ def assemble_report(
     """Close a finished drive into its report (batch and daemon alike).
 
     Call after :meth:`ReconstructionDrive.finish_streams`: builds the
-    health ledger (the sync verdicts of ``bootstrap``, and the traces'
+    health ledger (``bootstrap`` itself for sync, and the traces'
     ingest damage counters — a trace reading a file fills its
     ``decode_health`` only as the merge drains it), hands every pass
     the run context, and collects the results.  ``started`` is the
     ``time.perf_counter()`` reading the run began at.
     """
-    health = HealthReport()
-    sync = health.sync
-    sync.quarantined = dict(bootstrap.quarantined)
-    sync.islands = [list(i) for i in bootstrap.islands]
-    sync.rejoined = list(bootstrap.rejoined)
-    sync.widen_rounds = bootstrap.widen_rounds
+    health = HealthReport(sync=bootstrap)
     for trace in traces:
         health.ingest.merge(trace.decode_health)
 

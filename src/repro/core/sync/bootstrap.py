@@ -58,6 +58,9 @@ _KIND = itemgetter(TraceRecord._fields.index("kind"))
 #: Default bootstrap examination window ("the first second of data").
 DEFAULT_BOOTSTRAP_WINDOW_US = 1_000_000
 
+#: Auto-widen doubles the window up to this limit, then gives up.
+MAX_BOOTSTRAP_WINDOW_US = 16_000_000
+
 #: Default clock-fit stability tolerance.  Legitimate skew across even the
 #: widest (16 s) examination window at 100 ppm drifts offsets by ~1.6 ms;
 #: a radio whose redundant reference edges disagree by more than this is
@@ -111,6 +114,18 @@ class BootstrapResult:
     @property
     def fully_synchronized(self) -> bool:
         return not self.unreachable
+
+    @property
+    def degraded(self) -> bool:
+        """True when a radio was left off the timeline."""
+        return bool(self.quarantined)
+
+    def summary(self) -> str:
+        return (
+            f"quarantined={len(self.quarantined)} "
+            f"islands={len(self.islands)} rejoined={len(self.rejoined)} "
+            f"widen_rounds={self.widen_rounds}"
+        )
 
 
 class _BootstrapShard:
@@ -214,7 +229,7 @@ def _shared_sets(
 def _select_covering_family(
     shared: Dict[ReferenceKey, Dict[int, int]],
     radios: Sequence[int],
-    order: Optional[Dict[ReferenceKey, ArrivalIndex]] = None,
+    order: Dict[ReferenceKey, ArrivalIndex],
 ) -> List[Dict[int, int]]:
     """Pick, per uncovered radio, its largest E_k; stop at full coverage.
 
@@ -223,8 +238,6 @@ def _select_covering_family(
     order — so the same family is chosen no matter how the sets were
     collected or merged.
     """
-    if order is None:  # arbitrary but fixed: keys are plain value tuples
-        order = {key: (0, i) for i, key in enumerate(sorted(shared))}
     by_radio: Dict[int, List[ReferenceKey]] = defaultdict(list)
     for key, members in shared.items():
         for radio in members:
@@ -251,7 +264,6 @@ def bootstrap_synchronization(
     clock_groups: Iterable[Sequence[int]] = (),
     window_us: int = DEFAULT_BOOTSTRAP_WINDOW_US,
     auto_widen: bool = True,
-    max_window_us: int = 16_000_000,
     stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
 ) -> BootstrapResult:
     """Compute bootstrap offsets ``T_i`` for every radio.
@@ -260,7 +272,8 @@ def bootstrap_synchronization(
     (the two radios of one monitor) — infrastructure metadata the real
     deployment has from its driver configuration.  When ``auto_widen`` is
     set and the graph partitions, the examination window doubles (up to
-    ``max_window_us``) before giving up, as the paper suggests.
+    :data:`MAX_BOOTSTRAP_WINDOW_US`) before giving up, as the paper
+    suggests.
 
     A still-partitioned graph (the Section 6 pod-reduction failure)
     resolves by the traces' ``building_id`` stamps.
@@ -310,7 +323,11 @@ def bootstrap_synchronization(
         offsets, unreachable, quarantined, islands = _resolve_offsets(
             radios, family, clock_groups, stability_tolerance_us, locality_of
         )
-        if not unreachable or not auto_widen or current_window >= max_window_us:
+        if (
+            not unreachable
+            or not auto_widen
+            or current_window >= MAX_BOOTSTRAP_WINDOW_US
+        ):
             log_quarantine_warning(quarantined)
             return BootstrapResult(
                 offsets_us=offsets,
@@ -328,7 +345,7 @@ def bootstrap_synchronization(
             )
         ever_unreachable.update(unreachable)
         widen_rounds += 1
-        current_window = min(current_window * 2, max_window_us)
+        current_window = min(current_window * 2, MAX_BOOTSTRAP_WINDOW_US)
 
 
 def resolve_locality_map(

@@ -128,18 +128,22 @@ class UnifyStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+#: Figure 4's population: a dispersion needs two receptions to compare.
+DISPERSION_MIN_INSTANCES = 2
+
+
 @dataclass
 class UnificationResult:
     jframes: List[JFrame]
     tracks: Dict[int, ClockTrack]
     stats: UnifyStats
 
-    def dispersions_us(self, min_instances: int = 2) -> List[float]:
+    def dispersions_us(self) -> List[float]:
         """Group dispersion samples (Figure 4's population)."""
         return [
             jf.dispersion_us
             for jf in self.jframes
-            if jf.n_instances >= min_instances
+            if jf.n_instances >= DISPERSION_MIN_INSTANCES
         ]
 
 

@@ -17,8 +17,8 @@ AST rules (see :data:`repro.devtools.rules.ALL_RULES` for the catalog)::
 
     python -m repro.devtools.check
 
-Rules, suppression comments (``# repro: ignore[rule]``) and the
-committed baseline are documented in ``docs/static-analysis.md``.
+Rules and suppression comments (``# repro: ignore[rule]``) are
+documented in ``docs/static-analysis.md``.
 """
 
 from typing import Any

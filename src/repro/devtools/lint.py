@@ -1,4 +1,4 @@
-"""The repro lint engine: AST rules, suppressions, baseline, CLI.
+"""The repro lint engine: AST rules, suppressions, CLI.
 
 The engine is deliberately small and dependency-free (stdlib ``ast``
 only), so the invariant checks run anywhere the code itself runs — no
@@ -13,9 +13,7 @@ tool install, no plugin host.  It does four things:
   ``jtrace/records.py``, the ``PipelinePass`` subclass closure), then
   ``check`` emits :class:`Finding`\\ s;
 * drop findings suppressed in the source (``# repro: ignore[rule]`` on
-  the flagged line; bare ``# repro: ignore`` suppresses every rule) or
-  matched by the committed baseline file — the itemized pre-existing
-  debt that must not block CI but must not grow either;
+  the flagged line; bare ``# repro: ignore`` suppresses every rule);
 * report as text (``path:line:col: rule: message``) or JSON, exiting 0
   when clean, 1 on findings, 2 on usage errors.
 
@@ -46,11 +44,11 @@ class Finding:
 
     rule: str
     path: str        # the file as given on the command line (display)
-    key_path: str    # checkout-independent path (``repro/...``), baseline key
+    key_path: str    # checkout-independent path (``repro/...``), sort key
     line: int
     col: int
     message: str
-    context: str     # stripped source line, the baseline's drift anchor
+    context: str     # the stripped source line
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -150,11 +148,12 @@ def _canonical_parts(path: Path) -> Tuple[str, ...]:
     """Checkout-independent path parts, anchored at the package root.
 
     ``src/repro/core/passes.py`` and ``/tmp/x/repro/core/passes.py``
-    both canonicalize to ``("repro", "core", "passes.py")`` so baselines
-    and rule scopes survive any checkout or fixture layout.
+    both canonicalize to ``("repro", "core", "passes.py")``, and
+    ``/x/tests/test_faults.py`` to ``("tests", "test_faults.py")``, so
+    finding order and rule scopes survive any checkout or fixture layout.
     """
     parts = path.parts
-    for anchor in ("src", "repro"):
+    for anchor in ("src", "repro", "tests", "benchmarks", "examples"):
         for i in range(len(parts) - 1, -1, -1):
             if parts[i] == anchor:
                 start = i + 1 if anchor == "src" else i
@@ -235,86 +234,13 @@ def iter_source_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield path
 
 
-# --- baseline ---------------------------------------------------------------
-
-
-@dataclass
-class Baseline:
-    """Itemized pre-existing debt: findings that do not fail the run.
-
-    Every entry names the rule, the checkout-independent path, the exact
-    stripped source line it anchors to, and a human justification for
-    why the debt is tolerated.  An entry only matches while that line
-    still exists verbatim — fix or move the code and the debt resurfaces
-    as a live finding, which is the point.
-    """
-
-    entries: List[Dict[str, str]] = field(default_factory=list)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text())
-        entries = data.get("entries", [])
-        for entry in entries:
-            for required in ("rule", "path", "context", "justification"):
-                if required not in entry:
-                    raise ValueError(
-                        f"baseline entry missing {required!r}: {entry}"
-                    )
-        return cls(entries=list(entries))
-
-    def split(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], List[Finding], List[Dict[str, str]]]:
-        """Partition findings into (live, baselined); also stale entries."""
-        budget: Dict[Tuple[str, str, str], int] = {}
-        for entry in self.entries:
-            key = (entry["rule"], entry["path"], entry["context"])
-            budget[key] = budget.get(key, 0) + 1
-        live: List[Finding] = []
-        matched: List[Finding] = []
-        for finding in findings:
-            key = (finding.rule, finding.key_path, finding.context)
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                matched.append(finding)
-            else:
-                live.append(finding)
-        # Entries with leftover budget matched nothing in the tree: the
-        # debt they itemize was fixed (or drifted) — surface them so the
-        # baseline cannot silently rot.
-        stale: List[Dict[str, str]] = []
-        for entry in self.entries:
-            key = (entry["rule"], entry["path"], entry["context"])
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                stale.append(entry)
-        return live, matched, stale
-
-    @staticmethod
-    def entry_for(finding: Finding, justification: str = "") -> Dict[str, str]:
-        return {
-            "rule": finding.rule,
-            "path": finding.key_path,
-            "context": finding.context,
-            "justification": justification,
-        }
-
-
-#: The committed baseline lives next to the engine so the lint is
-#: self-contained wherever the package is imported from.
-DEFAULT_BASELINE = Path(__file__).with_name("lint_baseline.json")
-
-
 # --- runner -----------------------------------------------------------------
 
 
 @dataclass
 class LintResult:
-    findings: List[Finding]          # live, after suppressions + baseline
-    baselined: List[Finding]
+    findings: List[Finding]          # live, after suppressions
     suppressed: int
-    stale_baseline: List[Dict[str, str]]
     files: int
 
     @property
@@ -331,16 +257,15 @@ def default_rules() -> List[Rule]:
 def run_lint(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
-    """Lint every ``*.py`` under ``paths`` and return the partitioned result."""
+    """Lint every ``*.py`` under ``paths`` and return the live findings."""
     if rules is None:
         rules = default_rules()
     modules = [load_module(p) for p in iter_source_files(paths)]
     for rule in rules:
         for mod in modules:
             rule.collect(mod)
-    raw: List[Finding] = []
+    findings: List[Finding] = []
     suppressed = 0
     for rule in rules:
         for mod in modules:
@@ -348,18 +273,9 @@ def run_lint(
                 if mod.suppressed(finding.line, finding.rule):
                     suppressed += 1
                 else:
-                    raw.append(finding)
-    raw.sort(key=lambda f: (f.key_path, f.line, f.col, f.rule))
-    if baseline is None:
-        baseline = Baseline()
-    live, matched, stale = baseline.split(raw)
-    return LintResult(
-        findings=live,
-        baselined=matched,
-        suppressed=suppressed,
-        stale_baseline=stale,
-        files=len(modules),
-    )
+                    findings.append(finding)
+    findings.sort(key=lambda f: (f.key_path, f.line, f.col, f.rule))
+    return LintResult(findings=findings, suppressed=suppressed, files=len(modules))
 
 
 # --- CLI --------------------------------------------------------------------
@@ -375,22 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=str(DEFAULT_BASELINE),
-        help="baseline file of itemized pre-existing debt",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report baselined findings as live (audit mode)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file (justifications "
-        "must then be filled in by hand) instead of failing",
     )
     parser.add_argument(
         "--rule",
@@ -429,45 +329,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    baseline = Baseline()
-    baseline_path = Path(args.baseline)
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"unreadable baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-
-    result = run_lint(paths, rules=rules, baseline=baseline)
-
-    if args.write_baseline:
-        # Keep every still-matching committed entry (with its hand-written
-        # justification), drop stale ones, and append the new findings
-        # with an empty justification for the author to fill in.
-        stale = list(result.stale_baseline)
-        kept: List[Dict[str, str]] = []
-        for entry in baseline.entries:
-            if entry in stale:
-                stale.remove(entry)
-            else:
-                kept.append(entry)
-        entries = kept + [
-            Baseline.entry_for(f, justification="") for f in result.findings
-        ]
-        baseline_path.write_text(
-            json.dumps({"version": 1, "entries": entries}, indent=1) + "\n"
-        )
-        print(f"wrote {len(entries)} entry(ies) to {baseline_path}")
-        return 0
+    result = run_lint(paths, rules=rules)
 
     if args.fmt == "json":
         print(
             json.dumps(
                 {
                     "findings": [f.to_json() for f in result.findings],
-                    "baselined": [f.to_json() for f in result.baselined],
                     "suppressed": result.suppressed,
-                    "stale_baseline": result.stale_baseline,
                     "files": result.files,
                 },
                 indent=1,
@@ -476,15 +345,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for finding in result.findings:
             print(finding.format())
-        for entry in result.stale_baseline:
-            print(
-                f"warning: stale baseline entry (code no longer matches): "
-                f"{entry['path']}: {entry['rule']}: {entry['context']!r}",
-                file=sys.stderr,
-            )
         summary = (
             f"{result.files} file(s): {len(result.findings)} finding(s), "
-            f"{len(result.baselined)} baselined, {result.suppressed} suppressed"
+            f"{result.suppressed} suppressed"
         )
         print(summary, file=sys.stderr)
     return 1 if result.findings else 0

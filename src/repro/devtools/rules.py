@@ -461,7 +461,7 @@ class ErrorPolicyRule(Rule):
                     node,
                     "exception swallowed with no counter or log in a "
                     "health-ledger module; count it on the relevant "
-                    "DecodeHealth/SyncHealth (or at least log)",
+                    "DecodeHealth/BootstrapResult (or at least log)",
                 )
 
 

@@ -52,6 +52,10 @@ class WiredHost:
             sink(packet)
 
 
+#: Round trip of the upstream path; each direction costs half.
+WIRED_RTT_US = 20_000
+
+
 class WiredNetwork:
     """The building's distribution network plus its upstream path."""
 
@@ -60,14 +64,13 @@ class WiredNetwork:
         kernel: Kernel,
         rng: np.random.Generator,
         loss_rate: float = 0.0,
-        rtt_us: int = 20_000,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
         self._kernel = kernel
         self._rng = rng
         self.loss_rate = loss_rate
-        self.one_way_us = max(1, rtt_us // 2)
+        self.one_way_us = WIRED_RTT_US // 2
         self._hosts: Dict[int, WiredHost] = {}
         self._aps: List[AccessPoint] = []
         #: client MAC -> (IP, serving AP)

@@ -35,6 +35,10 @@ from ..core.link.exchange import FrameExchange
 from ..core.passes import PassContext, PipelinePass, SealedWindow
 from ..core.unify.jframe import JFrame, JFrameKind
 
+#: A jframe at least this dispersed counts as ``wide_dispersion`` (the
+#: paper's 90th-percentile bound, Figure 4).
+WIDE_DISPERSION_US = 10.0
+
 
 class _WindowedPass(PipelinePass):
     """Shared windowing machinery: binning, sealing, final flush."""
@@ -160,12 +164,6 @@ class WindowedInterferencePass(_WindowedPass):
 
     name = "windowed_interference"
 
-    def __init__(
-        self, window_us: int, dispersion_threshold_us: float = 10.0
-    ) -> None:
-        super().__init__(window_us)
-        self.dispersion_threshold_us = float(dispersion_threshold_us)
-
     def _new_payload(self) -> Dict[str, Any]:
         return {
             "damaged_by_channel": {},
@@ -179,7 +177,7 @@ class WindowedInterferencePass(_WindowedPass):
             by_channel = payload["damaged_by_channel"]
             by_channel[jframe.channel] = by_channel.get(jframe.channel, 0) + 1
         payload["dispersion_sum_us"] += jframe.dispersion_us
-        if jframe.dispersion_us >= self.dispersion_threshold_us:
+        if jframe.dispersion_us >= WIDE_DISPERSION_US:
             payload["wide_dispersion"] += 1
 
 

@@ -42,6 +42,9 @@ class Placement:
         return self.position[1]
 
 
+#: The share of office clients placed in far corners (Figure 6's tail).
+CORNER_CLIENT_FRACTION = 0.15
+
 #: Hidden-terminal hotspot cluster centers, as fractions of building length.
 HOTSPOT_CLUSTER_FRACTIONS: Tuple[float, float] = (0.2, 0.8)
 
@@ -136,7 +139,7 @@ class Building:
         self,
         count: int,
         rng: np.random.Generator,
-        corner_fraction: float = 0.15,
+        corner_fraction: float = CORNER_CLIENT_FRACTION,
     ) -> List[Placement]:
         """Clients in offices; ``corner_fraction`` of them in far corners.
 
@@ -150,7 +153,9 @@ class Building:
         ]
 
     def random_client_placement(
-        self, rng: np.random.Generator, corner_fraction: float = 0.15
+        self,
+        rng: np.random.Generator,
+        corner_fraction: float = CORNER_CLIENT_FRACTION,
     ) -> Placement:
         """One office placement drawn from ``rng``.
 

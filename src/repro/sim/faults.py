@@ -44,6 +44,14 @@ _TRUNCATE_STREAM = 2
 _BLACKOUT_STREAM = 3
 _JUMP_STREAM = 4
 
+#: Where a truncated file is cut: this fraction into its decompressed bytes.
+TRUNCATE_AT_FRACTION = 0.8
+#: A blackout's length as a fraction of the radio's trace span.
+BLACKOUT_DURATION_FRACTION = 0.2
+#: How far a jumping capture clock steps, and where in its span.
+CLOCK_JUMP_US = 2_000_000
+CLOCK_JUMP_AT_FRACTION = 0.5
+
 #: Byte offsets inside the packed record header (see ``records._HEADER``).
 _KIND_BYTE_OFFSET = 10
 _SNAP_LEN_OFFSET = 26
@@ -126,7 +134,7 @@ def inject_record_faults(
             first = records[0].timestamp_us
             span = records[-1].timestamp_us - first
             start = first + int(fc.blackout_start_fraction * span)
-            end = start + int(fc.blackout_duration_fraction * span)
+            end = start + int(BLACKOUT_DURATION_FRACTION * span)
             kept = [
                 r for r in records if not (start <= r.timestamp_us < end)
             ]
@@ -137,14 +145,14 @@ def inject_record_faults(
         if radio in jump_set and records:
             first = records[0].timestamp_us
             span = records[-1].timestamp_us - first
-            cut = first + int(fc.clock_jump_at_fraction * span)
+            cut = first + int(CLOCK_JUMP_AT_FRACTION * span)
             records = [
-                r._replace(timestamp_us=r.timestamp_us + fc.clock_jump_us)
+                r._replace(timestamp_us=r.timestamp_us + CLOCK_JUMP_US)
                 if r.timestamp_us >= cut
                 else r
                 for r in records
             ]
-            plan.clock_jumps[radio] = (cut, fc.clock_jump_us)
+            plan.clock_jumps[radio] = (cut, CLOCK_JUMP_US)
             touched = True
         out.append(
             RadioTrace(
@@ -173,7 +181,7 @@ def write_faulty_traces(
     every radio independently corrupts its header with probability
     ``corrupt_rate`` (drawn from the per-radio ``faults`` sub-stream, so
     the damage pattern is stable under fleet growth), and the chosen
-    ``truncate_radios`` victims are cut at ``truncate_at_fraction``,
+    ``truncate_radios`` victims are cut at :data:`TRUNCATE_AT_FRACTION`,
     mid-record in the decompressed stream: a clean gzip whose payload
     just stops.
 
@@ -220,7 +228,7 @@ def write_faulty_traces(
         if radio in truncate_targets and blob:
             # Cut inside the record that spans the fraction point, so the
             # decompressed stream ends with a partial record.
-            cut = int(fc.truncate_at_fraction * len(blob))
+            cut = int(TRUNCATE_AT_FRACTION * len(blob))
             boundary = 0
             for e in encoded:
                 if boundary + len(e) > cut:

@@ -55,6 +55,14 @@ from ..sim.scenario import ScenarioConfig, ScenarioStreams
 from ..sim.workload import FlowRequest, generate_flows
 from ..tcp.driver import FlowDriver, FlowOutcome, HostStack, StationStack
 
+#: Transmit powers of every AP and every client, in dBm.
+TX_POWER_AP_DBM = 18.0
+TX_POWER_CLIENT_DBM = 15.0
+
+#: The Vernier-style tracker's ARP cadence; scanning hosts ARP at a
+#: quarter of that rate on average.
+ARP_INTERVAL_US = 400_000
+
 #: Wired-side IP plan.
 SERVER_IP_BASE = 0xAC_10_00_00      # 172.16.0.0/16: servers
 CLIENT_IP_BASE = 0x0A_00_00_00      # 10.0.0.0/16: wireless clients
@@ -228,7 +236,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
                 ap_alloc.allocate(),
                 placement.position,
                 channel,
-                config.tx_power_ap_dbm,
+                TX_POWER_AP_DBM,
                 np.random.default_rng(master_rng.integers(0, 2**63)),
                 protection_timeout_us=config.protection_timeout_us,
             )
@@ -261,14 +269,12 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
         )
     else:
         station_placements = building.place_clients(
-            config.n_clients, master_rng, config.corner_client_fraction
+            config.n_clients, master_rng
         )
     n_11b = int(round(config.n_clients * config.fraction_11b_clients))
     stations: List[Station] = []
     for index, placement in enumerate(station_placements):
-        ap = _strongest_ap(
-            placement.position, aps, ap_placements, propagation, config
-        )
+        ap = _strongest_ap(placement.position, aps, ap_placements, propagation)
         # The legacy stagger draw is always consumed (the master chain's
         # draw order is frozen); an arrival-wave window replaces only the
         # value, from the behavior component's own stream.
@@ -286,7 +292,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
                 medium,
                 client_alloc.allocate(),
                 placement.position,
-                config.tx_power_client_dbm,
+                TX_POWER_CLIENT_DBM,
                 np.random.default_rng(master_rng.integers(0, 2**63)),
                 ap=ap,
                 supports_ofdm=index >= n_11b,
@@ -302,7 +308,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
         kernel,
         np.random.default_rng(master_rng.integers(0, 2**63)),
         loss_rate=config.wired_loss_rate,
-        rtt_us=config.wired_rtt_us,
     )
     for ap in aps:
         wired.register_ap(ap)
@@ -316,14 +321,14 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
         kernel,
         wired,
         client_ips=list(client_ips.values()),
-        interval_us=config.arp_interval_us,
+        interval_us=ARP_INTERVAL_US,
         server_ip=VERNIER_IP,
     )
     ScanArpSource(
         kernel,
         wired,
         np.random.default_rng(master_rng.integers(0, 2**63)),
-        mean_interval_us=config.arp_interval_us * 4,
+        mean_interval_us=ARP_INTERVAL_US * 4,
     )
 
     # --- roaming ---------------------------------------------------------------------
@@ -440,7 +445,6 @@ class _RoamScheduler:
         roam_events: List[RoamEvent],
     ) -> None:
         self._kernel = kernel
-        self._config = config
         self._building = building
         self._propagation = propagation
         self._wired = wired
@@ -467,16 +471,13 @@ class _RoamScheduler:
         self._kernel.after(delay, lambda: self._move(index, rng))
 
     def _move(self, index: int, rng: np.random.Generator) -> None:
-        placement = self._building.random_client_placement(
-            rng, self._config.corner_client_fraction
-        )
+        placement = self._building.random_client_placement(rng)
         station = self._stations[index]
         best = _strongest_ap(
             placement.position,
             self._aps,
             self._ap_placements,
             self._propagation,
-            self._config,
         )
         previous = station.ap
         station.roam_to(placement.position, best)
@@ -499,14 +500,13 @@ def _strongest_ap(
     aps: List[AccessPoint],
     ap_placements: List[Placement],
     propagation: PropagationModel,
-    config: ScenarioConfig,
 ) -> AccessPoint:
     """The AP a client at ``position`` would associate with: best RSSI."""
     best_ap = aps[0]
     best_rssi = float("-inf")
     for ap, ap_placement in zip(aps, ap_placements):
         rssi = propagation.rssi_dbm(
-            config.tx_power_ap_dbm, ap_placement.position, position
+            TX_POWER_AP_DBM, ap_placement.position, position
         )
         if rssi > best_rssi:
             best_rssi = rssi

@@ -6,14 +6,13 @@ dataclass that can be swapped or overridden independently:
 * :class:`GeometryConfig` — the building and where infrastructure sits
   (floors, AP grid, pod count, the uncovered administrative wing);
 * :class:`FleetConfig` — who is deployed (client count and placement
-  style, capability mix, transmit powers, the AP protection policy);
+  style, capability mix, the AP protection policy);
 * :class:`ClientBehaviorConfig` — how clients *act* (background rescans,
   probe bursts, channel sweeps, roaming between APs, arrival staggering);
-* :class:`WorkloadConfig` — what they transfer (archetype mix, sizes,
-  diurnal shaping, flash-crowd arrival waves);
+* :class:`WorkloadConfig` — what they transfer (archetype mix, upload
+  share, segment size, diurnal shaping, flash-crowd arrival waves);
 * :class:`ImpairmentConfig` — what the environment does to them
-  (microwave interference, wired-path loss and delay, ARP broadcast
-  cadence);
+  (microwave interference, wired-path loss);
 
 plus :class:`ClockConfig` for the monitors' capture-clock error model.
 :class:`ScenarioConfig` composes the six and stays drop-in compatible
@@ -112,15 +111,10 @@ class FleetConfig:
     """The production population: clients, capabilities, radio policy."""
 
     n_clients: int = 40
-    corner_client_fraction: float = 0.15
 
     # Client capability mix: Section 7.3's protection analysis needs both
     # 802.11b ("legacy") and 802.11g clients present.
     fraction_11b_clients: float = 0.2
-
-    # Radio parameters
-    tx_power_ap_dbm: float = 18.0
-    tx_power_client_dbm: float = 15.0
 
     # AP protection-mode policy: the paper's APs "will not turn off
     # protection until an hour has passed without sensing an 802.11b
@@ -194,8 +188,6 @@ class ImpairmentConfig:
 
     # Wired side (for the Fig 11 decomposition and the coverage oracle)
     wired_loss_rate: float = 0.003
-    wired_rtt_us: int = 20_000
-    arp_interval_us: int = 400_000   # Vernier-style tracker ARP cadence
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.wired_loss_rate < 1.0:
@@ -213,9 +205,6 @@ class WorkloadConfig:
     web_weight: float = 0.6
     ssh_weight: float = 0.2
     scp_weight: float = 0.2
-    web_bytes_mean: float = 24_000.0
-    ssh_bytes_mean: float = 4_000.0
-    scp_bytes_mean: float = 400_000.0
     upload_fraction: float = 0.25
     mss_bytes: int = 1460
 
@@ -295,15 +284,17 @@ class FaultConfig:
       header bytes are smashed on the way to disk (disk/DMA corruption;
       exercises the skip-policy resynchronization scanner);
     * ``truncate_radios`` — this many radios' trace files are cut at
-      ``truncate_at_fraction`` of the run, mid-record in the decompressed
-      byte stream (radio power loss);
+      :data:`~repro.sim.faults.TRUNCATE_AT_FRACTION` (0.8) of their
+      bytes, mid-record in the decompressed byte stream (radio power
+      loss);
     * ``blackout_radios`` — this many radios go dark (capture nothing) for
-      ``blackout_duration_fraction`` of the run starting at
-      ``blackout_start_fraction``, then resume — the radio
-      blackout/reboot-mid-trace fault (the trace stays decodable; the
-      timeline simply has a hole);
+      :data:`~repro.sim.faults.BLACKOUT_DURATION_FRACTION` (0.2) of the
+      run starting at ``blackout_start_fraction``, then resume — the
+      radio blackout/reboot-mid-trace fault (the trace stays decodable;
+      the timeline simply has a hole);
     * ``clock_jump_radios`` — this many radios' capture clocks step by
-      ``clock_jump_us`` at ``clock_jump_at_fraction`` of the run
+      :data:`~repro.sim.faults.CLOCK_JUMP_US` (2 s) at
+      :data:`~repro.sim.faults.CLOCK_JUMP_AT_FRACTION` (0.5) of the run
       (firmware reboot resetting the TSF; exercises the bootstrap's
       unstable-clock-fit quarantine when the jump lands inside the
       examination window).
@@ -317,13 +308,9 @@ class FaultConfig:
 
     corrupt_rate: float = 0.0
     truncate_radios: int = 0
-    truncate_at_fraction: float = 0.8
     blackout_radios: int = 0
     blackout_start_fraction: float = 0.4
-    blackout_duration_fraction: float = 0.2
     clock_jump_radios: int = 0
-    clock_jump_us: int = 2_000_000
-    clock_jump_at_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.corrupt_rate <= 1.0:
@@ -332,17 +319,11 @@ class FaultConfig:
             raise ValueError("fault radio counts must be >= 0")
         if self.clock_jump_radios < 0:
             raise ValueError("fault radio counts must be >= 0")
-        for name in (
-            "truncate_at_fraction",
-            "blackout_start_fraction",
-            "blackout_duration_fraction",
-            "clock_jump_at_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.clock_jump_radios and self.clock_jump_us == 0:
-            raise ValueError("clock_jump_us must be nonzero when jumps are on")
+        if not 0.0 <= self.blackout_start_fraction <= 1.0:
+            raise ValueError(
+                "blackout_start_fraction must be in [0, 1], "
+                f"got {self.blackout_start_fraction}"
+            )
 
     @property
     def any(self) -> bool:
@@ -663,20 +644,8 @@ class ScenarioConfig:
         return self.fleet.n_clients
 
     @property
-    def corner_client_fraction(self) -> float:
-        return self.fleet.corner_client_fraction
-
-    @property
     def fraction_11b_clients(self) -> float:
         return self.fleet.fraction_11b_clients
-
-    @property
-    def tx_power_ap_dbm(self) -> float:
-        return self.fleet.tx_power_ap_dbm
-
-    @property
-    def tx_power_client_dbm(self) -> float:
-        return self.fleet.tx_power_client_dbm
 
     @property
     def protection_timeout_us(self) -> int:
@@ -689,14 +658,6 @@ class ScenarioConfig:
     @property
     def wired_loss_rate(self) -> float:
         return self.impairments.wired_loss_rate
-
-    @property
-    def wired_rtt_us(self) -> int:
-        return self.impairments.wired_rtt_us
-
-    @property
-    def arp_interval_us(self) -> int:
-        return self.impairments.arp_interval_us
 
     @property
     def microwave(self) -> bool:

@@ -45,6 +45,14 @@ class FlowRequest:
             raise ValueError("segment size must be positive")
 
 
+#: Mean flow size of each archetype, in bytes: short web pages, thin ssh
+#: sessions, large scp copies.
+ARCHETYPE_BYTES_MEAN = {
+    FlowArchetype.WEB: 24_000.0,
+    FlowArchetype.SSH: 4_000.0,
+    FlowArchetype.SCP: 400_000.0,
+}
+
 #: Per-archetype typical segment size: ssh is interactive small writes; web
 #: and scp move MSS-sized segments.
 _SSH_SEGMENT_BYTES = 120
@@ -65,11 +73,6 @@ def generate_flows(
     workload = config.workload
     weights = workload.archetype_weights()
     archetypes = (FlowArchetype.WEB, FlowArchetype.SSH, FlowArchetype.SCP)
-    means = {
-        FlowArchetype.WEB: workload.web_bytes_mean,
-        FlowArchetype.SSH: workload.ssh_bytes_mean,
-        FlowArchetype.SCP: workload.scp_bytes_mean,
-    }
 
     flows: List[FlowRequest] = []
     # Generate at the envelope's peak rate and thin down to the local
@@ -89,7 +92,7 @@ def generate_flows(
             archetype = archetypes[int(rng.choice(3, p=weights))]
             total = max(
                 workload.mss_bytes,
-                int(rng.exponential(means[archetype])),
+                int(rng.exponential(ARCHETYPE_BYTES_MEAN[archetype])),
             )
             segment = (
                 _SSH_SEGMENT_BYTES

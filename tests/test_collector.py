@@ -227,9 +227,6 @@ class ReplayFeed:
     def clock_groups(self):
         return self._clock_groups
 
-    def consumed(self):
-        return dict(self._cursor)
-
     def next_record(self, radio_id):
         self._served += 1
         if self._served == self._raise_at:
@@ -318,8 +315,9 @@ def test_failed_checkpoint_restores_collection(
 def test_daemon_makes_no_cyclic_garbage(every, flash, tmp_path):
     """With checkpoints, and with a cadence past the end of the trace,
     so that no boundary collection runs to hide what the daemon left.
-    The daemon itself is dropped: ``serve()`` unbinds the cursors that
-    call back into it, so it is not left in a cycle either."""
+    The daemon itself is dropped: each cursor is bound once to the
+    feed's ``next_record``, not to the daemon, so a dropped daemon is in
+    no cycle either."""
 
     def serve():
         svc = JigsawDaemon(

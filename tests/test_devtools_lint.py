@@ -4,8 +4,9 @@ Each rule gets at least one positive fixture (the hazard, caught) and
 one negative fixture (the sanctioned idiom, silent).  Fixture trees are
 laid out as ``<tmp>/repro/...`` so module-scoped rules resolve the same
 dotted names they see in the real checkout.  The suite ends by linting
-the live ``src/`` tree against the committed baseline — the same gate CI
-runs — so a rule regression and a code regression both fail here first.
+the live ``src/`` and ``tests/`` trees — the paths ``make lint`` and CI's
+gate lint — so a rule regression and a code regression both fail here
+first.
 """
 
 import configparser
@@ -20,24 +21,19 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import rules as R
-from repro.devtools.lint import (
-    DEFAULT_BASELINE,
-    Baseline,
-    main,
-    run_lint,
-)
+from repro.devtools.lint import main, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def lint_tree(tmp_path, files, rule=None, baseline=None):
+def lint_tree(tmp_path, files, rule=None):
     """Write ``{relpath: source}`` under tmp_path and lint the tree."""
     for rel, text in files.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(text))
     rules = None if rule is None else [rule]
-    return run_lint([tmp_path], rules=rules, baseline=baseline)
+    return run_lint([tmp_path], rules=rules)
 
 
 def messages(result):
@@ -702,6 +698,10 @@ class TestGcControl:
             {
                 "repro/core/pipeline.py": self.SOURCE,
                 "repro/experiments/common.py": self.SOURCE,
+                # Outside the package, the top directory names the scope
+                # even under an absolute path.
+                "tests/test_thing.py": self.SOURCE,
+                "benchmarks/e2e/thing.py": self.SOURCE,
             },
             rule=R.GcControlRule(),
         )
@@ -718,7 +718,7 @@ class TestGcControl:
         assert [f.line for f in result.findings] == [6, 7, 9]
 
 
-# --- engine mechanics: suppressions, baseline, CLI --------------------------
+# --- engine mechanics: suppressions, CLI ------------------------------------
 
 
 class TestSuppressions:
@@ -758,44 +758,6 @@ class TestSuppressions:
         assert result.suppressed == 0
 
 
-class TestBaseline:
-    FILES = {
-        "repro/core/thing.py": """
-        import time
-
-        def stamp():
-            return time.time()
-        """
-    }
-
-    def test_baselined_finding_does_not_fail(self, tmp_path):
-        first = lint_tree(tmp_path, self.FILES, rule=R.WallClockRule())
-        assert len(first.findings) == 1
-        baseline = Baseline(
-            entries=[Baseline.entry_for(first.findings[0], "pre-existing")]
-        )
-        second = run_lint(
-            [tmp_path], rules=[R.WallClockRule()], baseline=baseline
-        )
-        assert second.clean
-        assert len(second.baselined) == 1
-        assert not second.stale_baseline
-
-    def test_fixed_debt_surfaces_as_stale(self, tmp_path):
-        first = lint_tree(tmp_path, self.FILES, rule=R.WallClockRule())
-        baseline = Baseline(
-            entries=[Baseline.entry_for(first.findings[0], "pre-existing")]
-        )
-        (tmp_path / "repro/core/thing.py").write_text(
-            "def stamp():\n    return 0\n"
-        )
-        second = run_lint(
-            [tmp_path], rules=[R.WallClockRule()], baseline=baseline
-        )
-        assert second.clean
-        assert len(second.stale_baseline) == 1
-
-
 class TestCli:
     def write_dirty(self, tmp_path):
         target = tmp_path / "repro/core/thing.py"
@@ -804,7 +766,7 @@ class TestCli:
 
     def test_exit_codes(self, tmp_path, capsys):
         self.write_dirty(tmp_path)
-        assert main([str(tmp_path), "--no-baseline"]) == 1
+        assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "wall-clock" in out
         assert main([str(tmp_path / "missing")]) == 2
@@ -813,44 +775,20 @@ class TestCli:
 
     def test_json_output(self, tmp_path, capsys):
         self.write_dirty(tmp_path)
-        assert main([str(tmp_path), "--no-baseline", "--format", "json"]) == 1
+        assert main([str(tmp_path), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["files"] == 1
         assert payload["findings"][0]["rule"] == "wall-clock"
         assert payload["findings"][0]["path"].endswith("thing.py")
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        self.write_dirty(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    str(tmp_path),
-                    "--baseline",
-                    str(baseline_path),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert baseline_path.exists()
-        assert (
-            main([str(tmp_path), "--baseline", str(baseline_path)]) == 0
-        )
-        summary = capsys.readouterr().err
-        assert "1 baselined" in summary
 
 
 # --- the gate itself --------------------------------------------------------
 
 
 class TestLiveTree:
-    def test_src_is_clean_modulo_committed_baseline(self):
-        baseline = Baseline.load(DEFAULT_BASELINE)
-        result = run_lint([REPO_ROOT / "src"], baseline=baseline)
+    def test_src_and_tests_are_clean(self):
+        result = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
         assert result.clean, "\n".join(f.format() for f in result.findings)
-        assert not result.stale_baseline, result.stale_baseline
 
     def test_rule_catalog_names_are_unique(self):
         names = [cls.name for cls in R.ALL_RULES]

@@ -179,9 +179,6 @@ class ReplayFeed:
     def clock_groups(self):
         return [list(g) for g in self._clock_groups]
 
-    def consumed(self):
-        return dict(self._cursor)
-
     def seek(self, consumed):
         self._cursor.update(consumed)
 
