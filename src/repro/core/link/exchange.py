@@ -160,7 +160,6 @@ class ExchangeAssembler:
     def __init__(self) -> None:
         self.stats = ExchangeStats()
         self._senders: Dict[Optional[MacAddress], _SenderState] = {}
-        self._closed = 0
         #: States currently holding an open exchange, in the insertion
         #: order the stale sweep closes them in (a dict used as an
         #: ordered set): the emission bound scans only these, and the
@@ -331,7 +330,7 @@ class ExchangeAssembler:
             self._bound = bound
             self._next_sweep = self._watermark + EXCHANGE_HORIZON_US // 4
 
-        self._closed += len(closed)
+        self.stats.exchanges += len(closed)
         for exchange in closed:
             heapq.heappush(
                 self._reorder,
@@ -356,8 +355,7 @@ class ExchangeAssembler:
         for state in self._senders.values():
             self._resolve_orphans(state, closed)
             self._close(state, closed, moved_on=False)
-        self._closed += len(closed)
-        self.stats.exchanges = self._closed
+        self.stats.exchanges += len(closed)
         reorder = self._reorder
         for exchange in closed:
             heapq.heappush(reorder, (exchange.start_us, self._emit_seq, exchange))

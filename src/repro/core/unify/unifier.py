@@ -78,7 +78,7 @@ from ..sync.refs import (
     parse_record_frame,
     reference_verdict,
 )
-from ..sync.skew import DEFAULT_SKEW_ALPHA, ClockTrack
+from ..sync.skew import ClockTrack
 from .jframe import JFrame, JFrameKind
 
 #: Paper defaults: 10 ms search window, 10 us resync threshold.
@@ -369,7 +369,6 @@ class _MergeEngine:
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
                 offset_us=offsets[trace.radio_id],
-                alpha=unifier.skew_alpha,
                 compensate_skew=unifier.compensate_skew,
             )
             self.cursors[trace.radio_id] = _TraceCursor(trace)
@@ -414,8 +413,8 @@ class _MergeEngine:
         stats = self.stats
         search_window = unifier.search_window_us
         gap_limit = unifier.instance_gap_us
-        corrupt_attach = unifier.corrupt_attach_us
-        phy_attach = unifier.phy_attach_us
+        corrupt_attach = CORRUPT_ATTACH_US
+        phy_attach = PHY_ATTACH_US
         # Emission watermark: a future-finalized group's timestamp can
         # precede the merge clock by (search window + attachment window +
         # resync jitter).  The attachment windows enter explicitly so the
@@ -1020,9 +1019,6 @@ class Unifier:
         self.resync_threshold_us = resync_threshold_us
         self.compensate_skew = compensate_skew
         self.use_median_timestamp = use_median_timestamp
-        self.skew_alpha = DEFAULT_SKEW_ALPHA
-        self.corrupt_attach_us = CORRUPT_ATTACH_US
-        self.phy_attach_us = PHY_ATTACH_US
         # Instances of one transmission cluster within clock error; the
         # paper pops candidates only "until the timestamp of the next
         # instance differs by a significant amount".  Joining a group

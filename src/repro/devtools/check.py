@@ -21,6 +21,10 @@ from typing import List, Optional, Sequence
 
 from . import lint
 
+#: The trees the gate lints, together, so a rule's cross-module facts
+#: see every tree at once.
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+
 
 def _tool_available(module: str) -> bool:
     return importlib.util.find_spec(module) is not None
@@ -40,8 +44,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tests"],
-        help="directories for the repro linter and ruff (default: src tests)",
+        default=list(DEFAULT_PATHS),
+        help="directories for the repro linter "
+        f"(default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
         "--require-all",
@@ -56,8 +61,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"== repro lint: {' '.join(args.paths)}", flush=True)
     # The invariant linter only knows repro modules; pointing it at
-    # tests/ is harmless (module-scoped rules see no repro.* prefix) but
-    # generic rules like mutable-default still apply there.
+    # tests/, benchmarks/ and examples/ is harmless (module-scoped rules
+    # see no repro.* prefix) but generic rules like mutable-default
+    # still apply there.
     if lint.main(list(args.paths)) != 0:
         failures.append("repro lint")
 

@@ -486,6 +486,10 @@ class StructConsistencyRule(Rule):
     field count and total byte width — the two declarations describe
     the same bytes, and a field added to one but not the other shears
     every batched field off its offset.
+
+    Declarations are kept by module: a name resolves to its own
+    module's ``Struct`` or to the one it imports by name, never to a
+    namesake declared elsewhere.
     """
 
     name = "struct-consistency"
@@ -514,8 +518,10 @@ class StructConsistencyRule(Rule):
     _DTYPE_FORMAT = _re.compile(r"[<>=|]?[iuf](\d+)")
 
     def __init__(self) -> None:
-        #: simple name -> (format, field count), collected everywhere.
-        self.declared: Dict[str, Tuple[str, int]] = {}
+        #: module -> simple name -> (format, field count).
+        self.declared: Dict[str, Dict[str, Tuple[str, int]]] = {}
+        #: The declarations the module being checked can name.
+        self._visible: Dict[str, Tuple[str, int]] = {}
 
     @staticmethod
     def _field_count(fmt: str) -> int:
@@ -544,11 +550,36 @@ class StructConsistencyRule(Rule):
                 count = self._field_count(fmt)
             except _struct.error:
                 continue  # flagged as invalid at check time
-            self.declared[node.targets[0].id] = (fmt, count)
+            declared = self.declared.setdefault(mod.module, {})
+            declared[node.targets[0].id] = (fmt, count)
+
+    def _names(self, mod: SourceModule) -> Dict[str, Tuple[str, int]]:
+        """The Structs ``mod`` declares, and those it imports by name
+        (``from .records import _HEADER``) from a module that declares
+        them."""
+        names = dict(self.declared.get(mod.module, {}))
+        package = mod.module.split(".")
+        if not mod.key_path.endswith("__init__.py"):
+            package = package[:-1]
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = (
+                package[: max(len(package) + 1 - node.level, 0)]
+                if node.level
+                else []
+            )
+            source = ".".join(base + ([node.module] if node.module else []))
+            declared = self.declared.get(source, {})
+            for alias in node.names:
+                if alias.name in declared:
+                    names[alias.asname or alias.name] = declared[alias.name]
+        return names
 
     def check(self, mod: SourceModule) -> Iterator[Finding]:
         if not in_scope(mod, ("repro.jtrace",)):
             return
+        self._visible = self._names(mod)
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_format_literal(mod, node)
@@ -604,9 +635,9 @@ class StructConsistencyRule(Rule):
             return
         dtype_name = node.targets[0].id  # type: ignore[union-attr]
         base = dtype_name[: -len(self._DTYPE_SUFFIX)]
-        if base not in self.declared:
+        if base not in self._visible:
             return
-        fmt, count = self.declared[base]
+        fmt, count = self._visible[base]
         if len(fields) != count:
             yield self.finding(
                 mod,
@@ -685,8 +716,8 @@ class StructConsistencyRule(Rule):
             node.value, ast.Name
         ):
             name = node.value.id
-            if name in self.declared:
-                fmt, count = self.declared[name]
+            if name in self._visible:
+                fmt, count = self._visible[name]
                 return name, fmt, count
         return None
 

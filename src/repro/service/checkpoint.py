@@ -46,14 +46,14 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
 
 class CheckpointError(RuntimeError):
     """The checkpoint file is foreign, damaged or of another version,
-    or the daemon's writer failed to write one."""
+    or the daemon failed to write one."""
 
 
 @dataclass
@@ -67,7 +67,7 @@ class CheckpointState:
     without their feed binding); the downstream ``drive``; the
     ``bootstrap`` offset ledger; the ``published`` windows by key, in
     publication order; and ``checkpoints_written``, the checkpoints
-    published, a file counting itself.
+    written, a file counting itself.
 
     The feed itself is *not* checkpointed — a restored daemon rebuilds
     it from configuration and seeks it to ``consumed``, what the merge

@@ -25,12 +25,11 @@ Determinism is the load-bearing property, and it rests on two legs:
    incarnation passes through, so the uninterrupted run provably visits
    the exact state a restored run starts from.
 
-A checkpoint leaves the critical path by ``fork``: the child pickles
-the copy-on-write snapshot of the boundary's state into a pending file
-while the parent goes back to merging, and the parent publishes it
-(``os.replace`` onto ``checkpoint_path``) when it reaps the child.
-Where ``os.fork`` is missing the same writer runs inline and goes
-through the same publication.
+A checkpoint is written where it is taken: at the boundary,
+``save_checkpoint`` pickles the state into a temp file and
+``os.replace``-s it onto ``checkpoint_path``, and the daemon goes back
+to merging once the file is in place.  The library starts no process
+and no thread.
 
 The same boundaries, every ``checkpoint_every`` consumed records, are
 the collector's schedule.  ``serve()`` pauses automatic cyclic
@@ -38,9 +37,7 @@ collection from its first line to its report (the batch run's pause,
 handing the caller's state back on every exit) and runs one young
 collection, ``gc.collect(1)``, at each boundary, with or without a
 checkpoint path, and a full one when CPython's own rule says one is
-due (see :meth:`JigsawDaemon._collect`).  A forked writer inherits the
-paused collector, so it never walks, and so never copies, the pages it
-shares with the daemon.
+due (see :meth:`JigsawDaemon._collect`).
 
 Batch and daemon differ only in record source, checkpoint cadence and
 window sealing.
@@ -55,7 +52,6 @@ feed's (``UnifyStream.read_counts``): a restore seeks the feed to it.
 from __future__ import annotations
 
 import gc
-import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -100,42 +96,6 @@ SLICE = 64
 FULL_COLLECTION_AFTER = 10
 FULL_COLLECTION_SHARE = 0.25
 
-#: Bytes of a failed writer's exception text its pipe carries: one
-#: atomic pipe write, so the writer never blocks on an unread pipe.
-_ERROR_TEXT_MAX = 4096
-
-
-def _write_pending(pending: Path, state: CheckpointState) -> str:
-    """The one checkpoint writer: ``state`` into ``pending``.
-
-    Returns the failure as text, ``""`` on success, so a forked writer
-    can hand it to its parent; ``save_checkpoint`` has already removed
-    its temp file when it fails.
-    """
-    try:
-        save_checkpoint(pending, state)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return ""
-
-
-@dataclass
-class _Writer:
-    """A checkpoint write not yet published.
-
-    A forked writer has its ``pid``, the read end of the pipe its
-    exception text comes back on, and the daemon's wall and CPU clocks
-    when it was forked; an inline one (``pid`` 0) has already run and
-    holds its outcome in ``error``.
-    """
-
-    pending: Path
-    pid: int = 0
-    errors_fd: int = -1
-    error: str = ""
-    forked_wall: float = 0.0
-    forked_cpu: float = 0.0
-
 
 @dataclass
 class ServiceReport:
@@ -151,17 +111,10 @@ class ServiceReport:
     report: JigsawReport
     published: List[SealedWindow] = field(default_factory=list)
     checkpoints_written: int = 0
-    #: Size of the last checkpoint file published (0 if none was).
+    #: Size of the last checkpoint file written (0 if none was).
     checkpoint_bytes_last: int = 0
-    #: Wall time ``serve()`` was blocked by checkpoints in this
-    #: incarnation: state build, fork, waits on writers and publication
-    #: (the whole write, where it runs inline).
+    #: Wall time the checkpoint writes of this incarnation took.
     checkpoint_seconds_total: float = 0.0
-    #: CPU seconds (user + sys) the forked writers spent; 0 inline.
-    checkpoint_writer_cpu_s: float = 0.0
-    #: Largest writer ``ru_maxrss`` in KiB, pages shared with the daemon
-    #: included; 0 inline.
-    checkpoint_writer_peak_rss_kb: int = 0
     resumed: bool = False
 
     def published_for(self, pass_name: str) -> List[SealedWindow]:
@@ -195,17 +148,10 @@ class JigsawDaemon:
         # at start, or the whole object replaced by a restore.
         self._state = CheckpointState(merge=None, drive=None, bootstrap=None)
         self._resumed = False
-        # Built once the feed has drained; ``serve()`` hands it over
-        # once the last writer is reaped.
-        self._report: Optional[JigsawReport] = None
         self._reported = False
         self._last_boundary_at = 0
         self._checkpoint_bytes_last = 0
         self._checkpoint_seconds_total = 0.0
-        self._checkpoint_writer_cpu_s = 0.0
-        self._checkpoint_writer_peak_rss_kb = 0
-        self._writer: Optional[_Writer] = None
-        self._forking = True
         # The collector's ledger (see ``_collect``): objects in the
         # oldest generation after the last full collection, and those
         # the young collections have moved there since.
@@ -238,24 +184,13 @@ class JigsawDaemon:
 
     @property
     def checkpoint_bytes_last(self) -> int:
-        """Size of the last checkpoint this incarnation published (0: none)."""
+        """Size of the last checkpoint this incarnation wrote (0: none)."""
         return self._checkpoint_bytes_last
 
     @property
     def checkpoint_seconds_total(self) -> float:
-        """Wall time checkpoints have blocked this incarnation's
-        ``serve()``: state build, fork, writer waits and publication."""
+        """Wall time this incarnation's checkpoint writes took."""
         return self._checkpoint_seconds_total
-
-    @property
-    def checkpoint_writer_cpu_s(self) -> float:
-        """User + sys CPU seconds of the reaped forked writers (0 inline)."""
-        return self._checkpoint_writer_cpu_s
-
-    @property
-    def checkpoint_writer_peak_rss_kb(self) -> int:
-        """Largest reaped writer's ``ru_maxrss`` in KiB (0 inline)."""
-        return self._checkpoint_writer_peak_rss_kb
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -305,12 +240,11 @@ class JigsawDaemon:
         no flushing, no cleanup.  Recovery is whatever the last periodic
         checkpoint captured, exactly as a real kill.
 
-        Every return — report, simulated kill or a raising source —
-        first waits for the checkpoint writer in flight and publishes
-        it, so the file on disk is the last boundary's checkpoint.  A
-        writer that failed raises :class:`CheckpointError` there.  At
-        feed end the report is built first, while that writer runs; if
-        the writer then fails, the next ``serve()`` returns the report.
+        A checkpoint is written at its boundary, so every return leaves
+        on disk the last boundary's checkpoint.  A write that fails
+        raises :class:`CheckpointError` there, with the previous file in
+        place; the loop is resumable, so a second ``serve()`` goes on
+        from that boundary.
 
         Automatic cyclic collection is paused for the whole call, and
         the caller's collector state comes back on every exit; the
@@ -326,30 +260,21 @@ class JigsawDaemon:
             )
         started_clock = time.perf_counter()
         with _collection_paused():
-            if self._report is None:
-                if self._state.merge is None:
-                    self._start()
-                self._old_objects = len(gc.get_objects(2))
-                self._promoted = self._young_collections = 0
-                try:
-                    if not self._loop(stop_after_records):
-                        return None
-                    # Before the last reap, so that the writer in flight
-                    # pickles while the daemon finishes its streams.
-                    self._report = self._finalize(started_clock)
-                finally:
-                    self._reap(block=True)
+            if self._state.merge is None:
+                self._start()
+            self._old_objects = len(gc.get_objects(2))
+            self._promoted = self._young_collections = 0
+            if not self._loop(stop_after_records):
+                return None
+            report = self._finalize(started_clock)
         self._reported = True
-        state, report = self._state, self._report
-        assert report is not None
+        state = self._state
         return ServiceReport(
             report=report,
             published=list(state.published.values()),
             checkpoints_written=state.checkpoints_written,
             checkpoint_bytes_last=self._checkpoint_bytes_last,
             checkpoint_seconds_total=self._checkpoint_seconds_total,
-            checkpoint_writer_cpu_s=self._checkpoint_writer_cpu_s,
-            checkpoint_writer_peak_rss_kb=self._checkpoint_writer_peak_rss_kb,
             resumed=self._resumed,
         )
 
@@ -409,9 +334,9 @@ class JigsawDaemon:
         step the merge's read count is checked against the kill, and
         then against the boundary: every ``checkpoint_every`` records
         read is one, the collection, then the checkpoint, if there is a
-        path to write.  The writer in flight is polled after every step.
-        A source that raised mid-step (a stalled uplink) left the
-        coordinator resumable, so a second ``serve()`` re-enters here.
+        path to write.  A source that raised mid-step (a stalled uplink)
+        or a checkpoint that failed left the coordinator resumable, so a
+        second ``serve()`` re-enters here.
         """
         state = self._state
         merge, drive = state.merge, state.drive
@@ -421,8 +346,6 @@ class JigsawDaemon:
                 for jframe in released:
                     drive.feed(jframe)
                 self._publish(drive.seal_ready())
-            if self._writer is not None:
-                self._reap(block=False)
             read = merge.records_read
             if stop_after_records is not None and read >= stop_after_records:
                 return False
@@ -470,121 +393,30 @@ class JigsawDaemon:
                 published[window.key] = window
 
     def _write_checkpoint(self) -> None:
-        """Capture this boundary's state and hand it to a writer: a
-        forked child where ``os.fork`` exists, else the same writer
-        inline.  One writer at a time, so the previous one is reaped
-        first and the file records the published count plus one, which
-        the live count reaches only when :meth:`_reap` publishes it."""
-        assert self.checkpoint_path is not None
-        self._reap(block=True)
+        """Write this boundary's state to ``checkpoint_path``.
+
+        The file counts itself, so the state is pickled with the written
+        count plus one, which the live count, and the size, reach only
+        once ``save_checkpoint`` has replaced the file.  A failed write
+        leaves the previous checkpoint and raises
+        :class:`CheckpointError` carrying its exception."""
+        path = self.checkpoint_path
+        assert path is not None
         started = time.perf_counter()
         state = self._state
         state.checkpoints_written += 1
         try:
-            self._writer = self._start_writer(state)
+            size = save_checkpoint(path, state)
+        except Exception as exc:
+            raise CheckpointError(
+                f"{path}: checkpoint {state.checkpoints_written} was not "
+                f"written ({type(exc).__name__}: {exc})"
+            ) from exc
         finally:
             state.checkpoints_written -= 1
-        self._checkpoint_seconds_total += time.perf_counter() - started
-
-    def _pending(self, pid: int) -> Path:
-        """The file writer ``pid`` fills: never shared with a writer an
-        earlier, killed incarnation left running."""
-        assert self.checkpoint_path is not None
-        return self.checkpoint_path.with_name(
-            f"{self.checkpoint_path.name}.{pid}.pending"
-        )
-
-    def _start_writer(self, state: CheckpointState) -> _Writer:
-        if not (self._forking and hasattr(os, "fork")):
-            pending = self._pending(os.getpid())
-            return _Writer(pending, error=_write_pending(pending, state))
-        forked_wall, forked_cpu = time.perf_counter(), time.process_time()
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            # The writer: encode, write, fsync, exit — never return into
-            # the daemon.  It inherits ``serve()``'s paused collector,
-            # so no collection walks (and so copies) the pages the
-            # snapshot shares with the parent.
-            status = 1
-            try:
-                os.close(read_end)
-                error = _write_pending(self._pending(os.getpid()), state)
-                os.write(write_end, error.encode()[:_ERROR_TEXT_MAX])
-                status = 1 if error else 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        return _Writer(
-            self._pending(pid),
-            pid=pid,
-            errors_fd=read_end,
-            forked_wall=forked_wall,
-            forked_cpu=forked_cpu,
-        )
-
-    def _reap(self, block: bool) -> None:
-        """Publish the writer in flight once it is done (waiting for it
-        if ``block``): its pending file replaces ``checkpoint_path``,
-        then the counters advance, so counter and file always agree.  A
-        failed writer's pending file is removed, the previous checkpoint
-        stays, and :class:`CheckpointError` carries its exception.
-
-        A forked writer is worth its fork only if it ran beside the
-        daemon.  If, while it lived, the daemon lost wall time (time it
-        was not running: waiting for the writer, or for a CPU) of at
-        least half the writer's CPU time, the two took turns on one CPU,
-        and pickling inline costs less than the writer plus the pages
-        the fork made both copy: this daemon's later checkpoints are
-        written inline."""
-        writer, path = self._writer, self.checkpoint_path
-        if writer is None:
-            return
-        assert path is not None
-        started = time.perf_counter()
-        try:
-            error = writer.error
-            if writer.pid:
-                pid, status, usage = os.wait4(
-                    writer.pid, 0 if block else os.WNOHANG
-                )
-                if pid == 0:
-                    return
-                error = os.read(writer.errors_fd, _ERROR_TEXT_MAX).decode(
-                    errors="replace"
-                )
-                os.close(writer.errors_fd)
-                code = os.waitstatus_to_exitcode(status)
-                if code and not error:
-                    error = f"writer exited with status {code}"
-                writer_cpu = usage.ru_utime + usage.ru_stime
-                lost = (time.perf_counter() - writer.forked_wall) - (
-                    time.process_time() - writer.forked_cpu
-                )
-                if lost >= writer_cpu / 2:
-                    self._forking = False
-                self._checkpoint_writer_cpu_s += writer_cpu
-                self._checkpoint_writer_peak_rss_kb = max(
-                    self._checkpoint_writer_peak_rss_kb, usage.ru_maxrss
-                )
-            self._writer = None
-            ordinal = self._state.checkpoints_written + 1
-            if error:
-                writer.pending.unlink(missing_ok=True)
-                raise CheckpointError(
-                    f"{path}: checkpoint {ordinal} was not written ({error})"
-                )
-            size = writer.pending.stat().st_size
-            os.replace(writer.pending, path)
-            self._state.checkpoints_written = ordinal
-            self._checkpoint_bytes_last = size
-        finally:
             self._checkpoint_seconds_total += time.perf_counter() - started
+        state.checkpoints_written += 1
+        self._checkpoint_bytes_last = size
 
     # --- completion --------------------------------------------------------
 

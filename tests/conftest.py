@@ -28,9 +28,9 @@ def small_run():
 
 @pytest.fixture(autouse=True)
 def no_unreaped_children(request):
-    """A ``service`` test leaves no child process behind: every
-    checkpoint writer a daemon forks is reaped before ``serve()``
-    returns or raises."""
+    """A ``service`` test leaves no child process behind: the library
+    starts no process, so a child still here is one it should not have
+    started."""
     yield
     if request.node.get_closest_marker("service") is not None:
         with pytest.raises(ChildProcessError):

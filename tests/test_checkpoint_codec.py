@@ -201,7 +201,7 @@ def test_version_6_checkpoint_is_refused(tmp_path):
     """Version 6 pickled jframes as instance runs and merge groups as
     instance lists; this build reads neither, so it refuses the version
     before unpickling anything."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     path = tmp_path / "v6.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=6)
     with pytest.raises(CheckpointError, match="version 6"):
@@ -235,6 +235,18 @@ def test_version_9_checkpoint_is_refused(tmp_path):
     path = tmp_path / "v9.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=9)
     with pytest.raises(CheckpointError, match="version 9"):
+        load_checkpoint(path)
+
+
+def test_version_10_checkpoint_is_refused(tmp_path):
+    """Version 10's exchange assembler counted closed exchanges apart
+    from ``stats.exchanges`` and copied them over at ``finish()``, and
+    each ``Unifier`` carried three module constants; a restored version
+    10 assembler would leave out the exchanges it closed before the
+    checkpoint."""
+    path = tmp_path / "v10.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=10)
+    with pytest.raises(CheckpointError, match="version 10"):
         load_checkpoint(path)
 
 

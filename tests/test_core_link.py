@@ -149,6 +149,28 @@ class TestExchangeAssembly:
         assembler = ExchangeAssembler()
         return run_stage(assembler, attempts), assembler.stats
 
+    def test_exchanges_counted_as_they_close_on_a_flash_crowd(self):
+        """An exchange is counted when it closes: before ``finish()``
+        the count is every exchange emitted plus those waiting in the
+        reorder heap, and ``finish()`` adds only those it closes."""
+        artifacts = run_scenario(scenario_config("flash_crowd", "tiny", seed=13))
+        traces = artifacts.radio_traces
+        bootstrap = bootstrap_synchronization(
+            traces, clock_groups=artifacts.clock_groups()
+        )
+        attempts = run_stage(
+            AttemptAssembler(), Unifier().unify(traces, bootstrap).jframes
+        )
+        assembler = ExchangeAssembler()
+        emitted = 0
+        for attempt in attempts:
+            emitted += len(assembler.feed(attempt))
+        before = assembler.stats.exchanges
+        assert (before, emitted) == (986, 547)
+        assert before == emitted + len(assembler._reorder)
+        emitted += len(assembler.finish())
+        assert assembler.stats.exchanges == emitted == 996
+
     def test_single_acked_exchange(self):
         exchanges, _ = self.assemble(data_ack_pair(seq=1, t_end=10_000))
         assert len(exchanges) == 1

@@ -4,9 +4,9 @@ Each rule gets at least one positive fixture (the hazard, caught) and
 one negative fixture (the sanctioned idiom, silent).  Fixture trees are
 laid out as ``<tmp>/repro/...`` so module-scoped rules resolve the same
 dotted names they see in the real checkout.  The suite ends by linting
-the live ``src/`` and ``tests/`` trees — the paths ``make lint`` and CI's
-gate lint — so a rule regression and a code regression both fail here
-first.
+the live trees ``make lint`` and CI's gate lint — ``src/``, ``tests/``,
+``benchmarks/`` and ``examples/`` — so a rule regression and a code
+regression both fail here first.
 """
 
 import configparser
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools import check
 from repro.devtools import rules as R
 from repro.devtools.lint import main, run_lint
 
@@ -349,6 +350,37 @@ class TestStructConsistency:
         assert "pack() called with 3 value(s)" in joined
         assert "unpacked into 3 name(s)" in joined
         assert "[5] is out of range" in joined
+
+    def test_a_namesake_in_another_module_is_not_the_declaration(
+        self, tmp_path
+    ):
+        """A name resolves to its own module's Struct: a same-named
+        Struct of another field count, collected later from another
+        tree, neither flags the right uses nor hides the wrong one."""
+        result = lint_tree(
+            tmp_path,
+            {
+                "repro/jtrace/records.py": STRUCT_DECL
+                + """
+def roundtrip(buf):
+    a, b = _H.unpack(buf)
+    return _H.pack(a, b, 0)
+""",
+                "tests/helpers.py": """
+                import struct
+
+                _H = struct.Struct("<HHH")
+
+                def triple():
+                    return _H.pack(1, 2, 3)
+                """,
+            },
+            rule=R.StructConsistencyRule(),
+        )
+        assert messages(result) == [
+            "struct-consistency: _H.pack() called with 3 value(s) but "
+            "format '<HH' declares 2 field(s)"
+        ]
 
     def test_flags_invalid_format_literal(self, tmp_path):
         result = lint_tree(
@@ -787,7 +819,10 @@ class TestCli:
 
 class TestLiveTree:
     def test_src_and_tests_are_clean(self):
-        result = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
+        """Linted in one run with ``benchmarks/`` and ``examples/``, as
+        the gate lints them, so each rule's cross-module facts come from
+        all four trees."""
+        result = run_lint([REPO_ROOT / path for path in check.DEFAULT_PATHS])
         assert result.clean, "\n".join(f.format() for f in result.findings)
 
     def test_rule_catalog_names_are_unique(self):

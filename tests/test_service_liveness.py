@@ -13,11 +13,12 @@ Parity says a daemon run ends in the right state; liveness says it
   next) stays bounded by the scheduling slice, not by records consumed,
   and what the exchange assembler retains by its horizons;
 * the checkpoint counters advance with every checkpoint written;
-* a checkpoint written by a forked writer is byte for byte the one the
-  inline writer writes, which is its header plus ``pickle.dumps`` of
-  the state it holds, a writer that fails surfaces as
-  :class:`CheckpointError` with the previous checkpoint intact, and a
-  killed daemon leaves on disk the last boundary's checkpoint;
+* each checkpoint file is its header plus ``pickle.dumps`` of the
+  state it holds, and counts itself; a checkpointed run starts no
+  process; a write that fails surfaces as :class:`CheckpointError` with
+  the previous checkpoint intact, and a second ``serve()`` goes on to
+  the report a clean run makes; and a killed daemon leaves on disk the
+  last boundary's checkpoint;
 * a source that stops producing trips a deterministic idle limit
   (:class:`ServiceStalled`) instead of deadlocking the daemon.
 """
@@ -26,7 +27,6 @@ import io
 import os
 import pickle
 import struct
-import time
 import zlib
 from pathlib import Path
 
@@ -553,17 +553,16 @@ def flash_config():
     return scenario_config("flash_crowd", "tiny", seed=13)
 
 
-def published_checkpoints(checkpoint, forked):
-    """Serve a tiny flash crowd to the end with the forked writer or,
-    with ``os.fork`` removed, the inline one; the bytes of every
-    checkpoint the daemon published, read as it renamed each into
-    place, and, inline, ``pickle.dumps`` of each state it wrote."""
-    published, payloads = [], []
+def written_checkpoints(checkpoint):
+    """Serve a tiny flash crowd to the end; the bytes of every
+    checkpoint the daemon wrote, read as it renamed each into place,
+    and ``pickle.dumps`` of each state it wrote."""
+    written, payloads = [], []
     replace = os.replace
 
     def noting_replace(src, dst):
         if Path(dst) == checkpoint:
-            published.append(Path(src).read_bytes())
+            written.append(Path(src).read_bytes())
         replace(src, dst)
 
     def noting_save(path, state):
@@ -571,9 +570,7 @@ def published_checkpoints(checkpoint, forked):
         return save_checkpoint(path, state)
 
     with pytest.MonkeyPatch.context() as mp:
-        if not forked:
-            mp.delattr(os, "fork")
-            mp.setattr("repro.service.daemon.save_checkpoint", noting_save)
+        mp.setattr("repro.service.daemon.save_checkpoint", noting_save)
         mp.setattr(os, "replace", noting_replace)
         svc = JigsawDaemon(
             live_feed(flash_config()),
@@ -581,16 +578,9 @@ def published_checkpoints(checkpoint, forked):
             checkpoint_every=WRITER_EVERY,
         ).serve()
     assert svc is not None
-    assert svc.checkpoints_written == len(published)
-    assert checkpoint.read_bytes() == published[-1]
-    if forked:
-        assert svc.checkpoint_writer_cpu_s > 0.0
-        assert svc.checkpoint_writer_peak_rss_kb > 0
-    else:
-        assert svc.checkpoint_writer_cpu_s == 0.0
-        assert svc.checkpoint_writer_peak_rss_kb == 0
-        assert len(payloads) == len(published)
-    return published, payloads
+    assert svc.checkpoints_written == len(written) == len(payloads)
+    assert checkpoint.read_bytes() == written[-1]
+    return written, payloads
 
 
 def loaded(raw, path):
@@ -598,33 +588,26 @@ def loaded(raw, path):
     return load_checkpoint(path)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestCheckpointWriter:
     @pytest.fixture(scope="class")
-    def published(self, tmp_path_factory):
-        return {
-            forked: published_checkpoints(
-                tmp_path_factory.mktemp("writer") / "svc.ckpt", forked
-            )
-            for forked in (True, False)
-        }
+    def written(self, tmp_path_factory):
+        return written_checkpoints(
+            tmp_path_factory.mktemp("writer") / "svc.ckpt"
+        )
 
-    def test_forked_and_inline_writers_write_identical_files(
-        self, published, tmp_path
-    ):
-        (forked, _), (inline, _) = published[True], published[False]
-        assert len(inline) >= 3
-        assert forked == inline
+    def test_each_file_counts_itself(self, written, tmp_path):
+        files, _ = written
+        assert len(files) >= 3
         ordinals = [
             loaded(raw, tmp_path / "c.ckpt").checkpoints_written
-            for raw in inline
+            for raw in files
         ]
-        assert ordinals == list(range(1, len(inline) + 1))
+        assert ordinals == list(range(1, len(files) + 1))
 
-    def test_each_file_is_its_header_and_pickle(self, published):
+    def test_each_file_is_its_header_and_pickle(self, written):
         """The streamed write is byte for byte the framed
         ``pickle.dumps`` of the state it captured."""
-        files, payloads = published[False]
+        files, payloads = written
         for raw, payload in zip(files, payloads):
             header = struct.pack(
                 "<4sIIQ",
@@ -635,11 +618,24 @@ class TestCheckpointWriter:
             )
             assert raw == header + payload
 
-    def test_kill_leaves_the_last_boundary_on_disk(self, published, tmp_path):
-        """A kill returns only once the writer in flight is published:
-        one record after a boundary, its checkpoint is already the
-        file, and between two boundaries the earlier one is."""
-        files, _ = published[True]
+    def test_a_checkpointed_serve_starts_no_process(
+        self, written, tmp_path, monkeypatch
+    ):
+        """The daemon writes every checkpoint itself: with ``fork``
+        raising, the run writes the same files."""
+
+        def no_fork():
+            raise OSError("the daemon starts no process")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        files, _ = written_checkpoints(tmp_path / "svc.ckpt")
+        assert files == written[0]
+
+    def test_kill_leaves_the_last_boundary_on_disk(self, written, tmp_path):
+        """A checkpoint is on disk once its boundary has passed: one
+        record after a boundary its checkpoint is already the file, and
+        between two boundaries the earlier one is."""
+        files, _ = written
         boundaries = [
             loaded(raw, tmp_path / "c.ckpt").total_consumed for raw in files
         ]
@@ -656,72 +652,52 @@ class TestCheckpointWriter:
             assert checkpoint.read_bytes() == files[last]
             assert daemon.checkpoints_written == last + 1
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["own-cpu", "shared-cpu"])
-    def test_a_writer_sharing_the_cpu_sends_later_ones_inline(
-        self, shared, tmp_path, monkeypatch
-    ):
-        """The daemon forks each writer until one costs it lost wall
-        time of half that writer's CPU time, and then writes inline.  A
-        daemon CPU clock that keeps pace with the wall clock loses
-        none; one that stands still loses the writer's whole life."""
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setattr(
-            time, "process_time", (lambda: 0.0) if shared else time.perf_counter
-        )
-        svc = JigsawDaemon(
-            live_feed(flash_config()),
-            checkpoint_path=tmp_path / "svc.ckpt",
-            checkpoint_every=WRITER_EVERY,
-        ).serve()
-        assert svc.checkpoints_written >= 3
-        assert len(forks) == (1 if shared else svc.checkpoints_written)
-
-    def test_a_last_writer_failing_after_the_report_keeps_it(
+    def test_serve_goes_on_after_a_failed_checkpoint(
         self, tmp_path, monkeypatch
     ):
-        """At feed end the report is built before the last writer is
-        reaped.  A writer that fails only then makes ``serve()`` raise,
-        and the next ``serve()`` returns the report, the streams
-        finished once."""
+        """A write that fails once raises at its boundary, and the next
+        ``serve()`` goes on from there to the report a run without
+        checkpoints makes, one checkpoint short of a clean run."""
+        ordinals = []
 
-        def slow_failure(pending, state):
-            time.sleep(2.0)
-            return "OSError: no space left"
+        def failing_once(path, state):
+            ordinals.append(state.checkpoints_written)
+            if len(ordinals) == 2:
+                raise OSError("no space left")
+            return save_checkpoint(path, state)
 
         monkeypatch.setattr(
-            "repro.service.daemon._write_pending", slow_failure
+            "repro.service.daemon.save_checkpoint", failing_once
         )
+        checkpoint = tmp_path / "svc.ckpt"
         daemon = JigsawDaemon(
             live_feed(flash_config()),
-            checkpoint_path=tmp_path / "svc.ckpt",
-            checkpoint_every=8_000,
+            checkpoint_path=checkpoint,
+            checkpoint_every=WRITER_EVERY,
         )
-        with pytest.raises(CheckpointError, match="checkpoint 1 was not"):
+        with pytest.raises(
+            CheckpointError, match=r"checkpoint 2 was not written \(OSError"
+        ):
             daemon.serve()
+        assert daemon.checkpoints_written == 1
+        assert load_checkpoint(checkpoint).checkpoints_written == 1
         svc = daemon.serve()
-        assert svc is not None and svc.checkpoints_written == 0
+        assert svc is not None
+        assert ordinals[:3] == [1, 2, 2]
+        assert svc.checkpoints_written == len(ordinals) - 1
+        assert load_checkpoint(checkpoint).checkpoints_written == (
+            svc.checkpoints_written
+        )
         reference = JigsawDaemon(live_feed(flash_config())).serve()
         assert_reports_identical(svc.report, reference.report)
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == [checkpoint.name]
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
     def test_failed_writer_raises_and_keeps_the_previous_checkpoint(
-        self, forked, tmp_path, monkeypatch
+        self, tmp_path
     ):
         """A pass that stops pickling after the first checkpoint: the
-        second writer fails, ``serve()`` raises with its exception, and
+        second write fails, ``serve()`` raises with its exception, and
         the first checkpoint is still the file, with nothing beside it."""
-        if not forked:
-            monkeypatch.delattr(os, "fork")
         checkpoint = tmp_path / "svc.ckpt"
         target = PoisonablePass()
         daemon = JigsawDaemon(
