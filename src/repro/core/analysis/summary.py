@@ -14,16 +14,12 @@ runs it over a materialized report's jframes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import countOf, itemgetter
 from typing import List, Optional, Set, Tuple
 
 from ...dot11.address import MacAddress
 from ...dot11.frame import FrameType
-from ...jtrace.records import RecordKind, TraceRecord
 from ..passes import PassContext, PipelinePass
 from ..pipeline import JigsawReport
-
-_KIND = itemgetter(TraceRecord._fields.index("kind"))
 
 
 @dataclass
@@ -138,17 +134,12 @@ class SummaryPass(PipelinePass):
 
     def finish(self, context: PassContext) -> TraceSummary:
         clients, aps = self._tracker.finish()
-        traces = context.traces
-        total_events = sum(len(trace) for trace in traces)
-        error_events = total_events - sum(
-            countOf(map(_KIND, trace), RecordKind.VALID) for trace in traces
-        )
         stats = context.unify_stats
         return TraceSummary(
             duration_s=self.duration_us / 1e6,
-            n_radios=len(traces),
-            total_events=total_events,
-            error_events=error_events,
+            n_radios=context.n_radios,
+            total_events=stats.records_in,
+            error_events=stats.records_in - context.valid_records,
             jframes=stats.jframes,
             events_per_jframe=stats.events_per_jframe,
             unique_clients=len(clients),

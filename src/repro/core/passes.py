@@ -83,9 +83,13 @@ class PassContext:
     attempt_stats: Any = None
     exchange_stats: Any = None
     transport_stats: Any = None
-    #: The input radio traces (as handed to the pipeline).  Passes that
-    #: summarize raw capture volume (Table 1) read these; streaming
-    #: passes that must stay O(1) in trace length simply don't.
+    #: Raw capture volume as the merge read it (Table 1): the VALID
+    #: records among ``unify_stats.records_in``, and the input radios,
+    #: quarantined ones included.  No pass walks the records again.
+    valid_records: int = 0
+    n_radios: int = 0
+    #: Accepted for callers that assemble a context by hand; the
+    #: pipeline leaves it empty and no library pass reads it.
     traces: Sequence[Any] = ()
     n_flows: int = 0
 

@@ -33,8 +33,7 @@ built-in :class:`~repro.core.passes.MaterializePass`; disable it with
 ``materialize=False`` and the report carries statistics, flows and pass
 results but empty per-layer lists.  That bounds the report, not the
 input: a file-backed trace keeps every record it decoded until the run
-ends (:class:`~repro.core.analysis.SummaryPass` counts them), so a
-file-backed run's memory grows with its records.
+ends, so a file-backed run's memory grows with its records.
 
 The bootstrap prepass
 (:func:`~repro.core.sync.bootstrap.bootstrap_synchronization`) is fused
@@ -76,7 +75,7 @@ from .sync.skew import ClockTrack
 from .transport.flows import FlowCollector, TcpFlow
 from .transport.inference import InferenceStats, TransportInference
 from .unify.jframe import JFrame
-from .unify.unifier import UnificationResult, Unifier, UnifyStats
+from .unify.unifier import UnificationResult, Unifier, UnifyStream
 
 
 @dataclass
@@ -253,8 +252,7 @@ class ReconstructionDrive:
 def assemble_report(
     drive: ReconstructionDrive,
     bootstrap: BootstrapResult,
-    tracks: Dict[int, ClockTrack],
-    stats: UnifyStats,
+    merge: UnifyStream,
     traces: Sequence[RadioTrace],
     flows: List[TcpFlow],
     started: float,
@@ -262,16 +260,18 @@ def assemble_report(
     """Close a finished drive into its report (batch and daemon alike).
 
     Call after :meth:`ReconstructionDrive.finish_streams`: builds the
-    health ledger (``bootstrap`` itself for sync, and the traces'
-    ingest damage counters — a trace reading a file fills its
-    ``decode_health`` only as the merge drains it), hands every pass
-    the run context, and collects the results.  ``started`` is the
-    ``time.perf_counter()`` reading the run began at.
+    health ledger (``bootstrap`` itself for sync, and the ingest damage
+    counters of ``traces`` — a trace reading a file fills its
+    ``decode_health`` only as the merge drains it; a daemon's feed
+    decodes nothing and passes none), hands every pass the run context
+    from the finished ``merge``, and collects the results.  ``started``
+    is the ``time.perf_counter()`` reading the run began at.
     """
     health = HealthReport(sync=bootstrap)
     for trace in traces:
         health.ingest.merge(trace.decode_health)
 
+    tracks, stats = merge.tracks, merge.stats
     context = PassContext(
         bootstrap=bootstrap,
         tracks=tracks,
@@ -279,7 +279,8 @@ def assemble_report(
         attempt_stats=drive.attempt_assembler.stats,
         exchange_stats=drive.exchange_assembler.stats,
         transport_stats=drive.transport_stats,
-        traces=traces,
+        valid_records=merge.valid_read,
+        n_radios=merge.radios,
         n_flows=len(flows),
     )
     results = {p.name: p.finish(context) for p in drive.passes}
@@ -393,11 +394,5 @@ class JigsawPipeline:
             flows = drive.finish_streams()
 
             return assemble_report(
-                drive,
-                bootstrap,
-                stream.tracks,
-                stream.stats,
-                ordered,
-                flows,
-                started,
+                drive, bootstrap, stream, ordered, flows, started
             )

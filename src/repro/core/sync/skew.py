@@ -35,7 +35,6 @@ class ClockTrack:
     offset_us: float                 # universal - local at the anchor
     anchor_local_us: float = 0.0     # local time of the last resync
     skew_ppm: float = 0.0            # EWMA skew estimate
-    alpha: float = DEFAULT_SKEW_ALPHA
     compensate_skew: bool = True
     resync_count: int = 0
     skew_samples: int = 0
@@ -70,7 +69,7 @@ class ClockTrack:
             if self.skew_samples == 0:
                 self.skew_ppm = measured
             else:
-                self.skew_ppm += self.alpha * (measured - self.skew_ppm)
+                self.skew_ppm += DEFAULT_SKEW_ALPHA * (measured - self.skew_ppm)
             self.skew_samples += 1
         self.anchor_local_us = local_us
         self.offset_us = universal_us - local_us

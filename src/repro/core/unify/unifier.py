@@ -283,13 +283,16 @@ class _TraceCursor:
     empty buffer and binds ``produce`` to its feed.
 
     ``counted`` is how many of this cursor's records ``records_in``
-    already includes; a cursor is counted when it is exhausted.
+    already includes; a cursor is counted when it is exhausted.  A
+    cursor nothing merges (a quarantined radio's, a duplicate id's) is
+    read by :meth:`skip_rest`, which counts as it reads and keeps
+    ``valid``, the VALID records among them.
 
     ``produce`` is bound to a live source (a decoder, a feed), so it is
     not pickled; whoever restores an engine rebinds it.
     """
 
-    __slots__ = ("buffer", "produce", "counted")
+    __slots__ = ("buffer", "produce", "counted", "valid")
 
     def __init__(self, trace: RadioTrace) -> None:
         buffer = self.buffer = trace.replay_buffer
@@ -300,13 +303,13 @@ class _TraceCursor:
             return buffer[index] if ensure(index) else None
 
         self.produce: Optional[Callable[[], Optional[TraceRecord]]] = produce
-        self.counted = 0
+        self.counted = self.valid = 0
 
-    def __getstate__(self) -> Tuple[List[TraceRecord], int]:
-        return self.buffer, self.counted
+    def __getstate__(self) -> Tuple[List[TraceRecord], int, int]:
+        return self.buffer, self.counted, self.valid
 
-    def __setstate__(self, state: Tuple[List[TraceRecord], int]) -> None:
-        self.buffer, self.counted = state
+    def __setstate__(self, state: Tuple[List[TraceRecord], int, int]) -> None:
+        self.buffer, self.counted, self.valid = state
         self.produce = None
 
     def get(self, index: int) -> Optional[TraceRecord]:
@@ -314,11 +317,17 @@ class _TraceCursor:
             return self.buffer[index]
         return self.produce() if self.produce is not None else None
 
-    def drained_length(self) -> int:
-        """Total record count, decoding the remainder if necessary."""
-        while self.get(len(self.buffer)) is not None:
-            pass
-        return len(self.buffer)
+    def skip_rest(self) -> None:
+        """Read on to the end of stream from ``counted``, keeping no
+        record.  The counts follow every read, so a source that raises
+        leaves them exact and a second call goes on from there."""
+        valid = RecordKind.VALID
+        record = self.get(self.counted)
+        while record is not None:
+            self.counted += 1
+            if record.kind is valid:
+                self.valid += 1
+            record = self.get(self.counted)
 
 
 class _MergeEngine:
@@ -345,7 +354,9 @@ class _MergeEngine:
     :class:`_TraceCursor`) and a restored one continues bit-identically.
 
     ``traces`` are the shard's synchronized radios only; the
-    coordinator counts the quarantined ones.
+    coordinator counts the quarantined ones.  ``valid_read`` counts the
+    VALID records merged (Table 1's error share), apart from
+    :class:`UnifyStats`, whose ``repr`` the determinism digests pin.
     """
 
     def __init__(
@@ -356,6 +367,7 @@ class _MergeEngine:
     ) -> None:
         self.unifier = unifier
         self.stats = UnifyStats()
+        self.valid_read = 0
         self.tracks: Dict[int, ClockTrack] = {}
         self.cursors: Dict[int, _TraceCursor] = {}
         offsets = bootstrap.offsets_us
@@ -365,7 +377,9 @@ class _MergeEngine:
                 # Duplicate radio id: the later trace wins (dict
                 # semantics, unchanged), but the displaced records still
                 # count as engine input like they always did.
-                self.stats.records_in += displaced.drained_length()
+                displaced.skip_rest()
+                self.stats.records_in += displaced.counted
+                self.valid_read += displaced.valid
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
                 offset_us=offsets[trace.radio_id],
@@ -450,6 +464,7 @@ class _MergeEngine:
         # the ``finally``, so a raising source leaves them current.
         counter = self._counter
         oldest_deadline = self._oldest_deadline
+        valid_read = self.valid_read
         try:
             if self._primed < len(self.cursors):
                 for radio_id, cursor in islice(
@@ -542,6 +557,7 @@ class _MergeEngine:
                 channel = record.channel
                 kind = record.kind
                 if kind is kind_valid:
+                    valid_read += 1
                     snap = record.snap
                     frame_len = record.frame_len
                     key = (channel, frame_len, record.fcs, snap)
@@ -647,6 +663,7 @@ class _MergeEngine:
         finally:
             self._counter = counter
             self._oldest_deadline = oldest_deadline
+            self.valid_read = valid_read
 
         if not heap:
             finalize_stale(_INF, reorder)
@@ -848,8 +865,10 @@ class UnifyStream:
 
     Holds one :class:`_MergeEngine` per shard with a synchronized radio
     (a shard without one can never emit), a FIFO per engine of jframes
-    emitted but not yet released, the quarantined radios' ingest
-    counters and the input-trace order tracks are reported in.  Between
+    emitted but not yet released, the quarantined radios' cursors and
+    the input-trace order tracks are reported in.  Nothing of a
+    quarantined radio is merged: once every engine has finished, a step
+    reads its cursor to the end, counting and keeping nothing.  Between
     two :meth:`step` calls the whole coordinator pickles (cursors drop
     their ``produce``; see :class:`_TraceCursor`).
 
@@ -869,18 +888,15 @@ class UnifyStream:
         self.unifier = unifier
         self.engines: List[_MergeEngine] = []
         offsets = bootstrap.offsets_us
-        quarantined = self._quarantined = UnifyStats()
+        self.skipped: List[Tuple[int, _TraceCursor]] = []
+        self._skipped_read = False
         for shard in shards:
             synchronized = []
             for trace in shard:
                 if trace.radio_id in offsets:
                     synchronized.append(trace)
                 else:
-                    # Quarantined radios contribute nothing but their
-                    # length to the ledger, read once, here.
-                    skipped = len(trace)
-                    quarantined.records_in += skipped
-                    quarantined.records_skipped_unsynchronized += skipped
+                    self.skipped.append((trace.radio_id, _TraceCursor(trace)))
             if synchronized:
                 self.engines.append(
                     _MergeEngine(unifier, synchronized, bootstrap)
@@ -894,8 +910,12 @@ class UnifyStream:
 
     @property
     def finished(self) -> bool:
-        """True once every record is merged and every jframe released."""
-        return all(e.finished for e in self.engines) and not any(self.fifos)
+        """True once every record is read and every jframe released."""
+        return (
+            self._skipped_read
+            and all(e.finished for e in self.engines)
+            and not any(self.fifos)
+        )
 
     def step(self, max_records: int) -> List[JFrame]:
         """Merge up to ``max_records`` records on the laggard shard.
@@ -904,10 +924,12 @@ class UnifyStream:
         watermark (ties: lowest shard index): by the release rule,
         every queued jframe is waiting for it.  Returns the jframes now
         provably next, in (timestamp, shard) order — none unless the
-        call emitted a jframe or finished its shard.  The choice reads
-        only pickled state, so a restored coordinator continues the
-        identical schedule.  If a source raises, the call's emissions
-        are queued first; the next call resumes where it stopped.
+        call emitted a jframe or finished its shard.  With every shard
+        finished, the call reads the quarantined radios instead.  The
+        choice reads only pickled state, so a restored coordinator
+        continues the identical schedule.  If a source raises, the
+        call's emissions are queued first; the next call resumes where
+        it stopped.
         """
         engines = self.engines
         laggard = -1
@@ -918,6 +940,10 @@ class UnifyStream:
             ):
                 laggard = si
         if laggard < 0:
+            if not self._skipped_read:
+                for _, cursor in self.skipped:
+                    cursor.skip_rest()
+                self._skipped_read = True
             return self._release()
         engine, fifo = engines[laggard], self.fifos[laggard]
         try:
@@ -962,9 +988,9 @@ class UnifyStream:
         return released
 
     def read_counts(self) -> Dict[int, int]:
-        """Records read from each synchronized radio: its heap entry's
+        """Records read from each radio: a synchronized one's heap entry's
         next index, or off the heap its cursor's ``counted``."""
-        reads: Dict[int, int] = {}
+        reads = {radio_id: cursor.counted for radio_id, cursor in self.skipped}
         for engine in self.engines:
             for radio_id, cursor in engine.cursors.items():
                 reads[radio_id] = cursor.counted
@@ -973,13 +999,28 @@ class UnifyStream:
 
     @property
     def records_read(self) -> int:
-        """All radios' read counts: one heap push per record read."""
+        """The synchronized radios' read counts: one heap push per
+        record read.  Quarantined radios are read after the last push,
+        so every count a caller schedules by is one a merge passes."""
         return sum(engine._counter for engine in self.engines)
+
+    @property
+    def valid_read(self) -> int:
+        """VALID records read from every radio (Table 1's error share)."""
+        return sum(engine.valid_read for engine in self.engines) + sum(
+            cursor.valid for _, cursor in self.skipped
+        )
+
+    @property
+    def radios(self) -> int:
+        """Input traces, quarantined ones included (Table 1's radios)."""
+        return len(self._track_order)
 
     @property
     def stats(self) -> UnifyStats:
         merged = UnifyStats()
-        merged.merge(self._quarantined)
+        skipped = sum(cursor.counted for _, cursor in self.skipped)
+        merged.records_in = merged.records_skipped_unsynchronized = skipped
         for engine in self.engines:
             merged.merge(engine.stats)
         return merged

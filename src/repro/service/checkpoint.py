@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 

@@ -43,10 +43,18 @@ Batch and daemon differ only in record source, checkpoint cadence and
 window sealing.
 
 The feed protocol: ``next_record(radio_id) -> Optional[TraceRecord]``
-(``None`` = end of that radio's stream), plus ``traces`` /
-``clock_groups()`` for the bootstrap prepass and ``seek()`` for a
-restore.  What the daemon has read is the merge's count, not the
-feed's (``UnifyStream.read_counts``): a restore seeks the feed to it.
+(``None`` = end of that radio's stream) is the one way a record reaches
+the daemon; ``traces`` is the roster, read for each radio's
+``radio_id``, ``channel`` and ``building_id`` only; ``clock_groups()``
+names the radios sharing a capture clock; ``seek(counts)`` makes each
+radio's ``counts[radio_id]``-th record the next one served.  The
+bootstrap reads its window through ``next_record``; the daemon then
+seeks the feed back to the start, and the merge reads every record
+through ``next_record`` again.  So a feed must serve a radio from its
+first record a second time, as it must anyway for a daemon started over
+after a crash before its first checkpoint.  What the daemon has read is
+the merge's count, not the feed's (``UnifyStream.read_counts``): a
+restore seeks a fresh feed to it.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.link.exchange import EXCHANGE_REORDER_SLACK_US
 from ..core.passes import PipelinePass, SealedWindow
@@ -67,8 +75,9 @@ from ..core.pipeline import (
     assemble_report,
 )
 from ..core.sync.bootstrap import bootstrap_synchronization
-from ..core.unify.unifier import Unifier, UnifyStream, partition_traces
+from ..core.unify.unifier import Unifier, UnifyStream
 from ..jtrace.io import RadioTrace
+from ..jtrace.records import TraceRecord
 from .checkpoint import (
     CheckpointError,
     CheckpointState,
@@ -95,6 +104,47 @@ SLICE = 64
 #: what the last one left there.
 FULL_COLLECTION_AFTER = 10
 FULL_COLLECTION_SHARE = 0.25
+
+
+class _FeedReader(RadioTrace):
+    """One roster radio, read through the feed for the bootstrap.
+
+    Each pull is one ``next_record``.  A source that raises leaves the
+    reader as it was, keeping no failure to raise again, so a second
+    ``serve()`` reads on from what the bootstrap already holds.  The
+    radio's channels are its roster channel, so the shard partition
+    reads no record.
+    """
+
+    def __init__(
+        self,
+        roster: RadioTrace,
+        next_record: Callable[[int], Optional[TraceRecord]],
+    ) -> None:
+        super().__init__(
+            roster.radio_id,
+            roster.channel,
+            building_id=roster.building_id,
+            channel_set=frozenset((roster.channel,)),
+        )
+        self._next = partial(next_record, roster.radio_id)
+
+    def _pull_some(self) -> int:
+        record = self._next()
+        if record is None:
+            return 0
+        self._records.append(record)
+        return 1
+
+    def stand_in(self) -> RadioTrace:
+        """This radio without its records: a merge cursor over it starts
+        empty and keeps nothing it is handed."""
+        return RadioTrace(
+            self.radio_id,
+            self.channel,
+            building_id=self.building_id,
+            channel_set=self.channel_set,
+        )
 
 
 @dataclass
@@ -147,6 +197,8 @@ class JigsawDaemon:
         # The restorable state: merge, drive and bootstrap are filled in
         # at start, or the whole object replaced by a restore.
         self._state = CheckpointState(merge=None, drive=None, bootstrap=None)
+        #: The bootstrap's readers, until the merge exists.
+        self._readers: List[_FeedReader] = []
         self._resumed = False
         self._reported = False
         self._last_boundary_at = 0
@@ -171,7 +223,10 @@ class JigsawDaemon:
 
     @property
     def total_consumed(self) -> int:
-        """Records read from the feed, as the merge counts them."""
+        """Records read from the feed: the bootstrap's reads until the
+        merge exists, then the merge's count."""
+        if self._state.merge is None:
+            return sum(len(r.replay_buffer) for r in self._readers)
         return self._state.total_consumed
 
     @property
@@ -282,49 +337,48 @@ class JigsawDaemon:
 
     def _start(self) -> None:
         """Fill the state in; the merge goes last, because ``serve()``
-        starts again until it is set."""
+        starts again until it is set.
+
+        The bootstrap reads its window through one reader per roster
+        radio.  A source that raises mid-window leaves the readers as
+        they are, so the next call re-runs the bootstrap over what they
+        hold and reads on.  Then the feed is sought back to every
+        radio's first record, and the merge reads each record again,
+        through cursors that start empty: no record the bootstrap read
+        stays with the daemon.
+        """
         feed, state = self.feed, self._state
+        if not self._readers:
+            self._readers = [
+                _FeedReader(radio, feed.next_record) for radio in feed.traces
+            ]
         state.drive = ReconstructionDrive(
             self._passes, materialize=self.materialize
         )
         bootstrap = bootstrap_synchronization(
-            feed.traces, clock_groups=feed.clock_groups()
+            self._readers, clock_groups=feed.clock_groups()
         )
         state.bootstrap = bootstrap
-
-        offsets = bootstrap.offsets_us
-        # The batch shards, with record-less stand-ins for synchronized
-        # radios: an engine must not read the feed's traces behind
-        # ``next_record``'s back, and a cursor that starts empty retains
-        # nothing it is handed later.  Quarantined radios go in as they
-        # are: the coordinator reads their length once, here, and its
-        # counters ride in every checkpoint.
-        merge = UnifyStream(
-            self.unifier,
-            [
-                [
-                    RadioTrace(t.radio_id, t.channel)
-                    if t.radio_id in offsets
-                    else t
-                    for t in shard
-                ]
-                for shard in partition_traces(feed.traces)
-            ],
-            bootstrap,
-            [t.radio_id for t in feed.traces],
+        feed.seek({reader.radio_id: 0 for reader in self._readers})
+        merge = self.unifier.stream_unify(
+            [reader.stand_in() for reader in self._readers], bootstrap
         )
         self._bind_feed(merge)
         state.merge = merge
+        self._readers = []
 
     # --- the drive loop ----------------------------------------------------
 
     def _bind_feed(self, merge: UnifyStream) -> None:
-        """Point every engine cursor of ``merge`` at the feed's records
-        for its radio; the binding never enters a checkpoint."""
+        """Point every cursor of ``merge``, a quarantined radio's too, at
+        the feed's records for its radio; the binding never enters a
+        checkpoint."""
         next_record = self.feed.next_record
+        cursors = list(merge.skipped)
         for engine in merge.engines:
-            for radio_id, cursor in engine.cursors.items():
-                cursor.produce = partial(next_record, radio_id)
+            cursors.extend(engine.cursors.items())
+        for radio_id, cursor in cursors:
+            cursor.produce = partial(next_record, radio_id)
 
     def _loop(self, stop_after_records: Optional[int]) -> bool:
         """Step the coordinator a slice at a time until the feed drains;
@@ -429,13 +483,7 @@ class JigsawDaemon:
         self._publish(drive.seal_ready())
 
         return assemble_report(
-            drive,
-            state.bootstrap,
-            merge.tracks,
-            merge.stats,
-            self.feed.traces,
-            flows,
-            started_clock,
+            drive, state.bootstrap, merge, (), flows, started_clock
         )
 
 

@@ -1,13 +1,16 @@
 """Bounded per-radio ingest queues with backpressure and stall detection.
 
 The daemon pulls records through a tiny *feed protocol* — any object
-with ``next_record(radio_id) -> Optional[TraceRecord]`` (plus the
-``traces`` / ``clock_groups()`` / ``seek()`` surface used at bootstrap
-and restore).  :class:`QueueFeed` is the protocol
-implementation for push-style producers: each radio owns a bounded
-:class:`RadioQueue`, producers push into it and observe backpressure
-(``push`` returns ``False`` when the queue is full — the producer must
-hold the record and retry), and the daemon drains the other end.
+with ``next_record(radio_id) -> Optional[TraceRecord]``, the one way a
+record reaches it, plus a roster ``traces`` (record-less
+:class:`~repro.jtrace.io.RadioTrace` s: radio id, channel, building),
+``clock_groups()`` and ``seek()``, which the daemon calls after its
+bootstrap read and on a restore.  :class:`QueueFeed` is the protocol
+implementation for push-style producers, and starts a daemon on its
+own: each radio owns a bounded :class:`RadioQueue`, producers push into
+it and observe backpressure (``push`` returns ``False`` when the queue
+is full — the producer must hold the record and retry), and the daemon
+drains the other end.
 
 Two liveness properties live here, both held by
 ``tests/test_service_liveness.py``:
@@ -30,8 +33,9 @@ code).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
+from ..jtrace.io import RadioTrace
 from ..jtrace.records import TraceRecord
 
 #: Default bound on per-radio queue depth (records).
@@ -113,19 +117,25 @@ class QueueFeed:
     deployment would instead have sockets pushing concurrently and the
     pump would merely wait; the deterministic single-threaded shape is
     what the crash/resume parity suite needs.
+
+    ``roster`` names the radios, one record-less
+    :class:`~repro.jtrace.io.RadioTrace` each (radio id, channel and
+    building); the feed serves it as ``traces``.
     """
 
     def __init__(
         self,
-        radio_ids: Sequence[int],
+        roster: Sequence[RadioTrace],
         pump: Pump,
         maxlen: int = DEFAULT_QUEUE_DEPTH,
         idle_limit: int = DEFAULT_IDLE_LIMIT,
     ) -> None:
         if idle_limit <= 0:
             raise ValueError("idle limit must be positive")
+        self.traces: List[RadioTrace] = list(roster)
         self.queues: Dict[int, RadioQueue] = {
-            radio_id: RadioQueue(radio_id, maxlen) for radio_id in radio_ids
+            radio.radio_id: RadioQueue(radio.radio_id, maxlen)
+            for radio in self.traces
         }
         self._pump = pump
         self._idle_limit = idle_limit
@@ -133,6 +143,12 @@ class QueueFeed:
 
     def queue(self, radio_id: int) -> RadioQueue:
         return self.queues[radio_id]
+
+    def clock_groups(self) -> List[List[int]]:
+        """Radios sharing one capture clock: none that a queue knows of.
+        A feed over dual-radio monitors names its pairs here, or the
+        bootstrap cannot bridge their channels."""
+        return []
 
     def push(self, radio_id: int, record: TraceRecord) -> bool:
         """Producer-side entry: push one record, observing backpressure."""
@@ -146,18 +162,24 @@ class QueueFeed:
         return dict(self._consumed)
 
     def seek(self, consumed: Dict[int, int]) -> None:
-        """Adopt a checkpoint's consumed counts (fresh feed, on restore).
+        """Make each radio's ``consumed[radio_id]``-th record the next
+        one handed out; the producer pushes from there.
 
-        The queues hold nothing yet, so this only tells the producer
-        where to pick up: the next record pushed for a radio must be its
-        ``consumed[radio_id]``-th.
+        On a fresh feed (a restore) the queues hold nothing yet.  A seek
+        back over records already handed out (the daemon's, after its
+        bootstrap read) drops what is queued and reopens the queue.  A
+        seek forward over queued records would skip records nobody
+        read, and is refused.
         """
         for radio_id, count in consumed.items():
             if radio_id not in self._consumed:
                 raise KeyError(f"unknown radio id {radio_id}")
             if count < 0:
                 raise ValueError("consumed counts must be non-negative")
-            if self.queues[radio_id].depth:
+            queue = self.queues[radio_id]
+            if count < self._consumed[radio_id]:
+                self.queues[radio_id] = RadioQueue(radio_id, queue.maxlen)
+            elif count > self._consumed[radio_id] and queue.depth:
                 raise ValueError(
                     f"seek on radio {radio_id}'s non-empty queue"
                 )
@@ -198,22 +220,21 @@ def feed_pump_from_records(
     """A pump replaying materialized per-radio record lists (tests).
 
     Pushes each radio's records in order, respecting backpressure, and
-    closes the queue at the end — the minimal faithful producer.  Each
-    radio starts at the feed's consumed count as of the first call, so
-    a pump over a ``seek``-ed feed resumes where the checkpoint left.
+    closes the queue at the end — the minimal faithful producer.  A
+    radio's next record is the one after those the feed handed out and
+    holds queued, so the pump follows a ``seek`` wherever it lands.
     """
-    cursors: Dict[int, int] = {}
 
     def pump(sink: "QueueFeed", radio_id: int) -> None:
-        if not cursors:
-            cursors.update(sink.consumed())
+        handed_out = sink.consumed()
         for rid, queue in sink.queues.items():
+            if queue.closed:
+                continue
             records: Sequence[TraceRecord] = records_by_radio.get(rid, ())
-            index = cursors[rid]
+            index = handed_out[rid] + queue.depth
             while index < len(records) and queue.push(records[index]):
                 index += 1
-            cursors[rid] = index
-            if index >= len(records) and not queue.closed:
+            if index >= len(records):
                 queue.close()
 
     return pump

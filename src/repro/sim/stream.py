@@ -84,13 +84,17 @@ class StreamedScenario:
         self._queues: Dict[int, Deque[RecordBatch]] = {
             radio.radio_id: deque() for radio in self._radios
         }
-        #: One streaming reader per radio — the pipeline's input.
+        #: One streaming reader per radio — the pipeline's input.  A
+        #: monitor radio stamps every record with its own channel, so
+        #: each trace declares that channel and the shard partition
+        #: runs none of the simulation.
         self.traces: List[RadioTrace] = [
             RadioTrace(
                 radio.radio_id,
                 radio.channel.number,
                 building_id=radio.trace.building_id,
                 source=self._source(radio.radio_id),
+                channel_set=frozenset((radio.channel.number,)),
             )
             for radio in self._radios
         ]
@@ -190,7 +194,8 @@ class LiveScenarioFeed:
 
     @property
     def traces(self) -> List[RadioTrace]:
-        """The underlying streaming traces (bootstrap prepass input)."""
+        """The roster: the daemon reads each trace's radio id, channel
+        and building, and every record through :meth:`next_record`."""
         return self._scenario.traces
 
     def clock_groups(self) -> List[List[int]]:

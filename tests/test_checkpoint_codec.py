@@ -201,7 +201,7 @@ def test_version_6_checkpoint_is_refused(tmp_path):
     """Version 6 pickled jframes as instance runs and merge groups as
     instance lists; this build reads neither, so it refuses the version
     before unpickling anything."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     path = tmp_path / "v6.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=6)
     with pytest.raises(CheckpointError, match="version 6"):
@@ -247,6 +247,18 @@ def test_version_10_checkpoint_is_refused(tmp_path):
     path = tmp_path / "v10.ckpt"
     write_framed(path, pickle.dumps(empty_state()), version=10)
     with pytest.raises(CheckpointError, match="version 10"):
+        load_checkpoint(path)
+
+
+def test_version_11_checkpoint_is_refused(tmp_path):
+    """Version 11 counted the quarantined radios into a stats object at
+    start, pickled a merge cursor without its VALID count and gave
+    every clock track its own skew weight; this build reads quarantined
+    radios through their cursors, counts what is VALID as it reads and
+    keeps the weight a constant."""
+    path = tmp_path / "v11.ckpt"
+    write_framed(path, pickle.dumps(empty_state()), version=11)
+    with pytest.raises(CheckpointError, match="version 11"):
         load_checkpoint(path)
 
 

@@ -227,6 +227,9 @@ class ReplayFeed:
     def clock_groups(self):
         return self._clock_groups
 
+    def seek(self, consumed):
+        self._cursor.update(consumed)
+
     def next_record(self, radio_id):
         self._served += 1
         if self._served == self._raise_at:
@@ -264,12 +267,14 @@ class Unpicklable(PipelinePass):
         self.generator = (n for n in ())
 
 
+@pytest.mark.service
 def test_serve_pauses_collection_and_restores_it(collector_on, flash):
     svc = JigsawDaemon(ReplayFeed(flash), passes=[CollectorProbe()]).serve()
     assert svc.report.passes["collector_probe"] == [False]
     assert gc.isenabled()
 
 
+@pytest.mark.service
 def test_serve_leaves_a_disabled_collector_disabled(collector_on, flash):
     gc.disable()
     svc = JigsawDaemon(ReplayFeed(flash), passes=[CollectorProbe()]).serve()
@@ -277,6 +282,7 @@ def test_serve_leaves_a_disabled_collector_disabled(collector_on, flash):
     assert not gc.isenabled()
 
 
+@pytest.mark.service
 def test_killed_serve_restores_collection(collector_on, flash, tmp_path):
     daemon = JigsawDaemon(
         ReplayFeed(flash),
@@ -288,6 +294,7 @@ def test_killed_serve_restores_collection(collector_on, flash, tmp_path):
     assert gc.isenabled()
 
 
+@pytest.mark.service
 def test_raising_source_restores_collection(collector_on, flash):
     daemon = JigsawDaemon(ReplayFeed(flash, raise_at=2 * EVERY))
     with pytest.raises(Boom):
@@ -295,6 +302,7 @@ def test_raising_source_restores_collection(collector_on, flash):
     assert gc.isenabled()
 
 
+@pytest.mark.service
 def test_failed_checkpoint_restores_collection(
     collector_on, flash, tmp_path
 ):
@@ -309,6 +317,7 @@ def test_failed_checkpoint_restores_collection(
     assert gc.isenabled()
 
 
+@pytest.mark.service
 @pytest.mark.parametrize(
     "every", [EVERY, 10**9], ids=["boundaries", "no-boundary"]
 )
@@ -368,6 +377,7 @@ class CyclePass(PipelinePass):
         return list(self.collections), self.jframes, Cycle.alive
 
 
+@pytest.mark.service
 def test_cycles_wait_at_most_one_boundary(collector_on, flash, tmp_path):
     """Automatic collection stays off, so the only collections are the
     young ones at the boundaries; each frees every cycle dropped before
@@ -415,6 +425,7 @@ class LateCyclePass(CyclePass):
             self.held.pop(0)
 
 
+@pytest.mark.service
 def test_live_serve_keeps_its_garbage_bounded(collector_on):
     """A live feed over dozens of boundaries, with what the caller held
     before ``serve()`` frozen, as a long-running service would have it:

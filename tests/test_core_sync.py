@@ -182,7 +182,7 @@ class TestClockTrack:
 
     def test_skew_learned_from_resyncs(self):
         # True clock runs +100 ppm: local = universal * 1.0001.
-        track = ClockTrack(radio_id=0, offset_us=0.0, alpha=1.0)
+        track = ClockTrack(radio_id=0, offset_us=0.0)
         for universal in range(100_000, 1_000_001, 100_000):
             local = universal * 1.0001
             track.resync(local, float(universal))

@@ -191,18 +191,20 @@ class ReplayFeed:
 
 
 class ReplayQueueFeed(QueueFeed):
-    """A :class:`QueueFeed` over a corpus, with the bootstrap surface a
-    daemon needs; the default pump replays the corpus from the feed's
-    consumed counts."""
+    """A :class:`QueueFeed` over a corpus, its roster record-less, so
+    every record the daemon sees comes through the queues; the default
+    pump replays the corpus from the feed's consumed counts."""
 
     def __init__(self, corpus: Corpus, pump=None) -> None:
         super().__init__(
-            [t.radio_id for t in corpus.traces],
+            [
+                RadioTrace(t.radio_id, t.channel, building_id=t.building_id)
+                for t in corpus.traces
+            ],
             pump or replay_pump(corpus),
             maxlen=QUEUE_DEPTH,
             idle_limit=IDLE_LIMIT,
         )
-        self.traces = corpus.traces
         self._clock_groups = corpus.clock_groups
 
     def clock_groups(self):

@@ -41,23 +41,23 @@ FILE_DAMAGE = FaultConfig(corrupt_rate=0.02, truncate_radios=1)
 
 EXPECTED = {
     "memory": {
-        "building": "433c5394b10375ff4cc4ff78e9a675d5",
-        "campus": "09ac62519f195af69c91b28f99e43043",
-        "flash_crowd": "d1478c09f60a30deac661cbc845e86fd",
-        "hidden_terminal": "aeb3ec5729e0424628482ee1142866ee",
-        "roaming": "35631a97d2f9aa43fe5740df75e82085",
-        "scanning": "394978d95a4bc5f1ce8d8cb7bd4030ca",
+        "building": "24472e8d4adff33174c6c8bf69708e99",
+        "campus": "99e0030d7e399c97da343b5b7812210f",
+        "flash_crowd": "5eee27b357819155d0e65473d00094c2",
+        "hidden_terminal": "cf0cbeb73b137d8107285dd3dacb31b7",
+        "roaming": "f65d3799e5422a0230edb2ef6ebaa2de",
+        "scanning": "78b9fb174ce92c465c2c90f581234d8b",
     },
     "files": {
-        "building": "130a1f51751b3993e69ddf2822f15e40",
-        "campus": "7d7dcf98e7507aec14da776f94d885c9",
-        "flash_crowd": "d5035971fcb956e894b67986fe0f3cbd",
-        "hidden_terminal": "8c2d350252248a6ac419c1e47ac0abdb",
-        "roaming": "9e69a378a93322a178d827b147f8b242",
-        "scanning": "2a2a2f7288225743d8ea09f9bc4db7cd",
+        "building": "e0e196cba41d25f05eeef593d5723049",
+        "campus": "7b035e8ee74cb93ed63b682e1b97651b",
+        "flash_crowd": "db5527452eb93d5c37859fea88582dd7",
+        "hidden_terminal": "2d66a8247d532ed57fc602df280abfb0",
+        "roaming": "488989d163bb094ad19b64c07b5ec1aa",
+        "scanning": "8d2b5fd77d017d2cb4e40f409412aff7",
     },
 }
-EXPECTED_DAMAGED_FLASH_CROWD = "0389a232cf232e06ec84ce12cf8f9d13"
+EXPECTED_DAMAGED_FLASH_CROWD = "67c62e6e2a15104fc9ff6d962099980c"
 
 
 def _mac(address):

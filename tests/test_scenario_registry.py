@@ -21,6 +21,7 @@ from repro.core.analysis import (
     WiredCoveragePass,
 )
 from repro.core.pipeline import JigsawPipeline
+from repro.core.unify import partition_traces
 from repro.sim import REGISTRY, SCALES, run_scenario, scenario_config
 from repro.sim.registry import ScenarioRegistry
 from repro.sim.stream import stream_scenario
@@ -139,9 +140,18 @@ class TestFamilyMatrix:
 
     def test_streamed_ingest_pipeline_parity(self, family_run):
         """Materialized sim -> pipeline == streamed sim -> pipeline,
-        jframe for jframe, for every family."""
-        name, config, _, batch = family_run
+        jframe for jframe, for every family; and the streamed traces'
+        declared channels shard the radios as the records do, which the
+        daemon's roster partition rests on."""
+        name, config, artifacts, batch = family_run
         streamed = stream_scenario(config)
+
+        def shard_ids(traces):
+            return [
+                [t.radio_id for t in shard] for shard in partition_traces(traces)
+            ]
+
+        assert shard_ids(streamed.traces) == shard_ids(artifacts.radio_traces)
         report = JigsawPipeline().run(
             streamed.traces, clock_groups=streamed.clock_groups()
         )

@@ -33,15 +33,18 @@ from pathlib import Path
 import pytest
 
 from helpers import assert_reports_identical
+from repro.core.analysis import SummaryPass
 from repro.core.link.attempt import TransmissionAttempt
 from repro.core.link.exchange import (
     EXCHANGE_SPAN_LIMIT_HORIZONS,
     ExchangeAssembler,
 )
 from repro.core.passes import PipelinePass
+from repro.core.pipeline import JigsawPipeline
 from repro.core.unify.jframe import JFrame, JFrameKind
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
+from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service import (
     CHECKPOINT_MAGIC,
@@ -57,7 +60,7 @@ from repro.service import (
 from repro.service.daemon import SLICE
 from repro.service.queues import feed_pump_from_records
 from repro.service.windows import WindowedSummaryPass
-from repro.sim import ScenarioConfig
+from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.registry import scenario_config
 from repro.sim.stream import live_feed
 
@@ -187,6 +190,45 @@ class TestMidStreamPublication:
         assert total_jframes == svc.report.unification.stats.jframes
 
 
+class TestLiveStart:
+    def test_start_reads_the_bootstrap_window_not_the_run(self):
+        """Starting reads each radio's first second through the feed and
+        learns its channel from the roster, so a run longer than the
+        window is still simulating when the merge takes over.  Every
+        radio of the flash crowd hears traffic past the window; a radio
+        that falls silent inside it is read to its end of stream."""
+        config = scenario_config(
+            "flash_crowd", "small", seed=7, duration_us=2_000_000
+        )
+        feed = live_feed(config)
+        daemon = JigsawDaemon(feed)
+        daemon._start()
+        assert daemon.total_consumed == 0
+        assert feed._scenario._world.kernel.now_us < config.duration_us
+
+    def test_a_plain_queue_feed_starts_a_daemon(self):
+        """A :class:`QueueFeed` over a record-less roster is a whole
+        feed: with no shared clocks named, the daemon reports what batch
+        reports over the same records and no clock groups, Table 1
+        included, the radios the bootstrap cannot bridge read and
+        counted as quarantined."""
+        config = tiny_config()
+        traces = run_scenario(config).radio_traces
+        feed = QueueFeed(
+            [RadioTrace(t.radio_id, t.channel) for t in traces],
+            feed_pump_from_records({t.radio_id: t.records for t in traces}),
+        )
+        svc = JigsawDaemon(
+            feed, passes=[SummaryPass(config.duration_us)]
+        ).serve()
+        batch = JigsawPipeline().run(
+            traces, passes=[SummaryPass(config.duration_us)]
+        )
+        assert batch.unification.stats.records_skipped_unsynchronized
+        assert_reports_identical(svc.report, batch)
+        assert svc.report.passes == batch.passes
+
+
 class TestQueueBackpressure:
     def test_slow_consumer_bounds_depth(self):
         """Producer keeps pushing, consumer never drains: depth caps at
@@ -213,7 +255,7 @@ class TestQueueBackpressure:
 
     def test_queue_feed_depth_is_maxlen_not_trace_length(self):
         records = {1: [make_record(1, 1000 + 10 * i) for i in range(5000)]}
-        feed = QueueFeed([1], feed_pump_from_records(records), maxlen=64)
+        feed = QueueFeed([RadioTrace(1, 1)], feed_pump_from_records(records), maxlen=64)
         # One pull primes the pump; the pump pushes until backpressure.
         first = feed.next_record(1)
         assert first is records[1][0]
@@ -236,14 +278,26 @@ class TestQueueBackpressure:
 
     def test_seek_positions_the_producer(self):
         records = {1: [make_record(1, 1000 + 10 * i) for i in range(20)]}
-        feed = QueueFeed([1], feed_pump_from_records(records), maxlen=4)
+        feed = QueueFeed([RadioTrace(1, 1)], feed_pump_from_records(records), maxlen=4)
         feed.seek({1: 12})
         assert feed.consumed() == {1: 12}
         assert feed.next_record(1) is records[1][12]
         assert feed.consumed() == {1: 13}
 
+    def test_seek_back_replays_from_the_count(self):
+        """A seek back over records handed out drops what is queued and
+        reopens a closed queue; the pump pushes again from the count."""
+        records = {1: [make_record(1, 1000 + 10 * i) for i in range(6)]}
+        feed = QueueFeed(
+            [RadioTrace(1, 1)], feed_pump_from_records(records), maxlen=4
+        )
+        assert [feed.next_record(1) for _ in range(7)][-1] is None
+        feed.seek({1: 2})
+        assert feed.consumed() == {1: 2}
+        assert list(iter(lambda: feed.next_record(1), None)) == records[1][2:]
+
     def test_seek_rejects_what_it_cannot_honour(self):
-        feed = QueueFeed([1], lambda f, r: None)
+        feed = QueueFeed([RadioTrace(1, 1)], lambda f, r: None)
         with pytest.raises(KeyError, match="unknown radio id 2"):
             feed.seek({2: 0})
         with pytest.raises(ValueError, match="non-negative"):
@@ -482,7 +536,7 @@ class TestStalledSource:
         def dead_pump(feed, radio_id):
             return None  # no push, no close: a hung uplink
 
-        feed = QueueFeed([1], dead_pump, idle_limit=25)
+        feed = QueueFeed([RadioTrace(1, 1)], dead_pump, idle_limit=25)
         with pytest.raises(ServiceStalled, match="25 pump attempts"):
             feed.next_record(1)
 
@@ -499,7 +553,7 @@ class TestStalledSource:
                 else:
                     feed.close_radio(1)
 
-        feed = QueueFeed([1], trickle_pump, idle_limit=10)
+        feed = QueueFeed([RadioTrace(1, 1)], trickle_pump, idle_limit=10)
         out = []
         while True:
             record = feed.next_record(1)
@@ -509,41 +563,29 @@ class TestStalledSource:
         assert len(out) == 10
 
     def test_closed_stream_yields_none_forever(self):
-        feed = QueueFeed([1], lambda f, r: f.close_radio(1), idle_limit=5)
+        feed = QueueFeed(
+            [RadioTrace(1, 1)], lambda f, r: f.close_radio(1), idle_limit=5
+        )
         assert feed.next_record(1) is None
         assert feed.next_record(1) is None
 
 
 class PoisonablePass(PipelinePass):
-    """A pass whose state stops pickling once ``poison`` is set."""
+    """A pass whose state stops pickling at its first jframe after a
+    checkpoint is on disk at ``checkpoint``."""
 
     name = "poisonable"
 
-    def __init__(self):
+    def __init__(self, checkpoint):
+        self.checkpoint = checkpoint
         self.poison = None
+
+    def on_jframe(self, jframe):
+        if self.poison is None and self.checkpoint.exists():
+            self.poison = (n for n in ())
 
     def finish(self, context):
         return None
-
-
-class PoisoningFeed:
-    """Delegates to a feed and, at the ``after``-th record request, gives
-    ``target`` state no pickler can write."""
-
-    def __init__(self, feed, target, after):
-        self._feed = feed
-        self._target = target
-        self._after = after
-        self._requests = 0
-
-    def __getattr__(self, name):
-        return getattr(self._feed, name)
-
-    def next_record(self, radio_id):
-        self._requests += 1
-        if self._requests == self._after:
-            self._target.poison = (n for n in ())
-        return self._feed.next_record(radio_id)
 
 
 WRITER_EVERY = 1_500
@@ -699,12 +741,9 @@ class TestCheckpointWriter:
         second write fails, ``serve()`` raises with its exception, and
         the first checkpoint is still the file, with nothing beside it."""
         checkpoint = tmp_path / "svc.ckpt"
-        target = PoisonablePass()
         daemon = JigsawDaemon(
-            PoisoningFeed(
-                live_feed(flash_config()), target, after=3 * WRITER_EVERY // 2
-            ),
-            passes=[target],
+            live_feed(flash_config()),
+            passes=[PoisonablePass(checkpoint)],
             checkpoint_path=checkpoint,
             checkpoint_every=WRITER_EVERY,
         )

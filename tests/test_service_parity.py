@@ -5,6 +5,7 @@ drawn record counts, stalled and recovered over a ``QueueFeed`` — to the
 batch pipeline on every corpus.  What stays here is service behaviour
 that is not a comparison with batch: a kill before the first checkpoint
 leaves nothing to restore, the codec round-trips a mid-run state, a
+source that fails in the bootstrap read leaves the daemon resumable, a
 bounded-memory daemon restores as one, a finished daemon refuses to
 serve again, and checkpoints of another format version are refused.
 """
@@ -67,8 +68,9 @@ def assert_service_identical(svc_a, svc_b):
 
 
 class ProtocolFeed:
-    """The feed protocol and nothing else: ``traces``,
-    ``clock_groups()``, ``seek()`` and ``next_record()``."""
+    """The feed protocol and nothing else: the roster ``traces``,
+    ``clock_groups()``, ``seek()`` and ``next_record()``, the one way a
+    record reaches the daemon."""
 
     def __init__(self, config):
         live = live_feed(config)
@@ -76,6 +78,29 @@ class ProtocolFeed:
         self.clock_groups = live.clock_groups
         self.seek = live.seek
         self.next_record = live.next_record
+
+
+class SourceDown(RuntimeError):
+    pass
+
+
+class FailingOnceFeed:
+    """Delegates to a feed, and raises :class:`SourceDown` instead of
+    serving its ``at``-th record request."""
+
+    def __init__(self, feed, at):
+        self._feed = feed
+        self._at = at
+        self._requests = 0
+
+    def __getattr__(self, name):
+        return getattr(self._feed, name)
+
+    def next_record(self, radio_id):
+        self._requests += 1
+        if self._requests == self._at:
+            raise SourceDown
+        return self._feed.next_record(radio_id)
 
 
 def run_daemon(
@@ -186,6 +211,30 @@ class TestFlashCrowdScenario:
             last = max(b for b in boundaries if b < k)
             assert load_checkpoint(checkpoint).total_consumed == last
             assert daemon.checkpoints_written == boundaries.index(last) + 1
+
+    def test_a_source_error_in_the_bootstrap_read_resumes(
+        self, config, tmp_path
+    ):
+        """The bootstrap reads through the feed: a source that fails
+        mid-window leaves what was read with the daemon, and a second
+        ``serve()`` reads on to the uninterrupted run's report."""
+        _, svc_ref, _ = run_daemon(
+            config, tmp_path, FLASH_CHECKPOINT_EVERY, name="ref.ckpt"
+        )
+        daemon = JigsawDaemon(
+            FailingOnceFeed(live_feed(config), at=50),
+            passes=make_passes(),
+            checkpoint_path=tmp_path / "svc.ckpt",
+            checkpoint_every=FLASH_CHECKPOINT_EVERY,
+        )
+        with pytest.raises(SourceDown):
+            daemon.serve()
+        assert daemon.total_consumed == 49
+        assert daemon.checkpoints_written == 0
+        svc = daemon.serve()
+        assert svc is not None and not svc.resumed
+        assert svc.checkpoints_written == svc_ref.checkpoints_written
+        assert_service_identical(svc, svc_ref)
 
     def test_crash_resume_keeps_materialize_false(self, config, tmp_path):
         """A bounded-memory daemon restores as one: the materialize

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import assert_reports_identical
 from repro.core.pipeline import JigsawPipeline
+from repro.core.unify import partition_traces
 from repro.jtrace.io import RadioTrace
 from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.stream import stream_scenario
@@ -85,6 +86,14 @@ class TestLazyExecution:
         trace.buffered_until(first + 200_000)
         now = streamed._world.kernel.now_us
         assert 0 < now < config.duration_us, now
+
+    def test_shard_partition_runs_none_of_the_simulation(self):
+        """Each streamed trace declares its radio's channel, so
+        partitioning the shards reads no record."""
+        config = ScenarioConfig.small(seed=9)
+        streamed = stream_scenario(config, chunk_us=100_000)
+        assert partition_traces(streamed.traces)
+        assert streamed._world.kernel.now_us == 0
 
     def test_chunk_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_us"):
