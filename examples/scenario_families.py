@@ -4,7 +4,7 @@ Each registered workload family is simulated at tiny scale and fed to the
 pipeline through the streaming sim->pipeline path (the same single-read
 reader interface trace files use), then its family-specific signal is
 printed: roam handoffs, hidden-terminal collisions, cross-channel probe
-bursts, the flash-crowd wave.
+bursts, the flash-crowd wave, the campus's buildings.
 
 Run with ``PYTHONPATH=src python examples/scenario_families.py``.
 """
@@ -51,6 +51,13 @@ def family_signal(name, artifacts, report):
             if abs(f.start_us / config.duration_us - center) < 2 * width
         )
         return f"{in_wave}/{len(artifacts.flows)} flows inside the wave"
+    if name == "campus":
+        bootstrap = report.bootstrap
+        return (
+            f"{len(artifacts.worlds)} buildings, "
+            f"{len(bootstrap.offsets_us)} radios synchronized in "
+            f"{len(bootstrap.islands)} islands"
+        )
     return f"{len(artifacts.flows)} flows scheduled"
 
 

@@ -3,9 +3,9 @@
 from .bootstrap import (
     BootstrapResult,
     DEFAULT_BOOTSTRAP_WINDOW_US,
-    DEFAULT_STABILITY_TOLERANCE_US,
     QUARANTINE_NO_REFERENCES,
     QUARANTINE_UNSTABLE_CLOCK,
+    STABILITY_TOLERANCE_US,
     bootstrap_synchronization,
 )
 from .refs import ReferenceKey, content_key, parse_record_frame, reference_key
@@ -14,9 +14,9 @@ from .skew import ClockTrack, DEFAULT_SKEW_ALPHA
 __all__ = [
     "BootstrapResult",
     "DEFAULT_BOOTSTRAP_WINDOW_US",
-    "DEFAULT_STABILITY_TOLERANCE_US",
     "QUARANTINE_NO_REFERENCES",
     "QUARANTINE_UNSTABLE_CLOCK",
+    "STABILITY_TOLERANCE_US",
     "bootstrap_synchronization",
     "ReferenceKey",
     "content_key",

@@ -61,12 +61,13 @@ DEFAULT_BOOTSTRAP_WINDOW_US = 1_000_000
 #: Auto-widen doubles the window up to this limit, then gives up.
 MAX_BOOTSTRAP_WINDOW_US = 16_000_000
 
-#: Default clock-fit stability tolerance.  Legitimate skew across even the
+#: Clock-fit stability tolerance.  Legitimate skew across even the
 #: widest (16 s) examination window at 100 ppm drifts offsets by ~1.6 ms;
 #: a radio whose redundant reference edges disagree by more than this is
 #: not drifting — its clock stepped (reboot, firmware jump) inside the
 #: window, and trusting any single fit for it would smear the timeline.
-DEFAULT_STABILITY_TOLERANCE_US = 50_000.0
+#: Read at call time.
+STABILITY_TOLERANCE_US = 50_000.0
 
 #: Quarantine reason strings (values of ``BootstrapResult.quarantined``).
 QUARANTINE_NO_REFERENCES = "no-references"
@@ -264,7 +265,6 @@ def bootstrap_synchronization(
     clock_groups: Iterable[Sequence[int]] = (),
     window_us: int = DEFAULT_BOOTSTRAP_WINDOW_US,
     auto_widen: bool = True,
-    stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
 ) -> BootstrapResult:
     """Compute bootstrap offsets ``T_i`` for every radio.
 
@@ -291,7 +291,7 @@ def bootstrap_synchronization(
     timestamp alignment is physically meaningless (no frame spans
     islands, so the merge never compares timestamps across them).
     Either way radios whose clock fit is internally inconsistent
-    beyond ``stability_tolerance_us`` are evicted as
+    beyond :data:`STABILITY_TOLERANCE_US` are evicted as
     ``unstable-clock-fit``.  Radios that were unreachable in an early
     auto-widen round but gained references when the window grew are
     reported in ``rejoined``.
@@ -321,7 +321,7 @@ def bootstrap_synchronization(
         shared = _shared_sets(shard.sets)
         family = _select_covering_family(shared, radios, shard.order)
         offsets, unreachable, quarantined, islands = _resolve_offsets(
-            radios, family, clock_groups, stability_tolerance_us, locality_of
+            radios, family, clock_groups, locality_of
         )
         if (
             not unreachable
@@ -437,17 +437,17 @@ def _island_partition(
 def _unstable_radios(
     offsets: Dict[int, float],
     adjacency: Dict[int, List[Tuple[int, float]]],
-    tolerance_us: float,
 ) -> Set[int]:
     """Radios whose redundant reference edges contradict their BFS fit.
 
     The BFS uses a spanning tree of the reference graph; every non-tree
     edge is a consistency check for free: for an edge ``a -> (b, delta)``
     the fit predicts ``offsets[b] - offsets[a] == delta`` up to legitimate
-    skew.  A residual beyond ``tolerance_us`` means at least one endpoint's
-    clock stepped inside the window.  A radio is condemned only when the
-    violations are *its* pattern, not a neighbor's: it must have at least
-    one violated edge and violations on at least half its edges.
+    skew.  A residual beyond :data:`STABILITY_TOLERANCE_US` means at least
+    one endpoint's clock stepped inside the window.  A radio is condemned
+    only when the violations are *its* pattern, not a neighbor's: it must
+    have at least one violated edge and violations on at least half its
+    edges.
     """
     degree: Dict[int, int] = defaultdict(int)
     violations: Dict[int, int] = defaultdict(int)
@@ -459,7 +459,7 @@ def _unstable_radios(
                 continue
             degree[radio] += 1
             residual = offsets[other] - offsets[radio] - delta
-            if abs(residual) > tolerance_us:
+            if abs(residual) > STABILITY_TOLERANCE_US:
                 violations[radio] += 1
     return {
         radio
@@ -472,7 +472,6 @@ def _resolve_offsets(
     radios: Sequence[int],
     family: Sequence[Dict[int, int]],
     clock_groups: Iterable[Sequence[int]],
-    stability_tolerance_us: float = DEFAULT_STABILITY_TOLERANCE_US,
     locality_of: Optional[Dict[int, int]] = None,
 ) -> Tuple[Dict[int, float], List[int], Dict[int, str], List[List[int]]]:
     """Offset resolution over the reference-graph islands.
@@ -537,7 +536,7 @@ def _resolve_offsets(
 
     offsets, islands, adjacency = resolve(radios, family, clock_groups)
 
-    unstable = _unstable_radios(offsets, adjacency, stability_tolerance_us)
+    unstable = _unstable_radios(offsets, adjacency)
     if unstable:
         # Re-resolve once without the unstable radios.  The family is
         # re-filtered — not edge-pruned — so two stable radios joined only

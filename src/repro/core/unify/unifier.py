@@ -49,7 +49,7 @@ loop.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, fields
 from itertools import compress, islice, repeat
 from operator import countOf, is_, itemgetter
@@ -284,9 +284,9 @@ class _TraceCursor:
 
     ``counted`` is how many of this cursor's records ``records_in``
     already includes; a cursor is counted when it is exhausted.  A
-    cursor nothing merges (a quarantined radio's, a duplicate id's) is
-    read by :meth:`skip_rest`, which counts as it reads and keeps
-    ``valid``, the VALID records among them.
+    cursor nothing merges (a quarantined radio's) is read by
+    :meth:`skip_rest`, which counts as it reads and keeps ``valid``, the
+    VALID records among them.
 
     ``produce`` is bound to a live source (a decoder, a feed), so it is
     not pickled; whoever restores an engine rebinds it.
@@ -372,14 +372,6 @@ class _MergeEngine:
         self.cursors: Dict[int, _TraceCursor] = {}
         offsets = bootstrap.offsets_us
         for trace in traces:
-            displaced = self.cursors.get(trace.radio_id)
-            if displaced is not None:
-                # Duplicate radio id: the later trace wins (dict
-                # semantics, unchanged), but the displaced records still
-                # count as engine input like they always did.
-                displaced.skip_rest()
-                self.stats.records_in += displaced.counted
-                self.valid_read += displaced.valid
             self.tracks[trace.radio_id] = ClockTrack(
                 radio_id=trace.radio_id,
                 offset_us=offsets[trace.radio_id],
@@ -1079,12 +1071,14 @@ class Unifier:
 
         Returns a :class:`UnifyStream`: iterate it for globally
         time-ordered jframes; read ``.stats`` / ``.tracks`` when done.
+        Raises ``ValueError`` if two traces carry one radio id.
         """
+        radio_ids = [t.radio_id for t in traces]
+        repeated = [r for r, n in Counter(radio_ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"two traces carry radio id {repeated[0]}")
         return UnifyStream(
-            self,
-            partition_traces(traces),
-            bootstrap,
-            [t.radio_id for t in traces],
+            self, partition_traces(traces), bootstrap, radio_ids
         )
 
     def unify(

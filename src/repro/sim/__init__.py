@@ -3,7 +3,8 @@
 Scenario configuration is componentized (:mod:`repro.sim.scenario`),
 named workload families live in the registry (:mod:`repro.sim.registry`),
 and runs can execute either materialized (:func:`run_scenario`) or
-streamed straight into the pipeline (:func:`repro.sim.stream.stream_scenario`).
+streamed straight into the pipeline (:func:`repro.sim.stream.stream_scenario`);
+both build every building a config names (:mod:`repro.sim.campus`).
 """
 
 from .building import Building, Placement, assign_channels, pod_reduction_order
@@ -44,8 +45,6 @@ __all__ = [
     "ScenarioWorld",
     "stream_scenario",
     "StreamedScenario",
-    "CampusArtifacts",
-    "run_campus",
     "ClientBehaviorConfig",
     "ClockConfig",
     "FaultConfig",
@@ -81,9 +80,6 @@ _LAZY = {
     # The streaming feed sits on top of the runner; same cycle, same fix.
     "stream_scenario": "stream",
     "StreamedScenario": "stream",
-    # Campus composition runs the runner per building; same cycle, same fix.
-    "CampusArtifacts": "campus",
-    "run_campus": "campus",
 }
 
 

@@ -3,17 +3,19 @@
 The paper's deployment is one building; campus scale grows the fleet by
 *buildings*, not by densifying one building.  Buildings are RF-isolated
 — no transmission is audible in two of them — so a campus simulation is
-exactly the composition of independent single-building simulations:
+exactly the composition of independent single-building simulations.
+:func:`repro.sim.runner.run_scenario` and
+:func:`repro.sim.stream.stream_scenario` build one world per building
+this module names:
 
-* each building runs :func:`repro.sim.runner.run_scenario` with its own
-  sub-seed (derived from the campus seed through the fixed ``campus``
-  spawn key, so building b's world is stable no matter how many
-  buildings exist or in what order they run);
-* radio ids are offset by a per-building stride (``4 * n_pods``, the
-  id space one building's pods can occupy) into disjoint ranges, MAC
-  allocators onto disjoint per-building address blocks, and every trace
-  is stamped with its ``building_id`` — the locality key hierarchical
-  sharding partitions on;
+* each building runs under its own sub-seed (derived from the campus
+  seed through the fixed ``campus`` spawn key, so building b's world is
+  stable no matter how many buildings exist or in what order they run)
+  and mints MAC addresses from its own block;
+* radio ids are offset by a per-building stride (``4 * n_pods``, the id
+  space one building's pods can occupy) into disjoint ranges, and every
+  trace is stamped with its ``building_id`` — the locality key
+  hierarchical sharding partitions on;
 * clock groups are offset the same way.  Buildings share no
   observations and no clocks, so each is its own synchronization
   island; the bootstrap follows the ``building_id`` stamps, not an
@@ -33,13 +35,11 @@ physical reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List
 
 import numpy as np
 
-from ..jtrace.io import RadioTrace
-from .runner import SimulationArtifacts, run_scenario
 from .scenario import ScenarioConfig, _STREAM_KEYS
 
 
@@ -75,63 +75,9 @@ def building_config(config: ScenarioConfig, building: int) -> ScenarioConfig:
     )
 
 
-@dataclass
-class CampusArtifacts:
-    """What a campus run produces: the merge pipeline's campus input.
-
-    Unlike :class:`~repro.sim.runner.SimulationArtifacts` this holds the
-    cross-building views the pipeline consumes — id-offset, building-
-    stamped traces and clock groups — plus the per-building artifacts
-    for analyses that want one building's oracle.
-    """
-
-    config: ScenarioConfig
-    traces: List[RadioTrace]
-    clock_groups: List[List[int]]
-    events_run: int
-    n_flows: int
-    buildings: List[SimulationArtifacts]
-
-
-def run_campus(config: ScenarioConfig) -> CampusArtifacts:
-    """Run ``config.n_buildings`` independent buildings and compose them.
-
-    A 1-building campus is exactly ``run_scenario(config)`` (same seed,
-    same world, same draws) with ``building_id=0`` stamped on the
-    traces.
-    """
-    n = config.n_buildings
-    stride = building_stride(config)
-    traces: List[RadioTrace] = []
-    clock_groups: List[List[int]] = []
-    buildings: List[SimulationArtifacts] = []
-    events_run = 0
-    n_flows = 0
-    for b in range(n):
-        sub = config if n == 1 else building_config(config, b)
-        artifacts = run_scenario(sub)
-        buildings.append(artifacts)
-        offset = b * stride
-        for trace in artifacts.radio_traces:
-            # Reuses the record lists — the per-building artifacts and
-            # the campus view share them (records are immutable).
-            traces.append(
-                RadioTrace(
-                    trace.radio_id + offset,
-                    trace.channel,
-                    trace.records,
-                    building_id=b,
-                )
-            )
-        for group in artifacts.clock_groups():
-            clock_groups.append([rid + offset for rid in group])
-        events_run += artifacts.events_run
-        n_flows += len(artifacts.flows)
-    return CampusArtifacts(
-        config=config,
-        traces=traces,
-        clock_groups=clock_groups,
-        events_run=events_run,
-        n_flows=n_flows,
-        buildings=buildings,
-    )
+def building_configs(config: ScenarioConfig) -> List[ScenarioConfig]:
+    """The configuration of every building ``config`` names, in building
+    order: ``config`` itself when it names one."""
+    if config.n_buildings == 1:
+        return [config]
+    return [building_config(config, b) for b in range(config.n_buildings)]

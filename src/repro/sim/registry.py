@@ -340,7 +340,8 @@ REGISTRY.register(
         name="campus",
         description=(
             "Several RF-isolated buildings composed into one trace set "
-            "(repro.sim.campus.run_campus): disjoint radio-id ranges, "
+            "(run_scenario and stream_scenario build one world per "
+            "building, repro.sim.campus): disjoint radio-id ranges, "
             "building_id stamps on every trace, one synchronization "
             "island per building (the bootstrap covering family elects "
             "a reference radio in each).  The full scale is the "

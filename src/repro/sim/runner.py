@@ -12,10 +12,14 @@ TCP workload; runs the discrete-event kernel; and returns a
 * the medium's ground-truth transmission history and flow outcomes (the
   oracle the evaluation scores reconstruction against).
 
-The build phase is separated from execution (:func:`build_scenario` /
-:func:`finalize_scenario`) so the streaming feed in
-:mod:`repro.sim.stream` can advance the same world incrementally, handing
-monitor records to the pipeline as the simulation produces them.
+:func:`run_scenario` simulates any config: a campus config
+(``n_buildings > 1``) runs one world per building, composed as
+:mod:`repro.sim.campus` describes, and the bundle's views concatenate
+across them.  The build phase is separated from execution
+(:func:`build_scenario` builds one building's world) so the streaming
+feed in :mod:`repro.sim.stream` can advance the same worlds
+incrementally, handing monitor records to the pipeline as the
+simulation produces them.
 
 Randomness is split two ways.  The *core* draws — AP/pod/station seeds,
 office placements, wired loss, the flow schedule — come from one
@@ -29,8 +33,10 @@ the property the scenario registry's seed-stability tests hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from ..jtrace.io import RadioTrace
 from ..mac.ap import AccessPoint
 from ..mac.medium import Medium, Transmission
 from ..mac.station import Station
-from ..monitor.radio import SensorPod, build_pod
+from ..monitor.radio import MonitorRadio, SensorPod, build_pod
 from ..net.arp import ScanArpSource, VernierTracker
 from ..net.wired import WiredNetwork, WiredTraceRecord
 from ..phy.noisefloor import BroadbandInterferer
@@ -50,6 +56,7 @@ from ..sim.building import (
     assign_channels,
     pod_reduction_order,
 )
+from ..sim.campus import building_configs, building_stride
 from ..sim.kernel import Kernel
 from ..sim.scenario import ScenarioConfig, ScenarioStreams
 from ..sim.workload import FlowRequest, generate_flows
@@ -81,81 +88,8 @@ class RoamEvent:
 
 
 @dataclass
-class SimulationArtifacts:
-    """Everything a run produces, oracle included."""
-
-    config: ScenarioConfig
-    building: Building
-    medium: Medium
-    wired: WiredNetwork
-    aps: List[AccessPoint]
-    ap_placements: List[Placement]
-    stations: List[Station]
-    station_placements: List[Placement]
-    pods: List[SensorPod]
-    pod_placements: List[Placement]
-    flows: List[FlowRequest]
-    flow_outcomes: List[FlowOutcome]
-    events_run: int
-    roam_events: List[RoamEvent] = field(default_factory=list)
-
-    @property
-    def radio_traces(self) -> List[RadioTrace]:
-        """The monitor traces — Jigsaw's input.
-
-        Empty for a streamed run: :func:`repro.sim.stream.stream_scenario`
-        moves record ownership into the consuming
-        :class:`~repro.jtrace.io.RadioTrace` readers.
-        """
-        return [radio.trace for pod in self.pods for radio in pod.radios]
-
-    @property
-    def ground_truth(self) -> List[Transmission]:
-        """Every transmission that ever hit the air, in true-time order."""
-        return self.medium.history
-
-    @property
-    def wired_trace(self) -> List[WiredTraceRecord]:
-        return self.wired.trace
-
-    def pod_reduction_order(self) -> List[int]:
-        """Pod indices in Figure 7 removal order (most redundant first)."""
-        return pod_reduction_order(self.pod_placements)
-
-    def radios_of_pods(self, pod_indices) -> List[int]:
-        """Radio ids belonging to the given pod indices."""
-        wanted = set(pod_indices)
-        return [
-            radio.radio_id
-            for index, pod in enumerate(self.pods)
-            if index in wanted
-            for radio in pod.radios
-        ]
-
-    def clock_groups(self) -> List[List[int]]:
-        """Radio ids sharing one capture clock (the two radios per monitor)."""
-        return clock_groups_of(self.pods)
-
-
-def clock_groups_of(pods: List[SensorPod]) -> List[List[int]]:
-    """Radio ids sharing one capture clock, per monitor, across ``pods``.
-
-    This is infrastructure metadata, not trace content: the real
-    deployment knows it from its driver configuration (Section 3.3), and
-    bootstrap synchronization uses it to bridge across channels.
-    """
-    groups: List[List[int]] = []
-    for pod in pods:
-        by_clock: Dict[int, List[int]] = {}
-        for radio in pod.radios:
-            by_clock.setdefault(id(radio.clock), []).append(radio.radio_id)
-        groups.extend(ids for ids in by_clock.values() if len(ids) > 1)
-    return groups
-
-
-@dataclass
 class ScenarioWorld:
-    """A fully wired, not-yet-run scenario.
+    """One building's fully wired world.
 
     :func:`build_scenario` produces one; either :func:`run_scenario`
     drives its kernel to the configured duration in one go, or the
@@ -179,11 +113,177 @@ class ScenarioWorld:
     roam_events: List[RoamEvent]
 
     def clock_groups(self) -> List[List[int]]:
-        return clock_groups_of(self.pods)
+        """Radio ids sharing one capture clock, per monitor.
+
+        This is infrastructure metadata, not trace content: the real
+        deployment knows it from its driver configuration (Section 3.3),
+        and bootstrap synchronization uses it to bridge across channels.
+        """
+        groups: List[List[int]] = []
+        for pod in self.pods:
+            by_clock: Dict[int, List[int]] = {}
+            for radio in pod.radios:
+                by_clock.setdefault(id(radio.clock), []).append(radio.radio_id)
+            groups.extend(ids for ids in by_clock.values() if len(ids) > 1)
+        return groups
+
+    def finish(self) -> None:
+        """Close out a world whose kernel has reached the configured
+        duration: every flow still open is aborted."""
+        for driver in self.drivers:
+            driver.client.abort() if not driver.client.finished else None
+            driver.server.abort() if not driver.server.finished else None
+
+
+@dataclass
+class SimulationArtifacts:
+    """Everything a run produces, oracle included.
+
+    ``worlds`` holds one finished :class:`ScenarioWorld` per building
+    ``config`` names, in building order, and every view concatenates
+    across them.  Views that name a radio (``radio_traces``,
+    :meth:`clock_groups`, :meth:`radios_of_pods`) use its composed id,
+    ``radio_id + b * building_stride(config)``, and with more than one
+    building each trace is stamped ``building_id=b``.  A one-building
+    run's views are its world's own objects: unstamped, no offset.
+    Other views keep each building's own numbering (station indexes,
+    ``client_index``, transmission ids).
+    """
+
+    config: ScenarioConfig
+    worlds: List[ScenarioWorld]
+
+    def _placed(self) -> List[Tuple[int, Optional[int], ScenarioWorld]]:
+        """Each world with its radio-id offset and the ``building_id``
+        its traces carry (None when the run is one building)."""
+        if len(self.worlds) == 1:
+            return [(0, None, self.worlds[0])]
+        stride = building_stride(self.config)
+        return [(b * stride, b, world) for b, world in enumerate(self.worlds)]
+
+    def monitor_radios(self) -> List[Tuple[int, Optional[int], MonitorRadio]]:
+        """Every monitor radio with its composed id and building stamp."""
+        return [
+            (offset + radio.radio_id, stamp, radio)
+            for offset, stamp, world in self._placed()
+            for pod in world.pods
+            for radio in pod.radios
+        ]
+
+    @cached_property
+    def radio_traces(self) -> List[RadioTrace]:
+        """The monitor traces — Jigsaw's input, composed once.
+
+        A composed trace shares its record list with its building's
+        radio.  Empty for a streamed run:
+        :func:`repro.sim.stream.stream_scenario` moves record ownership
+        into the consuming :class:`~repro.jtrace.io.RadioTrace` readers.
+        """
+        return [
+            radio.trace
+            if stamp is None
+            else RadioTrace(
+                radio_id,
+                radio.trace.channel,
+                radio.trace.records,
+                building_id=stamp,
+            )
+            for radio_id, stamp, radio in self.monitor_radios()
+        ]
+
+    @property
+    def buildings(self) -> List["SimulationArtifacts"]:
+        """One bundle per building, each viewing its world alone (its
+        own radio ids, unstamped)."""
+        return [SimulationArtifacts(w.config, [w]) for w in self.worlds]
+
+    def _joined(self, name: str) -> list:
+        """A world attribute (dotted ``name``), concatenated in building
+        order; a one-building run's is the world's own list."""
+        part = attrgetter(name)
+        if len(self.worlds) == 1:
+            return part(self.worlds[0])
+        return [item for world in self.worlds for item in part(world)]
+
+    @property
+    def aps(self) -> List[AccessPoint]:
+        return self._joined("aps")
+
+    @property
+    def stations(self) -> List[Station]:
+        return self._joined("stations")
+
+    @property
+    def station_placements(self) -> List[Placement]:
+        return self._joined("station_placements")
+
+    @property
+    def pods(self) -> List[SensorPod]:
+        return self._joined("pods")
+
+    @property
+    def pod_placements(self) -> List[Placement]:
+        return self._joined("pod_placements")
+
+    @property
+    def flows(self) -> List[FlowRequest]:
+        return self._joined("flows")
+
+    @property
+    def roam_events(self) -> List[RoamEvent]:
+        return self._joined("roam_events")
+
+    @property
+    def flow_outcomes(self) -> List[FlowOutcome]:
+        return [d.outcome for world in self.worlds for d in world.drivers]
+
+    @property
+    def ground_truth(self) -> List[Transmission]:
+        """Every transmission that ever hit the air, in true-time order
+        within each building.  Transmission ids restart in each
+        building's medium, so a campus run can repeat a ``txid``."""
+        return self._joined("medium.history")
+
+    @property
+    def wired_trace(self) -> List[WiredTraceRecord]:
+        return self._joined("wired.trace")
+
+    def pod_reduction_order(self) -> List[int]:
+        """Pod indices in Figure 7 removal order (most redundant first)."""
+        return pod_reduction_order(self.pod_placements)
+
+    def radios_of_pods(self, pod_indices) -> List[int]:
+        """Radio ids belonging to the given pod indices."""
+        wanted = set(pod_indices)
+        pods = [
+            (offset, pod)
+            for offset, _, world in self._placed()
+            for pod in world.pods
+        ]
+        return [
+            offset + radio.radio_id
+            for index, (offset, pod) in enumerate(pods)
+            if index in wanted
+            for radio in pod.radios
+        ]
+
+    def clock_groups(self) -> List[List[int]]:
+        """Radio ids sharing one capture clock (the two radios per monitor)."""
+        return [
+            [offset + radio_id for radio_id in group]
+            for offset, _, world in self._placed()
+            for group in world.clock_groups()
+        ]
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
-    """Assemble (but do not run) one scenario's complete world."""
+    """Assemble (but do not run) one building's complete world."""
+    if config.n_buildings > 1:
+        raise ValueError(
+            f"build_scenario builds one building; this config names "
+            f"{config.n_buildings} (run_scenario and stream_scenario "
+            f"build each)"
+        )
     master_rng = np.random.default_rng(config.seed)
     streams = config.streams()
     kernel = Kernel()
@@ -394,32 +494,19 @@ def build_scenario(config: ScenarioConfig) -> ScenarioWorld:
 
 def finalize_scenario(world: ScenarioWorld) -> SimulationArtifacts:
     """Close out a world whose kernel has reached the configured duration."""
-    for driver in world.drivers:
-        driver.client.abort() if not driver.client.finished else None
-        driver.server.abort() if not driver.server.finished else None
-    return SimulationArtifacts(
-        config=world.config,
-        building=world.building,
-        medium=world.medium,
-        wired=world.wired,
-        aps=world.aps,
-        ap_placements=world.ap_placements,
-        stations=world.stations,
-        station_placements=world.station_placements,
-        pods=world.pods,
-        pod_placements=world.pod_placements,
-        flows=world.flows,
-        flow_outcomes=[driver.outcome for driver in world.drivers],
-        events_run=world.kernel.events_run,
-        roam_events=world.roam_events,
-    )
+    world.finish()
+    return SimulationArtifacts(world.config, [world])
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationArtifacts:
-    """Build and run one scenario end to end."""
-    world = build_scenario(config)
-    world.kernel.run_until(config.duration_us)
-    return finalize_scenario(world)
+    """Build and run every building ``config`` names, end to end."""
+    worlds = []
+    for sub in building_configs(config):
+        world = build_scenario(sub)
+        world.kernel.run_until(sub.duration_us)
+        world.finish()
+        worlds.append(world)
+    return SimulationArtifacts(config, worlds)
 
 
 class _RoamScheduler:

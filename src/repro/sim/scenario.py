@@ -72,19 +72,20 @@ class GeometryConfig:
     n_pods: int = 39
 
     # Campus scale: how many RF-isolated copies of this building the
-    # deployment spans.  ``1`` is the paper's single building; larger
-    # values are consumed by :func:`repro.sim.campus.run_campus`, which
-    # composes that many independent building simulations (disjoint
-    # radio-id ranges, per-building ``building_id`` stamps on every
-    # trace) rather than growing one simulation — buildings never share
-    # air, so composition is exact.
+    # deployment spans.  ``1`` is the paper's single building; for larger
+    # values ``run_scenario`` and ``stream_scenario`` compose that many
+    # independent building simulations (:mod:`repro.sim.campus`:
+    # disjoint radio-id ranges, per-building ``building_id`` stamps on
+    # every trace) rather than growing one simulation — buildings never
+    # share air, so composition is exact.  ``build_scenario`` builds one
+    # building and refuses more.
     n_buildings: int = 1
 
     # Which campus building this configuration simulates (always 0 for a
     # standalone building).  Campus composition sets it per sub-config so
     # each building mints MAC addresses from a disjoint block — building
     # 0's addresses are unchanged from a standalone run, keeping the
-    # golden traces and the 1-building == ``run_scenario`` identity.
+    # golden traces.
     building_index: int = 0
 
     # The paper's building has an administrative wing (first floor, left)

@@ -1,11 +1,15 @@
 """Streaming scenario execution: simulator records feed the pipeline live.
 
 :func:`stream_scenario` runs a scenario *incrementally*: instead of
-driving the kernel to completion and materializing every monitor trace,
-it exposes one :class:`~repro.jtrace.io.RadioTrace` per radio — with a
-batch source, like the traces :func:`~repro.jtrace.io.open_trace_stream`
-opens — whose records are produced by advancing the shared
-discrete-event kernel in bounded time slices on demand.
+driving the kernels to completion and materializing every monitor
+trace, it exposes one :class:`~repro.jtrace.io.RadioTrace` per radio —
+with a batch source, like the traces
+:func:`~repro.jtrace.io.open_trace_stream` opens — whose records are
+produced by advancing the discrete-event kernels in bounded time slices
+on demand.  It builds every building the config names, as
+:func:`~repro.sim.runner.run_scenario` does: each slice advances every
+building's kernel by the same chunk, and the traces carry the same
+composed radio ids and ``building_id`` stamps.
 ``JigsawPipeline.run`` therefore consumes a simulated run through the
 identical single-read path it uses for on-disk traces:
 
@@ -45,12 +49,8 @@ from typing import Deque, Dict, Iterator, List, Optional
 
 from ..jtrace.io import RadioTrace
 from ..jtrace.records import RecordBatch, TraceRecord, batch_from_records
-from ..sim.runner import (
-    ScenarioWorld,
-    SimulationArtifacts,
-    build_scenario,
-    finalize_scenario,
-)
+from ..sim.campus import building_configs
+from ..sim.runner import SimulationArtifacts, build_scenario
 from ..sim.scenario import ScenarioConfig
 
 #: Default kernel advance per pull, in simulated microseconds.  Small
@@ -64,25 +64,26 @@ class StreamedScenario:
 
     ``traces`` are :class:`RadioTrace` objects reading a batch source; any
     consumer pulling records (the pipeline's bootstrap window feed, the
-    merge's drain) advances the shared kernel chunk by chunk until the
-    requested records exist.  All readers share one simulation: advancing
-    for one radio harvests newly captured records into every radio's
-    queue.
+    merge's drain) advances the kernels chunk by chunk until the
+    requested records exist.  All readers share one simulation:
+    advancing for one radio harvests newly captured records into every
+    radio's queue, in every building.
     """
 
-    def __init__(self, world: ScenarioWorld, chunk_us: int) -> None:
+    def __init__(self, config: ScenarioConfig, chunk_us: int) -> None:
         if chunk_us <= 0:
             raise ValueError("chunk_us must be positive")
-        self._world = world
+        self._run = SimulationArtifacts(
+            config, [build_scenario(sub) for sub in building_configs(config)]
+        )
         self._chunk_us = chunk_us
-        self._duration_us = world.config.duration_us
+        self._duration_us = config.duration_us
+        #: Simulated time every building's kernel has reached.
+        self._now_us = 0
         self._complete = False
-        self._artifacts: Optional[SimulationArtifacts] = None
-        self._radios = [
-            radio for pod in world.pods for radio in pod.radios
-        ]
+        self._radios = self._run.monitor_radios()
         self._queues: Dict[int, Deque[RecordBatch]] = {
-            radio.radio_id: deque() for radio in self._radios
+            radio_id: deque() for radio_id, _, _ in self._radios
         }
         #: One streaming reader per radio — the pipeline's input.  A
         #: monitor radio stamps every record with its own channel, so
@@ -90,22 +91,22 @@ class StreamedScenario:
         #: runs none of the simulation.
         self.traces: List[RadioTrace] = [
             RadioTrace(
-                radio.radio_id,
+                radio_id,
                 radio.channel.number,
-                building_id=radio.trace.building_id,
-                source=self._source(radio.radio_id),
+                building_id=stamp,
+                source=self._source(radio_id),
                 channel_set=frozenset((radio.channel.number,)),
             )
-            for radio in self._radios
+            for radio_id, stamp, radio in self._radios
         ]
 
     @property
     def config(self) -> ScenarioConfig:
-        return self._world.config
+        return self._run.config
 
     def clock_groups(self) -> List[List[int]]:
         """Radio ids sharing one capture clock (bootstrap metadata)."""
-        return self._world.clock_groups()
+        return self._run.clock_groups()
 
     def artifacts(self) -> SimulationArtifacts:
         """The oracle bundle; runs any remaining simulation to the end.
@@ -116,8 +117,7 @@ class StreamedScenario:
         """
         while self._advance():
             pass
-        assert self._artifacts is not None
-        return self._artifacts
+        return self._run
 
     # --- the shared feed --------------------------------------------------
 
@@ -125,22 +125,22 @@ class StreamedScenario:
         """Run one more kernel slice; False once the run has completed."""
         if self._complete:
             return False
-        kernel = self._world.kernel
-        target = min(kernel.now_us + self._chunk_us, self._duration_us)
-        kernel.run_until(target)
+        target = min(self._now_us + self._chunk_us, self._duration_us)
+        for world in self._run.worlds:
+            world.kernel.run_until(target)
+        self._now_us = target
         self._harvest()
         if target >= self._duration_us:
-            self._artifacts = finalize_scenario(self._world)
+            for world in self._run.worlds:
+                world.finish()
             self._complete = True
         return True
 
     def _harvest(self) -> None:
-        for radio in self._radios:
+        for radio_id, _, radio in self._radios:
             drained = radio.drain_captured()
             if drained:
-                self._queues[radio.radio_id].append(
-                    batch_from_records(drained)
-                )
+                self._queues[radio_id].append(batch_from_records(drained))
 
     def _source(self, radio_id: int) -> Iterator[RecordBatch]:
         queue = self._queues[radio_id]
@@ -154,8 +154,9 @@ class StreamedScenario:
 def stream_scenario(
     config: ScenarioConfig, chunk_us: int = DEFAULT_CHUNK_US
 ) -> StreamedScenario:
-    """Build a scenario for lazy, pipeline-driven execution."""
-    return StreamedScenario(build_scenario(config), chunk_us)
+    """Build every building of a scenario for lazy, pipeline-driven
+    execution."""
+    return StreamedScenario(config, chunk_us)
 
 
 class LiveScenarioFeed:

@@ -20,7 +20,7 @@ from repro.core.sync.bootstrap import (
 )
 from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import batch_from_records
-from repro.sim.campus import run_campus
+from repro.sim import run_scenario
 from repro.sim.registry import scenario_config
 
 
@@ -196,18 +196,18 @@ class TestWidenDelta:
         """End to end with a window small enough to force widening: the
         run that fed only each round's delta must land on exactly what
         one collection at the final window produces."""
-        campus = run_campus(
+        campus = run_scenario(
             scenario_config("campus", "tiny", seed=17, n_buildings=4)
         )
         widened = bootstrap_synchronization(
-            campus.traces, clock_groups=campus.clock_groups, window_us=20_000
+            campus.radio_traces, clock_groups=campus.clock_groups(), window_us=20_000
         )
         assert widened.widen_rounds > 0, (
             "window did not force widening; shrink window_us"
         )
         scratch = bootstrap_synchronization(
-            campus.traces,
-            clock_groups=campus.clock_groups,
+            campus.radio_traces,
+            clock_groups=campus.clock_groups(),
             window_us=widened.window_us,
             auto_widen=False,
         )

@@ -197,59 +197,6 @@ class TestLoadRefusesWhatDoesNotUnpickle:
         assert isinstance(err.value.__cause__, ValueError)
 
 
-def test_version_6_checkpoint_is_refused(tmp_path):
-    """Version 6 pickled jframes as instance runs and merge groups as
-    instance lists; this build reads neither, so it refuses the version
-    before unpickling anything."""
-    assert CHECKPOINT_VERSION == 12
-    path = tmp_path / "v6.ckpt"
-    write_framed(path, pickle.dumps(empty_state()), version=6)
-    with pytest.raises(CheckpointError, match="version 6"):
-        load_checkpoint(path)
-
-
-def test_version_7_checkpoint_is_refused(tmp_path):
-    """Version 7 held the bootstrap as a plain-data dict, a health
-    field and the assemblers' id()-rebuilding pickle state; this build
-    refuses it before unpickling anything."""
-    path = tmp_path / "v7.ckpt"
-    write_framed(path, pickle.dumps(empty_state()), version=7)
-    with pytest.raises(CheckpointError, match="version 7"):
-        load_checkpoint(path)
-
-
-def test_version_8_checkpoint_is_refused(tmp_path):
-    """Version 8's attempt assembler added orphan-ACK attempts to its
-    count only at ``finish()``; this build counts them as they are made,
-    so a restored version 8 assembler would under-count."""
-    path = tmp_path / "v8.ckpt"
-    write_framed(path, pickle.dumps(empty_state()), version=8)
-    with pytest.raises(CheckpointError, match="version 8"):
-        load_checkpoint(path)
-
-
-def test_version_9_checkpoint_is_refused(tmp_path):
-    """Version 9 stored the feed's consumed counts and their total
-    beside the merge; this build reads both from the merge, and refuses
-    a state that carries a second ledger."""
-    path = tmp_path / "v9.ckpt"
-    write_framed(path, pickle.dumps(empty_state()), version=9)
-    with pytest.raises(CheckpointError, match="version 9"):
-        load_checkpoint(path)
-
-
-def test_version_10_checkpoint_is_refused(tmp_path):
-    """Version 10's exchange assembler counted closed exchanges apart
-    from ``stats.exchanges`` and copied them over at ``finish()``, and
-    each ``Unifier`` carried three module constants; a restored version
-    10 assembler would leave out the exchanges it closed before the
-    checkpoint."""
-    path = tmp_path / "v10.ckpt"
-    write_framed(path, pickle.dumps(empty_state()), version=10)
-    with pytest.raises(CheckpointError, match="version 10"):
-        load_checkpoint(path)
-
-
 def test_version_11_checkpoint_is_refused(tmp_path):
     """Version 11 counted the quarantined radios into a stats object at
     start, pickled a merge cursor without its VALID count and gave

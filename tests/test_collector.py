@@ -33,7 +33,7 @@ from repro.service.windows import (
 from repro.sim import (
     REGISTRY,
     FaultConfig,
-    run_campus,
+    run_scenario,
     scenario_config,
     write_faulty_traces,
 )
@@ -47,8 +47,8 @@ FILE_DAMAGE = FaultConfig(corrupt_rate=0.02, truncate_radios=1)
 
 @pytest.fixture(scope="module")
 def simulate():
-    """``simulate(family, **overrides)``: a tiny campus at ``SEED``,
-    simulated once per module."""
+    """``simulate(family, **overrides)``: the family's tiny run at
+    ``SEED``, simulated once per module."""
     campuses = {}
 
     def get(family, **overrides):
@@ -57,7 +57,7 @@ def simulate():
             config = scenario_config(family, scale="tiny", seed=SEED)
             if overrides:
                 config = config.with_overrides(**overrides)
-            campuses[key] = (config, run_campus(config))
+            campuses[key] = (config, run_scenario(config))
         return campuses[key]
 
     return get
@@ -85,8 +85,8 @@ def test_memory_run_makes_no_cyclic_garbage(family, materialize, simulate):
     _, campus = simulate(family)
     assert unreachable_after(
         lambda: JigsawPipeline().run(
-            campus.traces,
-            clock_groups=campus.clock_groups,
+            campus.radio_traces,
+            clock_groups=campus.clock_groups(),
             materialize=materialize,
         )
     ) == 0
@@ -95,23 +95,23 @@ def test_memory_run_makes_no_cyclic_garbage(family, materialize, simulate):
 @pytest.mark.parametrize("family", sorted(REGISTRY.names()))
 def test_files_run_makes_no_cyclic_garbage(family, tmp_path, simulate):
     _, campus = simulate(family)
-    write_traces(campus.traces, tmp_path)
+    write_traces(campus.radio_traces, tmp_path)
     assert unreachable_after(
         lambda: JigsawPipeline().run(
-            open_trace_streams(tmp_path), clock_groups=campus.clock_groups
+            open_trace_streams(tmp_path), clock_groups=campus.clock_groups()
         )
     ) == 0
 
 
 def test_damaged_files_run_makes_no_cyclic_garbage(tmp_path, simulate):
     config, campus = simulate("flash_crowd", faults=FILE_DAMAGE)
-    plan = write_faulty_traces(campus.traces, tmp_path, config)
+    plan = write_faulty_traces(campus.radio_traces, tmp_path, config)
     assert plan.corrupted_records and plan.truncated
 
     def run():
         report = JigsawPipeline().run(
             open_trace_streams(tmp_path, policy="skip"),
-            clock_groups=campus.clock_groups,
+            clock_groups=campus.clock_groups(),
         )
         assert not report.health.ingest.clean
         return report
@@ -159,8 +159,8 @@ def collector_on():
 
 def run_probed(campus):
     report = JigsawPipeline().run(
-        campus.traces,
-        clock_groups=campus.clock_groups,
+        campus.radio_traces,
+        clock_groups=campus.clock_groups(),
         passes=[CollectorProbe()],
     )
     return report.passes["collector_probe"]
@@ -183,8 +183,8 @@ def test_raising_pass_restores_collection(collector_on, simulate):
     _, campus = simulate("hidden_terminal")
     with pytest.raises(Boom):
         JigsawPipeline().run(
-            campus.traces,
-            clock_groups=campus.clock_groups,
+            campus.radio_traces,
+            clock_groups=campus.clock_groups(),
             passes=[RaisingPass()],
         )
     assert gc.isenabled()
@@ -196,11 +196,11 @@ def test_strict_truncated_read_restores_collection(
     config, campus = simulate(
         "flash_crowd", faults=FaultConfig(truncate_radios=1)
     )
-    plan = write_faulty_traces(campus.traces, tmp_path, config)
+    plan = write_faulty_traces(campus.radio_traces, tmp_path, config)
     assert plan.truncated
     with pytest.raises(ValueError, match="truncated"):
         JigsawPipeline().run(
-            open_trace_streams(tmp_path), clock_groups=campus.clock_groups
+            open_trace_streams(tmp_path), clock_groups=campus.clock_groups()
         )
     assert gc.isenabled()
 
@@ -217,9 +217,9 @@ class ReplayFeed:
     streamed simulation leaves cyclic garbage of its own)."""
 
     def __init__(self, campus, raise_at=None):
-        self.traces = campus.traces
-        self._clock_groups = campus.clock_groups
-        self._records = {t.radio_id: t.records for t in campus.traces}
+        self.traces = campus.radio_traces
+        self._clock_groups = campus.clock_groups()
+        self._records = {t.radio_id: t.records for t in campus.radio_traces}
         self._cursor = dict.fromkeys(self._records, 0)
         self._raise_at = raise_at
         self._served = 0

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from helpers import SRC, data_frame, record_for
+from repro.core.pipeline import JigsawPipeline
 from repro.core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from repro.core.unify.jframe import Instance, JFrameKind
 from repro.core.unify.unifier import Unifier
@@ -92,6 +93,20 @@ class TestBasicUnification:
         ])
         result = Unifier().unify([trace], perfect_bootstrap([0]))
         assert len(result.jframes) == 2
+
+    def test_two_traces_of_one_radio_are_refused(self):
+        """A radio id names one trace: a second trace under it would
+        displace the first in the merge and fold both into one clock."""
+        frame = data_frame()
+        traces = [
+            RadioTrace(0, 1, [record_for(frame, 0, 1000)]),
+            RadioTrace(1, 1, [record_for(frame, 1, 1003)]),
+            RadioTrace(0, 6, [record_for(frame, 0, 2000)]),
+        ]
+        with pytest.raises(ValueError, match="radio id 0"):
+            Unifier().stream_unify(traces, perfect_bootstrap([0, 1]))
+        with pytest.raises(ValueError, match="radio id 0"):
+            JigsawPipeline().run(traces)
 
     def test_unsynchronized_radio_skipped(self):
         frame = data_frame()

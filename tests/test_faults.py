@@ -25,6 +25,7 @@ import pytest
 from helpers import data_frame, record_for
 from repro.core.faults import HealthReport
 from repro.core.pipeline import JigsawPipeline
+from repro.core.sync import bootstrap
 from repro.core.sync.bootstrap import (
     QUARANTINE_NO_REFERENCES,
     QUARANTINE_UNSTABLE_CLOCK,
@@ -248,7 +249,7 @@ class TestDegradedSync:
         assert result.widen_rounds >= 1
         assert result.rejoined == [1]
 
-    def test_unstable_clock_fit_quarantined(self):
+    def test_unstable_clock_fit_quarantined(self, monkeypatch):
         # Set A = {0, 1, 2} then set B = {1, 2, 3, 4}; radio 2's clock
         # jumps 1 s between them, so B's redundant 1-2 edge contradicts
         # the offsets A established.  Only radio 2 has violations on a
@@ -275,9 +276,8 @@ class TestDegradedSync:
         assert result.quarantined == {2: QUARANTINE_UNSTABLE_CLOCK}
         assert set(result.offsets_us) == {0, 1, 3, 4}
         # With a tolerance above the jump the fit is accepted as skew.
-        lax = bootstrap_synchronization(
-            traces, auto_widen=False, stability_tolerance_us=1_000_000
-        )
+        monkeypatch.setattr(bootstrap, "STABILITY_TOLERANCE_US", 1_000_000)
+        lax = bootstrap_synchronization(traces, auto_widen=False)
         assert lax.fully_synchronized
 
 

@@ -16,7 +16,6 @@ from repro.core.unify.jframe import Instance
 from repro.jtrace.records import RecordKind
 from repro.service import JigsawDaemon
 from repro.sim import run_scenario
-from repro.sim.campus import run_campus
 from repro.sim.registry import scenario_config
 from repro.sim.stream import live_feed
 
@@ -54,10 +53,10 @@ def test_merge_builds_no_instance(tmp_path):
 def unified(request):
     family = request.param
     if family == "campus":
-        campus = run_campus(
+        campus = run_scenario(
             scenario_config("campus", "tiny", seed=SEED, n_buildings=4)
         )
-        traces, groups = campus.traces, campus.clock_groups
+        traces, groups = campus.radio_traces, campus.clock_groups()
     else:
         artifacts = run_scenario(scenario_config(family, "tiny", seed=SEED))
         traces, groups = artifacts.radio_traces, artifacts.clock_groups()

@@ -54,15 +54,16 @@ from repro.sim import (
     run_scenario,
     write_faulty_traces,
 )
-from repro.sim.campus import run_campus
 from repro.sim.registry import scenario_config
 
 pytestmark = pytest.mark.service
 
-#: A seed under which no corpus's damage decodes into a fabricated
-#: record: at other seeds the skip policy's resync scan can accept
-#: junk stamped ~1e16 us, and gap-free windowed passes would then seal
-#: every window up to it.  ``simulate`` refuses such a corpus.
+#: Fixes the drawn kill points.  ``simulate`` still refuses a corpus
+#: whose damage decodes into a record outside its radio's true span
+#: (gap-free windowed passes would seal every window up to it), but
+#: ``SidecarBound`` rejects such headers: with the file-damage preset the
+#: skip policy, scalar and batch, decodes none at seeds 0-11 for the
+#: tiny building, the flash crowd and a four-building campus.
 SEED = 6
 #: Four buildings of three channels: the campus corpora are the
 #: twelve-leaf (building, channel) partition, in the daemon too.
@@ -122,12 +123,8 @@ class Corpus:
 
 def simulate(config: ScenarioConfig, directory: Path) -> Corpus:
     """Simulate once, write the (damaged) files, run both batch modes."""
-    if config.n_buildings > 1:
-        campus = run_campus(config)
-        traces, groups = campus.traces, campus.clock_groups
-    else:
-        artifacts = run_scenario(config)
-        traces, groups = artifacts.radio_traces, artifacts.clock_groups()
+    artifacts = run_scenario(config)
+    traces, groups = artifacts.radio_traces, artifacts.clock_groups()
     plan = write_faulty_traces(traces, directory, config)
     assert plan.any == config.faults.any
     damaged = bool(plan.corrupted_records or plan.truncated)

@@ -29,7 +29,7 @@ from repro.jtrace.records import record_to_bytes
 from repro.sim import (
     REGISTRY,
     FaultConfig,
-    run_campus,
+    run_scenario,
     scenario_config,
     write_faulty_traces,
 )
@@ -142,7 +142,7 @@ def simulate(family, **overrides):
     config = scenario_config(family, scale="tiny", seed=SEED)
     if overrides:
         config = config.with_overrides(**overrides)
-    return config, run_campus(config)
+    return config, run_scenario(config)
 
 
 def test_registry_is_pinned():
@@ -154,11 +154,11 @@ def test_registry_is_pinned():
 def test_reconstruction_is_bit_identical(family, tmp_path):
     _, campus = simulate(family)
     memory = JigsawPipeline().run(
-        campus.traces, clock_groups=campus.clock_groups
+        campus.radio_traces, clock_groups=campus.clock_groups()
     )
-    write_traces(campus.traces, tmp_path)
+    write_traces(campus.radio_traces, tmp_path)
     files = JigsawPipeline().run(
-        open_trace_streams(tmp_path), clock_groups=campus.clock_groups
+        open_trace_streams(tmp_path), clock_groups=campus.clock_groups()
     )
     assert {
         "memory": report_digest(memory),
@@ -168,11 +168,11 @@ def test_reconstruction_is_bit_identical(family, tmp_path):
 
 def test_damaged_files_reconstruction_is_bit_identical(tmp_path):
     config, campus = simulate("flash_crowd", faults=FILE_DAMAGE)
-    plan = write_faulty_traces(campus.traces, tmp_path, config)
+    plan = write_faulty_traces(campus.radio_traces, tmp_path, config)
     assert plan.corrupted_records and plan.truncated
     report = JigsawPipeline().run(
         open_trace_streams(tmp_path, policy="skip"),
-        clock_groups=campus.clock_groups,
+        clock_groups=campus.clock_groups(),
     )
     assert not report.health.ingest.clean
     assert report_digest(report) == EXPECTED_DAMAGED_FLASH_CROWD

@@ -204,7 +204,7 @@ class TestLiveStart:
         daemon = JigsawDaemon(feed)
         daemon._start()
         assert daemon.total_consumed == 0
-        assert feed._scenario._world.kernel.now_us < config.duration_us
+        assert feed._scenario._now_us < config.duration_us
 
     def test_a_plain_queue_feed_starts_a_daemon(self):
         """A :class:`QueueFeed` over a record-less roster is a whole

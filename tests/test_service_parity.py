@@ -305,14 +305,18 @@ def test_second_serve_is_refused_and_leaves_the_report_alone():
 
 
 @pytest.mark.parametrize(
-    "version", [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1],
-    ids=["older", "newer"],
+    "version",
+    [*range(6, CHECKPOINT_VERSION), CHECKPOINT_VERSION + 1],
+    ids=lambda version: {
+        CHECKPOINT_VERSION - 1: "older", CHECKPOINT_VERSION + 1: "newer"
+    }.get(version, f"v{version}"),
 )
 def test_other_checkpoint_versions_are_refused(tmp_path, version):
     """A header that is intact in every other respect (magic, length,
     CRC) but written by another format version must be refused by
     version — before ``pickle.loads`` meets classes that have since
-    been deleted or reshaped."""
+    been deleted or reshaped.  Every version retired since 6 is one
+    case ("older" is the one just retired), and so is one newer."""
     payload = b"layout of another build"
     path = tmp_path / "other.ckpt"
     path.write_bytes(

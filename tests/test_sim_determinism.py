@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from repro.jtrace.records import record_to_bytes
-from repro.sim import REGISTRY, run_campus, scenario_config
+from repro.sim import REGISTRY, run_scenario, scenario_config
 
 SEED = 17
 
@@ -61,5 +61,5 @@ def test_registry_is_pinned():
 
 @pytest.mark.parametrize("family", sorted(EXPECTED))
 def test_tiny_run_is_bit_identical(family):
-    campus = run_campus(scenario_config(family, scale="tiny", seed=SEED))
-    assert simulation_digest(campus.buildings) == EXPECTED[family]
+    artifacts = run_scenario(scenario_config(family, scale="tiny", seed=SEED))
+    assert simulation_digest(artifacts.buildings) == EXPECTED[family]

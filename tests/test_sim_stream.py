@@ -14,8 +14,9 @@ from helpers import assert_reports_identical
 from repro.core.pipeline import JigsawPipeline
 from repro.core.unify import partition_traces
 from repro.jtrace.io import RadioTrace
-from repro.sim import ScenarioConfig, run_scenario
-from repro.sim.stream import stream_scenario
+from repro.sim import ScenarioConfig, build_scenario, run_scenario
+from repro.sim.registry import scenario_config
+from repro.sim.stream import live_feed, stream_scenario
 
 
 class TestStreamedScenario:
@@ -69,9 +70,9 @@ class TestStreamedScenario:
         the streaming traces."""
         streamed = stream_scenario(ScenarioConfig.tiny(seed=3))
         oracle = streamed.artifacts()
-        assert oracle.events_run > 0
+        assert sum(world.kernel.events_run for world in oracle.worlds) > 0
         assert oracle.ground_truth
-        assert streamed._world.kernel.now_us == oracle.config.duration_us
+        assert streamed._now_us == oracle.config.duration_us
 
 
 class TestLazyExecution:
@@ -84,7 +85,7 @@ class TestLazyExecution:
         first = trace.first_timestamp_us
         assert first is not None
         trace.buffered_until(first + 200_000)
-        now = streamed._world.kernel.now_us
+        now = streamed._now_us
         assert 0 < now < config.duration_us, now
 
     def test_shard_partition_runs_none_of_the_simulation(self):
@@ -93,8 +94,49 @@ class TestLazyExecution:
         config = ScenarioConfig.small(seed=9)
         streamed = stream_scenario(config, chunk_us=100_000)
         assert partition_traces(streamed.traces)
-        assert streamed._world.kernel.now_us == 0
+        assert streamed._now_us == 0
 
     def test_chunk_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_us"):
             stream_scenario(ScenarioConfig.tiny(), chunk_us=0)
+
+
+def shard_ids(traces):
+    return [[t.radio_id for t in shard] for shard in partition_traces(traces)]
+
+
+class TestEveryBuilding:
+    def test_campus_simulates_as_a_campus(self):
+        """The campus family is a campus through every entry point:
+        each building's radios under composed ids, stamped with their
+        building, sharded alike streamed and materialized."""
+        config = scenario_config("campus", scale="tiny", seed=7)
+        n = config.n_buildings
+        assert n > 1
+        artifacts = run_scenario(config)
+        streamed = stream_scenario(config)
+        feed = live_feed(config)
+        for traces in (artifacts.radio_traces, streamed.traces, feed.traces):
+            assert len(traces) == n * config.n_radios
+            assert {t.building_id for t in traces} == set(range(n))
+        assert shard_ids(streamed.traces) == shard_ids(artifacts.radio_traces)
+        assert shard_ids(feed.traces) == shard_ids(artifacts.radio_traces)
+        assert streamed.clock_groups() == artifacts.clock_groups()
+        assert len(artifacts.ground_truth) == sum(
+            len(building.ground_truth) for building in artifacts.buildings
+        )
+
+    def test_one_building_views_are_its_worlds_own(self):
+        artifacts = run_scenario(ScenarioConfig.tiny(seed=3))
+        (world,) = artifacts.worlds
+        radios = [radio for pod in world.pods for radio in pod.radios]
+        assert all(
+            trace is radio.trace
+            for trace, radio in zip(artifacts.radio_traces, radios, strict=True)
+        )
+        assert {t.building_id for t in artifacts.radio_traces} == {None}
+        assert artifacts.ground_truth is world.medium.history
+
+    def test_build_scenario_builds_one_building(self):
+        with pytest.raises(ValueError, match="one building"):
+            build_scenario(ScenarioConfig.tiny(n_buildings=2))

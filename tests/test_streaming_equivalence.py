@@ -25,7 +25,7 @@ from repro.dot11.serialize import frame_to_bytes
 from repro.jtrace.io import RadioTrace
 from repro.jtrace.records import RecordKind, TraceRecord
 from repro.service.daemon import SLICE
-from repro.sim.campus import run_campus
+from repro.sim import run_scenario
 from repro.sim.registry import scenario_config
 
 
@@ -227,7 +227,7 @@ def stripped(traces):
 
 @pytest.fixture(scope="module")
 def campus():
-    return run_campus(
+    return run_scenario(
         scenario_config("campus", "tiny", seed=17, n_buildings=N_BUILDINGS)
     )
 
@@ -235,14 +235,14 @@ def campus():
 @pytest.fixture(scope="module")
 def bootstrap(campus):
     result = bootstrap_synchronization(
-        campus.traces, clock_groups=campus.clock_groups
+        campus.radio_traces, clock_groups=campus.clock_groups()
     )
     # Stamped fleets synchronize each building on its own: every
     # building is its own expected reference island, nobody gets
     # quarantined off a "primary" building's timeline.
     assert result.quarantined == {}
     assert sorted(len(i) for i in result.islands) == sorted(
-        len([t for t in campus.traces if t.building_id == b])
+        len([t for t in campus.radio_traces if t.building_id == b])
         for b in range(N_BUILDINGS)
     )
     return result
@@ -251,7 +251,7 @@ def bootstrap(campus):
 @pytest.fixture(scope="module")
 def reference(campus, bootstrap):
     """The stamped merge: (building, channel) leaves."""
-    return Unifier().unify(campus.traces, bootstrap)
+    return Unifier().unify(campus.radio_traces, bootstrap)
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +264,7 @@ def stripped_reference(campus, bootstrap):
     from a *different building*, which (building, channel) leaves
     preclude.  Valid-frame assembly is partition-independent either way.
     """
-    return Unifier().unify(stripped(campus.traces), bootstrap)
+    return Unifier().unify(stripped(campus.radio_traces), bootstrap)
 
 
 class TestPartition:
@@ -300,7 +300,7 @@ class TestPartition:
     # --- stamped campus input: (building, channel) leaves -------------------
 
     def test_campus_plan_is_building_major(self, campus):
-        shards = partition_traces(campus.traces)
+        shards = partition_traces(campus.radio_traces)
         localities = [{t.building_id for t in shard} for shard in shards]
         # Every leaf sits inside one building; buildings come in order.
         assert all(len(loc) == 1 for loc in localities)
@@ -309,18 +309,18 @@ class TestPartition:
         assert set(order) == set(range(N_BUILDINGS))
         # One leaf per (building, channel) pair actually present.
         pairs = {
-            (t.building_id, t.channel) for t in campus.traces if len(t)
+            (t.building_id, t.channel) for t in campus.radio_traces if len(t)
         }
         assert len(shards) >= len(pairs)
         assert sorted(t.radio_id for shard in shards for t in shard) == sorted(
-            t.radio_id for t in campus.traces
+            t.radio_id for t in campus.radio_traces
         )
 
     def test_legacy_plan_falls_back_to_channels(self, campus):
-        shards = partition_traces(stripped(campus.traces))
-        assert len(shards) == len({t.channel for t in campus.traces})
+        shards = partition_traces(stripped(campus.radio_traces))
+        assert len(shards) == len({t.channel for t in campus.radio_traces})
         # Channel shards span buildings: no locality confinement left.
-        by_radio = {t.radio_id: t.building_id for t in campus.traces}
+        by_radio = {t.radio_id: t.building_id for t in campus.radio_traces}
         assert all(
             len({by_radio[t.radio_id] for t in shard}) == N_BUILDINGS
             for shard in shards
@@ -329,7 +329,7 @@ class TestPartition:
     def test_mixed_stamps_fall_back_to_channels(self, campus):
         """partition_traces is all-or-nothing on locality: one unstamped
         trace must demote the whole plan (never a half-hierarchy)."""
-        traces = list(campus.traces)
+        traces = list(campus.radio_traces)
         traces[0] = RadioTrace(
             traces[0].radio_id, traces[0].channel, traces[0].records
         )
@@ -337,7 +337,7 @@ class TestPartition:
             [t.radio_id for t in shard] for shard in partition_traces(traces)
         ] == [
             [t.radio_id for t in shard]
-            for shard in partition_traces(stripped(campus.traces))
+            for shard in partition_traces(stripped(campus.radio_traces))
         ]
 
     def test_hierarchy_confines_headless_attachment(
